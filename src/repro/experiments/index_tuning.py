@@ -30,22 +30,21 @@ def table_slab_tuning(slab_widths: tuple[float, ...] = (1.0, 2.5, 5.0, 10.0, 20.
                       duration: float = 10.0,
                       seed: int = 59) -> TableResult:
     """Candidates/query and maintenance cost per slab width."""
+    built = _build_fleet(
+        num_objects, seed, use_index=True, duration=duration,
+    )
+    # The same query workload for every slab width — the rows must
+    # differ only in index granularity.
+    polygons = polygon_query_workload(
+        built.network, random.Random(seed + 1), num_queries,
+        side_miles=(1.0, 2.0),
+    )
+    t = built.end_time
     rows: list[list[object]] = []
     for slab_minutes in slab_widths:
-        built = _build_fleet(
-            num_objects, seed, use_index=True, duration=duration,
-        )
         # Rebuild the index at the requested granularity from the final
         # database state (same objects, same planes, different slabs).
         index = built.database.rebuild_index(slab_minutes=slab_minutes)
-
-        # The same query workload for every slab width — the rows must
-        # differ only in index granularity.
-        rng = random.Random(seed + 1)
-        polygons = polygon_query_workload(
-            built.network, rng, num_queries, side_miles=(1.0, 2.0)
-        )
-        t = built.end_time
         candidates_total = 0
         entries_total = 0
         answers_total = 0

@@ -77,6 +77,12 @@ class OPlane:
             )
         return uncertainty_interval(self.attribute, self.route, self.bounds, t)
 
+    def _start_travel(self) -> float:
+        """Travel distance of ``P.startpoint``: an O(segments) projection."""
+        return self.route.travel_distance_of(
+            self.attribute.start_point, self.attribute.direction
+        )
+
     def travel_range(self, elapsed_lo: float, elapsed_hi: float,
                      samples: int = 4) -> tuple[float, float]:
         """Conservative travel-distance range over an elapsed-time span.
@@ -86,11 +92,15 @@ class OPlane:
         plus interior sampling with a small envelope margin is a sound
         over-approximation for the slab widths used here.
         """
+        return self._travel_range(
+            self._start_travel(), elapsed_lo, elapsed_hi, samples
+        )
+
+    def _travel_range(self, start_travel: float, elapsed_lo: float,
+                      elapsed_hi: float,
+                      samples: int = 4) -> tuple[float, float]:
         if elapsed_hi < elapsed_lo:
             raise IndexError_("elapsed_hi must be >= elapsed_lo")
-        start_travel = self.route.travel_distance_of(
-            self.attribute.start_point, self.attribute.direction
-        )
         v = self.attribute.speed
         lows: list[float] = []
         highs: list[float] = []
@@ -117,10 +127,12 @@ class OPlane:
         if slab_minutes <= 0:
             raise IndexError_(f"slab_minutes must be positive, got {slab_minutes}")
         boxes: list[Box3D] = []
+        # One projection per plane, not one per slab.
+        start_travel = self._start_travel()
         elapsed = 0.0
         while elapsed < self.horizon - 1e-12:
             slab_end = min(elapsed + slab_minutes, self.horizon)
-            lo, hi = self.travel_range(elapsed, slab_end)
+            lo, hi = self._travel_range(start_travel, elapsed, slab_end)
             strip = self.route.interval_polyline(
                 lo, hi, self.attribute.direction
             )

@@ -11,20 +11,25 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Hashable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Hashable
 
 from repro.errors import RouteError
 from repro.geometry.point import Point
 from repro.geometry.polyline import Polyline
 from repro.routes.route import Route
 
+if TYPE_CHECKING:
+    import networkx as nx
+
 
 class RouteNetwork:
     """A planar road network from which routes are derived."""
 
     def __init__(self) -> None:
+        # networkx is about a quarter of `import repro`; only processes
+        # that build a network pay for it.
+        import networkx as nx
+
         self._graph = nx.Graph()
         self._route_counter = itertools.count(1)
 
@@ -64,6 +69,8 @@ class RouteNetwork:
 
         Raises :class:`RouteError` when no path exists.
         """
+        import networkx as nx  # loaded when this network was constructed
+
         try:
             nodes = nx.shortest_path(
                 self._graph, origin, destination, weight="weight"

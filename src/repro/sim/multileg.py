@@ -27,7 +27,7 @@ from repro.geometry.point import Point
 from repro.routes.route import Route
 from repro.sim.clock import SimulationClock
 from repro.sim.speed_curves import SpeedCurve
-from repro.sim.trip import Trip
+from repro.sim.trip import Trip, interpolate_distance
 from repro.units import DEFAULT_TICK_MINUTES
 
 
@@ -87,22 +87,14 @@ class MultiLegTrip:
 
     @property
     def max_speed(self) -> float:
+        # Memoised by the curve, so reading it every tick costs a lookup.
         return self.curve.max_speed()
 
     def distance_travelled(self, t: float) -> float:
         """Global travel distance at time ``t`` (interpolated)."""
-        if not -1e-9 <= t <= self.duration + 1e-9:
-            raise SimulationError(
-                f"time {t} outside trip duration [0, {self.duration}]"
-            )
-        t = min(max(t, 0.0), self.duration)
-        idx = bisect.bisect_right(self._times, t) - 1
-        idx = min(max(idx, 0), len(self._times) - 2)
-        t0, t1 = self._times[idx], self._times[idx + 1]
-        d0, d1 = self._cumulative[idx], self._cumulative[idx + 1]
-        if t1 <= t0:
-            return d0
-        return d0 + (d1 - d0) * (t - t0) / (t1 - t0)
+        return interpolate_distance(
+            self._times, self._cumulative, self.curve.duration, t
+        )
 
     def speed(self, t: float) -> float:
         return self.curve.speed(t)

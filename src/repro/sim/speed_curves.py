@@ -21,6 +21,13 @@ All randomness is drawn at *construction* from a caller-supplied
 ``random.Random``, so a curve is a deterministic function ``speed(t)``
 afterwards — simulations are exactly reproducible from a seed.
 
+Every curve evaluates two ways: ``speed(t)`` at one time (what the tick
+loops call) and ``speed_many(ts)`` over an array of times (what trip
+construction and the curve summaries call).  The contract is that
+``speed_many(ts)[i] == speed(ts[i])`` exactly — each array override
+performs the scalar method's floating-point operations in the scalar
+method's order — so which one a caller uses never shows in a result.
+
 Speeds are miles/minute; a typical urban 30 mph is 0.5, highway 60 mph
 is 1.0 (Example 1's "1 mile per minute").
 """
@@ -32,6 +39,8 @@ import math
 import random
 from abc import ABC, abstractmethod
 from typing import Sequence
+
+import numpy as np
 
 from repro.errors import SimulationError
 
@@ -46,39 +55,80 @@ class SpeedCurve(ABC):
         if duration <= 0:
             raise SimulationError(f"duration must be positive, got {duration}")
         self.duration = duration
+        # Curves are immutable after construction, so a summary is
+        # computed once per (kind, samples).
+        self._summaries: dict[tuple[str, int], float] = {}
 
     @abstractmethod
     def speed(self, t: float) -> float:
         """Actual speed at time ``t`` (miles/minute, always >= 0)."""
 
+    def speed_many(self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
+        """``speed`` at every time of ``ts``: the same floats, as an array.
+
+        Raises :class:`SimulationError` when any time lies outside the
+        curve's domain, as ``speed`` does.  This default loops over
+        ``speed``; the concrete curves override it with array arithmetic.
+        """
+        return np.array(
+            [self.speed(t) for t in self._checked_times(ts).tolist()],
+            dtype=float,
+        )
+
     def max_speed(self, samples: int = 2048) -> float:
-        """An upper envelope of the curve, sampled densely.
+        """An upper envelope of the curve.
 
         This is the paper's ``V`` — the maximum speed the DBMS may
-        assume for the trip.  Sampling suffices because our curves are
-        piecewise-smooth with bounded variation between samples; a tiny
-        headroom factor guards the gaps.
+        assume for the trip.  Curves made of explicit pieces report
+        their exact peak; the others are sampled densely, which
+        suffices because they are piecewise-smooth with bounded
+        variation between samples.  A tiny headroom factor guards the
+        gaps.
         """
-        peak = max(
-            self.speed(self.duration * i / samples) for i in range(samples + 1)
-        )
-        return peak * 1.001 + 1e-12
+        key = ("max", samples)
+        if key not in self._summaries:
+            self._summaries[key] = self._peak_speed(samples) * 1.001 + 1e-12
+        return self._summaries[key]
+
+    def _peak_speed(self, samples: int) -> float:
+        """The largest speed on the ``samples + 1``-point uniform grid."""
+        grid = self.duration * np.arange(samples + 1) / samples
+        return float(self.speed_many(grid).max())
 
     def mean_speed(self, samples: int = 2048) -> float:
         """Average speed over the trip (trapezoidal estimate)."""
-        total = 0.0
-        dt = self.duration / samples
-        for i in range(samples):
-            a = self.speed(i * dt)
-            b = self.speed((i + 1) * dt)
-            total += (a + b) / 2.0 * dt
-        return total / self.duration
+        key = ("mean", samples)
+        if key not in self._summaries:
+            dt = self.duration / samples
+            values = self.speed_many(np.arange(samples + 1) * dt)
+            panels = (values[:-1] + values[1:]) / 2.0 * dt
+            # cumsum adds left to right, one panel at a time.
+            self._summaries[key] = float(np.cumsum(panels)[-1]) / self.duration
+        return self._summaries[key]
 
     def _check_time(self, t: float) -> None:
         if not -1e-9 <= t <= self.duration + 1e-9:
             raise SimulationError(
                 f"time {t} outside curve domain [0, {self.duration}]"
             )
+
+    def _checked_times(self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
+        """``ts`` as a float array, every element inside the domain."""
+        ts = np.asarray(ts, dtype=float)
+        outside = ~((ts >= -1e-9) & (ts <= self.duration + 1e-9))
+        if outside.any():
+            raise SimulationError(
+                f"time {ts[outside].flat[0]} outside curve domain "
+                f"[0, {self.duration}]"
+            )
+        return ts
+
+
+def _piece_index(boundaries: np.ndarray, ts: np.ndarray,
+                 pieces: int) -> np.ndarray:
+    """Array form of ``bisect_right(boundaries, t) - 1`` clamped to a piece."""
+    idx = np.searchsorted(boundaries, ts, side="right") - 1
+    return np.clip(idx, 0, pieces - 1)
 
 
 class ConstantCurve(SpeedCurve):
@@ -95,6 +145,9 @@ class ConstantCurve(SpeedCurve):
     def speed(self, t: float) -> float:
         self._check_time(t)
         return self.value
+
+    def speed_many(self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
+        return np.full(self._checked_times(ts).shape, self.value, dtype=float)
 
 
 class PiecewiseConstantCurve(SpeedCurve):
@@ -125,6 +178,8 @@ class PiecewiseConstantCurve(SpeedCurve):
         super().__init__(boundaries[-1])
         self._boundaries = boundaries
         self._speeds = speeds
+        self._boundary_array = np.array(boundaries, dtype=float)
+        self._speed_array = np.array(speeds, dtype=float)
 
     def speed(self, t: float) -> float:
         self._check_time(t)
@@ -132,6 +187,16 @@ class PiecewiseConstantCurve(SpeedCurve):
         idx = bisect.bisect_right(self._boundaries, t) - 1
         idx = min(max(idx, 0), len(self._speeds) - 1)
         return self._speeds[idx]
+
+    def speed_many(self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
+        ts = np.clip(self._checked_times(ts), 0.0, self.duration)
+        return self._speed_array[
+            _piece_index(self._boundary_array, ts, len(self._speeds))
+        ]
+
+    def _peak_speed(self, samples: int) -> float:
+        # Exact: a grid can step over a phase shorter than its spacing.
+        return max(self._speeds)
 
 
 class HighwayCurve(SpeedCurve):
@@ -166,11 +231,21 @@ class HighwayCurve(SpeedCurve):
 
     def speed(self, t: float) -> float:
         self._check_time(t)
-        fluctuation = sum(
-            amp * math.sin(2.0 * math.pi * freq * t / 10.0 + phase)
-            for freq, phase, amp in self._terms
-        )
+        fluctuation = 0.0
+        for freq, phase, amp in self._terms:
+            fluctuation += amp * math.sin(
+                2.0 * math.pi * freq * t / 10.0 + phase
+            )
         return max(self.cruise + self._amp_scale * fluctuation, 0.0)
+
+    def speed_many(self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
+        ts = self._checked_times(ts)
+        fluctuation = np.zeros(ts.shape)
+        for freq, phase, amp in self._terms:
+            fluctuation += amp * np.sin(
+                2.0 * math.pi * freq * ts / 10.0 + phase
+            )
+        return np.maximum(self.cruise + self._amp_scale * fluctuation, 0.0)
 
 
 class CityCurve(SpeedCurve):
@@ -211,6 +286,12 @@ class CityCurve(SpeedCurve):
     def speed(self, t: float) -> float:
         self._check_time(t)
         return self._inner.speed(t)
+
+    def speed_many(self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
+        return self._inner.speed_many(ts)
+
+    def _peak_speed(self, samples: int) -> float:
+        return self._inner._peak_speed(samples)
 
 
 class TrafficJamCurve(SpeedCurve):
@@ -254,6 +335,27 @@ class TrafficJamCurve(SpeedCurve):
             return self.crawl + (self.cruise - self.crawl) * frac
         return self.cruise
 
+    def speed_many(self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
+        ts = self._checked_times(ts)
+        slowing = (ts - self.jam_start) / self.ramp
+        recovering = (ts - self.jam_end) / self.ramp
+        # select takes the first condition that holds, as the if-chain does.
+        return np.select(
+            [
+                ts < self.jam_start,
+                ts < self.jam_start + self.ramp,
+                ts < self.jam_end,
+                ts < self.jam_end + self.ramp,
+            ],
+            [
+                self.cruise,
+                self.cruise + (self.crawl - self.cruise) * slowing,
+                self.crawl,
+                self.crawl + (self.cruise - self.crawl) * recovering,
+            ],
+            default=self.cruise,
+        )
+
 
 class RushHourCurve(SpeedCurve):
     """Slow congestion waves: speed oscillates between flow and crawl."""
@@ -277,6 +379,14 @@ class RushHourCurve(SpeedCurve):
         amp = (self.free_flow - self.congested) / 2.0
         return mid + amp * math.sin(
             2.0 * math.pi * t / self.wave_period + self.phase
+        )
+
+    def speed_many(self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
+        ts = self._checked_times(ts)
+        mid = (self.free_flow + self.congested) / 2.0
+        amp = (self.free_flow - self.congested) / 2.0
+        return mid + amp * np.sin(
+            2.0 * math.pi * ts / self.wave_period + self.phase
         )
 
 
@@ -315,6 +425,8 @@ class TraceCurve(SpeedCurve):
         super().__init__(times[-1])
         self._times = times
         self._speeds = [s for _, s in samples]
+        self._time_array = np.array(times, dtype=float)
+        self._speed_array = np.array(self._speeds, dtype=float)
 
     @classmethod
     def from_csv(cls, path: str) -> "TraceCurve":
@@ -350,6 +462,18 @@ class TraceCurve(SpeedCurve):
         s0, s1 = self._speeds[idx], self._speeds[idx + 1]
         return s0 + (s1 - s0) * (t - t0) / (t1 - t0)
 
+    def speed_many(self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
+        ts = np.clip(self._checked_times(ts), 0.0, self.duration)
+        idx = _piece_index(self._time_array, ts, len(self._times) - 1)
+        t0, t1 = self._time_array[idx], self._time_array[idx + 1]
+        s0, s1 = self._speed_array[idx], self._speed_array[idx + 1]
+        return s0 + (s1 - s0) * (ts - t0) / (t1 - t0)
+
+    def _peak_speed(self, samples: int) -> float:
+        # Exact: linear interpolation peaks at a sample, and a grid can
+        # step over a spike narrower than its spacing.
+        return max(self._speeds)
+
 
 class MixedCurve(SpeedCurve):
     """Concatenation of curves: e.g. city, then highway, then city."""
@@ -365,6 +489,7 @@ class MixedCurve(SpeedCurve):
         for part in parts:
             boundaries.append(boundaries[-1] + part.duration)
         self._boundaries = boundaries
+        self._boundary_array = np.array(boundaries, dtype=float)
 
     def speed(self, t: float) -> float:
         self._check_time(t)
@@ -372,6 +497,17 @@ class MixedCurve(SpeedCurve):
         idx = bisect.bisect_right(self._boundaries, t) - 1
         idx = min(max(idx, 0), len(self._parts) - 1)
         return self._parts[idx].speed(t - self._boundaries[idx])
+
+    def speed_many(self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
+        ts = np.clip(self._checked_times(ts), 0.0, self.duration)
+        idx = _piece_index(self._boundary_array, ts, len(self._parts))
+        speeds = np.empty(ts.shape)
+        for i, part in enumerate(self._parts):
+            in_part = idx == i
+            speeds[in_part] = part.speed_many(
+                ts[in_part] - self._boundaries[i]
+            )
+        return speeds
 
 
 def standard_curve_set(rng: random.Random, count: int = 20,

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import bisect
 
+import numpy as np
+
 from repro.errors import SimulationError
 from repro.geometry.point import Point
 from repro.routes.generators import straight_route
@@ -27,6 +29,28 @@ from repro.sim.speed_curves import SpeedCurve
 
 #: Internal integration resolution (minutes).  One second.
 _INTEGRATION_DT = 1.0 / 60.0
+
+
+def interpolate_distance(times: list[float], cumulative: list[float],
+                         duration: float, t: float) -> float:
+    """Distance travelled at ``t``, linear between the integration samples.
+
+    Shared by :class:`Trip` and
+    :class:`~repro.sim.multileg.MultiLegTrip`, which keep the same
+    ``(times, cumulative)`` profile from :meth:`Trip._integrate`.
+    """
+    if not -1e-9 <= t <= duration + 1e-9:
+        raise SimulationError(
+            f"time {t} outside trip duration [0, {duration}]"
+        )
+    t = min(max(t, 0.0), duration)
+    idx = bisect.bisect_right(times, t) - 1
+    idx = min(max(idx, 0), len(times) - 2)
+    t0, t1 = times[idx], times[idx + 1]
+    d0, d1 = cumulative[idx], cumulative[idx + 1]
+    if t1 <= t0:
+        return d0
+    return d0 + (d1 - d0) * (t - t0) / (t1 - t0)
 
 
 class Trip:
@@ -69,12 +93,11 @@ class Trip:
         """
         steps = max(int(round(curve.duration / _INTEGRATION_DT)), 1)
         dt = curve.duration / steps
-        times = [0.0]
-        cumulative = [0.0]
-        for i in range(1, steps + 1):
-            midpoint_speed = curve.speed((i - 0.5) * dt)
-            cumulative.append(cumulative[-1] + midpoint_speed * dt)
-            times.append(i * dt)
+        midpoint_speeds = curve.speed_many((np.arange(1, steps + 1) - 0.5) * dt)
+        # cumsum adds one step at a time, left to right; the results stay
+        # Python lists for distance_travelled's bisect.
+        cumulative = [0.0] + np.cumsum(midpoint_speeds * dt).tolist()
+        times = (np.arange(steps + 1) * dt).tolist()
         return times, cumulative
 
     @property
@@ -98,18 +121,9 @@ class Trip:
 
     def distance_travelled(self, t: float) -> float:
         """Distance travelled since trip start, by interpolation."""
-        if not -1e-9 <= t <= self.duration + 1e-9:
-            raise SimulationError(
-                f"time {t} outside trip duration [0, {self.duration}]"
-            )
-        t = min(max(t, 0.0), self.duration)
-        idx = bisect.bisect_right(self._times, t) - 1
-        idx = min(max(idx, 0), len(self._times) - 2)
-        t0, t1 = self._times[idx], self._times[idx + 1]
-        d0, d1 = self._cumulative[idx], self._cumulative[idx + 1]
-        if t1 <= t0:
-            return d0
-        return d0 + (d1 - d0) * (t - t0) / (t1 - t0)
+        return interpolate_distance(
+            self._times, self._cumulative, self.curve.duration, t
+        )
 
     def travel_at(self, t: float) -> float:
         """Travel distance along the route at time ``t`` (clamped)."""
@@ -144,4 +158,5 @@ class Trip:
 
 __all__ = [
     "Trip",
+    "interpolate_distance",
 ]

@@ -8,6 +8,8 @@ from repro.core.bounds import (
 )
 from repro.core.position import PositionAttribute
 from repro.errors import IndexError_
+from repro.geometry.bbox import Box3D
+from repro.geometry.polyline import Polyline
 from repro.index.oplane import OPlane
 
 C = 5.0
@@ -116,6 +118,25 @@ class TestBoxes:
         boxes = plane.boxes(slab_minutes=5.0)
         # Travelling from x=10 leftwards: boxes near the right end.
         assert boxes[0].max_x == pytest.approx(10.0)
+
+    def test_one_projection_per_plane(self, l_route, monkeypatch):
+        """``boxes`` projects the start point once, and builds the boxes
+        ``travel_range`` (which projects per call) gives slab by slab."""
+        plane = make_plane(l_route, speed=0.5, x=3.0, y=1.0, horizon=9.0)
+        expected = []
+        for lo_t in (0.0, 2.0, 4.0, 6.0, 8.0):
+            hi_t = min(lo_t + 2.0, 9.0)
+            lo, hi = plane.travel_range(lo_t, hi_t)
+            rect = l_route.interval_polyline(lo, hi, 0).bounding_rect()
+            expected.append(Box3D.from_rect(rect, lo_t, hi_t))
+        calls = []
+        project = Polyline.project
+        monkeypatch.setattr(
+            Polyline, "project",
+            lambda self, point: calls.append(point) or project(self, point),
+        )
+        assert plane.boxes(slab_minutes=2.0) == expected
+        assert len(calls) == 1
 
     def test_bad_slab_rejected(self, straight_route_10):
         plane = make_plane(straight_route_10)

@@ -1,6 +1,9 @@
 """Unit tests for repro.routes.network."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -103,3 +106,21 @@ class TestRandomRoute:
         net.add_intersection("solo", 0.0, 0.0)
         with pytest.raises(RouteError):
             net.random_route(random.Random(1))
+
+
+class TestLazyImport:
+    def test_networkx_loads_with_the_first_network(self):
+        """``import repro`` alone must not pay for networkx: ``trace
+        replay``, ``lint`` and ``monitor`` processes never build a network."""
+        script = (
+            "import sys, repro\n"
+            "from repro.routes.network import RouteNetwork\n"
+            "assert 'networkx' not in sys.modules\n"
+            "RouteNetwork()\n"
+            "assert 'networkx' in sys.modules\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            timeout=60, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+        )
+        assert done.returncode == 0, done.stderr
