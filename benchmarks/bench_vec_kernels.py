@@ -9,18 +9,17 @@ of tick grids:
   into structure-of-arrays columns plus one ``simulate_batch`` call
   (packing time is charged to the vectorized leg).
 
-and asserts (not eyeballs) the two claims ``repro.vec`` makes:
+and asserts (not eyeballs) the claims ``repro.vec`` makes:
 
 1. every per-vehicle ``TripMetrics`` is *byte-identical* between the
-   two legs — exact float equality, asserted in every mode, and
-2. the vectorized leg beats the scalar fast path by >= 5x wall clock
+   two legs — exact float equality, asserted in every mode,
+2. one fused ``simulate_batch`` pass over six update costs yields,
+   byte for byte, the metrics of six single-cost passes — asserted in
+   every mode, with both legs timed, and
+3. the vectorized leg beats the scalar fast path by >= 5x wall clock
    on the full 100k-vehicle fleet (skipped under ``--fast``, which
    exists for CI smoke where the fleet is too small for the kernels
    to amortise).
-
-If numpy is not installed the script prints a notice and exits 0, so
-the dependency-free CI smoke job stays green; the registered harness
-cases are likewise only defined when numpy imports.
 
 Results are written as JSON for artifact upload::
 
@@ -40,20 +39,19 @@ from time import perf_counter
 from repro.bench import benchmark as register_benchmark
 from repro.core.policies import make_policy
 from repro.exec import GridTrip, TickGrid
+from repro.experiments.sweep import SweepSpec
 from repro.sim.engine import PolicySimulation
 from repro.sim.speed_curves import CityCurve
 from repro.sim.trip import Trip
-
-try:
-    from repro.vec.batch import VecTripBatch
-    from repro.vec.engine import simulate_batch
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    VecTripBatch = simulate_batch = None  # type: ignore[assignment]
-
-_HAVE_NUMPY = simulate_batch is not None
+from repro.vec.batch import VecTripBatch
+from repro.vec.engine import simulate_batch
 
 MIN_SPEEDUP = 5.0
 UPDATE_COST = 2.0
+#: The cost axis of the fused case: the §3.4 sweep's six update costs.
+SWEEP_COSTS = SweepSpec().update_costs
+#: Vehicles of the fused case on the full run: the e2e sweep's trip count.
+SWEEP_VEHICLES = 160
 DURATION = 10.0
 DT = 0.1
 
@@ -97,25 +95,49 @@ def vectorized_metrics(grids: list[TickGrid]) -> list:
     return [result.metrics for result in results]
 
 
-if _HAVE_NUMPY:
+def fused_metrics(batch: VecTripBatch) -> list:
+    """All of :data:`SWEEP_COSTS` in one kernel pass (cost-major)."""
+    policies = [make_policy("dl", cost) for cost in SWEEP_COSTS]
+    return [result.metrics for result in
+            simulate_batch(batch, policies, collect_events=False)]
 
-    @register_benchmark("vec.batch_pack", group="vec")
-    def harness_batch_pack():
-        """VecTripBatch.from_grids packing a 256-vehicle fleet."""
-        grids = build_fleet(FAST_VEHICLES, FAST_UNIQUE)
-        return lambda: VecTripBatch.from_grids(grids)
 
-    @register_benchmark("vec.sim_batch", group="vec")
-    def harness_sim_batch():
-        """Vectorized dl sweep (pack + simulate) on a 256-vehicle fleet."""
-        grids = build_fleet(FAST_VEHICLES, FAST_UNIQUE)
-        return lambda: vectorized_metrics(grids)
+def per_cost_metrics(batch: VecTripBatch) -> list:
+    """The same lanes as six single-cost passes over the same batch."""
+    return [
+        result.metrics
+        for cost in SWEEP_COSTS
+        for result in simulate_batch(batch, make_policy("dl", cost),
+                                     collect_events=False)
+    ]
 
-    @register_benchmark("vec.sim_scalar", group="vec")
-    def harness_sim_scalar():
-        """Scalar fast-path dl sweep on the same 256-vehicle fleet."""
-        grids = build_fleet(FAST_VEHICLES, FAST_UNIQUE)
-        return lambda: scalar_metrics(grids)
+
+@register_benchmark("vec.batch_pack", group="vec")
+def harness_batch_pack():
+    """VecTripBatch.from_grids packing a 256-vehicle fleet."""
+    grids = build_fleet(FAST_VEHICLES, FAST_UNIQUE)
+    return lambda: VecTripBatch.from_grids(grids)
+
+
+@register_benchmark("vec.sim_batch", group="vec")
+def harness_sim_batch():
+    """Vectorized dl sweep (pack + simulate) on a 256-vehicle fleet."""
+    grids = build_fleet(FAST_VEHICLES, FAST_UNIQUE)
+    return lambda: vectorized_metrics(grids)
+
+
+@register_benchmark("vec.sim_batch_costs", group="vec")
+def harness_sim_batch_costs():
+    """One fused pass over six update costs on the 256-vehicle fleet."""
+    batch = VecTripBatch.from_grids(build_fleet(FAST_VEHICLES, FAST_UNIQUE))
+    return lambda: fused_metrics(batch)
+
+
+@register_benchmark("vec.sim_scalar", group="vec")
+def harness_sim_scalar():
+    """Scalar fast-path dl sweep on the same 256-vehicle fleet."""
+    grids = build_fleet(FAST_VEHICLES, FAST_UNIQUE)
+    return lambda: scalar_metrics(grids)
 
 
 def timed(fn, repeat: int = 1):
@@ -140,6 +162,14 @@ def run_benchmark(fast: bool = False) -> dict:
     vec, vec_seconds = timed(lambda: vectorized_metrics(grids), repeat=3)
 
     identical = scalar == vec
+
+    # The cost axis at the sweep's width: distinct trips, six costs.
+    sweep_vehicles = FAST_UNIQUE if fast else SWEEP_VEHICLES
+    batch = VecTripBatch.from_grids(build_fleet(sweep_vehicles,
+                                                sweep_vehicles))
+    per_cost, per_cost_seconds = timed(lambda: per_cost_metrics(batch),
+                                       repeat=3)
+    fused, fused_seconds = timed(lambda: fused_metrics(batch), repeat=3)
     return {
         "fleet": {
             "num_vehicles": num_vehicles,
@@ -154,6 +184,14 @@ def run_benchmark(fast: bool = False) -> dict:
         "vectorized_seconds": vec_seconds,
         "speedup": scalar_seconds / vec_seconds,
         "byte_identical": identical,
+        "cost_axis": {
+            "num_vehicles": sweep_vehicles,
+            "update_costs": list(SWEEP_COSTS),
+            "per_cost_seconds": per_cost_seconds,
+            "fused_seconds": fused_seconds,
+            "speedup": per_cost_seconds / fused_seconds,
+            "byte_identical": fused == per_cost,
+        },
     }
 
 
@@ -168,11 +206,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="write the JSON report to this path")
     args = parser.parse_args(argv)
 
-    if not _HAVE_NUMPY:
-        print("numpy not installed; vectorized kernels unavailable — "
-              "benchmark skipped")
-        return 0
-
     report = run_benchmark(fast=args.fast)
 
     with open(args.output, "w", encoding="utf-8") as handle:
@@ -186,6 +219,11 @@ def main(argv: list[str] | None = None) -> int:
     print(f"scalar fast path : {report['scalar_seconds']:.3f} s")
     print(f"vectorized batch : {report['vectorized_seconds']:.3f} s "
           f"({report['speedup']:.2f}x)")
+    axis = report["cost_axis"]
+    print(f"cost axis        : {len(axis['update_costs'])} costs x "
+          f"{axis['num_vehicles']} vehicles, fused {axis['fused_seconds']:.3f}"
+          f" s vs per-cost {axis['per_cost_seconds']:.3f} s "
+          f"({axis['speedup']:.2f}x)")
     print(f"report written to: {args.output}")
 
     # Claim 1 — equivalence — is asserted in every mode.
@@ -193,8 +231,12 @@ def main(argv: list[str] | None = None) -> int:
         print("FAIL: vectorized metrics differ from the scalar fast path",
               file=sys.stderr)
         return 1
+    if not axis["byte_identical"]:
+        print("FAIL: the fused cost-axis pass differs from the "
+              "single-cost passes", file=sys.stderr)
+        return 1
 
-    # Claim 2 — speed — only on the full fleet (small fleets cannot
+    # Claim 3 — speed — only on the full fleet (small fleets cannot
     # amortise the packing, and CI boxes are noisy).
     if not args.fast and report["speedup"] < MIN_SPEEDUP:
         print(f"FAIL: vectorized speedup {report['speedup']:.2f}x is "

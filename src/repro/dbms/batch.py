@@ -69,15 +69,14 @@ from repro.trace.events import CACHE, answer_digest
 from repro.trace.recorder import get_recorder
 from repro.vec import vectorization_default
 
-try:
-    import numpy as np
+# numpy is first imported here when `import repro` runs, and stays after
+# the imports above on purpose: loading it ahead of them shifts the heap
+# under the query path and costs serve_mixed 3 % (measured, 9 of 10
+# interleaved pairs, PR 13).
+import numpy as np
 
-    from repro.vec import bounds as vec_bounds
-    from repro.vec import geom as vec_geom
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    np = None  # type: ignore[assignment]
-    vec_bounds = vec_geom = None  # type: ignore[assignment]
-_HAVE_VEC = np is not None
+from repro.vec import bounds as vec_bounds
+from repro.vec import geom as vec_geom
 
 #: Below this many candidates (or cache misses) the per-call NumPy
 #: overhead outweighs the loop it replaces; the scalar path runs.
@@ -187,7 +186,7 @@ class BatchQueryEngine:
             )
         if vectorize is None:
             vectorize = vectorization_default()
-        self.vectorize = bool(vectorize) and _HAVE_VEC
+        self.vectorize = bool(vectorize)
         self._db = database
         self._max_cache_entries = max_cache_entries
         #: ``(object_id, t) -> (generation, interval, geometry, bbox)``.

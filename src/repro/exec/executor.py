@@ -3,9 +3,12 @@
 The §3.4 grid is embarrassingly parallel: every (policy, update-cost,
 trip) cell is an independent simulation run.  :class:`SweepExecutor`
 decomposes a :class:`~repro.experiments.sweep.SweepSpec` into those
-cells, runs them serially or fans them out over a
-``ProcessPoolExecutor``, and re-assembles the cells in canonical
-(policy, cost, trip) order before aggregating — so the resulting
+cells and runs them a policy at a time — every update cost of a policy
+in one pass of the vectorized kernel where it applies, cell by cell
+through the scalar engine otherwise — serially, or as (policy,
+trip-block) rectangles fanned out over a ``ProcessPoolExecutor``.  The
+cells are re-assembled in canonical (policy, cost, trip) order before
+aggregating — so the resulting
 :class:`~repro.experiments.sweep.SweepResult` is float-for-float
 identical no matter the job count or the order in which workers finish.
 
@@ -28,6 +31,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 
+from repro.core.policy import UpdatePolicy
 from repro.errors import ExperimentError
 from repro.exec.cache import GridTrip, TickGrid, TripTickCache
 from repro.experiments.sweep import (
@@ -42,14 +46,8 @@ from repro.sim.metrics import TripMetrics, aggregate_metrics
 from repro.sim.speed_curves import SpeedCurve
 from repro.sim.trip import Trip
 from repro.vec import vectorization_default
-
-try:
-    from repro.vec.batch import VecTripBatch
-    from repro.vec.engine import simulate_batch
-
-    _HAVE_VEC = True
-except ImportError:  # numpy is optional at runtime; scalar path always works
-    _HAVE_VEC = False
+from repro.vec.batch import VecTripBatch
+from repro.vec.engine import simulate_batch
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,32 +78,47 @@ def cell_seed(spec_seed: int, policy_index: int, cost_index: int,
     return mixed & 0x7FFFFFFF
 
 
+def _family_cells(spec: SweepSpec, policy_index: int, start: int,
+                  stop: int) -> list[SweepCell]:
+    """One policy's cells over trips ``[start, stop)``, in (cost, trip) order."""
+    return [
+        SweepCell(
+            policy_index=policy_index,
+            cost_index=c,
+            trip_index=t,
+            seed=cell_seed(spec.seed, policy_index, c, t),
+        )
+        for c in range(len(spec.update_costs))
+        for t in range(start, stop)
+    ]
+
+
 def _decompose(spec: SweepSpec) -> list[SweepCell]:
     """All cells of the spec grid in canonical (policy, cost, trip) order."""
     return [
-        SweepCell(
-            policy_index=p,
-            cost_index=c,
-            trip_index=t,
-            seed=cell_seed(spec.seed, p, c, t),
-        )
+        cell
         for p in range(len(spec.policy_names))
-        for c in range(len(spec.update_costs))
-        for t in range(spec.num_curves)
+        for cell in _family_cells(spec, p, 0, spec.num_curves)
     ]
+
+
+def _make_policy(spec: SweepSpec, policy_index: int,
+                 cost_index: int) -> UpdatePolicy:
+    """The policy of grid row ``(policy_index, cost_index)``."""
+    from repro.core.policies import make_policy
+
+    policy_name = spec.policy_names[policy_index]
+    return make_policy(
+        policy_name,
+        spec.update_costs[cost_index],
+        **spec.policy_kwargs.get(policy_name, {}),
+    )
 
 
 def _simulate_cell(spec: SweepSpec, grid: TickGrid,
                    cell: SweepCell) -> TripMetrics:
     """Run one cell against its tick grid (pure; process-agnostic)."""
-    from repro.core.policies import make_policy
-
-    policy_name = spec.policy_names[cell.policy_index]
-    policy = make_policy(
-        policy_name,
-        spec.update_costs[cell.cost_index],
-        **spec.policy_kwargs.get(policy_name, {}),
-    )
+    policy = _make_policy(spec, cell.policy_index, cell.cost_index)
     simulation = PolicySimulation(
         GridTrip(grid), policy, dt=spec.dt, grid=grid
     )
@@ -119,69 +132,44 @@ def _simulate_cell(spec: SweepSpec, grid: TickGrid,
 _MIN_VEC_TRIPS = 32
 
 
-def _run_cells(spec: SweepSpec, indexed_cells: list[tuple[int, SweepCell]],
-               grids: list[TickGrid],
-               vectorize: bool) -> list[tuple[int, TripMetrics]]:
-    """Run cells (with their aligned grids), vectorizing uniform runs.
+def _pack(grids: list[TickGrid], dt: float,
+          vectorize: bool) -> VecTripBatch | None:
+    """The trips as one batch, or ``None`` when they must run scalar.
 
-    ``_decompose`` orders cells (policy, cost, trip), so consecutive
-    cells sharing a (policy, cost) pair form one sweep cell's trip
-    block.  Each maximal such run is dispatched to the vectorized
-    engine when eligible; everything else takes the scalar engine,
-    cell by cell.  Results keep input order, so the output is
-    positionally identical to a plain per-cell loop.
+    Batch layout requirements: at least :data:`_MIN_VEC_TRIPS` trips to
+    amortize the array setup, and grids that share the spec's tick
+    layout.
     """
-    results: list[tuple[int, TripMetrics]] = []
-    count = len(indexed_cells)
-    start = 0
-    while start < count:
-        head = indexed_cells[start][1]
-        stop = start + 1
-        while stop < count:
-            cell = indexed_cells[stop][1]
-            if (cell.policy_index != head.policy_index
-                    or cell.cost_index != head.cost_index):
-                break
-            stop += 1
-        results.extend(_run_cell_group(
-            spec, indexed_cells[start:stop], grids[start:stop], vectorize
-        ))
-        start = stop
-    return results
+    if (not vectorize or len(grids) < _MIN_VEC_TRIPS
+            or not _uniform_grids(grids, dt)):
+        return None
+    return VecTripBatch.from_grids(grids)
 
 
-def _run_cell_group(spec: SweepSpec, run: list[tuple[int, SweepCell]],
-                    run_grids: list[TickGrid],
-                    vectorize: bool) -> list[tuple[int, TripMetrics]]:
-    """One (policy, cost) trip block: vectorized when eligible.
+def _run_family(spec: SweepSpec, policy_index: int, start: int,
+                grids: list[TickGrid],
+                batch: VecTripBatch | None) -> list[TripMetrics]:
+    """One policy's (cost x trip) rectangle over ``grids``.
 
-    Eligibility mirrors the scalar engine's own fast-path gate plus
-    the batch layout requirements: a supported policy family, at
-    least :data:`_MIN_VEC_TRIPS` trips to amortize the array setup,
-    and grids that share the spec's tick layout.  Ineligible runs fall back to
+    ``grids`` are the trips from index ``start`` on and ``batch`` is
+    their packing (or ``None``).  A packed rectangle whose policies all
+    sit in the engine's fast-path family is one pass of the vectorized
+    kernel, every update cost at once; anything else falls back to
     :func:`_simulate_cell` per cell — same results, scalar speed.
+    Results come in (cost, trip) order either way.
     """
-    if vectorize and _HAVE_VEC and len(run) >= _MIN_VEC_TRIPS:
-        from repro.core.policies import make_policy
-
-        head = run[0][1]
-        policy_name = spec.policy_names[head.policy_index]
-        policy = make_policy(
-            policy_name,
-            spec.update_costs[head.cost_index],
-            **spec.policy_kwargs.get(policy_name, {}),
-        )
-        if supports_fast_path(policy) and _uniform_grids(run_grids, spec.dt):
-            batch = VecTripBatch.from_grids(run_grids)
-            batch_results = simulate_batch(batch, policy,
-                                           collect_events=False)
+    if batch is not None:
+        policies = [_make_policy(spec, policy_index, c)
+                    for c in range(len(spec.update_costs))]
+        if all(supports_fast_path(policy) for policy in policies):
             return [
-                (position, result.metrics)
-                for (position, _), result in zip(run, batch_results)
+                result.metrics for result in
+                simulate_batch(batch, policies, collect_events=False)
             ]
     return [
-        (position, _simulate_cell(spec, grid, cell))
-        for (position, cell), grid in zip(run, run_grids)
+        _simulate_cell(spec, grids[cell.trip_index - start], cell)
+        for cell in _family_cells(spec, policy_index, start,
+                                  start + len(grids))
     ]
 
 
@@ -198,42 +186,53 @@ def _uniform_grids(grids: list[TickGrid], dt: float) -> bool:
     )
 
 
-# Worker-process state, installed once per worker by the pool
-# initializer so tasks only carry lightweight cell tuples.
-_WORKER_SPEC: SweepSpec | None = None
-_WORKER_GRIDS: list[TickGrid] | None = None
-_WORKER_VECTORIZE: bool = False
+@dataclass(frozen=True, slots=True)
+class _WorkerState:
+    """What a pool worker needs besides its task: installed once per
+    worker by the pool initializer so tasks only carry three integers."""
+
+    spec: SweepSpec
+    grids: list[TickGrid]
+    vectorize: bool
 
 
-def _init_worker(spec: SweepSpec, grids: list[TickGrid],
-                 vectorize: bool = False) -> None:
-    global _WORKER_SPEC, _WORKER_GRIDS, _WORKER_VECTORIZE
-    _WORKER_SPEC = spec
-    _WORKER_GRIDS = grids
-    _WORKER_VECTORIZE = vectorize
+_WORKER: _WorkerState | None = None
 
 
-def _run_chunk(
-    chunk: list[tuple[int, SweepCell]],
-) -> tuple[list[tuple[int, TripMetrics]], float, dict | None, list | None]:
-    """Run a batch of cells in a worker.
+def _init_worker(state: _WorkerState) -> None:
+    global _WORKER
+    _WORKER = state
 
-    Returns ``(indexed results, secs, metrics snapshot, span dicts)``.
+
+def _run_rectangle(
+    rectangle: tuple[int, int, int],
+) -> tuple[list[TripMetrics], float, dict | None, list | None]:
+    """Run one ``(policy index, trip start, trip stop)`` rectangle in a worker.
+
+    Returns ``(metrics in (cost, trip) order, secs, metrics snapshot,
+    span dicts)``.
     The parent's registry/tracer objects arrive here through fork
     inheritance, but mutations to them are lost with the worker process
-    — so when the parent is observing, the chunk runs under *fresh*
+    — so when the parent is observing, the rectangle runs under *fresh*
     worker-local instances and ships their contents back as plain data
     for the parent to merge (:meth:`MetricsRegistry.merge_snapshot`,
     :meth:`Tracer.adopt_spans`).  When nobody observes, the fast path
     returns no telemetry at all.
     """
-    assert _WORKER_SPEC is not None and _WORKER_GRIDS is not None
+    state = _WORKER
+    if state is None:
+        raise ExperimentError(
+            "sweep worker ran a task before its initializer installed "
+            "the spec and grids"
+        )
+    policy_index, first, stop = rectangle
+    grids = state.grids[first:stop]
     observed = get_registry().enabled
     traced = get_tracer().enabled
     start = perf_counter()
     if not observed and not traced:
-        grids = [_WORKER_GRIDS[cell.trip_index] for _, cell in chunk]
-        results = _run_cells(_WORKER_SPEC, chunk, grids, _WORKER_VECTORIZE)
+        batch = _pack(grids, state.spec.dt, state.vectorize)
+        results = _run_family(state.spec, policy_index, first, grids, batch)
         return results, perf_counter() - start, None, None
     from contextlib import ExitStack
 
@@ -242,12 +241,7 @@ def _run_chunk(
     with ExitStack() as stack:
         registry = stack.enter_context(use_registry()) if observed else None
         tracer = stack.enter_context(use_tracer()) if traced else None
-        results = [
-            (position, _simulate_cell(
-                _WORKER_SPEC, _WORKER_GRIDS[cell.trip_index], cell
-            ))
-            for position, cell in chunk
-        ]
+        results = _run_family(state.spec, policy_index, first, grids, None)
         snapshot = registry.snapshot() if registry is not None else None
         span_dicts = tracer.to_dicts() if tracer is not None else None
     return results, perf_counter() - start, snapshot, span_dicts
@@ -266,8 +260,8 @@ def _pool_context():
 class SweepExecutor:
     """Runs sweep grids deterministically, serially or in parallel.
 
-    ``jobs=1`` executes in-process; ``jobs>1`` fans cells out over a
-    process pool.  Either way the same tick-grid cache backs every cell
+    ``jobs=1`` executes in-process; ``jobs>1`` fans (policy, trip-block)
+    rectangles out over a process pool.  Either way the same tick-grid cache backs every cell
     and the output is byte-identical to the legacy serial loop (the
     parallel-equivalence tests assert exact float equality).
 
@@ -286,7 +280,7 @@ class SweepExecutor:
         self.cache = cache if cache is not None else TripTickCache()
         if vectorize is None:
             vectorize = vectorization_default()
-        self.vectorize = bool(vectorize) and _HAVE_VEC
+        self.vectorize = bool(vectorize)
 
     def run(self, spec: SweepSpec,
             curves: list[SpeedCurve] | None = None,
@@ -320,32 +314,29 @@ class SweepExecutor:
                 # Each cell fetches its grid through the cache, so the
                 # cache's hit rate reflects the actual cross-cell
                 # sharing (all but the first lookup per trip hit).
-                cell_grids = [
+                grids = [
                     self.cache.grid_for(trips[cell.trip_index], spec.dt)
                     for cell in cells
+                ][:spec.num_curves]
+                # The vectorized engine emits one span per batch and no
+                # per-tick instruments, so it only runs when nobody is
+                # observing; results are identical either way.
+                batch = _pack(
+                    grids, spec.dt,
+                    self.vectorize and not observed
+                    and not get_tracer().enabled,
+                )
+                cell_metrics = [
+                    metrics
+                    for p in range(len(spec.policy_names))
+                    for metrics in _run_family(spec, p, 0, grids, batch)
                 ]
-                if (self.vectorize and not observed
-                        and not get_tracer().enabled):
-                    # The vectorized engine emits one span per batch
-                    # and no per-tick instruments, so it only runs
-                    # when nobody is observing; results are identical
-                    # either way.
-                    cell_metrics = [
-                        metrics for _, metrics in _run_cells(
-                            spec, list(enumerate(cells)), cell_grids, True
-                        )
-                    ]
-                else:
-                    cell_metrics = [
-                        _simulate_cell(spec, grid, cell)
-                        for cell, grid in zip(cells, cell_grids)
-                    ]
             else:
                 # Workers receive prebuilt grids (one cache lookup per
                 # trip here; the sharing happens inside each worker).
                 grids = [self.cache.grid_for(trip, spec.dt)
                          for trip in trips]
-                cell_metrics = self._run_parallel(spec, grids, cells)
+                cell_metrics = self._run_parallel(spec, grids)
         elapsed = perf_counter() - start
 
         live = get_live()
@@ -375,28 +366,44 @@ class SweepExecutor:
 
         return SweepResult(spec=spec, cells=self._aggregate(spec, cell_metrics))
 
-    def _run_parallel(self, spec: SweepSpec, grids: list[TickGrid],
-                      cells: list[SweepCell]) -> list[TripMetrics]:
-        """Fan cells out over a process pool; results in cell order."""
-        indexed = list(enumerate(cells))
-        # A handful of chunks per worker balances load (cells near the
-        # end of a trip list can be slower) against dispatch overhead.
-        chunk_size = max(1, math.ceil(len(indexed) / (self.jobs * 4)))
-        chunks = [indexed[i:i + chunk_size]
-                  for i in range(0, len(indexed), chunk_size)]
+    def _run_parallel(self, spec: SweepSpec,
+                      grids: list[TickGrid]) -> list[TripMetrics]:
+        """Fan (policy, trip-block) rectangles out over a process pool.
+
+        A rectangle spans every update cost, so a worker's vectorized
+        pass covers the cost axis exactly as the serial one does.
+        Results return in cell order.
+        """
+        num_policies = len(spec.policy_names)
+        num_costs = len(spec.update_costs)
+        num_trips = spec.num_curves
+        # A handful of rectangles per worker balances load (some trips
+        # fire more updates than others) against dispatch overhead; a
+        # vectorizing worker needs _MIN_VEC_TRIPS trips per block.
+        blocks = max(1, math.ceil(self.jobs * 4 / num_policies))
+        block = max(math.ceil(num_trips / blocks),
+                    _MIN_VEC_TRIPS if self.vectorize else 1)
+        rectangles = [
+            (p, first, min(first + block, num_trips))
+            for p in range(num_policies)
+            for first in range(0, num_trips, block)
+        ]
 
         registry = get_registry()
         observed = registry.enabled
-        results: list[TripMetrics | None] = [None] * len(cells)
+        results: list[TripMetrics | None] = (
+            [None] * (num_policies * num_costs * num_trips)
+        )
         with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(chunks)),
+            max_workers=min(self.jobs, len(rectangles)),
             mp_context=_pool_context(),
             initializer=_init_worker,
-            initargs=(spec, grids, self.vectorize),
+            initargs=(_WorkerState(spec, grids, self.vectorize),),
         ) as pool:
-            for chunk_index, future in enumerate(
-                [pool.submit(_run_chunk, chunk) for chunk in chunks]
-            ):
+            futures = [pool.submit(_run_rectangle, rectangle)
+                       for rectangle in rectangles]
+            for chunk_index, (rectangle, future) in enumerate(
+                    zip(rectangles, futures)):
                 (chunk_results, task_seconds,
                  snapshot, span_dicts) = future.result()
                 worker = f"chunk-{chunk_index}"
@@ -414,11 +421,19 @@ class SweepExecutor:
                 if live.enabled:
                     live.inc("exec_cells_completed",
                              float(len(chunk_results)))
-                for position, metrics in chunk_results:
-                    results[position] = metrics
-        missing = [i for i, r in enumerate(results) if r is None]
-        if missing:  # pragma: no cover - worker protocol violation
-            raise ExperimentError(f"cells {missing} returned no result")
+                policy_index, first, stop = rectangle
+                width = stop - first
+                if len(chunk_results) != num_costs * width:
+                    raise ExperimentError(
+                        f"rectangle {rectangle} returned "
+                        f"{len(chunk_results)} results, expected "
+                        f"{num_costs * width}"
+                    )
+                for c in range(num_costs):
+                    base = (policy_index * num_costs + c) * num_trips + first
+                    results[base:base + width] = (
+                        chunk_results[c * width:(c + 1) * width]
+                    )
         return results  # type: ignore[return-value]
 
     @staticmethod

@@ -286,9 +286,9 @@ class PolicySimulation:
         dt = self.clock.dt
         duration = self.clock.duration
         num_ticks = self.clock.num_ticks
-        times = grid.times
-        travel = grid.travel
-        speeds = grid.speeds
+        # Python floats from here on: the loop's arithmetic, the metrics
+        # and the events never see an np.float64.
+        times, travel, speeds = grid.scalars()
         max_speed = self.max_speed
         update_cost = policy.update_cost
         use_delay = isinstance(policy, DelayedLinearPolicy)

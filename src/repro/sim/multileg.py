@@ -18,6 +18,9 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
 
 from repro.core.policy import OnboardState, UpdatePolicy
 from repro.dbms.database import MovingObjectDatabase
@@ -27,7 +30,11 @@ from repro.geometry.point import Point
 from repro.routes.route import Route
 from repro.sim.clock import SimulationClock
 from repro.sim.speed_curves import SpeedCurve
-from repro.sim.trip import Trip, interpolate_distance
+from repro.sim.trip import (
+    Trip,
+    interpolate_distance,
+    interpolate_distance_many,
+)
 from repro.units import DEFAULT_TICK_MINUTES
 
 
@@ -94,6 +101,13 @@ class MultiLegTrip:
         """Global travel distance at time ``t`` (interpolated)."""
         return interpolate_distance(
             self._times, self._cumulative, self.curve.duration, t
+        )
+
+    def distance_travelled_many(
+            self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
+        """``distance_travelled`` at every time of ``ts``: the same floats."""
+        return interpolate_distance_many(
+            self._times, self._cumulative, self.curve.duration, ts
         )
 
     def speed(self, t: float) -> float:

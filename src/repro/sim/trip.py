@@ -18,6 +18,7 @@ real network routes so that range queries have interesting geometry.
 from __future__ import annotations
 
 import bisect
+from typing import Sequence
 
 import numpy as np
 
@@ -51,6 +52,38 @@ def interpolate_distance(times: list[float], cumulative: list[float],
     if t1 <= t0:
         return d0
     return d0 + (d1 - d0) * (t - t0) / (t1 - t0)
+
+
+def interpolate_distance_many(times: Sequence[float] | np.ndarray,
+                              cumulative: Sequence[float] | np.ndarray,
+                              duration: float,
+                              ts: Sequence[float] | np.ndarray) -> np.ndarray:
+    """:func:`interpolate_distance` at every time of ``ts``, as an array.
+
+    The same floats: the segment index is the array form of
+    ``bisect_right(times, t) - 1`` and the interpolation applies the
+    scalar expression's operations in the scalar order.  Raises
+    :class:`SimulationError` when any time lies outside the trip, as
+    the scalar call does.
+    """
+    ts = np.asarray(ts, dtype=float)
+    outside = ~((ts >= -1e-9) & (ts <= duration + 1e-9))
+    if outside.any():
+        raise SimulationError(
+            f"time {ts[outside].flat[0]} outside trip duration [0, {duration}]"
+        )
+    ts = np.minimum(np.maximum(ts, 0.0), duration)
+    times = np.asarray(times, dtype=float)
+    cumulative = np.asarray(cumulative, dtype=float)
+    idx = np.searchsorted(times, ts, side="right") - 1
+    idx = np.clip(idx, 0, len(times) - 2)
+    t0, t1 = times[idx], times[idx + 1]
+    d0, d1 = cumulative[idx], cumulative[idx + 1]
+    # A degenerate segment answers d0, as the scalar early return does;
+    # its 0/0 is discarded by the where.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t1 <= t0, d0,
+                        d0 + (d1 - d0) * (ts - t0) / (t1 - t0))
 
 
 class Trip:
@@ -125,6 +158,13 @@ class Trip:
             self._times, self._cumulative, self.curve.duration, t
         )
 
+    def distance_travelled_many(
+            self, ts: Sequence[float] | np.ndarray) -> np.ndarray:
+        """``distance_travelled`` at every time of ``ts``: the same floats."""
+        return interpolate_distance_many(
+            self._times, self._cumulative, self.curve.duration, ts
+        )
+
     def travel_at(self, t: float) -> float:
         """Travel distance along the route at time ``t`` (clamped)."""
         return min(self.start_travel + self.distance_travelled(t),
@@ -159,4 +199,5 @@ class Trip:
 __all__ = [
     "Trip",
     "interpolate_distance",
+    "interpolate_distance_many",
 ]

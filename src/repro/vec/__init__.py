@@ -3,9 +3,9 @@
 This package vectorizes the two hottest paths of the reproduction with
 NumPy while keeping the scalar code the source of truth:
 
-* :mod:`repro.vec.engine` runs a whole sweep cell — every trip under
-  one (policy, update-cost) pair — through a lock-step tick loop over
-  ``(n_vehicles, n_ticks)`` arrays, mirroring
+* :mod:`repro.vec.engine` runs one policy family of a sweep — every
+  trip under every update cost of dl, ail or cil — through a lock-step
+  tick loop over ``(n_costs, n_vehicles)`` state arrays, mirroring
   :meth:`repro.sim.engine.PolicySimulation._run_fast` operation for
   operation so the results are byte-identical.
 * :mod:`repro.vec.bounds` evaluates the §3.3 deviation bounds
@@ -13,12 +13,6 @@ NumPy while keeping the scalar code the source of truth:
   of :mod:`repro.core.bounds`.
 * :mod:`repro.vec.geom` batches the bbox min/max-distance pre-tests of
   the batch query engine.
-
-The submodules import :mod:`numpy` directly and therefore fail to
-import when it is absent; callers (``repro.exec.executor``,
-``repro.dbms.batch``) guard those imports and fall back to the scalar
-path, so the package itself stays importable everywhere.  The helpers
-here are dependency-free on purpose.
 
 Vectorization can be disabled globally with ``REPRO_VECTORIZE=0`` —
 every dispatcher consults :func:`vectorization_default` when its
@@ -30,26 +24,16 @@ from __future__ import annotations
 import os
 
 
-def numpy_available() -> bool:
-    """Whether :mod:`numpy` can be imported in this interpreter."""
-    try:
-        import numpy  # noqa: F401  (availability probe)
-    except ImportError:  # pragma: no cover - exercised on minimal installs
-        return False
-    return True
-
-
 def vectorization_default() -> bool:
     """The process-wide default for ``vectorize=None`` dispatchers.
 
     ``REPRO_VECTORIZE=0`` forces every array-dispatching call site back
     onto the scalar path; any other value (or no value) leaves the
-    vectorized kernels enabled wherever numpy is importable.
+    vectorized kernels enabled.
     """
     return os.environ.get("REPRO_VECTORIZE", "1") != "0"
 
 
 __all__ = [
-    "numpy_available",
     "vectorization_default",
 ]

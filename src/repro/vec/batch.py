@@ -1,13 +1,16 @@
-"""Structure-of-arrays packing of tick grids for whole sweep cells.
+"""Structure-of-arrays packing of tick grids for a sweep's trips.
 
-A :class:`VecTripBatch` stacks the prebuilt per-trip kinematics of
+A :class:`VecTripBatch` stacks the per-trip float64 arrays of
 :class:`repro.exec.cache.TickGrid` — cumulative travel and sampled
-speeds at every tick — into ``(n_vehicles, n_ticks + 1)`` float64
-arrays, one row per trip, so the vectorized engine
-(:mod:`repro.vec.engine`) can advance every vehicle of a sweep cell in
-lock step.  All grids in a batch must share the same tick layout
-(``dt``, ``num_ticks``, ``duration``); the executor only dispatches
-uniform cells here and runs anything else through the scalar engine.
+speeds at every tick — into tick-major ``(n_ticks + 1, n_vehicles)``
+arrays, one column per trip, so the vectorized engine
+(:mod:`repro.vec.engine`) can advance every vehicle in lock step.  The
+batch carries kinematics only: it is packed once per sweep run and
+shared by every (policy, update-cost) pair, which the engine lays over
+it as a broadcast axis.  All grids in a batch must share the same tick
+layout (``dt``, ``num_ticks``, ``duration``); the executor only
+dispatches uniform trip sets here and runs anything else through the
+scalar engine.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ __all__ = [
 
 
 class VecTripBatch:
-    """All trips of a sweep cell as structure-of-arrays tick data.
+    """All trips of a sweep as structure-of-arrays tick data.
 
     ``times`` is the shared ``(num_ticks + 1,)`` tick-time vector;
     ``travel`` and ``speeds`` are *tick-major* ``(num_ticks + 1, size)``
@@ -34,7 +37,7 @@ class VecTripBatch:
     ``V``.  Tick-major layout makes each simulation step a contiguous
     row read instead of a strided column gather, which is what keeps
     the engine memory-bound-fast at fleet scale.  The array values are
-    bitwise the ones the scalar engine reads from the grid tuples.
+    the grids' own, so bitwise the ones the scalar engine reads.
     """
 
     __slots__ = ("dt", "duration", "num_ticks", "size", "times", "travel",
@@ -71,7 +74,7 @@ class VecTripBatch:
         """Stack prebuilt tick grids (one per trip) into a batch.
 
         Repeated grid objects (fleets cycling a pool of base trips)
-        are converted once and broadcast into their columns by a
+        are stacked once and broadcast into their columns by a
         vectorized gather.  Raises
         :class:`~repro.errors.SimulationError` when ``grids`` is empty
         or the grids disagree on tick layout.
@@ -97,12 +100,10 @@ class VecTripBatch:
                 unique_columns[id(grid)] = column
                 unique_grids.append(grid)
             index[i] = column
-        travel = np.ascontiguousarray(np.array(
-            [grid.travel for grid in unique_grids], dtype=np.float64
-        ).T)
-        speeds = np.ascontiguousarray(np.array(
-            [grid.speeds for grid in unique_grids], dtype=np.float64
-        ).T)
+        # Tick-major: one stack of the grids' own arrays, no per-float
+        # conversion.
+        travel = np.stack([grid.travel for grid in unique_grids], axis=1)
+        speeds = np.stack([grid.speeds for grid in unique_grids], axis=1)
         if len(unique_grids) != len(grids):
             travel = travel[:, index]
             speeds = speeds[:, index]
@@ -110,7 +111,7 @@ class VecTripBatch:
             dt=first.dt,
             duration=first.duration,
             num_ticks=first.num_ticks,
-            times=np.asarray(first.times, dtype=np.float64),
+            times=first.times,
             travel=travel,
             speeds=speeds,
             max_speeds=np.array([grid.max_speed for grid in grids],

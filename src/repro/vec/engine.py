@@ -1,23 +1,32 @@
-"""The vectorized policy-simulation engine for whole sweep cells.
+"""The vectorized policy-simulation engine for whole policy families.
 
 :func:`simulate_batch` advances every vehicle of a
 :class:`~repro.vec.batch.VecTripBatch` through the dl/ail/cil decision
-algebra in lock step: a Python loop over ticks, NumPy arrays across
-vehicles.  Each per-vehicle arithmetic step — deviation, §3.3 bound,
-Proposition-1 threshold, update resets — uses the same float64
-expressions in the same evaluation order as
-:meth:`repro.sim.engine.PolicySimulation._run_fast`, and each
-vehicle's accumulators receive the same additions in the same tick
-order, so every :class:`~repro.sim.metrics.TripMetrics` field and
-every :class:`~repro.sim.vehicle.UpdateEvent` is byte-identical to the
+algebra in lock step, under every update cost of a sweep at once: a
+Python loop over ticks, NumPy arrays of shape ``(k, n)`` — ``k`` update
+costs by ``n`` vehicles — across lanes.  A single policy is the
+``k = 1`` call of the same loop.  Each per-lane arithmetic step —
+deviation, §3.3 bound, Proposition-1 threshold, update resets — uses
+the same float64 expressions in the same evaluation order as
+:meth:`repro.sim.engine.PolicySimulation._run_fast`, and each lane's
+accumulators receive the same additions in the same tick order, so
+every :class:`~repro.sim.metrics.TripMetrics` field and every
+:class:`~repro.sim.vehicle.UpdateEvent` is byte-identical to the
 scalar fast path (``tests/vec/`` asserts exact equality).
 
-Vehicles are processed in column blocks of :data:`BLOCK_VEHICLES` so
-the per-tick temporaries stay cache-resident at fleet scale; rows are
-independent, so blocking changes nothing about the values.  Update
+The cost axis is broadcast, never materialised: the tick's kinematics
+row ``travel[i]`` has shape ``(n,)`` and the update costs form a
+``(k, 1)`` column, so NumPy pairs lane ``(c, j)`` with trip ``j``'s
+travel and cost ``c`` — the two operands the scalar run of that cell
+reads.  Lanes never interact (every operation is elementwise), which
+is why fusing costs, like blocking vehicles, cannot change a value; it
+only divides the per-tick call overhead by ``k``.
+
+Vehicles are processed in column blocks of :data:`BLOCK_VEHICLES` lanes
+so the per-tick temporaries stay cache-resident at fleet scale.  Update
 firings are rare relative to ticks, so the per-tick work is a fixed
-set of elementwise operations plus an indexed scatter for the
-vehicles whose threshold fired.
+set of elementwise operations plus an indexed scatter for the lanes
+whose threshold fired.
 
 Telemetry: the whole batch runs under one ``simulate_trip_batch``
 span; per-tick registry instruments are not replicated here, which is
@@ -26,6 +35,8 @@ metrics registry nor the tracer is enabled.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -46,66 +57,94 @@ __all__ = [
     "simulate_batch",
 ]
 
-#: Vehicles advanced together per tick-loop pass.  Large enough to
-#: amortize NumPy call overhead, small enough that the ~20 live
-#: (block,) temporaries fit in cache instead of streaming through RAM
-#: (a block-size scan put the knee at 8k on the reference box).
+#: Lanes (update costs x vehicles) advanced together per tick-loop
+#: pass.  Large enough to amortize NumPy call overhead, small enough
+#: that the ~20 live per-lane temporaries fit in cache instead of
+#: streaming through RAM (a block-size scan put the knee at 8k on the
+#: reference box).
 BLOCK_VEHICLES = 8192
 
 
-def simulate_batch(batch: VecTripBatch, policy: UpdatePolicy,
+def simulate_batch(batch: VecTripBatch,
+                   policy: UpdatePolicy | Sequence[UpdatePolicy],
                    collect_events: bool = True) -> list[TripResult]:
-    """Simulate every trip of ``batch`` under ``policy``.
+    """Simulate every trip of ``batch`` under one policy family.
 
-    Returns one :class:`TripResult` per batch row, in row order.  With
-    ``collect_events=False`` the per-update event lists are skipped
+    ``policy`` is one dl/ail/cil policy, or a sequence of policies of
+    one class that differ in update cost — the cost axis of a sweep.
+    Returns one :class:`TripResult` per (policy, trip) lane, policy-major:
+    entry ``c * batch.size + j`` is trip ``j`` under the ``c``-th policy,
+    so a single policy yields one result per batch row, in row order.
+    With ``collect_events=False`` the per-update event lists are skipped
     (the executor only consumes metrics); metrics are identical either
     way.  Raises :class:`~repro.errors.SimulationError` for policies
-    outside the dl/ail/cil fast-path family.
+    outside the fast-path family or of mixed classes.
     """
-    if not supports_fast_path(policy):
-        raise SimulationError(
-            f"policy {policy.name!r} is not supported by the vectorized "
-            "engine; use the scalar PolicySimulation instead"
-        )
-    results: list[TripResult] = []
+    policies = [policy] if isinstance(policy, UpdatePolicy) else list(policy)
+    if not policies:
+        raise SimulationError("simulate_batch needs at least one policy")
+    for member in policies:
+        if not supports_fast_path(member):
+            raise SimulationError(
+                f"policy {member.name!r} is not supported by the vectorized "
+                "engine; use the scalar PolicySimulation instead"
+            )
+        if type(member) is not type(policies[0]):
+            raise SimulationError(
+                "policies of one simulate_batch call must share a class; "
+                f"got {member.name!r} alongside {policies[0].name!r}"
+            )
+    # Blocks hold BLOCK_VEHICLES lanes whatever the cost count.
+    block = max(1, BLOCK_VEHICLES // len(policies))
+    per_policy: list[list[TripResult]] = [[] for _ in policies]
     # One errstate frame for the whole run: the masked divisions
     # (2C/elapsed at elapsed == 0, distance/elapsed on fire) are
     # replaced via np.where, so their warnings are pure noise.
-    with span("simulate_trip_batch", policy=policy.name,
-              vehicles=batch.size, duration=batch.duration, dt=batch.dt), \
+    with span("simulate_trip_batch", policy=policies[0].name,
+              costs=len(policies), vehicles=batch.size,
+              duration=batch.duration, dt=batch.dt), \
             np.errstate(divide="ignore", invalid="ignore"):
-        for start in range(0, batch.size, BLOCK_VEHICLES):
-            stop = min(start + BLOCK_VEHICLES, batch.size)
-            results.extend(
-                _simulate_block(batch, policy, start, stop, collect_events)
-            )
-    return results
+        for start in range(0, batch.size, block):
+            stop = min(start + block, batch.size)
+            for results, row in zip(per_policy, _simulate_block(
+                    batch, policies, start, stop, collect_events)):
+                results.extend(row)
+    return [result for results in per_policy for result in results]
 
 
-def _simulate_block(batch: VecTripBatch, policy: UpdatePolicy, start: int,
-                    stop: int, collect_events: bool) -> list[TripResult]:
-    """Run one column block ``[start, stop)`` of the batch."""
+def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
+                    start: int, stop: int,
+                    collect_events: bool) -> list[list[TripResult]]:
+    """Run trips ``[start, stop)`` of the batch under every policy.
+
+    Returns one result row per policy.  State is ``(k, n)`` for ``k``
+    policies by ``n`` trips; the tick's kinematics row (``(n,)``) and
+    the update-cost column (``(k, 1)``) broadcast against it.
+    """
     n = stop - start
+    k = len(policies)
+    lanes = (k, n)
     num_ticks = batch.num_ticks
     dt = batch.dt
     duration = batch.duration
-    times = batch.times
+    times = batch.times.tolist()
     travel = batch.travel
     speeds = batch.speeds
     max_speeds = batch.max_speeds[start:stop]
-    update_cost = policy.update_cost
-    use_delay = isinstance(policy, DelayedLinearPolicy)
-    declare_average = isinstance(policy, AverageImmediateLinearPolicy)
+    costs = [member.update_cost for member in policies]
+    update_cost = np.array(costs, dtype=np.float64).reshape(k, 1)
+    use_delay = isinstance(policies[0], DelayedLinearPolicy)
+    declare_average = isinstance(policies[0], AverageImmediateLinearPolicy)
     send_slack = 1.0 - THRESHOLD_TOLERANCE
     two_cost = 2.0 * update_cost
 
-    # Per-vehicle onboard/DBMS state, exactly the scalars of _run_fast
-    # widened to (n,) arrays.
-    declared = speeds[0, start:stop].copy()
-    last_update_time = np.zeros(n, dtype=np.float64)
-    last_update_travel = np.zeros(n, dtype=np.float64)
-    last_zero_elapsed = np.zeros(n, dtype=np.float64)
+    # Per-lane onboard/DBMS state, exactly the scalars of _run_fast
+    # widened to (k, n) arrays.
+    declared = np.empty(lanes, dtype=np.float64)
+    declared[:] = speeds[0, start:stop]
+    last_update_time = np.zeros(lanes, dtype=np.float64)
+    last_update_travel = np.zeros(lanes, dtype=np.float64)
+    last_zero_elapsed = np.zeros(lanes, dtype=np.float64)
     gap = max_speeds - declared
     gap = np.where(gap < 0.0, 0.0, gap)
     if use_delay:
@@ -117,31 +156,33 @@ def _simulate_block(batch: VecTripBatch, policy: UpdatePolicy, start: int,
     # The fast path accrues deviation_integral and deviation_cost with
     # the identical `deviation * dt` addend each tick (uniform cost),
     # so one accumulator serves both metrics bit-for-bit.
-    deviation_integral = np.zeros(n, dtype=np.float64)
-    uncertainty_integral = np.zeros(n, dtype=np.float64)
-    max_deviation = np.zeros(n, dtype=np.float64)
-    max_uncertainty = np.zeros(n, dtype=np.float64)
-    num_updates = np.zeros(n, dtype=np.int64)
-    events: list[list[UpdateEvent]] = [[] for _ in range(n)]
+    deviation_integral = np.zeros(lanes, dtype=np.float64)
+    uncertainty_integral = np.zeros(lanes, dtype=np.float64)
+    max_deviation = np.zeros(lanes, dtype=np.float64)
+    max_uncertainty = np.zeros(lanes, dtype=np.float64)
+    num_updates = np.zeros(lanes, dtype=np.int64)
+    events: list[list[list[UpdateEvent]]] = [
+        [[] for _ in range(n)] for _ in range(k)
+    ]
 
     # Preallocated per-tick scratch.  Every elementwise op below writes
     # into one of these via ``out=`` so the hot loop allocates nothing.
-    elapsed = np.empty(n, dtype=np.float64)
-    v_elapsed = np.empty(n, dtype=np.float64)
-    g_elapsed = np.empty(n, dtype=np.float64)
-    deviation = np.empty(n, dtype=np.float64)
-    bound = np.empty(n, dtype=np.float64)
-    slow = np.empty(n, dtype=np.float64)
-    slope = np.empty(n, dtype=np.float64)
-    ab = np.empty(n, dtype=np.float64)
-    threshold = np.empty(n, dtype=np.float64)
-    tmp = np.empty(n, dtype=np.float64)
-    zero = np.empty(n, dtype=np.bool_)
-    positive = np.empty(n, dtype=np.bool_)
-    fire = np.empty(n, dtype=np.bool_)
+    elapsed = np.empty(lanes, dtype=np.float64)
+    v_elapsed = np.empty(lanes, dtype=np.float64)
+    g_elapsed = np.empty(lanes, dtype=np.float64)
+    deviation = np.empty(lanes, dtype=np.float64)
+    bound = np.empty(lanes, dtype=np.float64)
+    slow = np.empty(lanes, dtype=np.float64)
+    slope = np.empty(lanes, dtype=np.float64)
+    ab = np.empty(lanes, dtype=np.float64)
+    threshold = np.empty(lanes, dtype=np.float64)
+    tmp = np.empty(lanes, dtype=np.float64)
+    zero = np.empty(lanes, dtype=np.bool_)
+    positive = np.empty(lanes, dtype=np.bool_)
+    fire = np.empty(lanes, dtype=np.bool_)
 
     for i in range(1, num_ticks + 1):
-        t = float(times[i])
+        t = times[i]
         # Tick times are strictly increasing and last_update_time only
         # ever holds an earlier tick's time, so elapsed >= dt > 0 on
         # every lane: the scalar engine's elapsed <= 0 guards (the inf
@@ -208,63 +249,73 @@ def _simulate_block(batch: VecTripBatch, policy: UpdatePolicy, start: int,
         if not fire.any():
             continue
 
-        idx = np.nonzero(fire)[0]
-        fired_travel = actual[idx]
+        fired = np.nonzero(fire)
+        cost_idx, trip_idx = fired
+        fired_travel = actual[trip_idx]
         if declare_average:
-            fired_elapsed = elapsed[idx]
-            distance = fired_travel - last_update_travel[idx]
+            fired_elapsed = elapsed[fired]
+            distance = fired_travel - last_update_travel[fired]
             distance = np.where(distance < 0.0, 0.0, distance)
             ratio = distance / fired_elapsed
-            new_speed = np.where(fired_elapsed > 0.0, ratio, declared[idx])
+            new_speed = np.where(fired_elapsed > 0.0, ratio, declared[fired])
         else:
-            new_speed = speeds[i, start:stop][idx]
+            new_speed = speeds[i, start:stop][trip_idx]
         new_speed = np.where(new_speed < 0.0, 0.0, new_speed)
 
         if collect_events:
-            fired_threshold = threshold[idx]
-            fired_deviation = deviation[idx]
-            rows = idx.tolist()
-            for pos, row in enumerate(rows):
-                events[row].append(UpdateEvent(
+            for c, j, event_travel, event_speed, event_threshold, \
+                    event_deviation in zip(
+                        cost_idx.tolist(), trip_idx.tolist(),
+                        fired_travel.tolist(), new_speed.tolist(),
+                        threshold[fired].tolist(),
+                        deviation[fired].tolist()):
+                events[c][j].append(UpdateEvent(
                     time=t,
-                    travel=float(fired_travel[pos]),
-                    declared_speed=float(new_speed[pos]),
-                    threshold=float(fired_threshold[pos]),
-                    deviation_at_update=float(fired_deviation[pos]),
+                    travel=event_travel,
+                    declared_speed=event_speed,
+                    threshold=event_threshold,
+                    deviation_at_update=event_deviation,
                 ))
-        num_updates[idx] += 1
-        last_update_time[idx] = t
-        last_update_travel[idx] = fired_travel
-        declared[idx] = new_speed
-        last_zero_elapsed[idx] = 0.0
-        fired_gap = max_speeds[idx] - new_speed
+        num_updates[fired] += 1
+        last_update_time[fired] = t
+        last_update_travel[fired] = fired_travel
+        declared[fired] = new_speed
+        last_zero_elapsed[fired] = 0.0
+        fired_gap = max_speeds[trip_idx] - new_speed
         fired_gap = np.where(fired_gap < 0.0, 0.0, fired_gap)
-        gap[idx] = fired_gap
+        gap[fired] = fired_gap
         if use_delay:
-            slow_plateau[idx] = np.sqrt(2.0 * new_speed * update_cost)
-            fast_plateau[idx] = np.sqrt(2.0 * fired_gap * update_cost)
+            fired_cost = update_cost[cost_idx, 0]
+            slow_plateau[fired] = np.sqrt(2.0 * new_speed * fired_cost)
+            fast_plateau[fired] = np.sqrt(2.0 * fired_gap * fired_cost)
 
-    results: list[TripResult] = []
-    for row in range(n):
-        updates = int(num_updates[row])
-        dev_integral = float(deviation_integral[row])
-        unc_integral = float(uncertainty_integral[row])
-        metrics = TripMetrics(
-            policy=policy.name,
-            update_cost=update_cost,
-            duration=duration,
-            num_updates=updates,
-            deviation_integral=dev_integral,
-            deviation_cost=dev_integral,
-            total_cost=update_cost * updates + dev_integral,
-            avg_deviation=dev_integral / duration,
-            max_deviation=float(max_deviation[row]),
-            avg_uncertainty=unc_integral / duration,
-            max_uncertainty=float(max_uncertainty[row]),
-        )
-        results.append(TripResult(
-            metrics=metrics,
-            updates=events[row] if collect_events else [],
-            series=None,
-        ))
-    return results
+    # Python numbers from here on: metrics never hold an np.float64.
+    rows: list[list[TripResult]] = []
+    for member, cost, lane_events, lane_updates, dev_integrals, \
+            unc_integrals, max_deviations, max_uncertainties in zip(
+                policies, costs, events, num_updates.tolist(),
+                deviation_integral.tolist(), uncertainty_integral.tolist(),
+                max_deviation.tolist(), max_uncertainty.tolist()):
+        row: list[TripResult] = []
+        for j in range(n):
+            dev_integral = dev_integrals[j]
+            metrics = TripMetrics(
+                policy=member.name,
+                update_cost=cost,
+                duration=duration,
+                num_updates=lane_updates[j],
+                deviation_integral=dev_integral,
+                deviation_cost=dev_integral,
+                total_cost=cost * lane_updates[j] + dev_integral,
+                avg_deviation=dev_integral / duration,
+                max_deviation=max_deviations[j],
+                avg_uncertainty=unc_integrals[j] / duration,
+                max_uncertainty=max_uncertainties[j],
+            )
+            row.append(TripResult(
+                metrics=metrics,
+                updates=lane_events[j] if collect_events else [],
+                series=None,
+            ))
+        rows.append(row)
+    return rows

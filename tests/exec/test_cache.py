@@ -1,11 +1,16 @@
 """Unit tests for repro.exec.cache (tick grids and the trip cache)."""
 
+import numpy as np
 import pytest
 
 from repro.errors import SimulationError
 from repro.exec import GridTrip, TickGrid, TripTickCache
 from repro.sim.clock import SimulationClock
-from repro.sim.speed_curves import CityCurve, PiecewiseConstantCurve
+from repro.sim.speed_curves import (
+    CityCurve,
+    PiecewiseConstantCurve,
+    standard_curve_set,
+)
 from repro.sim.trip import Trip
 
 import random
@@ -17,7 +22,52 @@ def city_trip(duration=10.0, seed=5):
     return Trip.synthetic(CityCurve(duration, random.Random(seed)))
 
 
+def reference_grid(trip, dt):
+    """The scalar ``TickGrid.build``: one trip call per tick and quantity."""
+    clock = SimulationClock(trip.duration, dt)
+    times = tuple(i * dt for i in range(clock.num_ticks + 1))
+    travel = tuple(trip.distance_travelled(t) for t in times)
+    speeds = tuple(trip.speed(t) for t in times)
+    return times, travel, speeds
+
+
 class TestTickGrid:
+    @pytest.mark.parametrize("dt", [DT, 1.0 / 60.0, 0.1, 0.7, 3.0])
+    def test_build_equals_the_scalar_comprehensions(self, dt):
+        curves = standard_curve_set(random.Random(1998), count=10)
+        curves += [PiecewiseConstantCurve([(2.0, 1.0), (3.0, 0.0)]),
+                   CityCurve(7.3, random.Random(4))]
+        for curve in curves:
+            trip = Trip.synthetic(curve)
+            grid = TickGrid.build(trip, dt)
+            times, travel, speeds = reference_grid(trip, dt)
+            assert grid.num_ticks == len(times) - 1
+            assert grid.max_speed == trip.max_speed
+            assert grid.duration == trip.duration
+            assert tuple(grid.times.tolist()) == times
+            assert tuple(grid.travel.tolist()) == travel
+            assert tuple(grid.speeds.tolist()) == speeds
+
+    def test_holds_read_only_float64_arrays(self):
+        grid = TickGrid.build(city_trip(), DT)
+        for values in (grid.times, grid.travel, grid.speeds):
+            assert isinstance(values, np.ndarray)
+            assert values.dtype == np.float64
+            assert values.shape == (grid.num_ticks + 1,)
+            with pytest.raises(ValueError):
+                values[0] = 1.0
+
+    def test_accepts_sequences_and_rejects_ragged_ones(self):
+        grid = TickGrid(dt=1.0, duration=2.0, max_speed=1.0,
+                        times=(0.0, 1.0, 2.0), travel=[0.0, 0.5, 1.0],
+                        speeds=np.array([0.5, 0.5, 0.5]))
+        assert grid.num_ticks == 2
+        assert grid.travel.tolist() == [0.0, 0.5, 1.0]
+        with pytest.raises(SimulationError):
+            TickGrid(dt=1.0, duration=2.0, max_speed=1.0,
+                     times=(0.0, 1.0, 2.0), travel=(0.0, 0.5),
+                     speeds=(0.5, 0.5, 0.5))
+
     def test_matches_clock_grid(self):
         trip = city_trip()
         grid = TickGrid.build(trip, DT)
@@ -60,6 +110,13 @@ class TestGridTrip:
         proxy = GridTrip(TickGrid.build(city_trip(), DT))
         with pytest.raises(SimulationError):
             proxy.speed(DT / 3.0)
+
+    def test_answers_are_python_floats(self):
+        grid = TickGrid.build(city_trip(), DT)
+        proxy = GridTrip(grid)
+        for t in (0.0, 7 * DT, grid.times[-1]):
+            assert type(proxy.speed(t)) is float
+            assert type(proxy.distance_travelled(t)) is float
 
 
 class TestTripTickCache:

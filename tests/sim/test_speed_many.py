@@ -1,7 +1,8 @@
 """Differential tests: the array path of trip construction vs. scalar oracles.
 
-``SpeedCurve.speed_many``, the curve summaries and ``Trip._integrate``
-promise *the same floats* as the scalar code they replaced.  The scalar
+``SpeedCurve.speed_many``, the curve summaries, ``Trip._integrate`` and
+``interpolate_distance_many`` promise *the same floats* as the scalar
+code they replaced.  The scalar
 definitions live on here, as the reference the array code is compared
 against with ``==`` (never ``approx``).
 """
@@ -28,7 +29,12 @@ from repro.sim.speed_curves import (
     TrafficJamCurve,
     standard_curve_set,
 )
-from repro.sim.trip import _INTEGRATION_DT, Trip
+from repro.sim.trip import (
+    _INTEGRATION_DT,
+    Trip,
+    interpolate_distance,
+    interpolate_distance_many,
+)
 
 SEEDS = (3, 11, 1998)
 
@@ -322,3 +328,59 @@ class TestIntegrate:
                 multi.distance_travelled(bad)
             with pytest.raises(SimulationError):
                 trip.distance_travelled(bad)
+
+
+class TestInterpolateMany:
+    """``interpolate_distance_many`` vs. the scalar ``interpolate_distance``."""
+
+    @staticmethod
+    def _trips(curve):
+        legs = [Leg(straight_route(1.0, "a")),
+                Leg(straight_route(curve.duration * 4.0 + 1.0, "b"))]
+        return [Trip.synthetic(curve), MultiLegTrip(legs, curve)]
+
+    @pytest.mark.parametrize("curve", ALL_CURVES)
+    def test_same_floats_as_distance_travelled(self, curve):
+        d = curve.duration
+        dt = d / 257
+        times = [i * dt for i in range(int(d / dt + 1e-9) + 1)]  # a tick grid
+        times += _probe_times(curve, random.Random(5))       # off it, and edges
+        times += [0.0, d, d + 5e-10]
+        for trip in self._trips(curve):
+            many = trip.distance_travelled_many(times)
+            assert isinstance(many, np.ndarray) and many.dtype == np.float64
+            assert many.tolist() == [trip.distance_travelled(t) for t in times]
+            # An ndarray argument, and a reordered one, change nothing.
+            shuffled = random.Random(6).sample(times, len(times))
+            assert trip.distance_travelled_many(np.array(shuffled)).tolist() \
+                == [trip.distance_travelled(t) for t in shuffled]
+
+    @pytest.mark.parametrize("curve", ALL_CURVES)
+    def test_out_of_domain_rejected(self, curve):
+        d = curve.duration
+        for trip in self._trips(curve):
+            for bad in (-1.0, -1e-6, d + 1e-6, d + 1.0, math.nan):
+                with pytest.raises(SimulationError):
+                    trip.distance_travelled(bad)
+                with pytest.raises(SimulationError):
+                    trip.distance_travelled_many([0.0, bad, d / 2.0])
+
+    def test_empty_input(self):
+        trip = Trip.synthetic(ConstantCurve(5.0, 0.5))
+        for empty in ([], np.empty(0)):
+            many = trip.distance_travelled_many(empty)
+            assert many.shape == (0,) and many.dtype == np.float64
+
+    def test_degenerate_segment_answers_its_left_end(self):
+        # A profile _integrate never produces; the scalar guard handles it.
+        times = [0.0, 1.0, 1.0, 2.0]
+        cumulative = [0.0, 3.0, 4.0, 5.0]
+        probes = [0.0, 0.5, 1.0, 1.5, 2.0]
+        assert interpolate_distance_many(
+            times, cumulative, 2.0, probes
+        ).tolist() == [interpolate_distance(times, cumulative, 2.0, t)
+                       for t in probes]
+        assert interpolate_distance_many(
+            [0.0, 0.0], [1.0, 2.0], 1.0, [0.0, 1.0]
+        ).tolist() == [interpolate_distance([0.0, 0.0], [1.0, 2.0], 1.0, t)
+                       for t in (0.0, 1.0)]

@@ -64,6 +64,101 @@ def test_randomized_mixed_batch_matches_generic_engine(policy_name):
             assert row.updates == generic.updates
 
 
+def scalar_fast(grid, policy_name, cost):
+    """The oracle of one (policy, cost, trip) lane: ``_run_fast``."""
+    return PolicySimulation(
+        GridTrip(grid), make_policy(policy_name, cost), dt=DT, grid=grid
+    ).run()
+
+
+MIXED_KINDS = ("city", "highway", "rush-hour", "city", "highway")
+
+
+@pytest.mark.parametrize("policy_name", ["dl", "ail", "cil"])
+@pytest.mark.parametrize("costs", [
+    (5.0,),
+    (0.5, 2.0, 2.0, 0.0, 10.0, 40.0),  # a duplicate and a free update
+])
+@pytest.mark.parametrize("num_trips", [1, 5])
+def test_cost_axis_matches_scalar_fast_path_per_lane(policy_name, costs,
+                                                     num_trips):
+    grids = [build_grid(kind, duration=15.0, seed=40 + j)
+             for j, kind in enumerate(MIXED_KINDS[:num_trips])]
+    batch = VecTripBatch.from_grids(grids)
+    policies = [make_policy(policy_name, cost) for cost in costs]
+    fused = simulate_batch(batch, policies)
+    assert len(fused) == len(costs) * num_trips
+    for c, cost in enumerate(costs):
+        for j, grid in enumerate(grids):
+            lane = fused[c * num_trips + j]
+            scalar = scalar_fast(grid, policy_name, cost)
+            assert lane.metrics == scalar.metrics
+            assert lane.updates == scalar.updates  # event for event
+    # The fused pass is the single-cost calls laid side by side.
+    singles = [row for policy in policies
+               for row in simulate_batch(batch, policy)]
+    assert fused == singles
+    without = simulate_batch(batch, policies, collect_events=False)
+    assert [row.metrics for row in without] == [row.metrics for row in fused]
+    assert all(row.updates == [] for row in without)
+
+
+def test_cost_axis_over_repeated_grids():
+    base = [build_grid("city", seed=s) for s in range(3)]
+    cycled = [base[i % 3] for i in range(24)]
+    costs = (1.0, 5.0, 5.0, 20.0)
+    fused = simulate_batch(VecTripBatch.from_grids(cycled),
+                           [make_policy("dl", cost) for cost in costs])
+    for c, cost in enumerate(costs):
+        for i in range(24):
+            scalar = scalar_fast(base[i % 3], "dl", cost)
+            assert fused[c * 24 + i].metrics == scalar.metrics
+            assert fused[c * 24 + i].updates == scalar.updates
+
+
+def test_cost_axis_blocks_along_the_trip_axis(monkeypatch):
+    from repro.vec import engine
+
+    grids = [build_grid(kind, duration=10.0, seed=60 + j)
+             for j, kind in enumerate(MIXED_KINDS)]
+    batch = VecTripBatch.from_grids(grids)
+    policies = [make_policy("ail", cost) for cost in (1.0, 4.0, 9.0)]
+    whole = simulate_batch(batch, policies)
+    for lanes in (1, 3, 7):  # fewer lanes than costs, one trip, two trips
+        monkeypatch.setattr(engine, "BLOCK_VEHICLES", lanes)
+        assert simulate_batch(batch, policies) == whole
+
+
+def test_results_hold_python_numbers_only():
+    grids = [build_grid("rush-hour"), build_grid("city")]
+    rows = simulate_batch(VecTripBatch.from_grids(grids),
+                          [make_policy("dl", 1.0), make_policy("dl", 3.0)])
+    rows.append(scalar_fast(grids[0], "dl", 1.0))
+    assert any(row.updates for row in rows)
+    for row in rows:
+        metrics = row.metrics
+        assert type(metrics.num_updates) is int
+        for name in ("update_cost", "duration", "deviation_integral",
+                     "deviation_cost", "total_cost", "avg_deviation",
+                     "max_deviation", "avg_uncertainty", "max_uncertainty"):
+            assert type(getattr(metrics, name)) is float, name
+        for event in row.updates:
+            for name in ("time", "travel", "declared_speed", "threshold",
+                         "deviation_at_update"):
+                assert type(getattr(event, name)) is float, name
+
+
+def test_mixed_policy_classes_are_rejected():
+    batch = VecTripBatch.from_grids([build_grid()])
+    with pytest.raises(SimulationError):
+        simulate_batch(batch, [make_policy("dl", 5.0), make_policy("ail", 5.0)])
+    with pytest.raises(SimulationError):
+        simulate_batch(batch, [])
+    with pytest.raises(SimulationError):
+        simulate_batch(batch, [make_policy("dl", 5.0),
+                               make_policy("periodic", 5.0)])
+
+
 def test_repeated_grids_match_distinct_conversion():
     base = [build_grid("city", seed=s) for s in range(3)]
     cycled = [base[i % 3] for i in range(24)]
