@@ -51,6 +51,29 @@ def harness_rtree_insert():
     return build
 
 
+@register_benchmark("rtree.delete_500", group="rtree")
+def harness_rtree_delete():
+    """Delete 500 of a 2000-entry tree's entries, then put them back.
+
+    Delete + CondenseTree is half of every o-plane swap.  The reinsert
+    restores the entry count (so every repeat does comparable work),
+    which makes this row delete + insert: read it against
+    ``rtree.insert_500``.
+    """
+    boxes = _random_boxes(2000, seed=1)
+    tree = _load_tree()
+    victims = random.Random(5).sample(range(len(boxes)), 500)
+
+    def churn():
+        for i in victims:
+            assert tree.delete(boxes[i], i)
+        for i in victims:
+            tree.insert(boxes[i], i)
+        return len(tree)
+
+    return churn
+
+
 @register_benchmark("rtree.search_100_windows", group="rtree")
 def harness_rtree_search():
     """100 window queries against a loaded 2000-entry tree."""

@@ -66,26 +66,42 @@ class PositionAttribute:
         """Dead-reckoned route-distance travelled since ``starttime``."""
         return self.speed * self.elapsed(t)
 
-    def database_position(self, route: Route, t: float) -> Point:
+    def start_travel(self, route: Route) -> float:
+        """Travel distance of the start position from ``route``'s travel origin.
+
+        An O(segments) projection of ``(start_x, start_y)`` onto the
+        route, and a constant of the attribute: callers that answer many
+        queries against one installed update compute it once
+        (:meth:`repro.dbms.moving_object.MovingObjectRecord.start_travel`)
+        and hand it back to :meth:`database_position` and
+        :func:`repro.core.uncertainty.uncertainty_interval`.
+        """
+        self._check_route(route)
+        return route.travel_distance_of(self.start_point, self.direction)
+
+    def database_position(self, route: Route, t: float,
+                          start_travel: float | None = None) -> Point:
         """The database position at time ``t`` (paper §2).
 
         ``route`` must be the route this attribute references; the
         dead-reckoned travel distance is clamped to the route's end, so
         an object that reaches its destination simply stays there as far
-        as the DBMS is concerned.
+        as the DBMS is concerned.  ``start_travel`` is
+        :meth:`start_travel` of ``route`` when the caller already has
+        it; it is computed here otherwise.
         """
         self._check_route(route)
-        start_travel = route.travel_distance_of(self.start_point, self.direction)
+        if start_travel is None:
+            start_travel = self.start_travel(route)
         return route.travel_point(
             start_travel + self.database_travel_offset(t), self.direction
         )
 
     def database_travel_distance(self, route: Route, t: float) -> float:
         """Dead-reckoned travel distance from the route's travel origin."""
-        self._check_route(route)
-        start_travel = route.travel_distance_of(self.start_point, self.direction)
         return min(
-            start_travel + self.database_travel_offset(t), route.length
+            self.start_travel(route) + self.database_travel_offset(t),
+            route.length,
         )
 
     def updated(self, t: float, position: Point, speed: float,

@@ -85,19 +85,21 @@ class UncertaintyInterval:
 
 
 def uncertainty_interval(attribute: PositionAttribute, route: Route,
-                         bounds: DeviationBounds, t: float) -> UncertaintyInterval:
+                         bounds: DeviationBounds, t: float,
+                         start_travel: float | None = None) -> UncertaintyInterval:
     """The uncertainty interval of an object at absolute time ``t``.
 
     ``attribute`` is the object's position attribute; ``bounds`` the
     deviation bounds the DBMS derived from its policy and declared
     speed; ``t`` an absolute time at or after the last update.  The
     interval is clamped to the route (the object cannot travel past the
-    route's ends).
+    route's ends).  ``start_travel`` is ``attribute.start_travel(route)``
+    when the caller already has it (it is a constant of the installed
+    update); it is computed here otherwise.
     """
     elapsed = attribute.elapsed(t)
-    start_travel = route.travel_distance_of(
-        attribute.start_point, attribute.direction
-    )
+    if start_travel is None:
+        start_travel = attribute.start_travel(route)
     center = start_travel + attribute.speed * elapsed
     lower = center - bounds.slow(elapsed)
     upper = center + bounds.fast(elapsed)

@@ -1,10 +1,13 @@
 """Batched query processing — the read-path fast lane.
 
-The one-at-a-time query processor re-derives every candidate's
-uncertainty interval and re-walks the R-tree for each call.  A serving
-workload ("the free cabs near each of these 1 000 passengers, now")
-repeats almost all of that work: query boxes overlap the same index
-nodes and candidates recur across queries at the same instant.
+The one-at-a-time query processor re-walks the R-tree for each call
+and, for each candidate of each query, re-derives the deviation bounds,
+the uncertainty interval and its geometry (only the start point's
+route projection is shared: the record memoises it per installed
+update).  A serving workload ("the free cabs near each of these 1 000
+passengers, now") repeats almost all of that work: query boxes overlap
+the same index nodes and candidates recur across queries at the same
+instant.
 
 :class:`BatchQueryEngine` answers a workload of position / range /
 within-distance queries with amortised work:
@@ -12,11 +15,14 @@ within-distance queries with amortised work:
 * **R-tree multi-search** — all query windows are answered by a single
   shared tree traversal (:meth:`repro.index.rtree.RTree.search_many`
   via :meth:`repro.index.timespace.TimeSpaceIndex.candidates_at_many`),
-* **generation-keyed uncertainty cache** — each candidate's interval,
+* **per-update uncertainty cache** — each candidate's interval,
   materialised geometry, and geometry bbox are derived once per
-  ``(object, t)`` and reused until that object's record changes (the
-  record's update ``generation`` tags every cache entry, so a position
-  update invalidates exactly one object, never the whole cache),
+  ``(object, t)`` and reused until that object's record changes (every
+  cache entry is tagged with the record's installed
+  ``PositionAttribute`` object and is valid only while the record still
+  holds *that object*, so a position update invalidates exactly one
+  object, never the whole cache, and a removed and re-inserted id can
+  never be served its predecessor's entry),
 * **hoisted filter sets** — the stationary-object id set and each
   distinct ``(where, class_name)`` eligibility set are computed once
   per batch instead of once per query.
@@ -159,10 +165,11 @@ class BatchQueryEngine:
 
     The engine is a read-side companion to the database: it owns no
     data, only caches of values derived from records.  Cache entries
-    are tagged with the source record's update generation, so they
-    survive across :meth:`run` calls and invalidate per object the
-    moment a position update lands — a stale interval can never be
-    served.
+    are tagged with the position attribute they were derived from (a
+    frozen object, replaced by every installed update and unique to its
+    record; compared with ``is``), so they survive across :meth:`run`
+    calls and invalidate per object the moment a position update lands
+    or the id is re-inserted — a stale interval can never be served.
 
     ``max_cache_entries`` bounds the derived-value cache; on overflow
     the cache is cleared wholesale (correct, merely cold).
@@ -189,9 +196,9 @@ class BatchQueryEngine:
         self.vectorize = bool(vectorize)
         self._db = database
         self._max_cache_entries = max_cache_entries
-        #: ``(object_id, t) -> (generation, interval, geometry, bbox)``.
+        #: ``(object_id, t) -> (attribute, interval, geometry, bbox)``.
         self._derived: dict[tuple[str, float], tuple] = {}
-        #: ``object_id -> (generation, DeviationBounds)``.
+        #: ``object_id -> (attribute, DeviationBounds)``.
         self._bounds: dict[str, tuple] = {}
         self.cache_hits = 0
         self.cache_misses = 0
@@ -214,18 +221,18 @@ class BatchQueryEngine:
     # ------------------------------------------------------------------
 
     def _bounds_for(self, record) -> Any:
-        """The record's deviation bounds, cached per update generation."""
+        """The record's deviation bounds, cached per installed update."""
         entry = self._bounds.get(record.object_id)
-        if entry is not None and entry[0] == record.generation:
+        if entry is not None and entry[0] is record.attribute:
             return entry[1]
         bounds = bounds_for_policy(
             record.policy, record.attribute.speed, record.max_speed
         )
-        self._bounds[record.object_id] = (record.generation, bounds)
+        self._bounds[record.object_id] = (record.attribute, bounds)
         return bounds
 
     def _derived_for(self, object_id: str, t: float) -> tuple:
-        """``(generation, interval, geometry, bbox)`` for one candidate.
+        """``(attribute, interval, geometry, bbox)`` for one candidate.
 
         Computed through the exact functions the sequential path uses
         (:func:`uncertainty_interval`, ``interval.geometry``), so a hit
@@ -234,7 +241,7 @@ class BatchQueryEngine:
         record = self._db._records[object_id]
         key = (object_id, t)
         entry = self._derived.get(key)
-        if entry is not None and entry[0] == record.generation:
+        if entry is not None and entry[0] is record.attribute:
             self.cache_hits += 1
             return entry
         self.cache_misses += 1
@@ -246,10 +253,11 @@ class BatchQueryEngine:
         """One candidate's cache entry, through the scalar functions."""
         route = self._db.routes.get(record.attribute.route_id)
         interval = uncertainty_interval(
-            record.attribute, route, self._bounds_for(record), t
+            record.attribute, route, self._bounds_for(record), t,
+            record.start_travel(route),
         )
         geometry = interval.geometry(route)
-        return (record.generation, interval, geometry,
+        return (record.attribute, interval, geometry,
                 geometry.bounding_rect())
 
     def _store_derived(self, key: tuple[str, float], entry: tuple) -> None:
@@ -271,7 +279,7 @@ class BatchQueryEngine:
         for i, object_id in enumerate(object_ids):
             record = records[object_id]
             entry = self._derived.get((object_id, t))
-            if entry is not None and entry[0] == record.generation:
+            if entry is not None and entry[0] is record.attribute:
                 self.cache_hits += 1
                 entries[i] = entry
             else:
@@ -341,8 +349,8 @@ class BatchQueryEngine:
         The array expressions mirror :func:`uncertainty_interval` and
         the :mod:`repro.core.bounds` closures element for element (see
         :mod:`repro.vec.bounds`); the per-record pieces that stay
-        scalar — travel-coordinate projection of the start point and
-        interval geometry — are the exact calls the scalar path makes.
+        scalar — the start point's travel distance (the record's memo)
+        and interval geometry — are the exact calls the scalar path makes.
         """
         n = len(rows)
         speed = np.empty(n, dtype=np.float64)
@@ -362,9 +370,7 @@ class BatchQueryEngine:
             max_speed[j] = record.max_speed
             cost[j] = record.policy.update_cost
             starttime[j] = attribute.starttime
-            start_travel[j] = route.travel_distance_of(
-                attribute.start_point, attribute.direction
-            )
+            start_travel[j] = record.start_travel(route)
             length[j] = route.length
         elapsed = t - starttime
         gap = vec_bounds.speed_gap(speed, max_speed)
@@ -390,7 +396,7 @@ class BatchQueryEngine:
                 upper=float(upper[j]),
             )
             geometry = interval.geometry(route)
-            entries[i] = (record.generation, interval, geometry,
+            entries[i] = (record.attribute, interval, geometry,
                           geometry.bounding_rect())
 
     # ------------------------------------------------------------------

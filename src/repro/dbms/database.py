@@ -374,6 +374,7 @@ class MovingObjectDatabase:
             route=route,
             bounds=record.bounds(),
             horizon=self.horizon,
+            start_travel=record.start_travel(route),
         )
 
     # ------------------------------------------------------------------

@@ -9,7 +9,7 @@ and the object's maximum speed ``V``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.bounds import DeviationBounds, bounds_for_policy
 from repro.core.policy import UpdatePolicy
@@ -29,12 +29,20 @@ class MovingObjectRecord:
     attribute: PositionAttribute
     policy: UpdatePolicy
     max_speed: float
-    #: Update generation: bumped on every installed position update, so
-    #: caches of derived values (uncertainty intervals, dead-reckoned
-    #: positions, o-plane geometry) can invalidate per object instead
-    #: of wholesale.  A cached value tagged with the generation it was
-    #: derived from is valid iff the tags still match.
+    #: Update generation: bumped on every installed position update.  It
+    #: restarts at 0 when an id is removed and inserted again, so it does
+    #: not identify an installed state on its own; caches of derived
+    #: values tag entries with the ``attribute`` object instead (frozen,
+    #: replaced by every update, compared with ``is``).
     generation: int = 0
+    #: ``(attribute, route, start travel distance)`` of the last
+    #: :meth:`start_travel` call.  Valid only while *these very objects*
+    #: are the record's attribute and the route asked about, so nothing
+    #: has to clear it: every installed update (and a snapshot load, and
+    #: a re-inserted object's fresh record) brings a new attribute object.
+    _start_travel: tuple[PositionAttribute, Route, float] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.max_speed < 0:
@@ -48,13 +56,32 @@ class MovingObjectRecord:
             self.policy, self.attribute.speed, self.max_speed
         )
 
+    def start_travel(self, route: Route) -> float:
+        """Travel distance of ``P.startposition`` along ``route``, memoised.
+
+        The projection is O(route segments) and depends only on the
+        installed position attribute and the route, so it is computed
+        once per installed update and reused by every position, range,
+        proximity and nearest query until the next one.
+        """
+        memo = self._start_travel
+        attribute = self.attribute
+        if memo is None or memo[0] is not attribute or memo[1] is not route:
+            memo = (attribute, route, attribute.start_travel(route))
+            self._start_travel = memo
+        return memo[2]
+
     def database_position(self, route: Route, t: float) -> Point:
         """Dead-reckoned position at time ``t``."""
-        return self.attribute.database_position(route, t)
+        return self.attribute.database_position(
+            route, t, self.start_travel(route)
+        )
 
     def uncertainty(self, route: Route, t: float) -> UncertaintyInterval:
         """The object's uncertainty interval at time ``t``."""
-        return uncertainty_interval(self.attribute, route, self.bounds(), t)
+        return uncertainty_interval(
+            self.attribute, route, self.bounds(), t, self.start_travel(route)
+        )
 
     def apply_update(self, t: float, position: Point, speed: float,
                      route_id: str | None = None,

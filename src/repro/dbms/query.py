@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.core.uncertainty import UncertaintyInterval
 from repro.errors import QueryError
+from repro.geometry import kernels
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
@@ -118,13 +119,9 @@ def distance_range_to_polyline(center: Point,
     maximum of a convex function over a polyline is attained at a
     vertex, so checking vertices suffices.
     """
-    minimum = min(
-        segment.distance_to_point(center) for segment in geometry.segments()
+    return kernels.chain_distance_range(
+        center.x, center.y, geometry.xs, geometry.ys
     )
-    maximum = max(
-        vertex.distance_to(center) for vertex in geometry.vertices
-    )
-    return minimum, maximum
 
 
 def distance_range_to_interval(center: Point, interval: UncertaintyInterval,

@@ -12,6 +12,10 @@ the polygon G" need three geometric predicates, all provided here:
 Polygons are simple (non-self-intersecting), given by their boundary
 vertices in either orientation, and treated as closed regions (boundary
 points count as inside).
+
+The predicates are thin wrappers over :mod:`repro.geometry.kernels`: a
+polygon builds its edge-coordinate rows once, at construction, and the
+float functions there do the work.
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from repro.errors import GeometryError
+from repro.geometry import kernels
 from repro.geometry.bbox import Rect2D
-from repro.geometry.point import EPSILON, Point
+from repro.geometry.point import Point
 from repro.geometry.polyline import Polyline
 from repro.geometry.segment import Segment
 
@@ -28,7 +33,7 @@ from repro.geometry.segment import Segment
 class Polygon:
     """An immutable simple polygon with containment/intersection queries."""
 
-    __slots__ = ("_vertices", "_bbox")
+    __slots__ = ("_vertices", "_bbox", "_edges", "_bounds")
 
     def __init__(self, vertices: Iterable[Point]) -> None:
         verts = tuple(vertices)
@@ -37,7 +42,16 @@ class Polygon:
         if len(verts) < 3:
             raise GeometryError("a polygon needs at least three distinct vertices")
         self._vertices = verts
-        self._bbox = Rect2D.from_points(verts)
+        self._bbox = bbox = Rect2D.from_points(verts)
+        #: The kernels' view of the region: boundary rows in ring order
+        #: (closing edge last) and the bounding rectangle.
+        self._edges: kernels.Edges = tuple(
+            (a.x, a.y, b.x, b.y)
+            for a, b in zip(verts, verts[1:] + verts[:1])
+        )
+        self._bounds: kernels.Bounds = (
+            bbox.min_x, bbox.min_y, bbox.max_x, bbox.max_y
+        )
 
     @classmethod
     def from_coordinates(cls, coords: Iterable[tuple[float, float]]) -> "Polygon":
@@ -92,24 +106,9 @@ class Polygon:
         so that boundary points are deterministically *inside* (the paper
         treats regions as closed).
         """
-        if not self._bbox.contains_point(point):
-            return False
-        for edge in self.edges():
-            if edge.distance_to_point(point) <= EPSILON:
-                return True
-        inside = False
-        x, y = point.x, point.y
-        verts = self._vertices
-        j = len(verts) - 1
-        for i in range(len(verts)):
-            xi, yi = verts[i].x, verts[i].y
-            xj, yj = verts[j].x, verts[j].y
-            if (yi > y) != (yj > y):
-                x_cross = xi + (y - yi) * (xj - xi) / (yj - yi)
-                if x < x_cross:
-                    inside = not inside
-            j = i
-        return inside
+        return kernels.ring_contains_point(
+            self._edges, self._bounds, point.x, point.y
+        )
 
     def intersects_segment(self, segment: Segment) -> bool:
         """True when the closed polygon region touches the segment.
@@ -118,9 +117,10 @@ class Polygon:
         uncertainty interval intersects G iff either an endpoint lies in
         G or the interval crosses G's boundary.
         """
-        if self.contains_point(segment.start) or self.contains_point(segment.end):
-            return True
-        return any(edge.intersects(segment) for edge in self.edges())
+        start, end = segment.start, segment.end
+        return kernels.ring_intersects_segment(
+            self._edges, self._bounds, start.x, start.y, end.x, end.y
+        )
 
     def contains_segment(self, segment: Segment) -> bool:
         """True when the whole segment lies inside the closed polygon.
@@ -130,40 +130,22 @@ class Polygon:
         contained endpoints, so we additionally check midpoints of the
         pieces cut by boundary crossings.
         """
-        if not (
-            self.contains_point(segment.start) and self.contains_point(segment.end)
-        ):
-            return False
-        # Collect boundary-crossing parameters along the segment.
-        crossings: list[float] = [0.0, 1.0]
-        direction = segment.end - segment.start
-        seg_len2 = direction.dot(direction)
-        for edge in self.edges():
-            hit = segment.intersection_point(edge)
-            if hit is None:
-                continue
-            if seg_len2 <= EPSILON * EPSILON:
-                continue
-            t = (hit - segment.start).dot(direction) / seg_len2
-            crossings.append(min(1.0, max(0.0, t)))
-        crossings.sort()
-        for t0, t1 in zip(crossings, crossings[1:]):
-            if t1 - t0 <= EPSILON:
-                continue
-            midpoint = segment.point_at_fraction((t0 + t1) / 2.0)
-            if not self.contains_point(midpoint):
-                return False
-        return True
+        start, end = segment.start, segment.end
+        return kernels.ring_contains_segment(
+            self._edges, self._bounds, start.x, start.y, end.x, end.y
+        )
 
     def intersects_polyline(self, polyline: Polyline) -> bool:
         """True when any part of ``polyline`` touches the closed polygon."""
-        if not self._bbox.intersects(polyline.bounding_rect()):
-            return False
-        return any(self.intersects_segment(seg) for seg in polyline.segments())
+        return kernels.ring_intersects_chain(
+            self._edges, self._bounds, polyline.xs, polyline.ys
+        )
 
     def contains_polyline(self, polyline: Polyline) -> bool:
         """True when the whole ``polyline`` lies inside the closed polygon."""
-        return all(self.contains_segment(seg) for seg in polyline.segments())
+        return kernels.ring_contains_chain(
+            self._edges, self._bounds, polyline.xs, polyline.ys
+        )
 
     def __repr__(self) -> str:
         return f"Polygon({len(self._vertices)} vertices, area={self.area():.3f})"

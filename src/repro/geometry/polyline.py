@@ -13,14 +13,21 @@ Arc-length parametrisation
 A polyline with vertices ``v0 .. vn`` is parametrised by cumulative
 Euclidean arc length ``s`` in ``[0, length]``.  All distance arguments
 below are arc lengths in canonical miles.
+
+Besides its vertices a polyline holds their coordinates as two parallel
+tuples (:attr:`Polyline.xs`, :attr:`Polyline.ys`), built once at
+construction: that is the form the float predicates of
+:mod:`repro.geometry.kernels` consume.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from typing import Iterable, Sequence
 
 from repro.errors import GeometryError
+from repro.geometry import kernels
 from repro.geometry.bbox import Rect2D
 from repro.geometry.point import EPSILON, Point
 from repro.geometry.segment import Segment
@@ -29,18 +36,31 @@ from repro.geometry.segment import Segment
 class Polyline:
     """An immutable piecewise-linear curve with arc-length queries."""
 
-    __slots__ = ("_vertices", "_cumulative", "_length")
+    __slots__ = ("_vertices", "_xs", "_ys", "_cumulative", "_length")
 
     def __init__(self, vertices: Iterable[Point]) -> None:
         verts = tuple(vertices)
         if len(verts) < 2:
             raise GeometryError("a polyline needs at least two vertices")
-        cumulative = [0.0]
-        for a, b in zip(verts, verts[1:]):
-            cumulative.append(cumulative[-1] + a.distance_to(b))
+        # One pass: coordinates and cumulative arc length together.
+        ax, ay = verts[0].x, verts[0].y
+        xs = [ax]
+        ys = [ay]
+        total = 0.0
+        cumulative = [total]
+        for i in range(1, len(verts)):
+            vertex = verts[i]
+            bx, by = vertex.x, vertex.y
+            total = total + math.hypot(ax - bx, ay - by)
+            xs.append(bx)
+            ys.append(by)
+            cumulative.append(total)
+            ax, ay = bx, by
         if cumulative[-1] <= EPSILON:
             raise GeometryError("a polyline must have positive length")
         self._vertices = verts
+        self._xs = tuple(xs)
+        self._ys = tuple(ys)
         self._cumulative = cumulative
         self._length = cumulative[-1]
 
@@ -53,6 +73,16 @@ class Polyline:
     def vertices(self) -> tuple[Point, ...]:
         """The polyline's vertices, in order."""
         return self._vertices
+
+    @property
+    def xs(self) -> tuple[float, ...]:
+        """The vertices' x coordinates, in order."""
+        return self._xs
+
+    @property
+    def ys(self) -> tuple[float, ...]:
+        """The vertices' y coordinates, in order."""
+        return self._ys
 
     @property
     def length(self) -> float:
@@ -75,7 +105,8 @@ class Polyline:
 
     def bounding_rect(self) -> Rect2D:
         """The tightest axis-aligned rectangle containing the polyline."""
-        return Rect2D.from_points(self._vertices)
+        xs, ys = self._xs, self._ys
+        return Rect2D(min(xs), min(ys), max(xs), max(ys))
 
     def _segment_index_at(self, distance: float) -> int:
         """Index of the segment containing arc length ``distance``."""
@@ -120,16 +151,9 @@ class Polyline:
         Returns ``(arc_length, euclidean_distance)`` of the closest point
         on the polyline to ``point``.
         """
-        best_arc = 0.0
-        best_dist = float("inf")
-        for idx, segment in enumerate(self.segments()):
-            fraction = segment.project_fraction(point)
-            candidate = segment.point_at_fraction(fraction)
-            dist = candidate.distance_to(point)
-            if dist < best_dist - EPSILON:
-                best_dist = dist
-                best_arc = self._cumulative[idx] + fraction * segment.length
-        return best_arc, best_dist
+        return kernels.chain_project(
+            self._xs, self._ys, self._cumulative, point.x, point.y
+        )
 
     def arc_length_of(self, point: Point, tolerance: float = 1e-6) -> float:
         """Arc length of a point assumed to lie on the polyline.

@@ -4,6 +4,10 @@ Segments are the building block of routes (piecewise-linear polylines)
 and of polygon boundaries.  The operations here are deliberately robust
 for the well-conditioned inputs the simulator produces; degenerate
 segments (zero length) are accepted and treated as points.
+
+The predicates (projection, distance, intersection) are thin wrappers
+over the float functions of :mod:`repro.geometry.kernels`, which hold
+the one implementation of each.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.geometry import kernels
 from repro.geometry.point import EPSILON, Point
 
 
@@ -50,12 +55,10 @@ class Segment:
 
     def project_fraction(self, point: Point) -> float:
         """Fraction in [0, 1] of the closest point on the segment to ``point``."""
-        direction = self.end - self.start
-        denom = direction.dot(direction)
-        if denom <= EPSILON * EPSILON:
-            return 0.0
-        raw = (point - self.start).dot(direction) / denom
-        return min(1.0, max(0.0, raw))
+        start, end = self.start, self.end
+        return kernels.project_fraction(
+            start.x, start.y, end.x, end.y, point.x, point.y
+        )
 
     def closest_point(self, point: Point) -> Point:
         """The point on the segment closest to ``point``."""
@@ -63,7 +66,10 @@ class Segment:
 
     def distance_to_point(self, point: Point) -> float:
         """Euclidean distance from ``point`` to the segment."""
-        return self.closest_point(point).distance_to(point)
+        start, end = self.start, self.end
+        return kernels.distance_to_point(
+            start.x, start.y, end.x, end.y, point.x, point.y
+        )
 
     def distance_to_segment(self, other: "Segment") -> float:
         """Minimum Euclidean distance between two closed segments.
@@ -81,9 +87,16 @@ class Segment:
             other.distance_to_point(self.end),
         )
 
+    def _coordinates_with(self, other: "Segment") -> tuple[
+            float, float, float, float, float, float, float, float]:
+        start, end = self.start, self.end
+        other_start, other_end = other.start, other.end
+        return (start.x, start.y, end.x, end.y,
+                other_start.x, other_start.y, other_end.x, other_end.y)
+
     def intersects(self, other: "Segment") -> bool:
         """True when the two closed segments share at least one point."""
-        return self.intersection_point(other) is not None or self._overlaps_collinear(other)
+        return kernels.segments_intersect(*self._coordinates_with(other))
 
     def intersection_point(self, other: "Segment") -> Point | None:
         """The unique intersection point of two segments, if there is one.
@@ -92,38 +105,12 @@ class Segment:
         are collinear and overlap in more than a single point (no unique
         answer); use :meth:`intersects` for a pure predicate.
         """
-        p, r = self.start, self.end - self.start
-        q, s = other.start, other.end - other.start
-        r_cross_s = r.cross(s)
-        q_minus_p = q - p
-        if abs(r_cross_s) <= EPSILON:
-            return None
-        t = q_minus_p.cross(s) / r_cross_s
-        u = q_minus_p.cross(r) / r_cross_s
-        if -EPSILON <= t <= 1.0 + EPSILON and -EPSILON <= u <= 1.0 + EPSILON:
-            return p + r * t
-        return None
+        hit = kernels.intersection_point(*self._coordinates_with(other))
+        return None if hit is None else Point(hit[0], hit[1])
 
     def _overlaps_collinear(self, other: "Segment") -> bool:
         """True when the segments are collinear and their ranges overlap."""
-        r = self.end - self.start
-        s = other.end - other.start
-        if abs(r.cross(s)) > EPSILON:
-            return False
-        # The separation vector must be parallel to the (non-degenerate)
-        # direction; when both segments are points, require coincidence.
-        axis = r if r.norm() > EPSILON else s
-        if axis.norm() <= EPSILON:
-            return self.start.almost_equal(other.start)
-        if abs((other.start - self.start).cross(axis)) > EPSILON:
-            return False
-        if abs(axis.x) >= abs(axis.y):
-            a0, a1 = sorted((self.start.x, self.end.x))
-            b0, b1 = sorted((other.start.x, other.end.x))
-        else:
-            a0, a1 = sorted((self.start.y, self.end.y))
-            b0, b1 = sorted((other.start.y, other.end.y))
-        return a0 <= b1 + EPSILON and b0 <= a1 + EPSILON
+        return kernels.overlaps_collinear(*self._coordinates_with(other))
 
     def midpoint(self) -> Point:
         """The midpoint of the segment."""

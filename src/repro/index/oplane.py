@@ -22,7 +22,7 @@ exact refinement of Theorems 5–6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.bounds import DeviationBounds
 from repro.core.position import PositionAttribute
@@ -46,6 +46,10 @@ class OPlane:
     route: Route
     bounds: DeviationBounds
     horizon: float
+    #: ``attribute.start_travel(route)`` when the builder already has it
+    #: (the database memoises it per installed update); projected on
+    #: demand otherwise.
+    start_travel: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         if self.horizon <= 0:
@@ -75,13 +79,15 @@ class OPlane:
                 f"time {t} outside o-plane span "
                 f"[{self.start_time}, {self.end_time}]"
             )
-        return uncertainty_interval(self.attribute, self.route, self.bounds, t)
+        return uncertainty_interval(
+            self.attribute, self.route, self.bounds, t, self._start_travel()
+        )
 
     def _start_travel(self) -> float:
-        """Travel distance of ``P.startpoint``: an O(segments) projection."""
-        return self.route.travel_distance_of(
-            self.attribute.start_point, self.attribute.direction
-        )
+        """Travel distance of ``P.startpoint`` along the route."""
+        if self.start_travel is not None:
+            return self.start_travel
+        return self.attribute.start_travel(self.route)
 
     def travel_range(self, elapsed_lo: float, elapsed_hi: float,
                      samples: int = 4) -> tuple[float, float]:

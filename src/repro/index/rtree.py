@@ -19,6 +19,16 @@ Implementation notes
 * Searches report :class:`SearchStats` (nodes visited, leaf entries
   tested) so benchmarks can demonstrate sublinearity directly rather
   than inferring it from wall-clock noise.
+* Maintenance (ChooseLeaf, the quadratic split, covering-box refresh)
+  works on coordinate tuples (``_Extent``): the measure of a union is
+  computed from the two operands' floats (``_union_measure``) and a
+  :class:`Box3D` is built only for a covering box that is stored, one
+  per refreshed node.  A union coordinate is ``b if b < a else a``
+  (resp. ``>``), which keeps the operand the ``min``/``max`` builtins
+  keep — the first of equal ones, signed zeros included — so comparison
+  keys, tie-breaks and stored boxes are those of ``Box3D.union`` and the
+  tree is the same node for node
+  (``tests/index/test_rtree_structure.py`` pins it).
 """
 
 from __future__ import annotations
@@ -36,9 +46,44 @@ from repro.obs.registry import get_registry
 _MARGIN_WEIGHT = 1e-6
 
 
-def _measure(box: Box3D) -> float:
-    """Size surrogate robust to volume-degenerate boxes."""
-    return box.volume + _MARGIN_WEIGHT * box.margin
+#: ``(min_x, min_y, min_t, max_x, max_y, max_t)`` of a box or a union.
+_Extent = tuple[float, float, float, float, float, float]
+
+
+def _extent(box: Box3D) -> _Extent:
+    return (box.min_x, box.min_y, box.min_t, box.max_x, box.max_y, box.max_t)
+
+
+def _union(a: _Extent, b: _Extent) -> _Extent:
+    """Extent of ``Box3D.union``: of equal operands the one from ``a``."""
+    return (
+        b[0] if b[0] < a[0] else a[0],
+        b[1] if b[1] < a[1] else a[1],
+        b[2] if b[2] < a[2] else a[2],
+        b[3] if b[3] > a[3] else a[3],
+        b[4] if b[4] > a[4] else a[4],
+        b[5] if b[5] > a[5] else a[5],
+    )
+
+
+def _measure(extent: _Extent) -> float:
+    """Size surrogate robust to volume-degenerate boxes: volume plus a
+    small multiple of margin."""
+    x0, y0, t0, x1, y1, t1 = extent
+    dx = x1 - x0
+    dy = y1 - y0
+    dt = t1 - t0
+    return dx * dy * dt + _MARGIN_WEIGHT * (dx + dy + dt)
+
+
+def _union_measure(a: _Extent, b: _Extent) -> float:
+    """``_measure(_union(a, b))`` without building the union."""
+    ax0, ay0, at0, ax1, ay1, at1 = a
+    bx0, by0, bt0, bx1, by1, bt1 = b
+    dx = (bx1 if bx1 > ax1 else ax1) - (bx0 if bx0 < ax0 else ax0)
+    dy = (by1 if by1 > ay1 else ay1) - (by0 if by0 < ay0 else ay0)
+    dt = (bt1 if bt1 > at1 else at1) - (bt0 if bt0 < at0 else at0)
+    return dx * dy * dt + _MARGIN_WEIGHT * (dx + dy + dt)
 
 
 @dataclass(slots=True)
@@ -57,12 +102,28 @@ class _Node:
     parent: "_Node | None" = None
 
     def bounding_box(self) -> Box3D:
-        if not self.entries:
+        entries = self.entries
+        if not entries:
             raise IndexError_("empty node has no bounding box")
-        box = self.entries[0].box
-        for entry in self.entries[1:]:
-            box = box.union(entry.box)
-        return box
+        box = entries[0].box
+        if len(entries) == 1:
+            return box
+        x0, y0, t0, x1, y1, t1 = _extent(box)
+        for i in range(1, len(entries)):
+            box = entries[i].box
+            if box.min_x < x0:
+                x0 = box.min_x
+            if box.min_y < y0:
+                y0 = box.min_y
+            if box.min_t < t0:
+                t0 = box.min_t
+            if box.max_x > x1:
+                x1 = box.max_x
+            if box.max_y > y1:
+                y1 = box.max_y
+            if box.max_t > t1:
+                t1 = box.max_t
+        return Box3D(x0, y0, t0, x1, y1, t1)
 
 
 @dataclass(slots=True)
@@ -235,14 +296,21 @@ class RTree:
         self._handle_overflow(leaf)
 
     def _choose_leaf(self, node: _Node, box: Box3D) -> _Node:
+        """Descend by least enlargement, ties to the smaller measure,
+        then to the earlier entry."""
+        extent = _extent(box)
         while not node.is_leaf:
             best: _Entry | None = None
-            best_key: tuple[float, float] | None = None
+            best_enlargement = best_measure = 0.0
             for entry in node.entries:
-                enlargement = _measure(entry.box.union(box)) - _measure(entry.box)
-                key = (enlargement, _measure(entry.box))
-                if best_key is None or key < best_key:
-                    best_key = key
+                entry_extent = _extent(entry.box)
+                measure = _measure(entry_extent)
+                enlargement = _union_measure(entry_extent, extent) - measure
+                if (best is None or enlargement < best_enlargement
+                        or (enlargement == best_enlargement
+                            and measure < best_measure)):
+                    best_enlargement = enlargement
+                    best_measure = measure
                     best = entry
             assert best is not None and best.child is not None
             node = best.child
@@ -273,39 +341,35 @@ class RTree:
     def _split(self, node: _Node) -> _Node:
         """Quadratic split: distribute ``node``'s entries, return sibling."""
         entries = node.entries
-        seed_a, seed_b = self._pick_seeds(entries)
+        extents = [_extent(entry.box) for entry in entries]
+        seed_a, seed_b = self._pick_seeds(extents)
         group_a = [entries[seed_a]]
         group_b = [entries[seed_b]]
-        box_a = group_a[0].box
-        box_b = group_b[0].box
-        remaining = [
-            e for i, e in enumerate(entries) if i not in (seed_a, seed_b)
-        ]
+        cover_a = extents[seed_a]
+        cover_b = extents[seed_b]
+        rest = [i for i in range(len(entries)) if i not in (seed_a, seed_b)]
+        remaining = [entries[i] for i in rest]
+        remaining_extents = [extents[i] for i in rest]
         while remaining:
             # Force assignment when one group must absorb the rest to
-            # reach the minimum fill.
-            needed_a = self.min_entries - len(group_a)
-            needed_b = self.min_entries - len(group_b)
-            if needed_a >= len(remaining):
+            # reach the minimum fill (the covers are not read again).
+            if self.min_entries - len(group_a) >= len(remaining):
                 group_a.extend(remaining)
-                for entry in remaining:
-                    box_a = box_a.union(entry.box)
-                remaining = []
                 break
-            if needed_b >= len(remaining):
+            if self.min_entries - len(group_b) >= len(remaining):
                 group_b.extend(remaining)
-                for entry in remaining:
-                    box_b = box_b.union(entry.box)
-                remaining = []
                 break
-            index, prefer_a = self._pick_next(remaining, box_a, box_b)
+            index, prefer_a = self._pick_next(
+                remaining_extents, cover_a, cover_b
+            )
             entry = remaining.pop(index)
+            extent = remaining_extents.pop(index)
             if prefer_a:
                 group_a.append(entry)
-                box_a = box_a.union(entry.box)
+                cover_a = _union(cover_a, extent)
             else:
                 group_b.append(entry)
-                box_b = box_b.union(entry.box)
+                cover_b = _union(cover_b, extent)
         node.entries = group_a
         sibling = _Node(is_leaf=node.is_leaf, entries=group_b)
         if not sibling.is_leaf:
@@ -315,33 +379,32 @@ class RTree:
         return sibling
 
     @staticmethod
-    def _pick_seeds(entries: list[_Entry]) -> tuple[int, int]:
+    def _pick_seeds(extents: list[_Extent]) -> tuple[int, int]:
         """The pair wasting the most space when grouped together."""
+        measures = [_measure(extent) for extent in extents]
         worst_pair = (0, 1)
         worst_waste = float("-inf")
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                combined = entries[i].box.union(entries[j].box)
-                waste = (
-                    _measure(combined)
-                    - _measure(entries[i].box)
-                    - _measure(entries[j].box)
-                )
+        for i in range(len(extents)):
+            for j in range(i + 1, len(extents)):
+                waste = (_union_measure(extents[i], extents[j])
+                         - measures[i] - measures[j])
                 if waste > worst_waste:
                     worst_waste = waste
                     worst_pair = (i, j)
         return worst_pair
 
     @staticmethod
-    def _pick_next(remaining: list[_Entry], box_a: Box3D,
-                   box_b: Box3D) -> tuple[int, bool]:
+    def _pick_next(remaining: list[_Extent], cover_a: _Extent,
+                   cover_b: _Extent) -> tuple[int, bool]:
         """The entry with the strongest group preference, and that group."""
+        measure_a = _measure(cover_a)
+        measure_b = _measure(cover_b)
         best_index = 0
         best_difference = -1.0
         best_prefer_a = True
-        for i, entry in enumerate(remaining):
-            growth_a = _measure(box_a.union(entry.box)) - _measure(box_a)
-            growth_b = _measure(box_b.union(entry.box)) - _measure(box_b)
+        for i, extent in enumerate(remaining):
+            growth_a = _union_measure(cover_a, extent) - measure_a
+            growth_b = _union_measure(cover_b, extent) - measure_b
             difference = abs(growth_a - growth_b)
             if difference > best_difference:
                 best_difference = difference

@@ -4,11 +4,18 @@ The load-bearing claim is byte-identical equivalence: a
 :class:`BatchQueryEngine` must return exactly the answers the
 sequential :class:`MovingObjectDatabase` calls return, on any workload,
 with any index (time-space, linear scan, or none), with filters, and
-across position updates (the generation-keyed cache must invalidate
-per object, never serve stale intervals).
+across position updates (the cache, tagged with the installed position
+attribute, must invalidate per object, never serve stale intervals).
+The same fixture checks the record's start-travel memo: whatever
+happens to a record, every query kind answers as a memo-free
+computation does.
 """
 
+import dataclasses
+import pickle
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 
@@ -20,25 +27,32 @@ from repro.dbms.batch import (
     WithinDistanceQuery,
 )
 from repro.dbms.database import MovingObjectDatabase
+from repro.dbms.moving_object import MovingObjectRecord
+from repro.dbms.persistence import database_from_dict, database_to_dict
 from repro.dbms.schema import AttributeDef, Mobility, ObjectClass, SpatialKind
 from repro.dbms.update_log import PositionUpdateMessage
 from repro.errors import QueryError
+from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.index.scan import LinearScanIndex
 from repro.index.timespace import TimeSpaceIndex
 from repro.obs import MetricsRegistry, use_registry
 from repro.routes.generators import grid_city_network
+from repro.shard import ShardedBatchQueryEngine, ShardedDatabase, uniform_grid_for
 from repro.workloads.query_workloads import mixed_query_workload
 
 C = 5.0
 QUERY_TIMES = (8.0, 10.0, 12.0)
 
 
-def build_database(index, num_objects=12, seed=2):
+def build_database(index, num_objects=12, seed=2, database=None):
+    """A small city fleet in ``database`` (a fresh single database over
+    ``index`` unless a facade is handed in)."""
     rng = random.Random(seed)
     network = grid_city_network(6, 6, 0.5)
-    database = MovingObjectDatabase(index=index, horizon=90.0)
+    if database is None:
+        database = MovingObjectDatabase(index=index, horizon=90.0)
     database.schema.define_mobile_point_class(
         "taxi", (AttributeDef("free", "bool"),)
     )
@@ -257,3 +271,187 @@ class TestValidationAndMetrics:
             assert misses == engine.cache_misses
             assert (registry.value("dbms_batch_cache_hit_rate")
                     == pytest.approx(engine.hit_rate()))
+
+
+# ----------------------------------------------------------------------
+# The start-travel memo and the attribute-tagged cache
+# ----------------------------------------------------------------------
+
+@contextmanager
+def memo_free():
+    """Records project their start point afresh on every call."""
+    with mock.patch.object(
+        MovingObjectRecord, "start_travel",
+        lambda self, route: self.attribute.start_travel(route),
+    ):
+        yield
+
+
+def every_query_kind(database, object_ids):
+    """One answer list covering all six query entry points."""
+    center = Point(1.25, 1.25)
+    window = Polygon.rectangle(0.4, 0.4, 2.1, 1.9)
+    answers = []
+    for t in QUERY_TIMES:
+        answers.extend(database.position_of(i, t) for i in object_ids)
+        answers.append(database.range_query(window, t))
+        answers.append(database.within_distance(center, 0.9, t))
+        answers.append(database.within_distance_of_object(
+            object_ids[0], 1.0, t))
+        answers.append(database.nearest(center, 5, t))
+    return answers
+
+
+def install_update(database, object_id, t=5.0, **changes):
+    """An update at the dead-reckoned position, plus ``changes``."""
+    record = database.record(object_id)
+    route = database.routes.get(record.attribute.route_id)
+    position = record.database_position(route, t)
+    fields = dict(x=position.x, y=position.y, speed=record.attribute.speed)
+    fields.update(changes)
+    database.process_update(PositionUpdateMessage(object_id, t, **fields))
+
+
+def change_route_and_direction(database, object_ids):
+    """Half the fleet hops onto a neighbour's route, facing the other way."""
+    for mover, neighbour in zip(object_ids[::2], object_ids[1::2]):
+        target = database.record(neighbour).attribute
+        route = database.routes.get(target.route_id)
+        direction = 1 - target.direction
+        position = route.travel_point(0.25 * route.length, direction)
+        install_update(database, mover, x=position.x, y=position.y,
+                       route_id=route.route_id, direction=direction)
+
+
+def change_direction_only(database, object_ids):
+    for object_id in object_ids[::2]:
+        direction = 1 - database.record(object_id).attribute.direction
+        install_update(database, object_id, direction=direction)
+
+
+def change_speed_only(database, object_ids):
+    for object_id in object_ids[::2]:
+        install_update(database, object_id, speed=0.37)
+
+
+def change_policy_only(database, object_ids):
+    for object_id in object_ids[::2]:
+        install_update(database, object_id, policy="dl")
+
+
+def remove_and_reinsert(database, object_ids):
+    """Same ids, fresh records (``generation`` back at 0), other routes."""
+    for mover, neighbour in zip(object_ids[::2], object_ids[1::2]):
+        target = database.record(neighbour).attribute
+        route = database.routes.get(target.route_id)
+        database.remove_object(mover)
+        database.insert_moving_object(
+            mover, "taxi", route.route_id, 5.0,
+            route.travel_point(0.0, target.direction), target.direction,
+            0.2, make_policy("ail", C), max_speed=0.8,
+            attributes={"free": True},
+        )
+
+
+def rebuild_index(database, object_ids):
+    change_speed_only(database, object_ids)
+    database.rebuild_index(slab_minutes=2.5)
+
+
+def snapshot_round_trip(database, object_ids):
+    change_route_and_direction(database, object_ids)
+    return database_from_dict(
+        database_to_dict(database), index=TimeSpaceIndex(slab_minutes=5.0)
+    )
+
+
+#: ``name -> step(database, object_ids)``; a step may return a
+#: replacement database (the snapshot one does).
+RECORD_CHANGES = {
+    "route-and-direction": change_route_and_direction,
+    "direction-only": change_direction_only,
+    "speed-only": change_speed_only,
+    "policy-only": change_policy_only,
+    "remove-and-reinsert": remove_and_reinsert,
+    "rebuild-index": rebuild_index,
+    "snapshot-round-trip": snapshot_round_trip,
+}
+
+
+def sharded_fleet():
+    bounds = Rect2D(*grid_city_network(6, 6, 0.5).bounding_extent())
+    return ShardedDatabase(
+        uniform_grid_for(bounds, 4),
+        index_factory=lambda: TimeSpaceIndex(slab_minutes=5.0),
+        horizon=90.0,
+    )
+
+
+class TestRecordChanges:
+    """Memo and cache stay exact through everything that changes a record."""
+
+    @pytest.mark.parametrize("sharded", [False, True],
+                             ids=["single", "sharded"])
+    @pytest.mark.parametrize("change", sorted(RECORD_CHANGES))
+    def test_every_query_kind_equals_memo_free(self, change, sharded):
+        if sharded and change == "snapshot-round-trip":
+            pytest.skip("snapshots are of a single database")
+        database, network, object_ids = build_database(
+            TimeSpaceIndex(slab_minutes=5.0),
+            database=sharded_fleet() if sharded else None,
+        )
+        make_engine = ShardedBatchQueryEngine if sharded else BatchQueryEngine
+        engine = make_engine(database)
+        queries = build_workload(network, object_ids, count=40)
+        # Prime every memo and the engine's cache with the old state.
+        before = every_query_kind(database, object_ids)
+        engine.run(queries)
+
+        replacement = RECORD_CHANGES[change](database, object_ids)
+        if replacement is not None:
+            database, engine = replacement, make_engine(replacement)
+
+        answers = every_query_kind(database, object_ids)
+        batch = engine.run(queries)
+        with memo_free():
+            assert answers == every_query_kind(database, object_ids)
+            assert batch == sequential(database, queries)
+        if change != "rebuild-index":
+            # The change was visible to the queries at all.
+            assert answers != before
+
+    def test_reinserted_id_is_not_served_its_predecessors_interval(self):
+        database, network, object_ids = build_database(
+            TimeSpaceIndex(slab_minutes=5.0)
+        )
+        engine = BatchQueryEngine(database)
+        mover = object_ids[0]
+        queries = [PositionQuery(mover, 10.0)]
+        stale = engine.run(queries)
+        remove_and_reinsert(database, object_ids)
+        assert database.record(mover).generation == 0
+        fresh = engine.run(queries)
+        assert fresh == sequential(database, queries)
+        assert fresh[0].interval.route_id != stale[0].interval.route_id
+
+    def test_memo_is_invisible_to_equality_repr_and_pickle(self):
+        database, _, object_ids = build_database(None, num_objects=2)
+        record = database.record(object_ids[0])
+        route = database.routes.get(record.attribute.route_id)
+        twin = dataclasses.replace(record)          # never primed
+        expected = record.attribute.start_travel(route)
+        assert record.start_travel(route) == expected
+        assert record.start_travel(route) == expected   # from the memo
+        assert record == twin
+        assert repr(record) == repr(twin)
+        shipped = pickle.loads(pickle.dumps(record))
+        assert repr(shipped) == repr(record)
+        assert shipped.attribute == record.attribute
+        assert shipped.start_travel(route) == expected
+        # A new attribute object, even an equal one, starts over.
+        record.attribute = pickle.loads(pickle.dumps(record.attribute))
+        with mock.patch.object(
+            type(record.attribute), "start_travel",
+            return_value=-1.0,
+        ):
+            assert record.start_travel(route) == -1.0

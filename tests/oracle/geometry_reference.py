@@ -1,0 +1,212 @@
+"""The geometric predicates as ``Point``/``Segment`` dataclass algebra.
+
+These are the bodies ``repro.geometry.segment``, ``.polygon``,
+``.polyline`` and ``repro.dbms.query`` had before the predicates moved
+onto raw coordinates (:mod:`repro.geometry.kernels`), frozen verbatim:
+one ``Point`` or ``Segment`` allocation per intermediate value, edges
+and segments rebuilt per call.  They are the oracle the float kernels
+are compared against with exact ``==`` — same expressions, same
+operation order, same ``EPSILON`` comparisons, same short-circuit
+order — and must never be edited to follow the kernels.
+
+Only ``Point``'s vector algebra and the plain accessors of ``Segment``,
+``Polygon`` and ``Polyline`` (``start``/``end``, ``vertices``,
+``bounding_rect``) are used from ``src``; none of those changed.
+"""
+
+from __future__ import annotations
+
+from repro.geometry.bbox import Rect2D
+from repro.geometry.point import EPSILON, Point
+from repro.geometry.polygon import Polygon
+from repro.geometry.polyline import Polyline
+from repro.geometry.segment import Segment
+
+
+# ----------------------------------------------------------------------
+# Segment
+# ----------------------------------------------------------------------
+
+def segment_length(segment: Segment) -> float:
+    return segment.start.distance_to(segment.end)
+
+
+def point_at_fraction(segment: Segment, fraction: float) -> Point:
+    return segment.start.lerp(segment.end, fraction)
+
+
+def project_fraction(segment: Segment, point: Point) -> float:
+    direction = segment.end - segment.start
+    denom = direction.dot(direction)
+    if denom <= EPSILON * EPSILON:
+        return 0.0
+    raw = (point - segment.start).dot(direction) / denom
+    return min(1.0, max(0.0, raw))
+
+
+def closest_point(segment: Segment, point: Point) -> Point:
+    return point_at_fraction(segment, project_fraction(segment, point))
+
+
+def distance_to_point(segment: Segment, point: Point) -> float:
+    return closest_point(segment, point).distance_to(point)
+
+
+def intersection_point(segment: Segment, other: Segment) -> Point | None:
+    p, r = segment.start, segment.end - segment.start
+    q, s = other.start, other.end - other.start
+    r_cross_s = r.cross(s)
+    q_minus_p = q - p
+    if abs(r_cross_s) <= EPSILON:
+        return None
+    t = q_minus_p.cross(s) / r_cross_s
+    u = q_minus_p.cross(r) / r_cross_s
+    if -EPSILON <= t <= 1.0 + EPSILON and -EPSILON <= u <= 1.0 + EPSILON:
+        return p + r * t
+    return None
+
+
+def overlaps_collinear(segment: Segment, other: Segment) -> bool:
+    r = segment.end - segment.start
+    s = other.end - other.start
+    if abs(r.cross(s)) > EPSILON:
+        return False
+    axis = r if r.norm() > EPSILON else s
+    if axis.norm() <= EPSILON:
+        return segment.start.almost_equal(other.start)
+    if abs((other.start - segment.start).cross(axis)) > EPSILON:
+        return False
+    if abs(axis.x) >= abs(axis.y):
+        a0, a1 = sorted((segment.start.x, segment.end.x))
+        b0, b1 = sorted((other.start.x, other.end.x))
+    else:
+        a0, a1 = sorted((segment.start.y, segment.end.y))
+        b0, b1 = sorted((other.start.y, other.end.y))
+    return a0 <= b1 + EPSILON and b0 <= a1 + EPSILON
+
+
+def intersects(segment: Segment, other: Segment) -> bool:
+    return (intersection_point(segment, other) is not None
+            or overlaps_collinear(segment, other))
+
+
+# ----------------------------------------------------------------------
+# Polygon
+# ----------------------------------------------------------------------
+
+def edges(polygon: Polygon) -> list[Segment]:
+    verts = polygon.vertices
+    return [
+        Segment(verts[i], verts[(i + 1) % len(verts)])
+        for i in range(len(verts))
+    ]
+
+
+def contains_point(polygon: Polygon, point: Point) -> bool:
+    if not polygon.bounding_rect.contains_point(point):
+        return False
+    for edge in edges(polygon):
+        if distance_to_point(edge, point) <= EPSILON:
+            return True
+    inside = False
+    x, y = point.x, point.y
+    verts = polygon.vertices
+    j = len(verts) - 1
+    for i in range(len(verts)):
+        xi, yi = verts[i].x, verts[i].y
+        xj, yj = verts[j].x, verts[j].y
+        if (yi > y) != (yj > y):
+            x_cross = xi + (y - yi) * (xj - xi) / (yj - yi)
+            if x < x_cross:
+                inside = not inside
+        j = i
+    return inside
+
+
+def intersects_segment(polygon: Polygon, segment: Segment) -> bool:
+    if (contains_point(polygon, segment.start)
+            or contains_point(polygon, segment.end)):
+        return True
+    return any(intersects(edge, segment) for edge in edges(polygon))
+
+
+def contains_segment(polygon: Polygon, segment: Segment) -> bool:
+    if not (
+        contains_point(polygon, segment.start)
+        and contains_point(polygon, segment.end)
+    ):
+        return False
+    crossings: list[float] = [0.0, 1.0]
+    direction = segment.end - segment.start
+    seg_len2 = direction.dot(direction)
+    for edge in edges(polygon):
+        hit = intersection_point(segment, edge)
+        if hit is None:
+            continue
+        if seg_len2 <= EPSILON * EPSILON:
+            continue
+        t = (hit - segment.start).dot(direction) / seg_len2
+        crossings.append(min(1.0, max(0.0, t)))
+    crossings.sort()
+    for t0, t1 in zip(crossings, crossings[1:]):
+        if t1 - t0 <= EPSILON:
+            continue
+        midpoint = point_at_fraction(segment, (t0 + t1) / 2.0)
+        if not contains_point(polygon, midpoint):
+            return False
+    return True
+
+
+# ----------------------------------------------------------------------
+# Polyline
+# ----------------------------------------------------------------------
+
+def segments(polyline: Polyline) -> list[Segment]:
+    verts = polyline.vertices
+    return [Segment(a, b) for a, b in zip(verts, verts[1:])]
+
+
+def bounding_rect(polyline: Polyline) -> Rect2D:
+    return Rect2D.from_points(polyline.vertices)
+
+
+def project(polyline: Polyline, point: Point) -> tuple[float, float]:
+    cumulative = [0.0]
+    verts = polyline.vertices
+    for a, b in zip(verts, verts[1:]):
+        cumulative.append(cumulative[-1] + a.distance_to(b))
+    best_arc = 0.0
+    best_dist = float("inf")
+    for idx, segment in enumerate(segments(polyline)):
+        fraction = project_fraction(segment, point)
+        candidate = point_at_fraction(segment, fraction)
+        dist = candidate.distance_to(point)
+        if dist < best_dist - EPSILON:
+            best_dist = dist
+            best_arc = cumulative[idx] + fraction * segment_length(segment)
+    return best_arc, best_dist
+
+
+def intersects_polyline(polygon: Polygon, polyline: Polyline) -> bool:
+    if not polygon.bounding_rect.intersects(bounding_rect(polyline)):
+        return False
+    return any(intersects_segment(polygon, seg) for seg in segments(polyline))
+
+
+def contains_polyline(polygon: Polygon, polyline: Polyline) -> bool:
+    return all(contains_segment(polygon, seg) for seg in segments(polyline))
+
+
+# ----------------------------------------------------------------------
+# Query refinement (repro.dbms.query)
+# ----------------------------------------------------------------------
+
+def distance_range_to_polyline(center: Point,
+                               geometry: Polyline) -> tuple[float, float]:
+    minimum = min(
+        distance_to_point(segment, center) for segment in segments(geometry)
+    )
+    maximum = max(
+        vertex.distance_to(center) for vertex in geometry.vertices
+    )
+    return minimum, maximum

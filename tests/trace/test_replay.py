@@ -26,7 +26,14 @@ from repro.trace.recorder import (
 )
 from repro.trace.replay import MODES, TraceReplayer
 
-from tests.dbms.test_batch import build_database, build_workload, sequential
+from tests.dbms.test_batch import (
+    RECORD_CHANGES,
+    build_database,
+    build_workload,
+    every_query_kind,
+    memo_free,
+    sequential,
+)
 
 META = {"suite": "trace-roundtrip"}
 
@@ -125,6 +132,31 @@ class TestReplayRoundTrip:
             report = TraceReplayer().replay(events)
         assert report.ok, report.mismatches[:3]
         assert dump(second) == text
+
+
+class TestStartTravelMemo:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_memo_free_recording_replays_with_the_memo(self, mode):
+        """Digests recorded without the record memo replay with it:
+        route changes, re-inserted ids and both engines included."""
+        with memo_free(), use_recorder(
+                TraceRecorder(meta=dict(META))) as recorder:
+            database, network, object_ids = build_database(
+                TimeSpaceIndex(slab_minutes=5.0)
+            )
+            engine = BatchQueryEngine(database)
+            queries = build_workload(network, object_ids, count=20)
+            for change in ("route-and-direction", "remove-and-reinsert",
+                           "policy-only"):
+                engine.run(queries)
+                RECORD_CHANGES[change](database, object_ids)
+                every_query_kind(database, object_ids)
+            engine.run(queries)
+            record_index_digest(database)
+        _, events = load(dump(recorder))
+        report = TraceReplayer(mode=mode).replay(events)
+        assert report.ok, report.mismatches[:3]
+        assert report.queries_checked > 80
 
 
 class TestReRecordIdentity:
