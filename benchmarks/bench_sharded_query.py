@@ -1,18 +1,18 @@
 """Wall-clock benchmark of the sharded query fan-out layer.
 
-Builds the same city fleet twice — once as a single
-:class:`MovingObjectDatabase` behind one time-space index, once as a
-4-shard :class:`ShardedDatabase` under a uniform grid — applies an
-identical round of position updates to both, then answers one mixed
-position / range / within-distance workload three ways:
+Builds the same city fleet twice — a :class:`MovingObjectDatabase`
+behind one time-space index, and one behind a 4-shard
+:class:`PartitionedIndex` under a uniform grid — applies an identical
+round of position updates to both, then answers one mixed position /
+range / within-distance workload three ways:
 
 * **single** — one ``BatchQueryEngine.run`` over the monolithic
-  database (the pre-sharding read path),
-* **sharded serial** — ``ShardedBatchQueryEngine(jobs=1)``: owner
-  routing for position queries, coverage-pruned fan-out for window
-  queries, canonical merge,
-* **sharded parallel** — the same engine with ``jobs=N`` fanning
-  active shards over a fork process pool.
+  index (the pre-sharding read path),
+* **sharded serial** — ``BatchQueryEngine(jobs=1)`` over the
+  partitioned index: coverage-pruned fan-out for window queries, one
+  multi-search per shard, candidate sets unioned,
+* **sharded parallel** — ``jobs=N``: active shards' sub-batches fanned
+  over a fork process pool and merged.
 
 and asserts (not eyeballs) the claims the shard layer makes:
 
@@ -57,11 +57,7 @@ from repro.dbms.update_log import PositionUpdateMessage
 from repro.geometry.bbox import Rect2D
 from repro.index.timespace import TimeSpaceIndex
 from repro.routes.generators import grid_city_network
-from repro.shard import (
-    ShardedBatchQueryEngine,
-    ShardedDatabase,
-    uniform_grid_for,
-)
+from repro.shard import PartitionedIndex, uniform_grid_for
 from repro.trace.events import answer_digest
 from repro.workloads.query_workloads import mixed_query_workload
 
@@ -89,7 +85,7 @@ def usable_cores() -> int:
 
 
 def _populate(database, num_objects: int, seed: int) -> list[str]:
-    """Insert an identical fleet into ``database`` (any facade)."""
+    """Insert an identical fleet into ``database`` (any index)."""
     rng = random.Random(seed)
     network = grid_city_network(20, 20, 0.25)
     database.schema.define_mobile_point_class("taxi")
@@ -108,7 +104,7 @@ def _populate(database, num_objects: int, seed: int) -> list[str]:
         object_ids.append(object_id)
 
     # One round of updates for half the fleet: generation churn plus,
-    # on the sharded side, owner migrations through the router.
+    # on the sharded side, swaps routed to the owner shard.
     update_rng = random.Random(seed + 7)
     for object_id in object_ids[::2]:
         record = database.record(object_id)
@@ -134,9 +130,10 @@ def build_sharded(num_objects: int, num_shards: int, seed: int):
     partitioning = uniform_grid_for(
         Rect2D(*network.bounding_extent()), num_shards
     )
-    database = ShardedDatabase(
-        partitioning,
-        index_factory=lambda: TimeSpaceIndex(slab_minutes=5.0),
+    database = MovingObjectDatabase(
+        index=PartitionedIndex(
+            partitioning, lambda: TimeSpaceIndex(slab_minutes=5.0)
+        ),
         horizon=120.0,
     )
     object_ids = _populate(database, num_objects, seed)
@@ -176,9 +173,9 @@ def harness_single_batch():
 
 @register_benchmark("shard.sharded_serial", group="shard")
 def harness_sharded_serial():
-    """ShardedBatchQueryEngine(jobs=1): routed, pruned, merged."""
+    """BatchQueryEngine(jobs=1) over the partitioned index."""
     _, sharded, queries = _harness_fixtures()
-    return lambda: ShardedBatchQueryEngine(sharded, jobs=1).run(queries)
+    return lambda: BatchQueryEngine(sharded, jobs=1).run(queries)
 
 
 def timed(fn):
@@ -200,10 +197,10 @@ def run_benchmark(fast: bool = False, num_shards: int = 4,
         lambda: BatchQueryEngine(single).run(queries)
     )
     serial_answers, serial_seconds = timed(
-        lambda: ShardedBatchQueryEngine(sharded, jobs=1).run(queries)
+        lambda: BatchQueryEngine(sharded, jobs=1).run(queries)
     )
     parallel_answers, parallel_seconds = timed(
-        lambda: ShardedBatchQueryEngine(sharded, jobs=jobs).run(queries)
+        lambda: BatchQueryEngine(sharded, jobs=jobs).run(queries)
     )
 
     single_digest = merged_digest(single_answers)
@@ -218,7 +215,7 @@ def run_benchmark(fast: bool = False, num_shards: int = 4,
             "fast": fast,
         },
         "usable_cores": usable_cores(),
-        "shard_sizes": sharded.shard_sizes(),
+        "shard_sizes": sharded._index.shard_sizes(),
         "single_seconds": single_seconds,
         "sharded_serial_seconds": serial_seconds,
         "sharded_parallel_seconds": parallel_seconds,

@@ -213,7 +213,7 @@ def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _shard_factory(shards: int | None, shard_plan: str | None):
-    """A scenario ``database_factory`` building a sharded facade.
+    """A scenario ``database_factory`` laying the index out over shards.
 
     ``--shard-plan`` loads a saved partitioning verbatim; ``--shards``
     lays a uniform grid over the scenario network's extent.
@@ -222,9 +222,10 @@ def _shard_factory(shards: int | None, shard_plan: str | None):
         raise ReproError("--shards and --shard-plan are mutually exclusive")
     if shards is not None and shards < 1:
         raise ReproError(f"--shards must be >= 1, got {shards}")
+    from repro.dbms.database import MovingObjectDatabase
     from repro.geometry.bbox import Rect2D
     from repro.index.timespace import TimeSpaceIndex
-    from repro.shard import ShardedDatabase, load_plan, uniform_grid_for
+    from repro.shard import PartitionedIndex, load_plan, uniform_grid_for
 
     def factory(network):
         if shard_plan is not None:
@@ -233,20 +234,11 @@ def _shard_factory(shards: int | None, shard_plan: str | None):
             partitioning = uniform_grid_for(
                 Rect2D(*network.bounding_extent()), shards
             )
-        return ShardedDatabase(partitioning, index_factory=TimeSpaceIndex)
+        return MovingObjectDatabase(
+            index=PartitionedIndex(partitioning, TimeSpaceIndex)
+        )
 
     return factory
-
-
-def _batch_engine(database, jobs: int = 1):
-    """The batch engine matching the database flavour."""
-    if hasattr(database, "shards_for_window"):
-        from repro.shard import ShardedBatchQueryEngine
-
-        return ShardedBatchQueryEngine(database, jobs=jobs)
-    from repro.dbms.batch import BatchQueryEngine
-
-    return BatchQueryEngine(database)
 
 
 def _build_scenario(name: str, size: int, duration: float, seed: int,
@@ -379,14 +371,14 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
             # Batched serving mode: run the fleet, then answer the
             # whole query workload in one batch pass (shared R-tree
             # traversal + uncertainty cache) against the final
-            # database state.  Sharded databases get the fan-out
-            # engine, which parallelizes over --jobs.
-            from repro.dbms.batch import RangeQuery
+            # database state.  Over a sharded index the engine fans
+            # the batch out over --jobs.
+            from repro.dbms.batch import BatchQueryEngine, RangeQuery
 
             tick_hook = (telemetry.advance if telemetry is not None
                          else None)
             counts = scenario.fleet.run(on_tick=tick_hook)
-            engine = _batch_engine(scenario.database, jobs=args.jobs)
+            engine = BatchQueryEngine(scenario.database, jobs=args.jobs)
             t_end = scenario.database.clock_time
             engine.run([RangeQuery(polygon, t_end) for polygon in polygons])
             queries_issued = len(polygons)
@@ -424,8 +416,6 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
                 num_curves=max(args.jobs, 2),
                 duration=min(args.duration, 10.0), seed=args.seed,
             ))
-        if hasattr(scenario.database, "publish_shard_gauges"):
-            scenario.database.publish_shard_gauges()
         if recorder is not None:
             from repro.trace import record_index_digest
 
@@ -487,7 +477,7 @@ def _parse_spike(spec: str | None) -> tuple[float, float] | None:
 
 def _cmd_monitor_serve(args: argparse.Namespace, out: TextIO) -> int:
     """Run a scenario under live telemetry and serve it over HTTP."""
-    from repro.dbms.batch import RangeQuery
+    from repro.dbms.batch import BatchQueryEngine, RangeQuery
     from repro.obs import use_registry
     from repro.obs.live import (
         LiveCollector,
@@ -547,7 +537,7 @@ def _cmd_monitor_serve(args: argparse.Namespace, out: TextIO) -> int:
                     # A fresh one-query batch per sampled tick: the
                     # engine's run() feeds dbms_batch_seconds /
                     # dbms_batch_queries into the live windows.
-                    engine = _batch_engine(scenario.database)
+                    engine = BatchQueryEngine(scenario.database)
                     engine.run([RangeQuery(
                         polygons[progress["query"]], t
                     )])
@@ -848,6 +838,7 @@ def _issue_sequential(database, queries) -> None:
 
 def _cmd_trace_record(args: argparse.Namespace, out: TextIO) -> int:
     """Record a fleet scenario plus query workload as a JSONL trace."""
+    from repro.dbms.batch import BatchQueryEngine
     from repro.geometry.point import Point
     from repro.trace import (
         TraceRecorder,
@@ -878,7 +869,7 @@ def _cmd_trace_record(args: argparse.Namespace, out: TextIO) -> int:
             args.queries, object_ids, (t_end,),
         )
         if args.batch:
-            _batch_engine(database).run(queries)
+            BatchQueryEngine(database).run(queries)
         else:
             _issue_sequential(database, queries)
         # Cover the db-only query kinds too, then checkpoint the index.

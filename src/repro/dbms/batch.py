@@ -146,6 +146,17 @@ def _exact_rect(polygon: Polygon) -> Rect2D | None:
     return rect
 
 
+def query_window(query: "RangeQuery | WithinDistanceQuery") -> Rect2D:
+    """The rectangle a range or within-distance query searches with."""
+    if isinstance(query, RangeQuery):
+        return query.polygon.bounding_rect
+    center, radius = query.center, query.radius
+    return Rect2D(
+        center.x - radius, center.y - radius,
+        center.x + radius, center.y + radius,
+    )
+
+
 def _rect_min_distance(center: Point, rect: Rect2D) -> float:
     """Distance from ``center`` to the closest point of ``rect``."""
     dx = max(rect.min_x - center.x, 0.0, center.x - rect.max_x)
@@ -182,15 +193,23 @@ class BatchQueryEngine:
     the same float expressions, and records the kernels cannot
     reproduce exactly (unknown policy families, invalid parameters)
     fall back to the scalar functions per record.
+
+    ``jobs > 1`` answers a batch over a partitioned index
+    (:class:`~repro.shard.sharded.PartitionedIndex`) one partition per
+    fork-pool worker whenever the batch reaches more than one
+    partition; answers are identical for every ``jobs`` value.
     """
 
     def __init__(self, database: MovingObjectDatabase,
                  max_cache_entries: int = 1 << 18,
-                 vectorize: bool | None = None) -> None:
+                 vectorize: bool | None = None, jobs: int = 1) -> None:
         if max_cache_entries < 1:
             raise QueryError(
                 f"max_cache_entries must be positive, got {max_cache_entries}"
             )
+        if jobs < 1:
+            raise QueryError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = jobs
         if vectorize is None:
             vectorize = vectorization_default()
         self.vectorize = bool(vectorize)
@@ -420,20 +439,13 @@ class BatchQueryEngine:
         with time_section("dbms_batch_seconds",
                           help="Wall-clock latency of one query batch."):
             self._validate(queries)
-            candidates = self._gather_candidates(queries, stats)
-            eligible = _EligibilitySets(self._db)
-            answers: list[BatchAnswer] = []
-            for i, query in enumerate(queries):
-                if isinstance(query, PositionQuery):
-                    answers.append(self._answer_position(query))
-                elif isinstance(query, RangeQuery):
-                    answers.append(self._answer_range(
-                        query, candidates[i], eligible
-                    ))
-                else:
-                    answers.append(self._answer_within(
-                        query, candidates[i], eligible
-                    ))
+            answers = None
+            if self.jobs > 1:
+                from repro.shard.parallel import answer_in_pool
+
+                answers = answer_in_pool(self, queries, stats)
+            if answers is None:
+                answers = self.answer_over(self._db._index, queries, stats)
         if live.enabled:
             live.observe("dbms_batch_seconds",
                          time.perf_counter() - started)
@@ -471,6 +483,32 @@ class BatchQueryEngine:
             )
         return answers
 
+    def answer_over(self, index: Any, queries: list[BatchQuery],
+                    stats: SearchStats | None = None,
+                    stationary: bool = True) -> list[BatchAnswer]:
+        """Answers refined from ``index``'s candidates, unvalidated.
+
+        :meth:`run` calls this over the database's own index.  The
+        fork pool (:mod:`repro.shard.parallel`) calls it once per
+        partition with ``stationary=False``: such a piece holds only
+        what that partition's candidates contribute.
+        """
+        candidates = self._gather_candidates(index, queries, stats)
+        eligible = _EligibilitySets(self._db, stationary)
+        answers: list[BatchAnswer] = []
+        for i, query in enumerate(queries):
+            if isinstance(query, PositionQuery):
+                answers.append(self._answer_position(query))
+            elif isinstance(query, RangeQuery):
+                answers.append(self._answer_range(
+                    query, candidates[i], eligible
+                ))
+            else:
+                answers.append(self._answer_within(
+                    query, candidates[i], eligible
+                ))
+        return answers
+
     def _validate(self, queries: list[BatchQuery]) -> None:
         db = self._db
         for query in queries:
@@ -484,49 +522,36 @@ class BatchQueryEngine:
                     f"radius must be nonnegative, got {query.radius}"
                 )
 
-    def _gather_candidates(self, queries: list[BatchQuery],
+    def _gather_candidates(self, index: Any, queries: list[BatchQuery],
                            stats: SearchStats | None) -> list[set[str] | None]:
         """Pre-refinement candidate sets, one slot per query.
 
         Position queries get ``None``; range/within queries get the
         same id set :meth:`MovingObjectDatabase._candidates` would
-        return, but retrieved through one shared traversal when the
-        index supports multi-search.
+        return, but retrieved through the index's multi-search (one
+        shared traversal on a :class:`TimeSpaceIndex`).
         """
-        db = self._db
         windows: list[tuple[Rect2D, float]] = []
         slots: list[int] = []
         for i, query in enumerate(queries):
-            if isinstance(query, RangeQuery):
-                windows.append((query.polygon.bounding_rect, query.time))
-            elif isinstance(query, WithinDistanceQuery):
-                center, radius = query.center, query.radius
-                windows.append((Rect2D(
-                    center.x - radius, center.y - radius,
-                    center.x + radius, center.y + radius,
-                ), query.time))
-            else:
+            if isinstance(query, PositionQuery):
                 continue
+            windows.append((query_window(query), query.time))
             slots.append(i)
         candidates: list[set[str] | None] = [None] * len(queries)
         if not windows:
             return candidates
-        index = db._index
         if index is None:
+            records = self._db._records
             for slot in slots:
                 if stats is not None:
                     stats.nodes_visited += 1
-                    stats.entries_tested += len(db._records)
-                candidates[slot] = set(db._records)
-        elif hasattr(index, "candidates_at_many"):
+                    stats.entries_tested += len(records)
+                candidates[slot] = set(records)
+        else:
             found = index.candidates_at_many(windows, stats)
             for slot, ids in zip(slots, found):
                 candidates[slot] = ids
-        else:
-            # Index without multi-search (e.g. the linear-scan
-            # baseline): fall back to one lookup per query.
-            for slot, (region, t) in zip(slots, windows):
-                candidates[slot] = index.candidates_at(region, t, stats)
         return candidates
 
     def _answer_position(self, query: PositionQuery) -> PositionAnswer:
@@ -702,11 +727,15 @@ class _EligibilitySets:
     over all records, instead of per query over each candidate set.
     ``stationary`` does the same for the stationary population.  Both
     reproduce :meth:`MovingObjectDatabase._filter_candidates` membership
-    exactly (candidate sets only ever contain known ids).
+    exactly (candidate sets only ever contain known ids).  With
+    ``stationary=False`` the stationary population reads as empty: a
+    partition's piece of a pooled batch leaves it to the merge.
     """
 
-    def __init__(self, database: MovingObjectDatabase) -> None:
+    def __init__(self, database: MovingObjectDatabase,
+                 stationary: bool = True) -> None:
         self._db = database
+        self._include_stationary = stationary
         self._mobile: dict = {}
         self._stationary: dict = {}
 
@@ -739,6 +768,8 @@ class _EligibilitySets:
 
     def stationary(self, where: dict[str, Any] | None,
                    class_name: str | None):
+        if not self._include_stationary:
+            return frozenset()
         db = self._db
         try:
             key = self._key(where, class_name)

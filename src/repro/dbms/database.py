@@ -71,8 +71,10 @@ class MovingObjectDatabase:
     """A database of moving (and stationary) objects.
 
     ``index`` may be a :class:`~repro.index.timespace.TimeSpaceIndex`,
-    a :class:`~repro.index.scan.LinearScanIndex`, or ``None`` (range
-    queries then scan the record table directly).  ``horizon`` is the
+    a :class:`~repro.index.scan.LinearScanIndex`, a
+    :class:`~repro.shard.sharded.PartitionedIndex` over either (the
+    sharded database), or ``None`` (range queries then scan the record
+    table directly).  ``horizon`` is the
     o-plane time span indexed ahead of each update (the paper's trip
     cutoff ``Z``).
     """
@@ -104,13 +106,9 @@ class MovingObjectDatabase:
         self.clock_time = 0.0
         rec = get_recorder()
         if rec.enabled:
-            config: dict[str, Any] = {
-                "horizon": horizon,
-                "index": type(index).__name__ if index is not None else "none",
-            }
-            if hasattr(index, "slab_minutes"):
-                config["slab_minutes"] = index.slab_minutes
-            rec.record(DB_CONFIG, **config)
+            config = index.describe() if index is not None \
+                else {"index": "none"}
+            rec.record(DB_CONFIG, horizon=horizon, **config)
 
     # ------------------------------------------------------------------
     # Catalogue management
@@ -152,7 +150,7 @@ class MovingObjectDatabase:
             raise SchemaError(
                 f"class {class_name!r} is not a mobile point class"
             )
-        if object_id in self._records:
+        if object_id in self._records or object_id in self._stationary:
             raise SchemaError(f"duplicate object id {object_id!r}")
         route = self.routes.get(route_id)
         attribute = PositionAttribute(
@@ -342,9 +340,11 @@ class MovingObjectDatabase:
 
         Re-slabs every mobile object's plane at the requested
         granularity (§4.2's partitioning knob) and swaps the rebuilt
-        index in.  This is the supported way to retune the index on a
-        live database — assigning ``_index`` directly bypasses the
-        flight recorder and the run stops being replayable.
+        index in, in the current index's layout (a partitioned index
+        keeps its plan and owners).  This is the supported way to
+        retune the index on a live database — assigning ``_index``
+        directly bypasses the flight recorder and the run stops being
+        replayable.
         """
         from repro.index.timespace import TimeSpaceIndex
 
@@ -352,7 +352,9 @@ class MovingObjectDatabase:
             object_id: self.oplane_of(object_id)
             for object_id in self.object_ids()
         }
-        index = TimeSpaceIndex.bulk_build(
+        rebuild = TimeSpaceIndex.bulk_build if self._index is None \
+            else self._index.rebuilt
+        index = rebuild(
             planes, slab_minutes=slab_minutes,
             max_entries=max_entries, min_entries=min_entries,
         )

@@ -8,10 +8,13 @@ implementations and compare examined-object counts directly.
 
 from __future__ import annotations
 
+from typing import Any
+
 from repro.errors import IndexError_
 from repro.geometry.bbox import Rect2D
 from repro.index.oplane import OPlane
 from repro.index.rtree import SearchStats
+from repro.index.timespace import TimeSpaceIndex
 
 
 class LinearScanIndex:
@@ -57,6 +60,23 @@ class LinearScanIndex:
             stats.entries_tested += len(self._planes)
             stats.results = len(self._planes)
         return set(self._planes)
+
+    def candidates_at_many(self, windows: list[tuple[Rect2D, float]],
+                           stats: SearchStats | None = None) -> list[set[str]]:
+        return [self.candidates_at(region, t, stats) for region, t in windows]
+
+    def content_digest(self) -> None:
+        """The baseline keeps no tree to digest (replay skips the check)."""
+        return None
+
+    def describe(self) -> dict[str, Any]:
+        """The ``db_config`` trace fields that rebuild this index."""
+        return {"index": type(self).__name__}
+
+    def rebuilt(self, planes: dict[str, OPlane],
+                **tuning: float) -> TimeSpaceIndex:
+        """A rebuild swaps the baseline for the §4.2 index."""
+        return TimeSpaceIndex.bulk_build(planes, **tuning)
 
     def object_ids(self) -> list[str]:
         return list(self._planes)

@@ -20,6 +20,7 @@ happens above, in the DBMS query processor.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import IndexError_
 from repro.geometry.bbox import Box3D, Rect2D
@@ -91,6 +92,16 @@ class TimeSpaceIndex:
             items, max_entries=max_entries, min_entries=min_entries
         )
         return index
+
+    def rebuilt(self, planes: dict[str, OPlane],
+                **tuning: float) -> "TimeSpaceIndex":
+        """The index a database swaps in when it is re-slabbed."""
+        return self.bulk_build(planes, **tuning)
+
+    def describe(self) -> dict[str, Any]:
+        """The ``db_config`` trace fields that rebuild this index."""
+        return {"index": type(self).__name__,
+                "slab_minutes": self.slab_minutes}
 
     def insert(self, object_id: str, plane: OPlane) -> int:
         """Index a new object's o-plane; returns the box count."""

@@ -3,9 +3,9 @@
 The scale-out layer: partition the plane into shards
 (:mod:`repro.shard.partition`), score candidate partitionings against
 a recorded workload (:mod:`repro.shard.cost`), search for the cheapest
-one (:mod:`repro.shard.search`), and serve the single-database API
-over N shards with sound fan-out pruning and byte-identical merges
-(:mod:`repro.shard.sharded`, :mod:`repro.shard.parallel`).
+one (:mod:`repro.shard.search`), and lay the database's index out over
+N shards with sound fan-out pruning (:mod:`repro.shard.sharded`; the
+batch engine's fork pool lives in :mod:`repro.shard.parallel`).
 """
 
 from repro.shard.cost import (
@@ -19,7 +19,6 @@ from repro.shard.cost import (
     workload_from_events,
     workload_from_trace,
 )
-from repro.shard.parallel import ShardedBatchQueryEngine
 from repro.shard.partition import (
     PLAN_SCHEMA,
     BinarySplitPartitioning,
@@ -32,19 +31,18 @@ from repro.shard.partition import (
     uniform_grid_for,
 )
 from repro.shard.search import PartitionSearcher, ScoredPartitioning
-from repro.shard.sharded import ShardedDatabase, quiet_recording
+from repro.shard.sharded import PartitionedIndex
 
 __all__ = [
     "BinarySplitPartitioning",
     "CostBreakdown",
     "PLAN_SCHEMA",
     "PartitionSearcher",
+    "PartitionedIndex",
     "Partitioning",
     "QueryOp",
     "ScoredPartitioning",
     "ShardCostModel",
-    "ShardedBatchQueryEngine",
-    "ShardedDatabase",
     "TraceWorkload",
     "UniformGridPartitioning",
     "UpdateOp",
@@ -53,7 +51,6 @@ __all__ = [
     "measured_fanouts",
     "partitioning_from_spec",
     "percentile",
-    "quiet_recording",
     "save_plan",
     "uniform_grid_for",
     "workload_from_events",

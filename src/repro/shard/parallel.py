@@ -1,22 +1,21 @@
-"""Parallel per-shard query fan-out over the batch engine.
+"""Parallel per-partition fan-out for the batch engine.
 
-:class:`ShardedBatchQueryEngine` is the sharded counterpart of
-:class:`~repro.dbms.batch.BatchQueryEngine`: it routes each query of a
-batch to the shards that can contribute candidates (the owner shard
-for position queries, the coverage-intersecting shards for range and
-within-distance queries), answers every shard's sub-batch with a
-per-shard :class:`BatchQueryEngine`, and merges the per-shard answers
-back into original query order — byte-identical to running the whole
-batch on a single-shard engine.
+:class:`~repro.dbms.batch.BatchQueryEngine` with ``jobs > 1`` hands a
+validated batch to :func:`answer_in_pool`.  Over a
+:class:`~repro.shard.sharded.PartitionedIndex` each query is routed to
+the partitions that can contribute candidates (the owner for position
+queries, the coverage-intersecting partitions for range and
+within-distance queries); when more than one partition is reached,
+every partition's sub-batch is answered in a fork
+``ProcessPoolExecutor`` worker — candidates from that partition's
+inner index, classification over the shared records — and the pieces
+are merged back into query order, byte-identical to the serial answer.
 
-``jobs > 1`` fans the shard sub-batches over a fork
-``ProcessPoolExecutor`` using the same inherit-via-fork state passing
-the sweep executor uses: the shard databases are installed as worker
-globals by the pool initializer, so nothing heavyweight is pickled per
-task.  Every per-shard engine (worker or in-process) is built fresh
-per ``run`` call, so cache hit/miss counts — and therefore the
-recorded ``cache`` trace event — are identical for every ``jobs``
-value.
+State reaches the workers the way the sweep executor passes it: the
+engine (database, index and uncertainty cache as of the fork) is
+installed as a worker global by the pool initializer, so nothing
+heavyweight is pickled per task.  Entries a worker derives stay in the
+worker; its hit and miss counts are added to the engine's.
 """
 
 from __future__ import annotations
@@ -28,16 +27,12 @@ from repro.dbms.batch import (
     BatchQuery,
     BatchQueryEngine,
     PositionQuery,
-    RangeQuery,
+    query_window,
 )
-from repro.dbms.database import MovingObjectDatabase
 from repro.dbms.query import RangeAnswer
-from repro.errors import QueryError
-from repro.geometry.bbox import Rect2D
 from repro.index.rtree import SearchStats
-from repro.shard.sharded import ShardedDatabase, quiet_recording
-from repro.trace.events import CACHE, answer_digest
-from repro.trace.recorder import get_recorder, set_recorder
+from repro.index.scan import LinearScanIndex
+from repro.shard.sharded import PartitionedIndex
 
 
 def _pool_context():
@@ -50,42 +45,36 @@ def _pool_context():
         return multiprocessing.get_context()
 
 
-_WORKER_SHARDS: list[MovingObjectDatabase] | None = None
-_WORKER_VECTORIZE: bool | None = None
+_WORKER_ENGINE: BatchQueryEngine | None = None
 
 
-def _init_worker(shards: list[MovingObjectDatabase],
-                 vectorize: bool | None) -> None:
-    """Install the forked shard databases as this worker's globals."""
-    global _WORKER_SHARDS, _WORKER_VECTORIZE
-    _WORKER_SHARDS = shards
-    _WORKER_VECTORIZE = vectorize
-    # The parent's recorder arrives through fork; workers must not
-    # append to it — the facade emits the canonical event stream.
-    set_recorder(None)
+def _init_worker(engine: BatchQueryEngine) -> None:
+    """Install the forked engine as this worker's global."""
+    global _WORKER_ENGINE
+    _WORKER_ENGINE = engine
 
 
-def _run_shard_batch(shard: int, queries: list[BatchQuery]) -> tuple[
-        int, list[BatchAnswer], int, int, tuple[int, int, int]]:
-    """Answer one shard's sub-batch in a worker process."""
-    assert _WORKER_SHARDS is not None
-    engine = BatchQueryEngine(_WORKER_SHARDS[shard],
-                              vectorize=_WORKER_VECTORIZE)
+def _run_partition(shard: int, queries: list[BatchQuery]) -> tuple[
+        list[BatchAnswer], int, int, tuple[int, int, int]]:
+    """Answer one partition's sub-batch in a worker process."""
+    engine = _WORKER_ENGINE
+    assert engine is not None
+    hits, misses = engine.cache_hits, engine.cache_misses
     stats = SearchStats()
-    answers = engine.run(queries, stats)
-    return (shard, answers, engine.cache_hits, engine.cache_misses,
+    answers = engine.answer_over(
+        engine.database._index.partitions[shard], queries, stats,
+        stationary=False,
+    )
+    return (answers, engine.cache_hits - hits, engine.cache_misses - misses,
             (stats.nodes_visited, stats.entries_tested, stats.results))
 
 
-def _merge_range(previous: RangeAnswer | None,
-                 piece: RangeAnswer) -> RangeAnswer:
-    """Fold one shard's (or the stationary store's) partial answer in.
+def _merge_range(previous: RangeAnswer, piece: RangeAnswer) -> RangeAnswer:
+    """Fold one partition's partial answer in.
 
     Candidate sets partition by owner shard, so unions and sums
-    reproduce the single-shard fields exactly.
+    reproduce the single-index fields exactly.
     """
-    if previous is None:
-        return piece
     return RangeAnswer(
         time=piece.time,
         may=previous.may | piece.may,
@@ -95,202 +84,68 @@ def _merge_range(previous: RangeAnswer | None,
     )
 
 
-class ShardedBatchQueryEngine:
-    """Batched queries over a :class:`ShardedDatabase`.
+def answer_in_pool(engine: BatchQueryEngine, queries: list[BatchQuery],
+                   stats: SearchStats | None) -> list[BatchAnswer] | None:
+    """Answer a validated batch one partition per worker.
 
-    Mirrors the :class:`BatchQueryEngine` surface (``run``,
-    ``cache_hits``/``cache_misses``, ``hit_rate``); ``jobs`` selects
-    serial or process-parallel shard execution.  Answers are identical
-    for every ``(shards, jobs)`` combination.
+    Returns ``None`` — the engine then answers serially — unless the
+    database's index is partitioned and the batch reaches more than one
+    partition.
     """
-
-    def __init__(self, database: ShardedDatabase, jobs: int = 1,
-                 vectorize: bool | None = None) -> None:
-        if jobs < 1:
-            raise QueryError(f"jobs must be >= 1, got {jobs}")
-        self._db = database
-        self.jobs = jobs
-        self.vectorize = vectorize
-        self.cache_hits = 0
-        self.cache_misses = 0
-
-    @property
-    def database(self) -> ShardedDatabase:
-        return self._db
-
-    def hit_rate(self) -> float:
-        """Lifetime hit rate across all per-shard engines run so far."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-    def run(self, queries: list[BatchQuery],
-            stats: SearchStats | None = None) -> list[BatchAnswer]:
-        """Answer ``queries`` in order via per-shard sub-batches."""
-        self._validate(queries)
-        num_shards = self._db.num_shards
-        shard_queries: list[list[BatchQuery]] = [
-            [] for _ in range(num_shards)
+    index = engine.database._index
+    if not isinstance(index, PartitionedIndex):
+        return None
+    routed = [
+        (index.owner_of(query.object_id),)
+        if isinstance(query, PositionQuery)
+        else index.shards_for_window(query_window(query))
+        for query in queries
+    ]
+    active = sorted({shard for fanned in routed for shard in fanned})
+    if len(active) < 2:
+        return None
+    sub_queries: list[list[BatchQuery]] = [
+        [] for _ in range(index.num_shards)
+    ]
+    sub_slots: list[list[int]] = [[] for _ in range(index.num_shards)]
+    searching: list[int] = []
+    for slot, (query, fanned) in enumerate(zip(queries, routed)):
+        if not isinstance(query, PositionQuery):
+            index.observe_fanout(len(fanned))
+            searching.append(slot)
+        for shard in fanned:
+            sub_queries[shard].append(query)
+            sub_slots[shard].append(slot)
+    # The stationary objects' share of each range/within answer, once:
+    # an empty index contributes no mobile candidates.
+    merged: list[BatchAnswer | None] = [None] * len(queries)
+    for slot, piece in zip(searching, engine.answer_over(
+            LinearScanIndex(), [queries[slot] for slot in searching])):
+        merged[slot] = piece
+    with ProcessPoolExecutor(
+        max_workers=min(engine.jobs, len(active)),
+        mp_context=_pool_context(),
+        initializer=_init_worker, initargs=(engine,),
+    ) as pool:
+        futures = [
+            pool.submit(_run_partition, shard, sub_queries[shard])
+            for shard in active
         ]
-        shard_slots: list[list[int]] = [[] for _ in range(num_shards)]
-        stationary_queries: list[BatchQuery] = []
-        stationary_slots: list[int] = []
-        for i, query in enumerate(queries):
-            if isinstance(query, PositionQuery):
-                owner = self._db.owner_of(query.object_id)
-                shard_queries[owner].append(query)
-                shard_slots[owner].append(i)
-                continue
-            if isinstance(query, RangeQuery):
-                window = query.polygon.bounding_rect
-                kind = "range"
-            else:
-                center, radius = query.center, query.radius
-                window = Rect2D(
-                    center.x - radius, center.y - radius,
-                    center.x + radius, center.y + radius,
-                )
-                kind = "within"
-            fanned = self._db.shards_for_window(window)
-            for shard in fanned:
-                shard_queries[shard].append(query)
-                shard_slots[shard].append(i)
-            self._db._publish_fanout(kind, len(fanned))
-            stationary_queries.append(query)
-            stationary_slots.append(i)
-
-        active = [
-            shard for shard in range(num_shards) if shard_queries[shard]
-        ]
-        shard_answers: list[list[BatchAnswer]] = [
-            [] for _ in range(num_shards)
-        ]
-        run_hits = 0
-        run_misses = 0
-        if self.jobs > 1 and len(active) > 1:
-            run_hits, run_misses = self._run_parallel(
-                active, shard_queries, shard_answers, stats
-            )
-        else:
-            with quiet_recording():
-                for shard in active:
-                    engine = BatchQueryEngine(
-                        self._db.shard_databases[shard],
-                        vectorize=self.vectorize,
-                    )
-                    shard_answers[shard] = engine.run(
-                        shard_queries[shard], stats
-                    )
-                    run_hits += engine.cache_hits
-                    run_misses += engine.cache_misses
-
-        stationary_answers: list[BatchAnswer] = []
-        if stationary_queries:
-            with quiet_recording():
-                stationary_engine = BatchQueryEngine(
-                    self._db.stationary_database, vectorize=self.vectorize
-                )
-                stationary_answers = stationary_engine.run(
-                    stationary_queries
-                )
-                run_hits += stationary_engine.cache_hits
-                run_misses += stationary_engine.cache_misses
-
-        merged: list[BatchAnswer | None] = [None] * len(queries)
-        for shard in active:
-            for slot, piece in zip(shard_slots[shard],
-                                   shard_answers[shard]):
-                if isinstance(queries[slot], PositionQuery):
-                    merged[slot] = piece
-                else:
-                    merged[slot] = _merge_range(merged[slot], piece)
-        for slot, piece in zip(stationary_slots, stationary_answers):
-            merged[slot] = _merge_range(merged[slot], piece)
-
-        self.cache_hits += run_hits
-        self.cache_misses += run_misses
-        answers: list[BatchAnswer] = [
-            answer for answer in merged if answer is not None
-        ]
-        if len(answers) != len(queries):  # pragma: no cover - routing bug
-            raise QueryError("sharded batch produced incomplete answers")
-        self._record(queries, answers, run_hits, run_misses)
-        return answers
-
-    def _validate(self, queries: list[BatchQuery]) -> None:
-        """The single-engine validation sequence against facade state."""
-        db = self._db
-        for query in queries:
-            db._check_query_time(query.time)
-            if isinstance(query, PositionQuery):
-                db.record(query.object_id)
-                continue
-            db._check_index_coverage(query.time)
-            if not isinstance(query, RangeQuery) and query.radius < 0:
-                raise QueryError(
-                    f"radius must be nonnegative, got {query.radius}"
-                )
-
-    def _run_parallel(self, active: list[int],
-                      shard_queries: list[list[BatchQuery]],
-                      shard_answers: list[list[BatchAnswer]],
-                      stats: SearchStats | None) -> tuple[int, int]:
-        """Fan active shards over a fork pool; one task per shard."""
-        run_hits = 0
-        run_misses = 0
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(active)),
-            mp_context=_pool_context(),
-            initializer=_init_worker,
-            initargs=(list(self._db.shard_databases), self.vectorize),
-        ) as pool:
-            futures = [
-                pool.submit(_run_shard_batch, shard, shard_queries[shard])
-                for shard in active
-            ]
-            for future in futures:
-                shard, answers, hits, misses, counted = future.result()
-                shard_answers[shard] = answers
-                run_hits += hits
-                run_misses += misses
-                if stats is not None:
-                    stats.nodes_visited += counted[0]
-                    stats.entries_tested += counted[1]
-                    stats.results += counted[2]
-        return run_hits, run_misses
-
-    def _record(self, queries: list[BatchQuery],
-                answers: list[BatchAnswer], run_hits: int,
-                run_misses: int) -> None:
-        """Emit the batch's trace events, single-engine shaped."""
-        rec = get_recorder()
-        if not rec.enabled or not queries:
-            return
-        batch = rec.next_batch_id()
-        for i, (query, answer) in enumerate(zip(queries, answers)):
-            if isinstance(query, PositionQuery):
-                rec.record_query(
-                    "position", answer_digest(answer),
-                    time=query.time, object_id=query.object_id,
-                    engine="batch", batch=batch, index=i,
-                )
-            elif isinstance(query, RangeQuery):
-                rec.record_query(
-                    "range", answer_digest(answer), time=query.time,
-                    engine="batch", batch=batch, index=i,
-                    polygon=[[v.x, v.y] for v in query.polygon.vertices],
-                    where=query.where, class_name=query.class_name,
-                )
-            else:
-                rec.record_query(
-                    "within", answer_digest(answer), time=query.time,
-                    engine="batch", batch=batch, index=i,
-                    center=[query.center.x, query.center.y],
-                    radius=query.radius, where=query.where,
-                    class_name=query.class_name,
-                )
-        rec.record(CACHE, hits=run_hits, misses=run_misses)
+        for shard, future in zip(active, futures):
+            answers, hits, misses, counted = future.result()
+            engine.cache_hits += hits
+            engine.cache_misses += misses
+            if stats is not None:
+                stats.nodes_visited += counted[0]
+                stats.entries_tested += counted[1]
+                stats.results += counted[2]
+            for slot, piece in zip(sub_slots[shard], answers):
+                previous = merged[slot]
+                merged[slot] = piece if previous is None \
+                    else _merge_range(previous, piece)
+    return merged  # type: ignore[return-value]
 
 
 __all__ = [
-    "ShardedBatchQueryEngine",
+    "answer_in_pool",
 ]

@@ -151,31 +151,19 @@ def record_index_digest(database: Any,
     """Record the database index's content digest as a checkpoint event.
 
     Returns the digest, or ``None`` when the database has no index (or
-    an index without :meth:`content_digest`).  The event is appended to
+    an index that keeps no digest).  The event is appended to
     ``recorder`` if given, else to the active recorder when enabled.
     """
-    from repro.trace.events import INDEX_DIGEST, digest as _digest
+    from repro.trace.events import INDEX_DIGEST
 
-    shard_indexes = getattr(database, "shard_indexes", None)
-    if callable(shard_indexes):
-        # Sharded facade: one combined checkpoint over the per-shard
-        # index digests, in shard order.
-        parts = []
-        for index in shard_indexes():
-            if index is None or not hasattr(index, "content_digest"):
-                return None
-            parts.append(index.content_digest())
-        value = _digest(parts)
-        name = f"sharded[{len(parts)}]"
-    else:
-        index = getattr(database, "_index", None)
-        if index is None or not hasattr(index, "content_digest"):
-            return None
-        value = index.content_digest()
-        name = type(index).__name__
+    index = getattr(database, "_index", None)
+    value = index.content_digest() if index is not None else None
+    if value is None:
+        return None
     target = recorder if recorder is not None else get_recorder()
     if target.enabled:
-        target.record(INDEX_DIGEST, digest=value, index=name)
+        target.record(INDEX_DIGEST, digest=value,
+                      index=type(index).__name__)
     return value
 
 

@@ -84,6 +84,9 @@ class TraceReplayer:
         #: physical layout legitimately differs.
         self.shards = shards
         self._db: Any = None
+        #: The database's index when the trace lays it out over shards
+        #: (routing checks read owners from it), else ``None``.
+        self._partitioned: Any = None
         self._engine: Any = None
         self._events: Sequence[TraceEvent] = ()
 
@@ -165,10 +168,10 @@ class TraceReplayer:
             )
             self._engine = None  # the swap invalidates cached traversals
         elif event.kind == ev.SHARD_ROUTE:
-            db = self._require_db(event)
-            if self.shards is None and hasattr(db, "owner_of"):
+            self._require_db(event)
+            if self.shards is None and self._partitioned is not None:
                 report.shard_checks += 1
-                actual_shard = db.owner_of(event.object_id)
+                actual_shard = self._partitioned.owner_of(event.object_id)
                 if actual_shard != data.get("shard"):
                     report.mismatches.append(ReplayMismatch(
                         seq=event.seq, kind=event.kind,
@@ -217,26 +220,32 @@ class TraceReplayer:
             raise TraceError(
                 f"trace was recorded with unknown index {index_name!r}"
             )
-        if data.get("shards") is None and self.shards is None:
-            return MovingObjectDatabase(
-                index=index_factory() if index_factory else None,
-                horizon=data.get("horizon", 120.0),
-            )
-        from repro.shard.partition import (
-            partitioning_from_spec,
-            uniform_grid_for,
-        )
-        from repro.shard.sharded import ShardedDatabase
-
-        if self.shards is not None:
-            partitioning = uniform_grid_for(
-                self._trace_bounds(), self.shards
-            )
+        index: Any = None
+        self._partitioned = None
+        if index_factory is None:
+            # No boxes to lay out: an index-free database replays the
+            # same answers whatever shard count the trace names.
+            pass
+        elif data.get("shards") is None and self.shards is None:
+            index = index_factory()
         else:
-            partitioning = partitioning_from_spec(data["partitioning"])
-        return ShardedDatabase(
-            partitioning, index_factory=index_factory,
-            horizon=data.get("horizon", 120.0),
+            from repro.shard.partition import (
+                partitioning_from_spec,
+                uniform_grid_for,
+            )
+            from repro.shard.sharded import PartitionedIndex
+
+            if self.shards is not None:
+                partitioning = uniform_grid_for(
+                    self._trace_bounds(), self.shards
+                )
+            else:
+                partitioning = partitioning_from_spec(data["partitioning"])
+            index = self._partitioned = PartitionedIndex(
+                partitioning, index_factory
+            )
+        return MovingObjectDatabase(
+            index=index, horizon=data.get("horizon", 120.0),
         )
 
     def _trace_bounds(self) -> Any:
@@ -365,12 +374,7 @@ class TraceReplayer:
 
         db = self._require_db(group[0])
         if self._engine is None:
-            if hasattr(db, "shards_for_window"):
-                from repro.shard.parallel import ShardedBatchQueryEngine
-
-                self._engine = ShardedBatchQueryEngine(db)
-            else:
-                self._engine = BatchQueryEngine(db)
+            self._engine = BatchQueryEngine(db)
         queries: list[Any] = []
         for event in group:
             data = event.data

@@ -36,10 +36,10 @@ from repro.sim.trip import Trip
 from repro.units import DEFAULT_TICK_MINUTES
 
 
-#: Builds the scenario's database from its network.  Lets callers swap
-#: in a :class:`~repro.shard.sharded.ShardedDatabase` (or any facade
-#: with the same surface) without the scenario layer importing the
-#: shard package.
+#: Builds the scenario's database from its network.  Lets callers hand
+#: the database an index laid out over the network's extent (a
+#: :class:`~repro.shard.sharded.PartitionedIndex`) without the scenario
+#: layer importing the shard package.
 DatabaseFactory = Callable[[RouteNetwork], Any]
 
 

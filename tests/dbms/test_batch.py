@@ -39,20 +39,18 @@ from repro.index.scan import LinearScanIndex
 from repro.index.timespace import TimeSpaceIndex
 from repro.obs import MetricsRegistry, use_registry
 from repro.routes.generators import grid_city_network
-from repro.shard import ShardedBatchQueryEngine, ShardedDatabase, uniform_grid_for
+from repro.shard import PartitionedIndex, uniform_grid_for
 from repro.workloads.query_workloads import mixed_query_workload
 
 C = 5.0
 QUERY_TIMES = (8.0, 10.0, 12.0)
 
 
-def build_database(index, num_objects=12, seed=2, database=None):
-    """A small city fleet in ``database`` (a fresh single database over
-    ``index`` unless a facade is handed in)."""
+def build_database(index, num_objects=12, seed=2):
+    """A small city fleet in a fresh database over ``index``."""
     rng = random.Random(seed)
     network = grid_city_network(6, 6, 0.5)
-    if database is None:
-        database = MovingObjectDatabase(index=index, horizon=90.0)
+    database = MovingObjectDatabase(index=index, horizon=90.0)
     database.schema.define_mobile_point_class(
         "taxi", (AttributeDef("free", "bool"),)
     )
@@ -125,8 +123,8 @@ class TestEquivalence:
         database, network, object_ids = build_database(LinearScanIndex())
         queries = build_workload(network, object_ids)
         expected = sequential(database, queries)
-        # LinearScanIndex has no candidates_at_many: per-query fallback.
-        assert not hasattr(database._index, "candidates_at_many")
+        # LinearScanIndex's multi-search is one whole-population
+        # lookup per window.
         assert BatchQueryEngine(database).run(queries) == expected
 
     def test_filtered_queries(self):
@@ -358,15 +356,12 @@ def rebuild_index(database, object_ids):
     database.rebuild_index(slab_minutes=2.5)
 
 
-def snapshot_round_trip(database, object_ids):
+def snapshot_round_trip(database, object_ids, index):
     change_route_and_direction(database, object_ids)
-    return database_from_dict(
-        database_to_dict(database), index=TimeSpaceIndex(slab_minutes=5.0)
-    )
+    return database_from_dict(database_to_dict(database), index=index)
 
 
-#: ``name -> step(database, object_ids)``; a step may return a
-#: replacement database (the snapshot one does).
+#: ``name -> step(database, object_ids)``.
 RECORD_CHANGES = {
     "route-and-direction": change_route_and_direction,
     "direction-only": change_direction_only,
@@ -374,16 +369,14 @@ RECORD_CHANGES = {
     "policy-only": change_policy_only,
     "remove-and-reinsert": remove_and_reinsert,
     "rebuild-index": rebuild_index,
-    "snapshot-round-trip": snapshot_round_trip,
 }
 
 
-def sharded_fleet():
+def sharded_index():
     bounds = Rect2D(*grid_city_network(6, 6, 0.5).bounding_extent())
-    return ShardedDatabase(
+    return PartitionedIndex(
         uniform_grid_for(bounds, 4),
-        index_factory=lambda: TimeSpaceIndex(slab_minutes=5.0),
-        horizon=90.0,
+        lambda: TimeSpaceIndex(slab_minutes=5.0),
     )
 
 
@@ -392,24 +385,25 @@ class TestRecordChanges:
 
     @pytest.mark.parametrize("sharded", [False, True],
                              ids=["single", "sharded"])
-    @pytest.mark.parametrize("change", sorted(RECORD_CHANGES))
+    @pytest.mark.parametrize(
+        "change", sorted(RECORD_CHANGES) + ["snapshot-round-trip"])
     def test_every_query_kind_equals_memo_free(self, change, sharded):
-        if sharded and change == "snapshot-round-trip":
-            pytest.skip("snapshots are of a single database")
-        database, network, object_ids = build_database(
-            TimeSpaceIndex(slab_minutes=5.0),
-            database=sharded_fleet() if sharded else None,
-        )
-        make_engine = ShardedBatchQueryEngine if sharded else BatchQueryEngine
-        engine = make_engine(database)
+        def make_index():
+            return (sharded_index() if sharded
+                    else TimeSpaceIndex(slab_minutes=5.0))
+
+        database, network, object_ids = build_database(make_index())
+        engine = BatchQueryEngine(database)
         queries = build_workload(network, object_ids, count=40)
         # Prime every memo and the engine's cache with the old state.
         before = every_query_kind(database, object_ids)
         engine.run(queries)
 
-        replacement = RECORD_CHANGES[change](database, object_ids)
-        if replacement is not None:
-            database, engine = replacement, make_engine(replacement)
+        if change == "snapshot-round-trip":
+            database = snapshot_round_trip(database, object_ids, make_index())
+            engine = BatchQueryEngine(database)
+        else:
+            RECORD_CHANGES[change](database, object_ids)
 
         answers = every_query_kind(database, object_ids)
         batch = engine.run(queries)

@@ -5,17 +5,27 @@ import pytest
 from repro.core.policies import make_policy
 from repro.dbms.database import MovingObjectDatabase
 from repro.dbms.schema import AttributeDef, Mobility, ObjectClass, SpatialKind
+from repro.dbms.update_log import PositionUpdateMessage
 from repro.errors import QueryError, SchemaError
+from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
+from repro.index.timespace import TimeSpaceIndex
 from repro.routes.generators import straight_route
+from repro.shard import PartitionedIndex, UniformGridPartitioning
 
 C = 5.0
 
 
-@pytest.fixture
-def db():
-    database = MovingObjectDatabase()
+def two_partitions():
+    return PartitionedIndex(
+        UniformGridPartitioning(Rect2D(0.0, -1.0, 30.0, 1.0), 2, 1),
+        TimeSpaceIndex,
+    )
+
+
+def make_db(index=None):
+    database = MovingObjectDatabase(index=index)
     database.schema.define_mobile_point_class(
         "taxi", (AttributeDef("free", "bool"),)
     )
@@ -25,6 +35,17 @@ def db():
     )
     database.register_route(straight_route(30.0, "h1"))
     return database
+
+
+@pytest.fixture
+def db():
+    return make_db()
+
+
+@pytest.fixture(params=[lambda: None, two_partitions],
+                ids=["monolithic", "two-partitions"])
+def either_db(request):
+    return make_db(request.param())
 
 
 def add_taxi(db, object_id, x, free=True, speed=0.0):
@@ -59,6 +80,17 @@ class TestStationaryObjects:
         add_taxi(db, "t1", 0.0)
         with pytest.raises(SchemaError):
             db.insert_stationary_object("t1", "depot", Point(1, 1))
+
+    def test_mobile_id_may_not_shadow_a_stationary_one(self, either_db):
+        # insert_moving_object used to check the mobile table only: the
+        # id then counted twice and remove_object dropped the depot.
+        db = either_db
+        db.insert_stationary_object("x", "depot", Point(0, 0))
+        with pytest.raises(SchemaError, match="duplicate object id"):
+            add_taxi(db, "x", 0.0)
+        assert len(db) == 1
+        assert db.object_ids() == []
+        assert db.stationary_ids() == ["x"]
 
     def test_unknown_stationary(self, db):
         with pytest.raises(QueryError):
@@ -127,3 +159,13 @@ class TestAttributeFilters:
         region = Polygon.rectangle(0, -1, 5, 1)
         answer = db.range_query(region, 0.0)
         assert answer.may == frozenset({"t1", "d1"})
+
+
+class TestCommunicationCost:
+    def test_nan_update_cost_is_a_query_error(self, either_db):
+        db = either_db
+        add_taxi(db, "t1", 0.0)
+        db.process_update(PositionUpdateMessage("t1", 1.0, 1.0, 0.0, 1.0))
+        db.record("t1").policy = make_policy("dl", float("nan"))
+        with pytest.raises(QueryError, match="NaN"):
+            db.communication_cost()

@@ -1,9 +1,9 @@
-"""Sharded facade correctness: ownership, fan-out, byte-identical merges.
+"""Partitioned-index correctness: ownership, fan-out, byte-identical answers.
 
 The contract under test is the one the benchmark gates: a
-:class:`ShardedDatabase` behind any ``(shards, jobs)`` combination
-answers every query byte-identically to a single
-:class:`MovingObjectDatabase` fed the identical workload.
+:class:`MovingObjectDatabase` over a :class:`PartitionedIndex`, for any
+``(shards, jobs)`` combination, answers every query byte-identically to
+one over a single :class:`TimeSpaceIndex` fed the identical workload.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import pytest
 from repro.core.policies import make_policy
 from repro.dbms.batch import BatchQueryEngine
 from repro.dbms.database import MovingObjectDatabase
+from repro.dbms.schema import Mobility, ObjectClass, SpatialKind
 from repro.dbms.update_log import PositionUpdateMessage
 from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
@@ -24,8 +25,7 @@ from repro.index.timespace import TimeSpaceIndex
 from repro.routes.generators import grid_city_network
 from repro.routes.route import Route
 from repro.shard import (
-    ShardedBatchQueryEngine,
-    ShardedDatabase,
+    PartitionedIndex,
     UniformGridPartitioning,
     uniform_grid_for,
 )
@@ -36,6 +36,12 @@ QUERY_TIMES = (6.0, 8.0)
 
 #: A 4x2 corridor split into a left and a right shard at x = 2.
 CORRIDOR_BOUNDS = Rect2D(0.0, 0.0, 4.0, 2.0)
+
+
+def sharded_database(partitioning):
+    return MovingObjectDatabase(
+        index=PartitionedIndex(partitioning, TimeSpaceIndex)
+    )
 
 
 def populate_corridor(database):
@@ -58,25 +64,24 @@ class TestBoundaryStraddle:
         single = populate_corridor(
             MovingObjectDatabase(index=TimeSpaceIndex())
         )
-        sharded = populate_corridor(ShardedDatabase(
-            UniformGridPartitioning(CORRIDOR_BOUNDS, 2, 1),
-            index_factory=TimeSpaceIndex,
+        sharded = populate_corridor(sharded_database(
+            UniformGridPartitioning(CORRIDOR_BOUNDS, 2, 1)
         ))
         return single, sharded
 
     def test_exactly_one_owner(self, pair):
         _, sharded = pair
-        assert sharded.owner_of("car-edge") == 0
+        assert sharded._index.owner_of("car-edge") == 0
         holders = [
-            shard for shard, db in enumerate(sharded.shard_databases)
-            if "car-edge" in db.object_ids()
+            shard for shard, part in enumerate(sharded._index.partitions)
+            if "car-edge" in part
         ]
         assert holders == [0]
 
     def test_straddling_window_fans_to_both_shards(self, pair):
         _, sharded = pair
         straddle = Rect2D(1.5, 0.5, 2.5, 1.5)
-        assert sharded.shards_for_window(straddle) == (0, 1)
+        assert sharded._index.shards_for_window(straddle) == (0, 1)
 
     @pytest.mark.parametrize("center_x", [1.6, 2.6])
     def test_visible_from_both_sides_of_the_boundary(self, pair,
@@ -148,17 +153,14 @@ class TestDegenerateSingleShard:
     def test_one_shard_equals_single_database(self):
         single = MovingObjectDatabase(index=TimeSpaceIndex())
         network, object_ids = populate_fleet(single)
-        sharded = ShardedDatabase(
-            uniform_grid_for(fleet_bounds(), 1),
-            index_factory=TimeSpaceIndex,
-        )
+        sharded = sharded_database(uniform_grid_for(fleet_bounds(), 1))
         populate_fleet(sharded)
-        assert sharded.num_shards == 1
+        assert sharded._index.num_shards == 1
         assert sorted(sharded.object_ids()) == sorted(single.object_ids())
 
         queries = build_queries(network, object_ids)
         expected = BatchQueryEngine(single).run(queries)
-        assert ShardedBatchQueryEngine(sharded).run(queries) == expected
+        assert BatchQueryEngine(sharded).run(queries) == expected
         assert (sharded.nearest(Point(1.5, 1.5), 3, 8.0)
                 == single.nearest(Point(1.5, 1.5), 3, 8.0))
         assert (sharded.within_distance_of_object("taxi-0", 1.0, 8.0)
@@ -174,14 +176,78 @@ class TestShardJobsInvariance:
         expected = BatchQueryEngine(single).run(queries)
         expected_digest = digest(expected)
 
-        sharded = ShardedDatabase(
-            uniform_grid_for(fleet_bounds(), num_shards),
-            index_factory=TimeSpaceIndex,
+        sharded = sharded_database(
+            uniform_grid_for(fleet_bounds(), num_shards)
         )
         populate_fleet(sharded)
         for jobs in (1, 4):
-            answers = ShardedBatchQueryEngine(
-                sharded, jobs=jobs
-            ).run(queries)
+            answers = BatchQueryEngine(sharded, jobs=jobs).run(queries)
             assert answers == expected, (num_shards, jobs)
             assert digest(answers) == expected_digest, (num_shards, jobs)
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 4, 7])
+    def test_one_at_a_time_answers_invariant(self, num_shards):
+        single = MovingObjectDatabase(index=TimeSpaceIndex())
+        network, object_ids = populate_fleet(single)
+        sharded = sharded_database(
+            uniform_grid_for(fleet_bounds(), num_shards)
+        )
+        populate_fleet(sharded)
+        for database in (single, sharded):
+            database.schema.define(ObjectClass(
+                "depot", SpatialKind.POINT, Mobility.STATIONARY
+            ))
+            database.insert_stationary_object("depot-0", "depot",
+                                              Point(1.5, 1.5))
+        center = Point(1.5, 1.5)
+        for t in QUERY_TIMES:
+            for object_id in object_ids:
+                assert (sharded.position_of(object_id, t)
+                        == single.position_of(object_id, t))
+                assert (
+                    sharded.within_distance_of_object(object_id, 0.8, t)
+                    == single.within_distance_of_object(object_id, 0.8, t)
+                )
+            assert (sharded.within_distance(center, 1.0, t)
+                    == single.within_distance(center, 1.0, t))
+            assert (sharded.nearest(center, 5, t)
+                    == single.nearest(center, 5, t))
+
+
+#: ``shards -> (owner of taxi-0..13, PartitionedIndex.content_digest())``
+#: as laid out by the facade class of PR 14 on this fleet.
+PR14_LAYOUT = {
+    1: ([0] * 14,
+        "47e531ba7586b87ff3ae6e037f0e752d548333360b3b1b55d4853d16021631ba"),
+    2: ([0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 1, 0, 1, 0],
+        "1218ef0067cec357a88f523865919e5f13798a5386d849ba04e25c3c128b2072"),
+    4: ([0, 3, 0, 1, 3, 0, 2, 0, 0, 2, 3, 2, 1, 2],
+        "417267acbfca62e469b55843fdba3684ff3b1a048b20ea1eafd6c67f459f248a"),
+    7: ([2, 6, 2, 3, 3, 0, 1, 1, 0, 2, 4, 1, 3, 0],
+        "9c9f3e0692b2d532eda6ab1c3eadf40fde0512ecb5c63e142c6cc70589092779"),
+}
+
+
+class TestLayoutUnchanged:
+    @pytest.mark.parametrize("num_shards", sorted(PR14_LAYOUT))
+    def test_owners_and_partition_content_match_the_facade(self, num_shards):
+        sharded = sharded_database(
+            uniform_grid_for(fleet_bounds(), num_shards)
+        )
+        _, object_ids = populate_fleet(sharded)
+        index = sharded._index
+        owners, content = PR14_LAYOUT[num_shards]
+        assert [index.owner_of(o) for o in object_ids] == owners
+        assert index.content_digest() == content
+        assert index.shard_sizes() == [
+            owners.count(shard) for shard in range(num_shards)
+        ]
+        assert len(index) == len(object_ids)
+        # Coverage holds every route an owned object was assigned.
+        for object_id in object_ids:
+            route = sharded.routes.get(
+                sharded.record(object_id).attribute.route_id
+            )
+            assert index.coverage_of(index.owner_of(object_id)).contains_rect(
+                route.polyline.bounding_rect()
+            )

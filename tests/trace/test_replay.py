@@ -10,13 +10,28 @@ import io
 
 import pytest
 
+from repro.cli import main as cli_main
+from repro.core.policies import make_policy
+from repro.core.serialize import policy_to_spec
 from repro.dbms.batch import BatchQueryEngine
 from repro.dbms.update_log import PositionUpdateMessage
-from repro.errors import TraceError
+from repro.errors import SchemaError, TraceError
+from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
 from repro.index.scan import LinearScanIndex
 from repro.index.timespace import TimeSpaceIndex
-from repro.trace.events import INDEX_CONFIG, QUERY, TraceEvent, UPDATE
+from repro.shard import UniformGridPartitioning
+from repro.trace.events import (
+    CLASS_DEFINE,
+    DB_CONFIG,
+    INDEX_CONFIG,
+    INSERT_MOBILE,
+    INSERT_STATIONARY,
+    QUERY,
+    ROUTE_REGISTER,
+    TraceEvent,
+    UPDATE,
+)
 from repro.trace.recorder import (
     TraceRecorder,
     read_trace,
@@ -227,3 +242,34 @@ class TestReplayerValidation:
                             data={"kind": "position", "digest": "d"})
         with pytest.raises(TraceError, match="before any"):
             TraceReplayer().replay([orphan])
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_mobile_insert_over_a_stationary_id_is_a_domain_error(
+            self, shards, tmp_path, capsys):
+        """A hand-written stream re-using a stationary id for a mobile
+        object surfaces as a ``repro.errors`` type, not a traceback."""
+        config = {"horizon": 120.0, "index": "TimeSpaceIndex",
+                  "slab_minutes": 5.0}
+        if shards is not None:
+            config.update(shards=shards, partitioning=UniformGridPartitioning(
+                Rect2D(0.0, -1.0, 4.0, 1.0), shards, 1).to_spec())
+        stream = TraceRecorder()
+        stream.record(DB_CONFIG, **config)
+        for name, mobility in (("depot", "stationary"), ("taxi", "mobile")):
+            stream.record(CLASS_DEFINE, name=name, spatial_kind="point",
+                          mobility=mobility, attributes=[])
+        stream.record(ROUTE_REGISTER, route_id="r", name=None,
+                      vertices=[[0.0, 0.0], [4.0, 0.0]])
+        stream.record(INSERT_STATIONARY, object_id="x", class_name="depot",
+                      position=[1.0, 0.0], attributes=None)
+        stream.record(INSERT_MOBILE, time=0.0, object_id="x",
+                      class_name="taxi", route_id="r", position=[1.0, 0.0],
+                      direction=0, speed=0.5, max_speed=1.0, attributes=None,
+                      policy=policy_to_spec(make_policy("dl", 5.0)))
+        with pytest.raises(SchemaError, match="duplicate object id 'x'"):
+            TraceReplayer().replay(stream.events())
+
+        path = str(tmp_path / "shadow.jsonl")
+        write_trace(stream, path)
+        assert cli_main(["trace", "replay", path], out=io.StringIO()) == 1
+        assert "error: duplicate object id 'x'" in capsys.readouterr().err

@@ -10,20 +10,29 @@ that legitimately depend on physical layout.
 from __future__ import annotations
 
 import io
+import os
 import random
 
 import pytest
 
 from repro.core.policies import make_policy
+from repro.dbms.batch import BatchQueryEngine
+from repro.dbms.database import MovingObjectDatabase
 from repro.dbms.update_log import PositionUpdateMessage
 from repro.errors import TraceError
 from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
 from repro.index.timespace import TimeSpaceIndex
 from repro.routes.generators import grid_city_network
-from repro.shard import ShardedBatchQueryEngine, ShardedDatabase, \
-    uniform_grid_for
-from repro.trace.events import SCHEMA, SCHEMA_V1, SHARD_ROUTE
+from repro.shard import PartitionedIndex, uniform_grid_for
+from repro.trace.events import (
+    INDEX_DIGEST,
+    INDEX_INSERT,
+    INDEX_REPLACE,
+    SCHEMA,
+    SCHEMA_V1,
+    SHARD_ROUTE,
+)
 from repro.trace.recorder import (
     TraceRecorder,
     read_trace,
@@ -43,12 +52,12 @@ def record_sharded_session(num_shards=4):
     with use_recorder(TraceRecorder(meta=dict(META))) as recorder:
         rng = random.Random(11)
         network = grid_city_network(6, 6, 0.5)
-        database = ShardedDatabase(
+        database = MovingObjectDatabase(index=PartitionedIndex(
             uniform_grid_for(
                 Rect2D(*network.bounding_extent()), num_shards
             ),
-            index_factory=TimeSpaceIndex,
-        )
+            TimeSpaceIndex,
+        ))
         database.schema.define_mobile_point_class("taxi")
         object_ids = []
         for i in range(10):
@@ -73,7 +82,7 @@ def record_sharded_session(num_shards=4):
         queries = mixed_query_workload(
             network, random.Random(7), 25, object_ids, QUERY_TIMES,
         )
-        ShardedBatchQueryEngine(database).run(queries)
+        BatchQueryEngine(database).run(queries)
         database.nearest(Point(1.5, 1.5), 3, 8.0)
         record_index_digest(database)
     return recorder
@@ -155,3 +164,41 @@ class TestSchemaCompatibility:
         assert SCHEMA_V1 in downgraded.splitlines()[0]
         _, events = load(downgraded)
         assert TraceReplayer().replay(events).ok
+
+
+class TestFacadeRecordedTrace:
+    """A trace the PR 14 sharded facade class wrote keeps replaying.
+
+    ``data/sharded4_batch_pr14.jsonl`` is ``repro trace record --shards
+    4 --batch --size 16 --duration 40 --queries 36`` at that commit: its
+    ``shard_route`` values and ``index_digest`` checkpoint were written
+    by the facade, and it carries no ``index_insert``/``replace`` events.
+    """
+
+    PATH = os.path.join(os.path.dirname(__file__), "data",
+                        "sharded4_batch_pr14.jsonl")
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_replays_ok_with_every_routing_check(self, mode):
+        _, events = read_trace(self.PATH)
+        assert len(events) <= 150
+        assert not {INDEX_INSERT, INDEX_REPLACE} & {e.kind for e in events}
+        report = TraceReplayer(mode=mode).replay(events)
+        assert report.ok, report.mismatches[:3]
+        assert report.shard_checks == 16
+        assert report.index_checks == 1
+        assert report.queries_checked == 38
+
+    def test_rerecording_keeps_every_facade_event(self):
+        # The re-recorded stream is the old one plus the index
+        # maintenance events a monolithic trace always carried;
+        # db_config is field for field what the facade wrote.
+        _, events = read_trace(self.PATH)
+        with use_recorder(TraceRecorder()) as second:
+            assert TraceReplayer().replay(events).ok
+        derived = (INDEX_INSERT, INDEX_REPLACE, INDEX_DIGEST)
+        kept = [(e.kind, e.time, e.object_id, dict(e.data))
+                for e in second.events() if e.kind not in derived]
+        assert kept == [(e.kind, e.time, e.object_id, dict(e.data))
+                        for e in events if e.kind not in derived]
+        assert INDEX_INSERT in {e.kind for e in second.events()}
