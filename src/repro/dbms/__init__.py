@@ -14,14 +14,17 @@ temporally:
   queries with may/must semantics, within-distance queries,
 * :mod:`repro.dbms.database` — the :class:`MovingObjectDatabase`
   facade tying everything together (and optionally a time-space index),
-* :mod:`repro.dbms.batch` — the :class:`BatchQueryEngine` answering
-  query workloads with amortised work (multi-search + caching),
-  byte-identical to the one-at-a-time path.
+* :mod:`repro.dbms.refine` — the query core: the one refinement
+  procedure and the database-owned derived-value cache behind every
+  query (a single query is a batch of one),
+* :mod:`repro.dbms.batch` — the :class:`BatchQueryEngine` putting whole
+  query workloads to the core at once (multi-search, hoisted filters).
 """
 
 from repro.dbms.batch import (
     BatchQueryEngine,
     PositionQuery,
+    ProximityQuery,
     RangeQuery,
     WithinDistanceQuery,
 )
@@ -38,6 +41,7 @@ __all__ = [
     "MovingObjectDatabase",
     "BatchQueryEngine",
     "PositionQuery",
+    "ProximityQuery",
     "RangeQuery",
     "WithinDistanceQuery",
     "execute_mql",

@@ -5,7 +5,12 @@ describes: a route catalogue (§2), a schema of object classes (§2),
 per-object position attributes with declared update policies (§3), an
 update log (bandwidth accounting), an optional time-space index (§4.2),
 and a query processor answering position queries with error bounds
-(§3.3) and range queries with may/must semantics (§4.1.2).
+(§3.3) and range queries with may/must semantics (§4.1.2).  The query
+methods here are single queries put to the database's
+:class:`~repro.dbms.refine.QueryCore`, which holds the one refinement
+procedure and the derived-value cache every query of this database
+shares; the database tells it when an object's record changes and when
+the clock moves on.
 """
 
 from __future__ import annotations
@@ -18,22 +23,16 @@ from repro.core.policy import UpdatePolicy
 from repro.core.position import PositionAttribute
 from repro.dbms.moving_object import MovingObjectRecord
 from repro.dbms.query import (
-    Containment,
     NearestAnswer,
     PositionAnswer,
     RangeAnswer,
-    classify_against_polygon,
-    classify_within_distance,
-    distance_range_between_intervals,
-    distance_range_to_interval,
+    distance_range_to_polyline,
 )
 from repro.dbms.schema import Schema, SpatialKind
 from repro.dbms.storage import Table
 from repro.dbms.update_log import PositionUpdateMessage, UpdateLog
 from repro.errors import QueryError, SchemaError
-from repro.geometry.bbox import Rect2D
 from repro.obs.instrument import timed
-from repro.obs.registry import get_registry
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.index.oplane import OPlane
@@ -50,21 +49,19 @@ from repro.trace.events import (
 )
 from repro.trace.recorder import get_recorder
 
+# Last on purpose: this is where `import repro` first loads numpy (see
+# the note above that import in repro/dbms/refine.py).
+from repro.dbms.refine import (
+    PositionQuery,
+    ProximityQuery,
+    QueryCore,
+    RangeQuery,
+    WithinDistanceQuery,
+    check_point,
+)
+
 _QUERY_SECONDS = "dbms_query_seconds"
 _QUERY_HELP = "Query-processor latency by query kind."
-
-
-def _classification_counters(registry):
-    """(out, may, must) counters for refinement outcome accounting."""
-    help_text = "Candidate classifications by may/must outcome."
-    return (
-        registry.counter("dbms_classified_total", help=help_text,
-                         outcome="out"),
-        registry.counter("dbms_classified_total", help=help_text,
-                         outcome="may"),
-        registry.counter("dbms_classified_total", help=help_text,
-                         outcome="must"),
-    )
 
 
 class MovingObjectDatabase:
@@ -104,6 +101,8 @@ class MovingObjectDatabase:
         #: multi-versioned (valid time = transaction time, §2), so only
         #: "current or future" queries are answerable (§4.2).
         self.clock_time = 0.0
+        #: The query processor and its derived-value cache.
+        self._core = QueryCore(self)
         rec = get_recorder()
         if rec.enabled:
             config = index.describe() if index is not None \
@@ -241,6 +240,7 @@ class MovingObjectDatabase:
             return
         record = self.record(object_id)
         del self._records[object_id]
+        self._core.forget(object_id)
         self.table(record.class_name).delete(object_id)
         rec = get_recorder()
         if rec.enabled:
@@ -272,10 +272,6 @@ class MovingObjectDatabase:
         if self._stationary_ids is None:
             self._stationary_ids = frozenset(self._stationary)
         return self._stationary_ids
-
-    def generation_of(self, object_id: str) -> int:
-        """The update generation of a mobile object (cache keying)."""
-        return self.record(object_id).generation
 
     def __len__(self) -> int:
         return len(self._records) + len(self._stationary)
@@ -319,6 +315,7 @@ class MovingObjectDatabase:
             direction=message.direction,
             policy=new_policy_name,
         )
+        self._core.forget(record.object_id)
         heapq.heappush(
             self._horizon_heap, (record.attribute.starttime, record.object_id)
         )
@@ -389,15 +386,10 @@ class MovingObjectDatabase:
                 f"write at time {t} precedes database clock {self.clock_time} "
                 "(updates are instantaneous and time-ordered)"
             )
-        self.clock_time = max(self.clock_time, t)
-
-    def _check_query_time(self, t: float) -> None:
-        """Queries address the current or a future time (§4.2)."""
-        if t < self.clock_time - 1e-9:
-            raise QueryError(
-                f"query time {t} is in the past (database clock is "
-                f"{self.clock_time}); position attributes are not versioned"
-            )
+        if t > self.clock_time:
+            self.clock_time = t
+            # A query time the clock has passed is rejected from now on.
+            self._core.evict_before(t - 1e-9)
 
     def _earliest_starttime(self) -> float | None:
         """The minimum ``starttime`` over all records, in O(1) amortised.
@@ -440,25 +432,7 @@ class MovingObjectDatabase:
     @timed(_QUERY_SECONDS, help=_QUERY_HELP, kind="position")
     def position_of(self, object_id: str, t: float) -> PositionAnswer:
         """"What is the current position of m?" with error bounds (§3.3)."""
-        self._check_query_time(t)
-        record = self.record(object_id)
-        route = self.routes.get(record.attribute.route_id)
-        elapsed = record.attribute.elapsed(t)
-        bounds = record.bounds()
-        answer = PositionAnswer(
-            object_id=object_id,
-            time=t,
-            position=record.database_position(route, t),
-            slow_bound=bounds.slow(elapsed),
-            fast_bound=bounds.fast(elapsed),
-            error_bound=bounds.total(elapsed),
-            interval=record.uncertainty(route, t),
-        )
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record_query("position", answer_digest(answer), time=t,
-                             object_id=object_id)
-        return answer
+        return self._core.one(PositionQuery(object_id, t))
 
     @timed(_QUERY_SECONDS, help=_QUERY_HELP, kind="range")
     def range_query(self, polygon: Polygon, t: float,
@@ -478,58 +452,8 @@ class MovingObjectDatabase:
         express the introduction's "retrieve the *free cabs* currently
         within ..." directly.
         """
-        self._check_query_time(t)
-        self._check_index_coverage(t)
-        registry = get_registry()
-        counters = _classification_counters(registry) if registry.enabled else None
-        candidates = self._candidates(polygon.bounding_rect, t, stats)
-        candidates = self._filter_candidates(candidates, where, class_name)
-        may: set[str] = set()
-        must: set[str] = set()
-        for object_id in candidates:
-            record = self._records[object_id]
-            route = self.routes.get(record.attribute.route_id)
-            interval = record.uncertainty(route, t)
-            outcome = classify_against_polygon(interval, route, polygon)
-            if counters is not None:
-                self._count_outcome(counters, outcome)
-            if outcome == Containment.OUT:
-                continue
-            may.add(object_id)
-            if outcome == Containment.MUST:
-                must.add(object_id)
-        examined = len(candidates)
-        for object_id in self._filter_candidates(
-            self.stationary_id_set(), where, class_name
-        ):
-            examined += 1
-            if polygon.contains_point(self._stationary[object_id][1]):
-                may.add(object_id)
-                must.add(object_id)
-        answer = RangeAnswer(
-            time=t,
-            may=frozenset(may),
-            must=frozenset(must),
-            examined=examined,
-            candidates=frozenset(candidates),
-        )
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record_query(
-                "range", answer_digest(answer), time=t,
-                polygon=[[v.x, v.y] for v in polygon.vertices],
-                where=where, class_name=class_name,
-            )
-        return answer
-
-    @staticmethod
-    def _count_outcome(counters, outcome: Containment) -> None:
-        if outcome == Containment.OUT:
-            counters[0].inc()
-        elif outcome == Containment.MUST:
-            counters[2].inc()
-        else:
-            counters[1].inc()
+        return self._core.one(
+            RangeQuery(polygon, t, where, class_name), stats)
 
     @timed(_QUERY_SECONDS, help=_QUERY_HELP, kind="within")
     def within_distance(self, center: Point, radius: float, t: float,
@@ -541,55 +465,8 @@ class MovingObjectDatabase:
         Accepts the same ``where``/``class_name`` attribute filters as
         :meth:`range_query`.
         """
-        self._check_query_time(t)
-        self._check_index_coverage(t)
-        if radius < 0:
-            raise QueryError(f"radius must be nonnegative, got {radius}")
-        window = Rect2D(
-            center.x - radius, center.y - radius,
-            center.x + radius, center.y + radius,
-        )
-        registry = get_registry()
-        counters = _classification_counters(registry) if registry.enabled else None
-        candidates = self._candidates(window, t, stats)
-        candidates = self._filter_candidates(candidates, where, class_name)
-        may: set[str] = set()
-        must: set[str] = set()
-        for object_id in candidates:
-            record = self._records[object_id]
-            route = self.routes.get(record.attribute.route_id)
-            interval = record.uncertainty(route, t)
-            outcome = classify_within_distance(center, radius, interval, route)
-            if counters is not None:
-                self._count_outcome(counters, outcome)
-            if outcome == Containment.OUT:
-                continue
-            may.add(object_id)
-            if outcome == Containment.MUST:
-                must.add(object_id)
-        examined = len(candidates)
-        for object_id in self._filter_candidates(
-            self.stationary_id_set(), where, class_name
-        ):
-            examined += 1
-            if self._stationary[object_id][1].distance_to(center) <= radius:
-                may.add(object_id)
-                must.add(object_id)
-        answer = RangeAnswer(
-            time=t,
-            may=frozenset(may),
-            must=frozenset(must),
-            examined=examined,
-            candidates=frozenset(candidates),
-        )
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record_query(
-                "within", answer_digest(answer), time=t,
-                center=[center.x, center.y], radius=radius,
-                where=where, class_name=class_name,
-            )
-        return answer
+        return self._core.one(
+            WithinDistanceQuery(center, radius, t, where, class_name), stats)
 
     @timed(_QUERY_SECONDS, help=_QUERY_HELP, kind="proximity")
     def within_distance_of_object(self, anchor_id: str, radius: float,
@@ -606,63 +483,8 @@ class MovingObjectDatabase:
         must when even the farthest is.  The anchor itself is excluded
         from the answer.
         """
-        self._check_query_time(t)
-        if radius < 0:
-            raise QueryError(f"radius must be nonnegative, got {radius}")
-        self._check_index_coverage(t)
-        anchor = self.record(anchor_id)
-        anchor_route = self.routes.get(anchor.attribute.route_id)
-        anchor_interval = anchor.uncertainty(anchor_route, t)
-        # Candidate window: the anchor's interval bbox grown by the
-        # radius (anything farther cannot even *may* qualify).
-        bbox = anchor_interval.geometry(anchor_route).bounding_rect()
-        window = bbox.expanded(radius)
-        candidates = self._candidates(window, t, None)
-        candidates = self._filter_candidates(candidates, where, class_name)
-        candidates.discard(anchor_id)
-        may: set[str] = set()
-        must: set[str] = set()
-        for object_id in candidates:
-            record = self._records[object_id]
-            route = self.routes.get(record.attribute.route_id)
-            interval = record.uncertainty(route, t)
-            minimum, maximum = distance_range_between_intervals(
-                anchor_interval, anchor_route, interval, route
-            )
-            if minimum > radius:
-                continue
-            may.add(object_id)
-            if maximum <= radius:
-                must.add(object_id)
-        examined = len(candidates)
-        for object_id in self._filter_candidates(
-            self.stationary_id_set(), where, class_name
-        ):
-            examined += 1
-            point = self._stationary[object_id][1]
-            minimum, maximum = distance_range_to_interval(
-                point, anchor_interval, anchor_route
-            )
-            if minimum > radius:
-                continue
-            may.add(object_id)
-            if maximum <= radius:
-                must.add(object_id)
-        answer = RangeAnswer(
-            time=t,
-            may=frozenset(may),
-            must=frozenset(must),
-            examined=examined,
-            candidates=frozenset(candidates),
-        )
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record_query(
-                "proximity", answer_digest(answer), time=t,
-                object_id=anchor_id, radius=radius,
-                where=where, class_name=class_name,
-            )
-        return answer
+        return self._core.one(
+            ProximityQuery(anchor_id, radius, t, where, class_name))
 
     @timed(_QUERY_SECONDS, help=_QUERY_HELP, kind="nearest")
     def nearest(self, center: Point, k: int, t: float,
@@ -680,23 +502,19 @@ class MovingObjectDatabase:
         This query examines every (filtered) object: k-nearest needs a
         distance-ordered traversal the box index does not provide.
         """
-        self._check_query_time(t)
+        self._core.check_time(t)
+        check_point(center, "center")
         if k < 1:
             raise QueryError(f"k must be positive, got {k}")
-        candidates = self._filter_candidates(
+        mobile = list(self._filter_candidates(
             set(self._records), where, class_name
-        )
-        entries: list[NearestAnswer] = []
-        for object_id in candidates:
-            record = self._records[object_id]
-            route = self.routes.get(record.attribute.route_id)
-            interval = record.uncertainty(route, t)
-            minimum, maximum = distance_range_to_interval(
-                center, interval, route
-            )
-            entries.append(
-                NearestAnswer(object_id, minimum, maximum)
-            )
+        ))
+        entries = [
+            NearestAnswer(
+                object_id, *distance_range_to_polyline(center, derived[2]))
+            for object_id, derived in zip(
+                mobile, self._core.entries_for(mobile, t))
+        ]
         for object_id in self._filter_candidates(
             self.stationary_id_set(), where, class_name
         ):
@@ -753,18 +571,6 @@ class MovingObjectDatabase:
                     continue
             kept.add(object_id)
         return kept
-
-    def _candidates(self, window: Rect2D, t: float,
-                    stats: SearchStats | None) -> set[str]:
-        if self._index is not None:
-            candidates = self._index.candidates_at(window, t, stats)
-            # The index may lag for objects inserted without it; all
-            # records are indexed on insert, so candidates are complete.
-            return candidates
-        if stats is not None:
-            stats.nodes_visited += 1
-            stats.entries_tested += len(self._records)
-        return set(self._records)
 
     # ------------------------------------------------------------------
     # Accounting

@@ -130,19 +130,13 @@ def distance_range_to_interval(center: Point, interval: UncertaintyInterval,
     return distance_range_to_polyline(center, interval.geometry(route))
 
 
-def distance_range_between_intervals(
-        interval_a: UncertaintyInterval, route_a: Route,
-        interval_b: UncertaintyInterval, route_b: Route) -> tuple[float, float]:
-    """Min and max Euclidean distance between two uncertainty intervals.
+def distance_range_between_polylines(geometry_a: Polyline,
+                                      geometry_b: Polyline) -> tuple[float, float]:
+    """Min and max Euclidean distance between two polylines.
 
-    The proximity semantics for *moving-to-moving* queries ("the trucks
-    within 1 mile of truck ABT312"): both objects are uncertain, so the
-    true distance lies between the closest and farthest point pairs of
-    the two route strips.  The minimum is attained between segments,
-    the maximum between vertices (distance is convex along each strip).
+    The minimum is attained between segments, the maximum between
+    vertices (distance is convex along each polyline).
     """
-    geometry_a = interval_a.geometry(route_a)
-    geometry_b = interval_b.geometry(route_b)
     minimum = min(
         sa.distance_to_segment(sb)
         for sa in geometry_a.segments()
@@ -154,6 +148,21 @@ def distance_range_between_intervals(
         for vb in geometry_b.vertices
     )
     return minimum, maximum
+
+
+def distance_range_between_intervals(
+        interval_a: UncertaintyInterval, route_a: Route,
+        interval_b: UncertaintyInterval, route_b: Route) -> tuple[float, float]:
+    """Min and max Euclidean distance between two uncertainty intervals.
+
+    The proximity semantics for *moving-to-moving* queries ("the trucks
+    within 1 mile of truck ABT312"): both objects are uncertain, so the
+    true distance lies between the closest and farthest point pairs of
+    the two route strips.
+    """
+    return distance_range_between_polylines(
+        interval_a.geometry(route_a), interval_b.geometry(route_b)
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -204,6 +213,7 @@ __all__ = [
     "classify_polyline_within_distance",
     "classify_within_distance",
     "distance_range_between_intervals",
+    "distance_range_between_polylines",
     "distance_range_to_interval",
     "distance_range_to_polyline",
 ]

@@ -33,6 +33,7 @@ Implementation notes
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterator
 
@@ -52,6 +53,17 @@ _Extent = tuple[float, float, float, float, float, float]
 
 def _extent(box: Box3D) -> _Extent:
     return (box.min_x, box.min_y, box.min_t, box.max_x, box.max_y, box.max_t)
+
+
+_pack_extent = struct.Struct("6d").pack
+
+
+def _same_bits(a: Box3D, b: Box3D) -> bool:
+    """Equal coordinate for coordinate, telling ``-0.0`` from ``0.0``."""
+    extent = _extent(a)
+    other = _extent(b)
+    return extent == other and (
+        0.0 not in extent or _pack_extent(*extent) == _pack_extent(*other))
 
 
 def _union(a: _Extent, b: _Extent) -> _Extent:
@@ -128,7 +140,13 @@ class _Node:
 
 @dataclass(slots=True)
 class SearchStats:
-    """Work accounting for one search (sublinearity evidence)."""
+    """Work accounting for searches (sublinearity evidence).
+
+    Every field accumulates: each search a ``stats`` object is passed
+    to — single or batched, on any index class — adds its work and its
+    match count, so one object reads the same whether its windows were
+    searched one at a time or in one multi-search.
+    """
 
     nodes_visited: int = 0
     entries_tested: int = 0
@@ -334,9 +352,9 @@ class RTree:
             parent.entries.append(
                 _Entry(box=sibling.bounding_box(), child=sibling)
             )
-            self._refresh_parent_boxes(node)
+            self._refresh_cover(node)
             node = parent
-        self._refresh_parent_boxes(node)
+        self._refresh_covers_above(node)
 
     def _split(self, node: _Node) -> _Node:
         """Quadratic split: distribute ``node``'s entries, return sibling."""
@@ -412,17 +430,30 @@ class RTree:
                 best_prefer_a = growth_a < growth_b
         return best_index, best_prefer_a
 
-    def _refresh_parent_boxes(self, node: _Node) -> None:
-        """Recompute covering boxes on the path from ``node`` to the root."""
-        child = node
-        parent = node.parent
-        while parent is not None:
-            for entry in parent.entries:
-                if entry.child is child:
-                    entry.box = child.bounding_box()
-                    break
-            child = parent
-            parent = parent.parent
+    @staticmethod
+    def _refresh_cover(node: _Node) -> bool:
+        """Recompute ``node``'s covering box in its parent.
+
+        Returns whether the stored cover moved.  Covers are kept tight
+        (``check_invariants``): each is the bounding box of the node's
+        current entries, bit for bit.  So when a recomputed cover comes
+        out identical, the parent's entries are what its own cover was
+        computed from, and no cover above can move either.
+        """
+        assert node.parent is not None
+        for entry in node.parent.entries:
+            if entry.child is node:
+                box = node.bounding_box()
+                if _same_bits(box, entry.box):
+                    return False
+                entry.box = box
+                return True
+        raise IndexError_("node is missing from its parent")
+
+    def _refresh_covers_above(self, node: _Node) -> None:
+        """Recompute covers from ``node`` up, as far as they move."""
+        while node.parent is not None and self._refresh_cover(node):
+            node = node.parent
 
     # ------------------------------------------------------------------
     # Search
@@ -461,7 +492,7 @@ class RTree:
                         assert entry.child is not None
                         stack.append(entry.child)
         if stats is not None:
-            stats.results = len(results)
+            stats.results += len(results)
         if observed:
             registry.counter(
                 "index_searches_total", help="R-tree searches executed.",
@@ -661,9 +692,9 @@ class RTree:
                 # (delete_payload condenses every touched node).
                 current.entries = []
                 current.parent = None
-                current = parent
-                continue
-            self._refresh_parent_boxes(current)
+            elif not self._refresh_cover(current):
+                # Nothing above lost an entry or can change its cover.
+                break
             current = parent
         # Shrink the root when it has a single internal child.
         while not self._root.is_leaf and len(self._root.entries) == 1:
@@ -735,7 +766,8 @@ class RTree:
     def check_invariants(self) -> None:
         """Validate structural invariants; raises on violation.
 
-        Checks: covering boxes contain children, fill factors respected
+        Checks: covering boxes are exactly (bit for bit) the bounding
+        boxes of their children, fill factors respected
         (except at the root), leaf depth uniform, parent pointers sane,
         and the size counter matches the leaf-entry count.
         """
@@ -763,8 +795,9 @@ class RTree:
                     raise IndexError_("internal entry without child")
                 if child.parent is not node:
                     raise IndexError_("broken parent pointer")
-                if not entry.box.contains(child.bounding_box()):
-                    raise IndexError_("covering box does not contain child")
+                if not _same_bits(entry.box, child.bounding_box()):
+                    raise IndexError_(
+                        "covering box is not the child's bounding box")
                 stack.append((child, depth + 1))
         if len(leaf_depths) > 1:
             raise IndexError_(f"leaves at different depths: {leaf_depths}")

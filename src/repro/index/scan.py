@@ -58,7 +58,7 @@ class LinearScanIndex:
         if stats is not None:
             stats.nodes_visited += 1
             stats.entries_tested += len(self._planes)
-            stats.results = len(self._planes)
+            stats.results += len(self._planes)
         return set(self._planes)
 
     def candidates_at_many(self, windows: list[tuple[Rect2D, float]],

@@ -4,8 +4,8 @@ Code families (see :mod:`repro.lint.rules` for scoping):
 
 * ``RPR1xx`` **determinism** — the parallel sweep (PR 2) and batched
   query engine (PR 3) promise byte-identical output; unseeded RNG,
-  wall-clock reads, and set-iteration order inside ``sim/``, ``exec/``
-  or ``dbms/batch.py`` silently break that promise.
+  wall-clock reads, and set-iteration order inside ``sim/``, ``exec/``,
+  ``dbms/batch.py`` or ``dbms/refine.py`` silently break that promise.
 * ``RPR2xx`` **exec safety** — fork/pickle hazards around the
   ``ProcessPoolExecutor`` sweep path.
 * ``RPR3xx`` **numeric hygiene** — float ``==`` and mutable defaults

@@ -16,7 +16,8 @@ functions) exhibits it.  Taint then propagates backwards over the call
 graph: every function that can reach a source through resolved call
 edges is tainted.  A violation is a **sink** function — one defined in
 the digest/trace/ordered-output modules (``dbms/batch.py``,
-``trace/recorder.py``, ``reporting/``, ``shard/sharded.py``) — whose
+``dbms/refine.py``, ``trace/recorder.py``, ``reporting/``,
+``shard/sharded.py``) — whose
 taint arrives through at least one call hop.  Same-function uses are
 left to the per-file rules (``RPR101``–``RPR103``), which already
 police the deterministic paths; the flow rules exist for exactly the
@@ -58,6 +59,7 @@ TAINT_CODES = {
 #: they compute digests, record traces, or build ordered output.
 SINK_PKGPATHS: tuple[str, ...] = (
     "dbms/batch.py",
+    "dbms/refine.py",
     "trace/recorder.py",
     "reporting/",
     "shard/sharded.py",

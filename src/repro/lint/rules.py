@@ -47,7 +47,7 @@ def classify_path(relpath: str) -> frozenset[str]:
     if "tests" in parts or stem.startswith("test_") or stem == "conftest":
         tags.add("test")
     if ("sim" in parts or "exec" in parts or "vec" in parts
-            or rel.endswith("dbms/batch.py")):
+            or rel.endswith(("dbms/batch.py", "dbms/refine.py"))):
         tags.add("deterministic")
     if "exec" in parts:
         tags.add("exec")

@@ -27,7 +27,6 @@ from repro.dbms.batch import (
     BatchQuery,
     BatchQueryEngine,
     PositionQuery,
-    query_window,
 )
 from repro.dbms.query import RangeAnswer
 from repro.index.rtree import SearchStats
@@ -95,10 +94,11 @@ def answer_in_pool(engine: BatchQueryEngine, queries: list[BatchQuery],
     index = engine.database._index
     if not isinstance(index, PartitionedIndex):
         return None
+    core = engine.database._core
     routed = [
         (index.owner_of(query.object_id),)
         if isinstance(query, PositionQuery)
-        else index.shards_for_window(query_window(query))
+        else index.shards_for_window(core.region_of(query).window)
         for query in queries
     ]
     active = sorted({shard for fanned in routed for shard in fanned})

@@ -26,8 +26,8 @@ from repro.trace.recorder import read_trace, record_index_digest
 #: Replay modes: honour the recorded engine, or force one path.
 MODES = ("auto", "sequential", "batch")
 
-#: Query kinds only the sequential database path can answer.
-_DB_ONLY_KINDS = ("proximity", "nearest")
+#: Query kinds only a database call can answer (not a batch).
+_DB_ONLY_KINDS = ("nearest",)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,10 +62,10 @@ class TraceReplayer:
     ``mode`` selects the query path: ``auto`` (default) replays each
     query through the engine that recorded it, ``sequential`` forces
     every query through ``Database`` calls, ``batch`` forces groupable
-    kinds through a :class:`BatchQueryEngine` (proximity and nearest
-    queries always go through the database — the batch engine does not
-    answer them).  Digests must match in every mode: the two paths are
-    byte-equivalent by construction.
+    kinds through a :class:`BatchQueryEngine` (nearest queries always
+    go through the database — the batch engine does not answer them).
+    Digests must match in every mode: a single query is a batch of one
+    through the same query core.
     """
 
     def __init__(self, mode: str = "auto",
@@ -366,6 +366,7 @@ class TraceReplayer:
         from repro.dbms.batch import (
             BatchQueryEngine,
             PositionQuery,
+            ProximityQuery,
             RangeQuery,
             WithinDistanceQuery,
         )
@@ -392,6 +393,12 @@ class TraceReplayer:
             elif kind == "within":
                 queries.append(WithinDistanceQuery(
                     Point(*data["center"]), data["radius"], event.time,
+                    where=data.get("where"),
+                    class_name=data.get("class_name"),
+                ))
+            elif kind == "proximity":
+                queries.append(ProximityQuery(
+                    event.object_id, data["radius"], event.time,
                     where=data.get("where"),
                     class_name=data.get("class_name"),
                 ))

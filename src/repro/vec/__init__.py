@@ -8,11 +8,8 @@ NumPy while keeping the scalar code the source of truth:
   tick loop over ``(n_costs, n_vehicles)`` state arrays, mirroring
   :meth:`repro.sim.engine.PolicySimulation._run_fast` operation for
   operation so the results are byte-identical.
-* :mod:`repro.vec.bounds` evaluates the §3.3 deviation bounds
-  (Propositions 2-4) over arrays of candidates, mirroring the closures
-  of :mod:`repro.core.bounds`.
 * :mod:`repro.vec.geom` batches the bbox min/max-distance pre-tests of
-  the batch query engine.
+  the query core.
 
 Vectorization can be disabled globally with ``REPRO_VECTORIZE=0`` —
 every dispatcher consults :func:`vectorization_default` when its

@@ -1,17 +1,20 @@
-"""Unit tests for the batched query engine.
+"""Unit tests for the batched query engine and the query core under it.
 
-The load-bearing claim is byte-identical equivalence: a
-:class:`BatchQueryEngine` must return exactly the answers the
-sequential :class:`MovingObjectDatabase` calls return, on any workload,
-with any index (time-space, linear scan, or none), with filters, and
-across position updates (the cache, tagged with the installed position
-attribute, must invalidate per object, never serve stale intervals).
-The same fixture checks the record's start-travel memo: whatever
-happens to a record, every query kind answers as a memo-free
-computation does.
+The load-bearing claim is byte-identical equivalence with the
+independent reference (``tests/oracle/query_reference.py``: cache-free,
+pre-test-free sequential refinement): a :class:`BatchQueryEngine` and
+the single-query methods of :class:`MovingObjectDatabase` — one core,
+one cache — must return exactly the reference's answers, on any
+workload, with any index (time-space, linear scan, or none), with
+filters, however single and batched calls interleave, and across
+position updates (the shared cache must drop an object's entries when
+its record changes and never serve a stale interval).  The same fixture
+checks the record's start-travel memo: whatever happens to a record,
+every query kind answers as a memo-free computation does.
 """
 
 import dataclasses
+import math
 import pickle
 import random
 from contextlib import contextmanager
@@ -23,6 +26,7 @@ from repro.core.policies import make_policy
 from repro.dbms.batch import (
     BatchQueryEngine,
     PositionQuery,
+    ProximityQuery,
     RangeQuery,
     WithinDistanceQuery,
 )
@@ -41,6 +45,8 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.routes.generators import grid_city_network
 from repro.shard import PartitionedIndex, uniform_grid_for
 from repro.workloads.query_workloads import mixed_query_workload
+from tests.oracle import query_reference as reference
+from tests.oracle.query_reference import sequential
 
 C = 5.0
 QUERY_TIMES = (8.0, 10.0, 12.0)
@@ -80,12 +86,31 @@ def build_database(index, num_objects=12, seed=2):
 
 
 def build_workload(network, object_ids, count=60, seed=9):
-    return mixed_query_workload(
-        network, random.Random(seed), count, object_ids, QUERY_TIMES,
+    rng = random.Random(seed)
+    queries = mixed_query_workload(
+        network, rng, count, object_ids, QUERY_TIMES,
     )
+    queries += [
+        ProximityQuery(rng.choice(object_ids), rng.uniform(0.2, 1.5),
+                       rng.choice(QUERY_TIMES))
+        for _ in range(count // 10)
+    ]
+    rng.shuffle(queries)
+    return queries
 
 
-def sequential(database, queries):
+def assert_every_path_matches_reference(database, queries):
+    """Batched, singly, and batched again over what the singles cached."""
+    expected = sequential(database, queries)
+    engine = BatchQueryEngine(database)
+    assert engine.run(queries) == expected
+    assert one_at_a_time(database, queries) == expected
+    assert engine.run(queries) == expected
+    assert BatchQueryEngine(database, vectorize=False).run(queries) == expected
+
+
+def one_at_a_time(database, queries):
+    """Each query put singly to the database's own methods."""
     answers = []
     for query in queries:
         if isinstance(query, PositionQuery):
@@ -93,6 +118,11 @@ def sequential(database, queries):
         elif isinstance(query, RangeQuery):
             answers.append(database.range_query(
                 query.polygon, query.time,
+                where=query.where, class_name=query.class_name,
+            ))
+        elif isinstance(query, ProximityQuery):
+            answers.append(database.within_distance_of_object(
+                query.object_id, query.radius, query.time,
                 where=query.where, class_name=query.class_name,
             ))
         else:
@@ -110,22 +140,19 @@ class TestEquivalence:
             TimeSpaceIndex(slab_minutes=5.0), seed=seed
         )
         queries = build_workload(network, object_ids, seed=seed + 100)
-        expected = sequential(database, queries)
-        assert BatchQueryEngine(database).run(queries) == expected
+        assert_every_path_matches_reference(database, queries)
 
     def test_without_index(self):
         database, network, object_ids = build_database(None)
         queries = build_workload(network, object_ids)
-        expected = sequential(database, queries)
-        assert BatchQueryEngine(database).run(queries) == expected
+        assert_every_path_matches_reference(database, queries)
 
     def test_linear_scan_index_fallback(self):
         database, network, object_ids = build_database(LinearScanIndex())
         queries = build_workload(network, object_ids)
-        expected = sequential(database, queries)
         # LinearScanIndex's multi-search is one whole-population
         # lookup per window.
-        assert BatchQueryEngine(database).run(queries) == expected
+        assert_every_path_matches_reference(database, queries)
 
     def test_filtered_queries(self):
         database, network, object_ids = build_database(
@@ -144,9 +171,11 @@ class TestEquivalence:
             WithinDistanceQuery(center, 2.0, 10.0, where={"free": False},
                                 class_name="taxi"),
             WithinDistanceQuery(center, 2.0, 10.0, class_name="depot"),
+            ProximityQuery(object_ids[0], 2.0, 10.0, where={"free": True}),
+            ProximityQuery(object_ids[1], 2.0, 10.0, class_name="depot"),
         ]
         expected = sequential(database, queries)
-        assert BatchQueryEngine(database).run(queries) == expected
+        assert_every_path_matches_reference(database, queries)
         # The free-cab filter actually bit: not every taxi is free.
         assert expected[0].may < expected[1].may
 
@@ -158,8 +187,7 @@ class TestEquivalence:
             [(-1.0, -1.0), (4.0, -1.0), (-1.0, 4.0)]
         )
         queries = [RangeQuery(triangle, t) for t in QUERY_TIMES]
-        assert (BatchQueryEngine(database).run(queries)
-                == sequential(database, queries))
+        assert_every_path_matches_reference(database, queries)
 
 
 class TestCacheBehaviour:
@@ -231,10 +259,104 @@ class TestCacheBehaviour:
         assert engine.run(queries) == expected
         assert engine.cache_size() <= 2
 
+    def test_single_queries_share_the_engines_cache(self):
+        database, network, object_ids = build_database(
+            TimeSpaceIndex(slab_minutes=5.0)
+        )
+        queries = build_workload(network, object_ids, count=30)
+        engine = BatchQueryEngine(database)
+        engine.run(queries)
+        core = database._core
+        misses = core.misses
+        assert one_at_a_time(database, queries) == sequential(
+            database, queries)
+        # Every interval the singles needed was derived by the batch...
+        assert core.misses == misses
+        # ...and the engine counts only its own lookups.
+        assert engine.cache_hits + engine.cache_misses < core.hits + misses
+        other = BatchQueryEngine(database)
+        other.run(queries)
+        assert other.cache_misses == 0 and other.cache_hits > 0
+
+    def test_update_and_removal_drop_the_objects_entries(self):
+        database, network, object_ids = build_database(
+            TimeSpaceIndex(slab_minutes=5.0)
+        )
+        engine = BatchQueryEngine(database)
+        engine.run([PositionQuery(i, t)
+                    for i in object_ids for t in QUERY_TIMES])
+        assert engine.cache_size() == len(object_ids) * len(QUERY_TIMES)
+        install_update(database, object_ids[0])
+        database.remove_object(object_ids[1])
+        assert engine.cache_size() == (
+            (len(object_ids) - 2) * len(QUERY_TIMES))
+        held = {i for bucket in database._core._derived.values()
+                for i in bucket}
+        assert held == set(object_ids[2:])
+        assert set(database._core._bounds) == set(object_ids[2:])
+
+    def test_clock_advance_evicts_unaskable_times(self):
+        database, network, object_ids = build_database(
+            TimeSpaceIndex(slab_minutes=5.0)
+        )
+        for t in (4.0, 6.0, 8.0):
+            database.range_query(Polygon.rectangle(-1.0, -1.0, 9.0, 9.0), t)
+        assert set(database._core._derived) == {4.0, 6.0, 8.0}
+        install_update(database, object_ids[0], t=6.0)
+        # 4.0 can never be asked about again; 6.0 (now) and 8.0 can.
+        assert set(database._core._derived) == {6.0, 8.0}
+        assert database._core.size() == 2 * (len(object_ids) - 1)
+        with pytest.raises(QueryError):
+            database.position_of(object_ids[1], 4.0)
+
+    def test_ever_new_query_times_do_not_accumulate(self):
+        """A monitoring loop: update, then ask about "now", forever."""
+        database, network, object_ids = build_database(
+            TimeSpaceIndex(slab_minutes=5.0)
+        )
+        everywhere = Polygon.rectangle(-1.0, -1.0, 9.0, 9.0)
+        for step in range(1, 40):
+            now = step * 0.25
+            install_update(database, object_ids[step % len(object_ids)],
+                           t=now)
+            database.range_query(everywhere, now)
+            database.nearest(Point(1.0, 1.0), 3, now)
+            assert set(database._core._derived) == {now}
+            assert database._core.size() == len(object_ids)
+
     def test_invalid_cache_capacity_rejected(self):
         database, _, _ = build_database(None, num_objects=1)
         with pytest.raises(QueryError):
             BatchQueryEngine(database, max_cache_entries=0)
+
+
+NAN = float("nan")
+UNIT_SQUARE = Polygon.rectangle(0.0, 0.0, 1.0, 1.0)
+
+#: ``name -> query(object_id)``: one NaN in each place a query takes a float.
+NAN_QUERIES = {
+    "position-time": lambda i: PositionQuery(i, NAN),
+    "range-time": lambda i: RangeQuery(UNIT_SQUARE, NAN),
+    "range-vertex": lambda i: RangeQuery(Polygon.from_coordinates(
+        [(0.0, 0.0), (1.0, 0.0), (1.0, NAN)]), 10.0),
+    "within-time": lambda i: WithinDistanceQuery(Point(1.0, 1.0), 1.0, NAN),
+    "within-radius": lambda i: WithinDistanceQuery(
+        Point(1.0, 1.0), NAN, 10.0),
+    "within-center-x": lambda i: WithinDistanceQuery(
+        Point(NAN, 1.0), 1.0, 10.0),
+    "within-center-y": lambda i: WithinDistanceQuery(
+        Point(1.0, NAN), 1.0, 10.0),
+    "proximity-time": lambda i: ProximityQuery(i, 1.0, NAN),
+    "proximity-radius": lambda i: ProximityQuery(i, NAN, 10.0),
+}
+
+
+def two_partition_index():
+    bounds = Rect2D(*grid_city_network(6, 6, 0.5).bounding_extent())
+    return PartitionedIndex(
+        uniform_grid_for(bounds, 2),
+        lambda: TimeSpaceIndex(slab_minutes=5.0),
+    )
 
 
 class TestValidationAndMetrics:
@@ -250,6 +372,47 @@ class TestValidationAndMetrics:
         with pytest.raises(QueryError):
             engine.run([WithinDistanceQuery(Point(0.0, 0.0), -1.0, 5.0)])
 
+    @pytest.mark.parametrize("partitioned", [False, True],
+                             ids=["monolithic", "2-partition"])
+    @pytest.mark.parametrize("name", sorted(NAN_QUERIES))
+    def test_nan_is_rejected_singly_and_batched(self, name, partitioned):
+        index = (two_partition_index() if partitioned
+                 else TimeSpaceIndex(slab_minutes=5.0))
+        database, _, object_ids = build_database(index, num_objects=4)
+        query = NAN_QUERIES[name](object_ids[0])
+        with pytest.raises(QueryError, match="NaN"):
+            one_at_a_time(database, [query])
+        healthy = PositionQuery(object_ids[1], 10.0)
+        for jobs in (1, 2):
+            engine = BatchQueryEngine(database, jobs=jobs)
+            with pytest.raises(QueryError, match="NaN"):
+                engine.run([healthy, query])
+        # Nothing was cached under a key that can never hit.
+        assert all(t == t for t in database._core._derived)
+
+    @pytest.mark.parametrize("partitioned", [False, True],
+                             ids=["monolithic", "2-partition"])
+    def test_nan_nearest_is_rejected(self, partitioned):
+        index = (two_partition_index() if partitioned
+                 else TimeSpaceIndex(slab_minutes=5.0))
+        database, _, _ = build_database(index, num_objects=4)
+        for center, t in [(Point(1.0, 1.0), NAN), (Point(NAN, 1.0), 10.0),
+                          (Point(1.0, NAN), 10.0)]:
+            with pytest.raises(QueryError, match="NaN"):
+                database.nearest(center, 2, t)
+
+    def test_infinite_radius_stays_legal(self):
+        database, _, object_ids = build_database(
+            TimeSpaceIndex(slab_minutes=5.0), num_objects=4)
+        queries = [WithinDistanceQuery(Point(1.0, 1.0), math.inf, 10.0),
+                   ProximityQuery(object_ids[0], math.inf, 10.0)]
+        everyone = set(object_ids) | set(database.stationary_ids())
+        answers = BatchQueryEngine(database).run(queries)
+        assert answers == one_at_a_time(database, queries)
+        assert answers == sequential(database, queries)
+        assert answers[0].must == everyone
+        assert answers[1].must == everyone - {object_ids[0]}
+
     def test_metrics_exported(self):
         database, network, object_ids = build_database(
             TimeSpaceIndex(slab_minutes=5.0)
@@ -260,7 +423,7 @@ class TestValidationAndMetrics:
             engine.run(queries)
             total = sum(
                 registry.value("dbms_batch_queries_total", kind=kind)
-                for kind in ("position", "range", "within")
+                for kind in ("position", "range", "within", "proximity")
             )
             assert total == len(queries)
             hits = registry.value("dbms_batch_cache_hits_total")
@@ -285,18 +448,27 @@ def memo_free():
         yield
 
 
-def every_query_kind(database, object_ids):
-    """One answer list covering all six query entry points."""
+def every_query_kind(database, object_ids, by_reference=False):
+    """One answer list covering all five query entry points.
+
+    Through the database's own methods, or (``by_reference``) through
+    the cache-free reference functions over the same records.
+    """
+    def put(name, *arguments):
+        if by_reference:
+            return getattr(reference, name)(database, *arguments)
+        return getattr(database, name)(*arguments)
+
     center = Point(1.25, 1.25)
     window = Polygon.rectangle(0.4, 0.4, 2.1, 1.9)
     answers = []
     for t in QUERY_TIMES:
-        answers.extend(database.position_of(i, t) for i in object_ids)
-        answers.append(database.range_query(window, t))
-        answers.append(database.within_distance(center, 0.9, t))
-        answers.append(database.within_distance_of_object(
-            object_ids[0], 1.0, t))
-        answers.append(database.nearest(center, 5, t))
+        answers.extend(put("position_of", i, t) for i in object_ids)
+        answers.append(put("range_query", window, t))
+        answers.append(put("within_distance", center, 0.9, t))
+        answers.append(put("within_distance_of_object",
+                           object_ids[0], 1.0, t))
+        answers.append(put("nearest", center, 5, t))
     return answers
 
 
@@ -405,10 +577,14 @@ class TestRecordChanges:
         else:
             RECORD_CHANGES[change](database, object_ids)
 
+        # Batched and single calls interleave over the one shared cache.
+        batch = engine.run(queries[:20])
         answers = every_query_kind(database, object_ids)
-        batch = engine.run(queries)
+        batch += engine.run(queries[20:])
+        assert one_at_a_time(database, queries) == batch
         with memo_free():
-            assert answers == every_query_kind(database, object_ids)
+            assert answers == every_query_kind(
+                database, object_ids, by_reference=True)
             assert batch == sequential(database, queries)
         if change != "rebuild-index":
             # The change was visible to the queries at all.

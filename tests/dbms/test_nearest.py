@@ -8,6 +8,7 @@ from repro.dbms.schema import AttributeDef, Mobility, ObjectClass, SpatialKind
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.routes.generators import straight_route
+from tests.oracle import query_reference as reference
 
 C = 5.0
 
@@ -85,3 +86,15 @@ class TestNearest:
     def test_validation(self, db):
         with pytest.raises(QueryError):
             db.nearest(Point(0, 0), 0, 1.0)
+
+    @pytest.mark.parametrize("selection", [
+        {}, {"where": {"free": True}}, {"class_name": "depot"}])
+    def test_equals_the_cache_free_reference(self, db, selection):
+        db.insert_stationary_object("d1", "depot", Point(9.0, 2.0))
+        for center in (Point(0.0, 0.0), Point(12.0, 1.0)):
+            # Each t repeats: later calls are answered from cache.
+            for t in (0.0, 1.0, 4.0):
+                for k in (1, 2, 10):
+                    assert db.nearest(
+                        center, k, t, **selection
+                    ) == reference.nearest(db, center, k, t, **selection)

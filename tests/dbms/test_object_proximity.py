@@ -10,6 +10,7 @@ from repro.core.uncertainty import UncertaintyInterval
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.routes.generators import straight_route
+from tests.oracle import query_reference as reference
 
 C = 5.0
 
@@ -97,3 +98,19 @@ class TestWithinDistanceOfObject:
         add_truck(db, "anchor", 10.0)
         with pytest.raises(QueryError):
             db.within_distance_of_object("anchor", -1.0, 0.0)
+
+    @pytest.mark.parametrize("selection", [
+        {}, {"class_name": "truck"}, {"class_name": "depot"}])
+    def test_equals_the_cache_free_reference(self, db, selection):
+        for x in (10.0, 11.0, 14.0, 17.0, 40.0):
+            add_truck(db, f"t{x}", x, bound=0.5 + x / 20.0, speed=0.3)
+        db.insert_stationary_object("d1", "depot", Point(12.0, 0.0))
+        db.insert_stationary_object("d2", "depot", Point(30.0, 4.0))
+        # Each (anchor, t) repeats: later radii are answered from cache.
+        for anchor in ("t10.0", "t17.0"):
+            for t in (0.0, 1.0, 3.0):
+                for radius in (0.0, 1.5, 5.0, 30.0, float("inf")):
+                    assert db.within_distance_of_object(
+                        anchor, radius, t, **selection
+                    ) == reference.within_distance_of_object(
+                        db, anchor, radius, t, **selection)

@@ -123,3 +123,60 @@ class TestCandidatesAtMany:
         assert found[0] == found[1] == {"o0", "o1", "o2", "o3"}
         assert stats.nodes_visited > 0
         assert stats.results >= 8
+
+
+def _indexes():
+    """One of each index class, over the same four o-planes."""
+    from repro.index.scan import LinearScanIndex
+    from repro.shard import PartitionedIndex, uniform_grid_for
+
+    def partitioned(inner):
+        return PartitionedIndex(
+            uniform_grid_for(Rect2D(0.0, -1.0, 40.0, 1.0), 2), inner)
+
+    return {
+        "timespace": TimeSpaceIndex(slab_minutes=5.0),
+        "scan": LinearScanIndex(),
+        "partitioned-timespace": partitioned(
+            lambda: TimeSpaceIndex(slab_minutes=5.0)),
+        "partitioned-scan": partitioned(LinearScanIndex),
+    }
+
+
+class TestStatsAccumulate:
+    """``SearchStats`` has one contract: every search adds to it."""
+
+    @pytest.mark.parametrize("name", sorted(_indexes()))
+    def test_results_equal_batched_and_one_at_a_time(self, name):
+        index = _indexes()[name]
+        route = straight_route(40.0, "h1")
+        for i in range(4):
+            index.insert(f"o{i}", plane_for(route, x=10.0 * i))
+        windows = [(Rect2D(0.0, -1.0, 12.0, 1.0), 2.0),
+                   (Rect2D(8.0, -1.0, 40.0, 1.0), 4.0),
+                   (Rect2D(50.0, -1.0, 60.0, 1.0), 2.0)]
+        batched, looped = SearchStats(), SearchStats()
+        many = index.candidates_at_many(windows, batched)
+        singly = [index.candidates_at(region, t, looped)
+                  for region, t in windows]
+        assert many == singly
+        assert batched.results == looped.results > 0
+        if "scan" in name:
+            # A scan's multi-search is the loop: all three fields agree.
+            assert batched == looped
+        # A second pass adds as much again on every field.
+        again = SearchStats(batched.nodes_visited, batched.entries_tested,
+                            batched.results)
+        index.candidates_at_many(windows, again)
+        assert (again.nodes_visited, again.entries_tested, again.results) == (
+            2 * batched.nodes_visited, 2 * batched.entries_tested,
+            2 * batched.results)
+
+    def test_single_search_adds_to_results(self):
+        rng = random.Random(3)
+        tree = populated_tree(rng)
+        stats = SearchStats()
+        everything = Box3D(-1.0, -1.0, -1.0, 200.0, 200.0, 200.0)
+        first = len(tree.search(everything, stats))
+        second = len(tree.search(everything, stats))
+        assert stats.results == first + second == 2 * len(tree)

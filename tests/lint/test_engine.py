@@ -22,6 +22,7 @@ class TestClassifyPath:
 
     def test_dbms_batch_is_deterministic_but_not_other_dbms(self):
         assert "deterministic" in classify_path("src/repro/dbms/batch.py")
+        assert "deterministic" in classify_path("src/repro/dbms/refine.py")
         assert "deterministic" not in classify_path(
             "src/repro/dbms/database.py")
 

@@ -3,22 +3,28 @@
 A hypothesis ``RuleBasedStateMachine`` drives one random sequence of
 inserts (mobile and stationary), updates (speed-only, route- and
 direction-changing, policy-changing), removes, re-inserts, index
-rebuilds and queries (all five kinds, ``where``/``class_name`` filters,
-batched and one at a time) into
+rebuilds, snapshot round-trips and queries (all five kinds,
+``where``/``class_name`` filters, batched and one at a time, the two
+interleaved over each database's one shared cache) into
 
-* the **model** — ``MovingObjectDatabase(index=None)``: every query
-  scans the record table, nothing is cached, partitioned or pooled; and
+* the **model** — the record tables of a ``MovingObjectDatabase(
+  index=None)`` read by ``tests/oracle/query_reference.py``: every query
+  scans every record and derives every value afresh; nothing is cached,
+  pre-tested, partitioned or pooled; and
 * the **subjects** — ``PartitionedIndex`` over {``TimeSpaceIndex``,
   ``LinearScanIndex``} x {1, 3, 7} shards, each batched with ``jobs`` 1
-  and 2,
+  and 2, and the model database's own query core,
 
-and holds, after every step: answer digests equal wherever the layouts
+and holds, after every step: answers equal the reference's over the
+same database, and answer digests equal across layouts wherever they
 promise it (everything but ``examined``/``candidates`` against the
 model; those two as well among subjects whose shards run the same index
 class, and against the model for the scan class), ``must`` inside
 ``may`` (Theorems 5-6), exactly one owner per mobile id, every owner's
-coverage over every route the object has been assigned, and one index
-entry per mobile object.
+coverage over every route the object has been assigned, one index entry
+per mobile object, and a derived-value cache that holds only what can
+still be asked: entries of present objects, derived from their current
+position attribute, for times the clock has not passed.
 """
 
 from __future__ import annotations
@@ -32,10 +38,12 @@ from repro.core.serialize import policy_to_spec
 from repro.dbms.batch import (
     BatchQueryEngine,
     PositionQuery,
+    ProximityQuery,
     RangeQuery,
     WithinDistanceQuery,
 )
 from repro.dbms.database import MovingObjectDatabase
+from repro.dbms.persistence import database_from_dict, database_to_dict
 from repro.dbms.schema import AttributeDef, Mobility, ObjectClass, SpatialKind
 from repro.dbms.update_log import PositionUpdateMessage
 from repro.errors import SchemaError
@@ -48,6 +56,9 @@ from repro.index.timespace import TimeSpaceIndex
 from repro.routes.route import Route
 from repro.shard import PartitionedIndex, uniform_grid_for
 from repro.trace.events import answer_digest
+from tests.dbms.test_batch import one_at_a_time
+from tests.oracle import query_reference as reference
+from tests.oracle.query_reference import sequential
 
 BOUNDS = Rect2D(0.0, 0.0, 4.0, 4.0)
 ROUTES = [
@@ -91,34 +102,28 @@ def without_scan_fields(answer):
     return (answer.time, answer.may, answer.must)
 
 
-def sequential(database, queries):
-    answers = []
-    for query in queries:
-        if isinstance(query, PositionQuery):
-            answers.append(database.position_of(query.object_id, query.time))
-        elif isinstance(query, RangeQuery):
-            answers.append(database.range_query(
-                query.polygon, query.time, where=query.where,
-                class_name=query.class_name))
-        else:
-            answers.append(database.within_distance(
-                query.center, query.radius, query.time, where=query.where,
-                class_name=query.class_name))
-    return answers
-
-
 class Subject:
     """One partitioned database and its two long-lived batch engines."""
 
     def __init__(self, inner, shards):
         self.name = f"{inner.__name__}x{shards}"
+        self.inner = inner
+        self.shards = shards
+        self.attach(MovingObjectDatabase(index=self.fresh_index()))
+
+    def fresh_index(self):
+        return PartitionedIndex(
+            uniform_grid_for(BOUNDS, self.shards), self.inner)
+
+    def attach(self, database):
+        """Adopt ``database`` (new, or loaded from a snapshot)."""
         #: Shards report their whole population (until a rebuild swaps
         #: the real index in): ``examined``/``candidates`` then equal
         #: the model's.
-        self.scans = inner is LinearScanIndex
-        self.index = PartitionedIndex(uniform_grid_for(BOUNDS, shards), inner)
-        self.database = MovingObjectDatabase(index=self.index)
-        self.engines = [BatchQueryEngine(self.database, jobs=jobs)
+        self.scans = self.inner is LinearScanIndex
+        self.database = database
+        self.index = database._index
+        self.engines = [BatchQueryEngine(database, jobs=jobs)
                         for jobs in (1, 2)]
 
 
@@ -259,6 +264,18 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
                 slab_minutes=slab_minutes) is subject.index
             subject.scans = False
 
+    @rule()
+    def snapshot_round_trip(self):
+        """Every subject is saved and loaded over a fresh index."""
+        for subject in self.subjects:
+            subject.attach(database_from_dict(
+                database_to_dict(subject.database),
+                index=subject.fresh_index()))
+        # A loaded object is routed by its current attribute alone.
+        for object_id in self.assigned:
+            self.assigned[object_id] = {
+                self.model.record(object_id).attribute.route_id}
+
     # -- reads ----------------------------------------------------------
 
     def _compare_ranges(self, answers, expected):
@@ -289,29 +306,37 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
             lambda db: db.range_query(polygon, t, **selection),
             lambda db: db.within_distance(center, radius, t, **selection),
         ]
+        queries = [RangeQuery(polygon, t, **selection),
+                   WithinDistanceQuery(center, radius, t, **selection)]
         anchor = self._some_mobile(data)
         if anchor is not None:
-            calls.append(lambda db: db.within_distance_of_object(
-                anchor, radius, t, **selection))
-            expected = self.model.position_of(anchor, t)
-            for subject in self.subjects:
-                assert (answer_digest(subject.database.position_of(anchor, t))
-                        == answer_digest(expected)), subject.name
-        expected = [call(self.model) for call in calls]
-        self._compare_ranges(
-            [[call(subject.database) for call in calls]
-             for subject in self.subjects],
-            expected,
-        )
-        nearest = answer_digest(self.model.nearest(center, k, t, **selection))
+            queries.append(ProximityQuery(anchor, radius, t, **selection))
+            expected = reference.position_of(self.model, anchor, t)
+            for database in self.databases():
+                assert database.position_of(anchor, t) == reference.position_of(
+                    database, anchor, t)
+                assert (answer_digest(database.position_of(anchor, t))
+                        == answer_digest(expected))
+        expected = sequential(self.model, queries)
+        assert one_at_a_time(self.model, queries) == expected
+        answers = []
         for subject in self.subjects:
-            assert answer_digest(subject.database.nearest(
-                center, k, t, **selection)) == nearest, subject.name
+            answers.append(one_at_a_time(subject.database, queries))
+            assert answers[-1] == sequential(subject.database, queries), \
+                subject.name
+        self._compare_ranges(answers, expected)
+        nearest = reference.nearest(self.model, center, k, t, **selection)
+        for database in self.databases():
+            got = database.nearest(center, k, t, **selection)
+            assert got == reference.nearest(
+                database, center, k, t, **selection)
+            assert answer_digest(got) == answer_digest(nearest)
 
     @rule(offset=offsets, data=st.data(),
           shapes=st.lists(st.tuples(polygons, filters), max_size=3),
-          circles=st.lists(st.tuples(centers, radii, filters), max_size=3))
-    def query_batch(self, offset, data, shapes, circles):
+          circles=st.lists(st.tuples(centers, radii, filters), max_size=3),
+          strips=st.lists(st.tuples(radii, filters), max_size=2))
+    def query_batch(self, offset, data, shapes, circles, strips):
         t = self.now + offset
         queries = [RangeQuery(polygon, t, **selection)
                    for polygon, selection in shapes]
@@ -322,18 +347,27 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
                 PositionQuery(object_id, t) for object_id in data.draw(
                     st.lists(st.sampled_from(self.mobile()), max_size=2))
             ]
+            queries += [
+                ProximityQuery(self._some_mobile(data), radius, t,
+                               **selection)
+                for radius, selection in strips
+            ]
         queries = data.draw(st.permutations(queries))
         if not queries:
             return
-        expected = self.model_engine.run(queries)
-        assert expected == sequential(self.model, queries)
+        expected = sequential(self.model, queries)
+        assert self.model_engine.run(queries) == expected
         ranges = [i for i, query in enumerate(queries)
                   if not isinstance(query, PositionQuery)]
+        # Serial batch, the same queries singly, pooled batch: three
+        # callers of one database's cache, interleaved.
         for engine_slot in (0, 1):
             answers = []
             for subject in self.subjects:
                 got = subject.engines[engine_slot].run(queries)
                 assert got == sequential(subject.database, queries), \
+                    subject.name
+                assert got == one_at_a_time(subject.database, queries), \
                     subject.name
                 for i, query in enumerate(queries):
                     if isinstance(query, PositionQuery):
@@ -342,14 +376,30 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
                 answers.append([got[i] for i in ranges])
             self._compare_ranges(answers, [expected[i] for i in ranges])
 
-    # -- layout invariants ----------------------------------------------
+    # -- layout and cache invariants ------------------------------------
+
+    @invariant()
+    def cache_holds_only_what_can_be_asked(self):
+        for database in self.databases():
+            core = database._core
+            held = 0
+            for t, bucket in core._derived.items():
+                assert t >= database.clock_time - 1e-9
+                held += len(bucket)
+                for object_id, entry in bucket.items():
+                    assert entry[0] is database.record(object_id).attribute
+            assert core.size() == held
+            assert sorted(core._times) == sorted(core._derived)
+            assert set(core._bounds) <= set(database.object_ids())
 
     @invariant()
     def one_owner_and_covered(self):
         mobile = self.mobile()
         for subject in self.subjects:
             index = subject.index
-            assert subject.database.object_ids() == mobile, subject.name
+            # A snapshot loads records in starttime order.
+            assert sorted(subject.database.object_ids()) == sorted(mobile), \
+                subject.name
             assert len(index) == len(mobile), subject.name
             assert sum(index.shard_sizes()) == len(mobile), subject.name
             for object_id in mobile:

@@ -47,7 +47,7 @@ from tests.dbms.test_batch import (
     build_workload,
     every_query_kind,
     memo_free,
-    sequential,
+    one_at_a_time,
 )
 
 META = {"suite": "trace-roundtrip"}
@@ -68,7 +68,7 @@ def record_session(index, batch=False):
         if batch:
             BatchQueryEngine(database).run(queries)
         else:
-            sequential(database, queries)
+            one_at_a_time(database, queries)
         database.nearest(Point(1.5, 1.5), 3, 10.0)
         database.within_distance_of_object(object_ids[0], 1.0, 10.0)
         record_index_digest(database)
@@ -103,7 +103,9 @@ class TestReplayRoundTrip:
         _, events = load(dump(recorder))
         batch_queries = [e for e in events if e.kind == QUERY
                          and e.data.get("engine") == "batch"]
-        assert len(batch_queries) == 30
+        # 30 position/range/within queries and 3 proximity ones.
+        assert len(batch_queries) == 33
+        assert "proximity" in {e.data["kind"] for e in batch_queries}
         assert {e.data["batch"] for e in batch_queries} == {0}
         report = TraceReplayer(mode=mode).replay(events)
         assert report.ok, report.mismatches[:3]
@@ -136,9 +138,9 @@ class TestReplayRoundTrip:
                 TimeSpaceIndex(slab_minutes=5.0)
             )
             queries = build_workload(network, object_ids, count=10)
-            sequential(database, queries)
+            one_at_a_time(database, queries)
             database.rebuild_index(slab_minutes=1.0)
-            sequential(database, queries)
+            one_at_a_time(database, queries)
             record_index_digest(database)
         text = dump(recorder)
         _, events = load(text)

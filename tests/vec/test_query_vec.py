@@ -10,7 +10,7 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.dbms import batch as batch_module
+from repro.dbms import refine as refine_module
 from repro.dbms.batch import BatchQueryEngine
 from repro.dbms.update_log import PositionUpdateMessage
 from repro.index.timespace import TimeSpaceIndex
@@ -25,7 +25,7 @@ def counters(engine):
 @pytest.fixture
 def low_floor(monkeypatch):
     """Force the bulk kernels on even for tiny candidate sets."""
-    monkeypatch.setattr(batch_module, "_MIN_VEC_CANDIDATES", 1)
+    monkeypatch.setattr(refine_module, "_MIN_VEC_CANDIDATES", 1)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

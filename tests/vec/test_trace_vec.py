@@ -11,7 +11,7 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.dbms import batch as batch_module
+from repro.dbms import refine as refine_module
 from repro.dbms.batch import BatchQueryEngine
 from repro.index.timespace import TimeSpaceIndex
 from repro.trace.recorder import (
@@ -45,7 +45,7 @@ def dump_events(recorder):
 
 @pytest.fixture
 def low_floor(monkeypatch):
-    monkeypatch.setattr(batch_module, "_MIN_VEC_CANDIDATES", 1)
+    monkeypatch.setattr(refine_module, "_MIN_VEC_CANDIDATES", 1)
 
 
 def test_vectorized_recording_matches_scalar_stream(low_floor):
