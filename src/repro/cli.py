@@ -174,21 +174,9 @@ def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
     curve = _build_curve(args.curve, args.duration, args.seed, args.trace)
     trip = Trip.synthetic(curve, route_id="cli")
     policy = make_policy(args.policy, args.cost)
-    record_series = args.series_csv is not None
-    if args.jobs > 1 and not record_series:
-        # A single trip cannot fan out, but the cached tick grid takes
-        # the executor's fast path — same numbers, less wall clock.
-        from repro.exec import TickGrid
-        from repro.sim.engine import PolicySimulation
-
-        grid = TickGrid.build(trip, args.dt)
-        result = PolicySimulation(
-            trip, policy, dt=args.dt, grid=grid
-        ).run()
-    else:
-        result = simulate_trip(
-            trip, policy, dt=args.dt, record_series=record_series
-        )
+    result = simulate_trip(
+        trip, policy, dt=args.dt, record_series=args.series_csv is not None
+    )
     m = result.metrics
     print(f"policy            : {m.policy} (C = {m.update_cost})", file=out)
     print(f"trip              : {curve.kind}, {m.duration:.1f} min, "
@@ -992,9 +980,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--dt", type=float, default=1.0 / 60.0)
     simulate.add_argument("--series-csv", default=None,
                           help="write per-tick series to this CSV path")
-    simulate.add_argument("--jobs", type=int, default=1,
-                          help="enable the cached-grid fast path "
-                               "(>1; numbers are identical)")
     simulate.set_defaults(func=_cmd_simulate)
 
     scenario = sub.add_parser("scenario", help="run a fleet scenario")

@@ -1,11 +1,12 @@
-"""Parallel experiment execution: tick-grid caching + sweep executor.
+"""Execution of (trip, policy) runs: tick-grid caching + sweep executor.
 
-The execution subsystem behind ``--jobs``: it decomposes sweep grids
-into independent (policy, update-cost, trip) cells, shares each trip's
-precomputed tick-grid kinematics across all the cells that consume it,
-and fans cells out over worker processes with deterministic,
-order-independent reassembly — parallel results are byte-identical to
-serial ones.
+:func:`repro.exec.executor.simulate_lanes` runs any set of independent
+(trip, policy) lanes.  The subsystem behind ``--jobs`` sits on it: it
+decomposes sweep grids into independent (policy, update-cost, trip)
+cells, shares each trip's precomputed tick-grid kinematics across all
+the cells that consume it, and fans cells out over worker processes
+with deterministic, order-independent reassembly — parallel results are
+byte-identical to serial ones.
 """
 
 from repro.exec.cache import GridTrip, TickGrid, TripTickCache

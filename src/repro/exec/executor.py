@@ -1,14 +1,17 @@
-"""Deterministic (parallel) execution of simulation sweeps.
+"""Deterministic execution of independent (trip, policy) runs.
 
-The §3.4 grid is embarrassingly parallel: every (policy, update-cost,
-trip) cell is an independent simulation run.  :class:`SweepExecutor`
-decomposes a :class:`~repro.experiments.sweep.SweepSpec` into those
-cells and runs them a policy at a time — every update cost of a policy
-in one pass of the vectorized kernel where it applies, cell by cell
-through the scalar engine otherwise — serially, or as (policy,
-trip-block) rectangles fanned out over a ``ProcessPoolExecutor``.  The
-cells are re-assembled in canonical (policy, cost, trip) order before
-aggregating — so the resulting
+The update decision is made onboard, from the object's own deviation
+(§3.1–3.3), so the cells of the §3.4 grid and the vehicles of a fleet
+alike are independent *lanes*.  :func:`simulate_lanes` is the one place
+that decides how lanes run — kernel passes for large uniform groups,
+:meth:`~repro.sim.engine.PolicySimulation.run` for the rest — and since
+lanes never interact, the choice cannot change a result.
+
+:class:`SweepExecutor` decomposes a
+:class:`~repro.experiments.sweep.SweepSpec` into its cells and hands
+them to it — serially, or as (policy, trip-block) rectangles fanned out
+over a ``ProcessPoolExecutor``.  The cells are re-assembled in canonical
+(policy, cost, trip) order before aggregating — so the resulting
 :class:`~repro.experiments.sweep.SweepResult` is float-for-float
 identical no matter the job count or the order in which workers finish.
 
@@ -28,26 +31,32 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from time import perf_counter
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.policy import UpdatePolicy
 from repro.errors import ExperimentError
 from repro.exec.cache import GridTrip, TickGrid, TripTickCache
-from repro.experiments.sweep import (
-    SweepResult,
-    SweepSpec,
-    build_curves,
-)
 from repro.obs.live.windows import get_live
-from repro.obs.registry import get_registry, get_tracer, span
-from repro.sim.engine import PolicySimulation, supports_fast_path
+from repro.obs.registry import (
+    get_registry,
+    get_tracer,
+    span,
+    use_registry,
+    use_tracer,
+)
+from repro.sim.engine import PolicySimulation, TripResult, supports_fast_path
 from repro.sim.metrics import TripMetrics, aggregate_metrics
 from repro.sim.speed_curves import SpeedCurve
 from repro.sim.trip import Trip
 from repro.vec import vectorization_default
 from repro.vec.batch import VecTripBatch
 from repro.vec.engine import simulate_batch
+
+if TYPE_CHECKING:  # pragma: no cover - experiments imports sim.fleet, a caller
+    from repro.experiments.sweep import SweepResult, SweepSpec
 
 
 @dataclass(frozen=True, slots=True)
@@ -115,75 +124,104 @@ def _make_policy(spec: SweepSpec, policy_index: int,
     )
 
 
-def _simulate_cell(spec: SweepSpec, grid: TickGrid,
-                   cell: SweepCell) -> TripMetrics:
-    """Run one cell against its tick grid (pure; process-agnostic)."""
-    policy = _make_policy(spec, cell.policy_index, cell.cost_index)
-    simulation = PolicySimulation(
-        GridTrip(grid), policy, dt=spec.dt, grid=grid
-    )
-    return simulation.run().metrics
-
-
-#: Smallest trip block worth dispatching to the vectorized engine.
+#: Smallest group of lanes worth a pass of the vectorized engine.
 #: Below this the per-tick NumPy call overhead outweighs the scalar
 #: loop (the crossover sits around a few dozen vehicles); above it the
 #: batch amortizes that overhead across the whole fleet row.
 _MIN_VEC_TRIPS = 32
 
 
-def _pack(grids: list[TickGrid], dt: float,
-          vectorize: bool) -> VecTripBatch | None:
-    """The trips as one batch, or ``None`` when they must run scalar.
+def _vector_floor(vectorize: bool | None) -> int | None:
+    """The fewest lanes a kernel pass takes, or ``None``: all lanes scalar.
 
-    Batch layout requirements: at least :data:`_MIN_VEC_TRIPS` trips to
-    amortize the array setup, and grids that share the spec's tick
-    layout.
+    ``None`` defers to ``REPRO_VECTORIZE``.  The vectorized engine emits
+    one span per batch and no per-tick instruments, so it only runs when
+    nobody is observing; results are identical either way.
     """
-    if (not vectorize or len(grids) < _MIN_VEC_TRIPS
-            or not _uniform_grids(grids, dt)):
+    if vectorize is None:
+        vectorize = vectorization_default()
+    if not vectorize or get_registry().enabled or get_tracer().enabled:
         return None
-    return VecTripBatch.from_grids(grids)
+    return _MIN_VEC_TRIPS
 
 
-def _run_family(spec: SweepSpec, policy_index: int, start: int,
-                grids: list[TickGrid],
-                batch: VecTripBatch | None) -> list[TripMetrics]:
-    """One policy's (cost x trip) rectangle over ``grids``.
+def simulate_lanes(lanes: Sequence[tuple[Trip | TickGrid, UpdatePolicy]],
+                   dt: float, *, vectorize: bool | None = None,
+                   collect_events: bool = True,
+                   scalar: Callable[[int], TripResult] | None = None,
+                   ) -> list[TripResult]:
+    """Run every ``(trip, policy)`` lane; results come in lane order.
 
-    ``grids`` are the trips from index ``start`` on and ``batch`` is
-    their packing (or ``None``).  A packed rectangle whose policies all
-    sit in the engine's fast-path family is one pass of the vectorized
-    kernel, every update cost at once; anything else falls back to
-    :func:`_simulate_cell` per cell — same results, scalar speed.
-    Results come in (cost, trip) order either way.
+    A lane names its trip or the trip's prebuilt :class:`TickGrid`.
+    Fast-path lanes are grouped by policy class, tick layout and update
+    cost; groups of one class over the same grids form the cost axis of
+    one kernel pass, which needs :func:`_vector_floor` lanes per cost.
+    Every other lane — small groups, other policies, an observed run —
+    is ``scalar(i)``, by default :meth:`PolicySimulation.run` on its
+    grid.  Each lane runs its whole trip alone, so lanes must not share
+    a stateful policy.  ``collect_events=False`` lets kernel passes skip
+    the event lists.
     """
-    if batch is not None:
-        policies = [_make_policy(spec, policy_index, c)
-                    for c in range(len(spec.update_costs))]
-        if all(supports_fast_path(policy) for policy in policies):
-            return [
-                result.metrics for result in
-                simulate_batch(batch, policies, collect_events=False)
-            ]
+    grids = [trip if isinstance(trip, TickGrid) else TickGrid.build(trip, dt)
+             for trip, _ in lanes]
+    policies = [policy for _, policy in lanes]
+    results: list[TripResult | None] = [None] * len(lanes)
+    floor = _vector_floor(vectorize)
+    rows: dict[tuple, list[int]] = {}
+    for i, (grid, policy) in enumerate(zip(grids, policies)):
+        if floor and grid.dt == dt and supports_fast_path(policy):
+            rows.setdefault((type(policy), grid.num_ticks, grid.duration,
+                             policy.update_cost), []).append(i)
+    # The same grids (by identity) under several costs or classes are
+    # packed once; each class's cost rows are one pass over the batch.
+    passes: dict[tuple[TickGrid, ...], dict[type, list[list[int]]]] = {}
+    for (family, *_), row in rows.items():
+        columns = tuple(grids[i] for i in row)
+        passes.setdefault(columns, {}).setdefault(family, []).append(row)
+    for columns, families in passes.items():
+        if len(columns) < floor:
+            continue
+        batch = VecTripBatch.from_grids(columns)
+        for cost_rows in families.values():
+            flat = simulate_batch(
+                batch, [policies[row[0]] for row in cost_rows],
+                collect_events=collect_events)
+            for c, row in enumerate(cost_rows):
+                for j, i in enumerate(row):
+                    results[i] = flat[c * len(columns) + j]
+    for i, result in enumerate(results):
+        if result is None:
+            results[i] = scalar(i) if scalar is not None else (
+                PolicySimulation(GridTrip(grids[i]), policies[i], dt=dt,
+                                 grid=grids[i]).run())
+    return results  # type: ignore[return-value]
+
+
+def _simulate_cell(spec: SweepSpec, grid: TickGrid,
+                   cell: SweepCell) -> TripMetrics:
+    """Run one cell against its tick grid (pure; process-agnostic)."""
+    policy = _make_policy(spec, cell.policy_index, cell.cost_index)
+    return simulate_lanes([(grid, policy)], spec.dt)[0].metrics
+
+
+def _run_cells(spec: SweepSpec, cells: list[SweepCell],
+               grids: list[TickGrid], first: int,
+               vectorize: bool) -> list[TripMetrics]:
+    """The cells' metrics, in cell order; ``grids`` start at trip ``first``.
+
+    A cell that joins no kernel pass is one :func:`_simulate_cell` call.
+    """
+    policies = {key: _make_policy(spec, *key) for key in dict.fromkeys(
+        (cell.policy_index, cell.cost_index) for cell in cells)}
+    lanes = [(grids[cell.trip_index - first],
+              policies[cell.policy_index, cell.cost_index]) for cell in cells]
     return [
-        _simulate_cell(spec, grids[cell.trip_index - start], cell)
-        for cell in _family_cells(spec, policy_index, start,
-                                  start + len(grids))
+        result.metrics for result in simulate_lanes(
+            lanes, spec.dt, vectorize=vectorize, collect_events=False,
+            scalar=lambda i: TripResult(
+                _simulate_cell(spec, lanes[i][0], cells[i])),
+        )
     ]
-
-
-def _uniform_grids(grids: list[TickGrid], dt: float) -> bool:
-    """Whether every grid shares the spec tick layout (batchable)."""
-    first = grids[0]
-    if first.dt != dt:
-        return False
-    return all(
-        grid.dt == first.dt
-        and grid.num_ticks == first.num_ticks
-        and grid.duration == first.duration
-        for grid in grids
-    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -216,8 +254,8 @@ def _run_rectangle(
     — so when the parent is observing, the rectangle runs under *fresh*
     worker-local instances and ships their contents back as plain data
     for the parent to merge (:meth:`MetricsRegistry.merge_snapshot`,
-    :meth:`Tracer.adopt_spans`).  When nobody observes, the fast path
-    returns no telemetry at all.
+    :meth:`Tracer.adopt_spans`).  When nobody observes, nothing is
+    installed and no telemetry returns.
     """
     state = _WORKER
     if state is None:
@@ -226,22 +264,15 @@ def _run_rectangle(
             "the spec and grids"
         )
     policy_index, first, stop = rectangle
-    grids = state.grids[first:stop]
     observed = get_registry().enabled
     traced = get_tracer().enabled
     start = perf_counter()
-    if not observed and not traced:
-        batch = _pack(grids, state.spec.dt, state.vectorize)
-        results = _run_family(state.spec, policy_index, first, grids, batch)
-        return results, perf_counter() - start, None, None
-    from contextlib import ExitStack
-
-    from repro.obs.registry import use_registry, use_tracer
-
     with ExitStack() as stack:
         registry = stack.enter_context(use_registry()) if observed else None
         tracer = stack.enter_context(use_tracer()) if traced else None
-        results = _run_family(state.spec, policy_index, first, grids, None)
+        results = _run_cells(
+            state.spec, _family_cells(state.spec, policy_index, first, stop),
+            state.grids[first:stop], first, state.vectorize)
         snapshot = registry.snapshot() if registry is not None else None
         span_dicts = tracer.to_dicts() if tracer is not None else None
     return results, perf_counter() - start, snapshot, span_dicts
@@ -292,6 +323,8 @@ class SweepExecutor:
         trip objects across several ``run`` calls get tick-grid cache
         hits across them).
         """
+        from repro.experiments.sweep import SweepResult, build_curves
+
         if trips is None:
             if curves is None:
                 curves = build_curves(spec)
@@ -318,19 +351,8 @@ class SweepExecutor:
                     self.cache.grid_for(trips[cell.trip_index], spec.dt)
                     for cell in cells
                 ][:spec.num_curves]
-                # The vectorized engine emits one span per batch and no
-                # per-tick instruments, so it only runs when nobody is
-                # observing; results are identical either way.
-                batch = _pack(
-                    grids, spec.dt,
-                    self.vectorize and not observed
-                    and not get_tracer().enabled,
-                )
-                cell_metrics = [
-                    metrics
-                    for p in range(len(spec.policy_names))
-                    for metrics in _run_family(spec, p, 0, grids, batch)
-                ]
+                cell_metrics = _run_cells(spec, cells, grids, 0,
+                                          self.vectorize)
             else:
                 # Workers receive prebuilt grids (one cache lookup per
                 # trip here; the sharing happens inside each worker).
@@ -379,10 +401,10 @@ class SweepExecutor:
         num_trips = spec.num_curves
         # A handful of rectangles per worker balances load (some trips
         # fire more updates than others) against dispatch overhead; a
-        # vectorizing worker needs _MIN_VEC_TRIPS trips per block.
+        # vectorizing worker needs a kernel pass's worth of trips per block.
         blocks = max(1, math.ceil(self.jobs * 4 / num_policies))
         block = max(math.ceil(num_trips / blocks),
-                    _MIN_VEC_TRIPS if self.vectorize else 1)
+                    _vector_floor(self.vectorize) or 1)
         rectangles = [
             (p, first, min(first + block, num_trips))
             for p in range(num_policies)
@@ -462,4 +484,5 @@ __all__ = [
     "SweepCell",
     "SweepExecutor",
     "cell_seed",
+    "simulate_lanes",
 ]

@@ -18,6 +18,13 @@ The uncertainty bound is recomputed from
 changes (i.e. on every update) — exactly the information flow of §3.3,
 where the DBMS derives the bound from the policy, ``P.speed``, ``C``,
 ``V`` and the time since the last update.
+
+Every run reads the trip through a :class:`~repro.sim.grid.TickGrid`.
+Many runs at once — a sweep, a fleet — go through
+:func:`repro.exec.executor.simulate_lanes`, which sends large uniform
+groups to the vectorized kernel and the rest through
+:meth:`PolicySimulation.run`; :func:`simulate_trip` is its one-lane
+case, and one lane never reaches the kernel.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import TYPE_CHECKING
 
 from repro.core.bounds import DeviationBounds, bounds_for_policy
 from repro.core.cost import UniformDeviationCost
@@ -39,6 +45,7 @@ from repro.errors import SimulationError
 from repro.obs.metrics import MILE_BUCKETS
 from repro.obs.registry import get_registry, span
 from repro.sim.clock import SimulationClock
+from repro.sim.grid import GridTrip, TickGrid
 from repro.sim.metrics import TripMetrics
 from repro.sim.trip import Trip
 from repro.sim.vehicle import (
@@ -47,9 +54,6 @@ from repro.sim.vehicle import (
     ZERO_DEVIATION_TOLERANCE,
 )
 from repro.units import DEFAULT_TICK_MINUTES
-
-if TYPE_CHECKING:  # pragma: no cover - exec imports engine at runtime
-    from repro.exec.cache import TickGrid
 
 #: Policies the inlined tick-grid fast path replicates exactly.  The
 #: inline loop hardcodes the dl/ail/cil decision algebra (simple
@@ -91,6 +95,55 @@ class TripResult:
     series: TripSeries | None = None
 
 
+def _tick_instruments(registry, policy_name: str):
+    """An observed run's per-tick instruments, hoisted out of its loop."""
+    return (
+        registry.histogram(
+            "sim_tick_deviation_miles",
+            help="Per-tick onboard deviation samples.",
+            buckets=MILE_BUCKETS, policy=policy_name,
+        ),
+        registry.histogram(
+            "sim_tick_bound_miles",
+            help="Per-tick DBMS-side uncertainty bound samples.",
+            buckets=MILE_BUCKETS, policy=policy_name,
+        ),
+        registry.counter(
+            "sim_updates_total",
+            help="Position-update messages decided by the engine.",
+            policy=policy_name,
+        ),
+    )
+
+
+def _record_run(registry, metrics: TripMetrics, num_ticks: int,
+                wall_start: float) -> None:
+    """An observed run's end-of-run instruments."""
+    policy_name = metrics.policy
+    registry.counter(
+        "sim_runs_total", help="Completed simulation runs.",
+        policy=policy_name,
+    ).inc()
+    registry.counter(
+        "sim_ticks_total", help="Engine ticks executed.",
+    ).inc(num_ticks)
+    registry.histogram(
+        "sim_run_seconds",
+        help="Wall-clock time per simulation run.",
+        policy=policy_name,
+    ).observe(perf_counter() - wall_start)
+    registry.gauge(
+        "sim_avg_deviation_miles",
+        help="Time-averaged deviation of the last run.",
+        policy=policy_name,
+    ).set(metrics.avg_deviation)
+    registry.gauge(
+        "sim_total_cost",
+        help="Total cost (eq. 2) of the last run.",
+        policy=policy_name,
+    ).set(metrics.total_cost)
+
+
 class PolicySimulation:
     """A reusable engine binding a trip to a policy.
 
@@ -102,20 +155,23 @@ class PolicySimulation:
     def __init__(self, trip: Trip, policy: UpdatePolicy,
                  dt: float = DEFAULT_TICK_MINUTES,
                  max_speed: float | None = None,
-                 grid: "TickGrid | None" = None) -> None:
+                 grid: TickGrid | None = None) -> None:
         self.trip = trip
         self.policy = policy
         self.clock = SimulationClock(trip.duration, dt)
         self.max_speed = max_speed if max_speed is not None else trip.max_speed
         if self.max_speed < 0:
             raise SimulationError(f"max speed must be nonnegative, got {self.max_speed}")
-        if grid is not None and (grid.dt != self.clock.dt
-                                 or grid.num_ticks != self.clock.num_ticks):
+        if grid is None:
+            grid = TickGrid.build(trip, dt)
+        elif (grid.dt != self.clock.dt
+                or grid.num_ticks != self.clock.num_ticks):
             raise SimulationError(
                 f"tick grid (dt={grid.dt}, ticks={grid.num_ticks}) does not "
                 f"match the clock (dt={self.clock.dt}, "
                 f"ticks={self.clock.num_ticks})"
             )
+        #: The trip's kinematics on the clock: the only thing a run reads.
         self.grid = grid
         #: Memoized DBMS-side bounds by declared speed: updates that
         #: re-declare an already-seen speed reuse the bound object
@@ -125,19 +181,18 @@ class PolicySimulation:
     def run(self, record_series: bool = False) -> TripResult:
         """Execute the whole trip and return its result.
 
-        With a tick grid attached and a supported policy the inlined
-        fast path runs instead of the generic loop; its output is
-        float-for-float identical (asserted by the exec test suite).
-        Series recording always takes the generic loop, which knows how
-        to collect the per-tick traces.
+        A supported policy takes the inlined fast path instead of the
+        generic loop; its output is float-for-float identical (asserted
+        by the exec test suite).  Series recording always takes the
+        generic loop, which knows how to collect the per-tick traces.
         """
-        if (self.grid is not None and not record_series
-                and supports_fast_path(self.policy)):
+        if not record_series and supports_fast_path(self.policy):
             return self._run_fast()
         return self._run_generic(record_series)
 
     def _run_generic(self, record_series: bool = False) -> TripResult:
-        computer = OnboardComputer(self.trip, self.policy)
+        trip = GridTrip(self.grid)
+        computer = OnboardComputer(trip, self.policy)  # type: ignore[arg-type]
         bounds = self._bounds_for(computer.declared_speed)
         dt = self.clock.dt
 
@@ -147,22 +202,8 @@ class PolicySimulation:
         registry = get_registry()
         observed = registry.enabled
         if observed:
-            policy_name = self.policy.name
-            deviation_hist = registry.histogram(
-                "sim_tick_deviation_miles",
-                help="Per-tick onboard deviation samples.",
-                buckets=MILE_BUCKETS, policy=policy_name,
-            )
-            bound_hist = registry.histogram(
-                "sim_tick_bound_miles",
-                help="Per-tick DBMS-side uncertainty bound samples.",
-                buckets=MILE_BUCKETS, policy=policy_name,
-            )
-            update_counter = registry.counter(
-                "sim_updates_total",
-                help="Position-update messages decided by the engine.",
-                policy=policy_name,
-            )
+            deviation_hist, bound_hist, update_counter = _tick_instruments(
+                registry, self.policy.name)
             wall_start = perf_counter()
 
         deviation_integral = 0.0
@@ -199,7 +240,7 @@ class PolicySimulation:
                     deviations.append(deviation)
                     bound_trace.append(bound)
                     db_travel_trace.append(computer.database_travel(t))
-                    actual_travel_trace.append(self.trip.distance_travelled(t))
+                    actual_travel_trace.append(trip.distance_travelled(t))
 
                 decision = self.policy.decide(state)
                 if decision.send:
@@ -225,28 +266,7 @@ class PolicySimulation:
             max_uncertainty=max_uncertainty,
         )
         if observed:
-            registry.counter(
-                "sim_runs_total", help="Completed simulation runs.",
-                policy=policy_name,
-            ).inc()
-            registry.counter(
-                "sim_ticks_total", help="Engine ticks executed.",
-            ).inc(self.clock.num_ticks)
-            registry.histogram(
-                "sim_run_seconds",
-                help="Wall-clock time per simulation run.",
-                policy=policy_name,
-            ).observe(perf_counter() - wall_start)
-            registry.gauge(
-                "sim_avg_deviation_miles",
-                help="Time-averaged deviation of the last run.",
-                policy=policy_name,
-            ).set(metrics.avg_deviation)
-            registry.gauge(
-                "sim_total_cost",
-                help="Total cost (eq. 2) of the last run.",
-                policy=policy_name,
-            ).set(metrics.total_cost)
+            _record_run(registry, metrics, self.clock.num_ticks, wall_start)
         series = (
             TripSeries(
                 times=times,
@@ -299,22 +319,8 @@ class PolicySimulation:
         registry = get_registry()
         observed = registry.enabled
         if observed:
-            policy_name = policy.name
-            deviation_hist = registry.histogram(
-                "sim_tick_deviation_miles",
-                help="Per-tick onboard deviation samples.",
-                buckets=MILE_BUCKETS, policy=policy_name,
-            )
-            bound_hist = registry.histogram(
-                "sim_tick_bound_miles",
-                help="Per-tick DBMS-side uncertainty bound samples.",
-                buckets=MILE_BUCKETS, policy=policy_name,
-            )
-            update_counter = registry.counter(
-                "sim_updates_total",
-                help="Position-update messages decided by the engine.",
-                policy=policy_name,
-            )
+            deviation_hist, bound_hist, update_counter = _tick_instruments(
+                registry, self.policy.name)
             wall_start = perf_counter()
 
         declared_speed = speeds[0]
@@ -445,28 +451,7 @@ class PolicySimulation:
             max_uncertainty=max_uncertainty,
         )
         if observed:
-            registry.counter(
-                "sim_runs_total", help="Completed simulation runs.",
-                policy=policy_name,
-            ).inc()
-            registry.counter(
-                "sim_ticks_total", help="Engine ticks executed.",
-            ).inc(num_ticks)
-            registry.histogram(
-                "sim_run_seconds",
-                help="Wall-clock time per simulation run.",
-                policy=policy_name,
-            ).observe(perf_counter() - wall_start)
-            registry.gauge(
-                "sim_avg_deviation_miles",
-                help="Time-averaged deviation of the last run.",
-                policy=policy_name,
-            ).set(metrics.avg_deviation)
-            registry.gauge(
-                "sim_total_cost",
-                help="Total cost (eq. 2) of the last run.",
-                policy=policy_name,
-            ).set(metrics.total_cost)
+            _record_run(registry, metrics, self.clock.num_ticks, wall_start)
         return TripResult(metrics=metrics, updates=events, series=None)
 
 

@@ -1,11 +1,15 @@
 """Multi-vehicle simulation feeding the moving-objects DBMS.
 
-Each vehicle runs its own onboard computer and update policy; when a
-policy fires, the vehicle transmits a
-:class:`~repro.dbms.update_log.PositionUpdateMessage` with its *actual*
-position and the declared speed, and the database installs it (and
-re-indexes the object's o-plane).  This is the full paper pipeline:
-vehicles → update policies → messages → DBMS → index → queries.
+Each vehicle decides its updates onboard, from its own deviation alone
+(§3.1–3.3), so a fleet is a batch of independent lanes whose messages
+merely have to reach the database in time order.
+:meth:`FleetSimulation.run` asks
+:func:`~repro.exec.executor.simulate_lanes` for every vehicle's update
+events and replays them tick by tick — each a
+:class:`~repro.dbms.update_log.PositionUpdateMessage` with the
+vehicle's *actual* position and the declared speed, which the database
+installs (re-indexing the object's o-plane).  This is the full paper
+pipeline: vehicles → update policies → messages → DBMS → index → queries.
 """
 
 from __future__ import annotations
@@ -17,25 +21,24 @@ from repro.core.policy import UpdatePolicy
 from repro.dbms.database import MovingObjectDatabase
 from repro.dbms.update_log import PositionUpdateMessage
 from repro.errors import SimulationError
+from repro.exec.executor import simulate_lanes
 from repro.obs.registry import get_registry, span
 from repro.sim.clock import SimulationClock
+from repro.sim.metrics import TripMetrics
 from repro.sim.trip import Trip
-from repro.sim.vehicle import OnboardComputer
+from repro.sim.vehicle import UpdateEvent
 from repro.units import DEFAULT_TICK_MINUTES
 
 
 @dataclass
 class FleetVehicle:
-    """One vehicle in the fleet: a trip, a policy, an onboard computer."""
+    """One vehicle in the fleet: a trip, a policy, its message count."""
 
     object_id: str
     trip: Trip
     policy: UpdatePolicy
-    computer: OnboardComputer
-
-    @property
-    def messages_sent(self) -> int:
-        return self.computer.num_updates
+    #: Update messages the database received from this vehicle.
+    messages_sent: int = 0
 
 
 class FleetSimulation:
@@ -52,6 +55,7 @@ class FleetSimulation:
         self.database = database
         self.dt = dt
         self.vehicles: dict[str, FleetVehicle] = {}
+        self._ran = False
 
     def add_vehicle(self, object_id: str, class_name: str, trip: Trip,
                     policy: UpdatePolicy,
@@ -80,31 +84,35 @@ class FleetSimulation:
             max_speed=trip.max_speed,
             attributes=attributes,
         )
-        vehicle = FleetVehicle(
-            object_id=object_id,
-            trip=trip,
-            policy=policy,
-            computer=OnboardComputer(trip, policy),
-        )
+        vehicle = FleetVehicle(object_id=object_id, trip=trip, policy=policy)
         self.vehicles[object_id] = vehicle
         return vehicle
 
     def run(self, duration: float | None = None,
             on_tick: Callable[[float], None] | None = None) -> dict[str, int]:
-        """Simulate the fleet; returns per-vehicle message counts.
+        """Simulate the fleet once; returns per-vehicle message counts.
 
-        ``on_tick(t)`` is invoked after each tick has been fully
-        processed — the hook the query workloads use to issue range
-        queries against a live database.
+        ``duration`` defaults to the longest trip; a shorter one drops
+        the messages past it.  ``on_tick(t)`` is invoked after each tick
+        has been fully processed — the hook the query workloads use to
+        issue range queries against a live database: every message up
+        to ``t`` is installed, none after.
         """
         if not self.vehicles:
             raise SimulationError("fleet has no vehicles")
+        if self._ran:
+            raise SimulationError("fleet has already run")
         if duration is None:
             duration = max(v.trip.duration for v in self.vehicles.values())
         clock = SimulationClock(duration, self.dt)
+        end = clock.time_at(clock.num_ticks)
+        self._ran = True
+        # A trip that ends before the first tick never decides anything.
+        vehicles = [v for v in self.vehicles.values()
+                    if v.trip.duration >= self.dt]
 
         # Observability hooks (no-ops under the default NullRegistry):
-        # per-vehicle message counters, per-policy deviation sums, and
+        # per-vehicle message counters, per-policy deviation, and
         # aggregate bandwidth.
         registry = get_registry()
         observed = registry.enabled
@@ -124,42 +132,25 @@ class FleetSimulation:
                 )
                 for object_id in self.vehicles
             }
-            deviation_sums: dict[str, float] = {}
-            deviation_samples: dict[str, int] = {}
-
-        # Vehicles whose trips have ended go quiet permanently, so the
-        # tick loop keeps an *active* list and drops finished vehicles
-        # once instead of re-checking every vehicle every tick — a long
-        # tail of short trips then costs O(active), not O(fleet).
-        # Insertion order is preserved so per-policy deviation sums
-        # accumulate in the same order as the all-vehicles loop did.
-        active = list(self.vehicles.values())
-        next_finish = min(v.trip.duration for v in active)
 
         with span("fleet_run", vehicles=len(self.vehicles),
                   duration=duration, dt=self.dt):
-            for _, t in clock.ticks():
-                if t > next_finish + 1e-9:
-                    active = [v for v in active
-                              if t <= v.trip.duration + 1e-9]
-                    next_finish = min(
-                        (v.trip.duration for v in active),
-                        default=float("inf"),
-                    )
-                for vehicle in active:
-                    state = vehicle.computer.observe(t)
-                    if observed:
-                        name = vehicle.policy.name
-                        deviation_sums[name] = (
-                            deviation_sums.get(name, 0.0) + state.deviation
-                        )
-                        deviation_samples[name] = (
-                            deviation_samples.get(name, 0) + 1
-                        )
-                    decision = vehicle.policy.decide(state)
-                    if not decision.send:
-                        continue
-                    vehicle.computer.apply_update(t, decision, state.deviation)
+            lanes = [(v.trip, v.policy) for v in vehicles]
+            results = simulate_lanes(lanes, self.dt)
+            # Each tick's events, in vehicle insertion order (the order
+            # the lanes are visited in).  Tick ``i`` is the float
+            # ``i * dt`` on every lane's grid and on the clock.
+            due: dict[float, list[tuple[FleetVehicle, UpdateEvent]]] = {}
+            for vehicle, result in zip(vehicles, results):
+                for event in result.updates:
+                    if event.time > end:
+                        break
+                    due.setdefault(event.time, []).append((vehicle, event))
+            # Without a hook only the ticks that carry a message matter.
+            ticks = (sorted(due) if on_tick is None
+                     else (t for _, t in clock.ticks()))
+            for t in ticks:
+                for vehicle, event in due.get(t, ()):
                     position = vehicle.trip.position(t)
                     self.database.process_update(
                         PositionUpdateMessage(
@@ -167,9 +158,10 @@ class FleetSimulation:
                             time=t,
                             x=position.x,
                             y=position.y,
-                            speed=decision.speed_to_declare,
+                            speed=event.declared_speed,
                         )
                     )
+                    vehicle.messages_sent += 1
                     if observed:
                         message_counter.inc()
                         vehicle_counters[vehicle.object_id].inc()
@@ -181,12 +173,18 @@ class FleetSimulation:
             for object_id, vehicle in self.vehicles.items()
         }
         if observed:
-            for name, total in deviation_sums.items():
+            by_policy: dict[str, list[TripMetrics]] = {}
+            for vehicle, result in zip(vehicles, results):
+                by_policy.setdefault(vehicle.policy.name, []).append(
+                    result.metrics)
+            for name, runs in by_policy.items():
                 registry.gauge(
                     "fleet_avg_deviation_miles",
-                    help="Mean per-tick deviation of the run, by policy.",
+                    help="Time-averaged deviation over the policy's "
+                         "vehicles, each over its whole trip.",
                     policy=name,
-                ).set(total / deviation_samples[name])
+                ).set(sum(m.deviation_integral for m in runs)
+                      / sum(m.duration for m in runs))
             registry.gauge(
                 "fleet_messages_per_minute",
                 help="Aggregate update bandwidth of the run.",

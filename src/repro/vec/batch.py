@@ -1,7 +1,7 @@
 """Structure-of-arrays packing of tick grids for a sweep's trips.
 
 A :class:`VecTripBatch` stacks the per-trip float64 arrays of
-:class:`repro.exec.cache.TickGrid` — cumulative travel and sampled
+:class:`repro.sim.grid.TickGrid` — cumulative travel and sampled
 speeds at every tick — into tick-major ``(n_ticks + 1, n_vehicles)``
 arrays, one column per trip, so the vectorized engine
 (:mod:`repro.vec.engine`) can advance every vehicle in lock step.  The
@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.errors import SimulationError
-from repro.exec.cache import TickGrid
+from repro.sim.grid import TickGrid
 
 __all__ = [
     "VecTripBatch",

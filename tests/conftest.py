@@ -5,12 +5,27 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import settings
 
 from repro.geometry.point import Point
 from repro.geometry.polyline import Polyline
 from repro.routes.route import Route
 from repro.sim.speed_curves import PiecewiseConstantCurve
 from repro.sim.trip import Trip
+
+# Tier-1 must give the same verdict on the same tree: ``tier1`` draws
+# every property test's examples from a seed derived from the test
+# itself.  ``explore`` (``--hypothesis-profile=explore``, CI's
+# non-blocking job) draws fresh ones, ten times as many; a
+# counterexample it finds gets pinned as an explicit test.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.register_profile("explore", max_examples=1000, deadline=None)
+settings.load_profile("tier1")
+
+
+def examples(count: int) -> int:
+    """``count`` examples under ``tier1``, ten times as many to explore."""
+    return count * settings.default.max_examples // 100
 
 
 @pytest.fixture

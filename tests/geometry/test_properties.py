@@ -2,6 +2,7 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from repro.geometry.bbox import Box3D, Rect2D
 from repro.geometry.point import Point
 from repro.geometry.polyline import Polyline
 from repro.geometry.segment import Segment
+from tests.conftest import examples
 
 coords = st.floats(min_value=-100.0, max_value=100.0,
                    allow_nan=False, allow_infinity=False)
@@ -70,9 +72,19 @@ class TestSegmentProperties:
         s1, s2 = Segment(a, b), Segment(c, d)
         assert s1.intersects(s2) == s2.intersects(s1)
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "known asymmetry (ROADMAP item 5): overlaps_collinear tests the "
+        "separation against the first segment's unnormalised direction, so "
+        "a short first segment passes for collinear where a long one does not"
+    ))
+    def test_intersection_symmetry_counterexample_found_by_hypothesis(self):
+        long = Segment(Point(0.0, 0.0), Point(0.0, 1.0))
+        short = Segment(Point(1e-5, 0.0), Point(1e-5, 1e-5))
+        assert long.intersects(short) == short.intersects(long)
+
 
 class TestPolylineProperties:
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     @given(polylines(), st.floats(min_value=0.0, max_value=1.0))
     def test_point_at_roundtrip(self, line, frac):
         """point_at(s) projects back to arc length ~ s."""
@@ -84,7 +96,7 @@ class TestPolylineProperties:
         # but the projected point must coincide spatially.
         assert line.point_at(arc).distance_to(p) < 1e-6
 
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     @given(polylines(), st.floats(min_value=0.0, max_value=1.0),
            st.floats(min_value=0.0, max_value=1.0))
     def test_subline_length(self, line, f1, f2):
@@ -95,7 +107,7 @@ class TestPolylineProperties:
         sub = line.subline(a, b)
         assert math.isclose(sub.length, b - a, rel_tol=1e-6, abs_tol=1e-6)
 
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     @given(polylines())
     def test_reversed_preserves_length(self, line):
         assert math.isclose(line.reversed().length, line.length,

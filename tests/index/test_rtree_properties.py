@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from repro.geometry.bbox import Box3D
 from repro.index.rtree import RTree
+from tests.conftest import examples
 
 coords = st.floats(min_value=0.0, max_value=100.0,
                    allow_nan=False, allow_infinity=False)
@@ -18,7 +19,7 @@ def boxes(draw):
                  t + draw(extents))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(st.lists(boxes(), min_size=1, max_size=60), boxes())
 def test_search_matches_bruteforce(items, window):
     """For any insertion sequence, search equals brute force."""
@@ -30,7 +31,7 @@ def test_search_matches_bruteforce(items, window):
     assert set(tree.search(window)) == expected
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(st.lists(boxes(), min_size=1, max_size=40),
        st.lists(st.integers(min_value=0, max_value=39), max_size=20))
 def test_delete_sequence_consistent(items, delete_order):
@@ -48,7 +49,7 @@ def test_delete_sequence_consistent(items, delete_order):
     assert set(tree.search(everything)) == set(alive)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(st.lists(boxes(), min_size=2, max_size=50))
 def test_invariants_after_bulk_insert(items):
     tree = RTree(max_entries=4, min_entries=2)
@@ -118,7 +119,7 @@ def content(items):
     )
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 @given(operations, st.sampled_from([(4, 2), (8, 3)]))
 def test_covers_stay_tight_and_the_early_exit_changes_nothing(ops, fanout):
     """After every operation: invariants hold (covers bit-exact), the

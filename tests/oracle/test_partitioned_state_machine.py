@@ -56,6 +56,7 @@ from repro.index.timespace import TimeSpaceIndex
 from repro.routes.route import Route
 from repro.shard import PartitionedIndex, uniform_grid_for
 from repro.trace.events import answer_digest
+from tests.conftest import examples
 from tests.dbms.test_batch import one_at_a_time
 from tests.oracle import query_reference as reference
 from tests.oracle.query_reference import sequential
@@ -416,6 +417,6 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
 
 TestPartitionedDatabase = PartitionedDatabaseMachine.TestCase
 TestPartitionedDatabase.settings = settings(
-    max_examples=25, stateful_step_count=25, deadline=None,
+    max_examples=examples(25), stateful_step_count=25, deadline=None,
     suppress_health_check=list(HealthCheck),
 )

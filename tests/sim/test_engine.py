@@ -1,5 +1,7 @@
 """Unit tests for repro.sim.engine."""
 
+import random
+
 import pytest
 
 from repro.core.policies import (
@@ -7,9 +9,16 @@ from repro.core.policies import (
     DelayedLinearPolicy,
     make_policy,
 )
+from repro.sim.clock import SimulationClock
 from repro.sim.engine import PolicySimulation, simulate_trip
-from repro.sim.speed_curves import ConstantCurve, PiecewiseConstantCurve
+from repro.sim.speed_curves import (
+    CityCurve,
+    ConstantCurve,
+    HighwayCurve,
+    PiecewiseConstantCurve,
+)
 from repro.sim.trip import Trip
+from repro.sim.vehicle import OnboardComputer
 
 C = 5.0
 
@@ -137,3 +146,39 @@ class TestEngineConfiguration:
         assert coarse.metrics.total_cost == pytest.approx(
             fine.metrics.total_cost, rel=0.2
         )
+
+
+class TestOneRunTwoLoops:
+    """``simulate_trip`` picks the inlined loop for dl/ail/cil, so "equals
+    ``simulate_trip``" no longer says "equals the generic loop": these
+    hold the two loops, and the tick grid under both, to each other."""
+
+    DT = 1.0 / 30.0
+
+    @pytest.mark.parametrize("policy_name", ["dl", "ail", "cil"])
+    @pytest.mark.parametrize("curve_class", [CityCurve, HighwayCurve])
+    @pytest.mark.parametrize("cost", [0.0, 0.5, 5.0])
+    def test_generic_loop_equals_fast_path(self, policy_name, curve_class,
+                                           cost):
+        trip = Trip.synthetic(curve_class(15.0, random.Random(21)))
+        sim = PolicySimulation(trip, make_policy(policy_name, cost),
+                               dt=self.DT)
+        fast, generic = sim._run_fast(), sim._run_generic()
+        assert generic.metrics == fast.metrics
+        assert generic.updates == fast.updates
+        assert sim.run() == fast
+
+    @pytest.mark.parametrize("policy_name, kwargs", [
+        ("dl", {}), ("ail", {}), ("fixed-threshold", {"bound": 0.3}),
+        ("adaptive", {}),
+    ])
+    def test_grid_backed_run_equals_stepping_the_trip(self, policy_name,
+                                                      kwargs):
+        trip = Trip.synthetic(CityCurve(12.5, random.Random(8)))
+        computer = OnboardComputer(trip, make_policy(policy_name, 0.5,
+                                                     **kwargs))
+        for _, t in SimulationClock(trip.duration, self.DT).ticks():
+            computer.step(t)
+        result = simulate_trip(trip, make_policy(policy_name, 0.5, **kwargs),
+                               dt=self.DT)
+        assert result.updates == computer.events and computer.events

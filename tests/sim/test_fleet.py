@@ -97,26 +97,62 @@ class TestRun:
         assert all(t <= short.duration + 1e-9 for t in last_short)
 
     def test_finished_vehicles_dropped_from_tick_loop(self):
-        """Once a trip ends its vehicle leaves the active loop: its
-        onboard computer is never observed again."""
+        """No message of a vehicle is later than its trip's end, whatever
+        the other vehicles and the run length are."""
         database, fleet = build_fleet()
-        short = Trip(straight_route(5.0, "h1"), ConstantCurve(1.0, 1.0))
-        long = Trip(straight_route(15.0, "h2"), ConstantCurve(4.0, 1.0))
-        v_short = fleet.add_vehicle(
-            "short", "vehicle", short, make_policy("ail", C)
-        )
-        fleet.add_vehicle("long", "vehicle", long, make_policy("ail", C))
-        observed_times = []
-        original_observe = v_short.computer.observe
+        durations = {"a": 1.0, "b": 2.5, "c": 0.95, "d": 4.0}
+        for i, (object_id, minutes) in enumerate(durations.items()):
+            trip = Trip(straight_route(10.0, f"h{i}"),
+                        PiecewiseConstantCurve([(minutes / 2, 1.2),
+                                                (minutes / 2, 0.2)]))
+            fleet.add_vehicle(object_id, "vehicle", trip,
+                              make_policy(("cil", "dl")[i % 2], 0.05))
+        counts = fleet.run(duration=6.0)
+        for object_id, minutes in durations.items():
+            times = [m.time for m in database.update_log.messages_for(object_id)]
+            assert len(times) == counts[object_id] > 0
+            assert all(t <= minutes + 1e-9 for t in times)
 
-        def counting_observe(t):
-            observed_times.append(t)
-            return original_observe(t)
+    def test_second_run_rejected(self):
+        database, fleet = build_fleet()
+        trip = Trip(straight_route(5.0, "h1"), ConstantCurve(2.0, 1.0))
+        fleet.add_vehicle("v1", "vehicle", trip, make_policy("ail", C))
+        assert fleet.run() == {"v1": 0}  # silent vehicle: nothing to collide
+        with pytest.raises(SimulationError, match="fleet has already run"):
+            fleet.run()
+        assert len(database.update_log) == 0
 
-        v_short.computer.observe = counting_observe
+    def test_run_shorter_than_trips_truncates(self):
+        def build():
+            database, fleet = build_fleet()
+            curve = PiecewiseConstantCurve([(1.0, 1.0), (1.0, 0.0)] * 3)
+            trip = Trip(straight_route(10.0, "h1"), curve)
+            vehicle = fleet.add_vehicle("v1", "vehicle", trip,
+                                        make_policy("cil", 0.5))
+            return database, fleet, vehicle
+
+        database, fleet, _ = build()
         fleet.run()
-        assert observed_times, "short vehicle was never simulated"
-        assert all(t <= short.duration + 1e-9 for t in observed_times)
+        full = [repr(m) for m in database.update_log.messages_for("v1")]
+        database, fleet, vehicle = build()
+        seen = []
+        counts = fleet.run(duration=2.5, on_tick=seen.append)
+        cut = [repr(m) for m in database.update_log.messages_for("v1")]
+        kept = [m for m in full if m in cut]
+        assert 0 < len(cut) < len(full) and cut == kept == full[:len(cut)]
+        assert counts == {"v1": len(cut)} and vehicle.messages_sent == len(cut)
+        assert all(m.time <= 2.5 for m in database.update_log.messages_for("v1"))
+        assert len(seen) == 75 and seen[-1] == 75 * fleet.dt
+
+    def test_trip_shorter_than_a_tick_stays_silent(self):
+        database, fleet = build_fleet()
+        blink = Trip(straight_route(5.0, "h1"), ConstantCurve(0.01, 1.0))
+        curve = PiecewiseConstantCurve([(1.0, 1.0), (1.0, 0.0)])
+        fleet.add_vehicle("blink", "vehicle", blink, make_policy("ail", C))
+        fleet.add_vehicle("v1", "vehicle", Trip(straight_route(5.0, "h2"), curve),
+                          make_policy("cil", 0.5))
+        counts = fleet.run()
+        assert counts["blink"] == 0 and counts["v1"] > 0
 
     def test_mixed_durations_same_counts_as_uniform_loop(self):
         """Dropping finished vehicles must not change message counts."""
