@@ -21,6 +21,11 @@ and asserts (not eyeballs) the claims ``repro.vec`` makes:
    exists for CI smoke where the fleet is too small for the kernels
    to amortise).
 
+A fourth leg claims nothing and gates nothing: kernel against scalar
+fast path, per lane, on small groups — the measurement behind the
+dispatcher's ``_MIN_VEC_TRIPS`` (``repro/exec/executor.py``).  It prints
+the smallest group from which the kernel stays ahead.
+
 Results are written as JSON for artifact upload::
 
     python benchmarks/bench_vec_kernels.py                 # 100k fleet
@@ -55,13 +60,20 @@ SWEEP_VEHICLES = 160
 DURATION = 10.0
 DT = 0.1
 
+#: The lanes leg: trips per cost, cost-axis widths, and (minutes, dt)
+#: grids — an hour at the sweep's tick and a fleet's ten minutes.
+LANE_COUNTS = (1, 2, 4, 8, 16, 32, 64)
+LANE_COSTS = (1, len(SWEEP_COSTS))
+LANE_GRIDS = ((60.0, 1.0 / 60.0), (DURATION, DT))
+
 FULL_VEHICLES = 100_000
 FAST_VEHICLES = 256
 NUM_UNIQUE = 64
 FAST_UNIQUE = 16
 
 
-def build_fleet(num_vehicles: int, num_unique: int) -> list[TickGrid]:
+def build_fleet(num_vehicles: int, num_unique: int,
+                duration: float = DURATION, dt: float = DT) -> list[TickGrid]:
     """``num_vehicles`` tick grids cycled from ``num_unique`` trips.
 
     Real sweeps reuse grids across cells, so the fleet repeats a pool
@@ -70,9 +82,9 @@ def build_fleet(num_vehicles: int, num_unique: int) -> list[TickGrid]:
     """
     base = [
         TickGrid.build(
-            Trip.synthetic(CityCurve(DURATION, random.Random(i)),
+            Trip.synthetic(CityCurve(duration, random.Random(i)),
                            route_id=f"vec-bench-{i}"),
-            DT,
+            dt,
         )
         for i in range(num_unique)
     ]
@@ -151,6 +163,54 @@ def timed(fn, repeat: int = 1):
     return result, best
 
 
+def lanes_leg(fast: bool) -> list[dict]:
+    """Per-lane milliseconds, kernel vs ``_run_fast``, on small groups.
+
+    One row per (grid, cost count): ``kernel_ms`` / ``scalar_ms`` by
+    group size, best of five, events collected (what a fleet asks
+    for), packing charged to the kernel, and ``crossover`` — the
+    smallest size from which the kernel is never slower again.
+    """
+    rows = []
+    for duration, dt in LANE_GRIDS[1:] if fast else LANE_GRIDS:
+        grids = build_fleet(max(LANE_COUNTS), max(LANE_COUNTS), duration, dt)
+        for grid in grids:
+            grid.scalars()  # boxed once per grid, not once per run
+        for num_costs in LANE_COSTS:
+            policies = [make_policy("dl", cost)
+                        for cost in SWEEP_COSTS[:num_costs]]
+            kernel_ms, scalar_ms, crossover = {}, {}, None
+            for n in LANE_COUNTS:
+                group = grids[:n]
+                vec, vec_seconds = timed(
+                    lambda: simulate_batch(VecTripBatch.from_grids(group),
+                                           policies), repeat=5)
+                scalar, scalar_seconds = timed(
+                    lambda: [PolicySimulation(GridTrip(grid), policy, dt=dt,
+                                              grid=grid).run()
+                             for policy in policies for grid in group],
+                    repeat=5)
+                if vec != scalar:
+                    raise AssertionError(
+                        f"kernel and scalar results differ at n={n}")
+                lanes = n * num_costs
+                kernel_ms[n] = 1e3 * vec_seconds / lanes
+                scalar_ms[n] = 1e3 * scalar_seconds / lanes
+                if kernel_ms[n] > scalar_ms[n]:
+                    crossover = None
+                elif crossover is None:
+                    crossover = n
+            rows.append({
+                "duration_minutes": duration,
+                "dt_minutes": dt,
+                "num_costs": num_costs,
+                "kernel_ms_per_lane": kernel_ms,
+                "scalar_ms_per_lane": scalar_ms,
+                "crossover": crossover,
+            })
+    return rows
+
+
 def run_benchmark(fast: bool = False) -> dict:
     num_vehicles = FAST_VEHICLES if fast else FULL_VEHICLES
     num_unique = FAST_UNIQUE if fast else NUM_UNIQUE
@@ -192,6 +252,7 @@ def run_benchmark(fast: bool = False) -> dict:
             "speedup": per_cost_seconds / fused_seconds,
             "byte_identical": fused == per_cost,
         },
+        "lanes": lanes_leg(fast),
     }
 
 
@@ -224,6 +285,14 @@ def main(argv: list[str] | None = None) -> int:
           f"{axis['num_vehicles']} vehicles, fused {axis['fused_seconds']:.3f}"
           f" s vs per-cost {axis['per_cost_seconds']:.3f} s "
           f"({axis['speedup']:.2f}x)")
+    for row in report["lanes"]:
+        print(f"lanes            : {row['duration_minutes']:g} min at dt "
+              f"{row['dt_minutes']:.4f}, {row['num_costs']} cost(s), "
+              "kernel/scalar ms per lane: " + "  ".join(
+                  f"n={n} {row['kernel_ms_per_lane'][n]:.3f}/"
+                  f"{row['scalar_ms_per_lane'][n]:.3f}"
+                  for n in LANE_COUNTS)
+              + f"  -> crossover {row['crossover']}")
     print(f"report written to: {args.output}")
 
     # Claim 1 — equivalence — is asserted in every mode.

@@ -124,10 +124,14 @@ def _make_policy(spec: SweepSpec, policy_index: int,
     )
 
 
-#: Smallest group of lanes worth a pass of the vectorized engine.
-#: Below this the per-tick NumPy call overhead outweighs the scalar
-#: loop (the crossover sits around a few dozen vehicles); above it the
-#: batch amortizes that overhead across the whole fleet row.
+#: Smallest group of lanes (per update cost) worth a pass of the
+#: vectorized engine: below it a pass's fixed cost — block set-up, one
+#: window, the result rows — outweighs the scalar loops it replaces.
+#: Measured by the lanes leg of ``benchmarks/bench_vec_kernels.py``
+#: (kernel never slower from n lanes on): 16-32 for one cost over a
+#: fleet's 100 ticks, the case this floor is set by; 4 with six costs;
+#: 4-8 and 1 over the sweep's 3600 ticks.  The per-tick kernel this was
+#: first set against read above 64 in both one-cost cases.
 _MIN_VEC_TRIPS = 32
 
 

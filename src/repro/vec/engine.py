@@ -2,41 +2,57 @@
 
 :func:`simulate_batch` advances every vehicle of a
 :class:`~repro.vec.batch.VecTripBatch` through the dl/ail/cil decision
-algebra in lock step, under every update cost of a sweep at once: a
-Python loop over ticks, NumPy arrays of shape ``(k, n)`` — ``k`` update
-costs by ``n`` vehicles — across lanes.  A single policy is the
-``k = 1`` call of the same loop.  Each per-lane arithmetic step —
-deviation, §3.3 bound, Proposition-1 threshold, update resets — uses
-the same float64 expressions in the same evaluation order as
+algebra under every update cost of a sweep at once, a *window* of ticks
+per pass: NumPy tiles of shape ``(w, k, n)`` — ``w`` ticks by ``k``
+update costs by ``n`` vehicles.  A single policy is the ``k = 1`` call
+of the same loop.  Each per-lane arithmetic step — deviation, §3.3
+bound, Proposition-1 threshold, update resets — uses the same float64
+expressions in the same evaluation order as
 :meth:`repro.sim.engine.PolicySimulation._run_fast`, and each lane's
 accumulators receive the same additions in the same tick order, so
 every :class:`~repro.sim.metrics.TripMetrics` field and every
 :class:`~repro.sim.vehicle.UpdateEvent` is byte-identical to the
 scalar fast path (``tests/vec/`` asserts exact equality).
 
-The cost axis is broadcast, never materialised: the tick's kinematics
-row ``travel[i]`` has shape ``(n,)`` and the update costs form a
-``(k, 1)`` column, so NumPy pairs lane ``(c, j)`` with trip ``j``'s
-travel and cost ``c`` — the two operands the scalar run of that cell
-reads.  Lanes never interact (every operation is elementwise), which
-is why fusing costs, like blocking vehicles, cannot change a value; it
-only divides the per-tick call overhead by ``k``.
+Between two updates nothing about a lane changes — ``P.speed``, the
+time and travel of the last update, the bound constants — so a window
+is evaluated in one pass *as if no lane fired* (:func:`_speculate`).
+Where that fails, the lane's first firing row is final and so is
+everything before it; the update is applied there and only the fired
+lanes, only from the row after their fire, are speculated again, until
+no replayed lane fires.  A row is committed — added to the integrals,
+folded into the maxima — only once no earlier row of its lane can
+still fire.  The threshold itself (a divide, a square root) is only
+computed where Equation 3, ``deviation * t >= 2C``, says a fire is
+possible (:func:`_screen_level`); the exact expressions decide every
+candidate.
+
+The cost axis is broadcast, never materialised: a window's kinematics
+rows ``travel[i0:i1]`` have shape ``(w, 1, n)`` and its tick times
+``(w, 1, 1)``, so NumPy pairs lane ``(c, j)`` with trip ``j``'s travel
+and cost ``c`` — the operands the scalar run of that cell reads.
+Lanes never interact (every operation is elementwise), which is why
+fusing costs, blocking vehicles or tiling ticks cannot change a value;
+they only divide the per-call overhead.
 
 Vehicles are processed in column blocks of :data:`BLOCK_VEHICLES` lanes
-so the per-tick temporaries stay cache-resident at fleet scale.  Update
-firings are rare relative to ticks, so the per-tick work is a fixed
-set of elementwise operations plus an indexed scatter for the lanes
-whose threshold fired.
+and ticks in windows of :data:`TILE_ELEMENTS` elements, so the tile
+temporaries stay cache-resident at any scale.  Update firings are rare
+relative to ticks — a sweep lane fires some five times in 3600 — so a
+pass is a fixed set of elementwise operations over the tile plus a
+replay over the few lanes whose threshold fired.
 
 Telemetry: the whole batch runs under one ``simulate_trip_batch``
-span; per-tick registry instruments are not replicated here, which is
-why the executor only dispatches to this path when neither the
-metrics registry nor the tracer is enabled.
+span, which records how the run went (windows, their length, replay
+rounds and lanes, screen candidates); per-tick registry instruments
+are not replicated here, which is why the executor only dispatches to
+this path when neither the metrics registry nor the tracer is enabled.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,15 +70,51 @@ from repro.vec.batch import VecTripBatch
 
 __all__ = [
     "BLOCK_VEHICLES",
+    "TILE_ELEMENTS",
     "simulate_batch",
 ]
 
-#: Lanes (update costs x vehicles) advanced together per tick-loop
-#: pass.  Large enough to amortize NumPy call overhead, small enough
-#: that the ~20 live per-lane temporaries fit in cache instead of
-#: streaming through RAM (a block-size scan put the knee at 8k on the
-#: reference box).
+#: Most lanes (update costs x vehicles) advanced together.  Large
+#: enough to amortize NumPy call overhead, small enough that the ~7
+#: live per-lane temporaries fit in cache instead of streaming through
+#: RAM (a block-size scan put the knee at 8k on the reference box).
 BLOCK_VEHICLES = 8192
+
+#: Elements (lanes x ticks) of one window's tile: a block narrower than
+#: this advances as many ticks per pass as fit, so the sweep's 960
+#: lanes take 17 ticks at a time and a full fleet block two.  The same
+#: trade as :data:`BLOCK_VEHICLES`, along the tick axis (scan in
+#: DESIGN.md §4).
+TILE_ELEMENTS = 16384
+
+
+class _Lanes(NamedTuple):
+    """Per-lane state: the scalars of ``_run_fast`` widened to arrays.
+
+    ``(k, n)`` for a block, ``(F,)`` for the lanes of a replay.  The
+    last three are ``None`` outside dl, where nothing reads them.
+    """
+
+    declared: np.ndarray
+    last_time: np.ndarray
+    last_travel: np.ndarray
+    gap: np.ndarray
+    cost: np.ndarray
+    two_cost: np.ndarray
+    screen: np.ndarray
+    last_zero: np.ndarray | None
+    slow_plateau: np.ndarray | None
+    fast_plateau: np.ndarray | None
+
+    def flat(self) -> "_Lanes":
+        """The same arrays by flat lane index (views, not copies)."""
+        return _Lanes(*(None if field is None else field.reshape(-1)
+                        for field in self))
+
+    def take(self, lanes: np.ndarray) -> "_Lanes":
+        """The state of flat lanes ``lanes``, compressed (copies)."""
+        return _Lanes(*(None if field is None else field[lanes]
+                        for field in self))
 
 
 def simulate_batch(batch: VecTripBatch,
@@ -97,225 +149,379 @@ def simulate_batch(batch: VecTripBatch,
     # Blocks hold BLOCK_VEHICLES lanes whatever the cost count.
     block = max(1, BLOCK_VEHICLES // len(policies))
     per_policy: list[list[TripResult]] = [[] for _ in policies]
+    tally = dict.fromkeys(("windows", "window_ticks", "replay_rounds",
+                           "replayed_lanes", "screen_candidates"), 0)
     # One errstate frame for the whole run: the masked divisions
-    # (2C/elapsed at elapsed == 0, distance/elapsed on fire) are
-    # replaced via np.where, so their warnings are pure noise.
+    # (2C/elapsed and distance/elapsed on the rows a replay discards,
+    # 0/0 slopes of zero-deviation candidates) never reach a result,
+    # so their warnings are pure noise.
     with span("simulate_trip_batch", policy=policies[0].name,
               costs=len(policies), vehicles=batch.size,
-              duration=batch.duration, dt=batch.dt), \
+              duration=batch.duration, dt=batch.dt) as record, \
             np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, batch.size, block):
             stop = min(start + block, batch.size)
             for results, row in zip(per_policy, _simulate_block(
-                    batch, policies, start, stop, collect_events)):
+                    batch, policies, start, stop, collect_events, tally)):
                 results.extend(row)
+        if record is not None:
+            record.set(**tally)
     return [result for results in per_policy for result in results]
 
 
+def _screen_level(cost: np.ndarray, num_ticks: int,
+                  horizon: float) -> np.ndarray:
+    """What ``deviation * (elapsed + delay)`` must reach for a fire.
+
+    Squaring Proposition 1 gives Equation 3: a lane fires only if
+    ``deviation * (elapsed + delay) >= 2C`` (``delay`` is 0 under
+    ail/cil).  The exact test applies a relative slack of
+    ``THRESHOLD_TOLERANCE`` and rounds a handful of operations; the
+    margin of ``1e-6`` covers both (DESIGN.md §4 has the derivation)
+    wherever ``2 * slope * C`` stays a normal float — deviations exceed
+    ``ZERO_DEVIATION_TOLERANCE``, so costs of at least ``1e-100`` and
+    tick times up to ``horizon <= 1e100`` suffice — and the dl
+    cancellation error, which grows with ``elapsed / (elapsed - delay)
+    <= num_ticks``, stays far below it.  Elsewhere the level is 0 and
+    every lane with a deviation is a candidate, as it is for ``C = 0``
+    by arithmetic.
+    """
+    sound = (cost >= 1e-100) & (num_ticks <= 10 ** 8) & (horizon <= 1e100)
+    return np.where(sound, 2.0 * cost * (1.0 - 1e-6), 0.0)
+
+
+def _threshold(deviation: np.ndarray, elapsed: np.ndarray,
+               delay: np.ndarray | None, cost: np.ndarray) -> np.ndarray:
+    """Inlined SimpleFitting.fit + Proposition 1 (as ``_run_fast``).
+
+    Only evaluated where the deviation is positive, so ``elapsed -
+    delay >= dt > 0`` (a zero tick can only be an earlier, smaller
+    elapsed) and the scalar engine's 1e-9 floor is unreachable; a
+    zero-deviation dl candidate has slope 0/0 = NaN and never fires.
+    """
+    if delay is None:
+        return np.sqrt(2.0 * (deviation / elapsed) * cost)
+    slope = deviation / (elapsed - delay)
+    ab = slope * delay
+    return np.sqrt(ab * ab + 2.0 * slope * cost) - ab
+
+
+def _scan(ufunc: np.ufunc, rows: np.ndarray) -> None:
+    """``rows[r] = ufunc(rows[r - 1], rows[r])`` down the rows, in place.
+
+    That is ``ufunc.accumulate(rows, axis=0)`` by definition, each row
+    from the one before — never a pairwise tree — so a scan of addends
+    leaves every partial sum the tick loop would have held.  NumPy runs
+    it one strided lane at a time, which wins on a tall tile; on a wide
+    one a Python call per row does.
+    """
+    if len(rows) > rows[0].size:
+        ufunc.accumulate(rows, axis=0, out=rows)
+    else:
+        for r in range(1, len(rows)):
+            ufunc(rows[r - 1], rows[r], out=rows[r])
+
+
+def _speculate(t: np.ndarray, actual: np.ndarray, lanes: _Lanes,
+               valid: np.ndarray | None, scratch: list[np.ndarray],
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int,
+                          tuple[np.ndarray, ...] | None]:
+    """Advance ``lanes`` over the rows of ``t`` as if none of them fired.
+
+    ``t`` and ``actual`` (tick times and travel) broadcast against the
+    lane state along a leading row axis.  Returns the tile's deviation,
+    bound and (dl) last-zero-elapsed rows, the number of positions the
+    Equation-3 screen admitted, and each firing lane's *first* fire:
+    ``(row, lane, elapsed, threshold, deviation)`` arrays with ``lane``
+    indexing the flattened lane axes.  Rows after a lane's first fire
+    were computed under a state the fire replaced; the caller replays
+    them.  ``valid`` masks the rows of a replay that precede the lane's
+    own fire (elapsed <= 0 under its new state): they neither count as
+    zero-deviation ticks nor fire, and the caller discards their values.
+    """
+    elapsed, v_elapsed, deviation, bound, work, flags = scratch[:6]
+    # Tick times are strictly increasing and last_time only ever holds
+    # an earlier tick's time, so elapsed >= dt > 0 on every valid row:
+    # the scalar engine's elapsed <= 0 guards (the inf bound cap and
+    # the 1e-9 slope floor) are unreachable here.
+    np.subtract(t, lanes.last_time, out=elapsed)
+    np.multiply(lanes.declared, elapsed, out=v_elapsed)
+    np.add(lanes.last_travel, v_elapsed, out=deviation)
+    np.subtract(actual, deviation, out=deviation)
+    np.absolute(deviation, out=deviation)
+    zero = np.less_equal(deviation, ZERO_DEVIATION_TOLERANCE, out=flags)
+    if valid is not None:
+        np.logical_and(zero, valid, out=zero)
+    if zero.any():
+        np.copyto(deviation, 0.0, where=zero)
+
+    fill = None
+    if lanes.last_zero is not None:
+        # last_zero_elapsed at every row: the elapsed of the lane's
+        # latest zero-deviation row, else what it carried in.  Elapsed
+        # grows along the window and the carry is an earlier tick's
+        # elapsed (or 0 after an update), so a running maximum selects
+        # exactly the float the tick-by-tick assignment leaves.
+        fill = scratch[6]
+        np.copyto(fill, lanes.last_zero)
+        np.copyto(fill, elapsed, where=zero)
+        _scan(np.maximum, fill)
+
+    np.multiply(lanes.gap, elapsed, out=work)
+    if fill is not None:
+        np.minimum(v_elapsed, lanes.slow_plateau, out=v_elapsed)
+        np.minimum(work, lanes.fast_plateau, out=work)
+        np.maximum(v_elapsed, work, out=bound)
+    else:
+        # max(min(vt, cap), min(gap*t, cap)) == min(max(vt, gap*t),
+        # cap): min/max only select inputs, so the fused form picks
+        # the same float the scalar branch picks.
+        np.maximum(v_elapsed, work, out=bound)
+        np.divide(lanes.two_cost, elapsed, out=work)
+        np.minimum(bound, work, out=bound)
+
+    # Equation 3 screens; the exact float expressions decide.
+    if fill is not None:
+        np.add(elapsed, fill, out=work)
+        np.multiply(deviation, work, out=work)
+    else:
+        np.multiply(deviation, elapsed, out=work)
+    candidate = np.greater_equal(work, lanes.screen, out=flags)
+    if valid is not None:
+        np.logical_and(candidate, valid, out=candidate)
+    at = candidate.reshape(-1).nonzero()[0]
+    if not at.size:
+        return deviation, bound, fill, 0, None
+    row, lane = np.divmod(at, candidate[0].size)
+    at_deviation = deviation.reshape(-1)[at]
+    at_elapsed = elapsed.reshape(-1)[at]
+    threshold = _threshold(at_deviation, at_elapsed,
+                           None if fill is None else fill.reshape(-1)[at],
+                           lanes.cost.reshape(-1)[lane])
+    # A screen level of 0 also admits rows without a deviation.
+    fired = ((at_deviation >= threshold * (1.0 - THRESHOLD_TOLERANCE))
+             & (at_deviation > 0.0)).nonzero()[0]
+    if not fired.size:
+        return deviation, bound, fill, at.size, None
+    if row[fired[0]] != row[fired[-1]]:
+        # Keep each lane's earliest row: positions ascend row-major, so
+        # that is the head of its run under a stable sort by lane.
+        order = np.argsort(lane[fired], kind="stable")
+        ranked = lane[fired[order]]
+        head = np.ones(order.size, dtype=np.bool_)
+        np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+        fired = fired[order[head]]
+    return deviation, bound, fill, at.size, (
+        row[fired], lane[fired], at_elapsed[fired], threshold[fired],
+        at_deviation[fired])
+
+
+def _scratch(shape: tuple[int, ...], use_delay: bool) -> list[np.ndarray]:
+    """The out-buffers of one :func:`_speculate` pass over ``shape``."""
+    return ([np.empty(shape) for _ in range(5)]
+            + [np.empty(shape, dtype=np.bool_)]
+            + ([np.empty(shape)] if use_delay else []))
+
+
 def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
-                    start: int, stop: int,
-                    collect_events: bool) -> list[list[TripResult]]:
+                    start: int, stop: int, collect_events: bool,
+                    tally: dict[str, int]) -> list[list[TripResult]]:
     """Run trips ``[start, stop)`` of the batch under every policy.
 
     Returns one result row per policy.  State is ``(k, n)`` for ``k``
-    policies by ``n`` trips; the tick's kinematics row (``(n,)``) and
-    the update-cost column (``(k, 1)``) broadcast against it.
+    policies by ``n`` trips and a window's tile ``(w, k, n)``; tick
+    times ``(w, 1, 1)`` and the window's kinematics rows ``(w, 1, n)``
+    broadcast against them.
     """
     n = stop - start
     k = len(policies)
-    lanes = (k, n)
+    shape = (k, n)
+    width = k * n
     num_ticks = batch.num_ticks
     dt = batch.dt
     duration = batch.duration
-    times = batch.times.tolist()
-    travel = batch.travel
-    speeds = batch.speeds
-    max_speeds = batch.max_speeds[start:stop]
+    times = batch.times
+    travel = batch.travel[:, start:stop]
+    speeds = batch.speeds[:, start:stop]
+    tile_times = times.reshape(-1, 1, 1)
+    tile_travel = travel[:, np.newaxis, :]
+    # Flat lane c * n + j is trip j (column j of the block) under cost c.
+    column = np.broadcast_to(np.arange(n), shape).reshape(-1)
+    max_speeds = batch.max_speeds[start:stop][column]
     costs = [member.update_cost for member in policies]
-    update_cost = np.array(costs, dtype=np.float64).reshape(k, 1)
+    cost = np.repeat(np.array(costs, dtype=np.float64), n).reshape(shape)
     use_delay = isinstance(policies[0], DelayedLinearPolicy)
     declare_average = isinstance(policies[0], AverageImmediateLinearPolicy)
-    send_slack = 1.0 - THRESHOLD_TOLERANCE
-    two_cost = 2.0 * update_cost
 
-    # Per-lane onboard/DBMS state, exactly the scalars of _run_fast
-    # widened to (k, n) arrays.
-    declared = np.empty(lanes, dtype=np.float64)
-    declared[:] = speeds[0, start:stop]
-    last_update_time = np.zeros(lanes, dtype=np.float64)
-    last_update_travel = np.zeros(lanes, dtype=np.float64)
-    last_zero_elapsed = np.zeros(lanes, dtype=np.float64)
-    gap = max_speeds - declared
+    declared = np.empty(shape, dtype=np.float64)
+    declared[:] = speeds[0]
+    gap = batch.max_speeds[start:stop] - declared
     gap = np.where(gap < 0.0, 0.0, gap)
-    if use_delay:
-        slow_plateau = np.sqrt(2.0 * declared * update_cost)
-        fast_plateau = np.sqrt(2.0 * gap * update_cost)
-    else:
-        slow_plateau = fast_plateau = None
+    lanes = _Lanes(
+        declared=declared,
+        last_time=np.zeros(shape, dtype=np.float64),
+        last_travel=np.zeros(shape, dtype=np.float64),
+        gap=gap,
+        cost=cost,
+        two_cost=2.0 * cost,
+        screen=_screen_level(cost, num_ticks, float(times[-1])),
+        last_zero=np.zeros(shape, dtype=np.float64) if use_delay else None,
+        slow_plateau=np.sqrt(2.0 * declared * cost) if use_delay else None,
+        fast_plateau=np.sqrt(2.0 * gap * cost) if use_delay else None,
+    )
+    state = lanes.flat()  # where an update scatters, a replay gathers
 
     # The fast path accrues deviation_integral and deviation_cost with
     # the identical `deviation * dt` addend each tick (uniform cost),
     # so one accumulator serves both metrics bit-for-bit.
-    deviation_integral = np.zeros(lanes, dtype=np.float64)
-    uncertainty_integral = np.zeros(lanes, dtype=np.float64)
-    max_deviation = np.zeros(lanes, dtype=np.float64)
-    max_uncertainty = np.zeros(lanes, dtype=np.float64)
-    num_updates = np.zeros(lanes, dtype=np.int64)
-    events: list[list[list[UpdateEvent]]] = [
-        [[] for _ in range(n)] for _ in range(k)
-    ]
+    deviation_integral = np.zeros(shape, dtype=np.float64)
+    uncertainty_integral = np.zeros(shape, dtype=np.float64)
+    max_deviation = np.zeros(shape, dtype=np.float64)
+    max_uncertainty = np.zeros(shape, dtype=np.float64)
+    peak = np.empty(shape, dtype=np.float64)
+    num_updates = np.zeros(width, dtype=np.int64)
+    events: list[list[UpdateEvent]] = [[] for _ in range(width)]
 
-    # Preallocated per-tick scratch.  Every elementwise op below writes
-    # into one of these via ``out=`` so the hot loop allocates nothing.
-    elapsed = np.empty(lanes, dtype=np.float64)
-    v_elapsed = np.empty(lanes, dtype=np.float64)
-    g_elapsed = np.empty(lanes, dtype=np.float64)
-    deviation = np.empty(lanes, dtype=np.float64)
-    bound = np.empty(lanes, dtype=np.float64)
-    slow = np.empty(lanes, dtype=np.float64)
-    slope = np.empty(lanes, dtype=np.float64)
-    ab = np.empty(lanes, dtype=np.float64)
-    threshold = np.empty(lanes, dtype=np.float64)
-    tmp = np.empty(lanes, dtype=np.float64)
-    zero = np.empty(lanes, dtype=np.bool_)
-    positive = np.empty(lanes, dtype=np.bool_)
-    fire = np.empty(lanes, dtype=np.bool_)
+    # As many ticks as fit the tile, but no taller than a square one:
+    # past that the per-window overhead is already amortized, while the
+    # rows a fire sends back to be replayed keep growing with the window.
+    window = max(1, min(num_ticks, TILE_ELEMENTS // width,
+                        math.isqrt(TILE_ELEMENTS)))
+    scratch = _scratch((window, k, n), use_delay)
+    candidates = rounds = replayed = 0
+    for i0 in range(1, num_ticks + 1, window):
+        end = min(i0 + window, num_ticks + 1)
+        if end - i0 != window:
+            scratch = [buffer[:end - i0] for buffer in scratch]
+        deviation, bound, fill, admitted, fires = _speculate(
+            tile_times[i0:end], tile_travel[i0:end], lanes, None, scratch)
+        candidates += admitted
+        if fill is not None:
+            np.copyto(lanes.last_zero, fill[-1])
 
-    for i in range(1, num_ticks + 1):
-        t = times[i]
-        # Tick times are strictly increasing and last_update_time only
-        # ever holds an earlier tick's time, so elapsed >= dt > 0 on
-        # every lane: the scalar engine's elapsed <= 0 guards (the inf
-        # bound cap and the 1e-9 slope floor) are unreachable here.
-        np.subtract(t, last_update_time, out=elapsed)
-        actual = travel[i, start:stop]
-        np.multiply(declared, elapsed, out=v_elapsed)
-        np.add(last_update_travel, v_elapsed, out=deviation)
-        np.subtract(actual, deviation, out=deviation)
-        np.fabs(deviation, out=deviation)
-        np.less_equal(deviation, ZERO_DEVIATION_TOLERANCE, out=zero)
-        if zero.any():
-            np.copyto(last_zero_elapsed, elapsed, where=zero)
-            np.copyto(deviation, 0.0, where=zero)
+        # Settle the window: a row is final once no earlier row of its
+        # lane can still fire.  `fires` holds first fires only, so the
+        # rows up to and including them are final; apply the updates,
+        # re-speculate the rest of those lanes, repeat.
+        first = i0
+        replaying = None
+        while fires is not None:
+            row, lane, fired_elapsed, fired_threshold, fired_deviation = fires
+            if replaying is not None:
+                lane = replaying[lane]
+            tick = first + row
+            trip = column[lane]
+            fired_time = times[tick]
+            fired_travel = travel[tick, trip]
+            if declare_average:
+                distance = fired_travel - state.last_travel[lane]
+                distance = np.where(distance < 0.0, 0.0, distance)
+                ratio = distance / fired_elapsed
+                new_speed = np.where(fired_elapsed > 0.0, ratio,
+                                     state.declared[lane])
+            else:
+                new_speed = speeds[tick, trip]
+            new_speed = np.where(new_speed < 0.0, 0.0, new_speed)
 
-        np.multiply(gap, elapsed, out=g_elapsed)
-        if use_delay:
-            np.minimum(v_elapsed, slow_plateau, out=slow)
-            np.minimum(g_elapsed, fast_plateau, out=bound)
-            np.maximum(slow, bound, out=bound)
-        else:
-            # max(min(vt, cap), min(gap*t, cap)) == min(max(vt, gap*t),
-            # cap): min/max only select inputs, so the fused form picks
-            # the same float the scalar branch picks.
-            np.divide(two_cost, elapsed, out=slow)
-            np.maximum(v_elapsed, g_elapsed, out=bound)
-            np.minimum(bound, slow, out=bound)
+            if collect_events:
+                for flat, event_time, event_travel, event_speed, \
+                        event_threshold, event_deviation in zip(
+                            lane.tolist(), fired_time.tolist(),
+                            fired_travel.tolist(), new_speed.tolist(),
+                            fired_threshold.tolist(),
+                            fired_deviation.tolist()):
+                    events[flat].append(UpdateEvent(
+                        time=event_time,
+                        travel=event_travel,
+                        declared_speed=event_speed,
+                        threshold=event_threshold,
+                        deviation_at_update=event_deviation,
+                    ))
+            num_updates[lane] += 1
+            state.last_time[lane] = fired_time
+            state.last_travel[lane] = fired_travel
+            state.declared[lane] = new_speed
+            fired_gap = max_speeds[lane] - new_speed
+            fired_gap = np.where(fired_gap < 0.0, 0.0, fired_gap)
+            state.gap[lane] = fired_gap
+            if use_delay:
+                fired_cost = state.cost[lane]
+                state.last_zero[lane] = 0.0
+                state.slow_plateau[lane] = np.sqrt(2.0 * new_speed * fired_cost)
+                state.fast_plateau[lane] = np.sqrt(2.0 * fired_gap * fired_cost)
 
-        np.multiply(deviation, dt, out=tmp)
-        deviation_integral += tmp
-        np.multiply(bound, dt, out=tmp)
-        uncertainty_integral += tmp
-        np.maximum(max_deviation, deviation, out=max_deviation)
-        np.maximum(max_uncertainty, bound, out=max_uncertainty)
+            # Replay the fired lanes under their new state, from the row
+            # after the earliest fire; `valid` masks, lane by lane, the
+            # rows up to its own fire, which stay as committed.
+            later = tick < end - 1
+            if not later.any():
+                break
+            replaying = lane[later]
+            tick = tick[later]
+            first = int(tick.min()) + 1
+            valid = np.arange(first, end)[:, np.newaxis] > tick
+            redo_deviation, redo_bound, redo_fill, admitted, fires = \
+                _speculate(times[first:end, np.newaxis],
+                           travel[first:end, column[replaying]],
+                           state.take(replaying), valid,
+                           _scratch(valid.shape, use_delay))
+            for tile, redo in ((deviation, redo_deviation),
+                               (bound, redo_bound)):
+                tile = tile.reshape(-1, width)
+                tile[first - i0:, replaying] = np.where(
+                    valid, redo, tile[first - i0:, replaying])
+            if redo_fill is not None:
+                state.last_zero[replaying] = redo_fill[-1]
+            candidates += admitted
+            rounds += 1
+            replayed += replaying.size
 
-        np.greater(deviation, 0.0, out=positive)
-        if not positive.any():
-            continue
-        # Inlined SimpleFitting.fit + Proposition 1, over all lanes.
-        # Lanes with zero deviation can never fire: under dl their
-        # slope is 0/0 = NaN (delay was set to this very elapsed), so
-        # the fire comparison is False; otherwise their threshold is 0
-        # and `positive` gates them out.  Positive lanes always have
-        # effective >= dt > 0 (a zero tick can only be an earlier,
-        # smaller elapsed), so the scalar 1e-9 floor is unreachable.
-        if use_delay:
-            np.subtract(elapsed, last_zero_elapsed, out=slope)
-            np.divide(deviation, slope, out=slope)
-            np.multiply(slope, last_zero_elapsed, out=ab)
-            np.multiply(ab, ab, out=threshold)
-            np.multiply(2.0, slope, out=tmp)
-            np.multiply(tmp, update_cost, out=tmp)
-            np.add(threshold, tmp, out=threshold)
-            np.sqrt(threshold, out=threshold)
-            np.subtract(threshold, ab, out=threshold)
-        else:
-            np.divide(deviation, elapsed, out=slope)
-            np.multiply(2.0, slope, out=tmp)
-            np.multiply(tmp, update_cost, out=tmp)
-            np.sqrt(tmp, out=threshold)
-        np.multiply(threshold, send_slack, out=tmp)
-        np.greater_equal(deviation, tmp, out=fire)
-        np.logical_and(fire, positive, out=fire)
-        if not fire.any():
-            continue
+        # Commit: the integrals take the window's rows in tick order,
+        # the additions `_run_fast` makes; maxima only select.
+        for integral, values in ((deviation_integral, deviation),
+                                 (uncertainty_integral, bound)):
+            addends = np.multiply(values, dt, out=scratch[0])
+            np.add(integral, addends[0], out=addends[0])
+            _scan(np.add, addends)
+            np.copyto(integral, addends[-1])
+        np.maximum.reduce(deviation, axis=0, out=peak)
+        np.maximum(max_deviation, peak, out=max_deviation)
+        np.maximum.reduce(bound, axis=0, out=peak)
+        np.maximum(max_uncertainty, peak, out=max_uncertainty)
 
-        fired = np.nonzero(fire)
-        cost_idx, trip_idx = fired
-        fired_travel = actual[trip_idx]
-        if declare_average:
-            fired_elapsed = elapsed[fired]
-            distance = fired_travel - last_update_travel[fired]
-            distance = np.where(distance < 0.0, 0.0, distance)
-            ratio = distance / fired_elapsed
-            new_speed = np.where(fired_elapsed > 0.0, ratio, declared[fired])
-        else:
-            new_speed = speeds[i, start:stop][trip_idx]
-        new_speed = np.where(new_speed < 0.0, 0.0, new_speed)
-
-        if collect_events:
-            for c, j, event_travel, event_speed, event_threshold, \
-                    event_deviation in zip(
-                        cost_idx.tolist(), trip_idx.tolist(),
-                        fired_travel.tolist(), new_speed.tolist(),
-                        threshold[fired].tolist(),
-                        deviation[fired].tolist()):
-                events[c][j].append(UpdateEvent(
-                    time=t,
-                    travel=event_travel,
-                    declared_speed=event_speed,
-                    threshold=event_threshold,
-                    deviation_at_update=event_deviation,
-                ))
-        num_updates[fired] += 1
-        last_update_time[fired] = t
-        last_update_travel[fired] = fired_travel
-        declared[fired] = new_speed
-        last_zero_elapsed[fired] = 0.0
-        fired_gap = max_speeds[trip_idx] - new_speed
-        fired_gap = np.where(fired_gap < 0.0, 0.0, fired_gap)
-        gap[fired] = fired_gap
-        if use_delay:
-            fired_cost = update_cost[cost_idx, 0]
-            slow_plateau[fired] = np.sqrt(2.0 * new_speed * fired_cost)
-            fast_plateau[fired] = np.sqrt(2.0 * fired_gap * fired_cost)
+    tally["windows"] += -(-num_ticks // window)
+    tally["window_ticks"] = max(tally["window_ticks"], window)
+    tally["replay_rounds"] += rounds
+    tally["replayed_lanes"] += replayed
+    tally["screen_candidates"] += candidates
 
     # Python numbers from here on: metrics never hold an np.float64.
     rows: list[list[TripResult]] = []
-    for member, cost, lane_events, lane_updates, dev_integrals, \
-            unc_integrals, max_deviations, max_uncertainties in zip(
-                policies, costs, events, num_updates.tolist(),
+    for c, (member, cost_value, lane_updates, dev_integrals, unc_integrals,
+            max_deviations, max_uncertainties) in enumerate(zip(
+                policies, costs, num_updates.reshape(shape).tolist(),
                 deviation_integral.tolist(), uncertainty_integral.tolist(),
-                max_deviation.tolist(), max_uncertainty.tolist()):
-        row: list[TripResult] = []
+                max_deviation.tolist(), max_uncertainty.tolist())):
+        row_results: list[TripResult] = []
         for j in range(n):
             dev_integral = dev_integrals[j]
             metrics = TripMetrics(
                 policy=member.name,
-                update_cost=cost,
+                update_cost=cost_value,
                 duration=duration,
                 num_updates=lane_updates[j],
                 deviation_integral=dev_integral,
                 deviation_cost=dev_integral,
-                total_cost=cost * lane_updates[j] + dev_integral,
+                total_cost=cost_value * lane_updates[j] + dev_integral,
                 avg_deviation=dev_integral / duration,
                 max_deviation=max_deviations[j],
                 avg_uncertainty=unc_integrals[j] / duration,
                 max_uncertainty=max_uncertainties[j],
             )
-            row.append(TripResult(
+            row_results.append(TripResult(
                 metrics=metrics,
-                updates=lane_events[j] if collect_events else [],
+                updates=events[c * n + j] if collect_events else [],
                 series=None,
             ))
-        rows.append(row)
+        rows.append(row_results)
     return rows
