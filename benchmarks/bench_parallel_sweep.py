@@ -3,9 +3,10 @@
 Times the full §3.4 sweep grid three ways on identical inputs:
 
 * **legacy serial** — the pre-executor loop: one ``simulate_trip`` per
-  (policy, cost, trip) cell, no tick-grid reuse,
+  (policy, cost, trip) cell, each building its own tick grid and each
+  a kernel batch of one — the independent per-cell check,
 * **executor serial** — ``SweepExecutor(jobs=1)``: shared tick grids
-  plus the engine's inlined fast path,
+  and one fused kernel pass per policy family,
 * **executor parallel** — ``SweepExecutor(jobs=N)``: the same cells
   fanned over a process pool.
 
@@ -49,20 +50,21 @@ def fast_spec() -> SweepSpec:
 
 @register_benchmark("sweep.legacy_serial", group="sweep")
 def harness_legacy_serial():
-    """The pre-executor sweep loop on the fast grid (no tick grids)."""
+    """The per-cell sweep loop on the fast grid (a grid and a batch of
+    one per cell)."""
     spec = fast_spec()
     return lambda: legacy_serial_sweep(spec)
 
 
 @register_benchmark("sweep.executor_serial", group="sweep")
 def harness_executor_serial():
-    """SweepExecutor(jobs=1) on the fast grid: shared grids + fast path."""
+    """SweepExecutor(jobs=1) on the fast grid: shared grids, fused passes."""
     spec = fast_spec()
     return lambda: SweepExecutor(jobs=1).run(spec)
 
 
 def legacy_serial_sweep(spec: SweepSpec):
-    """The pre-executor loop: no grids, no cache, spec order."""
+    """The pre-executor loop: no shared grids, no cache, spec order."""
     curves = build_curves(spec)
     trips = [Trip.synthetic(curve, route_id=f"sweep-{i}")
              for i, curve in enumerate(curves)]

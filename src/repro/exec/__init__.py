@@ -1,7 +1,9 @@
 """Execution of (trip, policy) runs: tick-grid caching + sweep executor.
 
 :func:`repro.exec.executor.simulate_lanes` runs any set of independent
-(trip, policy) lanes.  The subsystem behind ``--jobs`` sits on it: it
+(trip, policy) lanes — a kernel pass per group of dl/ail/cil lanes, the
+reference loop for every other lane.  The subsystem behind ``--jobs``
+sits on it: it
 decomposes sweep grids into independent (policy, update-cost, trip)
 cells, shares each trip's precomputed tick-grid kinematics across all
 the cells that consume it, and fans cells out over worker processes

@@ -3,9 +3,10 @@
 The update decision is made onboard, from the object's own deviation
 (§3.1–3.3), so the cells of the §3.4 grid and the vehicles of a fleet
 alike are independent *lanes*.  :func:`simulate_lanes` is the one place
-that decides how lanes run — kernel passes for large uniform groups,
-:meth:`~repro.sim.engine.PolicySimulation.run` for the rest — and since
-lanes never interact, the choice cannot change a result.
+that decides how lanes run — a kernel pass for every group of lanes the
+kernel supports, :meth:`~repro.sim.engine.PolicySimulation.run` (the
+reference loop) for every other lane — and since lanes never interact,
+the grouping cannot change a result.
 
 :class:`SweepExecutor` decomposes a
 :class:`~repro.experiments.sweep.SweepSpec` into its cells and hands
@@ -34,7 +35,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.policy import UpdatePolicy
 from repro.errors import ExperimentError
@@ -51,7 +52,6 @@ from repro.sim.engine import PolicySimulation, TripResult, supports_fast_path
 from repro.sim.metrics import TripMetrics, aggregate_metrics
 from repro.sim.speed_curves import SpeedCurve
 from repro.sim.trip import Trip
-from repro.vec import vectorization_default
 from repro.vec.batch import VecTripBatch
 from repro.vec.engine import simulate_batch
 
@@ -124,56 +124,27 @@ def _make_policy(spec: SweepSpec, policy_index: int,
     )
 
 
-#: Smallest group of lanes (per update cost) worth a pass of the
-#: vectorized engine: below it a pass's fixed cost — block set-up, one
-#: window, the result rows — outweighs the scalar loops it replaces.
-#: Measured by the lanes leg of ``benchmarks/bench_vec_kernels.py``
-#: (kernel never slower from n lanes on): 16-32 for one cost over a
-#: fleet's 100 ticks, the case this floor is set by; 4 with six costs;
-#: 4-8 and 1 over the sweep's 3600 ticks.  The per-tick kernel this was
-#: first set against read above 64 in both one-cost cases.
-_MIN_VEC_TRIPS = 32
-
-
-def _vector_floor(vectorize: bool | None) -> int | None:
-    """The fewest lanes a kernel pass takes, or ``None``: all lanes scalar.
-
-    ``None`` defers to ``REPRO_VECTORIZE``.  The vectorized engine emits
-    one span per batch and no per-tick instruments, so it only runs when
-    nobody is observing; results are identical either way.
-    """
-    if vectorize is None:
-        vectorize = vectorization_default()
-    if not vectorize or get_registry().enabled or get_tracer().enabled:
-        return None
-    return _MIN_VEC_TRIPS
-
-
 def simulate_lanes(lanes: Sequence[tuple[Trip | TickGrid, UpdatePolicy]],
-                   dt: float, *, vectorize: bool | None = None,
-                   collect_events: bool = True,
-                   scalar: Callable[[int], TripResult] | None = None,
+                   dt: float, *, collect_events: bool = True,
                    ) -> list[TripResult]:
     """Run every ``(trip, policy)`` lane; results come in lane order.
 
     A lane names its trip or the trip's prebuilt :class:`TickGrid`.
-    Fast-path lanes are grouped by policy class, tick layout and update
-    cost; groups of one class over the same grids form the cost axis of
-    one kernel pass, which needs :func:`_vector_floor` lanes per cost.
-    Every other lane — small groups, other policies, an observed run —
-    is ``scalar(i)``, by default :meth:`PolicySimulation.run` on its
-    grid.  Each lane runs its whole trip alone, so lanes must not share
-    a stateful policy.  ``collect_events=False`` lets kernel passes skip
-    the event lists.
+    Every lane the kernel supports (:func:`supports_fast_path`, on a
+    grid of this ``dt``) joins the pass of its (policy class, tick
+    layout) group, one cost row per update cost; rows of one class over
+    the same grids share a pass.  Every other lane is
+    :meth:`PolicySimulation.run` on its grid.  Each lane runs its whole
+    trip alone, so lanes must not share a stateful policy.
+    ``collect_events=False`` lets kernel passes skip the event lists.
     """
     grids = [trip if isinstance(trip, TickGrid) else TickGrid.build(trip, dt)
              for trip, _ in lanes]
     policies = [policy for _, policy in lanes]
     results: list[TripResult | None] = [None] * len(lanes)
-    floor = _vector_floor(vectorize)
     rows: dict[tuple, list[int]] = {}
     for i, (grid, policy) in enumerate(zip(grids, policies)):
-        if floor and grid.dt == dt and supports_fast_path(policy):
+        if grid.dt == dt and supports_fast_path(policy):
             rows.setdefault((type(policy), grid.num_ticks, grid.duration,
                              policy.update_cost), []).append(i)
     # The same grids (by identity) under several costs or classes are
@@ -183,8 +154,6 @@ def simulate_lanes(lanes: Sequence[tuple[Trip | TickGrid, UpdatePolicy]],
         columns = tuple(grids[i] for i in row)
         passes.setdefault(columns, {}).setdefault(family, []).append(row)
     for columns, families in passes.items():
-        if len(columns) < floor:
-            continue
         batch = VecTripBatch.from_grids(columns)
         for cost_rows in families.values():
             flat = simulate_batch(
@@ -195,37 +164,32 @@ def simulate_lanes(lanes: Sequence[tuple[Trip | TickGrid, UpdatePolicy]],
                     results[i] = flat[c * len(columns) + j]
     for i, result in enumerate(results):
         if result is None:
-            results[i] = scalar(i) if scalar is not None else (
-                PolicySimulation(GridTrip(grids[i]), policies[i], dt=dt,
-                                 grid=grids[i]).run())
+            results[i] = PolicySimulation(GridTrip(grids[i]), policies[i],
+                                          dt=dt, grid=grids[i]).run()
     return results  # type: ignore[return-value]
 
 
-def _simulate_cell(spec: SweepSpec, grid: TickGrid,
-                   cell: SweepCell) -> TripMetrics:
-    """Run one cell against its tick grid (pure; process-agnostic)."""
-    policy = _make_policy(spec, cell.policy_index, cell.cost_index)
-    return simulate_lanes([(grid, policy)], spec.dt)[0].metrics
-
-
 def _run_cells(spec: SweepSpec, cells: list[SweepCell],
-               grids: list[TickGrid], first: int,
-               vectorize: bool) -> list[TripMetrics]:
+               grids: list[TickGrid], first: int) -> list[TripMetrics]:
     """The cells' metrics, in cell order; ``grids`` start at trip ``first``.
 
-    A cell that joins no kernel pass is one :func:`_simulate_cell` call.
+    The kernel only reads a policy's class and cost, so its cells share
+    one instance per (policy, cost).  Any other cell runs
+    ``policy.decide``, which may keep state across ticks
+    (``AdaptivePolicy``): a fresh instance each.
     """
-    policies = {key: _make_policy(spec, *key) for key in dict.fromkeys(
-        (cell.policy_index, cell.cost_index) for cell in cells)}
-    lanes = [(grids[cell.trip_index - first],
-              policies[cell.policy_index, cell.cost_index]) for cell in cells]
-    return [
-        result.metrics for result in simulate_lanes(
-            lanes, spec.dt, vectorize=vectorize, collect_events=False,
-            scalar=lambda i: TripResult(
-                _simulate_cell(spec, lanes[i][0], cells[i])),
-        )
-    ]
+    shared: dict[tuple[int, int], UpdatePolicy] = {}
+    lanes = []
+    for cell in cells:
+        key = (cell.policy_index, cell.cost_index)
+        policy = shared.get(key)
+        if policy is None:
+            policy = _make_policy(spec, *key)
+            if supports_fast_path(policy):
+                shared[key] = policy
+        lanes.append((grids[cell.trip_index - first], policy))
+    return [result.metrics for result in simulate_lanes(
+        lanes, spec.dt, collect_events=False)]
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,7 +199,6 @@ class _WorkerState:
 
     spec: SweepSpec
     grids: list[TickGrid]
-    vectorize: bool
 
 
 _WORKER: _WorkerState | None = None
@@ -276,7 +239,7 @@ def _run_rectangle(
         tracer = stack.enter_context(use_tracer()) if traced else None
         results = _run_cells(
             state.spec, _family_cells(state.spec, policy_index, first, stop),
-            state.grids[first:stop], first, state.vectorize)
+            state.grids[first:stop], first)
         snapshot = registry.snapshot() if registry is not None else None
         span_dicts = tracer.to_dicts() if tracer is not None else None
     return results, perf_counter() - start, snapshot, span_dicts
@@ -307,15 +270,11 @@ class SweepExecutor:
     """
 
     def __init__(self, jobs: int = 1,
-                 cache: TripTickCache | None = None,
-                 vectorize: bool | None = None) -> None:
+                 cache: TripTickCache | None = None) -> None:
         if jobs < 1:
             raise ExperimentError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
         self.cache = cache if cache is not None else TripTickCache()
-        if vectorize is None:
-            vectorize = vectorization_default()
-        self.vectorize = bool(vectorize)
 
     def run(self, spec: SweepSpec,
             curves: list[SpeedCurve] | None = None,
@@ -355,8 +314,7 @@ class SweepExecutor:
                     self.cache.grid_for(trips[cell.trip_index], spec.dt)
                     for cell in cells
                 ][:spec.num_curves]
-                cell_metrics = _run_cells(spec, cells, grids, 0,
-                                          self.vectorize)
+                cell_metrics = _run_cells(spec, cells, grids, 0)
             else:
                 # Workers receive prebuilt grids (one cache lookup per
                 # trip here; the sharing happens inside each worker).
@@ -396,19 +354,17 @@ class SweepExecutor:
                       grids: list[TickGrid]) -> list[TripMetrics]:
         """Fan (policy, trip-block) rectangles out over a process pool.
 
-        A rectangle spans every update cost, so a worker's vectorized
-        pass covers the cost axis exactly as the serial one does.
+        A rectangle spans every update cost, so a worker's kernel pass
+        covers the cost axis exactly as the serial one does.
         Results return in cell order.
         """
         num_policies = len(spec.policy_names)
         num_costs = len(spec.update_costs)
         num_trips = spec.num_curves
         # A handful of rectangles per worker balances load (some trips
-        # fire more updates than others) against dispatch overhead; a
-        # vectorizing worker needs a kernel pass's worth of trips per block.
+        # fire more updates than others) against dispatch overhead.
         blocks = max(1, math.ceil(self.jobs * 4 / num_policies))
-        block = max(math.ceil(num_trips / blocks),
-                    _vector_floor(self.vectorize) or 1)
+        block = math.ceil(num_trips / blocks)
         rectangles = [
             (p, first, min(first + block, num_trips))
             for p in range(num_policies)
@@ -424,7 +380,7 @@ class SweepExecutor:
             max_workers=min(self.jobs, len(rectangles)),
             mp_context=_pool_context(),
             initializer=_init_worker,
-            initargs=(_WorkerState(spec, grids, self.vectorize),),
+            initargs=(_WorkerState(spec, grids),),
         ) as pool:
             futures = [pool.submit(_run_rectangle, rectangle)
                        for rectangle in rectangles]

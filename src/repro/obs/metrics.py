@@ -25,6 +25,8 @@ import re
 import threading
 from bisect import bisect_left
 
+import numpy as np
+
 from repro.errors import ObservabilityError
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
@@ -119,6 +121,16 @@ class Histogram:
         self.bucket_counts[bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
+
+    def observe_many(self, values: np.ndarray) -> None:
+        """Every element of ``values`` (any shape), as a loop of
+        :meth:`observe` would count it; ``sum`` takes one array sum, so
+        it may differ from the loop's in the last digits."""
+        buckets = np.searchsorted(self.bounds, values.reshape(-1), "left")
+        for bucket, count in enumerate(np.bincount(buckets).tolist()):
+            self.bucket_counts[bucket] += count
+        self.sum += float(values.sum())
+        self.count += values.size
 
     def cumulative_buckets(self) -> list[tuple[float, int]]:
         """``(le, cumulative count)`` pairs, ending with ``(+Inf, count)``."""
@@ -377,6 +389,9 @@ class _NullHistogram:
     kind = "histogram"
 
     def observe(self, value: float) -> None:
+        pass
+
+    def observe_many(self, values: np.ndarray) -> None:
         pass
 
 

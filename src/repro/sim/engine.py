@@ -19,19 +19,26 @@ changes (i.e. on every update) — exactly the information flow of §3.3,
 where the DBMS derives the bound from the policy, ``P.speed``, ``C``,
 ``V`` and the time since the last update.
 
-Every run reads the trip through a :class:`~repro.sim.grid.TickGrid`.
-Many runs at once — a sweep, a fleet — go through
-:func:`repro.exec.executor.simulate_lanes`, which sends large uniform
-groups to the vectorized kernel and the rest through
-:meth:`PolicySimulation.run`; :func:`simulate_trip` is its one-lane
-case, and one lane never reaches the kernel.
+Every run reads the trip through a :class:`~repro.sim.grid.TickGrid`,
+and the decision loop exists twice.  :meth:`PolicySimulation._run_generic`
+is the definition of a run — an :class:`OnboardComputer`,
+``policy.decide`` and :func:`bounds_for_policy`, tick by tick — and
+takes whatever only it can express: baselines and extensions, a
+non-uniform cost function, series recording.  The kernel
+(:func:`repro.vec.engine.simulate_batch`) is the same arithmetic over
+arrays for the exact dl/ail/cil classes, held to the reference on
+``repr`` by the test suite; :meth:`PolicySimulation.run` sends such a
+policy to it as a batch of one, and
+:func:`repro.exec.executor.simulate_lanes` groups many runs — a sweep,
+a fleet — into shared passes.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from time import perf_counter
+
+import numpy as np
 
 from repro.core.bounds import DeviationBounds, bounds_for_policy
 from repro.core.cost import UniformDeviationCost
@@ -40,7 +47,7 @@ from repro.core.policies import (
     CurrentImmediateLinearPolicy,
     DelayedLinearPolicy,
 )
-from repro.core.policy import THRESHOLD_TOLERANCE, UpdatePolicy
+from repro.core.policy import UpdatePolicy
 from repro.errors import SimulationError
 from repro.obs.metrics import MILE_BUCKETS
 from repro.obs.registry import get_registry, span
@@ -48,18 +55,13 @@ from repro.sim.clock import SimulationClock
 from repro.sim.grid import GridTrip, TickGrid
 from repro.sim.metrics import TripMetrics
 from repro.sim.trip import Trip
-from repro.sim.vehicle import (
-    OnboardComputer,
-    UpdateEvent,
-    ZERO_DEVIATION_TOLERANCE,
-)
+from repro.sim.vehicle import OnboardComputer, UpdateEvent
 from repro.units import DEFAULT_TICK_MINUTES
 
-#: Policies the inlined tick-grid fast path replicates exactly.  The
-#: inline loop hardcodes the dl/ail/cil decision algebra (simple
-#: fitting + Proposition 1) and the §3.3 bound formulas, so anything
-#: else — baselines, extensions, custom cost functions — takes the
-#: generic :class:`OnboardComputer` loop instead.
+#: Policies the kernel replicates exactly: it hardcodes the dl/ail/cil
+#: decision algebra (simple fitting + Proposition 1) and the §3.3 bound
+#: formulas.  Anything else — baselines, extensions, a subclass with its
+#: own ``decide``, custom cost functions — takes the reference loop.
 _FAST_PATH_POLICIES = (
     DelayedLinearPolicy,
     AverageImmediateLinearPolicy,
@@ -68,9 +70,9 @@ _FAST_PATH_POLICIES = (
 
 
 def supports_fast_path(policy: UpdatePolicy) -> bool:
-    """Whether the tick-grid fast path can run this policy exactly."""
+    """Whether the kernel can run this policy exactly."""
     return (
-        isinstance(policy, _FAST_PATH_POLICIES)
+        type(policy) in _FAST_PATH_POLICIES
         and type(policy.cost_function) is UniformDeviationCost
     )
 
@@ -165,11 +167,13 @@ class PolicySimulation:
         if grid is None:
             grid = TickGrid.build(trip, dt)
         elif (grid.dt != self.clock.dt
-                or grid.num_ticks != self.clock.num_ticks):
+                or grid.num_ticks != self.clock.num_ticks
+                or grid.duration != self.clock.duration):
             raise SimulationError(
-                f"tick grid (dt={grid.dt}, ticks={grid.num_ticks}) does not "
-                f"match the clock (dt={self.clock.dt}, "
-                f"ticks={self.clock.num_ticks})"
+                f"tick grid (dt={grid.dt}, ticks={grid.num_ticks}, "
+                f"duration={grid.duration}) does not match the clock "
+                f"(dt={self.clock.dt}, ticks={self.clock.num_ticks}, "
+                f"duration={self.clock.duration})"
             )
         #: The trip's kinematics on the clock: the only thing a run reads.
         self.grid = grid
@@ -181,14 +185,24 @@ class PolicySimulation:
     def run(self, record_series: bool = False) -> TripResult:
         """Execute the whole trip and return its result.
 
-        A supported policy takes the inlined fast path instead of the
-        generic loop; its output is float-for-float identical (asserted
-        by the exec test suite).  Series recording always takes the
-        generic loop, which knows how to collect the per-tick traces.
+        A policy the kernel supports runs there, as a batch of one; its
+        output is float-for-float that of the reference loop (asserted
+        by the test suite).  Series recording always takes the
+        reference loop, which knows how to collect the per-tick traces.
         """
-        if not record_series and supports_fast_path(self.policy):
-            return self._run_fast()
-        return self._run_generic(record_series)
+        if record_series or not supports_fast_path(self.policy):
+            return self._run_generic(record_series)
+        # vec.engine imports TripResult and supports_fast_path from here.
+        from repro.vec.batch import VecTripBatch
+        from repro.vec.engine import simulate_batch
+
+        # One column: the grid's own arrays, this run's speed ceiling.
+        grid = self.grid
+        batch = VecTripBatch(
+            grid.dt, grid.duration, grid.num_ticks, grid.times,
+            grid.travel[:, np.newaxis], grid.speeds[:, np.newaxis],
+            np.array([self.max_speed], dtype=np.float64))
+        return simulate_batch(batch, self.policy)[0]
 
     def _run_generic(self, record_series: bool = False) -> TripResult:
         trip = GridTrip(self.grid)
@@ -288,171 +302,6 @@ class PolicySimulation:
                                        self.max_speed)
             self._bounds_memo[declared_speed] = bounds
         return bounds
-
-    def _run_fast(self) -> TripResult:
-        """The tick-grid fast path for the dl/ail/cil family.
-
-        Replicates the generic loop's arithmetic operation-for-operation
-        — same expressions, same evaluation order — while skipping the
-        per-tick object traffic (OnboardState/UpdateDecision/estimator
-        construction) and replacing trip kinematics calls with grid
-        indexing.  Any semantic change to :meth:`_run_generic`, to the
-        policies' ``decide`` or to the §3.3 bound closures must be
-        mirrored here; ``tests/exec/test_fast_engine.py`` enforces the
-        equivalence with exact float comparisons.
-        """
-        grid = self.grid
-        policy = self.policy
-        dt = self.clock.dt
-        duration = self.clock.duration
-        num_ticks = self.clock.num_ticks
-        # Python floats from here on: the loop's arithmetic, the metrics
-        # and the events never see an np.float64.
-        times, travel, speeds = grid.scalars()
-        max_speed = self.max_speed
-        update_cost = policy.update_cost
-        use_delay = isinstance(policy, DelayedLinearPolicy)
-        declare_average = isinstance(policy, AverageImmediateLinearPolicy)
-        sqrt = math.sqrt
-        send_slack = 1.0 - THRESHOLD_TOLERANCE
-
-        registry = get_registry()
-        observed = registry.enabled
-        if observed:
-            deviation_hist, bound_hist, update_counter = _tick_instruments(
-                registry, self.policy.name)
-            wall_start = perf_counter()
-
-        declared_speed = speeds[0]
-        last_update_time = 0.0
-        last_update_travel = 0.0
-        last_zero_elapsed = 0.0
-        events: list[UpdateEvent] = []
-
-        # Bound constants for the current declared speed, hoisted out of
-        # the closures of repro.core.bounds (same formulas, precomputed):
-        # dl uses the Proposition 2/3 plateaus, ail/cil the 2C/t cap.
-        speed_gap = max_speed - declared_speed
-        if speed_gap < 0.0:
-            speed_gap = 0.0
-        if use_delay:
-            slow_plateau = sqrt(2.0 * declared_speed * update_cost)
-            fast_plateau = sqrt(2.0 * speed_gap * update_cost)
-
-        deviation_integral = 0.0
-        deviation_cost = 0.0
-        uncertainty_integral = 0.0
-        max_deviation = 0.0
-        max_uncertainty = 0.0
-
-        with span("simulate_trip", policy=policy.name,
-                  duration=duration, dt=dt):
-            for i in range(1, num_ticks + 1):
-                t = times[i]
-                elapsed = t - last_update_time
-                actual_travel = travel[i]
-                deviation = actual_travel - (
-                    last_update_travel + declared_speed * elapsed
-                )
-                if deviation < 0.0:
-                    deviation = -deviation
-                if deviation <= ZERO_DEVIATION_TOLERANCE:
-                    last_zero_elapsed = elapsed
-                    deviation = 0.0
-
-                if use_delay:
-                    slow = declared_speed * elapsed
-                    if slow_plateau < slow:
-                        slow = slow_plateau
-                    fast = speed_gap * elapsed
-                    if fast_plateau < fast:
-                        fast = fast_plateau
-                else:
-                    cap = (float("inf") if elapsed <= 0
-                           else 2.0 * update_cost / elapsed)
-                    slow = declared_speed * elapsed
-                    if cap < slow:
-                        slow = cap
-                    fast = speed_gap * elapsed
-                    if cap < fast:
-                        fast = cap
-                bound = slow if slow > fast else fast
-
-                deviation_integral += deviation * dt
-                deviation_cost += deviation * dt
-                uncertainty_integral += bound * dt
-                if deviation > max_deviation:
-                    max_deviation = deviation
-                if bound > max_uncertainty:
-                    max_uncertainty = bound
-
-                if observed:
-                    deviation_hist.observe(deviation)
-                    bound_hist.observe(bound)
-
-                if deviation > 0.0:
-                    # Inlined SimpleFitting.fit + Proposition 1.
-                    delay = last_zero_elapsed if use_delay else 0.0
-                    effective = elapsed - delay
-                    if effective <= 0:
-                        effective = 1e-9
-                    slope = deviation / effective
-                    ab = slope * delay
-                    threshold = sqrt(ab * ab + 2.0 * slope * update_cost) - ab
-                    if deviation >= threshold * send_slack:
-                        if declare_average:
-                            distance = actual_travel - last_update_travel
-                            if distance < 0.0:
-                                distance = 0.0
-                            new_speed = (distance / elapsed if elapsed > 0
-                                         else declared_speed)
-                            if new_speed < 0.0:
-                                new_speed = 0.0
-                        else:
-                            new_speed = speeds[i]
-                            if new_speed < 0.0:
-                                new_speed = 0.0
-                        events.append(UpdateEvent(
-                            time=t,
-                            travel=actual_travel,
-                            declared_speed=new_speed,
-                            threshold=threshold,
-                            deviation_at_update=deviation,
-                        ))
-                        last_update_time = t
-                        last_update_travel = actual_travel
-                        declared_speed = new_speed
-                        last_zero_elapsed = 0.0
-                        speed_gap = max_speed - declared_speed
-                        if speed_gap < 0.0:
-                            speed_gap = 0.0
-                        if use_delay:
-                            slow_plateau = sqrt(
-                                2.0 * declared_speed * update_cost
-                            )
-                            fast_plateau = sqrt(
-                                2.0 * speed_gap * update_cost
-                            )
-                        if observed:
-                            update_counter.inc()
-
-        num_updates = len(events)
-        metrics = TripMetrics(
-            policy=policy.name,
-            update_cost=update_cost,
-            duration=duration,
-            num_updates=num_updates,
-            deviation_integral=deviation_integral,
-            deviation_cost=deviation_cost,
-            total_cost=update_cost * num_updates + deviation_cost,
-            avg_deviation=deviation_integral / duration,
-            max_deviation=max_deviation,
-            avg_uncertainty=uncertainty_integral / duration,
-            max_uncertainty=max_uncertainty,
-        )
-        if observed:
-            _record_run(registry, metrics, self.clock.num_ticks, wall_start)
-        return TripResult(metrics=metrics, updates=events, series=None)
 
 
 def simulate_trip(trip: Trip, policy: UpdatePolicy,

@@ -6,11 +6,11 @@ quantities the engine reads at each tick — cumulative travel
 (``trip.speed(i * dt)``) — depend on the trip and ``dt`` alone.  A
 :class:`TickGrid` computes them once, by one array evaluation of the
 speed curve and of the distance interpolation, and every
-:class:`~repro.sim.engine.PolicySimulation` runs on one: the inlined
-fast path indexes :meth:`TickGrid.scalars`, the generic loop reads
-through :class:`GridTrip` (the ``Trip`` surface the onboard computer
-touches, answering on-grid times by O(1) lookup), and the vectorized
-engine stacks the arrays as they are.  The grid stores *exactly* the
+:class:`~repro.sim.engine.PolicySimulation` runs on one: the reference
+loop reads through :class:`GridTrip` (the ``Trip`` surface the onboard
+computer touches, answering on-grid times by O(1) lookup into
+:meth:`TickGrid.scalars`), and the vectorized engine stacks the arrays
+as they are.  The grid stores *exactly* the
 floats the trip methods return at the tick times, so a grid-backed run
 is byte-identical to stepping the trip itself.
 """
@@ -34,8 +34,8 @@ class TickGrid:
     trip start), with ``times[i] == i * dt`` exactly — the same float
     the clock hands the engine.  The three are read-only float64 arrays
     of length ``num_ticks + 1``, which the vectorized engine stacks as
-    they are; scalar consumers index :meth:`scalars` instead, so no
-    ``np.float64`` leaks into metrics or events.
+    they are; :class:`GridTrip` indexes :meth:`scalars` instead, so no
+    ``np.float64`` leaks into the reference loop's metrics or events.
     """
 
     __slots__ = ("dt", "duration", "num_ticks", "max_speed",
@@ -66,8 +66,8 @@ class TickGrid:
         """``(times, travel, speeds)`` as lists of Python floats.
 
         One ``.tolist()`` each, on first use and kept: a grid only the
-        vectorized engine reads never boxes a float, and the scalar
-        engine pays the conversion once per grid, not once per cell.
+        vectorized engine reads never boxes a float, and the reference
+        loop pays the conversion once per grid, not once per cell.
         """
         if self._scalars is None:
             self._scalars = (self.times.tolist(), self.travel.tolist(),

@@ -8,9 +8,8 @@ arrays, one column per trip, so the vectorized engine
 batch carries kinematics only: it is packed once per sweep run and
 shared by every (policy, update-cost) pair, which the engine lays over
 it as a broadcast axis.  All grids in a batch must share the same tick
-layout (``dt``, ``num_ticks``, ``duration``); the executor only
-dispatches uniform trip sets here and runs anything else through the
-scalar engine.
+layout (``dt``, ``num_ticks``, ``duration``); the executor groups lanes
+by layout, one batch per group.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ class VecTripBatch:
     ``V``.  Tick-major layout makes each simulation step a contiguous
     row read instead of a strided column gather, which is what keeps
     the engine memory-bound-fast at fleet scale.  The array values are
-    the grids' own, so bitwise the ones the scalar engine reads.
+    the grids' own, so bitwise the ones the reference loop reads.
     """
 
     __slots__ = ("dt", "duration", "num_ticks", "size", "times", "travel",

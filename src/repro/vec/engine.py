@@ -6,13 +6,16 @@ algebra under every update cost of a sweep at once, a *window* of ticks
 per pass: NumPy tiles of shape ``(w, k, n)`` — ``w`` ticks by ``k``
 update costs by ``n`` vehicles.  A single policy is the ``k = 1`` call
 of the same loop.  Each per-lane arithmetic step — deviation, §3.3
-bound, Proposition-1 threshold, update resets — uses the same float64
-expressions in the same evaluation order as
-:meth:`repro.sim.engine.PolicySimulation._run_fast`, and each lane's
-accumulators receive the same additions in the same tick order, so
-every :class:`~repro.sim.metrics.TripMetrics` field and every
+bound, Proposition-1 threshold, update resets — uses the float64
+expressions of the reference loop
+(:meth:`repro.sim.engine.PolicySimulation._run_generic`: the onboard
+computer, ``policy.decide``, the :mod:`repro.core.bounds` closures) in
+its evaluation order, and each lane's accumulators receive the same
+additions in the same tick order, so every
+:class:`~repro.sim.metrics.TripMetrics` field and every
 :class:`~repro.sim.vehicle.UpdateEvent` is byte-identical to the
-scalar fast path (``tests/vec/`` asserts exact equality).
+reference run of that lane (``tests/vec/`` asserts equality on
+``repr``).
 
 Between two updates nothing about a lane changes — ``P.speed``, the
 time and travel of the last update, the bound constants — so a window
@@ -30,7 +33,7 @@ candidate.
 The cost axis is broadcast, never materialised: a window's kinematics
 rows ``travel[i0:i1]`` have shape ``(w, 1, n)`` and its tick times
 ``(w, 1, 1)``, so NumPy pairs lane ``(c, j)`` with trip ``j``'s travel
-and cost ``c`` — the operands the scalar run of that cell reads.
+and cost ``c`` — the operands the reference run of that cell reads.
 Lanes never interact (every operation is elementwise), which is why
 fusing costs, blocking vehicles or tiling ticks cannot change a value;
 they only divide the per-call overhead.
@@ -44,14 +47,19 @@ replay over the few lanes whose threshold fired.
 
 Telemetry: the whole batch runs under one ``simulate_trip_batch``
 span, which records how the run went (windows, their length, replay
-rounds and lanes, screen candidates); per-tick registry instruments
-are not replicated here, which is why the executor only dispatches to
-this path when neither the metrics registry nor the tracer is enabled.
+rounds and lanes, screen candidates).  Under an enabled registry a
+block reports what the reference loop reports for each of its lanes,
+from what it already holds: a window's settled deviation and bound
+tiles *are* its per-tick samples, so the tick histograms take them
+whole at commit (:meth:`~repro.obs.metrics.Histogram.observe_many`),
+and the run instruments are set from the result rows.  One ``enabled``
+read per block; nothing per tick, nothing when disabled.
 """
 
 from __future__ import annotations
 
 import math
+from time import perf_counter
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -62,8 +70,13 @@ from repro.core.policies import (
 )
 from repro.core.policy import THRESHOLD_TOLERANCE, UpdatePolicy
 from repro.errors import SimulationError
-from repro.obs.registry import span
-from repro.sim.engine import TripResult, supports_fast_path
+from repro.obs.registry import get_registry, span
+from repro.sim.engine import (
+    TripResult,
+    _record_run,
+    _tick_instruments,
+    supports_fast_path,
+)
 from repro.sim.metrics import TripMetrics
 from repro.sim.vehicle import UpdateEvent, ZERO_DEVIATION_TOLERANCE
 from repro.vec.batch import VecTripBatch
@@ -89,7 +102,7 @@ TILE_ELEMENTS = 16384
 
 
 class _Lanes(NamedTuple):
-    """Per-lane state: the scalars of ``_run_fast`` widened to arrays.
+    """Per-lane state: what one run carries from tick to tick, as arrays.
 
     ``(k, n)`` for a block, ``(F,)`` for the lanes of a replay.  The
     last three are ``None`` outside dl, where nothing reads them.
@@ -139,7 +152,8 @@ def simulate_batch(batch: VecTripBatch,
         if not supports_fast_path(member):
             raise SimulationError(
                 f"policy {member.name!r} is not supported by the vectorized "
-                "engine; use the scalar PolicySimulation instead"
+                "engine; PolicySimulation.run takes it through the "
+                "reference loop"
             )
         if type(member) is not type(policies[0]):
             raise SimulationError(
@@ -192,11 +206,11 @@ def _screen_level(cost: np.ndarray, num_ticks: int,
 
 def _threshold(deviation: np.ndarray, elapsed: np.ndarray,
                delay: np.ndarray | None, cost: np.ndarray) -> np.ndarray:
-    """Inlined SimpleFitting.fit + Proposition 1 (as ``_run_fast``).
+    """Inlined SimpleFitting.fit + Proposition 1.
 
     Only evaluated where the deviation is positive, so ``elapsed -
     delay >= dt > 0`` (a zero tick can only be an earlier, smaller
-    elapsed) and the scalar engine's 1e-9 floor is unreachable; a
+    elapsed) and ``SimpleFitting``'s 1e-9 floor is unreachable; a
     zero-deviation dl candidate has slope 0/0 = NaN and never fires.
     """
     if delay is None:
@@ -242,8 +256,8 @@ def _speculate(t: np.ndarray, actual: np.ndarray, lanes: _Lanes,
     elapsed, v_elapsed, deviation, bound, work, flags = scratch[:6]
     # Tick times are strictly increasing and last_time only ever holds
     # an earlier tick's time, so elapsed >= dt > 0 on every valid row:
-    # the scalar engine's elapsed <= 0 guards (the inf bound cap and
-    # the 1e-9 slope floor) are unreachable here.
+    # the reference's elapsed <= 0 guards (the inf bound cap and the
+    # 1e-9 slope floor) are unreachable here.
     np.subtract(t, lanes.last_time, out=elapsed)
     np.multiply(lanes.declared, elapsed, out=v_elapsed)
     np.add(lanes.last_travel, v_elapsed, out=deviation)
@@ -275,7 +289,7 @@ def _speculate(t: np.ndarray, actual: np.ndarray, lanes: _Lanes,
     else:
         # max(min(vt, cap), min(gap*t, cap)) == min(max(vt, gap*t),
         # cap): min/max only select inputs, so the fused form picks
-        # the same float the scalar branch picks.
+        # the same float the reference's nested form picks.
         np.maximum(v_elapsed, work, out=bound)
         np.divide(lanes.two_cost, elapsed, out=work)
         np.minimum(bound, work, out=bound)
@@ -371,9 +385,9 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
     )
     state = lanes.flat()  # where an update scatters, a replay gathers
 
-    # The fast path accrues deviation_integral and deviation_cost with
-    # the identical `deviation * dt` addend each tick (uniform cost),
-    # so one accumulator serves both metrics bit-for-bit.
+    # Under the uniform cost a tick adds the identical `deviation * dt`
+    # to deviation_integral and deviation_cost, so one accumulator
+    # serves both metrics bit-for-bit.
     deviation_integral = np.zeros(shape, dtype=np.float64)
     uncertainty_integral = np.zeros(shape, dtype=np.float64)
     max_deviation = np.zeros(shape, dtype=np.float64)
@@ -381,6 +395,14 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
     peak = np.empty(shape, dtype=np.float64)
     num_updates = np.zeros(width, dtype=np.int64)
     events: list[list[UpdateEvent]] = [[] for _ in range(width)]
+
+    registry = get_registry()
+    observed = registry.enabled
+    if observed:
+        # One class per pass (simulate_batch checks), hence one name.
+        deviation_hist, bound_hist, update_counter = _tick_instruments(
+            registry, policies[0].name)
+        wall_start = perf_counter()
 
     # As many ticks as fit the tile, but no taller than a square one:
     # past that the per-window overhead is already amortized, while the
@@ -477,7 +499,7 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
             replayed += replaying.size
 
         # Commit: the integrals take the window's rows in tick order,
-        # the additions `_run_fast` makes; maxima only select.
+        # the additions the tick loop makes; maxima only select.
         for integral, values in ((deviation_integral, deviation),
                                  (uncertainty_integral, bound)):
             addends = np.multiply(values, dt, out=scratch[0])
@@ -488,6 +510,9 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
         np.maximum(max_deviation, peak, out=max_deviation)
         np.maximum.reduce(bound, axis=0, out=peak)
         np.maximum(max_uncertainty, peak, out=max_uncertainty)
+        if observed:
+            deviation_hist.observe_many(deviation)
+            bound_hist.observe_many(bound)
 
     tally["windows"] += -(-num_ticks // window)
     tally["window_ticks"] = max(tally["window_ticks"], window)
@@ -524,4 +549,9 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
                 series=None,
             ))
         rows.append(row_results)
+    if observed:
+        update_counter.inc(int(num_updates.sum()))
+        for row_results in rows:
+            for result in row_results:
+                _record_run(registry, result.metrics, num_ticks, wall_start)
     return rows

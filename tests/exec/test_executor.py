@@ -9,12 +9,12 @@ import pytest
 
 from repro.core.policies import make_policy
 from repro.errors import ExperimentError
-from repro.exec import SweepCell, SweepExecutor, cell_seed
+from repro.exec import SweepCell, SweepExecutor, TickGrid, cell_seed
 from repro.exec.executor import _decompose
 from repro.experiments.sweep import SweepSpec, build_curves, run_policy_sweep
-from repro.sim.engine import simulate_trip
 from repro.sim.metrics import aggregate_metrics
 from repro.sim.trip import Trip
+from tests.oracle.policy_reference import reference_run
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -30,7 +30,8 @@ def small_spec(**overrides) -> SweepSpec:
 
 
 def reference_sweep(spec: SweepSpec):
-    """The legacy serial loop: no grids, no executor, spec order."""
+    """The legacy serial loop — no executor, no kernel, spec order: every
+    cell alone through the reference tick loop on its own tick grid."""
     curves = build_curves(spec)
     trips = [Trip.synthetic(curve, route_id=f"sweep-{i}")
              for i, curve in enumerate(curves)]
@@ -39,11 +40,10 @@ def reference_sweep(spec: SweepSpec):
         by_cost = {}
         for cost in spec.update_costs:
             metrics = [
-                simulate_trip(
-                    trip,
+                reference_run(
+                    TickGrid.build(trip, spec.dt),
                     make_policy(policy_name, cost,
                                 **spec.policy_kwargs.get(policy_name, {})),
-                    dt=spec.dt,
                 ).metrics
                 for trip in trips
             ]
@@ -74,8 +74,8 @@ class TestDecomposition:
 
 class TestSerialEquivalence:
     def test_serial_executor_matches_legacy_loop(self):
-        """Executor output (grid fast path) == plain simulate_trip loop,
-        with exact float equality on every aggregate."""
+        """Executor output (fused kernel passes) == one reference run
+        per cell, with exact float equality on every aggregate."""
         spec = small_spec()
         expected = reference_sweep(spec)
         result = SweepExecutor(jobs=1).run(spec)

@@ -85,8 +85,12 @@ class TestWorkerSpanAdoption:
             SweepExecutor(jobs=1).run(spec)
         with use_tracer() as parallel_tracer:
             SweepExecutor(jobs=4).run(spec)
-        serial_sims = len(serial_tracer.spans_named("simulate_trip"))
-        parallel_sims = len(parallel_tracer.spans_named("simulate_trip"))
+        # A pass covers costs x vehicles cells, however the trips were
+        # cut into worker blocks.
+        serial_sims, parallel_sims = (
+            sum(record.attrs["costs"] * record.attrs["vehicles"]
+                for record in tracer.spans_named("simulate_trip_batch"))
+            for tracer in (serial_tracer, parallel_tracer))
         assert serial_sims == parallel_sims == 16
 
     def test_adopted_spans_carry_worker_attr_and_parent(self):

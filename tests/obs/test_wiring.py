@@ -63,9 +63,12 @@ class TestEngineMetrics:
         tracer = Tracer()
         with use_registry(), use_tracer(tracer):
             simulate_trip(example1_trip, DelayedLinearPolicy(C))
-        (record,) = tracer.spans_named("simulate_trip")
+        # dl is a kernel policy: one lane is a pass of one vehicle.
+        (record,) = tracer.spans_named("simulate_trip_batch")
         assert record.attrs["policy"] == "dl"
+        assert record.attrs["vehicles"] == record.attrs["costs"] == 1
         assert record.duration > 0.0
+        assert tracer.spans_named("simulate_trip") == []
 
     def test_identical_runs_identical_nontiming_metrics(self, example1_trip):
         snapshots = []

@@ -1,8 +1,9 @@
 """Differential test: ``FleetSimulation.run`` against the tick-by-tick loop.
 
 ``FleetSimulation.run`` asks the lane dispatcher for every vehicle's
-update events (kernel passes for large uniform groups, the scalar engine
-for the rest, all on tick grids) and replays them in tick order.
+update events (a kernel pass per group of dl/ail/cil lanes, the
+reference loop for the rest, all on tick grids) and replays them in
+tick order.
 ``tests/oracle/fleet_reference.py`` steps one onboard computer per
 vehicle on the real trip.  Two identically built fleets, one run each
 way, must leave the same update log — message for message on ``repr``,
@@ -10,9 +11,9 @@ so ``-0.0`` and the last digit count — the same per-vehicle counts, and
 must show every ``on_tick(t)`` the same database.
 
 Generated fleets have 1-80 vehicles in up to four (policy, update cost,
-trip duration) blocks, so groups land on both sides of the dispatcher's
-kernel floor (32); policies are dl/ail/cil plus fixed-threshold, which
-has no fast path; costs repeat across distinct policy objects; two of
+trip duration) blocks, so kernel passes range from one lane to eighty;
+policies are dl/ail/cil plus fixed-threshold, which is no kernel
+policy; costs repeat across distinct policy objects; two of
 the four durations are no multiple of either ``dt``; vehicles are
 inserted in a drawn order; the run is as long as the longest trip,
 shorter than some trips, or longer than all; with and without a hook.
@@ -28,13 +29,13 @@ from hypothesis import strategies as st
 
 from repro.core.policies import make_policy
 from repro.dbms.database import MovingObjectDatabase
-from repro.exec import executor
 from repro.routes.generators import straight_route
 from repro.sim.fleet import FleetSimulation
 from repro.sim.speed_curves import CityCurve, HighwayCurve
 from repro.sim.trip import Trip
 from tests.conftest import examples
 from tests.oracle import fleet_reference
+from tests.oracle.policy_reference import watch_dispatch
 
 POLICIES = ("dl", "ail", "cil", "fixed-threshold")
 COSTS = (0.05, 0.2, 1.0)
@@ -66,8 +67,10 @@ def build(vehicles, dt, seed):
                                origin=(0.1 * i, -0.2 * i),
                                heading_degrees=37.0 * i)
         kwargs = {"bound": 0.1} if policy_name == "fixed-threshold" else {}
-        fleet.add_vehicle(f"v{i}", "vehicle", Trip(route, curve),
-                          make_policy(policy_name, cost, **kwargs))
+        # A name, or a policy class to instantiate directly.
+        policy = (policy_name(cost) if isinstance(policy_name, type)
+                  else make_policy(policy_name, cost, **kwargs))
+        fleet.add_vehicle(f"v{i}", "vehicle", Trip(route, curve), policy)
     return fleet
 
 
@@ -103,20 +106,24 @@ def test_fleet_run_equals_the_tick_by_tick_loop(vehicles, dt, seed,
     check(vehicles, dt, seed, duration, hooked)
 
 
-@pytest.mark.parametrize("size", [31, 32, 33])
+@pytest.mark.parametrize("size", [1, 33])
 def test_either_side_of_the_kernel_floor(size, monkeypatch):
-    """A group at the floor, with other lanes woven through it."""
-    kernel_passes = []
-    simulate_batch = executor.simulate_batch
-
-    def spy(batch, *args, **kwargs):
-        kernel_passes.append(batch.size)
-        return simulate_batch(batch, *args, **kwargs)
-
-    monkeypatch.setattr(executor, "simulate_batch", spy)
+    """The dispatcher had a floor of 32 lanes per pass and has none now:
+    a group of one or of 33, with other lanes woven through it, rides a
+    pass; the one lane the kernel cannot take runs alone."""
+    passes, runs = watch_dispatch(monkeypatch)
     vehicles = [("ail", 0.2, 3.05)] * size
     vehicles[5:5] = [("fixed-threshold", 0.2, 3.05), ("ail", 0.2, 2.0),
                      ("dl", 0.05, 3.05)]
     assert check(vehicles, 0.1, 7, None, True)
     assert check(vehicles, 0.1, 7, 2.5, False)
-    assert kernel_passes == ([size, size] if size >= 32 else [])
+    # One pass per (policy class, tick layout, cost) group, in order of
+    # first appearance; each vehicle has its own trip, so no two cost
+    # rows share their columns.
+    groups = {}
+    for vehicle in vehicles:
+        if vehicle[0] != "fixed-threshold":
+            groups[vehicle] = groups.get(vehicle, 0) + 1
+    assert ([batch.size for batch, _ in passes]
+            == list(groups.values()) * 2 == [size, 1, 1] * 2)
+    assert runs == ["fixed-threshold"] * 2

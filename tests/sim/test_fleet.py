@@ -164,15 +164,16 @@ class TestRun:
             fleet.add_vehicle(f"v{i}", "vehicle", trip,
                               make_policy("cil", 0.5))
         counts = fleet.run()
-        # Reference: a fresh fleet driven one vehicle at a time through
-        # the single-trip engine path has the same per-vehicle counts.
-        from repro.sim.engine import simulate_trip
+        # Reference: the same vehicles one at a time through the
+        # reference tick loop have the same per-vehicle counts.
+        from repro.sim.grid import TickGrid
+        from tests.oracle.policy_reference import reference_run
         for i, minutes in enumerate((1.0, 2.5, 4.0)):
             trip = Trip(straight_route(10.0, f"r{i}"),
                         PiecewiseConstantCurve([(minutes / 2, 1.2),
                                                 (minutes / 2, 0.2)]))
-            solo = simulate_trip(trip, make_policy("cil", 0.5),
-                                 dt=fleet.dt)
+            solo = reference_run(TickGrid.build(trip, fleet.dt),
+                                 make_policy("cil", 0.5))
             assert counts[f"v{i}"] == solo.metrics.num_updates
 
     def test_index_kept_in_sync(self):

@@ -1,10 +1,11 @@
-"""Scalar-vs-vectorized engine equivalence: exact floats, not almost.
+"""Reference-vs-kernel equivalence: exact floats, not almost.
 
 The vectorized engine's whole contract is that it is invisible: every
 metric field and every update event must be byte-identical to the
-scalar fast path (and therefore, transitively, to the generic tick
-loop).  Equality below is frozen-dataclass equality — exact float
-comparison, field by field.
+reference tick loop, ``PolicySimulation._run_generic``
+(``tests/oracle/policy_reference.py``) — directly, lane by lane, on
+``repr``.  ``PolicySimulation.run`` and ``simulate_trip`` are the kernel
+themselves and never the other side here.
 """
 
 import random
@@ -15,12 +16,12 @@ np = pytest.importorskip("numpy")
 
 from repro.core.policies import make_policy
 from repro.errors import SimulationError
-from repro.exec import GridTrip, TickGrid
-from repro.sim.engine import PolicySimulation, simulate_trip
+from repro.exec import TickGrid
 from repro.sim.speed_curves import CityCurve, HighwayCurve, RushHourCurve
 from repro.sim.trip import Trip
 from repro.vec.batch import VecTripBatch
 from repro.vec.engine import simulate_batch
+from tests.oracle.policy_reference import assert_same, reference_run
 
 DT = 1.0 / 30.0
 CURVES = {
@@ -40,10 +41,8 @@ def build_grid(kind="city", duration=20.0, seed=11, dt=DT):
 def test_batch_of_one_matches_scalar_fast_path(policy_name, kind):
     grid = build_grid(kind)
     policy = make_policy(policy_name, 5.0)
-    scalar = PolicySimulation(GridTrip(grid), policy, dt=DT, grid=grid).run()
     vec = simulate_batch(VecTripBatch.from_grids([grid]), policy)[0]
-    assert vec.metrics == scalar.metrics
-    assert vec.updates == scalar.updates
+    assert_same(vec, reference_run(grid, policy))
 
 
 @pytest.mark.parametrize("policy_name", ["dl", "ail", "cil"])
@@ -57,18 +56,13 @@ def test_randomized_mixed_batch_matches_generic_engine(policy_name):
     for cost in (0.5, 2.0, 10.0):
         policy = make_policy(policy_name, cost)
         vec = simulate_batch(VecTripBatch.from_grids(grids), policy)
-        for trip, row in zip(trips, vec):
-            generic = simulate_trip(trip, make_policy(policy_name, cost),
-                                    dt=DT)
-            assert row.metrics == generic.metrics
-            assert row.updates == generic.updates
+        for grid, row in zip(grids, vec):
+            assert_same(row, reference_run(grid, policy))
 
 
-def scalar_fast(grid, policy_name, cost):
-    """The oracle of one (policy, cost, trip) lane: ``_run_fast``."""
-    return PolicySimulation(
-        GridTrip(grid), make_policy(policy_name, cost), dt=DT, grid=grid
-    ).run()
+def reference_lane(grid, policy_name, cost):
+    """The oracle of one (policy, cost, trip) lane: ``_run_generic``."""
+    return reference_run(grid, make_policy(policy_name, cost))
 
 
 MIXED_KINDS = ("city", "highway", "rush-hour", "city", "highway")
@@ -90,10 +84,8 @@ def test_cost_axis_matches_scalar_fast_path_per_lane(policy_name, costs,
     assert len(fused) == len(costs) * num_trips
     for c, cost in enumerate(costs):
         for j, grid in enumerate(grids):
-            lane = fused[c * num_trips + j]
-            scalar = scalar_fast(grid, policy_name, cost)
-            assert lane.metrics == scalar.metrics
-            assert lane.updates == scalar.updates  # event for event
+            assert_same(fused[c * num_trips + j],  # event for event
+                        reference_lane(grid, policy_name, cost), (c, j))
     # The fused pass is the single-cost calls laid side by side.
     singles = [row for policy in policies
                for row in simulate_batch(batch, policy)]
@@ -111,9 +103,8 @@ def test_cost_axis_over_repeated_grids():
                            [make_policy("dl", cost) for cost in costs])
     for c, cost in enumerate(costs):
         for i in range(24):
-            scalar = scalar_fast(base[i % 3], "dl", cost)
-            assert fused[c * 24 + i].metrics == scalar.metrics
-            assert fused[c * 24 + i].updates == scalar.updates
+            assert_same(fused[c * 24 + i],
+                        reference_lane(base[i % 3], "dl", cost), (c, i))
 
 
 def test_cost_axis_blocks_along_the_trip_axis(monkeypatch):
@@ -133,7 +124,7 @@ def test_results_hold_python_numbers_only():
     grids = [build_grid("rush-hour"), build_grid("city")]
     rows = simulate_batch(VecTripBatch.from_grids(grids),
                           [make_policy("dl", 1.0), make_policy("dl", 3.0)])
-    rows.append(scalar_fast(grids[0], "dl", 1.0))
+    rows.append(reference_lane(grids[0], "dl", 1.0))
     assert any(row.updates for row in rows)
     for row in rows:
         metrics = row.metrics

@@ -1,9 +1,10 @@
-"""The executor's vectorized dispatch is invisible in the results.
+"""The executor's kernel dispatch is invisible in the results.
 
-A sweep run with vectorization on must equal the scalar run cell for
-cell, serially and across worker counts, and the dispatch gate must
-actually route eligible cells through the batch engine (and only
-eligible ones).
+A sweep must equal, cell for cell, each cell run alone through the
+reference loop (``PolicySimulation._run_generic`` on a fresh policy,
+aggregated as ``SweepExecutor._aggregate`` does) — serially and across
+worker counts — and the dispatcher must route every cell the kernel
+supports through a pass, whatever the sweep's size, and only those.
 """
 
 import pytest
@@ -15,6 +16,7 @@ from repro.exec import SweepExecutor, TickGrid
 from repro.exec import executor as executor_module
 from repro.experiments.sweep import SweepSpec, build_curves
 from repro.sim.trip import Trip
+from tests.oracle.policy_reference import reference_run, watch_dispatch
 
 
 def small_spec(**overrides) -> SweepSpec:
@@ -29,73 +31,71 @@ def small_spec(**overrides) -> SweepSpec:
     return SweepSpec(**defaults)
 
 
+def sweep_trips(spec):
+    return [Trip.synthetic(curve, route_id=f"sweep-{i}")
+            for i, curve in enumerate(build_curves(spec))]
+
+
+def reference_cells(spec, trips=None):
+    """Every cell alone through ``_run_generic``, a fresh policy each."""
+    grids = [TickGrid.build(trip, spec.dt)
+             for trip in trips or sweep_trips(spec)]
+    return [
+        reference_run(grids[cell.trip_index], executor_module._make_policy(
+            spec, cell.policy_index, cell.cost_index)).metrics
+        for cell in executor_module._decompose(spec)
+    ]
+
+
+def reference_sweep(spec):
+    return SweepExecutor._aggregate(spec, reference_cells(spec))
+
+
 @pytest.fixture
-def vec_gate(monkeypatch):
-    """Lower the dispatch floor so small test sweeps vectorize."""
-    monkeypatch.setattr(executor_module, "_MIN_VEC_TRIPS", 2)
+def dispatch(monkeypatch):
+    """``(kernel passes, lanes run alone)`` — see ``watch_dispatch``."""
+    return watch_dispatch(monkeypatch)
 
 
-def test_vectorized_serial_run_equals_scalar(vec_gate):
+def test_vectorized_serial_run_equals_scalar():
     spec = small_spec()
-    scalar = SweepExecutor(jobs=1, vectorize=False).run(spec)
-    vec = SweepExecutor(jobs=1, vectorize=True).run(spec)
-    assert vec == scalar
+    vec = SweepExecutor(jobs=1).run(spec)
+    assert repr(vec.cells) == repr(reference_sweep(spec))
 
 
-def test_vectorized_parallel_run_equals_serial(vec_gate):
+def test_vectorized_parallel_run_equals_serial():
     spec = small_spec()
-    serial = SweepExecutor(jobs=1, vectorize=True).run(spec)
-    parallel = SweepExecutor(jobs=4, vectorize=True).run(spec)
-    assert parallel == serial
+    parallel = SweepExecutor(jobs=4).run(spec)
+    assert repr(parallel.cells) == repr(reference_sweep(spec))
+    assert parallel == SweepExecutor(jobs=1).run(spec)
 
 
-def test_vectorized_dispatch_actually_engages(vec_gate, monkeypatch):
-    calls = []
-    original = executor_module._simulate_cell
-
-    def spy(spec, grid, cell):
-        calls.append(cell)
-        return original(spec, grid, cell)
-
-    monkeypatch.setattr(executor_module, "_simulate_cell", spy)
-    spec = small_spec()
-    SweepExecutor(jobs=1, vectorize=True).run(spec)
-    assert calls == []  # every cell went through the batch engine
-    SweepExecutor(jobs=1, vectorize=False).run(spec)
-    assert len(calls) == 3 * 2 * 6
+def test_vectorized_dispatch_actually_engages(dispatch):
+    passes, runs = dispatch
+    SweepExecutor(jobs=1).run(small_spec())
+    # Every cell went through the batch engine, none through a run.
+    assert sum(len(costs) * batch.size for batch, costs in passes) == 3 * 2 * 6
+    assert runs == []
 
 
-def test_one_kernel_pass_per_policy_family(vec_gate, monkeypatch):
-    passes = []
-    original = executor_module.simulate_batch
-
-    def spy(batch, policies, collect_events=True):
-        passes.append((batch, [policy.update_cost for policy in policies]))
-        return original(batch, policies, collect_events=collect_events)
-
-    monkeypatch.setattr(executor_module, "simulate_batch", spy)
-    spec = small_spec()
-    SweepExecutor(jobs=1, vectorize=True).run(spec)
+def test_one_kernel_pass_per_policy_family(dispatch):
+    passes, _ = dispatch
+    SweepExecutor(jobs=1).run(small_spec())
     assert [costs for _, costs in passes] == [[1.0, 5.0]] * 3
     assert all(batch is passes[0][0] for batch, _ in passes)  # packed once
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_every_job_count_yields_the_scalar_cells(vec_gate, monkeypatch, jobs):
+def test_every_job_count_yields_the_scalar_cells(monkeypatch, jobs):
     """Cell for cell, not only aggregate for aggregate."""
     spec = small_spec(
         policy_names=("dl", "ail", "fixed-threshold", "cil"),
         policy_kwargs={"fixed-threshold": {"bound": 0.5}},
         update_costs=(0.0, 1.0, 5.0),
-        num_curves=7,  # the last parallel trip block falls below the floor
+        num_curves=7,  # the last parallel trip block is a single trip
     )
-    trips = [Trip.synthetic(curve, route_id=f"sweep-{i}")
-             for i, curve in enumerate(build_curves(spec))]
-    grids = [TickGrid.build(trip, spec.dt) for trip in trips]
-    expected = [
-        executor_module._simulate_cell(spec, grids[cell.trip_index], cell)
-        for cell in executor_module._decompose(spec)
-    ]
+    trips = sweep_trips(spec)
+    expected = reference_cells(spec, trips)
     captured = []
     aggregate = SweepExecutor._aggregate
 
@@ -104,8 +104,8 @@ def test_every_job_count_yields_the_scalar_cells(vec_gate, monkeypatch, jobs):
         return aggregate(spec, cell_metrics)
 
     monkeypatch.setattr(SweepExecutor, "_aggregate", staticmethod(spy))
-    SweepExecutor(jobs=jobs, vectorize=True).run(spec, trips=trips)
-    assert captured == [expected]
+    SweepExecutor(jobs=jobs).run(spec, trips=trips)
+    assert repr(captured) == repr([expected])
 
 
 def test_worker_task_without_initializer_is_a_domain_error():
@@ -114,30 +114,34 @@ def test_worker_task_without_initializer_is_a_domain_error():
         executor_module._run_rectangle((0, 0, 1))
 
 
-def test_dispatch_floor_falls_back_to_scalar(monkeypatch):
-    calls = []
-    original = executor_module._simulate_cell
-
-    def spy(spec, grid, cell):
-        calls.append(cell)
-        return original(spec, grid, cell)
-
-    monkeypatch.setattr(executor_module, "_simulate_cell", spy)
-    spec = small_spec(num_curves=2)  # below _MIN_VEC_TRIPS
-    scalar = SweepExecutor(jobs=1, vectorize=False).run(spec)
-    calls.clear()
-    vec = SweepExecutor(jobs=1, vectorize=True).run(spec)
-    assert vec == scalar
-    assert len(calls) == 3 * 2 * 2  # every cell stayed scalar
+@pytest.mark.parametrize("num_curves", [1, 2])
+def test_a_sweep_of_any_size_rides_kernel_passes(dispatch, num_curves):
+    """No lane floor: one trip per cost row is still a pass."""
+    passes, runs = dispatch
+    spec = small_spec(num_curves=num_curves)
+    expected = repr(reference_sweep(spec))
+    assert repr(SweepExecutor(jobs=1).run(spec).cells) == expected
+    assert [(batch.size, costs) for batch, costs in passes] == [
+        (num_curves, [1.0, 5.0])] * 3
+    assert runs == []
+    assert repr(SweepExecutor(jobs=4).run(spec).cells) == expected
 
 
-def test_environment_default_disables_vectorization(monkeypatch):
-    monkeypatch.setenv("REPRO_VECTORIZE", "0")
-    assert SweepExecutor(jobs=1).vectorize is False
-    monkeypatch.delenv("REPRO_VECTORIZE")
-    assert SweepExecutor(jobs=1).vectorize is True
-
-
-def test_explicit_flag_overrides_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_VECTORIZE", "0")
-    assert SweepExecutor(jobs=1, vectorize=True).vectorize is True
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_stateful_policy_cells_each_get_a_fresh_instance(dispatch, jobs):
+    """``AdaptivePolicy`` keeps a speed window across ticks: a cell that
+    inherits another trip's window decides differently."""
+    passes, runs = dispatch
+    spec = small_spec(policy_names=("adaptive", "ail"))
+    result = SweepExecutor(jobs=jobs).run(spec)
+    assert repr(result.cells) == repr(reference_sweep(spec))
+    if jobs == 1:
+        assert runs == ["adaptive"] * (2 * 6)
+        assert [costs for _, costs in passes] == [[1.0, 5.0]]
+    # The case can tell: one instance per (policy, cost) row moves cells.
+    grids = [TickGrid.build(trip, spec.dt) for trip in sweep_trips(spec)]
+    shared = [reference_run(grid, policy).metrics
+              for policy in (executor_module._make_policy(spec, 0, c)
+                             for c in range(2))
+              for grid in grids]
+    assert repr(shared) != repr(reference_cells(spec)[:len(shared)])

@@ -1,4 +1,4 @@
-"""The tile kernel at its window edges, against ``_run_fast``.
+"""The tile kernel at its window edges, against the reference loop.
 
 ``simulate_batch`` advances windows of ``W = min(TILE_ELEMENTS // lanes,
 isqrt(TILE_ELEMENTS))`` ticks, speculating that no lane fires and replaying the lanes that did.
@@ -6,9 +6,10 @@ The sweep only ever runs it at ``W = 17``; these cases patch the budget
 so a fire lands on a window's first row, its last row, twice or three
 times inside one window, on consecutive ticks, next to a dl
 zero-deviation run — and compare every ``TripMetrics`` and
-``UpdateEvent`` with :meth:`PolicySimulation._run_fast` on ``repr``, so
-``-0.0`` and the last digit count.  The kernel's span counters say
-whether the case that was built is the case that ran.
+``UpdateEvent`` with :meth:`PolicySimulation._run_generic`
+(``tests/oracle/policy_reference.py``) on ``repr``, so ``-0.0`` and the
+last digit count.  The kernel's span counters say whether the case that
+was built is the case that ran.
 
 The Equation-3 screen is checked separately: whatever the exact
 Proposition-1 test fires, the kernel must have admitted.
@@ -26,17 +27,17 @@ from hypothesis import strategies as st
 np = pytest.importorskip("numpy")
 
 from repro.core.policies import make_policy
-from repro.core.policy import THRESHOLD_TOLERANCE
-from repro.exec import GridTrip, TickGrid
+from repro.core.policy import THRESHOLD_TOLERANCE, OnboardState
+from repro.exec import TickGrid
 from repro.obs.registry import use_tracer
 from repro.obs.tracing import Tracer
-from repro.sim.engine import PolicySimulation
 from repro.sim.speed_curves import PiecewiseConstantCurve
 from repro.sim.trip import Trip
 from repro.vec import engine
 from repro.vec.batch import VecTripBatch
 from repro.vec.engine import simulate_batch
 from tests.conftest import examples
+from tests.oracle.policy_reference import assert_same, reference_run
 from tests.vec.test_engine_equivalence import CURVES, build_grid
 
 POLICIES = ("dl", "ail", "cil")
@@ -58,10 +59,9 @@ def step_grid(segments=STEPS, dt=0.1):
 curve_grid = functools.lru_cache(maxsize=None)(build_grid)
 
 
-def run_fast(grid, policy_name, cost):
-    """The oracle of one lane."""
-    return PolicySimulation(GridTrip(grid), make_policy(policy_name, cost),
-                            dt=grid.dt, grid=grid)._run_fast()
+def run_reference(grid, policy_name, cost):
+    """The oracle of one lane: ``_run_generic``."""
+    return reference_run(grid, make_policy(policy_name, cost))
 
 
 def fire_ticks(result, dt):
@@ -69,7 +69,7 @@ def fire_ticks(result, dt):
 
 
 def check(monkeypatch, grids, policy_name, costs, window=None, budget=None,
-          collect_events=True, oracle=run_fast):
+          collect_events=True, oracle=run_reference):
     """Run the kernel at a patched budget; compare every lane; return
     the span's counters."""
     if budget is None:
@@ -84,11 +84,11 @@ def check(monkeypatch, grids, policy_name, costs, window=None, budget=None,
     for c, cost in enumerate(costs):
         for j, grid in enumerate(grids):
             lane = rows[c * len(grids) + j]
-            scalar = oracle(grid, policy_name, cost)
-            assert repr(lane.metrics) == repr(scalar.metrics), (c, j)
+            reference = oracle(grid, policy_name, cost)
             if collect_events:
-                assert repr(lane.updates) == repr(scalar.updates), (c, j)
+                assert_same(lane, reference, (c, j))
             else:
+                assert repr(lane.metrics) == repr(reference.metrics), (c, j)
                 assert lane.updates == []
     (record,) = tracer.spans_named("simulate_trip_batch")
     return record.attrs
@@ -118,7 +118,7 @@ def test_every_window_length_matches_run_fast(monkeypatch, policy_name,
 def test_a_lane_fires_again_inside_one_window(monkeypatch, policy_name, cost,
                                               fires):
     grid = step_grid()
-    assert fire_ticks(run_fast(grid, policy_name, cost), 0.1) == fires
+    assert fire_ticks(run_reference(grid, policy_name, cost), 0.1) == fires
     attrs = check(monkeypatch, [grid], policy_name, [cost], window=40)
     # One lane, one window: a replay round per fire.
     assert attrs["windows"] == 1
@@ -131,7 +131,7 @@ def test_a_lane_fires_again_inside_one_window(monkeypatch, policy_name, cost,
 
 def test_fire_on_a_windows_last_and_first_row(monkeypatch):
     grid = step_grid()
-    assert fire_ticks(run_fast(grid, "cil", 1.0), 0.1) == [31]
+    assert fire_ticks(run_reference(grid, "cil", 1.0), 0.1) == [31]
     # Window 1..31: the fire is its last row, nothing is left to replay.
     attrs = check(monkeypatch, [grid], "cil", [1.0], window=31)
     assert (attrs["windows"], attrs["replay_rounds"]) == (2, 0)
@@ -144,7 +144,7 @@ def test_fire_on_a_windows_last_and_first_row(monkeypatch):
     # 39, so a free update fires on tick 40 — the last row of the last
     # (for w = 3, partial) window.
     late = step_grid(STEPS[:-1] + [(0.7, 1.0), (0.1, 0.0)])
-    assert fire_ticks(run_fast(late, "cil", 0.0), 0.1)[-1] == 40
+    assert fire_ticks(run_reference(late, "cil", 0.0), 0.1)[-1] == 40
     for window in (1, 3, 40):
         check(monkeypatch, [late], "cil", [0.0, 0.3], window=window)
 
@@ -156,8 +156,8 @@ def test_free_updates_fire_on_consecutive_ticks(monkeypatch, policy_name,
     # C = 0: every tick with a deviation fires, so a window of w ticks
     # takes up to w - 1 replay rounds.
     grid = curve_grid("highway", 3.0, 5, 1.0 / 30.0)
-    scalar = run_fast(grid, policy_name, 0.0)
-    ticks = fire_ticks(scalar, grid.dt)
+    reference = run_reference(grid, policy_name, 0.0)
+    ticks = fire_ticks(reference, grid.dt)
     assert ticks == list(range(1, 91))  # the speed never holds still
     attrs = check(monkeypatch, [grid], policy_name, [0.0], window=window)
     assert attrs["replay_rounds"] >= len(ticks) // 2
@@ -167,10 +167,10 @@ def test_free_updates_fire_on_consecutive_ticks(monkeypatch, policy_name,
 @pytest.mark.parametrize("window", [1, 3, 4, 40])
 def test_dl_zero_runs_across_edges_and_after_a_fire(monkeypatch, window):
     grid = step_grid()
-    scalar = run_fast(grid, "dl", 0.05)
-    assert fire_ticks(scalar, 0.1) == [11, 18, 27, 34]
+    reference = run_reference(grid, "dl", 0.05)
+    assert fire_ticks(reference, 0.1) == [11, 18, 27, 34]
     travel = grid.travel.tolist()
-    for event, tick in zip(scalar.updates, (11, 18, 27, 34)):
+    for event, tick in zip(reference.updates, (11, 18, 27, 34)):
         # The tick after each fire has zero deviation: a zero run that
         # starts right after a fire and ends in a fire, in one window
         # (w = 40) or across an edge (w = 3: 12 | 13..15 | 16..18).
@@ -178,7 +178,7 @@ def test_dl_zero_runs_across_edges_and_after_a_fire(monkeypatch, window):
         assert abs(travel[tick + 1] - predicted) <= 1e-9
     # The first fire's threshold carries the delay of the zero run
     # 1..10, which at w = 3 and 4 was handed over window edges.
-    first = scalar.updates[0]
+    first = reference.updates[0]
     slope = first.deviation_at_update / 0.1
     assert first.threshold == pytest.approx(
         math.sqrt(slope * slope + 2.0 * slope * 0.05) - slope)  # delay 1.0
@@ -208,7 +208,8 @@ DURATIONS = (2.0, 3.05, 4.33)
 
 @functools.lru_cache(maxsize=None)
 def cached_oracle(kind, duration, seed, dt, policy_name, cost):
-    return run_fast(curve_grid(kind, duration, seed, dt), policy_name, cost)
+    return run_reference(curve_grid(kind, duration, seed, dt), policy_name,
+                         cost)
 
 
 @st.composite
@@ -243,16 +244,14 @@ def test_generated_batches_match_run_fast(batch, policy_name, costs, budget,
 # ----------------------------------------------------------------------
 
 def exact_fires(deviation, elapsed, delay, cost):
-    """The decision of ``_run_fast``, line for line."""
-    if not deviation > 0.0:
-        return False
-    effective = elapsed - delay
-    if effective <= 0:
-        effective = 1e-9
-    slope = deviation / effective
-    ab = slope * delay
-    threshold = math.sqrt(ab * ab + 2.0 * slope * cost) - ab
-    return deviation >= threshold * (1.0 - THRESHOLD_TOLERANCE)
+    """The reference decision: dl's own ``decide`` (with no delay, the
+    arithmetic of ail and cil)."""
+    state = OnboardState(
+        elapsed=elapsed, deviation=deviation, distance_since_update=0.0,
+        elapsed_at_last_zero_deviation=delay, current_speed=0.0,
+        average_speed_since_update=0.0, trip_average_speed=0.0,
+        declared_speed=0.0, trip_elapsed=elapsed)
+    return make_policy("dl", cost).decide(state).send
 
 
 def kernel_fires(deviation, elapsed, delay, cost, use_delay,
