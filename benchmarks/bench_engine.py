@@ -50,6 +50,13 @@ def test_bench_trip_construction(benchmark):
 
 
 def test_bench_series_recording_overhead(benchmark):
+    """A kernel pass of one dl lane that also keeps its series.
+
+    What recording adds to ``test_bench_hour_trip``'s kind of run: a
+    reckoned-travel buffer, three tile copies a window and the
+    ``tolist()`` of 3600 rows.  (Not a reference-loop timing: the
+    kernel returns the series.)  No ``baselines/bench-fast.json`` row.
+    """
     trip = Trip.synthetic(HighwayCurve(60.0, random.Random(9)))
     result = benchmark(
         lambda: simulate_trip(

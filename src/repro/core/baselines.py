@@ -44,7 +44,7 @@ class TraditionalPointPolicy(UpdatePolicy):
     def __init__(self, update_cost: float, precision: float = 1.0,
                  cost_function: DeviationCostFunction | None = None) -> None:
         super().__init__(update_cost, cost_function)
-        if precision <= 0:
+        if not precision > 0:
             raise PolicyError(f"precision must be positive, got {precision}")
         self.precision = precision
 
@@ -85,7 +85,7 @@ class FixedThresholdPolicy(UpdatePolicy):
                  speed_predictor: SpeedPredictor | None = None,
                  cost_function: DeviationCostFunction | None = None) -> None:
         super().__init__(update_cost, cost_function)
-        if bound <= 0:
+        if not bound > 0:
             raise PolicyError(f"bound must be positive, got {bound}")
         self.bound = bound
         self.speed_predictor = speed_predictor or CurrentSpeed()
@@ -121,7 +121,7 @@ class PeriodicPolicy(UpdatePolicy):
                  speed_predictor: SpeedPredictor | None = None,
                  cost_function: DeviationCostFunction | None = None) -> None:
         super().__init__(update_cost, cost_function)
-        if period <= 0:
+        if not period > 0:
             raise PolicyError(f"period must be positive, got {period}")
         self.period = period
         self.speed_predictor = speed_predictor or CurrentSpeed()

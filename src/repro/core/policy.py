@@ -104,7 +104,7 @@ class UpdatePolicy(ABC):
 
     def __init__(self, update_cost: float,
                  cost_function: DeviationCostFunction | None = None) -> None:
-        if update_cost < 0:
+        if not update_cost >= 0:
             raise PolicyError(f"update cost must be nonnegative, got {update_cost}")
         self.update_cost = update_cost
         self.cost_function = cost_function or UniformDeviationCost()

@@ -28,9 +28,10 @@ class SimulationClock:
 
     def __init__(self, duration: float,
                  dt: float = DEFAULT_TICK_MINUTES) -> None:
-        if duration <= 0:
-            raise SimulationError(f"duration must be positive, got {duration}")
-        if dt <= 0:
+        if not 0 < duration < float("inf"):
+            raise SimulationError(
+                f"duration must be positive and finite, got {duration}")
+        if not dt > 0:
             raise SimulationError(f"dt must be positive, got {dt}")
         if dt > duration:
             raise SimulationError(

@@ -20,17 +20,18 @@ where the DBMS derives the bound from the policy, ``P.speed``, ``C``,
 ``V`` and the time since the last update.
 
 Every run reads the trip through a :class:`~repro.sim.grid.TickGrid`,
-and the decision loop exists twice.  :meth:`PolicySimulation._run_generic`
-is the definition of a run — an :class:`OnboardComputer`,
-``policy.decide`` and :func:`bounds_for_policy`, tick by tick — and
-takes whatever only it can express: baselines and extensions, a
-non-uniform cost function, series recording.  The kernel
-(:func:`repro.vec.engine.simulate_batch`) is the same arithmetic over
-arrays for the exact dl/ail/cil classes, held to the reference on
-``repr`` by the test suite; :meth:`PolicySimulation.run` sends such a
-policy to it as a batch of one, and
-:func:`repro.exec.executor.simulate_lanes` groups many runs — a sweep,
-a fleet — into shared passes.
+and the decision loop exists twice, nowhere else: noisy runs, route
+reckoning and multi-leg journeys go through these two.
+:meth:`PolicySimulation._run_generic` is the definition of a run — an
+:class:`OnboardComputer`, ``policy.decide`` and
+:func:`bounds_for_policy`, tick by tick — and takes whatever only it
+can express: baselines and extensions, a non-uniform cost function.
+The kernel (:func:`repro.vec.engine.simulate_batch`) is the same
+arithmetic over arrays for the exact dl/ail/cil classes, per-tick
+series included, held to the reference on ``repr`` by the test suite;
+:meth:`PolicySimulation.run` sends such a policy to it as a batch of
+one, and :func:`repro.exec.executor.simulate_lanes` groups many runs —
+a sweep, a fleet — into shared passes.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ class PolicySimulation:
         self.policy = policy
         self.clock = SimulationClock(trip.duration, dt)
         self.max_speed = max_speed if max_speed is not None else trip.max_speed
-        if self.max_speed < 0:
+        if not self.max_speed >= 0:
             raise SimulationError(f"max speed must be nonnegative, got {self.max_speed}")
         if grid is None:
             grid = TickGrid.build(trip, dt)
@@ -186,11 +187,10 @@ class PolicySimulation:
         """Execute the whole trip and return its result.
 
         A policy the kernel supports runs there, as a batch of one; its
-        output is float-for-float that of the reference loop (asserted
-        by the test suite).  Series recording always takes the
-        reference loop, which knows how to collect the per-tick traces.
+        output — the per-tick series included — is float-for-float that
+        of the reference loop (asserted by the test suite).
         """
-        if record_series or not supports_fast_path(self.policy):
+        if not supports_fast_path(self.policy):
             return self._run_generic(record_series)
         # vec.engine imports TripResult and supports_fast_path from here.
         from repro.vec.batch import VecTripBatch
@@ -202,7 +202,8 @@ class PolicySimulation:
             grid.dt, grid.duration, grid.num_ticks, grid.times,
             grid.travel[:, np.newaxis], grid.speeds[:, np.newaxis],
             np.array([self.max_speed], dtype=np.float64))
-        return simulate_batch(batch, self.policy)[0]
+        return simulate_batch(batch, self.policy,
+                              record_series=record_series)[0]
 
     def _run_generic(self, record_series: bool = False) -> TripResult:
         trip = GridTrip(self.grid)

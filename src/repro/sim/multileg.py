@@ -8,10 +8,13 @@ position update whenever the object changes routes."
 
 A :class:`MultiLegTrip` strings several routes into one journey under a
 single speed curve.  :class:`MultiLegDriver` drives it against a
-database: within a leg the normal update policy runs; crossing a leg
-boundary forces an update carrying the new route id (the infinite-
-route-distance rule), which also swaps the o-plane in the time-space
-index onto the new route.
+database: within a leg its :class:`~repro.sim.vehicle.OnboardComputer`
+(in global travel coordinates) steps the normal update policy; crossing
+a leg boundary forces an update on that same computer — an infinite
+deviation, the infinite-route-distance rule — carrying the new route
+id, which also swaps the o-plane in the time-space index onto the new
+route.  The computer's event list is therefore the journey's whole
+message history, forced and policy-triggered alike.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.policy import OnboardState, UpdatePolicy
+from repro.core.policy import UpdateDecision, UpdatePolicy
 from repro.dbms.database import MovingObjectDatabase
 from repro.dbms.update_log import PositionUpdateMessage
 from repro.errors import SimulationError
@@ -35,6 +38,7 @@ from repro.sim.trip import (
     interpolate_distance,
     interpolate_distance_many,
 )
+from repro.sim.vehicle import OnboardComputer
 from repro.units import DEFAULT_TICK_MINUTES
 
 
@@ -145,9 +149,9 @@ class LegTransition:
 class MultiLegDriver:
     """Drives one multi-leg vehicle against a database.
 
-    The per-leg policy logic mirrors the onboard computer: deviation in
-    within-leg travel coordinates, policy evaluated each tick.  A leg
-    boundary forces an update that carries the new route id.
+    Every update, policy-triggered or forced by a leg boundary, goes
+    through one onboard computer and then to the database; a forced
+    one carries the new route id.
     """
 
     def __init__(self, object_id: str, class_name: str,
@@ -177,10 +181,7 @@ class MultiLegDriver:
             max_speed=trip.max_speed,
         )
         self._leg_index = 0
-        self._base_time = 0.0
-        self._base_travel = 0.0           # global travel at last update
-        self._declared_speed = trip.speed(0.0)
-        self._last_zero_elapsed = 0.0
+        self.computer = OnboardComputer(trip, policy)  # type: ignore[arg-type]
 
     def run(self) -> int:
         """Simulate the whole journey; returns total messages sent."""
@@ -190,67 +191,35 @@ class MultiLegDriver:
         return self.database.message_count(self.object_id)
 
     def _tick(self, t: float) -> None:
-        travel = self.trip.distance_travelled(t)
-        leg_index = self.trip.leg_index_at(travel)
-        if leg_index != self._leg_index:
-            self._change_route(t, leg_index)
-            return
-        elapsed = t - self._base_time
-        reckoned = self._base_travel + self._declared_speed * elapsed
-        deviation = abs(travel - reckoned)
-        if deviation <= 1e-9:
-            self._last_zero_elapsed = elapsed
-            deviation = 0.0
-        distance = max(travel - self._base_travel, 0.0)
-        state = OnboardState(
-            elapsed=elapsed,
-            deviation=deviation,
-            distance_since_update=distance,
-            elapsed_at_last_zero_deviation=min(self._last_zero_elapsed,
-                                               elapsed),
-            current_speed=self.trip.speed(t),
-            average_speed_since_update=(
-                distance / elapsed if elapsed > 0 else self._declared_speed
-            ),
-            trip_average_speed=travel / t if t > 0 else self.trip.speed(0.0),
-            declared_speed=self._declared_speed,
-            trip_elapsed=t,
-        )
-        decision = self.policy.decide(state)
+        leg_index = self.trip.leg_index_at(self.trip.distance_travelled(t))
+        route_change = leg_index != self._leg_index
+        if route_change:
+            # Infinite route distance: an update whatever the policy says.
+            self.transitions.append(LegTransition(
+                time=t,
+                from_route=self.trip.legs[self._leg_index].route.route_id,
+                to_route=self.trip.legs[leg_index].route.route_id,
+            ))
+            self._leg_index = leg_index
+            decision = UpdateDecision(
+                send=True, speed_to_declare=self.trip.speed(t),
+                threshold=0.0, fitted_slope=0.0, fitted_delay=0.0)
+            self.computer.apply_update(t, decision, float("inf"))
+        else:
+            _, decision = self.computer.step(t)
+            self.policy_updates += decision.send
         if decision.send:
-            self.policy_updates += 1
-            self._send_update(t, decision.speed_to_declare, route_change=None)
-
-    def _change_route(self, t: float, new_leg_index: int) -> None:
-        old_route = self.trip.legs[self._leg_index].route.route_id
-        self._leg_index = new_leg_index
-        new_route = self.trip.legs[new_leg_index].route.route_id
-        self.transitions.append(
-            LegTransition(time=t, from_route=old_route, to_route=new_route)
-        )
-        self._send_update(t, self.trip.speed(t), route_change=new_leg_index)
-
-    def _send_update(self, t: float, speed: float,
-                     route_change: int | None) -> None:
-        position = self.trip.position(t)
-        leg = self.trip.legs[self._leg_index]
-        self.database.process_update(
-            PositionUpdateMessage(
+            position = self.trip.position(t)
+            leg = self.trip.legs[leg_index]
+            self.database.process_update(PositionUpdateMessage(
                 object_id=self.object_id,
                 time=t,
                 x=position.x,
                 y=position.y,
-                speed=speed,
-                route_id=(leg.route.route_id if route_change is not None
-                          else None),
-                direction=(leg.direction if route_change is not None
-                           else None),
-            )
-        )
-        self._base_time = t
-        self._base_travel = self.trip.distance_travelled(t)
-        self._declared_speed = speed
-        self._last_zero_elapsed = 0.0
+                speed=decision.speed_to_declare,
+                route_id=leg.route.route_id if route_change else None,
+                direction=leg.direction if route_change else None,
+            ))
 
 __all__ = [
     "Leg",

@@ -14,6 +14,15 @@ consequences:
 Inflating the DBMS-side bound by ``2 * epsilon`` restores soundness —
 :func:`simulate_trip_with_noise` measures bound violations with and
 without the inflation, which is experiment E18's content.
+
+A noisy run is an ordinary run on a noisy grid: the clean
+:class:`~repro.sim.grid.TickGrid` with its travel column resampled
+through :class:`NoisyTripView`, handed to
+:class:`~repro.sim.engine.PolicySimulation` (kernel or reference loop,
+as for any trip).  The audit is a reduction of that run's series
+against the clean travel.  The inflation is DBMS-side only — the
+vehicle never sees it — so the naive and the inflated audit of one
+``(trip, policy, epsilon, seed)`` read the same run.
 """
 
 from __future__ import annotations
@@ -21,12 +30,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.core.bounds import bounds_for_policy
+import numpy as np
+
 from repro.core.policy import UpdatePolicy
 from repro.errors import SimulationError
-from repro.sim.clock import SimulationClock
+from repro.sim.engine import PolicySimulation
+from repro.sim.grid import TickGrid
 from repro.sim.trip import Trip
-from repro.sim.vehicle import OnboardComputer
 from repro.units import DEFAULT_TICK_MINUTES
 
 
@@ -35,46 +45,27 @@ class NoisyTripView:
 
     Wraps a clean :class:`Trip`; ``distance_travelled`` adds uniform
     noise in ``[-epsilon, +epsilon]``, deterministic per query time (the
-    same instant re-measured returns the same reading, as the onboard
-    computer expects within a tick).  Speed readings stay clean —
-    speedometers are far more accurate than absolute position.
+    same instant re-measured returns the same reading: each draws from
+    its own seeded stream).  Speed readings stay clean — speedometers
+    are far more accurate than absolute position.
     """
 
     def __init__(self, trip: Trip, epsilon: float, seed: int) -> None:
-        if epsilon < 0:
-            raise SimulationError(f"epsilon must be nonnegative, got {epsilon}")
+        if not 0 <= epsilon < float("inf"):
+            raise SimulationError(
+                f"epsilon must be finite and nonnegative, got {epsilon}")
         self._trip = trip
         self.epsilon = epsilon
         self._seed = seed
-        self._noise_cache: dict[int, float] = {}
-
-    @property
-    def duration(self) -> float:
-        return self._trip.duration
-
-    @property
-    def max_speed(self) -> float:
-        return self._trip.max_speed
-
-    @property
-    def route(self):
-        return self._trip.route
 
     def speed(self, t: float) -> float:
         return self._trip.speed(t)
 
-    def _noise_at(self, t: float) -> float:
-        key = int(round(t * 1e6))
-        cached = self._noise_cache.get(key)
-        if cached is None:
-            rng = random.Random(self._seed * 1_000_003 + key)
-            cached = rng.uniform(-self.epsilon, self.epsilon)
-            self._noise_cache[key] = cached
-        return cached
-
     def distance_travelled(self, t: float) -> float:
         """The *measured* travel distance: truth plus bounded noise."""
-        return max(self._trip.distance_travelled(t) + self._noise_at(t), 0.0)
+        rng = random.Random(self._seed * 1_000_003 + int(round(t * 1e6)))
+        noise = rng.uniform(-self.epsilon, self.epsilon)
+        return max(self._trip.distance_travelled(t) + noise, 0.0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -101,44 +92,32 @@ def simulate_trip_with_noise(trip: Trip, policy: UpdatePolicy,
                              inflate_bounds: bool = True) -> NoisyRunResult:
     """Run a trip with noisy measurements; account bound soundness.
 
-    The onboard computer sees the noisy view; ground truth comes from
-    the clean trip.  The DBMS-side bound is optionally inflated by
+    The onboard computer sees the noisy grid; ground truth comes from
+    the clean one.  The DBMS-side bound is optionally inflated by
     ``2 * epsilon`` (measurement error at the update, plus measurement
     error folded into the trigger).
     """
-    noisy_view = NoisyTripView(trip, epsilon, seed)
-    computer = OnboardComputer(noisy_view, policy)  # type: ignore[arg-type]
-    clock = SimulationClock(trip.duration, dt)
+    view = NoisyTripView(trip, epsilon, seed)
+    clean = TickGrid.build(trip, dt)
+    measured = [view.distance_travelled(t) for t in clean.times.tolist()]
+    noisy = TickGrid(dt, clean.duration, clean.max_speed, clean.times,
+                     measured, clean.speeds)
+    # Clean speeds and the clean speed ceiling: only positions are noisy.
+    result = PolicySimulation(trip, policy, dt, grid=noisy).run(
+        record_series=True)
     inflation = 2.0 * epsilon if inflate_bounds else 0.0
-    bounds = bounds_for_policy(policy, computer.declared_speed,
-                               trip.max_speed)
     slack = trip.max_speed * dt * 2 + 1e-9
-
-    violations = 0
-    max_excess = 0.0
-    for _, t in clock.ticks():
-        state = computer.observe(t)
-        actual_deviation = abs(
-            trip.distance_travelled(t) - computer.database_travel(t)
-        )
-        bound = bounds.total(state.elapsed) + inflation
-        excess = actual_deviation - (bound + slack)
-        if excess > 0:
-            violations += 1
-            max_excess = max(max_excess, excess)
-        decision = policy.decide(state)
-        if decision.send:
-            computer.apply_update(t, decision, state.deviation)
-            bounds = bounds_for_policy(
-                policy, computer.declared_speed, trip.max_speed
-            )
+    excess = (
+        np.abs(clean.travel[1:] - np.array(result.series.database_travel))
+        - ((np.array(result.series.uncertainty_bounds) + inflation) + slack)
+    )
     return NoisyRunResult(
         epsilon=epsilon,
         inflated=inflate_bounds,
-        num_updates=computer.num_updates,
-        violations=violations,
-        ticks=clock.num_ticks,
-        max_excess=max_excess,
+        num_updates=result.metrics.num_updates,
+        violations=int(np.count_nonzero(excess > 0)),
+        ticks=clean.num_ticks,
+        max_excess=max(0.0, float(excess.max())),
     )
 
 __all__ = [

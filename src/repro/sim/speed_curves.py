@@ -52,8 +52,9 @@ class SpeedCurve(ABC):
     kind: str = "abstract"
 
     def __init__(self, duration: float) -> None:
-        if duration <= 0:
-            raise SimulationError(f"duration must be positive, got {duration}")
+        if not 0 < duration < float("inf"):
+            raise SimulationError(
+                f"duration must be positive and finite, got {duration}")
         self.duration = duration
         # Curves are immutable after construction, so a summary is
         # computed once per (kind, samples).

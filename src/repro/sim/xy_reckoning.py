@@ -17,15 +17,24 @@ vehicle updates (reporting its position and current velocity vector)
 whenever the Euclidean deviation reaches a threshold.  On a winding
 route at constant speed the route-based model of §2 sends no updates
 at all, while this model updates at every sufficient bend.
+
+Only the plane model has a loop of its own here.  The route model *is*
+the ``fixed-threshold`` policy, so :func:`simulate_route_dead_reckoning`
+runs it through the policy engine, onboard computer and all — including
+the computer's snap of deviations of at most 1e-9 miles to zero, which
+can move ``avg_deviation`` by a few 1e-10 relative against a loop that
+does not snap; ``num_updates`` and ``max_deviation`` are unaffected.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.baselines import FixedThresholdPolicy
 from repro.errors import SimulationError
 from repro.geometry.point import Point
 from repro.sim.clock import SimulationClock
+from repro.sim.engine import simulate_trip
 from repro.sim.trip import Trip
 from repro.units import DEFAULT_TICK_MINUTES
 
@@ -68,7 +77,7 @@ def simulate_xy_dead_reckoning(trip: Trip, threshold: float,
     reaches ``threshold`` miles.  Returns message and deviation
     statistics comparable with the route-based policies'.
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise SimulationError(f"threshold must be positive, got {threshold}")
     clock = SimulationClock(trip.duration, dt)
     base_point = trip.position(0.0)
@@ -110,40 +119,19 @@ def simulate_route_dead_reckoning(trip: Trip, threshold: float,
 
     Identical trigger (deviation >= threshold, report current speed),
     but the deviation is route-distance from the dead-reckoned travel
-    position — the §2 model.  Packaged here (rather than through the
-    full policy engine) so the two baselines share every simulation
-    detail except the position model.
+    position — the §2 model, i.e. the ``fixed-threshold`` policy run by
+    the policy engine (update cost 0: only messages are counted).
     """
-    if threshold <= 0:
+    if not threshold > 0:
         raise SimulationError(f"threshold must be positive, got {threshold}")
-    clock = SimulationClock(trip.duration, dt)
-    base_travel = trip.distance_travelled(0.0)
-    base_speed = trip.speed(0.0)
-    base_time = 0.0
-
-    num_updates = 0
-    deviation_integral = 0.0
-    max_deviation = 0.0
-
-    for _, t in clock.ticks():
-        elapsed = t - base_time
-        reckoned = base_travel + base_speed * elapsed
-        actual = trip.distance_travelled(t)
-        deviation = abs(actual - reckoned)
-        deviation_integral += deviation * dt
-        max_deviation = max(max_deviation, deviation)
-        if deviation >= threshold * (1.0 - 1e-12):
-            num_updates += 1
-            base_travel = actual
-            base_speed = trip.speed(t)
-            base_time = t
-
+    metrics = simulate_trip(
+        trip, FixedThresholdPolicy(0.0, bound=threshold), dt).metrics
     return XYReckoningResult(
         threshold=threshold,
-        num_updates=num_updates,
-        avg_deviation=deviation_integral / clock.duration,
-        max_deviation=max_deviation,
-        duration=clock.duration,
+        num_updates=metrics.num_updates,
+        avg_deviation=metrics.avg_deviation,
+        max_deviation=metrics.max_deviation,
+        duration=metrics.duration,
     )
 
 __all__ = [

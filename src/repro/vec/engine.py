@@ -54,6 +54,15 @@ tiles *are* its per-tick samples, so the tick histograms take them
 whole at commit (:meth:`~repro.obs.metrics.Histogram.observe_many`),
 and the run instruments are set from the result rows.  One ``enabled``
 read per block; nothing per tick, nothing when disabled.
+
+The same tiles are a run's series.  Under ``record_series`` a block
+copies every committed window into a ``(ticks, k, n)`` store and hands
+each lane its columns: what the reference loop appends tick by tick.
+The third column, the dead-reckoned travel, is otherwise only an
+intermediate of the deviation, written into the deviation's buffer and
+overwritten there; it gets a buffer of its own only while recording, so
+an unrecorded pass issues the ufunc calls it always did, on the same
+buffers, and the store exists only for as long as a recorded pass runs.
 """
 
 from __future__ import annotations
@@ -73,6 +82,7 @@ from repro.errors import SimulationError
 from repro.obs.registry import get_registry, span
 from repro.sim.engine import (
     TripResult,
+    TripSeries,
     _record_run,
     _tick_instruments,
     supports_fast_path,
@@ -132,7 +142,8 @@ class _Lanes(NamedTuple):
 
 def simulate_batch(batch: VecTripBatch,
                    policy: UpdatePolicy | Sequence[UpdatePolicy],
-                   collect_events: bool = True) -> list[TripResult]:
+                   collect_events: bool = True,
+                   record_series: bool = False) -> list[TripResult]:
     """Simulate every trip of ``batch`` under one policy family.
 
     ``policy`` is one dl/ail/cil policy, or a sequence of policies of
@@ -142,8 +153,10 @@ def simulate_batch(batch: VecTripBatch,
     so a single policy yields one result per batch row, in row order.
     With ``collect_events=False`` the per-update event lists are skipped
     (the executor only consumes metrics); metrics are identical either
-    way.  Raises :class:`~repro.errors.SimulationError` for policies
-    outside the fast-path family or of mixed classes.
+    way, and with ``record_series``, which attaches each lane's per-tick
+    :class:`~repro.sim.engine.TripSeries`.  Raises
+    :class:`~repro.errors.SimulationError` for policies outside the
+    fast-path family or of mixed classes.
     """
     policies = [policy] if isinstance(policy, UpdatePolicy) else list(policy)
     if not policies:
@@ -176,7 +189,8 @@ def simulate_batch(batch: VecTripBatch,
         for start in range(0, batch.size, block):
             stop = min(start + block, batch.size)
             for results, row in zip(per_policy, _simulate_block(
-                    batch, policies, start, stop, collect_events, tally)):
+                    batch, policies, start, stop, collect_events,
+                    record_series, tally)):
                 results.extend(row)
         if record is not None:
             record.set(**tally)
@@ -238,14 +252,16 @@ def _scan(ufunc: np.ufunc, rows: np.ndarray) -> None:
 
 def _speculate(t: np.ndarray, actual: np.ndarray, lanes: _Lanes,
                valid: np.ndarray | None, scratch: list[np.ndarray],
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, int,
+               ) -> tuple[tuple[np.ndarray, ...], np.ndarray | None, int,
                           tuple[np.ndarray, ...] | None]:
     """Advance ``lanes`` over the rows of ``t`` as if none of them fired.
 
     ``t`` and ``actual`` (tick times and travel) broadcast against the
-    lane state along a leading row axis.  Returns the tile's deviation,
-    bound and (dl) last-zero-elapsed rows, the number of positions the
-    Equation-3 screen admitted, and each firing lane's *first* fire:
+    lane state along a leading row axis.  Returns the tiles the caller
+    settles — deviation, bound and, where it has a buffer of its own,
+    the dead-reckoned travel — the (dl) last-zero-elapsed rows, the
+    number of positions the Equation-3 screen admitted, and each firing
+    lane's *first* fire:
     ``(row, lane, elapsed, threshold, deviation)`` arrays with ``lane``
     indexing the flattened lane axes.  Rows after a lane's first fire
     were computed under a state the fire replaced; the caller replays
@@ -253,15 +269,16 @@ def _speculate(t: np.ndarray, actual: np.ndarray, lanes: _Lanes,
     own fire (elapsed <= 0 under its new state): they neither count as
     zero-deviation ticks nor fire, and the caller discards their values.
     """
-    elapsed, v_elapsed, deviation, bound, work, flags = scratch[:6]
+    elapsed, v_elapsed, deviation, bound, work, flags, reckoned = scratch[:7]
+    tiles = (deviation, bound, reckoned)[:2 if reckoned is deviation else 3]
     # Tick times are strictly increasing and last_time only ever holds
     # an earlier tick's time, so elapsed >= dt > 0 on every valid row:
     # the reference's elapsed <= 0 guards (the inf bound cap and the
     # 1e-9 slope floor) are unreachable here.
     np.subtract(t, lanes.last_time, out=elapsed)
     np.multiply(lanes.declared, elapsed, out=v_elapsed)
-    np.add(lanes.last_travel, v_elapsed, out=deviation)
-    np.subtract(actual, deviation, out=deviation)
+    np.add(lanes.last_travel, v_elapsed, out=reckoned)
+    np.subtract(actual, reckoned, out=deviation)
     np.absolute(deviation, out=deviation)
     zero = np.less_equal(deviation, ZERO_DEVIATION_TOLERANCE, out=flags)
     if valid is not None:
@@ -276,7 +293,7 @@ def _speculate(t: np.ndarray, actual: np.ndarray, lanes: _Lanes,
         # grows along the window and the carry is an earlier tick's
         # elapsed (or 0 after an update), so a running maximum selects
         # exactly the float the tick-by-tick assignment leaves.
-        fill = scratch[6]
+        fill = scratch[7]
         np.copyto(fill, lanes.last_zero)
         np.copyto(fill, elapsed, where=zero)
         _scan(np.maximum, fill)
@@ -305,7 +322,7 @@ def _speculate(t: np.ndarray, actual: np.ndarray, lanes: _Lanes,
         np.logical_and(candidate, valid, out=candidate)
     at = candidate.reshape(-1).nonzero()[0]
     if not at.size:
-        return deviation, bound, fill, 0, None
+        return tiles, fill, 0, None
     row, lane = np.divmod(at, candidate[0].size)
     at_deviation = deviation.reshape(-1)[at]
     at_elapsed = elapsed.reshape(-1)[at]
@@ -316,7 +333,7 @@ def _speculate(t: np.ndarray, actual: np.ndarray, lanes: _Lanes,
     fired = ((at_deviation >= threshold * (1.0 - THRESHOLD_TOLERANCE))
              & (at_deviation > 0.0)).nonzero()[0]
     if not fired.size:
-        return deviation, bound, fill, at.size, None
+        return tiles, fill, at.size, None
     if row[fired[0]] != row[fired[-1]]:
         # Keep each lane's earliest row: positions ascend row-major, so
         # that is the head of its run under a stable sort by lane.
@@ -325,20 +342,24 @@ def _speculate(t: np.ndarray, actual: np.ndarray, lanes: _Lanes,
         head = np.ones(order.size, dtype=np.bool_)
         np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
         fired = fired[order[head]]
-    return deviation, bound, fill, at.size, (
+    return tiles, fill, at.size, (
         row[fired], lane[fired], at_elapsed[fired], threshold[fired],
         at_deviation[fired])
 
 
-def _scratch(shape: tuple[int, ...], use_delay: bool) -> list[np.ndarray]:
-    """The out-buffers of one :func:`_speculate` pass over ``shape``."""
-    return ([np.empty(shape) for _ in range(5)]
-            + [np.empty(shape, dtype=np.bool_)]
-            + ([np.empty(shape)] if use_delay else []))
+def _scratch(shape: tuple[int, ...], use_delay: bool,
+             record: bool) -> list[np.ndarray]:
+    """The out-buffers of one :func:`_speculate` pass over ``shape``;
+    the reckoned travel's is the deviation's unless it is recorded."""
+    buffers = ([np.empty(shape) for _ in range(5)]
+               + [np.empty(shape, dtype=np.bool_)])
+    buffers.append(np.empty(shape) if record else buffers[2])
+    return buffers + ([np.empty(shape)] if use_delay else [])
 
 
 def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
                     start: int, stop: int, collect_events: bool,
+                    record_series: bool,
                     tally: dict[str, int]) -> list[list[TripResult]]:
     """Run trips ``[start, stop)`` of the batch under every policy.
 
@@ -395,6 +416,8 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
     peak = np.empty(shape, dtype=np.float64)
     num_updates = np.zeros(width, dtype=np.int64)
     events: list[list[UpdateEvent]] = [[] for _ in range(width)]
+    # The series store: deviation, bound and reckoned rows, as committed.
+    stores = [np.empty((num_ticks, k, n)) for _ in range(3 * record_series)]
 
     registry = get_registry()
     observed = registry.enabled
@@ -409,14 +432,15 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
     # rows a fire sends back to be replayed keep growing with the window.
     window = max(1, min(num_ticks, TILE_ELEMENTS // width,
                         math.isqrt(TILE_ELEMENTS)))
-    scratch = _scratch((window, k, n), use_delay)
+    scratch = _scratch((window, k, n), use_delay, record_series)
     candidates = rounds = replayed = 0
     for i0 in range(1, num_ticks + 1, window):
         end = min(i0 + window, num_ticks + 1)
         if end - i0 != window:
             scratch = [buffer[:end - i0] for buffer in scratch]
-        deviation, bound, fill, admitted, fires = _speculate(
+        tiles, fill, admitted, fires = _speculate(
             tile_times[i0:end], tile_travel[i0:end], lanes, None, scratch)
+        deviation, bound = tiles[:2]
         candidates += admitted
         if fill is not None:
             np.copyto(lanes.last_zero, fill[-1])
@@ -482,13 +506,12 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
             tick = tick[later]
             first = int(tick.min()) + 1
             valid = np.arange(first, end)[:, np.newaxis] > tick
-            redo_deviation, redo_bound, redo_fill, admitted, fires = \
-                _speculate(times[first:end, np.newaxis],
-                           travel[first:end, column[replaying]],
-                           state.take(replaying), valid,
-                           _scratch(valid.shape, use_delay))
-            for tile, redo in ((deviation, redo_deviation),
-                               (bound, redo_bound)):
+            redone, redo_fill, admitted, fires = _speculate(
+                times[first:end, np.newaxis],
+                travel[first:end, column[replaying]],
+                state.take(replaying), valid,
+                _scratch(valid.shape, use_delay, record_series))
+            for tile, redo in zip(tiles, redone):
                 tile = tile.reshape(-1, width)
                 tile[first - i0:, replaying] = np.where(
                     valid, redo, tile[first - i0:, replaying])
@@ -513,6 +536,8 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
         if observed:
             deviation_hist.observe_many(deviation)
             bound_hist.observe_many(bound)
+        for store, tile in zip(stores, tiles):
+            store[i0 - 1:end - 1] = tile
 
     tally["windows"] += -(-num_ticks // window)
     tally["window_ticks"] = max(tally["window_ticks"], window)
@@ -521,6 +546,13 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
     tally["screen_candidates"] += candidates
 
     # Python numbers from here on: metrics never hold an np.float64.
+    series: list[TripSeries | None] = [None] * width
+    if record_series:
+        # What the reference loop appends per tick: a lane's store columns.
+        series = [TripSeries(times[1:].tolist(), *lane, travel[1:, j].tolist())
+                  for j, *lane in zip(column.tolist(), *(
+                      store.reshape(num_ticks, width).T.tolist()
+                      for store in stores))]
     rows: list[list[TripResult]] = []
     for c, (member, cost_value, lane_updates, dev_integrals, unc_integrals,
             max_deviations, max_uncertainties) in enumerate(zip(
@@ -546,7 +578,7 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
             row_results.append(TripResult(
                 metrics=metrics,
                 updates=events[c * n + j] if collect_events else [],
-                series=None,
+                series=series[c * n + j],
             ))
         rows.append(row_results)
     if observed:

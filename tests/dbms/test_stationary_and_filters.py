@@ -166,6 +166,8 @@ class TestCommunicationCost:
         db = either_db
         add_taxi(db, "t1", 0.0)
         db.process_update(PositionUpdateMessage("t1", 1.0, 1.0, 0.0, 1.0))
-        db.record("t1").policy = make_policy("dl", float("nan"))
+        # make_policy refuses a NaN cost; a mutated record still must not
+        # turn into a NaN total.
+        db.record("t1").policy.update_cost = float("nan")
         with pytest.raises(QueryError, match="NaN"):
             db.communication_cost()

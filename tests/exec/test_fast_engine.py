@@ -192,14 +192,15 @@ def test_non_uniform_cost_falls_back_to_generic():
     assert cached.metrics == generic.metrics
 
 
-def test_record_series_uses_generic_path():
+def test_record_series_matches_generic_path():
     trip = build_trip()
     grid = TickGrid.build(trip, DT)
     with_grid = PolicySimulation(
         trip, make_policy("ail", C), dt=DT, grid=grid
     ).run(record_series=True)
-    without = simulate_trip(trip, make_policy("ail", C), dt=DT,
-                            record_series=True)
+    without = PolicySimulation(
+        trip, make_policy("ail", C), dt=DT
+    )._run_generic(record_series=True)
     assert with_grid.series is not None
     assert with_grid.series.times == without.series.times
     assert with_grid.series.deviations == without.series.deviations

@@ -16,13 +16,15 @@ from repro.sim.engine import PolicySimulation, TripResult
 from repro.sim.grid import GridTrip
 
 
-def reference_run(grid, policy, max_speed=None) -> TripResult:
+def reference_run(grid, policy, max_speed=None,
+                  record_series=False) -> TripResult:
     """``policy`` over the trip of ``grid``, tick by tick.
 
     Hand each call its own instance of a stateful policy.
     """
     return PolicySimulation(GridTrip(grid), policy, dt=grid.dt,
-                            max_speed=max_speed, grid=grid)._run_generic()
+                            max_speed=max_speed,
+                            grid=grid)._run_generic(record_series)
 
 
 def assert_same(result: TripResult, reference: TripResult, where=None) -> None:

@@ -31,9 +31,18 @@ CURVES = {
 }
 
 
-def build_grid(kind="city", duration=20.0, seed=11, dt=DT):
+def build_grid(kind="city", duration=20.0, seed=11, dt=DT, noise=0.0):
+    """A curve's grid; with ``noise``, its travel column jittered by up
+    to that many miles per tick and clamped at 0 — no longer monotone,
+    as a position sensor with bounded error reads it (E18's input)."""
     trip = Trip.synthetic(CURVES[kind](duration, random.Random(seed)))
-    return TickGrid.build(trip, dt)
+    grid = TickGrid.build(trip, dt)
+    if not noise:
+        return grid
+    rng = random.Random(seed + 1)
+    jitter = [rng.uniform(-noise, noise) for _ in range(grid.num_ticks + 1)]
+    return TickGrid(dt, grid.duration, grid.max_speed, grid.times,
+                    np.maximum(grid.travel + jitter, 0.0), grid.speeds)
 
 
 @pytest.mark.parametrize("policy_name", ["dl", "ail", "cil"])

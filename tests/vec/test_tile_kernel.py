@@ -55,7 +55,7 @@ def step_grid(segments=STEPS, dt=0.1):
         Trip.synthetic(PiecewiseConstantCurve(segments)), dt)
 
 
-#: ``(kind, duration, seed, dt)`` -> the grid, built once.
+#: ``(kind, duration, seed, dt, noise)`` -> the grid, built once.
 curve_grid = functools.lru_cache(maxsize=None)(build_grid)
 
 
@@ -207,19 +207,21 @@ DURATIONS = (2.0, 3.05, 4.33)
 
 
 @functools.lru_cache(maxsize=None)
-def cached_oracle(kind, duration, seed, dt, policy_name, cost):
-    return run_reference(curve_grid(kind, duration, seed, dt), policy_name,
-                         cost)
+def cached_oracle(kind, duration, seed, dt, noise, policy_name, cost):
+    return run_reference(curve_grid(kind, duration, seed, dt, noise),
+                         policy_name, cost)
 
 
 @st.composite
 def batches(draw):
     duration = draw(st.sampled_from(DURATIONS))
     dt = draw(st.sampled_from((0.1, 1.0 / 30.0, 1.0 / 60.0)))
+    # Clean travel, or a sensor's: jittered, no longer monotone.
     lanes = draw(st.lists(
-        st.tuples(st.sampled_from(sorted(CURVES)), st.integers(0, 5)),
+        st.tuples(st.sampled_from(sorted(CURVES)), st.integers(0, 5),
+                  st.sampled_from((0.0, 0.0, 0.02, 0.3))),
         min_size=1, max_size=40))
-    return [(kind, duration, seed, dt) for kind, seed in lanes]
+    return [(kind, duration, seed, dt, noise) for kind, seed, noise in lanes]
 
 
 @settings(max_examples=examples(120))
@@ -269,7 +271,7 @@ def kernel_fires(deviation, elapsed, delay, cost, use_delay,
     with np.errstate(divide="ignore", invalid="ignore"):
         *_, admitted, fires = engine._speculate(
             np.array([[elapsed]]), np.array([[deviation]]), lanes, None,
-            engine._scratch((1, 1), use_delay))
+            engine._scratch((1, 1), use_delay, False))
     assert fires is None or admitted == 1
     return fires is not None
 
