@@ -40,7 +40,8 @@ import argparse
 import random
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import ExitStack, contextmanager
+from types import SimpleNamespace
 from typing import Iterator, TextIO
 
 from repro.core.policies import make_policy, policy_names
@@ -81,89 +82,125 @@ def _build_curve(kind: str, duration: float, seed: int,
 
 
 @contextmanager
-def _profiled(enabled: bool, root_name: str, out: TextIO) -> Iterator[None]:
-    """Record spans under a root span and print the flame summary.
+def _observing(args: argparse.Namespace, out: TextIO, *, root: str,
+               sinks: tuple[str, ...] = (), meta: dict | None = None,
+               windows: dict | None = None, mark: str = "",
+               banner: str = "live endpoint:",
+               verdict: bool = True) -> Iterator[SimpleNamespace]:
+    """One observation session for a command.
 
-    A no-op when ``enabled`` is false.  The root span wraps the whole
-    block, so every library span nests under it and the summary's
-    self times partition the root's wall clock.
+    Builds whichever sinks the command's flags ask for — a registry for
+    ``--metrics-out`` / ``--prom-out`` / ``--jsonl-out`` (and to serve),
+    a tracer for ``--spans-out`` / ``--profile`` (the latter under a
+    ``root`` span, so the flame summary's self times partition its
+    wall clock), a flight recorder (with ``meta``) for ``--trace-out``,
+    live windows (``LiveTelemetry(**windows)``) for ``--live-port`` /
+    ``--port`` / ``--slo`` — plus those named in ``sinks``, installs
+    them together, serves the live endpoint for the block, and on exit
+    writes what was asked for, each with its line on ``out``.  Yields
+    the sinks (``None`` where not installed), the SLO ``spec`` and the
+    bound ``port``.  A command with none of these flags gets a no-op.
     """
-    if not enabled:
-        yield
-        return
-    from repro.obs import Tracer, print_flame_summary, use_tracer
+    from repro.obs import Tracer, observe
 
-    tracer = Tracer(max_spans=1_000_000)
-    with use_tracer(tracer):
-        with tracer.span(root_name):
-            yield
-    print_flame_summary(tracer, out)
+    def flag(name: str):
+        return getattr(args, name, None)
+
+    profile = bool(flag("profile"))
+    port = flag("live_port") if hasattr(args, "live_port") else flag("port")
+    slo = flag("slo")
+    serving = port is not None
+    wanted = {
+        "registry": "registry" in sinks or serving or any(
+            flag(name) is not None
+            for name in ("metrics_out", "prom_out", "jsonl_out")),
+        "tracer": ("tracer" in sinks or profile
+                   or flag("spans_out") is not None),
+        "recorder": "recorder" in sinks or flag("trace_out") is not None,
+        "live": serving or slo is not None,
+    }
+    tracer = recorder = telemetry = spec = None
+    if wanted["tracer"]:
+        tracer = Tracer(max_spans=1_000_000 if profile else 100_000)
+    if wanted["recorder"]:
+        from repro.trace import TraceRecorder
+
+        recorder = TraceRecorder(meta=meta)
+    if wanted["live"]:
+        from repro.obs.live import (
+            LiveServer,
+            LiveTelemetry,
+            SLOSpec,
+            load_slo,
+        )
+
+        telemetry = LiveTelemetry(**(windows or {}))
+        spec = load_slo(slo) if slo is not None else SLOSpec(slos=())
+    session = SimpleNamespace(registry=None, tracer=tracer,
+                              recorder=recorder, telemetry=telemetry,
+                              spec=spec, port=None)
+    with ExitStack() as stack:
+        p = stack.enter_context(observe(
+            registry=wanted["registry"] or None, tracer=tracer,
+            recorder=recorder, live=telemetry))
+        if wanted["registry"]:
+            session.registry = p.registry
+        if profile:
+            stack.enter_context(tracer.span(root))  # repro: noqa[RPR501] entered here, exited with the stack: a `with` cannot be conditional
+        if serving:
+            server = LiveServer(session.registry, telemetry, spec, port=port)
+            session.port = server.start()
+            stack.callback(server.stop)
+            print(f"# {banner} http://127.0.0.1:{session.port} "
+                  f"(/metrics /health /snapshot)", file=out, flush=True)
+        yield session
+    from repro.obs import print_flame_summary, write_jsonl, write_prometheus
+
+    if flag("prom_out") is not None:
+        write_prometheus(session.registry, args.prom_out)
+        print(f"# prometheus snapshot written to {args.prom_out}", file=out)
+    if flag("jsonl_out") is not None:
+        write_jsonl(session.registry, args.jsonl_out)
+        print(f"# jsonl snapshot written to {args.jsonl_out}", file=out)
+    if flag("metrics_out") is not None:
+        write_jsonl(session.registry, args.metrics_out)
+        print(f"metrics snapshot written to {args.metrics_out}", file=out)
+    if flag("spans_out") is not None:
+        exported = tracer.export_jsonl(args.spans_out)
+        print(f"# {exported} spans written to {args.spans_out}", file=out)
+    trace_line = None
+    if flag("trace_out") is not None:
+        from repro.trace import write_trace
+
+        count = write_trace(recorder, args.trace_out)
+        trace_line = (f"{mark}workload trace ({count} events) written to "
+                      f"{args.trace_out}")
+    # `stats` (the marked one) names its trace before its verdict,
+    # `report` after.
+    if trace_line is not None and mark:
+        print(trace_line, file=out)
+    if verdict and slo is not None:
+        from repro.obs.live import evaluate, verdict_json
+
+        result = evaluate(spec, telemetry.window_state())
+        print(f"# slo status: {result['status']}", file=out)
+        print(verdict_json(result), file=out)
+    if trace_line is not None and not mark:
+        print(trace_line, file=out)
+    if profile:
+        print_flame_summary(tracer, out)
 
 
 def _cmd_report(args: argparse.Namespace, out: TextIO) -> int:
-    from contextlib import ExitStack
-
     from repro.experiments.runner import run_all
 
-    telemetry = None
-    spec = None
-    with _profiled(args.profile, "report", out):
-        with ExitStack() as stack:
-            registry = None
-            recorder = None
-            if args.live_port is not None or args.slo is not None:
-                # Report runs on the wall clock, so the live windows do
-                # too: 60 s fast / 12 min slow burn windows.
-                from repro.obs.live import (
-                    LiveTelemetry,
-                    SLOSpec,
-                    load_slo,
-                    use_live,
-                )
-
-                telemetry = LiveTelemetry(
-                    fast_window=60.0, slow_window=720.0, bucket=5.0,
-                    clock=time.monotonic,
-                )
-                stack.enter_context(use_live(telemetry))
-                spec = (load_slo(args.slo) if args.slo is not None
-                        else SLOSpec(slos=()))
-            if args.metrics_out is not None or args.live_port is not None:
-                from repro.obs import use_registry, write_jsonl
-
-                registry = stack.enter_context(use_registry())
-            if args.live_port is not None:
-                from repro.obs.live import LiveServer
-
-                server = LiveServer(
-                    registry, telemetry, spec, port=args.live_port
-                )
-                stack.callback(server.stop)
-                print(f"# live endpoint: http://127.0.0.1:"
-                      f"{server.start()} (/metrics /health /snapshot)",
-                      file=out, flush=True)
-            if args.trace_out is not None:
-                from repro.trace import use_recorder
-
-                recorder = stack.enter_context(use_recorder())
-            run_all(fast=args.fast, out=out, jobs=args.jobs,
-                    shards=args.shards)
-        if registry is not None and args.metrics_out is not None:
-            write_jsonl(registry, args.metrics_out)
-            print(f"metrics snapshot written to {args.metrics_out}",
-                  file=out)
-        if telemetry is not None and args.slo is not None:
-            from repro.obs.live import evaluate, verdict_json
-
-            verdict = evaluate(spec, telemetry.window_state())
-            print(f"# slo status: {verdict['status']}", file=out)
-            print(verdict_json(verdict), file=out)
-        if recorder is not None:
-            from repro.trace import write_trace
-
-            count = write_trace(recorder, args.trace_out)
-            print(f"workload trace ({count} events) written to "
-                  f"{args.trace_out}", file=out)
+    # Report runs on the wall clock, so the live windows do too: 60 s
+    # fast / 12 min slow burn windows.
+    with _observing(args, out, root="report", windows={
+            "fast_window": 60.0, "slow_window": 720.0, "bucket": 5.0,
+            "clock": time.monotonic}):
+        run_all(fast=args.fast, out=out, jobs=args.jobs,
+                shards=args.shards)
     return 0
 
 
@@ -260,7 +297,7 @@ def _build_scenario(name: str, size: int, duration: float, seed: int,
 
 
 def _cmd_scenario(args: argparse.Namespace, out: TextIO) -> int:
-    with _profiled(args.profile, "scenario", out):
+    with _observing(args, out, root="scenario"):
         scenario = _build_scenario(
             args.name, args.size, args.duration, args.seed
         )
@@ -281,72 +318,19 @@ def _cmd_scenario(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-@contextmanager
-def _served(registry, telemetry, spec, port: int | None,
-            out: TextIO) -> Iterator[None]:
-    """Serve the live endpoint for the enclosed block (no-op sans port)."""
-    if port is None or telemetry is None:
-        yield
-        return
-    from repro.obs.live import LiveServer
-
-    server = LiveServer(registry, telemetry, spec, port=port)
-    bound = server.start()
-    print(f"# live endpoint: http://127.0.0.1:{bound} "
-          f"(/metrics /health /snapshot)", file=out, flush=True)
-    try:
-        yield
-    finally:
-        server.stop()
-
-
 def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
     """Run a fleet scenario under full observability and emit telemetry."""
-    from repro.obs import (
-        Tracer,
-        jsonl_snapshot,
-        prometheus_text,
-        use_registry,
-        use_tracer,
-        write_jsonl,
-        write_prometheus,
-    )
+    from repro.obs import jsonl_snapshot, prometheus_text
     from repro.workloads.query_workloads import polygon_query_workload
 
     random.seed(args.seed)
-    tracer = Tracer(max_spans=1_000_000 if args.profile else 100_000)
-    root_span = (
-        tracer.span("stats")  # repro: noqa[RPR501] entered by the `with` below; the nullcontext arm keeps one code path
-        if args.profile else nullcontext()
-    )
-    recorder = None
-    record_ctx = nullcontext()
-    if args.trace_out is not None:
-        from repro.trace import TraceRecorder, use_recorder
-
-        recorder = TraceRecorder(meta={
-            "command": "stats", "scenario": args.name, "size": args.size,
-            "duration": args.duration, "seed": args.seed,
-        })
-        record_ctx = use_recorder(recorder)
-    telemetry = None
-    spec = None
-    live_ctx = nullcontext()
-    if args.live_port is not None or args.slo is not None:
-        from repro.obs.live import (
-            LiveTelemetry,
-            SLOSpec,
-            load_slo,
-            use_live,
-        )
-
-        telemetry = LiveTelemetry()
-        live_ctx = use_live(telemetry)
-        spec = (load_slo(args.slo) if args.slo is not None
-                else SLOSpec(slos=()))
-    with use_registry() as registry, use_tracer(tracer), record_ctx, \
-            root_span, live_ctx, \
-            _served(registry, telemetry, spec, args.live_port, out):
+    with _observing(args, out, root="stats", sinks=("registry", "tracer"),
+                    mark="# ", meta={
+                        "command": "stats", "scenario": args.name,
+                        "size": args.size, "duration": args.duration,
+                        "seed": args.seed,
+                    }) as session:
+        telemetry = session.telemetry
         scenario = _build_scenario(
             args.name, args.size, args.duration, args.seed,
             shards=args.shards, shard_plan=args.shard_plan,
@@ -404,49 +388,24 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
                 num_curves=max(args.jobs, 2),
                 duration=min(args.duration, 10.0), seed=args.seed,
             ))
-        if recorder is not None:
+        if session.recorder is not None:
             from repro.trace import record_index_digest
 
             record_index_digest(scenario.database)
 
-    total = sum(counts.values())
-    print(f"# scenario {scenario.name}: {len(scenario.database)} objects, "
-          f"{args.duration} min, {total} update messages, "
-          f"{queries_issued} range queries"
-          + (" (batched)" if args.batch else ""), file=out)
-    if engine is not None:
-        print(f"# batch engine: uncertainty-cache hit rate "
-              f"{engine.hit_rate():.3f} over {queries_issued} queries",
-              file=out)
-    if args.format in ("prom", "both"):
-        print(prometheus_text(registry), file=out, end="")
-    if args.format in ("jsonl", "both"):
-        print(jsonl_snapshot(registry), file=out, end="")
-    if args.prom_out is not None:
-        write_prometheus(registry, args.prom_out)
-        print(f"# prometheus snapshot written to {args.prom_out}", file=out)
-    if args.jsonl_out is not None:
-        write_jsonl(registry, args.jsonl_out)
-        print(f"# jsonl snapshot written to {args.jsonl_out}", file=out)
-    if args.spans_out is not None:
-        exported = tracer.export_jsonl(args.spans_out)
-        print(f"# {exported} spans written to {args.spans_out}", file=out)
-    if recorder is not None:
-        from repro.trace import write_trace
-
-        count = write_trace(recorder, args.trace_out)
-        print(f"# workload trace ({count} events) written to "
-              f"{args.trace_out}", file=out)
-    if telemetry is not None and args.slo is not None:
-        from repro.obs.live import evaluate, verdict_json
-
-        verdict = evaluate(spec, telemetry.window_state())
-        print(f"# slo status: {verdict['status']}", file=out)
-        print(verdict_json(verdict), file=out)
-    if args.profile:
-        from repro.obs import print_flame_summary
-
-        print_flame_summary(tracer, out)
+        total = sum(counts.values())
+        print(f"# scenario {scenario.name}: {len(scenario.database)} "
+              f"objects, {args.duration} min, {total} update messages, "
+              f"{queries_issued} range queries"
+              + (" (batched)" if args.batch else ""), file=out)
+        if engine is not None:
+            print(f"# batch engine: uncertainty-cache hit rate "
+                  f"{engine.hit_rate():.3f} over {queries_issued} queries",
+                  file=out)
+        if args.format in ("prom", "both"):
+            print(prometheus_text(session.registry), file=out, end="")
+        if args.format in ("jsonl", "both"):
+            print(jsonl_snapshot(session.registry), file=out, end="")
     return 0
 
 
@@ -466,100 +425,78 @@ def _parse_spike(spec: str | None) -> tuple[float, float] | None:
 def _cmd_monitor_serve(args: argparse.Namespace, out: TextIO) -> int:
     """Run a scenario under live telemetry and serve it over HTTP."""
     from repro.dbms.batch import BatchQueryEngine, RangeQuery
-    from repro.obs import use_registry
-    from repro.obs.live import (
-        LiveCollector,
-        LiveServer,
-        LiveTelemetry,
-        SLOSpec,
-        evaluate,
-        load_slo,
-        use_live,
-        verdict_json,
-    )
+    from repro.obs.live import LiveCollector, evaluate, verdict_json
     from repro.workloads.query_workloads import polygon_query_workload
 
-    spec = load_slo(args.slo) if args.slo is not None else SLOSpec(slos=())
     spike = _parse_spike(args.spike)
     random.seed(args.seed)
-    telemetry = LiveTelemetry(
-        fast_window=args.fast_window, slow_window=args.slow_window,
-        bucket=args.bucket,
-    )
-    collector = None
-    if args.collector_out is not None:
-        collector = LiveCollector(
-            telemetry, args.collector_out, interval=args.interval
-        )
-        collector.open()
-    with use_registry() as registry, use_live(telemetry):
-        server = LiveServer(
-            registry, telemetry, spec, port=args.port
-        )
-        port = server.start()
+    with ExitStack() as stack:
+        # The verdict is printed before --hold, not when the session
+        # ends, so the session does not print it again.
+        session = stack.enter_context(_observing(
+            args, out, root="monitor", banner="serving", verdict=False,
+            windows={"fast_window": args.fast_window,
+                     "slow_window": args.slow_window,
+                     "bucket": args.bucket}))
+        telemetry = session.telemetry
+        collector = None
+        if args.collector_out is not None:
+            collector = LiveCollector(
+                telemetry, args.collector_out, interval=args.interval
+            )
+            collector.open()
+            stack.callback(collector.close)
         if args.port_file is not None:
             with open(args.port_file, "w", encoding="utf-8") as handle:
-                handle.write(f"{port}\n")
-        print(f"# serving http://127.0.0.1:{port} "
-              f"(/metrics /health /snapshot)", file=out, flush=True)
-        try:
-            scenario = _build_scenario(
-                args.name, args.size, args.duration, args.seed,
-                shards=args.shards, shard_plan=args.shard_plan,
-            )
-            polygons = polygon_query_workload(
-                scenario.network, random.Random(args.seed + 1),
-                count=args.queries,
-            )
-            num_ticks = max(
-                int(args.duration / scenario.fleet.dt + 1e-9), 1
-            )
-            stride = max(num_ticks // max(args.queries, 1), 1)
-            progress = {"tick": 0, "query": 0}
+                handle.write(f"{session.port}\n")
+        scenario = _build_scenario(
+            args.name, args.size, args.duration, args.seed,
+            shards=args.shards, shard_plan=args.shard_plan,
+        )
+        polygons = polygon_query_workload(
+            scenario.network, random.Random(args.seed + 1),
+            count=args.queries,
+        )
+        num_ticks = max(int(args.duration / scenario.fleet.dt + 1e-9), 1)
+        stride = max(num_ticks // max(args.queries, 1), 1)
+        progress = {"tick": 0, "query": 0}
 
-            def on_tick(t: float) -> None:
-                telemetry.advance(t)
-                progress["tick"] += 1
-                if (progress["tick"] % stride == 0
-                        and progress["query"] < len(polygons)):
-                    # A fresh one-query batch per sampled tick: the
-                    # engine's run() feeds dbms_batch_seconds /
-                    # dbms_batch_queries into the live windows.
-                    engine = BatchQueryEngine(scenario.database)
-                    engine.run([RangeQuery(
-                        polygons[progress["query"]], t
-                    )])
-                    progress["query"] += 1
-                if spike is not None and t >= spike[0]:
-                    telemetry.observe("dbms_batch_seconds", spike[1])
-                if collector is not None:
-                    collector.sample(now=t)
-
-            counts = scenario.fleet.run(on_tick=on_tick)
-            telemetry.advance(args.duration)
+        def on_tick(t: float) -> None:
+            telemetry.advance(t)
+            progress["tick"] += 1
+            if (progress["tick"] % stride == 0
+                    and progress["query"] < len(polygons)):
+                # A fresh one-query batch per sampled tick: the
+                # engine's run() feeds dbms_batch_seconds /
+                # dbms_batch_queries into the live windows.
+                engine = BatchQueryEngine(scenario.database)
+                engine.run([RangeQuery(polygons[progress["query"]], t)])
+                progress["query"] += 1
+            if spike is not None and t >= spike[0]:
+                telemetry.observe("dbms_batch_seconds", spike[1])
             if collector is not None:
-                collector.sample(force=True)
-            verdict = evaluate(spec, telemetry.window_state())
-            total = sum(counts.values())
-            print(f"# run complete: {scenario.name}, "
-                  f"{len(scenario.database)} objects, {total} update "
-                  f"messages, {progress['query']} batched queries",
+                collector.sample(now=t)
+
+        counts = scenario.fleet.run(on_tick=on_tick)
+        telemetry.advance(args.duration)
+        if collector is not None:
+            collector.sample(force=True)
+        verdict = evaluate(session.spec, telemetry.window_state())
+        total = sum(counts.values())
+        print(f"# run complete: {scenario.name}, "
+              f"{len(scenario.database)} objects, {total} update "
+              f"messages, {progress['query']} batched queries",
+              file=out, flush=True)
+        if collector is not None:
+            print(f"# collector: {collector.rows} snapshots -> "
+                  f"{collector.path}", file=out, flush=True)
+        print(f"# slo status: {verdict['status']}", file=out, flush=True)
+        if args.slo is not None:
+            print(verdict_json(verdict), file=out, flush=True)
+        if args.hold > 0:
+            print(f"# holding the endpoint for {args.hold}s",
                   file=out, flush=True)
-            if collector is not None:
-                print(f"# collector: {collector.rows} snapshots -> "
-                      f"{collector.path}", file=out, flush=True)
-            print(f"# slo status: {verdict['status']}", file=out,
-                  flush=True)
-            if args.slo is not None:
-                print(verdict_json(verdict), file=out, flush=True)
-            if args.hold > 0:
-                print(f"# holding the endpoint for {args.hold}s",
-                      file=out, flush=True)
-                time.sleep(args.hold)
-        finally:
-            server.stop()
-            if collector is not None:
-                collector.close()
+            time.sleep(args.hold)
     return 0
 
 
@@ -828,22 +765,15 @@ def _cmd_trace_record(args: argparse.Namespace, out: TextIO) -> int:
     """Record a fleet scenario plus query workload as a JSONL trace."""
     from repro.dbms.batch import BatchQueryEngine
     from repro.geometry.point import Point
-    from repro.trace import (
-        TraceRecorder,
-        record_index_digest,
-        use_recorder,
-        write_trace,
-    )
+    from repro.trace import record_index_digest, write_trace
     from repro.workloads.query_workloads import mixed_query_workload
 
     random.seed(args.seed)
-    recorder = TraceRecorder(meta={
-        "command": "trace record", "scenario": args.name,
-        "size": args.size, "duration": args.duration, "seed": args.seed,
-        "queries": args.queries, "batch": args.batch,
-        "shards": args.shards,
-    })
-    with use_recorder(recorder):
+    with _observing(args, out, root="trace", sinks=("recorder",), meta={
+            "command": "trace record", "scenario": args.name,
+            "size": args.size, "duration": args.duration, "seed": args.seed,
+            "queries": args.queries, "batch": args.batch,
+            "shards": args.shards}) as session:
         scenario = _build_scenario(
             args.name, args.size, args.duration, args.seed,
             shards=args.shards,
@@ -868,7 +798,7 @@ def _cmd_trace_record(args: argparse.Namespace, out: TextIO) -> int:
         if object_ids:
             database.within_distance_of_object(object_ids[0], 1.0, t_end)
         record_index_digest(database)
-    count = write_trace(recorder, args.out)
+    count = write_trace(session.recorder, args.out)
     print(f"{count} events written to {args.out}", file=out)
     return 0
 

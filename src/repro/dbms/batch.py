@@ -31,7 +31,6 @@ against byte for byte.
 
 from __future__ import annotations
 
-import time
 from typing import Any
 
 from repro.dbms.database import MovingObjectDatabase
@@ -42,15 +41,11 @@ from repro.dbms.refine import (
     Query as BatchQuery,
     RangeQuery,
     WithinDistanceQuery,
-    record_query,
 )
 from repro.errors import QueryError
 from repro.index.rtree import SearchStats
-from repro.obs.instrument import time_section
-from repro.obs.live.windows import get_live
-from repro.obs.registry import get_registry
+from repro.obs.probe import probe
 from repro.trace.events import CACHE
-from repro.trace.recorder import get_recorder
 from repro.vec import vectorization_default
 
 
@@ -120,35 +115,41 @@ class BatchQueryEngine:
         singly, at the first offending query; no answers are produced
         on error.  ``stats`` aggregates index work over the whole batch.
         """
-        hits_before = self.cache_hits
-        misses_before = self.cache_misses
-        live = get_live()
-        started = time.perf_counter() if live.enabled else 0.0
-        with time_section("dbms_batch_seconds",
-                          help="Wall-clock latency of one query batch."):
-            self._db._core.validate(queries)
-            answers = None
-            if self.jobs > 1:
-                from repro.shard.parallel import answer_in_pool
-
-                answers = answer_in_pool(self, queries, stats)
-            if answers is None:
-                answers = self.answer_over(self._db._index, queries, stats)
-        if live.enabled:
-            live.observe("dbms_batch_seconds",
-                         time.perf_counter() - started)
-            live.inc("dbms_batch_queries", float(len(queries)))
-        hits = self.cache_hits - hits_before
-        misses = self.cache_misses - misses_before
-        self._publish(queries, hits, misses)
-        rec = get_recorder()
-        if rec.enabled and queries:
-            batch = rec.next_batch_id()
-            for i, (query, answer) in enumerate(zip(queries, answers)):
-                record_query(rec, query, answer,
-                             engine="batch", batch=batch, index=i)
-            rec.record(CACHE, hits=hits, misses=misses)
+        p = probe()
+        if not p.enabled:
+            return self._answer(queries, stats)
+        hits, misses = self.cache_hits, self.cache_misses
+        try:
+            with p.timed("dbms_batch_seconds"):
+                answers = self._answer(queries, stats)
+        finally:
+            # A batch that raised still counts: an error rate is taken
+            # over every query put, not only those answered.
+            kinds = [query.kind for query in queries]
+            for kind in ("position", "range", "within", "proximity"):
+                if kind in kinds:
+                    p.count("dbms_batch_queries_total", kinds.count(kind),
+                            kind=kind)
+        hits, misses = self.cache_hits - hits, self.cache_misses - misses
+        p.count("dbms_batch_cache_hits_total", hits)
+        p.count("dbms_batch_cache_misses_total", misses)
+        p.gauge("dbms_batch_cache_hit_rate", self.hit_rate())
+        if queries:
+            p.queries(queries, answers, batch=True)
+            p.event(CACHE, hits=hits, misses=misses)
         return answers
+
+    def _answer(self, queries: list[BatchQuery],
+                stats: SearchStats | None) -> list[BatchAnswer]:
+        """Validate, then answer serially or over the fork pool."""
+        self._db._core.validate(queries)
+        if self.jobs > 1:
+            from repro.shard.parallel import answer_in_pool
+
+            answers = answer_in_pool(self, queries, stats)
+            if answers is not None:
+                return answers
+        return self.answer_over(self._db._index, queries, stats)
 
     def answer_over(self, index: Any, queries: list[BatchQuery],
                     stats: SearchStats | None = None,
@@ -169,31 +170,6 @@ class BatchQueryEngine:
         self.cache_hits += core.hits - hits
         self.cache_misses += core.misses - misses
         return answers
-
-    def _publish(self, queries: list[BatchQuery], hits: int,
-                 misses: int) -> None:
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        kinds = [query.kind for query in queries]
-        for kind in ("position", "range", "within", "proximity"):
-            if kind in kinds:
-                registry.counter(
-                    "dbms_batch_queries_total", kind=kind,
-                    help="Queries answered by the batch engine, by kind.",
-                ).inc(kinds.count(kind))
-        registry.counter(
-            "dbms_batch_cache_hits_total",
-            help="Uncertainty-cache hits in the batch engine.",
-        ).inc(hits)
-        registry.counter(
-            "dbms_batch_cache_misses_total",
-            help="Uncertainty-cache misses in the batch engine.",
-        ).inc(misses)
-        registry.gauge(
-            "dbms_batch_cache_hit_rate",
-            help="Lifetime hit rate of the batch uncertainty cache.",
-        ).set(self.hit_rate())
 
 
 __all__ = [

@@ -33,6 +33,7 @@ from repro.dbms.storage import Table
 from repro.dbms.update_log import PositionUpdateMessage, UpdateLog
 from repro.errors import QueryError, SchemaError
 from repro.obs.instrument import timed
+from repro.obs.probe import probe
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.index.oplane import OPlane
@@ -45,9 +46,7 @@ from repro.trace.events import (
     INSERT_STATIONARY,
     REMOVE_OBJECT,
     ROUTE_REGISTER,
-    answer_digest,
 )
-from repro.trace.recorder import get_recorder
 
 # Last on purpose: this is where `import repro` first loads numpy (see
 # the note above that import in repro/dbms/refine.py).
@@ -59,9 +58,6 @@ from repro.dbms.refine import (
     WithinDistanceQuery,
     check_point,
 )
-
-_QUERY_SECONDS = "dbms_query_seconds"
-_QUERY_HELP = "Query-processor latency by query kind."
 
 
 class MovingObjectDatabase:
@@ -103,11 +99,11 @@ class MovingObjectDatabase:
         self.clock_time = 0.0
         #: The query processor and its derived-value cache.
         self._core = QueryCore(self)
-        rec = get_recorder()
-        if rec.enabled:
+        p = probe()
+        if p.enabled:
             config = index.describe() if index is not None \
                 else {"index": "none"}
-            rec.record(DB_CONFIG, horizon=horizon, **config)
+            p.event(DB_CONFIG, horizon=horizon, **config)
 
     # ------------------------------------------------------------------
     # Catalogue management
@@ -116,9 +112,9 @@ class MovingObjectDatabase:
     def register_route(self, route: Route) -> None:
         """Add a route to the route database."""
         self.routes.add(route)
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record(
+        p = probe()
+        if p.enabled:
+            p.event(
                 ROUTE_REGISTER, route_id=route.route_id, name=route.name,
                 vertices=[[v.x, v.y] for v in route.polyline.vertices],
             )
@@ -174,11 +170,11 @@ class MovingObjectDatabase:
         self._records[object_id] = record
         heapq.heappush(self._horizon_heap, (t, object_id))
         self.table(class_name).insert(object_id, attributes)
-        rec = get_recorder()
-        if rec.enabled:
+        p = probe()
+        if p.enabled:
             from repro.core.serialize import policy_to_spec
 
-            rec.record(
+            p.event(
                 INSERT_MOBILE, time=t, object_id=object_id,
                 class_name=class_name, route_id=route_id,
                 position=[position.x, position.y], direction=direction,
@@ -211,9 +207,9 @@ class MovingObjectDatabase:
         self._stationary[object_id] = (class_name, position)
         self._stationary_ids = None
         self.table(class_name).insert(object_id, attributes)
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record(
+        p = probe()
+        if p.enabled:
+            p.event(
                 INSERT_STATIONARY, object_id=object_id,
                 class_name=class_name,
                 position=[position.x, position.y], attributes=attributes,
@@ -230,22 +226,20 @@ class MovingObjectDatabase:
 
     def remove_object(self, object_id: str) -> None:
         """Drop an object (trip ended, or stationary object removed)."""
+        indexed = False
         if object_id in self._stationary:
             class_name, _ = self._stationary.pop(object_id)
             self._stationary_ids = None
-            self.table(class_name).delete(object_id)
-            rec = get_recorder()
-            if rec.enabled:
-                rec.record(REMOVE_OBJECT, object_id=object_id)
-            return
-        record = self.record(object_id)
-        del self._records[object_id]
-        self._core.forget(object_id)
-        self.table(record.class_name).delete(object_id)
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record(REMOVE_OBJECT, object_id=object_id)
-        if self._index is not None and object_id in self._index:
+        else:
+            class_name = self.record(object_id).class_name
+            del self._records[object_id]
+            self._core.forget(object_id)
+            indexed = self._index is not None and object_id in self._index
+        self.table(class_name).delete(object_id)
+        p = probe()
+        if p.enabled:
+            p.event(REMOVE_OBJECT, object_id=object_id)
+        if indexed:
             self._index.remove(object_id)
 
     def record(self, object_id: str) -> MovingObjectRecord:
@@ -280,8 +274,7 @@ class MovingObjectDatabase:
     # Update processing
     # ------------------------------------------------------------------
 
-    @timed("dbms_update_seconds",
-           help="Latency of installing one position update (incl. reindex).")
+    @timed("dbms_update_seconds")
     def process_update(self, message: PositionUpdateMessage) -> None:
         """Install a position update (instantaneous, §2) and re-index.
 
@@ -356,9 +349,9 @@ class MovingObjectDatabase:
             max_entries=max_entries, min_entries=min_entries,
         )
         self._index = index
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record(
+        p = probe()
+        if p.enabled:
+            p.event(
                 INDEX_CONFIG, slab_minutes=slab_minutes,
                 max_entries=max_entries, min_entries=min_entries,
             )
@@ -429,12 +422,12 @@ class MovingObjectDatabase:
                 "horizon or query earlier"
             )
 
-    @timed(_QUERY_SECONDS, help=_QUERY_HELP, kind="position")
+    @timed("dbms_query_seconds", kind="position")
     def position_of(self, object_id: str, t: float) -> PositionAnswer:
         """"What is the current position of m?" with error bounds (§3.3)."""
         return self._core.one(PositionQuery(object_id, t))
 
-    @timed(_QUERY_SECONDS, help=_QUERY_HELP, kind="range")
+    @timed("dbms_query_seconds", kind="range")
     def range_query(self, polygon: Polygon, t: float,
                     stats: SearchStats | None = None,
                     where: dict[str, Any] | None = None,
@@ -455,7 +448,7 @@ class MovingObjectDatabase:
         return self._core.one(
             RangeQuery(polygon, t, where, class_name), stats)
 
-    @timed(_QUERY_SECONDS, help=_QUERY_HELP, kind="within")
+    @timed("dbms_query_seconds", kind="within")
     def within_distance(self, center: Point, radius: float, t: float,
                         stats: SearchStats | None = None,
                         where: dict[str, Any] | None = None,
@@ -468,7 +461,7 @@ class MovingObjectDatabase:
         return self._core.one(
             WithinDistanceQuery(center, radius, t, where, class_name), stats)
 
-    @timed(_QUERY_SECONDS, help=_QUERY_HELP, kind="proximity")
+    @timed("dbms_query_seconds", kind="proximity")
     def within_distance_of_object(self, anchor_id: str, radius: float,
                                   t: float,
                                   where: dict[str, Any] | None = None,
@@ -486,7 +479,7 @@ class MovingObjectDatabase:
         return self._core.one(
             ProximityQuery(anchor_id, radius, t, where, class_name))
 
-    @timed(_QUERY_SECONDS, help=_QUERY_HELP, kind="nearest")
+    @timed("dbms_query_seconds", kind="nearest")
     def nearest(self, center: Point, k: int, t: float,
                 where: dict[str, Any] | None = None,
                 class_name: str | None = None) -> list[NearestAnswer]:
@@ -536,10 +529,10 @@ class MovingObjectDatabase:
                     certain=entry.max_distance <= later_minimum,
                 )
             )
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record_query(
-                "nearest", answer_digest(results), time=t,
+        p = probe()
+        if p.enabled:
+            p.query(
+                "nearest", results, time=t,
                 center=[center.x, center.y], k=k,
                 where=where, class_name=class_name,
             )

@@ -60,9 +60,7 @@ from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.index.rtree import SearchStats
-from repro.obs.registry import get_registry
-from repro.trace.events import answer_digest
-from repro.trace.recorder import get_recorder
+from repro.obs.probe import probe
 from repro.vec import vectorization_default
 
 # numpy is first imported here (by vec.geom) when `import repro` runs,
@@ -162,13 +160,6 @@ class ProximityQuery:
 
 Query = Union[PositionQuery, RangeQuery, WithinDistanceQuery, ProximityQuery]
 Answer = Union[PositionAnswer, RangeAnswer]
-
-
-def record_query(rec: Any, query: Query, answer: Answer,
-                 **issuer: Any) -> None:
-    """One ``query`` trace event; ``issuer`` names a batch and slot."""
-    rec.record_query(query.kind, answer_digest(answer),
-                     time=query.time, **query.fields(), **issuer)
 
 
 # ----------------------------------------------------------------------
@@ -336,16 +327,6 @@ _REGIONS = {RangeQuery: _PolygonRegion, WithinDistanceQuery: _DiscRegion,
             ProximityQuery: _StripRegion}
 
 
-def _classification_counters(registry) -> dict[str, Any]:
-    """Outcome -> counter, for refinement outcome accounting."""
-    help_text = "Candidate classifications by may/must outcome."
-    return {
-        outcome: registry.counter("dbms_classified_total", help=help_text,
-                                  outcome=outcome)
-        for outcome in (_OUT, _MAY, _MUST)
-    }
-
-
 # ----------------------------------------------------------------------
 # The core
 # ----------------------------------------------------------------------
@@ -503,9 +484,9 @@ class QueryCore:
         queries = (query,)
         self.validate(queries)
         answer = self.answer(self._db._index, queries, stats)[0]
-        rec = get_recorder()
-        if rec.enabled:
-            record_query(rec, query, answer)
+        p = probe()
+        if p.enabled:
+            p.queries(queries, (answer,))
         return answer
 
     def answer(self, index: Any, queries: Sequence[Query],
@@ -528,9 +509,11 @@ class QueryCore:
         ]
         found = self._gather(index, queries, regions, stats)
         eligible = _EligibilitySets(self._db, stationary)
-        registry = get_registry()
-        counters = (_classification_counters(registry)
-                    if registry.enabled else None)
+        p = probe()
+        counters = ({outcome: p.instrument("dbms_classified_total",
+                                           outcome=outcome)
+                     for outcome in (_OUT, _MAY, _MUST)}
+                    if p.enabled else None)
         return [
             self._position(query, limit) if region is None
             else self._refine(query, region, candidates, eligible,
@@ -680,5 +663,4 @@ __all__ = [
     "RangeQuery",
     "WithinDistanceQuery",
     "check_point",
-    "record_query",
 ]

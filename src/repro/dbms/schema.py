@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import SchemaError
+from repro.obs.probe import probe
 from repro.trace.events import CLASS_DEFINE
-from repro.trace.recorder import get_recorder
 
 
 class SpatialKind(enum.Enum):
@@ -146,9 +146,9 @@ class Schema:
         if object_class.name in self._classes:
             raise SchemaError(f"duplicate object class {object_class.name!r}")
         self._classes[object_class.name] = object_class
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record(
+        p = probe()
+        if p.enabled:
+            p.event(
                 CLASS_DEFINE, name=object_class.name,
                 spatial_kind=object_class.spatial_kind.value,
                 mobility=object_class.mobility.value,

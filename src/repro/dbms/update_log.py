@@ -14,10 +14,8 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.errors import QueryError
-from repro.obs.live.windows import get_live
-from repro.obs.registry import get_registry
+from repro.obs.probe import probe
 from repro.trace.events import UPDATE
-from repro.trace.recorder import get_recorder
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,18 +64,9 @@ class UpdateLog:
             )
         self._messages.append(message)
         self._per_object[message.object_id] += 1
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "dbms_update_messages_total",
-                help="Position-update messages received by the database.",
-            ).inc()
-        live = get_live()
-        if live.enabled:
-            live.record_update(message.object_id, message.time)
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record(
+        p = probe()
+        if p.enabled:
+            p.event(
                 UPDATE, time=message.time, object_id=message.object_id,
                 x=message.x, y=message.y, speed=message.speed,
                 route_id=message.route_id, direction=message.direction,

@@ -9,7 +9,7 @@ the grids to its workers, which never rebuild trips.
 
 from __future__ import annotations
 
-from repro.obs.registry import get_registry
+from repro.obs.probe import probe
 from repro.sim.grid import GridTrip, TickGrid
 from repro.sim.trip import Trip
 
@@ -32,23 +32,17 @@ class TripTickCache:
         """The (possibly cached) tick grid of ``trip`` at resolution ``dt``."""
         key = (id(trip), dt)
         entry = self._grids.get(key)
-        registry = get_registry()
         if entry is not None:
             self.hits += 1
-            if registry.enabled:
-                registry.counter(
-                    "exec_cache_hits_total",
-                    help="Tick-grid cache hits (grid reused across cells).",
-                ).inc()
-            return entry[1]
-        grid = TickGrid.build(trip, dt)
-        self._grids[key] = (trip, grid)
-        self.misses += 1
-        if registry.enabled:
-            registry.counter(
-                "exec_cache_misses_total",
-                help="Tick-grid cache misses (grid built from the trip).",
-            ).inc()
+            grid = entry[1]
+        else:
+            grid = TickGrid.build(trip, dt)
+            self._grids[key] = (trip, grid)
+            self.misses += 1
+        p = probe()
+        if p.enabled:
+            p.count("exec_cache_misses_total" if entry is None
+                    else "exec_cache_hits_total")
         return grid
 
     def __len__(self) -> int:

@@ -26,13 +26,21 @@ Determinism stack, bottom to top:
   (workers never rebuild trips, so there is no rebuild to diverge);
 * results are keyed by cell index and aggregated in spec order, never
   in completion order.
+
+Telemetry follows the results.  Every hook here states its facts to the
+one probe (:mod:`repro.obs.probe`); a pool worker runs its rectangle
+under the probe's worker session and returns what it published as a
+picklable bundle beside its metrics, which the parent adopts under a
+``worker="chunk-N"`` label — so an observed ``--jobs N`` sweep reports
+the counters of the serial one.  :func:`pool_context` is the one
+multiprocessing context of this pool and the shard pool
+(:mod:`repro.shard.parallel`).
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
 from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
@@ -40,14 +48,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.core.policy import UpdatePolicy
 from repro.errors import ExperimentError
 from repro.exec.cache import GridTrip, TickGrid, TripTickCache
-from repro.obs.live.windows import get_live
-from repro.obs.registry import (
-    get_registry,
-    get_tracer,
-    span,
-    use_registry,
-    use_tracer,
-)
+from repro.obs.probe import probe
 from repro.sim.engine import PolicySimulation, TripResult, supports_fast_path
 from repro.sim.metrics import TripMetrics, aggregate_metrics
 from repro.sim.speed_curves import SpeedCurve
@@ -211,18 +212,14 @@ def _init_worker(state: _WorkerState) -> None:
 
 def _run_rectangle(
     rectangle: tuple[int, int, int],
-) -> tuple[list[TripMetrics], float, dict | None, list | None]:
+) -> tuple[list[TripMetrics], float, dict | None]:
     """Run one ``(policy index, trip start, trip stop)`` rectangle in a worker.
 
-    Returns ``(metrics in (cost, trip) order, secs, metrics snapshot,
-    span dicts)``.
-    The parent's registry/tracer objects arrive here through fork
-    inheritance, but mutations to them are lost with the worker process
-    — so when the parent is observing, the rectangle runs under *fresh*
-    worker-local instances and ships their contents back as plain data
-    for the parent to merge (:meth:`MetricsRegistry.merge_snapshot`,
-    :meth:`Tracer.adopt_spans`).  When nobody observes, nothing is
-    installed and no telemetry returns.
+    Returns ``(metrics in (cost, trip) order, secs, telemetry bundle)``.
+    The rectangle runs under the probe's worker session
+    (:meth:`~repro.obs.probe.Probe.isolated`) and ships what it
+    published back as plain data for the parent to adopt; when nobody
+    observes, nothing is installed and no telemetry returns.
     """
     state = _WORKER
     if state is None:
@@ -231,22 +228,22 @@ def _run_rectangle(
             "the spec and grids"
         )
     policy_index, first, stop = rectangle
-    observed = get_registry().enabled
-    traced = get_tracer().enabled
     start = perf_counter()
-    with ExitStack() as stack:
-        registry = stack.enter_context(use_registry()) if observed else None
-        tracer = stack.enter_context(use_tracer()) if traced else None
+    with probe().isolated() as p:
         results = _run_cells(
             state.spec, _family_cells(state.spec, policy_index, first, stop),
             state.grids[first:stop], first)
-        snapshot = registry.snapshot() if registry is not None else None
-        span_dicts = tracer.to_dicts() if tracer is not None else None
-    return results, perf_counter() - start, snapshot, span_dicts
+        bundle = p.capture()
+    return results, perf_counter() - start, bundle
 
 
-def _pool_context():
-    """Fork where available (cheap on Linux), default context elsewhere."""
+def pool_context():
+    """Fork where available (cheap on Linux), default context elsewhere.
+
+    The one multiprocessing context of both worker pools (this one and
+    :mod:`repro.shard.parallel`): a forked worker inherits its state —
+    and the parent's probe, which :meth:`Probe.isolated` then replaces.
+    """
     import multiprocessing
 
     try:
@@ -299,11 +296,10 @@ class SweepExecutor:
             )
         cells = _decompose(spec)
 
-        registry = get_registry()
-        observed = registry.enabled
+        p = probe()
         start = perf_counter()
         mode = "parallel" if self.jobs > 1 else "serial"
-        with span("sweep_execute", jobs=self.jobs, cells=len(cells),
+        with p.span("sweep_execute", jobs=self.jobs, cells=len(cells),
                   policies=len(spec.policy_names),
                   costs=len(spec.update_costs), trips=spec.num_curves):
             if self.jobs == 1:
@@ -323,30 +319,13 @@ class SweepExecutor:
                 cell_metrics = self._run_parallel(spec, grids)
         elapsed = perf_counter() - start
 
-        live = get_live()
-        if live.enabled:
+        if p.enabled:
+            p.count("exec_tasks_total", mode=mode)
             if self.jobs == 1:
-                # Parallel runs feed progress per finished chunk in
-                # _run_parallel; serial runs land it here in one go.
-                live.inc("exec_cells_completed", float(len(cells)))
-            live.observe("exec_sweep_seconds", elapsed)
-
-        if observed:
-            registry.counter(
-                "exec_tasks_total",
-                help="Sweep executions dispatched through the executor.",
-                mode=mode,
-            ).inc()
-            registry.counter(
-                "exec_cells_total",
-                help="Simulation cells executed by the executor.",
-                mode=mode,
-            ).inc(len(cells))
-            registry.histogram(
-                "exec_pool_seconds",
-                help="Wall-clock seconds per sweep execution.",
-                mode=mode,
-            ).observe(elapsed)
+                # Parallel runs count their cells per finished chunk in
+                # _run_parallel; serial runs land them here in one go.
+                p.count("exec_cells_total", len(cells), mode=mode)
+            p.observe("exec_pool_seconds", elapsed, mode=mode)
 
         return SweepResult(spec=spec, cells=self._aggregate(spec, cell_metrics))
 
@@ -371,14 +350,13 @@ class SweepExecutor:
             for first in range(0, num_trips, block)
         ]
 
-        registry = get_registry()
-        observed = registry.enabled
+        p = probe()
         results: list[TripMetrics | None] = (
             [None] * (num_policies * num_costs * num_trips)
         )
         with ProcessPoolExecutor(
             max_workers=min(self.jobs, len(rectangles)),
-            mp_context=_pool_context(),
+            mp_context=pool_context(),
             initializer=_init_worker,
             initargs=(_WorkerState(spec, grids),),
         ) as pool:
@@ -386,23 +364,12 @@ class SweepExecutor:
                        for rectangle in rectangles]
             for chunk_index, (rectangle, future) in enumerate(
                     zip(rectangles, futures)):
-                (chunk_results, task_seconds,
-                 snapshot, span_dicts) = future.result()
-                worker = f"chunk-{chunk_index}"
-                if observed:
-                    registry.histogram(
-                        "exec_task_seconds",
-                        help="Wall-clock seconds per worker task (chunk).",
-                    ).observe(task_seconds)
-                    if snapshot is not None:
-                        registry.merge_snapshot(snapshot, worker=worker)
-                tracer = get_tracer()
-                if tracer.enabled and span_dicts:
-                    tracer.adopt_spans(span_dicts, worker=worker)
-                live = get_live()
-                if live.enabled:
-                    live.inc("exec_cells_completed",
-                             float(len(chunk_results)))
+                chunk_results, task_seconds, bundle = future.result()
+                if p.enabled:
+                    p.observe("exec_task_seconds", task_seconds)
+                    p.adopt(bundle, worker=f"chunk-{chunk_index}")
+                    p.count("exec_cells_total", len(chunk_results),
+                            mode="parallel")
                 policy_index, first, stop = rectangle
                 width = stop - first
                 if len(chunk_results) != num_costs * width:
@@ -444,5 +411,6 @@ __all__ = [
     "SweepCell",
     "SweepExecutor",
     "cell_seed",
+    "pool_context",
     "simulate_lanes",
 ]

@@ -39,8 +39,7 @@ from typing import Any, Hashable, Iterator
 
 from repro.errors import IndexError_
 from repro.geometry.bbox import Box3D
-from repro.obs.metrics import COUNT_BUCKETS
-from repro.obs.registry import get_registry
+from repro.obs.probe import probe
 
 #: Weight of the margin term in the box measure; small enough that
 #: volume dominates whenever volumes are non-degenerate.
@@ -462,14 +461,14 @@ class RTree:
     def search(self, box: Box3D, stats: SearchStats | None = None) -> list[Hashable]:
         """Payloads of all leaf entries whose boxes intersect ``box``.
 
-        When observability is enabled, the per-search work accounting
-        (nodes visited, entries tested, result count) is also published
-        to the active metrics registry — the same numbers
+        When the run is observed, the per-search work accounting
+        (nodes visited, entries tested, result count) is also stated
+        to the probe — the same numbers
         :class:`SearchStats` reports, but aggregated across every
         search of a run instead of one call at a time.
         """
-        registry = get_registry()
-        observed = registry.enabled
+        p = probe()
+        observed = p.enabled
         if observed and stats is None:
             stats = SearchStats()
         base_nodes = stats.nodes_visited if stats is not None else 0
@@ -494,22 +493,12 @@ class RTree:
         if stats is not None:
             stats.results += len(results)
         if observed:
-            registry.counter(
-                "index_searches_total", help="R-tree searches executed.",
-            ).inc()
-            registry.counter(
-                "index_nodes_visited_total",
-                help="R-tree nodes visited across all searches.",
-            ).inc(stats.nodes_visited - base_nodes)
-            registry.counter(
-                "index_entries_tested_total",
-                help="R-tree entries intersection-tested across all searches.",
-            ).inc(stats.entries_tested - base_entries)
-            registry.histogram(
-                "index_search_results",
-                help="Result-set size per R-tree search.",
-                buckets=COUNT_BUCKETS,
-            ).observe(len(results))
+            p.count("index_searches_total")
+            p.count("index_nodes_visited_total",
+                    stats.nodes_visited - base_nodes)
+            p.count("index_entries_tested_total",
+                    stats.entries_tested - base_entries)
+            p.observe("index_search_results", len(results))
         return results
 
     def search_many(self, boxes: list[Box3D],
@@ -531,8 +520,8 @@ class RTree:
         results: list[list[Hashable]] = [[] for _ in boxes]
         if not boxes:
             return results
-        registry = get_registry()
-        observed = registry.enabled
+        p = probe()
+        observed = p.enabled
         if observed and stats is None:
             stats = SearchStats()
         base_nodes = stats.nodes_visited if stats is not None else 0
@@ -574,34 +563,16 @@ class RTree:
         if stats is not None:
             stats.results += total_results
         if observed:
-            registry.counter(
-                "index_multi_searches_total",
-                help="Batched R-tree traversals executed.",
-            ).inc()
-            registry.counter(
-                "index_multi_search_queries_total",
-                help="Query boxes answered by batched traversals.",
-            ).inc(len(boxes))
-            registry.counter(
-                "index_nodes_visited_total",
-                help="R-tree nodes visited across all searches.",
-            ).inc(stats.nodes_visited - base_nodes)
-            registry.counter(
-                "index_entries_tested_total",
-                help="R-tree entries intersection-tested across all searches.",
-            ).inc(stats.entries_tested - base_entries)
+            p.count("index_multi_searches_total")
+            p.count("index_multi_search_queries_total", len(boxes))
+            p.count("index_nodes_visited_total",
+                    stats.nodes_visited - base_nodes)
+            p.count("index_entries_tested_total",
+                    stats.entries_tested - base_entries)
             if nodes_visited:
-                registry.histogram(
-                    "index_multi_node_share",
-                    help="Queries sharing each node visit of a batched "
-                         "traversal (mean per batch).",
-                    buckets=COUNT_BUCKETS,
-                ).observe(shared_visits / nodes_visited)
-            registry.histogram(
-                "index_search_results",
-                help="Result-set size per R-tree search.",
-                buckets=COUNT_BUCKETS,
-            ).observe(total_results)
+                p.observe("index_multi_node_share",
+                          shared_visits / nodes_visited)
+            p.observe("index_search_results", total_results)
         return results
 
     def search_at_time(self, min_x: float, min_y: float, max_x: float,

@@ -26,9 +26,8 @@ from repro.errors import IndexError_
 from repro.geometry.bbox import Box3D, Rect2D
 from repro.index.oplane import OPlane
 from repro.index.rtree import RTree, SearchStats
-from repro.obs.registry import get_registry
+from repro.obs.probe import Probe, probe
 from repro.trace.events import INDEX_INSERT, INDEX_REMOVE, INDEX_REPLACE
-from repro.trace.recorder import get_recorder
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,16 +105,11 @@ class TimeSpaceIndex:
     def insert(self, object_id: str, plane: OPlane) -> int:
         """Index a new object's o-plane; returns the box count."""
         inserted = self._insert_boxes(object_id, plane)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "index_boxes_inserted_total",
-                help="Slab boxes inserted into the time-space index.",
-            ).inc(inserted)
-            self._publish_size(registry)
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record(INDEX_INSERT, object_id=object_id, boxes=inserted)
+        p = probe()
+        if p.enabled:
+            p.count("index_boxes_inserted_total", inserted)
+            self._publish_size(p)
+            p.event(INDEX_INSERT, object_id=object_id, boxes=inserted)
         return inserted
 
     def _insert_boxes(self, object_id: str, plane: OPlane,
@@ -136,16 +130,11 @@ class TimeSpaceIndex:
     def remove(self, object_id: str) -> int:
         """Drop an object from the index; returns removed box count."""
         removed = self._remove_boxes(object_id)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "index_boxes_removed_total",
-                help="Slab boxes removed from the time-space index.",
-            ).inc(removed)
-            self._publish_size(registry)
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record(INDEX_REMOVE, object_id=object_id, boxes=removed)
+        p = probe()
+        if p.enabled:
+            p.count("index_boxes_removed_total", removed)
+            self._publish_size(p)
+            p.event(INDEX_REMOVE, object_id=object_id, boxes=removed)
         return removed
 
     def _remove_boxes(self, object_id: str) -> int:
@@ -165,13 +154,9 @@ class TimeSpaceIndex:
             )
         return removed
 
-    def _publish_size(self, registry) -> None:
-        registry.gauge(
-            "index_objects", help="Objects currently indexed.",
-        ).set(len(self._planes))
-        registry.gauge(
-            "index_slab_boxes", help="Slab boxes currently stored.",
-        ).set(len(self._tree))
+    def _publish_size(self, p: Probe) -> None:
+        p.gauge("index_objects", len(self._planes))
+        p.gauge("index_slab_boxes", len(self._tree))
 
     def replace(self, object_id: str, plane: OPlane,
                 force: bool = False) -> IndexMaintenanceStats:
@@ -191,35 +176,23 @@ class TimeSpaceIndex:
                 boxes_removed=0, boxes_inserted=inserted
             )
         new_boxes = plane.boxes(self.slab_minutes)
-        registry = get_registry()
-        if not force and new_boxes == self._boxes[object_id]:
+        skipped = not force and new_boxes == self._boxes[object_id]
+        removed = inserted = 0
+        if skipped:
             self._planes[object_id] = plane
-            if registry.enabled:
-                registry.counter(
-                    "index_replace_skipped_total",
-                    help="Replaces skipped because slab boxes were unchanged.",
-                ).inc()
-            rec = get_recorder()
-            if rec.enabled:
-                rec.record(INDEX_REPLACE, object_id=object_id,
-                           removed=0, inserted=0, skipped=True)
-            return IndexMaintenanceStats(boxes_removed=0, boxes_inserted=0)
-        removed = self._remove_boxes(object_id)
-        inserted = self._insert_boxes(object_id, plane, boxes=new_boxes)
-        if registry.enabled:
-            registry.counter(
-                "index_boxes_removed_total",
-                help="Slab boxes removed from the time-space index.",
-            ).inc(removed)
-            registry.counter(
-                "index_boxes_inserted_total",
-                help="Slab boxes inserted into the time-space index.",
-            ).inc(inserted)
-            self._publish_size(registry)
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record(INDEX_REPLACE, object_id=object_id,
-                       removed=removed, inserted=inserted, skipped=False)
+        else:
+            removed = self._remove_boxes(object_id)
+            inserted = self._insert_boxes(object_id, plane, boxes=new_boxes)
+        p = probe()
+        if p.enabled:
+            if skipped:
+                p.count("index_replace_skipped_total")
+            else:
+                p.count("index_boxes_removed_total", removed)
+                p.count("index_boxes_inserted_total", inserted)
+                self._publish_size(p)
+            p.event(INDEX_REPLACE, object_id=object_id,
+                    removed=removed, inserted=inserted, skipped=skipped)
         return IndexMaintenanceStats(
             boxes_removed=removed, boxes_inserted=inserted
         )

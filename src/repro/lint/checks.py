@@ -580,7 +580,7 @@ def check_span_pairing(ctx: ModuleContext) -> Iterator[Finding]:
     "RPR502", "direct-registry-construction", SEVERITY_ERROR,
     "library-not-obs",
     "no direct MetricsRegistry() construction outside obs/ (use "
-    "use_registry()/enable_metrics())",
+    "use_registry()/observe(registry=True))",
 )
 def check_registry_construction(ctx: ModuleContext) -> Iterator[Finding]:
     for call, resolved in _calls(ctx):
@@ -588,8 +588,8 @@ def check_registry_construction(ctx: ModuleContext) -> Iterator[Finding]:
             yield ctx.finding(
                 call, "RPR502",
                 "MetricsRegistry constructed directly; outside obs/ go "
-                "through use_registry()/enable_metrics() so the active "
-                "registry stays process-coherent",
+                "through use_registry()/observe(registry=True) so the "
+                "probe's registry slot stays process-coherent",
             )
 
 
@@ -604,8 +604,8 @@ def check_adhoc_event_writes(ctx: ModuleContext) -> Iterator[Finding]:
             yield ctx.finding(
                 call, "RPR503",
                 "json.dumps in a dbms/index module; DBMS-visible events "
-                "are serialized by the flight recorder — record them "
-                "through repro.trace.get_recorder() so traces stay "
+                "are serialized by the flight recorder — state them "
+                "through probe().event(...) so traces stay "
                 "schema-versioned and replayable",
             )
 

@@ -1,6 +1,12 @@
-"""Observability: metrics registry, run tracing, and exporters.
+"""Observability: one probe, its four sinks, and exporters.
 
-The subsystem every scaling PR proves itself against.  Three layers:
+Instrumented code states each fact once to the process's single
+:class:`~repro.obs.probe.Probe` (:func:`repro.obs.probe.probe`, not
+re-exported here: the name is the submodule's); the probe decides
+which installed sinks hear it, and the metric catalogue
+(:mod:`repro.obs.catalogue`) declares every series name once — kind,
+help text, buckets, the live series it feeds.  The sinks in this
+package:
 
 * **Instruments** (:mod:`repro.obs.metrics`) — counters, gauges, and
   fixed-bucket histograms owned by a :class:`MetricsRegistry`; a
@@ -8,10 +14,13 @@ The subsystem every scaling PR proves itself against.  Three layers:
 * **Tracing** (:mod:`repro.obs.tracing`) — nested timed spans recorded
   by a :class:`Tracer` with JSONL export; :func:`span` opens a span on
   the process tracer.
+* **Live windows** (:mod:`repro.obs.live`) — sliding-window series,
+  SLO burn rates and the HTTP endpoint.
 * **Exporters** (:mod:`repro.obs.exporters`) — Prometheus text format
   and JSONL snapshots.
 
-Enable for a block::
+(The fourth sink, the flight recorder, is :mod:`repro.trace`.)  Enable
+one sink for a block::
 
     from repro.obs import use_registry, prometheus_text
 
@@ -19,9 +28,15 @@ Enable for a block::
         simulate_trip(trip, policy)
     print(prometheus_text(registry))
 
-or process-wide with :func:`enable_metrics` (``repro stats`` and
-``--metrics-out`` do this for you).
+or several at once with :func:`observe` (``repro stats`` and
+``--metrics-out`` do this for you)::
+
+    with observe(registry=True, tracer=True) as p:
+        ...
+    print(prometheus_text(p.registry), len(p.tracer))
 """
+
+from repro.obs.catalogue import CATALOGUE, Metric
 
 from repro.obs.exporters import (
     jsonl_lines,
@@ -49,9 +64,8 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NullRegistry,
 )
+from repro.obs.probe import Probe, observe
 from repro.obs.registry import (
-    disable_metrics,
-    enable_metrics,
     get_registry,
     get_tracer,
     set_registry,
@@ -78,8 +92,10 @@ __all__ = [
     "get_registry",
     "set_registry",
     "use_registry",
-    "enable_metrics",
-    "disable_metrics",
+    "CATALOGUE",
+    "Metric",
+    "Probe",
+    "observe",
     "get_tracer",
     "set_tracer",
     "use_tracer",

@@ -1,66 +1,45 @@
-"""Glue helpers for wiring metrics into existing call sites.
+"""The decorator and block spellings of :meth:`Probe.timed`.
 
-The :func:`timed` decorator and :func:`time_section` context manager
-observe wall-clock durations into a latency histogram of the *active*
-registry.  Both resolve the registry at call time and short-circuit
-when observability is disabled, so decorating a hot method costs one
-extra function call and one attribute check per invocation — nothing
-else.
+:func:`timed` and :func:`time_section` time a function or a ``with``
+block into a latency histogram through the probe: one ``perf_counter``
+pair feeds the registry histogram, the live series the catalogue names
+for it and — when the block raises — its error counter.  Both read the
+probe at call time and short-circuit when nothing listens, so
+decorating a hot method costs one extra function call and one
+attribute check per invocation — nothing else.  A metric's help text
+and buckets come from :mod:`repro.obs.catalogue`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from functools import wraps
-from time import perf_counter
-from typing import Callable, Iterator, TypeVar
+from typing import Any, Callable, TypeVar
 
-from repro.obs.metrics import LATENCY_BUCKETS_S
-from repro.obs.registry import get_registry
+from repro.obs.probe import probe
 
 F = TypeVar("F", bound=Callable)
 
 
-def timed(metric: str, help: str = "",
-          buckets: tuple[float, ...] = LATENCY_BUCKETS_S,
-          **labels: str) -> Callable[[F], F]:
+def timed(metric: str, **labels: str) -> Callable[[F], F]:
     """Decorate a function to record its duration in ``metric`` (seconds)."""
 
     def decorate(fn: F) -> F:
         @wraps(fn)
         def wrapper(*args, **kwargs):
-            registry = get_registry()
-            if not registry.enabled:
+            p = probe()
+            if not p.enabled:
                 return fn(*args, **kwargs)
-            start = perf_counter()
-            try:
+            with p.timed(metric, **labels):
                 return fn(*args, **kwargs)
-            finally:
-                registry.histogram(
-                    metric, help=help, buckets=buckets, **labels
-                ).observe(perf_counter() - start)
 
         return wrapper  # type: ignore[return-value]
 
     return decorate
 
 
-@contextmanager
-def time_section(metric: str, help: str = "",
-                 buckets: tuple[float, ...] = LATENCY_BUCKETS_S,
-                 **labels: str) -> Iterator[None]:
+def time_section(metric: str, **labels: str) -> Any:
     """Record the duration of a ``with`` block into ``metric`` (seconds)."""
-    registry = get_registry()
-    if not registry.enabled:
-        yield
-        return
-    start = perf_counter()
-    try:
-        yield
-    finally:
-        registry.histogram(
-            metric, help=help, buckets=buckets, **labels
-        ).observe(perf_counter() - start)
+    return probe().timed(metric, **labels)
 
 __all__ = [
     "F",

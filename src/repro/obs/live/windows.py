@@ -35,21 +35,24 @@ JSON-safe dict (``repro-live/1``).  The SLO evaluator
 computed live over HTTP and offline from a collector file are
 byte-identical.
 
-The ambient default is a :class:`NullLiveTelemetry` whose ``enabled``
-is ``False`` — hot-path feeds (``dbms/batch.py``, ``dbms/update_log``,
-``shard/sharded.py``, ``exec/executor.py``) stay zero-cost when nobody
-is watching, exactly like the metrics registry.
+A :class:`LiveTelemetry` is the probe's live sink
+(:mod:`repro.obs.probe`): hooks never feed it directly — a series is
+fed when a hook states the metric the catalogue pairs it with
+(``dbms_batch_seconds``, ``shard_query_fanout`` -> ``shard_fanout``,
+an ``update`` event -> :meth:`LiveTelemetry.record_update`, ...).  The
+slot's off-value is a :class:`NullLiveTelemetry` whose ``enabled`` is
+``False``; :func:`use_live` is the generic slot installer, bound here.
 """
 
 from __future__ import annotations
 
 import threading
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable
 
 from repro.errors import ObservabilityError
 from repro.obs.metrics import LATENCY_BUCKETS_S
+from repro.obs.probe import slot
 
 #: Schema tag stamped on every :meth:`LiveTelemetry.window_state` dict.
 STATE_SCHEMA = "repro-live/1"
@@ -379,38 +382,8 @@ class NullLiveTelemetry(LiveTelemetry):
         pass
 
 
-_NULL_LIVE = NullLiveTelemetry()
-_active_live: LiveTelemetry = _NULL_LIVE
-
-
-def get_live() -> LiveTelemetry:
-    """The currently active live telemetry (a no-op one by default)."""
-    return _active_live
-
-
-def set_live(telemetry: LiveTelemetry | None) -> LiveTelemetry:
-    """Install ``telemetry`` (``None`` restores the no-op default).
-
-    Returns the previously active instance so callers can restore it.
-    """
-    global _active_live
-    previous = _active_live
-    _active_live = telemetry if telemetry is not None else _NULL_LIVE
-    return previous
-
-
-@contextmanager
-def use_live(
-    telemetry: LiveTelemetry | None = None,
-) -> Iterator[LiveTelemetry]:
-    """Scope live telemetry to a ``with`` block (fresh one when ``None``)."""
-    if telemetry is None:
-        telemetry = LiveTelemetry()
-    previous = set_live(telemetry)
-    try:
-        yield telemetry
-    finally:
-        set_live(previous)
+get_live, set_live, use_live = slot(
+    "live", LiveTelemetry, NullLiveTelemetry())
 
 
 __all__ = [

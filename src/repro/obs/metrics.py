@@ -12,10 +12,10 @@ Two registry flavours exist:
 * :class:`MetricsRegistry` — the real thing, used when a run opts into
   observability (``repro stats``, ``--metrics-out``, or an explicit
   :func:`repro.obs.registry.use_registry`).
-* :class:`NullRegistry` — the process default.  Every instrument it
-  hands out is a shared no-op singleton and ``enabled`` is ``False``,
-  so instrumented hot paths can skip sample collection entirely.  This
-  is what keeps the library path zero-cost when nobody is observing.
+* :class:`NullRegistry` — the off-value of the probe's registry slot.
+  Every instrument it hands out is a shared no-op singleton and
+  ``enabled`` is ``False``, so with nothing else installed the probe
+  (:mod:`repro.obs.probe`) reads disabled and hooks skip their blocks.
 """
 
 from __future__ import annotations
@@ -258,8 +258,7 @@ class MetricsRegistry:
             raise ObservabilityError(
                 f"metric {name!r} is a {bound}, not a {kind}"
             )
-        if help and name not in self._help:
-            self._help[name] = help
+        self.describe(name, help)
 
     # -- introspection -------------------------------------------------
 
@@ -284,6 +283,11 @@ class MetricsRegistry:
 
     def help_text(self, name: str) -> str:
         return self._help.get(name, "")
+
+    def describe(self, name: str, help: str) -> None:
+        """Give ``name`` its help text, unless it already has one."""
+        if help and name not in self._help:
+            self._help[name] = help
 
     def __len__(self) -> int:
         return len(self._instruments)

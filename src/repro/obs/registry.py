@@ -1,103 +1,33 @@
-"""The process-global default registry and tracer.
+"""The registry and tracer slots of the probe.
 
-The library never forces observability on its callers: the default
-registry is a :class:`~repro.obs.metrics.NullRegistry` and the default
-tracer a :class:`~repro.obs.tracing.NullTracer`, both of which make
-every hook a no-op.  An observed run swaps in live instances, either
-for the whole process (:func:`set_registry` / :func:`enable_metrics`)
-or scoped to a block (:func:`use_registry`), and restores the previous
-ones afterwards.  Instrumented code only ever calls
-:func:`get_registry` / :func:`get_tracer`, so the swap is invisible to
-the hot paths.
+The library never forces observability on its callers: the probe's
+registry slot holds a :class:`~repro.obs.metrics.NullRegistry` and its
+tracer slot a :class:`~repro.obs.tracing.NullTracer` until an observed
+run installs live ones — for the whole process (:func:`set_registry`)
+or scoped to a block (:func:`use_registry`) — and the previous ones are
+restored afterwards.  These are the same generic slot installer
+(:func:`repro.obs.probe.slot`) bound twice; instrumented code never
+calls them, it states facts to :func:`repro.obs.probe.probe`.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator
+from typing import Any
 
 from repro.obs.metrics import MetricsRegistry, NullRegistry
+from repro.obs.probe import probe, slot
 from repro.obs.tracing import NullTracer, Tracer
 
-_NULL_REGISTRY = NullRegistry()
-_NULL_TRACER = NullTracer()
-
-_active_registry: MetricsRegistry = _NULL_REGISTRY
-_active_tracer: Tracer = _NULL_TRACER
+get_registry, set_registry, use_registry = slot(
+    "registry", MetricsRegistry, NullRegistry())
+get_tracer, set_tracer, use_tracer = slot("tracer", Tracer, NullTracer())
 
 
-def get_registry() -> MetricsRegistry:
-    """The currently active metrics registry (a no-op one by default)."""
-    return _active_registry
-
-
-def set_registry(registry: MetricsRegistry | None) -> MetricsRegistry:
-    """Install ``registry`` (``None`` restores the no-op default).
-
-    Returns the previously active registry so callers can restore it.
-    """
-    global _active_registry
-    previous = _active_registry
-    _active_registry = registry if registry is not None else _NULL_REGISTRY
-    return previous
-
-
-@contextmanager
-def use_registry(registry: MetricsRegistry | None = None) -> Iterator[MetricsRegistry]:
-    """Scope a registry to a ``with`` block (fresh one when ``None``)."""
-    if registry is None:
-        registry = MetricsRegistry()
-    previous = set_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_registry(previous)
-
-
-def enable_metrics() -> MetricsRegistry:
-    """Install and return a fresh live registry for the whole process."""
-    registry = MetricsRegistry()
-    set_registry(registry)
-    return registry
-
-
-def disable_metrics() -> None:
-    """Restore the no-op default registry."""
-    set_registry(None)
-
-
-def get_tracer() -> Tracer:
-    """The currently active tracer (a no-op one by default)."""
-    return _active_tracer
-
-
-def set_tracer(tracer: Tracer | None) -> Tracer:
-    """Install ``tracer`` (``None`` restores the no-op default)."""
-    global _active_tracer
-    previous = _active_tracer
-    _active_tracer = tracer if tracer is not None else _NULL_TRACER
-    return previous
-
-
-@contextmanager
-def use_tracer(tracer: Tracer | None = None) -> Iterator[Tracer]:
-    """Scope a tracer to a ``with`` block (fresh one when ``None``)."""
-    if tracer is None:
-        tracer = Tracer()
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)
-
-
-def span(name: str, **attrs):
+def span(name: str, **attrs: Any):
     """Open a span on the active tracer (no-op under the default)."""
-    return _active_tracer.span(name, **attrs)
+    return probe().tracer.span(name, **attrs)
 
 __all__ = [
-    "disable_metrics",
-    "enable_metrics",
     "get_registry",
     "get_tracer",
     "set_registry",

@@ -15,7 +15,10 @@ State reaches the workers the way the sweep executor passes it: the
 engine (database, index and uncertainty cache as of the fork) is
 installed as a worker global by the pool initializer, so nothing
 heavyweight is pickled per task.  Entries a worker derives stay in the
-worker; its hit and miss counts are added to the engine's.
+worker; its hit and miss counts are added to the engine's.  Telemetry
+comes home the way the sweep executor's does, too: a partition runs
+under the probe's worker session and returns what it published as a
+bundle, which the parent adopts under ``worker="shard-N"``.
 """
 
 from __future__ import annotations
@@ -29,20 +32,12 @@ from repro.dbms.batch import (
     PositionQuery,
 )
 from repro.dbms.query import RangeAnswer
+from repro.errors import ShardError
+from repro.exec.executor import pool_context
 from repro.index.rtree import SearchStats
 from repro.index.scan import LinearScanIndex
+from repro.obs.probe import probe
 from repro.shard.sharded import PartitionedIndex
-
-
-def _pool_context():
-    """Fork where available (cheap on Linux), default context elsewhere."""
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
 
 _WORKER_ENGINE: BatchQueryEngine | None = None
 
@@ -54,18 +49,29 @@ def _init_worker(engine: BatchQueryEngine) -> None:
 
 
 def _run_partition(shard: int, queries: list[BatchQuery]) -> tuple[
-        list[BatchAnswer], int, int, tuple[int, int, int]]:
-    """Answer one partition's sub-batch in a worker process."""
+        list[BatchAnswer], int, int, tuple[int, int, int], dict | None]:
+    """Answer one partition's sub-batch in a worker process.
+
+    Returns the answers, the cache hit and miss deltas, the index work
+    and — when the parent observes — the worker's telemetry bundle.
+    """
     engine = _WORKER_ENGINE
-    assert engine is not None
+    if engine is None:
+        raise ShardError(
+            "shard worker ran a task before its initializer installed "
+            "the engine"
+        )
     hits, misses = engine.cache_hits, engine.cache_misses
     stats = SearchStats()
-    answers = engine.answer_over(
-        engine.database._index.partitions[shard], queries, stats,
-        stationary=False,
-    )
+    with probe().isolated() as p:
+        answers = engine.answer_over(
+            engine.database._index.partitions[shard], queries, stats,
+            stationary=False,
+        )
+        bundle = p.capture()
     return (answers, engine.cache_hits - hits, engine.cache_misses - misses,
-            (stats.nodes_visited, stats.entries_tested, stats.results))
+            (stats.nodes_visited, stats.entries_tested, stats.results),
+            bundle)
 
 
 def _merge_range(previous: RangeAnswer, piece: RangeAnswer) -> RangeAnswer:
@@ -124,7 +130,7 @@ def answer_in_pool(engine: BatchQueryEngine, queries: list[BatchQuery],
         merged[slot] = piece
     with ProcessPoolExecutor(
         max_workers=min(engine.jobs, len(active)),
-        mp_context=_pool_context(),
+        mp_context=pool_context(),
         initializer=_init_worker, initargs=(engine,),
     ) as pool:
         futures = [
@@ -132,7 +138,8 @@ def answer_in_pool(engine: BatchQueryEngine, queries: list[BatchQuery],
             for shard in active
         ]
         for shard, future in zip(active, futures):
-            answers, hits, misses, counted = future.result()
+            answers, hits, misses, counted, bundle = future.result()
+            probe().adopt(bundle, worker=f"shard-{shard}")
             engine.cache_hits += hits
             engine.cache_misses += misses
             if stats is not None:

@@ -45,12 +45,10 @@ from repro.geometry.bbox import Rect2D
 from repro.index.oplane import OPlane
 from repro.index.rtree import SearchStats
 from repro.index.timespace import TimeSpaceIndex
-from repro.obs.live.windows import get_live
-from repro.obs.registry import get_registry
+from repro.obs.probe import probe
 from repro.routes.route import Route
 from repro.shard.partition import Partitioning
 from repro.trace.events import SHARD_ROUTE, digest
-from repro.trace.recorder import get_recorder
 
 class PartitionedIndex:
     """N inner indexes behind the one-index protocol.
@@ -157,30 +155,16 @@ class PartitionedIndex:
 
     def observe_fanout(self, fanned: int) -> None:
         """Count one routed window against the fan-out telemetry."""
-        buckets = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
-        live = get_live()
-        if live.enabled:
-            live.observe("shard_fanout", float(fanned), buckets=buckets)
-            live.inc("shard_queries")
-        registry = get_registry()
-        if not registry.enabled:
-            return
-        registry.histogram(
-            "shard_query_fanout", buckets=buckets,
-            help="Shards consulted per routed query window.",
-        ).observe(float(fanned))
-        registry.counter(
-            "shard_queries_total",
-            help="Query windows routed by the partitioned index.",
-        ).inc()
+        p = probe()
+        if p.enabled:
+            p.observe("shard_query_fanout", float(fanned))
+            p.count("shard_queries_total")
 
     def _publish_size(self, shard: int) -> None:
-        registry = get_registry()
-        if registry.enabled:
-            registry.gauge(
-                "shard_objects", help="Mobile objects owned by each shard.",
-                shard=str(shard),
-            ).set(len(self._parts[shard]))
+        p = probe()
+        if p.enabled:
+            p.gauge("shard_objects", len(self._parts[shard]),
+                    shard=str(shard))
 
     # ------------------------------------------------------------------
     # Maintenance (the §4.2 o-plane swap, one shard per call)
@@ -196,10 +180,10 @@ class PartitionedIndex:
         shard = self.partitioning.shard_of_point(
             attribute.start_x, attribute.start_y
         )
-        rec = get_recorder()
-        if rec.enabled:
-            rec.record(SHARD_ROUTE, time=attribute.starttime,
-                       object_id=object_id, shard=shard)
+        p = probe()
+        if p.enabled:
+            p.event(SHARD_ROUTE, time=attribute.starttime,
+                    object_id=object_id, shard=shard)
         result = self._parts[shard].insert(object_id, plane)
         self._owner[object_id] = shard
         self._grow_coverage(shard, plane.route)
@@ -212,13 +196,9 @@ class PartitionedIndex:
         if shard is None:
             return self.insert(object_id, plane)
         self._grow_coverage(shard, plane.route)
-        registry = get_registry()
-        if registry.enabled:
-            registry.counter(
-                "shard_updates_total",
-                help="Position updates routed to each shard.",
-                shard=str(shard),
-            ).inc()
+        p = probe()
+        if p.enabled:
+            p.count("shard_updates_total", shard=str(shard))
         return self._parts[shard].replace(object_id, plane)
 
     def remove(self, object_id: str) -> int:

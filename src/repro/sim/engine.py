@@ -50,8 +50,7 @@ from repro.core.policies import (
 )
 from repro.core.policy import UpdatePolicy
 from repro.errors import SimulationError
-from repro.obs.metrics import MILE_BUCKETS
-from repro.obs.registry import get_registry, span
+from repro.obs.probe import Probe, probe
 from repro.sim.clock import SimulationClock
 from repro.sim.grid import GridTrip, TickGrid
 from repro.sim.metrics import TripMetrics
@@ -98,53 +97,28 @@ class TripResult:
     series: TripSeries | None = None
 
 
-def _tick_instruments(registry, policy_name: str):
+def _tick_instruments(p: Probe, policy_name: str):
     """An observed run's per-tick instruments, hoisted out of its loop."""
     return (
-        registry.histogram(
-            "sim_tick_deviation_miles",
-            help="Per-tick onboard deviation samples.",
-            buckets=MILE_BUCKETS, policy=policy_name,
-        ),
-        registry.histogram(
-            "sim_tick_bound_miles",
-            help="Per-tick DBMS-side uncertainty bound samples.",
-            buckets=MILE_BUCKETS, policy=policy_name,
-        ),
-        registry.counter(
-            "sim_updates_total",
-            help="Position-update messages decided by the engine.",
-            policy=policy_name,
-        ),
+        p.instrument("sim_tick_deviation_miles", policy=policy_name),
+        p.instrument("sim_tick_bound_miles", policy=policy_name),
+        p.instrument("sim_updates_total", policy=policy_name),
     )
 
 
-def _record_run(registry, metrics: TripMetrics, num_ticks: int,
+def _record_run(p: Probe, runs: list[TripMetrics], num_ticks: int,
                 wall_start: float) -> None:
-    """An observed run's end-of-run instruments."""
-    policy_name = metrics.policy
-    registry.counter(
-        "sim_runs_total", help="Completed simulation runs.",
-        policy=policy_name,
-    ).inc()
-    registry.counter(
-        "sim_ticks_total", help="Engine ticks executed.",
-    ).inc(num_ticks)
-    registry.histogram(
-        "sim_run_seconds",
-        help="Wall-clock time per simulation run.",
-        policy=policy_name,
-    ).observe(perf_counter() - wall_start)
-    registry.gauge(
-        "sim_avg_deviation_miles",
-        help="Time-averaged deviation of the last run.",
-        policy=policy_name,
-    ).set(metrics.avg_deviation)
-    registry.gauge(
-        "sim_total_cost",
-        help="Total cost (eq. 2) of the last run.",
-        policy=policy_name,
-    ).set(metrics.total_cost)
+    """The end-of-run facts of an observed pass's lanes (one policy;
+    the gauges keep the last lane's values)."""
+    policy_name = runs[-1].policy
+    p.count("sim_runs_total", len(runs), policy=policy_name)
+    p.count("sim_ticks_total", num_ticks * len(runs))
+    seconds = p.instrument("sim_run_seconds", policy=policy_name)
+    for _ in runs:
+        seconds.observe(perf_counter() - wall_start)
+    p.gauge("sim_avg_deviation_miles", runs[-1].avg_deviation,
+            policy=policy_name)
+    p.gauge("sim_total_cost", runs[-1].total_cost, policy=policy_name)
 
 
 class PolicySimulation:
@@ -213,12 +187,12 @@ class PolicySimulation:
 
         # Observability hooks: instruments are hoisted out of the tick
         # loop and the whole block collapses to `observed = False` under
-        # the default NullRegistry, keeping the library path zero-cost.
-        registry = get_registry()
-        observed = registry.enabled
+        # the default probe, keeping the library path zero-cost.
+        p = probe()
+        observed = p.enabled
         if observed:
             deviation_hist, bound_hist, update_counter = _tick_instruments(
-                registry, self.policy.name)
+                p, self.policy.name)
             wall_start = perf_counter()
 
         deviation_integral = 0.0
@@ -233,7 +207,7 @@ class PolicySimulation:
         db_travel_trace: list[float] = []
         actual_travel_trace: list[float] = []
 
-        with span("simulate_trip", policy=self.policy.name,
+        with p.span("simulate_trip", policy=self.policy.name,
                   duration=self.clock.duration, dt=dt):
             for _, t in self.clock.ticks():
                 state = computer.observe(t)
@@ -281,7 +255,7 @@ class PolicySimulation:
             max_uncertainty=max_uncertainty,
         )
         if observed:
-            _record_run(registry, metrics, self.clock.num_ticks, wall_start)
+            _record_run(p, [metrics], self.clock.num_ticks, wall_start)
         series = (
             TripSeries(
                 times=times,

@@ -22,7 +22,7 @@ from repro.dbms.database import MovingObjectDatabase
 from repro.dbms.update_log import PositionUpdateMessage
 from repro.errors import SimulationError
 from repro.exec.executor import simulate_lanes
-from repro.obs.registry import get_registry, span
+from repro.obs.probe import probe
 from repro.sim.clock import SimulationClock
 from repro.sim.metrics import TripMetrics
 from repro.sim.trip import Trip
@@ -111,29 +111,21 @@ class FleetSimulation:
         vehicles = [v for v in self.vehicles.values()
                     if v.trip.duration >= self.dt]
 
-        # Observability hooks (no-ops under the default NullRegistry):
+        # Observability hooks (skipped under the default probe):
         # per-vehicle message counters, per-policy deviation, and
         # aggregate bandwidth.
-        registry = get_registry()
-        observed = registry.enabled
+        p = probe()
+        observed = p.enabled
         if observed:
-            registry.gauge(
-                "fleet_vehicles", help="Vehicles registered in the fleet.",
-            ).set(len(self.vehicles))
-            message_counter = registry.counter(
-                "fleet_messages_total",
-                help="Update messages transmitted by the whole fleet.",
-            )
+            p.gauge("fleet_vehicles", len(self.vehicles))
+            message_counter = p.instrument("fleet_messages_total")
             vehicle_counters = {
-                object_id: registry.counter(
-                    "fleet_vehicle_messages_total",
-                    help="Update messages transmitted per vehicle.",
-                    vehicle=object_id,
-                )
+                object_id: p.instrument("fleet_vehicle_messages_total",
+                                        vehicle=object_id)
                 for object_id in self.vehicles
             }
 
-        with span("fleet_run", vehicles=len(self.vehicles),
+        with p.span("fleet_run", vehicles=len(self.vehicles),
                   duration=duration, dt=self.dt):
             lanes = [(v.trip, v.policy) for v in vehicles]
             results = simulate_lanes(lanes, self.dt)
@@ -178,17 +170,11 @@ class FleetSimulation:
                 by_policy.setdefault(vehicle.policy.name, []).append(
                     result.metrics)
             for name, runs in by_policy.items():
-                registry.gauge(
-                    "fleet_avg_deviation_miles",
-                    help="Time-averaged deviation over the policy's "
-                         "vehicles, each over its whole trip.",
-                    policy=name,
-                ).set(sum(m.deviation_integral for m in runs)
-                      / sum(m.duration for m in runs))
-            registry.gauge(
-                "fleet_messages_per_minute",
-                help="Aggregate update bandwidth of the run.",
-            ).set(sum(counts.values()) / duration)
+                p.gauge("fleet_avg_deviation_miles",
+                        sum(m.deviation_integral for m in runs)
+                        / sum(m.duration for m in runs), policy=name)
+            p.gauge("fleet_messages_per_minute",
+                    sum(counts.values()) / duration)
         return counts
 
     def actual_position(self, object_id: str, t: float):

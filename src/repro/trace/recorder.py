@@ -1,10 +1,11 @@
 """The flight recorder: capture, serialize, and load workload traces.
 
-Mirrors the ambient-instance pattern of :mod:`repro.obs.registry`: a
-module-level active recorder defaults to a no-op :class:`NullRecorder`
-(``enabled`` is ``False``, so hot paths pay one attribute test), and
-:func:`use_recorder` swaps a live :class:`TraceRecorder` in for the
-duration of a ``with`` block.
+The recorder is the probe's event sink (:mod:`repro.obs.probe`): a hook
+states ``p.event(KIND, ...)`` or ``p.queries(...)`` and the installed
+:class:`TraceRecorder` appends it.  The slot defaults to a no-op
+:class:`NullRecorder` (``enabled`` is ``False``), and
+:func:`use_recorder` swaps a live recorder in for the duration of a
+``with`` block — the generic slot installer, bound here.
 
 Serialization is JSONL (:func:`write_trace` / :func:`read_trace`): a
 header line carrying the schema id, event count, and free-form
@@ -14,28 +15,31 @@ metadata, then one canonical-JSON event per line.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
-from typing import IO, Any, Iterator, Mapping
+from typing import IO, Any, Mapping
 
 from repro.errors import TraceError
+from repro.obs.probe import slot
 from repro.trace.events import (
+    INDEX_DIGEST,
     KINDS,
     QUERY,
     READABLE_SCHEMAS,
     SCHEMA,
     TraceEvent,
+    answer_digest,
 )
 
 
 class TraceRecorder:
     """Accumulates :class:`TraceEvent` records in memory.
 
-    ``enabled`` is a class attribute so instrumented call sites can
-    hoist the check (``rec = get_recorder()`` then ``if rec.enabled:``)
-    exactly like the metrics registry.
+    ``enabled`` is a class attribute: the probe folds it into its own
+    flag when the recorder is installed.
     """
 
     enabled = True
+    #: How the probe digests an answer for :meth:`record_query`.
+    digest = staticmethod(answer_digest)
 
     def __init__(self, meta: Mapping[str, Any] | None = None) -> None:
         self.meta: dict[str, Any] = dict(meta or {})
@@ -117,33 +121,8 @@ class NullRecorder(TraceRecorder):
         return 0
 
 
-_NULL_RECORDER = NullRecorder()
-_active_recorder: TraceRecorder = _NULL_RECORDER
-
-
-def get_recorder() -> TraceRecorder:
-    """The ambient recorder (a no-op unless one is installed)."""
-    return _active_recorder
-
-
-def set_recorder(recorder: TraceRecorder | None) -> TraceRecorder:
-    """Install ``recorder`` (or the null recorder); returns previous."""
-    global _active_recorder
-    previous = _active_recorder
-    _active_recorder = recorder if recorder is not None else _NULL_RECORDER
-    return previous
-
-
-@contextmanager
-def use_recorder(recorder: TraceRecorder | None = None) -> Iterator[TraceRecorder]:
-    """Scoped installation; creates a fresh recorder when none given."""
-    if recorder is None:
-        recorder = TraceRecorder()
-    previous = set_recorder(recorder)
-    try:
-        yield recorder
-    finally:
-        set_recorder(previous)
+get_recorder, set_recorder, use_recorder = slot(
+    "recorder", TraceRecorder, NullRecorder())
 
 
 def record_index_digest(database: Any,
@@ -154,8 +133,6 @@ def record_index_digest(database: Any,
     an index that keeps no digest).  The event is appended to
     ``recorder`` if given, else to the active recorder when enabled.
     """
-    from repro.trace.events import INDEX_DIGEST
-
     index = getattr(database, "_index", None)
     value = index.content_digest() if index is not None else None
     if value is None:

@@ -79,7 +79,7 @@ from repro.core.policies import (
 )
 from repro.core.policy import THRESHOLD_TOLERANCE, UpdatePolicy
 from repro.errors import SimulationError
-from repro.obs.registry import get_registry, span
+from repro.obs.probe import probe
 from repro.sim.engine import (
     TripResult,
     TripSeries,
@@ -182,7 +182,7 @@ def simulate_batch(batch: VecTripBatch,
     # (2C/elapsed and distance/elapsed on the rows a replay discards,
     # 0/0 slopes of zero-deviation candidates) never reach a result,
     # so their warnings are pure noise.
-    with span("simulate_trip_batch", policy=policies[0].name,
+    with probe().span("simulate_trip_batch", policy=policies[0].name,
               costs=len(policies), vehicles=batch.size,
               duration=batch.duration, dt=batch.dt) as record, \
             np.errstate(divide="ignore", invalid="ignore"):
@@ -419,12 +419,12 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
     # The series store: deviation, bound and reckoned rows, as committed.
     stores = [np.empty((num_ticks, k, n)) for _ in range(3 * record_series)]
 
-    registry = get_registry()
-    observed = registry.enabled
+    p = probe()
+    observed = p.enabled
     if observed:
         # One class per pass (simulate_batch checks), hence one name.
         deviation_hist, bound_hist, update_counter = _tick_instruments(
-            registry, policies[0].name)
+            p, policies[0].name)
         wall_start = perf_counter()
 
     # As many ticks as fit the tile, but no taller than a square one:
@@ -583,7 +583,6 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
         rows.append(row_results)
     if observed:
         update_counter.inc(int(num_updates.sum()))
-        for row_results in rows:
-            for result in row_results:
-                _record_run(registry, result.metrics, num_ticks, wall_start)
+        _record_run(p, [result.metrics for row_results in rows
+                        for result in row_results], num_ticks, wall_start)
     return rows

@@ -1,22 +1,26 @@
 """Unit tests for repro.obs.instrument — timed/time_section glue."""
 
+from repro.obs.catalogue import CATALOGUE
 from repro.obs.instrument import time_section, timed
 from repro.obs.registry import get_registry, use_registry
 
 
 class TestTimed:
     def test_records_into_active_registry(self):
-        @timed("fn_seconds", help="Timed fn.", kind="unit")
+        # A catalogued name: the help text is the catalogue's, not the
+        # call site's (``timed`` takes a name and labels, nothing else).
+        @timed("dbms_query_seconds", kind="unit")
         def add(a, b):
             return a + b
 
         with use_registry() as registry:
             assert add(1, 2) == 3
             assert add(3, 4) == 7
-        hist = registry.get("fn_seconds", kind="unit")
+        hist = registry.get("dbms_query_seconds", kind="unit")
         assert hist.count == 2
         assert hist.sum >= 0.0
-        assert registry.help_text("fn_seconds") == "Timed fn."
+        assert registry.help_text("dbms_query_seconds") == \
+            CATALOGUE["dbms_query_seconds"].help
 
     def test_noop_when_disabled(self):
         @timed("fn_seconds")
