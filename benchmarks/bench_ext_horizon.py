@@ -2,11 +2,10 @@
 
 The closed-form dl/ail/cil triggers exist only for the uniform cost
 function; the horizon policy implements the paper's generic
-cost-comparison rule by numerical integration and therefore also
-optimises the *step* cost function.  The bench checks the generic
-policy does not lose to a blind fixed threshold under step cost, and
-times its decision kernel (the integration makes it the most expensive
-decide() in the library).
+cost-comparison rule — the cost function evaluates the §3.1 integral,
+exactly for uniform and step — and therefore also optimises the *step*
+cost function.  The bench checks the generic policy does not lose to a
+blind fixed threshold under step cost, and times its decision kernel.
 """
 
 from repro.core.cost import StepDeviationCost

@@ -15,6 +15,10 @@ where ``COST_d`` is a *deviation cost function*.  The paper analyses the
 and mentions the **step** function (zero below a tolerance ``h``, one
 above) as an alternative.  Both are implemented here; all three paper
 policies use the uniform function.
+
+Each cost function also answers §3.1's decision integral — what not
+updating now is predicted to cost over a horizon — for a delayed-linear
+estimator: in closed form where one exists, by quadrature otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Sequence
 
+from repro.core.estimators import DelayedLinearEstimator
 from repro.errors import PolicyError
 
 
@@ -46,6 +51,25 @@ class DeviationCostFunction(ABC):
             raise PolicyError(f"dt must be positive, got {dt}")
         return sum(self.rate(d) for d in deviations) * dt
 
+    def horizon_difference(self, k: float, estimator: DelayedLinearEstimator,
+                           horizon: float, step: float) -> float:
+        """``integral over [0, horizon] of rate(g(s) + k) - rate(g(s)) ds``.
+
+        §3.1's predicted deviation cost of *not* updating now (current
+        deviation ``k > 0``, fitted estimator ``g``) minus that of
+        updating.  This default is a midpoint sum of about
+        ``horizon / step`` terms, right for any ``rate``; the cost
+        functions below override it with their closed forms and are
+        tested against it.
+        """
+        steps = max(int(round(horizon / step)), 1)
+        dt = horizon / steps
+        difference = 0.0
+        for i in range(steps):
+            base = estimator((i + 0.5) * dt)
+            difference += (self.rate(base + k) - self.rate(base)) * dt
+        return difference
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
@@ -59,6 +83,11 @@ class UniformDeviationCost(DeviationCostFunction):
         if deviation < 0:
             raise PolicyError(f"deviation must be nonnegative, got {deviation}")
         return deviation
+
+    def horizon_difference(self, k: float, estimator: DelayedLinearEstimator,
+                           horizon: float, step: float) -> float:
+        # The integrand is the constant k whatever the estimator.
+        return k * horizon
 
 
 class StepDeviationCost(DeviationCostFunction):
@@ -80,6 +109,18 @@ class StepDeviationCost(DeviationCostFunction):
         if deviation < 0:
             raise PolicyError(f"deviation must be nonnegative, got {deviation}")
         return 0.0 if deviation <= self.threshold else 1.0
+
+    def horizon_difference(self, k: float, estimator: DelayedLinearEstimator,
+                           horizon: float, step: float) -> float:
+        # The integrand is the indicator of {s : g(s) <= h < g(s) + k};
+        # g is nondecreasing, so that is the interval between the
+        # crossing of h - k (from time 0 when k > h) and the crossing of h.
+        h, a = self.threshold, estimator.slope
+        if a <= 0:
+            return horizon if k > h else 0.0
+        enters = 0.0 if k > h else estimator.delay + (h - k) / a
+        leaves = min(horizon, estimator.delay + h / a)
+        return max(leaves - enters, 0.0)
 
     def __repr__(self) -> str:
         return f"StepDeviationCost(threshold={self.threshold})"

@@ -8,12 +8,14 @@ between the predicted deviation-costs exceeds the update cost:
 
     integral over the horizon of  rate(g(s) + k) - rate(g(s)) ds  >=  C
 
-:class:`HorizonCostPolicy` implements exactly that, by numerical
-integration, for *any* deviation cost function — including the step
-function, for which no closed-form threshold is derived in the paper.
-With the uniform cost function the integrand is constantly ``k``, so
-the rule collapses to ``k >= C / H`` for horizon ``H``; a unit test
-pins that equivalence.
+:class:`HorizonCostPolicy` implements exactly that for *any* deviation
+cost function — including the step function, for which no closed-form
+threshold is derived in the paper.  The cost function evaluates the
+integral (:meth:`DeviationCostFunction.horizon_difference`): exactly
+for the uniform and step functions, by midpoint quadrature for any
+other.  With the uniform cost function the integrand is constantly
+``k``, so the rule collapses to ``k >= C / H`` for horizon ``H``; a
+unit test pins that equivalence.
 
 This is the extension point the closed-form dl/ail/cil policies are
 special cases of (they effectively choose the horizon that minimises
@@ -23,6 +25,7 @@ steady-state cost per time unit instead of fixing it).
 from __future__ import annotations
 
 from repro.core.cost import DeviationCostFunction
+from repro.core.estimators import DelayedLinearEstimator
 from repro.core.fitting import SimpleFitting
 from repro.core.policies import register_policy
 from repro.core.policy import OnboardState, UpdateDecision, UpdatePolicy
@@ -37,7 +40,7 @@ class HorizonCostPolicy(UpdatePolicy):
     Parameters: the horizon length in minutes, the deviation cost
     function (any :class:`DeviationCostFunction`), whether the fitted
     estimator keeps its delay, the speed predictor, and the integration
-    step.
+    step (used only by cost functions without a closed form).
     """
 
     name = "horizon"
@@ -61,33 +64,29 @@ class HorizonCostPolicy(UpdatePolicy):
         self.speed_predictor = speed_predictor or CurrentSpeed()
         self.integration_step = integration_step
 
-    def predicted_cost_difference(self, state: OnboardState) -> float:
+    def predicted_cost_difference(
+            self, state: OnboardState,
+            estimator: DelayedLinearEstimator | None = None) -> float:
         """Cost(no update) - Cost(update) over the horizon, ex message.
 
         Positive means skipping the update is predicted to cost more in
-        imprecision; the update fires when this exceeds ``C``.
+        imprecision; the update fires when this reaches ``C``.
+        ``estimator`` is the fit of ``state`` when the caller already
+        has it.
         """
-        k = state.deviation
-        if k <= 0:
+        if state.deviation <= 0:
             return 0.0
-        estimator = self.fitting.fit(state)
-        steps = max(int(round(self.horizon / self.integration_step)), 1)
-        dt = self.horizon / steps
-        difference = 0.0
-        for i in range(steps):
-            s = (i + 0.5) * dt
-            base = estimator(s)
-            difference += (
-                self.cost_function.rate(base + k)
-                - self.cost_function.rate(base)
-            ) * dt
-        return difference
+        if estimator is None:
+            estimator = self.fitting.fit(state)
+        return self.cost_function.horizon_difference(
+            state.deviation, estimator, self.horizon, self.integration_step
+        )
 
     def decide(self, state: OnboardState) -> UpdateDecision:
         if state.deviation <= 0:
             return self._no_update(state)
         estimator = self.fitting.fit(state)
-        difference = self.predicted_cost_difference(state)
+        difference = self.predicted_cost_difference(state, estimator)
         send = difference >= self.update_cost
         return UpdateDecision(
             send=send,

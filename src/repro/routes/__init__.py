@@ -6,8 +6,10 @@ in time each object moves along a unique route from the route database"
 
 * :class:`~repro.routes.route.Route` — an identified piecewise-linear
   route with direction semantics,
-* :class:`~repro.routes.network.RouteNetwork` — a road network backed by
-  a :mod:`networkx` graph from which shortest-path routes are derived,
+* :class:`~repro.routes.network.RouteNetwork` — a road network from
+  which shortest-path routes are derived: searched on a :mod:`networkx`
+  graph in general, constructed outright on a Manhattan grid
+  (:class:`~repro.routes.network.GridRouteNetwork`),
 * generators for grid-city, radial-highway and random networks used by
   the workloads and benchmarks.
 """

@@ -22,7 +22,7 @@ import random
 from repro.errors import RouteError
 from repro.geometry.point import Point
 from repro.geometry.polyline import Polyline
-from repro.routes.network import RouteNetwork
+from repro.routes.network import GridRouteNetwork, RouteNetwork
 from repro.routes.route import Route
 
 
@@ -72,26 +72,14 @@ def winding_route(length: float, rng: random.Random,
 
 
 def grid_city_network(blocks_x: int = 10, blocks_y: int = 10,
-                      block_miles: float = 0.25) -> RouteNetwork:
+                      block_miles: float = 0.25) -> GridRouteNetwork:
     """A Manhattan grid of ``blocks_x`` x ``blocks_y`` blocks.
 
     Intersections are labelled ``(i, j)`` with ``0 <= i <= blocks_x`` and
     ``0 <= j <= blocks_y``; adjacent intersections are joined by roads of
     ``block_miles`` miles.
     """
-    if blocks_x < 1 or blocks_y < 1 or block_miles <= 0:
-        raise RouteError("grid needs positive block counts and block size")
-    network = RouteNetwork()
-    for i in range(blocks_x + 1):
-        for j in range(blocks_y + 1):
-            network.add_intersection((i, j), i * block_miles, j * block_miles)
-    for i in range(blocks_x + 1):
-        for j in range(blocks_y + 1):
-            if i < blocks_x:
-                network.add_road((i, j), (i + 1, j))
-            if j < blocks_y:
-                network.add_road((i, j), (i, j + 1))
-    return network
+    return GridRouteNetwork(blocks_x, blocks_y, block_miles)
 
 
 def radial_highway_network(spokes: int = 6, spoke_miles: float = 20.0,

@@ -101,6 +101,18 @@ class TestRandomRoute:
             triangle.random_route(random.Random(1), min_length=1000.0,
                                   max_attempts=8)
 
+    def test_sees_an_intersection_added_after_a_draw(self):
+        """The node sequence is listed once per network, not per call —
+        and listed again when the network grows."""
+        net = RouteNetwork()
+        net.add_intersection("a", 0.0, 0.0)
+        net.add_intersection("b", 1.0, 0.0)
+        net.add_road("a", "b")
+        assert net.random_route(random.Random(3)).length == 1.0
+        net.add_intersection("far", 100.0, 0.0)
+        net.add_road("b", "far")
+        assert net.random_route(random.Random(3), min_length=50.0).length >= 99.0
+
     def test_needs_two_intersections(self):
         net = RouteNetwork()
         net.add_intersection("solo", 0.0, 0.0)
@@ -110,11 +122,20 @@ class TestRandomRoute:
 
 class TestLazyImport:
     def test_networkx_loads_with_the_first_network(self):
-        """``import repro`` alone must not pay for networkx: ``trace
-        replay``, ``lint`` and ``monitor`` processes never build a network."""
+        """``import repro`` alone must not pay for networkx (``trace
+        replay``, ``lint`` and ``monitor`` processes never build a
+        network), and neither must a fleet on a grid, which constructs
+        its routes: only a general network, or a grid's ``.graph``, does."""
         script = (
-            "import sys, repro\n"
+            "import random, sys, repro\n"
+            "from repro.routes.generators import grid_city_network\n"
             "from repro.routes.network import RouteNetwork\n"
+            "assert 'networkx' not in sys.modules\n"
+            "grid = grid_city_network(36, 36, 0.25)\n"
+            "rng = random.Random(7)\n"
+            "for _ in range(50):\n"
+            "    grid.random_route(rng, min_length=4.0)\n"
+            "grid.bounding_extent(), grid.num_roads(), grid.position_of((1, 1))\n"
             "assert 'networkx' not in sys.modules\n"
             "RouteNetwork()\n"
             "assert 'networkx' in sys.modules\n"
