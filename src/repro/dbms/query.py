@@ -187,12 +187,12 @@ def classify_polyline_within_distance(center: Point, radius: float,
     """Disc classification for an interval's materialised geometry."""
     if radius < 0:
         raise QueryError(f"radius must be nonnegative, got {radius}")
-    minimum, maximum = distance_range_to_polyline(center, geometry)
-    if minimum > radius:
+    may, must = kernels.chain_within_distance(
+        center.x, center.y, radius, geometry.xs, geometry.ys
+    )
+    if not may:
         return Containment.OUT
-    if maximum <= radius:
-        return Containment.MUST
-    return Containment.MAY
+    return Containment.MUST if must else Containment.MAY
 
 
 def classify_within_distance(center: Point, radius: float,

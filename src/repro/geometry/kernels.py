@@ -36,6 +36,11 @@ Contract
 * **Short-circuit order** is part of the contract too (endpoint
   containment before edge crossings, edges in ring order); it decides
   nothing about results, only that the work done is the same.
+* **Screens decide only what the predicate provably would.**  The chain
+  functions skip a segment whose own bounding box shows the exact test
+  can only answer ``False`` — with a margin (:func:`screen_margin`) that
+  covers the predicates' tolerances *and* their rounding — and anything
+  nearer falls through to the unchanged predicate.
 """
 
 from __future__ import annotations
@@ -46,6 +51,13 @@ from typing import Sequence
 from repro.geometry.point import EPSILON
 
 _EPSILON_SQUARED = EPSILON * EPSILON
+
+#: Sixteen units in the last place: more than the few roundings between
+#: two coordinates and a value compared against them.
+_ROUNDING = 2.0 ** -48
+#: Clearance per length cubed that rounding in ``intersection_point``'s
+#: cross products can feign (see :func:`screen_margin`).
+_CROSS_ROUNDING = 8.0 * 2.0 ** -52 / EPSILON
 
 #: A polygon's boundary: ``(ax, ay, bx, by)`` per edge, in ring order.
 Edges = tuple[tuple[float, float, float, float], ...]
@@ -246,23 +258,97 @@ def chain_project(xs: Sequence[float], ys: Sequence[float],
     return best_arc, best_dist
 
 
+def screen_margin(edges: Edges, bounds: Bounds, low_x: float, low_y: float,
+                  high_x: float, high_y: float) -> float:
+    """Clearance from ``bounds`` beyond which a segment of the chain boxed
+    by ``low_x .. high_y`` cannot make :func:`ring_intersects_segment`
+    answer ``True`` (derivation: DESIGN.md, "Screens").
+
+    With ``W``, ``w``, ``U`` the larger side of ``bounds``, of the chain's
+    box and of the box around both, ``C`` the largest coordinate
+    magnitude and ``l`` the ring's shortest edge, the branches that can
+    answer ``True`` reach this far along either axis:
+
+    * :func:`ring_contains_point`: 0 — outside ``bounds`` is rejected
+      exactly, before the ``EPSILON`` edge test.
+    * :func:`intersection_point`: ``2 * EPSILON * U`` for ``t, u`` in
+      ``[-EPSILON, 1 + EPSILON]``, plus ``_CROSS_ROUNDING * U * W * w``
+      because the computed ``t, u`` are rounded cross products over a
+      divisor only known to exceed ``EPSILON`` — the dominant term.
+    * :func:`overlaps_collinear`: ``EPSILON`` along the major axis but
+      ``2 * sqrt(2) * EPSILON / l`` across it, offsets being cross
+      products with the *unnormalised* axis; no finite margin (and no
+      screen) for a ring with a zero-length edge.
+
+    ``_ROUNDING * (C + U)`` covers the rounding of the comparisons.
+    """
+    shortest = math.inf
+    for ax, ay, bx, by in edges:
+        dx = abs(bx - ax)
+        dy = abs(by - ay)
+        if dx < dy:
+            dx = dy
+        if dx < shortest:
+            shortest = dx
+    if not shortest > 0.0:
+        return math.inf
+    min_x, min_y, max_x, max_y = bounds
+    ring = max(max_x - min_x, max_y - min_y)
+    chain = max(high_x - low_x, high_y - low_y)
+    low_x = min(low_x, min_x)
+    low_y = min(low_y, min_y)
+    high_x = max(high_x, max_x)
+    high_y = max(high_y, max_y)
+    span = max(high_x - low_x, high_y - low_y)
+    return (EPSILON * (1.0 + 3.0 * span + 3.0 / shortest)
+            + _CROSS_ROUNDING * span * ring * chain
+            + _ROUNDING * (span + max(-low_x, -low_y, high_x, high_y)))
+
+
 def ring_intersects_chain(edges: Edges, bounds: Bounds,
                           xs: Sequence[float], ys: Sequence[float]) -> bool:
-    """True when any part of the chain touches the closed polygon."""
+    """True when any part of the chain touches the closed polygon.
+
+    Screened twice: the whole chain against ``bounds``, then each
+    segment against ``bounds`` grown by :func:`screen_margin`.
+    """
     min_x, min_y, max_x, max_y = bounds
-    if not (min_x <= max(xs) and min(xs) <= max_x
-            and min_y <= max(ys) and min(ys) <= max_y):
+    low_x = min(xs)
+    low_y = min(ys)
+    high_x = max(xs)
+    high_y = max(ys)
+    if not (min_x <= high_x and low_x <= max_x
+            and min_y <= high_y and low_y <= max_y):
         return False
-    for i in range(len(xs) - 1):
-        if ring_intersects_segment(edges, bounds, xs[i], ys[i],
-                                   xs[i + 1], ys[i + 1]):
+    margin = screen_margin(edges, bounds, low_x, low_y, high_x, high_y)
+    min_x -= margin
+    min_y -= margin
+    max_x += margin
+    max_y += margin
+    bx = xs[0]
+    by = ys[0]
+    for i in range(1, len(xs)):
+        ax, ay, bx, by = bx, by, xs[i], ys[i]
+        if ((ax > max_x and bx > max_x) or (ax < min_x and bx < min_x)
+                or (ay > max_y and by > max_y)
+                or (ay < min_y and by < min_y)):
+            continue
+        if ring_intersects_segment(edges, bounds, ax, ay, bx, by):
             return True
     return False
 
 
 def ring_contains_chain(edges: Edges, bounds: Bounds,
                         xs: Sequence[float], ys: Sequence[float]) -> bool:
-    """True when the whole chain lies inside the closed polygon."""
+    """True when the whole chain lies inside the closed polygon.
+
+    A vertex outside ``bounds`` is an endpoint :func:`ring_contains_point`
+    rejects exactly — no margin — so such a chain needs no segment test.
+    """
+    min_x, min_y, max_x, max_y = bounds
+    if (min(xs) < min_x or max(xs) > max_x
+            or min(ys) < min_y or max(ys) > max_y):
+        return False
     for i in range(len(xs) - 1):
         if not ring_contains_segment(edges, bounds, xs[i], ys[i],
                                      xs[i + 1], ys[i + 1]):
@@ -287,11 +373,46 @@ def chain_distance_range(px: float, py: float, xs: Sequence[float],
     return minimum, maximum
 
 
+def chain_within_distance(px: float, py: float, radius: float,
+                          xs: Sequence[float],
+                          ys: Sequence[float]) -> tuple[bool, bool]:
+    """``(minimum <= radius, maximum <= radius)`` of
+    :func:`chain_distance_range`, without the two distances.
+
+    The first segment within ``radius`` settles the minimum and the
+    first vertex beyond it the maximum.  A segment whose bounding box
+    lies more than ``radius`` from ``p`` along an axis is not measured:
+    its closest point is computed inside that box up to a few roundings
+    of the coordinates involved, which ``_ROUNDING`` times their largest
+    magnitude covers, and ``hypot`` is no smaller than either leg.
+    """
+    reach = radius + _ROUNDING * (radius + max(
+        abs(px), abs(py), max(xs), -min(xs), max(ys), -min(ys)))
+    bx = xs[0]
+    by = ys[0]
+    for i in range(1, len(xs)):
+        ax, ay, bx, by = bx, by, xs[i], ys[i]
+        if ((ax - px > reach and bx - px > reach)
+                or (px - ax > reach and px - bx > reach)
+                or (ay - py > reach and by - py > reach)
+                or (py - ay > reach and py - by > reach)):
+            continue
+        if distance_to_point(ax, ay, bx, by, px, py) <= radius:
+            break
+    else:
+        return False, False
+    for x, y in zip(xs, ys):
+        if math.hypot(x - px, y - py) > radius:
+            return True, False
+    return True, True
+
+
 __all__ = [
     "Bounds",
     "Edges",
     "chain_distance_range",
     "chain_project",
+    "chain_within_distance",
     "distance_to_point",
     "intersection_point",
     "overlaps_collinear",
@@ -301,5 +422,6 @@ __all__ = [
     "ring_contains_segment",
     "ring_intersects_chain",
     "ring_intersects_segment",
+    "screen_margin",
     "segments_intersect",
 ]

@@ -116,6 +116,23 @@ class Polyline:
         idx = bisect.bisect_right(self._cumulative, distance) - 1
         return min(max(idx, 0), len(self._vertices) - 2)
 
+    def _coords_at(self, distance: float) -> tuple[float, float]:
+        """``(x, y)`` at arc length ``distance``, clamped to ``[0, length]``.
+
+        The one place an arc length becomes coordinates:
+        :meth:`point_at`, :meth:`subline` and :meth:`subline_rect` all
+        interpolate here.
+        """
+        distance = min(max(distance, 0.0), self._length)
+        idx = self._segment_index_at(distance)
+        ax, ay = self._xs[idx], self._ys[idx]
+        bx, by = self._xs[idx + 1], self._ys[idx + 1]
+        length = math.hypot(ax - bx, ay - by)
+        if length <= EPSILON:
+            return ax, ay
+        fraction = (distance - self._cumulative[idx]) / length
+        return ax + (bx - ax) * fraction, ay + (by - ay) * fraction
+
     def point_at(self, distance: float) -> Point:
         """The point at arc length ``distance`` from the start.
 
@@ -123,11 +140,7 @@ class Polyline:
         never leave their route, and clamping makes dead-reckoned
         positions that slightly overshoot the route end well defined.
         """
-        distance = min(max(distance, 0.0), self._length)
-        idx = self._segment_index_at(distance)
-        seg_start = self._cumulative[idx]
-        segment = Segment(self._vertices[idx], self._vertices[idx + 1])
-        return segment.point_at_distance(distance - seg_start)
+        return Point(*self._coords_at(distance))
 
     def tangent_at(self, distance: float) -> Point:
         """Unit tangent vector at arc length ``distance``.
@@ -178,40 +191,56 @@ class Polyline:
             self.arc_length_of(p1, tolerance) - self.arc_length_of(p2, tolerance)
         )
 
-    def subline(self, from_distance: float, to_distance: float) -> "Polyline":
-        """The sub-polyline between two arc lengths (order-insensitive).
+    def _strip(self, from_distance: float,
+               to_distance: float) -> tuple[list[float], list[float]]:
+        """Vertex coordinates of the sub-polyline between two arc lengths.
 
-        Used to materialise an uncertainty interval as geometry.  Both
-        arguments are clamped to ``[0, length]``; a numerically empty
-        interval yields a tiny two-point polyline at the location.
+        Both arguments are clamped to ``[0, length]``, in either order.
+        Interior vertices within ``EPSILON`` of the vertex before them
+        are dropped.  A numerically empty interval, or one whose two ends
+        both collapse onto one corner, yields a stub: 1e-7 miles (~ 6
+        thousandths of an inch, invisible to every consumer but always
+        longer than ``EPSILON``) along the route, or off-axis at the
+        route's very end.
         """
         lo = min(max(min(from_distance, to_distance), 0.0), self._length)
         hi = min(max(max(from_distance, to_distance), 0.0), self._length)
-        start_point = self.point_at(lo)
-        end_point = self.point_at(hi)
-        if hi - lo <= EPSILON:
-            # Degenerate interval: return a minimal stub so callers can
-            # still take bounding boxes and iterate vertices.  Prefer a
-            # stub along the route; at the route's very end, fall back
-            # to a tiny off-axis stub (1e-7 miles ~ 6 thousandths of an
-            # inch — invisible to every consumer).
-            nudge = min(lo + 1e-7, self._length)
-            nudge_pt = self.point_at(nudge) if nudge > lo else start_point
-            if start_point.distance_to(nudge_pt) <= EPSILON:
-                nudge_pt = Point(start_point.x + 1e-7, start_point.y)
-            return Polyline([start_point, nudge_pt])
-        first_idx = self._segment_index_at(lo)
-        last_idx = self._segment_index_at(hi)
-        verts: list[Point] = [start_point]
-        for idx in range(first_idx + 1, last_idx + 1):
-            vertex = self._vertices[idx]
-            if not verts[-1].almost_equal(vertex):
-                verts.append(vertex)
-        if not verts[-1].almost_equal(end_point):
-            verts.append(end_point)
-        if len(verts) < 2:
-            verts.append(Point(end_point.x + 1e-9, end_point.y))
-        return Polyline(verts)
+        start_x, start_y = self._coords_at(lo)
+        if hi - lo > EPSILON:
+            first = self._segment_index_at(lo) + 1
+            last = self._segment_index_at(hi) + 1
+            end = self._coords_at(hi)
+            xs, ys = [start_x], [start_y]
+            for x, y in (*zip(self._xs[first:last], self._ys[first:last]),
+                         end):
+                if abs(xs[-1] - x) > EPSILON or abs(ys[-1] - y) > EPSILON:
+                    xs.append(x)
+                    ys.append(y)
+            if len(xs) > 1:
+                return xs, ys
+            # Both ends within EPSILON of one corner: a nanometre stub
+            # where that is long enough, the empty interval's otherwise.
+            x, y = end[0] + 1e-9, end[1]
+            if math.hypot(start_x - x, start_y - y) > EPSILON:
+                return [start_x, x], [start_y, y]
+        nudge = min(lo + 1e-7, self._length)
+        x, y = self._coords_at(nudge) if nudge > lo else (start_x, start_y)
+        if math.hypot(start_x - x, start_y - y) <= EPSILON:
+            x, y = start_x + 1e-7, start_y
+        return [start_x, x], [start_y, y]
+
+    def subline(self, from_distance: float, to_distance: float) -> "Polyline":
+        """The sub-polyline between two arc lengths (order-insensitive).
+
+        Used to materialise an uncertainty interval as geometry; see
+        :meth:`_strip` for clamping and the stub of an empty interval.
+        """
+        return Polyline(map(Point, *self._strip(from_distance, to_distance)))
+
+    def subline_rect(self, from_distance: float, to_distance: float) -> Rect2D:
+        """``subline(...).bounding_rect()``, bit for bit, geometry-free."""
+        xs, ys = self._strip(from_distance, to_distance)
+        return Rect2D(min(xs), min(ys), max(xs), max(ys))
 
     def resampled(self, spacing: float) -> list[Point]:
         """Points every ``spacing`` miles along the polyline (incl. both ends)."""

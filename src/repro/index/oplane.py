@@ -22,6 +22,7 @@ exact refinement of Theorems 5–6).
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 
 from repro.core.bounds import DeviationBounds
@@ -30,6 +31,9 @@ from repro.core.uncertainty import UncertaintyInterval, uncertainty_interval
 from repro.errors import IndexError_
 from repro.geometry.bbox import Box3D
 from repro.routes.route import Route
+
+#: A travel range as bytes: tells ``-0.0`` from ``0.0``, as a stored box does.
+_pack_span = struct.Struct("2d").pack
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,14 +139,19 @@ class OPlane:
         boxes: list[Box3D] = []
         # One projection per plane, not one per slab.
         start_travel = self._start_travel()
+        # Past the end of the route every slab clamps to one stub: a
+        # travel range that repeats bit for bit keeps its rectangle.
+        span = rect = None
         elapsed = 0.0
         while elapsed < self.horizon - 1e-12:
             slab_end = min(elapsed + slab_minutes, self.horizon)
             lo, hi = self._travel_range(start_travel, elapsed, slab_end)
-            strip = self.route.interval_polyline(
-                lo, hi, self.attribute.direction
-            )
-            rect = strip.bounding_rect()
+            packed = _pack_span(lo, hi)
+            if packed != span:
+                span = packed
+                rect = self.route.interval_rect(
+                    lo, hi, self.attribute.direction
+                )
             boxes.append(
                 Box3D.from_rect(
                     rect,

@@ -29,6 +29,9 @@ Implementation notes
   keys, tie-breaks and stored boxes are those of ``Box3D.union`` and the
   tree is the same node for node
   (``tests/index/test_rtree_structure.py`` pins it).
+* Search and the delete descent compare local floats too: a window's (or
+  a deleted box's) extent is unpacked once, and the pair test is
+  ``Box3D.intersects``'s (``contains``'s) six comparisons.
 """
 
 from __future__ import annotations
@@ -475,6 +478,7 @@ class RTree:
         base_entries = stats.entries_tested if stats is not None else 0
         results: list[Hashable] = []
         if self._size > 0:
+            x0, y0, t0, x1, y1, t1 = _extent(box)
             stack = [self._root]
             while stack:
                 node = stack.pop()
@@ -483,7 +487,11 @@ class RTree:
                 for entry in node.entries:
                     if stats is not None:
                         stats.entries_tested += 1
-                    if not entry.box.intersects(box):
+                    # Box3D.intersects, the query's side in local floats.
+                    cover = entry.box
+                    if not (cover.min_x <= x1 and x0 <= cover.max_x
+                            and cover.min_y <= y1 and y0 <= cover.max_y
+                            and cover.min_t <= t1 and t0 <= cover.max_t):
                         continue
                     if node.is_leaf:
                         results.append(entry.payload)
@@ -535,6 +543,8 @@ class RTree:
                 range(len(boxes)),
                 key=lambda i: (boxes[i].min_t, boxes[i].min_x, boxes[i].min_y),
             )
+            # Query extents once per batch, one list per coordinate.
+            qx0, qy0, qt0, qx1, qy1, qt1 = zip(*map(_extent, boxes))
             stack: list[tuple[_Node, list[int]]] = [(self._root, order)]
             while stack:
                 node, active = stack.pop()
@@ -546,9 +556,12 @@ class RTree:
                 for entry in node.entries:
                     if stats is not None:
                         stats.entries_tested += 1
-                    entry_box = entry.box
+                    x0, y0, t0, x1, y1, t1 = _extent(entry.box)
                     matching = [
-                        i for i in active if entry_box.intersects(boxes[i])
+                        i for i in active
+                        if x0 <= qx1[i] and qx0[i] <= x1
+                        and y0 <= qy1[i] and qy0[i] <= y1
+                        and t0 <= qt1[i] and qt0[i] <= t1
                     ]
                     if not matching:
                         continue
@@ -593,7 +606,7 @@ class RTree:
         Returns True when an entry was removed, False when no exact
         match exists.
         """
-        leaf = self._find_leaf(self._root, box, payload)
+        leaf = self._find_leaf(box, payload)
         if leaf is None:
             return False
         for i, entry in enumerate(leaf.entries):
@@ -631,19 +644,27 @@ class RTree:
             self._condense_tree(node)
         return len(matches)
 
-    def _find_leaf(self, node: _Node, box: Box3D,
-                   payload: Hashable) -> _Node | None:
-        if node.is_leaf:
-            for entry in node.entries:
-                if entry.payload == payload and entry.box == box:
-                    return node
-            return None
-        for entry in node.entries:
-            if entry.box.intersects(box):
-                assert entry.child is not None
-                found = self._find_leaf(entry.child, box, payload)
-                if found is not None:
-                    return found
+    def _find_leaf(self, box: Box3D, payload: Hashable) -> _Node | None:
+        """The first leaf, depth first in entry order, holding ``(box,
+        payload)``.  Covers are tight (``check_invariants``): every
+        ancestor of that leaf *contains* ``box``, so only such covers
+        are descended."""
+        x0, y0, t0, x1, y1, t1 = _extent(box)
+        stack = [self._root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                for entry in node.entries:
+                    if entry.payload == payload and entry.box == box:
+                        return node
+                continue
+            for entry in reversed(node.entries):
+                cover = entry.box
+                if (cover.min_x <= x0 and x1 <= cover.max_x
+                        and cover.min_y <= y0 and y1 <= cover.max_y
+                        and cover.min_t <= t0 and t1 <= cover.max_t):
+                    assert entry.child is not None
+                    stack.append(entry.child)
         return None
 
     def _condense_tree(self, node: _Node) -> None:

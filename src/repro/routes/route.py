@@ -20,6 +20,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from repro.errors import RouteError
+from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
 from repro.geometry.polyline import Polyline
 
@@ -76,20 +77,34 @@ class Route:
         """Route-distance between two on-route points (direction-free)."""
         return self._polyline.route_distance(p1, p2, tolerance)
 
+    def _arc_interval(self, from_travel: float, to_travel: float,
+                      direction: int) -> tuple[float, float]:
+        """Two travel distances as arc lengths along the polyline."""
+        self._check_direction(direction)
+        if direction == 0:
+            return from_travel, to_travel
+        length = self._polyline.length
+        return (length - max(from_travel, to_travel),
+                length - min(from_travel, to_travel))
+
     def interval_polyline(self, from_travel: float, to_travel: float,
                           direction: int = 0) -> Polyline:
         """The route strip between two travel distances, as geometry.
 
-        Used to materialise uncertainty intervals for polygon queries
-        and for o-plane box decomposition.
+        Used to materialise uncertainty intervals for polygon queries.
         """
-        self._check_direction(direction)
-        if direction == 0:
-            lo, hi = from_travel, to_travel
-        else:
-            lo = self._polyline.length - max(from_travel, to_travel)
-            hi = self._polyline.length - min(from_travel, to_travel)
-        return self._polyline.subline(lo, hi)
+        return self._polyline.subline(
+            *self._arc_interval(from_travel, to_travel, direction))
+
+    def interval_rect(self, from_travel: float, to_travel: float,
+                      direction: int = 0) -> Rect2D:
+        """That strip's bounding rectangle, without the strip.
+
+        Bit for bit ``interval_polyline(...).bounding_rect()``; o-plane
+        box decomposition asks for nothing else.
+        """
+        return self._polyline.subline_rect(
+            *self._arc_interval(from_travel, to_travel, direction))
 
     def _check_direction(self, direction: int) -> None:
         if direction not in (0, 1):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import GeometryError
-from repro.geometry.point import Point
+from repro.geometry.point import EPSILON, Point
 from repro.geometry.polyline import Polyline, polyline_through
 
 
@@ -103,6 +103,32 @@ class TestSubline:
     def test_clamped_to_route(self, l_shaped):
         sub = l_shaped.subline(-5.0, 100.0)
         assert sub.length == pytest.approx(7.0)
+
+    @pytest.mark.parametrize("coords, lo, hi", [
+        # Both ends dedup against a corner approached in the -x
+        # direction: the old 1e-9 stub landed within EPSILON of the start
+        # and the constructor raised "a polyline must have positive
+        # length".
+        ([(3, 0), (0, 0), (0, 3)], 3 - 0.9e-9, 3 + 0.8e-9),
+        # Found by the explore profile: no corner needed, a diagonal
+        # heading -x whose two ends agree per coordinate.
+        ([(1, 0), (0, 1)], 1.0, 1.000000001),
+    ])
+    def test_interval_a_hair_wider_than_epsilon(self, coords, lo, hi):
+        line = polyline_through(coords)
+        assert hi - lo > EPSILON
+        sub = line.subline(lo, hi)
+        assert sub.start == line.point_at(lo)
+        assert len(sub.vertices) == 2 and 50 * EPSILON < sub.length < 2e-7
+        rect = line.subline_rect(lo, hi)
+        assert rect == sub.bounding_rect() == line.subline_rect(hi, lo)
+
+    def test_one_corner_stub_kept_where_it_was_valid(self):
+        """Heading +x the old 1e-9 stub was long enough; it stays."""
+        line = polyline_through([(0, 3), (0, 0), (3, 0)])
+        sub = line.subline(3 - 0.9e-9, 3 + 0.8e-9)
+        assert sub.end == Point(line.point_at(3 + 0.8e-9).x + 1e-9, 0.0)
+        assert EPSILON < sub.length < 3 * EPSILON
 
 
 class TestMisc:

@@ -184,3 +184,69 @@ class TestRandomized:
         assert len(tree) == len(alive)
         window = Box3D(-1, -1, -1, 31, 31, 31)
         assert set(tree.search(window)) == set(alive)
+
+
+def find_leaf_by_intersection(node, target, payload):
+    """``RTree._find_leaf`` as it was: every cover *meeting* the box."""
+    if node.is_leaf:
+        return node if any(
+            entry.payload == payload and entry.box == target
+            for entry in node.entries) else None
+    for entry in node.entries:
+        if entry.box.intersects(target):
+            found = find_leaf_by_intersection(entry.child, target, payload)
+            if found is not None:
+                return found
+    return None
+
+
+class TestFindLeaf:
+    """Delete descends only covers that contain the box: the leaf it
+    reaches is the one the wider descent reached."""
+
+    def assert_same_leaf(self, tree, target, payload):
+        expected = find_leaf_by_intersection(tree._root, target, payload)
+        assert expected is not None
+        assert tree._find_leaf(target, payload) is expected
+        return expected
+
+    def test_duplicate_entry_in_two_leaves(self):
+        """STR packing cuts a run of equal ``(box, payload)`` pairs
+        across leaves: delete takes the first in entry order, twice."""
+        twin = box(5, 5, 5)
+        items = [(box(float(i), 0, 0), i) for i in range(3)]
+        items += [(twin, "twin")] * 4 + [(box(9, 9, 9), "far")]
+        tree = RTree.bulk_load(items, max_entries=2, min_entries=1)
+        leaves = {id(self.assert_same_leaf(tree, twin, "twin"))}
+        holders = set()
+        stack = [tree._root]
+        while stack:
+            node = stack.pop()
+            if node.is_leaf:
+                if any(e.payload == "twin" for e in node.entries):
+                    holders.add(id(node))
+            else:
+                stack.extend(e.child for e in node.entries)
+        assert len(holders) >= 2 and leaves <= holders
+        for remaining in (3, 2, 1, 0):
+            self.assert_same_leaf(tree, twin, "twin")
+            assert tree.delete(twin, "twin")
+            tree.check_invariants()
+            assert tree.search(twin).count("twin") == remaining
+        assert not tree.delete(twin, "twin")
+
+    @pytest.mark.parametrize("fanout", [(4, 2), (8, 3)])
+    def test_same_leaf_on_an_adversarial_tree(self, fanout):
+        from tests.index.test_rtree_structure import adversarial_boxes
+
+        boxes = adversarial_boxes(500, seed=6)
+        tree = RTree(max_entries=fanout[0], min_entries=fanout[1])
+        for i, b in enumerate(boxes):
+            tree.insert(b, i % 7)       # equal boxes under equal payloads
+        rng = random.Random(8)
+        for i in rng.sample(range(len(boxes)), 200):
+            self.assert_same_leaf(tree, boxes[i], i % 7)
+            assert tree.delete(boxes[i], i % 7)
+        tree.check_invariants()
+        assert len(tree) == 300
+        assert tree._find_leaf(box(99, 99, 99), 0) is None

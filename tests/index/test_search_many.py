@@ -6,6 +6,7 @@ the batch query engine's correctness rests on that — while doing
 strictly less traversal work than issuing the searches separately.
 """
 
+import math
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from repro.index.oplane import OPlane
 from repro.index.rtree import RTree, SearchStats
 from repro.index.timespace import TimeSpaceIndex
 from repro.routes.generators import straight_route
+from tests.index.test_rtree_structure import adversarial_boxes
 
 C = 5.0
 
@@ -180,3 +182,118 @@ class TestStatsAccumulate:
         first = len(tree.search(everything, stats))
         second = len(tree.search(everything, stats))
         assert stats.results == first + second == 2 * len(tree)
+
+
+# ----------------------------------------------------------------------
+# Float-local search: same results, same order, same work
+# ----------------------------------------------------------------------
+#
+# ``search`` / ``search_many`` compare unpacked floats instead of calling
+# ``Box3D.intersects`` per pair.  The traversals below are the loops as
+# they were, ``Box3D.intersects`` and all: the tree must return their
+# results in their order with their work counts, and the result multiset
+# of a brute-force scan over ``items()``.
+
+def reference_search(tree, box):
+    stats, results = SearchStats(), []
+    stack = [tree._root] if len(tree) else []
+    while stack:
+        node = stack.pop()
+        stats.nodes_visited += 1
+        for entry in node.entries:
+            stats.entries_tested += 1
+            if not entry.box.intersects(box):
+                continue
+            if node.is_leaf:
+                results.append(entry.payload)
+            else:
+                stack.append(entry.child)
+    stats.results = len(results)
+    return results, stats
+
+
+def reference_search_many(tree, boxes):
+    stats, results = SearchStats(), [[] for _ in boxes]
+    order = sorted(range(len(boxes)), key=lambda i: (
+        boxes[i].min_t, boxes[i].min_x, boxes[i].min_y))
+    stack = [(tree._root, order)] if len(tree) and boxes else []
+    while stack:
+        node, active = stack.pop()
+        stats.nodes_visited += 1
+        for entry in node.entries:
+            stats.entries_tested += 1
+            matching = [i for i in active if entry.box.intersects(boxes[i])]
+            if not matching:
+                continue
+            if node.is_leaf:
+                for i in matching:
+                    results[i].append(entry.payload)
+            else:
+                stack.append((entry.child, matching))
+    stats.results = sum(map(len, results))
+    return results, stats
+
+
+def touching_queries(tree, rng, count):
+    """Windows that meet a stored box on a face, an edge or a corner,
+    zero-extent windows, and windows at ``-0.0``."""
+    stored = [box for box, _ in tree.items()]
+    queries = [Box3D(-0.0, -0.0, -0.0, 0.0, 0.0, 0.0),
+               Box3D(-0.0, -0.0, -0.0, 10.0, 10.0, 120.0),
+               Box3D(-5.0, -5.0, -5.0, -0.0, -0.0, -0.0)]
+    for _ in range(count):
+        box = rng.choice(stored)
+        kind = rng.randrange(5)
+        if kind == 0:      # shares the max_x face
+            queries.append(Box3D(box.max_x, box.min_y, box.min_t,
+                                 box.max_x + 1.0, box.max_y, box.max_t))
+        elif kind == 1:    # shares the min_t face, from below
+            queries.append(Box3D(box.min_x, box.min_y, box.min_t - 2.0,
+                                 box.max_x, box.max_y, box.min_t))
+        elif kind == 2:    # a point on a corner
+            queries.append(Box3D(box.min_x, box.max_y, box.max_t,
+                                 box.min_x, box.max_y, box.max_t))
+        elif kind == 3:    # a planar window at one instant
+            queries.append(Box3D(box.min_x - 1.0, box.min_y - 1.0, box.max_t,
+                                 box.max_x + 1.0, box.max_y + 1.0, box.max_t))
+        else:              # just past a face: must miss that box
+            queries.append(Box3D(math.nextafter(box.max_x, math.inf),
+                                 box.min_y, box.min_t,
+                                 box.max_x + 1.0, box.max_y, box.max_t))
+    return queries
+
+
+@pytest.mark.parametrize("fanout", [(4, 2), (8, 3)])
+class TestFloatLocalSearch:
+    def tree_and_queries(self, fanout):
+        tree = RTree(max_entries=fanout[0], min_entries=fanout[1])
+        for i, box in enumerate(adversarial_boxes(600, seed=24)):
+            tree.insert(box, i % 200)      # payloads repeat, as ids do
+        return tree, touching_queries(tree, random.Random(5), 120)
+
+    def test_search_is_the_reference_traversal(self, fanout):
+        tree, queries = self.tree_and_queries(fanout)
+        items = list(tree.items())
+        hits = 0
+        for query in queries:
+            stats = SearchStats()
+            found = tree.search(query, stats)
+            expected, expected_stats = reference_search(tree, query)
+            assert found == expected
+            assert stats == expected_stats
+            assert sorted(found) == sorted(
+                payload for box, payload in items if box.intersects(query))
+            hits += len(found)
+        assert hits > len(queries)
+
+    def test_search_many_is_the_reference_traversal(self, fanout):
+        tree, queries = self.tree_and_queries(fanout)
+        items = list(tree.items())
+        stats = SearchStats()
+        found = tree.search_many(queries, stats)
+        expected, expected_stats = reference_search_many(tree, queries)
+        assert found == expected
+        assert stats == expected_stats
+        for query, payloads in zip(queries, found):
+            assert sorted(payloads) == sorted(
+                payload for box, payload in items if box.intersects(query))

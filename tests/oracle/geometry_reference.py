@@ -11,7 +11,8 @@ order — and must never be edited to follow the kernels.
 
 Only ``Point``'s vector algebra and the plain accessors of ``Segment``,
 ``Polygon`` and ``Polyline`` (``start``/``end``, ``vertices``,
-``bounding_rect``) are used from ``src``; none of those changed.
+``length``, ``bounding_rect``) and ``Polyline``'s constructor are used
+from ``src``; none of those changed.
 """
 
 from __future__ import annotations
@@ -210,3 +211,76 @@ def distance_range_to_polyline(center: Point,
         vertex.distance_to(center) for vertex in geometry.vertices
     )
     return minimum, maximum
+
+
+# ----------------------------------------------------------------------
+# Arc length to geometry (repro.geometry.polyline, repro.routes.route)
+# ----------------------------------------------------------------------
+#
+# ``Polyline.point_at`` / ``subline`` and ``Route.interval_polyline`` as
+# they were before they moved onto one coordinate walk shared with
+# ``Route.interval_rect``: a ``Segment`` and a ``Point`` per
+# interpolation, a whole ``Polyline`` per strip.  ``subline`` keeps the
+# fault it had — ``GeometryError`` when both ends of an interval a hair
+# wider than ``EPSILON`` collapse onto one corner — so a test can tell
+# "bit-identical wherever this succeeded" from "fixed where it did not".
+
+def _arc_lengths(polyline: Polyline) -> list[float]:
+    cumulative = [0.0]
+    verts = polyline.vertices
+    for a, b in zip(verts, verts[1:]):
+        cumulative.append(cumulative[-1] + a.distance_to(b))
+    return cumulative
+
+
+def _segment_index_at(polyline: Polyline, distance: float) -> int:
+    import bisect
+
+    idx = bisect.bisect_right(_arc_lengths(polyline), distance) - 1
+    return min(max(idx, 0), len(polyline.vertices) - 2)
+
+
+def point_at(polyline: Polyline, distance: float) -> Point:
+    distance = min(max(distance, 0.0), polyline.length)
+    idx = _segment_index_at(polyline, distance)
+    segment = Segment(polyline.vertices[idx], polyline.vertices[idx + 1])
+    length = segment_length(segment)
+    if length <= EPSILON:
+        return segment.start
+    return point_at_fraction(
+        segment, (distance - _arc_lengths(polyline)[idx]) / length)
+
+
+def subline(polyline: Polyline, from_distance: float,
+            to_distance: float) -> Polyline:
+    length = polyline.length
+    lo = min(max(min(from_distance, to_distance), 0.0), length)
+    hi = min(max(max(from_distance, to_distance), 0.0), length)
+    start_point = point_at(polyline, lo)
+    end_point = point_at(polyline, hi)
+    if hi - lo <= EPSILON:
+        nudge = min(lo + 1e-7, length)
+        nudge_pt = point_at(polyline, nudge) if nudge > lo else start_point
+        if start_point.distance_to(nudge_pt) <= EPSILON:
+            nudge_pt = Point(start_point.x + 1e-7, start_point.y)
+        return Polyline([start_point, nudge_pt])
+    first_idx = _segment_index_at(polyline, lo)
+    last_idx = _segment_index_at(polyline, hi)
+    verts: list[Point] = [start_point]
+    for idx in range(first_idx + 1, last_idx + 1):
+        vertex = polyline.vertices[idx]
+        if not verts[-1].almost_equal(vertex):
+            verts.append(vertex)
+    if not verts[-1].almost_equal(end_point):
+        verts.append(end_point)
+    if len(verts) < 2:
+        verts.append(Point(end_point.x + 1e-9, end_point.y))
+    return Polyline(verts)
+
+
+def interval_polyline(polyline: Polyline, from_travel: float,
+                      to_travel: float, direction: int) -> Polyline:
+    if direction == 0:
+        return subline(polyline, from_travel, to_travel)
+    return subline(polyline, polyline.length - max(from_travel, to_travel),
+                   polyline.length - min(from_travel, to_travel))
