@@ -42,38 +42,38 @@ import sys
 import time
 from contextlib import ExitStack, contextmanager
 from types import SimpleNamespace
-from typing import Iterator, TextIO
+from typing import TYPE_CHECKING, Iterator, TextIO
 
 from repro.core.policies import make_policy, policy_names
-from repro.dbms.mql import execute as execute_mql
-from repro.dbms.persistence import load_database
 from repro.errors import ReproError
-from repro.reporting.export import rows_to_csv, write_csv
-from repro.sim.engine import simulate_trip
-from repro.sim.speed_curves import (
-    CityCurve,
-    HighwayCurve,
-    RushHourCurve,
-    SpeedCurve,
-    TraceCurve,
-    TrafficJamCurve,
-)
-from repro.sim.trip import Trip
 
-_CURVES = {
-    "highway": HighwayCurve,
-    "city": CityCurve,
-    "jam": TrafficJamCurve,
-    "rush-hour": RushHourCurve,
-}
+if TYPE_CHECKING:
+    from repro.sim.speed_curves import SpeedCurve
+
+# Each command imports what it runs inside its own function, so a
+# process pays at start for its command only (DESIGN.md, "Process start").
+_CURVES = ("highway", "city", "jam", "rush-hour")
 
 
 def _build_curve(kind: str, duration: float, seed: int,
                  trace: str | None) -> SpeedCurve:
+    from repro.sim.speed_curves import (
+        CityCurve,
+        HighwayCurve,
+        RushHourCurve,
+        TraceCurve,
+        TrafficJamCurve,
+    )
+
     if trace is not None:
         return TraceCurve.from_csv(trace)
     try:
-        constructor = _CURVES[kind]
+        constructor = {
+            "highway": HighwayCurve,
+            "city": CityCurve,
+            "jam": TrafficJamCurve,
+            "rush-hour": RushHourCurve,
+        }[kind]
     except KeyError:
         raise ReproError(
             f"unknown curve kind {kind!r}; known: {sorted(_CURVES)}"
@@ -205,6 +205,10 @@ def _cmd_report(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
+    from repro.reporting.export import rows_to_csv, write_csv
+    from repro.sim.engine import simulate_trip
+    from repro.sim.trip import Trip
+
     # Seed the global RNG too: --seed must fully determinize the run
     # even for components that draw from the module-level generator.
     random.seed(args.seed)
@@ -836,6 +840,9 @@ def _cmd_trace_summary(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_query(args: argparse.Namespace, out: TextIO) -> int:
+    from repro.dbms.mql import execute as execute_mql
+    from repro.dbms.persistence import load_database
+
     database = load_database(args.snapshot)
     answer = execute_mql(database, args.statement)
     if isinstance(answer, list):

@@ -31,7 +31,7 @@ boundary lines ``l(t) = vt - BS(t)`` and ``u(t) = vt + BF(t)``.
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro.core.baselines import (
     FixedThresholdPolicy,
@@ -89,6 +89,13 @@ class DeviationBounds:
         """Bound on the fast deviation at elapsed time ``t``."""
         _check_elapsed(t)
         return self._fast(t)
+
+    def sample(self, times: Sequence[float]) -> tuple[list[float], list[float]]:
+        """``[slow(t) ...]`` and ``[fast(t) ...]`` over ``times``, with
+        one nonnegativity check for them all."""
+        _check_elapsed(min(times, default=0.0))
+        slow, fast = self._slow, self._fast
+        return [slow(t) for t in times], [fast(t) for t in times]
 
     def total(self, t: float) -> float:
         """Bound on the deviation at elapsed time ``t`` (either direction)."""

@@ -63,14 +63,11 @@ from repro.index.rtree import SearchStats
 from repro.obs.probe import probe
 from repro.vec import vectorization_default
 
-# numpy is first imported here (by vec.geom) when `import repro` runs,
-# and stays after the imports above on purpose: loading it ahead of them
-# shifts the heap under the query path and costs serve_mixed 3 %
-# (measured, 9 of 10 interleaved pairs, PR 13).
-from repro.vec import geom as vec_geom
-
 #: Below this many candidates the per-call NumPy overhead outweighs the
-#: loop it replaces; the scalar pre-tests run.
+#: loop it replaces; the scalar pre-tests run.  The vectorised pre-tests
+#: (``repro.vec.geom``, hence NumPy) are imported where they first run,
+#: so a process whose queries never classify this many candidates at
+#: once never loads NumPy (the benchmark's ``trace replay`` children).
 _MIN_VEC_CANDIDATES = 8
 
 #: Cache entries kept when the caller names no bound of its own.
@@ -222,6 +219,8 @@ class _PolygonRegion:
     def classify(self, entries: list[tuple], vectorize: bool) -> list[str]:
         polygon, window, rect = self.polygon, self.window, self.rect
         if vectorize and len(entries) >= _MIN_VEC_CANDIDATES:
+            from repro.vec import geom as vec_geom
+
             out, must = vec_geom.range_pretest(
                 window, rect, [entry[3] for entry in entries]
             )
@@ -265,6 +264,8 @@ class _DiscRegion:
     def classify(self, entries: list[tuple], vectorize: bool) -> list[str]:
         center, radius = self.center, self.radius
         if vectorize and len(entries) >= _MIN_VEC_CANDIDATES:
+            from repro.vec import geom as vec_geom
+
             out, must = vec_geom.within_pretest(
                 center, radius, [entry[3] for entry in entries]
             )

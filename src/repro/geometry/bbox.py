@@ -24,9 +24,10 @@ class Rect2D:
     max_y: float
 
     def __post_init__(self) -> None:
-        if self.min_x > self.max_x or self.min_y > self.max_y:
+        # Written as `not (min <= max ...)` so a NaN coordinate fails too.
+        if not (self.min_x <= self.max_x and self.min_y <= self.max_y):
             raise GeometryError(
-                f"inverted Rect2D: ({self.min_x}, {self.min_y}) ... "
+                f"inverted or NaN Rect2D: ({self.min_x}, {self.min_y}) ... "
                 f"({self.max_x}, {self.max_y})"
             )
 
@@ -116,13 +117,14 @@ class Box3D:
     max_t: float
 
     def __post_init__(self) -> None:
-        if (
-            self.min_x > self.max_x
-            or self.min_y > self.max_y
-            or self.min_t > self.max_t
+        # As in Rect2D: a NaN coordinate fails the test.
+        if not (
+            self.min_x <= self.max_x
+            and self.min_y <= self.max_y
+            and self.min_t <= self.max_t
         ):
             raise GeometryError(
-                f"inverted Box3D: ({self.min_x}, {self.min_y}, {self.min_t}) ... "
+                f"inverted or NaN Box3D: ({self.min_x}, {self.min_y}, {self.min_t}) ... "
                 f"({self.max_x}, {self.max_y}, {self.max_t})"
             )
 

@@ -111,41 +111,57 @@ class OPlane:
                       samples: int = 4) -> tuple[float, float]:
         if elapsed_hi < elapsed_lo:
             raise IndexError_("elapsed_hi must be >= elapsed_lo")
+        return self._travel_ranges(start_travel, [(elapsed_lo, elapsed_hi)],
+                                   samples)[0]
+
+    def _travel_ranges(self, start_travel: float,
+                       slabs: list[tuple[float, float]],
+                       samples: int) -> list[tuple[float, float]]:
+        """Travel ranges of elapsed-time ``slabs``, from one evaluation of
+        the bounds at every slab's samples: one ``elapsed >= 0`` check."""
+        step = samples + 1
+        times = [lo + (hi - lo) * i / samples
+                 for lo, hi in slabs for i in range(step)]
+        slows, fasts = self.bounds.sample(times)
         v = self.attribute.speed
-        lows: list[float] = []
-        highs: list[float] = []
-        for i in range(samples + 1):
-            elapsed = elapsed_lo + (elapsed_hi - elapsed_lo) * i / samples
-            center = start_travel + v * elapsed
-            lows.append(center - self.bounds.slow(elapsed))
-            highs.append(center + self.bounds.fast(elapsed))
-        # Envelope margin: within a slab each curve moves at most at the
-        # maximum slope between samples; v covers the centre drift and the
-        # bound slopes are at most v (slow) / declared-gap (fast), both
-        # bounded by the per-sample drift of the sampled extremes.  A
-        # half-sample of centre drift is a safe cushion for the slabs and
-        # sample counts used by the index.
-        margin = v * (elapsed_hi - elapsed_lo) / max(samples, 1)
-        lo = max(min(lows) - margin, 0.0)
-        hi = min(max(highs) + margin, self.route.length)
-        if lo > hi:
-            lo = hi
-        return lo, hi
+        centers = [start_travel + v * t for t in times]
+        lows = [center - slow for center, slow in zip(centers, slows)]
+        highs = [center + fast for center, fast in zip(centers, fasts)]
+        length = self.route.length
+        ranges = []
+        for k, (elapsed_lo, elapsed_hi) in enumerate(slabs):
+            first = k * step
+            # Envelope margin: within a slab each curve moves at most at
+            # the maximum slope between samples; v covers the centre drift
+            # and the bound slopes are at most v (slow) / declared-gap
+            # (fast), both bounded by the per-sample drift of the sampled
+            # extremes.  A half-sample of centre drift is a safe cushion
+            # for the slabs and sample counts used by the index.
+            margin = v * (elapsed_hi - elapsed_lo) / max(samples, 1)
+            lo = max(min(lows[first:first + step]) - margin, 0.0)
+            hi = min(max(highs[first:first + step]) + margin, length)
+            if lo > hi:
+                lo = hi
+            ranges.append((lo, hi))
+        return ranges
 
     def boxes(self, slab_minutes: float = 5.0) -> list[Box3D]:
         """Decompose the o-plane into time-slab boxes for the R-tree."""
         if slab_minutes <= 0:
             raise IndexError_(f"slab_minutes must be positive, got {slab_minutes}")
-        boxes: list[Box3D] = []
-        # One projection per plane, not one per slab.
-        start_travel = self._start_travel()
-        # Past the end of the route every slab clamps to one stub: a
-        # travel range that repeats bit for bit keeps its rectangle.
-        span = rect = None
+        slabs: list[tuple[float, float]] = []
         elapsed = 0.0
         while elapsed < self.horizon - 1e-12:
             slab_end = min(elapsed + slab_minutes, self.horizon)
-            lo, hi = self._travel_range(start_travel, elapsed, slab_end)
+            slabs.append((elapsed, slab_end))
+            elapsed = slab_end
+        # One projection per plane, not one per slab.
+        ranges = self._travel_ranges(self._start_travel(), slabs, 4)
+        boxes: list[Box3D] = []
+        # Past the end of the route every slab clamps to one stub: a
+        # travel range that repeats bit for bit keeps its rectangle.
+        span = rect = None
+        for (elapsed, slab_end), (lo, hi) in zip(slabs, ranges):
             packed = _pack_span(lo, hi)
             if packed != span:
                 span = packed
@@ -159,7 +175,6 @@ class OPlane:
                     self.start_time + slab_end,
                 )
             )
-            elapsed = slab_end
         return boxes
 
     def __repr__(self) -> str:

@@ -22,7 +22,8 @@ Code families (see :mod:`repro.lint.rules` for scoping):
   selectable like any other rule).
 
 Checkers are pure functions from a :class:`ModuleContext` to an
-iterator of findings; they never read the filesystem.
+iterator of findings; they never read the filesystem themselves (RPR401
+asks the context for the modules a lazy table names).
 """
 
 from __future__ import annotations
@@ -495,7 +496,10 @@ def _bindings(body: list[ast.stmt], into: set[str]) -> bool:
                     return False
                 into.add(alias.asname or alias.name)
         elif isinstance(stmt, ast.If):
-            if not _bindings(stmt.body, into):
+            # What only type checkers import is not bound at run time.
+            checking = _dotted(stmt.test) in ("TYPE_CHECKING",
+                                              "typing.TYPE_CHECKING")
+            if not checking and not _bindings(stmt.body, into):
                 return False
             if not _bindings(stmt.orelse, into):
                 return False
@@ -510,10 +514,34 @@ def _bindings(body: list[ast.stmt], into: set[str]) -> bool:
     return True
 
 
+def _lazy_table(tree: ast.Module) -> dict[str, ast.Constant]:
+    """A PEP 562 module's literal ``name -> module`` table, keyed by name
+    (values are the module-name nodes): every module-level dict of
+    string constants, in a module that defines ``__getattr__``."""
+    table: dict[str, ast.Constant] = {}
+    if not any(isinstance(stmt, ast.FunctionDef)
+               and stmt.name == "__getattr__" for stmt in tree.body):
+        return table
+    for stmt in tree.body:
+        if not (isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                and isinstance(stmt.value, ast.Dict)):
+            continue
+        entries: dict[str, ast.Constant] = {}
+        for key, value in zip(stmt.value.keys, stmt.value.values):
+            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)
+                    and isinstance(value, ast.Constant)
+                    and isinstance(value.value, str)):
+                break
+            entries[key.value] = value
+        else:
+            table.update(entries)
+    return table
+
+
 @register(
     "RPR401", "all-does-not-resolve", SEVERITY_ERROR, "everywhere",
     "every name listed in __all__ must resolve to a module-level "
-    "binding",
+    "binding, or to one in the module its lazy table maps it to",
 )
 def check_all_resolves(ctx: ModuleContext) -> Iterator[Finding]:
     declared = _module_all(ctx.tree)
@@ -523,13 +551,36 @@ def check_all_resolves(ctx: ModuleContext) -> Iterator[Finding]:
     bound: set[str] = set()
     if not _bindings(ctx.tree.body, bound):
         return  # star import: resolution is not statically decidable
+    lazy = _lazy_table(ctx.tree)
+    homes: dict[str, ast.Module | None] = {}
     for name in names:
-        if name not in bound:
+        if name in bound:
+            continue
+        if name not in lazy:
             yield ctx.finding(
                 stmt, "RPR401",
                 f"__all__ lists {name!r} but the module defines no such "
                 f"name",
             )
+            continue
+        node = lazy[name]
+        home = node.value
+        if home not in homes:
+            homes[home] = ctx.module_tree(home)
+        tree = homes[home]
+        exported: set[str] = set()
+        if tree is None:
+            problem = "no such module is found"
+        elif (not _bindings(tree.body, exported) or name in exported
+              or name in _lazy_table(tree)):
+            continue
+        else:
+            problem = "that module defines no such name"
+        yield ctx.finding(
+            node, "RPR401",
+            f"__all__ lists {name!r}, which the lazy table maps to "
+            f"{home!r}, but {problem}",
+        )
 
 
 @register(

@@ -210,7 +210,8 @@ def lint_source(source: str, relpath: str,
             code="RPR000", severity="error",
             message=f"syntax error: {exc.msg}",
         )], suppressed=0)
-    ctx = ModuleContext(relpath=relpath, tree=tree, lines=lines, tags=tags)
+    ctx = ModuleContext(relpath=relpath, tree=tree, lines=lines, tags=tags,
+                        root=str(config.root))
     for rule in checkers_for(tags, select=config.select):
         assert rule.check is not None
         findings.extend(rule.check(ctx))

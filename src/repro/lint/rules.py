@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import ReproError
@@ -124,6 +125,23 @@ class ModuleContext:
     tree: ast.Module
     lines: tuple[str, ...]
     tags: frozenset[str] = field(default_factory=frozenset)
+    #: Directory ``relpath`` is relative to.
+    root: str = ""
+
+    def module_tree(self, dotted: str) -> ast.Module | None:
+        """The parsed source of module ``dotted``, looked up beside this
+        module's outermost package; None when missing or unparsable."""
+        base = (Path(self.root) / self.relpath).parent
+        while (base / "__init__.py").is_file():
+            base = base.parent
+        stem = base.joinpath(*dotted.split("."))
+        for path in (stem.parent / f"{stem.name}.py", stem / "__init__.py"):
+            if path.is_file():
+                try:
+                    return ast.parse(path.read_text(encoding="utf-8"))
+                except SyntaxError:
+                    return None
+        return None
 
     def finding(self, node: ast.AST, code: str, message: str) -> Finding:
         """Build a finding for ``node`` under this module's path."""

@@ -24,8 +24,10 @@ import math
 import re
 import threading
 from bisect import bisect_left
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from repro.errors import ObservabilityError
 
@@ -126,6 +128,8 @@ class Histogram:
         """Every element of ``values`` (any shape), as a loop of
         :meth:`observe` would count it; ``sum`` takes one array sum, so
         it may differ from the loop's in the last digits."""
+        import numpy as np
+
         buckets = np.searchsorted(self.bounds, values.reshape(-1), "left")
         for bucket, count in enumerate(np.bincount(buckets).tolist()):
             self.bucket_counts[bucket] += count

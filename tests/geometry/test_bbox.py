@@ -6,11 +6,22 @@ from repro.errors import GeometryError
 from repro.geometry.bbox import Box3D, Rect2D
 from repro.geometry.point import Point
 
+NAN = float("nan")
+INF = float("inf")
+
 
 class TestRect2D:
     def test_inverted_raises(self):
         with pytest.raises(GeometryError):
             Rect2D(1.0, 0.0, 0.0, 1.0)
+
+    @pytest.mark.parametrize("coords", [
+        (NAN, 0.0, 1.0, 1.0), (0.0, NAN, 1.0, 1.0),
+        (0.0, 0.0, NAN, 1.0), (0.0, 0.0, 1.0, NAN), (NAN,) * 4,
+    ])
+    def test_nan_raises(self, coords):
+        with pytest.raises(GeometryError, match="NaN"):
+            Rect2D(*coords)
 
     def test_from_points(self):
         r = Rect2D.from_points([Point(1, 5), Point(-2, 3), Point(0, 0)])
@@ -50,6 +61,17 @@ class TestBox3D:
     def test_inverted_raises(self):
         with pytest.raises(GeometryError):
             Box3D(0, 0, 1, 1, 1, 0)
+
+    @pytest.mark.parametrize("axis", range(6))
+    def test_nan_raises(self, axis):
+        coords = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+        coords[axis] = NAN
+        with pytest.raises(GeometryError, match="NaN"):
+            Box3D(*coords)
+
+    def test_infinite_extent_is_still_a_box(self):
+        box = Box3D(-INF, 0.0, 0.0, INF, 1.0, 1.0)
+        assert box.contains(Box3D(0.0, 0.0, 0.0, 1.0, 1.0, 1.0))
 
     def test_from_rect_roundtrip(self):
         rect = Rect2D(0, 1, 2, 3)

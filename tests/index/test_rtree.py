@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.errors import IndexError_
+from repro.errors import GeometryError, IndexError_
 from repro.geometry.bbox import Box3D
 from repro.index.rtree import RTree, SearchStats
 
@@ -142,6 +142,37 @@ class TestDelete:
         tree.insert(box(0, 0, 0), "fresh")
         assert tree.search(box(0, 0, 0)) == ["fresh"]
         tree.check_invariants()
+
+
+class TestNonFiniteBoxes:
+    """A stored box must stay deletable: ``_find_leaf`` descends only
+    covers that contain it, and no comparison admits NaN.  So a NaN box
+    never reaches the tree — it cannot be built."""
+
+    @pytest.mark.parametrize("axis", range(6))
+    def test_nan_box_cannot_be_built(self, axis):
+        coords = [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+        coords[axis] = float("nan")
+        with pytest.raises(GeometryError):
+            Box3D(*coords)
+
+    def test_extreme_boxes_stay_deletable(self):
+        inf = float("inf")
+        odd = [
+            Box3D(-inf, 0.0, 0.0, inf, 1.0, 1.0),
+            Box3D(-0.0, -0.0, -0.0, -0.0, -0.0, -0.0),
+            Box3D(0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
+            Box3D(-1e308, 1e308, 5.0, 1e308, 1e308, inf),
+            box(2.0, 2.0, 2.0, 0.0, 0.0, 0.0),
+        ]
+        tree = RTree(max_entries=4, min_entries=2)
+        items = [(b, i) for i, b in enumerate(odd * 4)]
+        for b, i in items:
+            tree.insert(b, i)
+        tree.check_invariants()
+        for b, i in items:
+            assert tree.delete(b, i), (b, i)
+        assert len(tree) == 0
 
 
 class TestRandomized:
