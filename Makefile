@@ -14,7 +14,7 @@ test:
 # installed (skipped with a notice otherwise), but their findings still
 # fail the target when they are present.
 lint:
-	PYTHONPATH=src $(PYTHON) -m repro lint src tests --baseline --flow
+	PYTHONPATH=src $(PYTHON) -m repro lint src tests
 	@if $(PYTHON) -c "import ruff" 2>/dev/null; then \
 		$(PYTHON) -m ruff check src tests benchmarks; \
 	else \

@@ -1,7 +1,7 @@
 """Benchmarks of the ``repro.lint`` static-analysis engine.
 
 Not a paper artefact — advisory evidence that the paper-invariant
-lint pass (per-file rules and the ``--flow`` whole-program pass) stays
+lint run (per-file rules and the whole-program rules, one run) stays
 cheap enough to gate CI and pre-commit runs.  The cases ride the
 unified harness (``repro bench run``) and have entries in the
 committed fast baseline; a case missing from a baseline compares as
@@ -34,26 +34,13 @@ _SYNTHETIC_MODULE = (
 
 @register_benchmark("lint.src_repro", group="lint")
 def harness_lint_src():
-    """Full lint pass (all rules) over the src/repro tree."""
+    """One full lint run (every rule, the call graph included) over
+    the src/repro tree."""
     config = Config(root=REPO_ROOT)
     target = REPO_ROOT / "src" / "repro"
 
     def run():
         return lint_paths([target], config)
-
-    return run
-
-
-@register_benchmark("lint.flow", group="lint")
-def harness_lint_flow():
-    """Whole-program flow pass over src/repro (graph + 3 analyses)."""
-    from repro.lint.flow import analyze_package
-
-    target = REPO_ROOT / "src" / "repro"
-    design = REPO_ROOT / "DESIGN.md"
-
-    def run():
-        return analyze_package(target, design_path=design)
 
     return run
 
@@ -72,15 +59,10 @@ def harness_lint_single_module():
     return run
 
 
-def test_flow_kernel_runs_clean():
-    report = harness_lint_flow()()
-    assert report.modules > 0
-    assert report.findings == []
-
-
 def test_lint_src_kernel_runs():
     report = harness_lint_src()()
     assert report.files > 0
+    assert report.findings == []
 
 
 def test_single_module_kernel_counts_findings():

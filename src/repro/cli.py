@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Six commands cover the library's day-one workflows:
+Nine commands cover the library's day-one workflows:
 
 * ``report [--fast]`` — regenerate the full reproduction report
   (every paper table/figure plus the extension experiments); with
@@ -26,7 +26,10 @@ Six commands cover the library's day-one workflows:
   (``/metrics``, ``/health``, ``/snapshot``) while appending collector
   snapshots, ``check`` a collector file offline against an SLO spec
   (verdicts byte-identical to the live ``/health`` bodies), ``tail``
-  a collector file as a human-readable table.
+  a collector file as a human-readable table,
+* ``lint`` — the paper-invariant static analysis (:mod:`repro.lint`):
+  one run over files and the programs they form, exit 1 on any
+  finding.
 
 ``report``, ``scenario``, and ``stats`` accept ``--profile``, which
 records the run's spans and prints a flame summary (per-span-name
@@ -674,19 +677,13 @@ def _cmd_bench_run(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace, out: TextIO) -> int:
-    from pathlib import Path
-
     from repro.lint import (
         Config,
-        DEFAULT_BASELINE_NAME,
         all_rules,
-        apply_baseline,
         format_json,
         format_sarif,
         format_text,
         lint_paths,
-        load_baseline,
-        write_baseline,
         write_json,
         write_sarif,
     )
@@ -698,41 +695,7 @@ def _cmd_lint(args: argparse.Namespace, out: TextIO) -> int:
         return 0
     select = (frozenset(code.strip() for code in args.select.split(","))
               if args.select else None)
-    config = Config(select=select)
-    report = lint_paths(args.paths, config, jobs=args.jobs)
-    if args.flow:
-        from repro.lint import LintReport
-        from repro.lint.flow import analyze_package
-
-        root = Path(config.root)
-        package_dir = Path(args.flow_package) if args.flow_package \
-            else root / "src" / "repro"
-        design = Path(args.flow_design) if args.flow_design \
-            else root / "DESIGN.md"
-        try:
-            rel_prefix = package_dir.resolve().relative_to(
-                root.resolve()).as_posix()
-        except ValueError:
-            rel_prefix = package_dir.as_posix()
-        flow = analyze_package(package_dir,
-                               package=package_dir.resolve().name,
-                               rel_prefix=rel_prefix,
-                               design_path=design, select=select)
-        report = LintReport(
-            findings=sorted(report.findings + flow.findings),
-            files=report.files,
-            suppressed=report.suppressed + flow.suppressed,
-            baselined=report.baselined,
-        )
-    baseline_path = Path(args.baseline_path if args.baseline_path is not None
-                         else DEFAULT_BASELINE_NAME)
-    if args.update_baseline:
-        count = write_baseline(report, baseline_path)
-        print(f"baseline updated: {baseline_path} "
-              f"({count} finding(s) recorded)", file=out)
-        return 0
-    if args.baseline:
-        report = apply_baseline(report, load_baseline(baseline_path))
+    report = lint_paths(args.paths, Config(select=select))
     if args.format == "json":
         format_json(report, out)
     elif args.format == "sarif":
@@ -991,31 +954,9 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--format", default="text",
                       choices=("text", "json", "sarif"),
                       help="stdout rendering")
-    lint.add_argument("--jobs", type=int, default=1,
-                      help="fan the per-file pass over N worker "
-                           "processes (output byte-identical to serial)")
-    lint.add_argument("--flow", action="store_true",
-                      help="also run the whole-program flow pass "
-                           "(call-graph taint RPR601-603, pool "
-                           "picklability RPR604, schema contracts "
-                           "RPR605) over src/repro")
-    lint.add_argument("--flow-package", default=None,
-                      help="package directory the flow pass analyzes "
-                           "(default: src/repro)")
-    lint.add_argument("--flow-design", default=None,
-                      help="DESIGN.md whose schema registry RPR605 "
-                           "checks against (default: ./DESIGN.md)")
     lint.add_argument("--sarif-out", default=None,
                       help="also write the SARIF 2.1.0 log here (CI "
                            "code-scanning annotation)")
-    lint.add_argument("--baseline", action="store_true",
-                      help="subtract the committed baseline: grandfathered "
-                           "findings pass, new findings fail")
-    lint.add_argument("--baseline-path", default=None,
-                      help="baseline JSON path (default: lint-baseline.json)")
-    lint.add_argument("--update-baseline", action="store_true",
-                      help="record this run's findings as the new baseline "
-                           "and exit 0")
     lint.add_argument("--select", default=None,
                       help="comma-separated rule codes to run (default: all)")
     lint.add_argument("--output", default=None,

@@ -46,7 +46,6 @@ from repro.errors import QueryError
 from repro.index.rtree import SearchStats
 from repro.obs.probe import probe
 from repro.trace.events import CACHE
-from repro.vec import vectorization_default
 
 
 class BatchQueryEngine:
@@ -62,12 +61,6 @@ class BatchQueryEngine:
     adds to it; on overflow the cache is cleared wholesale (correct,
     merely cold).
 
-    ``vectorize`` routes cache-miss interval derivation and the bbox
-    pre-tests through the NumPy kernels of :mod:`repro.vec` when
-    enough candidates are in play; ``None`` defers to the
-    ``REPRO_VECTORIZE`` environment default.  Answers and cache
-    hit/miss counts are identical either way.
-
     ``jobs > 1`` answers a batch over a partitioned index
     (:class:`~repro.shard.sharded.PartitionedIndex`) one partition per
     fork-pool worker whenever the batch reaches more than one
@@ -76,7 +69,7 @@ class BatchQueryEngine:
 
     def __init__(self, database: MovingObjectDatabase,
                  max_cache_entries: int = 1 << 18,
-                 vectorize: bool | None = None, jobs: int = 1) -> None:
+                 jobs: int = 1) -> None:
         if max_cache_entries < 1:
             raise QueryError(
                 f"max_cache_entries must be positive, got {max_cache_entries}"
@@ -84,9 +77,6 @@ class BatchQueryEngine:
         if jobs < 1:
             raise QueryError(f"jobs must be >= 1, got {jobs}")
         self.jobs = jobs
-        if vectorize is None:
-            vectorize = vectorization_default()
-        self.vectorize = bool(vectorize)
         self._db = database
         self._max_cache_entries = max_cache_entries
         self.cache_hits = 0
@@ -163,10 +153,8 @@ class BatchQueryEngine:
         """
         core = self._db._core
         hits, misses = core.hits, core.misses
-        answers = core.answer(
-            index, queries, stats, stationary,
-            vectorize=self.vectorize, limit=self._max_cache_entries,
-        )
+        answers = core.answer(index, queries, stats, stationary,
+                              limit=self._max_cache_entries)
         self.cache_hits += core.hits - hits
         self.cache_misses += core.misses - misses
         return answers

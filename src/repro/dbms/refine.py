@@ -61,7 +61,6 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.index.rtree import SearchStats
 from repro.obs.probe import probe
-from repro.vec import vectorization_default
 
 #: Below this many candidates the per-call NumPy overhead outweighs the
 #: loop it replaces; the scalar pre-tests run.  The vectorised pre-tests
@@ -216,9 +215,9 @@ class _PolygonRegion:
         self.window = query.polygon.bounding_rect
         self.rect = _exact_rect(query.polygon)
 
-    def classify(self, entries: list[tuple], vectorize: bool) -> list[str]:
+    def classify(self, entries: list[tuple]) -> list[str]:
         polygon, window, rect = self.polygon, self.window, self.rect
-        if vectorize and len(entries) >= _MIN_VEC_CANDIDATES:
+        if len(entries) >= _MIN_VEC_CANDIDATES:
             from repro.vec import geom as vec_geom
 
             out, must = vec_geom.range_pretest(
@@ -261,9 +260,9 @@ class _DiscRegion:
         self.window = Rect2D(center.x - radius, center.y - radius,
                              center.x + radius, center.y + radius)
 
-    def classify(self, entries: list[tuple], vectorize: bool) -> list[str]:
+    def classify(self, entries: list[tuple]) -> list[str]:
         center, radius = self.center, self.radius
-        if vectorize and len(entries) >= _MIN_VEC_CANDIDATES:
+        if len(entries) >= _MIN_VEC_CANDIDATES:
             from repro.vec import geom as vec_geom
 
             out, must = vec_geom.within_pretest(
@@ -313,7 +312,7 @@ class _StripRegion:
             return _OUT
         return _MUST if maximum <= self.radius else _MAY
 
-    def classify(self, entries: list[tuple], vectorize: bool) -> list[str]:
+    def classify(self, entries: list[tuple]) -> list[str]:
         return [
             self._outcome(*distance_range_between_polylines(
                 self.anchor, entry[2]))
@@ -335,16 +334,14 @@ _REGIONS = {RangeQuery: _PolygonRegion, WithinDistanceQuery: _DiscRegion,
 class QueryCore:
     """The refine skeleton and derived-value cache of one database.
 
-    ``vectorize`` (per call; ``None`` defers to the ``REPRO_VECTORIZE``
-    default read when the core was built) routes the bbox pre-tests
-    through the NumPy kernels of :mod:`repro.vec.geom` when a query has
-    enough candidates.  Answers are identical either way: a pre-test
-    only ever decides what the exact classifier would.
+    A query with at least ``_MIN_VEC_CANDIDATES`` candidates runs the
+    bbox pre-tests through the NumPy kernels of :mod:`repro.vec.geom`.
+    Answers are identical either way: a pre-test only ever decides what
+    the exact classifier would.
     """
 
     def __init__(self, database: Any) -> None:
         self._db = database
-        self.vectorize = vectorization_default()
         #: ``t -> {object_id -> (attribute, interval, geometry, bbox)}``.
         self._derived: dict[float, dict[str, tuple]] = {}
         #: Min-heap of ``_derived``'s keys (clock-advance eviction).
@@ -492,7 +489,6 @@ class QueryCore:
 
     def answer(self, index: Any, queries: Sequence[Query],
                stats: SearchStats | None = None, stationary: bool = True,
-               vectorize: bool | None = None,
                limit: int = _DEFAULT_LIMIT) -> list[Answer]:
         """Answers refined from ``index``'s candidates, unvalidated.
 
@@ -501,8 +497,6 @@ class QueryCore:
         a partition's piece of a pooled batch leaves it to the merge
         (:mod:`repro.shard.parallel`).
         """
-        if vectorize is None:
-            vectorize = self.vectorize
         regions = [
             None if isinstance(query, PositionQuery)
             else self.region_of(query, limit)
@@ -518,7 +512,7 @@ class QueryCore:
         return [
             self._position(query, limit) if region is None
             else self._refine(query, region, candidates, eligible,
-                              counters, vectorize, limit)
+                              counters, limit)
             for query, region, candidates in zip(queries, regions, found)
         ]
 
@@ -572,7 +566,7 @@ class QueryCore:
 
     def _refine(self, query: Query, region: Any, candidates: set[str],
                 eligible: "_EligibilitySets", counters: dict | None,
-                vectorize: bool, limit: int) -> RangeAnswer:
+                limit: int) -> RangeAnswer:
         """Candidates to exact may/must sets through ``region``."""
         kept = eligible.filter_mobile(candidates, query.where,
                                       query.class_name)
@@ -581,7 +575,7 @@ class QueryCore:
             kept = kept - {query.object_id}
         ids = list(kept)
         outcomes = region.classify(
-            self.entries_for(ids, query.time, limit), vectorize)
+            self.entries_for(ids, query.time, limit))
         if counters is not None:
             for outcome in outcomes:
                 counters[outcome].inc()

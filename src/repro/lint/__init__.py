@@ -5,37 +5,26 @@ Propositions 1–4, and parallel/batched output byte-identical to serial
 — rest on invariants that normal tests cannot watch at every commit:
 determinism of the sim/exec/batch paths, fork/pickle safety in the
 executor, numeric hygiene in the cost algebra, a stable public API
-surface, and the observability discipline from PR 1.  This package
-machine-checks them at rest:
+surface, and observability discipline.  This package machine-checks
+them at rest, in one run in which each hazard has one detector and
+one code:
 
 * :mod:`repro.lint.rules` — rule registry + tag-based path scoping,
-* :mod:`repro.lint.checks` — the rule pack (``RPR1xx``–``RPR5xx``),
-* :mod:`repro.lint.engine` — file collection, dispatch, and the
-  ``# repro: noqa[CODE] reason`` suppression protocol,
-* :mod:`repro.lint.baseline` — committed-baseline mode
-  (``lint-baseline.json``: old findings pass, new findings fail),
+* :mod:`repro.lint.checks` — the per-module rule pack,
+* :mod:`repro.lint.flow` — the whole-program rules: determinism
+  (``RPR101``–``RPR103``) at every call depth and pool picklability
+  (``RPR201``), over each program's call graph,
+* :mod:`repro.lint.engine` — file collection, one parse per file,
+  dispatch, and the ``# repro: noqa[CODE] reason`` suppression
+  protocol,
 * :mod:`repro.lint.output` — text, ``repro-lint/1`` JSON, and SARIF
-  2.1.0 renderings,
-* :mod:`repro.lint.flow` — the whole-program pass (``--flow``):
-  call-graph construction, interprocedural determinism taint
-  (``RPR601``–``RPR603``), pool-picklability inference (``RPR604``),
-  and the schema-contract registry (``RPR605``).
+  2.1.0 renderings.
 
-Entry points: ``repro lint [paths]`` (CLI; ``--jobs N`` fans the
-per-file pass over a process pool with byte-identical output),
-``make lint``, and the CI ``lint`` job.  See README "Static analysis"
-for the workflow, including how to add a rule and when to baseline
-versus suppress.
+Entry points: ``repro lint [paths]`` (CLI), ``make lint``, and the CI
+``lint`` job.  See README "Static analysis" for the workflow, including
+how to add a rule and when to suppress.
 """
 
-from repro.lint.baseline import (
-    BASELINE_SCHEMA,
-    DEFAULT_BASELINE_NAME,
-    apply_baseline,
-    baseline_entries,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.engine import (
     Config,
     LintReport,
@@ -67,9 +56,7 @@ from repro.lint.rules import (
 )
 
 __all__ = [
-    "BASELINE_SCHEMA",
     "Config",
-    "DEFAULT_BASELINE_NAME",
     "Finding",
     "LintError",
     "LintReport",
@@ -80,8 +67,6 @@ __all__ = [
     "SEVERITY_ERROR",
     "SEVERITY_WARNING",
     "all_rules",
-    "apply_baseline",
-    "baseline_entries",
     "classify_path",
     "collect_files",
     "format_json",
@@ -91,11 +76,9 @@ __all__ = [
     "known_codes",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "register_rule",
     "report_document",
     "sarif_document",
-    "write_baseline",
     "write_json",
     "write_sarif",
 ]

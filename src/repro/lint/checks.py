@@ -1,26 +1,28 @@
-"""The initial rule pack: this repo's real failure modes, as AST checks.
+"""The per-module rule pack, and the registry entries of the rest.
 
 Code families (see :mod:`repro.lint.rules` for scoping):
 
-* ``RPR1xx`` **determinism** — the parallel sweep (PR 2) and batched
-  query engine (PR 3) promise byte-identical output; unseeded RNG,
-  wall-clock reads, and set-iteration order inside ``sim/``, ``exec/``,
-  ``dbms/batch.py`` or ``dbms/refine.py`` silently break that promise.
-* ``RPR2xx`` **exec safety** — fork/pickle hazards around the
-  ``ProcessPoolExecutor`` sweep path.
+* ``RPR1xx`` **determinism** — the parallel sweep and the batched
+  query engine promise byte-identical output; unseeded RNG, wall-clock
+  reads, and set-iteration order reaching ``sim/``, ``exec/``,
+  ``vec/``, the digest/trace/report modules or (for the clock) ``obs/``
+  silently break that promise.  ``RPR101``–``RPR103`` are
+  whole-program rules (:mod:`repro.lint.flow.taint`): they fire at any
+  call depth.
+* ``RPR2xx`` **exec safety** — fork/pickle hazards around the process
+  pools; ``RPR201`` is whole-program (:mod:`repro.lint.flow.pools`).
 * ``RPR3xx`` **numeric hygiene** — float ``==`` and mutable defaults
   corrupt the §3 cost algebra in ways tests rarely catch; ``vec/``
-  kernels (PR 7) additionally ban per-element loops over arrays and
+  kernels additionally ban per-element loops over arrays and
   narrower-than-float64 dtypes, which break the byte-identity promise.
 * ``RPR4xx`` **API consistency** — ``__all__`` drift.
-* ``RPR5xx`` **observability discipline** — span pairing and registry
-  construction rules from PR 1, plus flight-recorder event discipline
-  (DBMS/index modules serialize events through ``repro.trace``, never
-  ad hoc).
-* ``RPR9xx`` **suppression hygiene** — enforced by the engine itself
-  (registered here with ``check=None`` so they are documented and
-  selectable like any other rule).
+* ``RPR5xx`` **observability discipline** — span pairing, registry
+  construction, and flight-recorder event discipline (DBMS/index
+  modules serialize events through ``repro.trace``, never ad hoc).
+* ``RPR9xx`` **suppression hygiene** — enforced by the engine itself.
 
+Rules the engine enforces itself are registered here with
+``check=None``, so they are documented and selectable like any other.
 Checkers are pure functions from a :class:`ModuleContext` to an
 iterator of findings; they never read the filesystem themselves (RPR401
 asks the context for the modules a lazy table names).
@@ -32,6 +34,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
+from repro.lint.flow.graph import dotted_name, matches, resolve_alias
 from repro.lint.rules import (
     ModuleContext,
     Rule,
@@ -39,156 +42,14 @@ from repro.lint.rules import (
     register_rule,
 )
 
-#: Module-level ``random`` functions that draw from (or reseed) the
-#: shared global generator.
-_RANDOM_FNS = frozenset({
-    "random", "randint", "randrange", "uniform", "choice", "choices",
-    "shuffle", "sample", "gauss", "normalvariate", "expovariate",
-    "betavariate", "triangular", "getrandbits", "seed",
-    "lognormvariate", "paretovariate", "vonmisesvariate",
-    "weibullvariate",
-})
-
-#: Wall-clock and entropy reads banned from deterministic paths
-#: (``time.perf_counter`` stays legal: it feeds metrics, not results).
-_WALL_CLOCK = (
-    "time.time",
-    "time.time_ns",
-    "datetime.now",
-    "datetime.utcnow",
-    "datetime.today",
-    "date.today",
-    "os.urandom",
-    "uuid.uuid1",
-    "uuid.uuid4",
-)
-
-
-def _dotted(node: ast.AST) -> str | None:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
-
-
-def _import_map(tree: ast.Module) -> dict[str, str]:
-    """Local name -> canonical dotted origin, from the module's imports."""
-    mapping: dict[str, str] = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.asname is not None:
-                    mapping[alias.asname] = alias.name
-                else:
-                    head = alias.name.split(".")[0]
-                    mapping[head] = head
-        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
-            for alias in node.names:
-                if alias.name == "*":
-                    continue
-                local = alias.asname or alias.name
-                mapping[local] = f"{node.module}.{alias.name}"
-    return mapping
-
-
-def _resolve(dotted: str, imports: dict[str, str]) -> str:
-    """Rewrite ``dotted``'s head through the module's import aliases."""
-    head, _, rest = dotted.partition(".")
-    if head in imports:
-        origin = imports[head]
-        return f"{origin}.{rest}" if rest else origin
-    return dotted
-
-
-def _matches(resolved: str, banned: str) -> bool:
-    return resolved == banned or resolved.endswith("." + banned)
-
 
 def _calls(ctx: ModuleContext) -> Iterator[tuple[ast.Call, str]]:
     """Every call in the module with its import-resolved dotted name."""
-    imports = _import_map(ctx.tree)
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Call):
-            dotted = _dotted(node.func)
+            dotted = dotted_name(node.func)
             if dotted is not None:
-                yield node, _resolve(dotted, imports)
-
-
-@register(
-    "RPR101", "unseeded-rng", SEVERITY_ERROR, "deterministic",
-    "no module-level random.* calls or unseeded random.Random() in "
-    "deterministic paths (sim/, exec/, dbms/batch.py)",
-)
-def check_unseeded_rng(ctx: ModuleContext) -> Iterator[Finding]:
-    for call, resolved in _calls(ctx):
-        if resolved == "random.Random":
-            if not call.args:
-                yield ctx.finding(
-                    call, "RPR101",
-                    "unseeded random.Random(); pass an explicit seed so "
-                    "runs are reproducible",
-                )
-            continue
-        head, _, tail = resolved.partition(".")
-        if head == "random" and tail in _RANDOM_FNS:
-            yield ctx.finding(
-                call, "RPR101",
-                f"call to shared-state random.{tail}() in a deterministic "
-                f"path; draw from a seeded random.Random instance instead",
-            )
-
-
-@register(
-    "RPR102", "wall-clock-read", SEVERITY_ERROR, "deterministic",
-    "no time.time()/datetime.now()/os.urandom()/uuid4() in "
-    "deterministic paths (perf_counter for metrics is fine)",
-)
-def check_wall_clock(ctx: ModuleContext) -> Iterator[Finding]:
-    for call, resolved in _calls(ctx):
-        for banned in _WALL_CLOCK:
-            if _matches(resolved, banned):
-                yield ctx.finding(
-                    call, "RPR102",
-                    f"wall-clock/entropy read {banned}() in a deterministic "
-                    f"path; results must be a pure function of the inputs",
-                )
-                break
-
-
-def _is_set_expr(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        dotted = _dotted(node.func)
-        return dotted in ("set", "frozenset")
-    return False
-
-
-@register(
-    "RPR103", "unordered-set-iteration", SEVERITY_ERROR, "deterministic",
-    "no iterating a set expression into ordered output in deterministic "
-    "paths; wrap in sorted()",
-)
-def check_set_iteration(ctx: ModuleContext) -> Iterator[Finding]:
-    message = ("iteration order of a set is not deterministic across "
-               "runs; wrap the set in sorted() before building ordered "
-               "output")
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.For) and _is_set_expr(node.iter):
-            yield ctx.finding(node.iter, "RPR103", message)
-        elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
-            for gen in node.generators:
-                if _is_set_expr(gen.iter):
-                    yield ctx.finding(gen.iter, "RPR103", message)
-        elif (isinstance(node, ast.Call)
-                and _dotted(node.func) in ("list", "tuple")
-                and node.args and _is_set_expr(node.args[0])):
-            yield ctx.finding(node, "RPR103", message)
+                yield node, resolve_alias(dotted, ctx.imports)
 
 
 def _dict_view(node: ast.expr) -> str | None:
@@ -197,7 +58,7 @@ def _dict_view(node: ast.expr) -> str | None:
             and isinstance(node.func, ast.Attribute)
             and node.func.attr in ("values", "items", "keys")
             and not node.args and not node.keywords):
-        return _dotted(node.func.value)
+        return dotted_name(node.func.value)
     return None
 
 
@@ -239,53 +100,9 @@ def check_shard_merge_iteration(ctx: ModuleContext) -> Iterator[Finding]:
                 if _shard_keyed(_dict_view(gen.iter)):
                     yield ctx.finding(gen.iter, "RPR104", message)
         elif (isinstance(node, ast.Call)
-                and _dotted(node.func) in ("list", "tuple")
+                and dotted_name(node.func) in ("list", "tuple")
                 and node.args and _shard_keyed(_dict_view(node.args[0]))):
             yield ctx.finding(node, "RPR104", message)
-
-
-def _closure_names(tree: ast.Module) -> frozenset[str]:
-    """Names of functions defined inside other functions (unpicklable)."""
-    names: set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for inner in ast.walk(node):
-                if inner is not node and isinstance(
-                        inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    names.add(inner.name)
-    return frozenset(names)
-
-
-@register(
-    "RPR201", "pool-unpicklable-task", SEVERITY_ERROR, "everywhere",
-    "no lambdas or closure-local functions submitted to a process "
-    "pool/executor (they do not pickle)",
-)
-def check_pool_tasks(ctx: ModuleContext) -> Iterator[Finding]:
-    closures = _closure_names(ctx.tree)
-    for node in ast.walk(ctx.tree):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("submit", "map")):
-            continue
-        receiver = (_dotted(node.func.value) or "").lower()
-        if "pool" not in receiver and "executor" not in receiver:
-            continue
-        for arg in node.args:
-            if isinstance(arg, ast.Lambda):
-                yield ctx.finding(
-                    arg, "RPR201",
-                    f"lambda passed to .{node.func.attr}() on a process "
-                    f"pool; lambdas do not pickle — use a module-level "
-                    f"function",
-                )
-            elif isinstance(arg, ast.Name) and arg.id in closures:
-                yield ctx.finding(
-                    arg, "RPR201",
-                    f"closure-local function {arg.id!r} passed to "
-                    f".{node.func.attr}() on a process pool; nested "
-                    f"functions do not pickle — hoist it to module level",
-                )
 
 
 @register(
@@ -315,7 +132,7 @@ def _is_float_operand(node: ast.AST) -> bool:
         return True
     if isinstance(node, ast.UnaryOp):
         return _is_float_operand(node.operand)
-    return isinstance(node, ast.Call) and _dotted(node.func) == "float"
+    return isinstance(node, ast.Call) and dotted_name(node.func) == "float"
 
 
 @register(
@@ -346,7 +163,7 @@ def _is_mutable_default(node: ast.AST) -> bool:
     if isinstance(node, (ast.List, ast.Dict, ast.Set)):
         return True
     return (isinstance(node, ast.Call)
-            and _dotted(node.func) in ("list", "dict", "set"))
+            and dotted_name(node.func) in ("list", "dict", "set"))
 
 
 @register(
@@ -394,9 +211,9 @@ def _iterates_numpy_elements(iter_node: ast.expr,
                 and func.attr in _NUMPY_ELEMENT_ITERS):
             # for x in arr.tolist() / arr.ravel() / arr.flatten(): ...
             return True
-        dotted = _dotted(func)
+        dotted = dotted_name(func)
         if dotted is not None:
-            resolved = _resolve(dotted, imports)
+            resolved = resolve_alias(dotted, imports)
             # for x in np.nditer(arr) / np.ndenumerate(arr): ...
             return resolved.startswith("numpy.")
     return False
@@ -408,10 +225,10 @@ def _narrow_dtype_spelling(node: ast.expr,
     if isinstance(node, ast.Constant) and isinstance(node.value, str):
         spelling = node.value.lstrip("<>=")
         return node.value if spelling in _NARROW_FLOAT_DTYPES else None
-    dotted = _dotted(node)
+    dotted = dotted_name(node)
     if dotted is None:
         return None
-    resolved = _resolve(dotted, imports)
+    resolved = resolve_alias(dotted, imports)
     tail = resolved.rsplit(".", 1)[-1]
     return dotted if tail in _NARROW_FLOAT_DTYPES else None
 
@@ -422,7 +239,7 @@ def _narrow_dtype_spelling(node: ast.expr,
     "Python loops over NumPy arrays, no narrower-than-float64 dtypes",
 )
 def check_vec_kernel_hygiene(ctx: ModuleContext) -> Iterator[Finding]:
-    imports = _import_map(ctx.tree)
+    imports = ctx.imports
     for node in ast.walk(ctx.tree):
         iter_nodes: list[ast.expr] = []
         if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -497,7 +314,7 @@ def _bindings(body: list[ast.stmt], into: set[str]) -> bool:
                 into.add(alias.asname or alias.name)
         elif isinstance(stmt, ast.If):
             # What only type checkers import is not bound at run time.
-            checking = _dotted(stmt.test) in ("TYPE_CHECKING",
+            checking = dotted_name(stmt.test) in ("TYPE_CHECKING",
                                               "typing.TYPE_CHECKING")
             if not checking and not _bindings(stmt.body, into):
                 return False
@@ -614,7 +431,7 @@ def check_span_pairing(ctx: ModuleContext) -> Iterator[Finding]:
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
-        dotted = _dotted(node.func)
+        dotted = dotted_name(node.func)
         if dotted is None:
             continue
         if dotted != "span" and not dotted.endswith(".span"):
@@ -651,7 +468,7 @@ def check_registry_construction(ctx: ModuleContext) -> Iterator[Finding]:
 )
 def check_adhoc_event_writes(ctx: ModuleContext) -> Iterator[Finding]:
     for call, resolved in _calls(ctx):
-        if _matches(resolved, "json.dumps"):
+        if matches(resolved, "json.dumps"):
             yield ctx.finding(
                 call, "RPR503",
                 "json.dumps in a dbms/index module; DBMS-visible events "
@@ -661,34 +478,6 @@ def check_adhoc_event_writes(ctx: ModuleContext) -> Iterator[Finding]:
             )
 
 
-_OBS_WALL_CLOCK = (
-    "time.time",
-    "time.time_ns",
-    "datetime.now",
-    "datetime.utcnow",
-)
-
-
-@register(
-    "RPR504", "non-monotonic-interval-clock", SEVERITY_ERROR, "obs",
-    "windowed/live obs code must use time.monotonic() (or the injected "
-    "sim clock) for interval math, never time.time(): a wall-clock "
-    "step would corrupt every ring-buffer window",
-)
-def check_obs_interval_clock(ctx: ModuleContext) -> Iterator[Finding]:
-    for call, resolved in _calls(ctx):
-        for banned in _OBS_WALL_CLOCK:
-            if _matches(resolved, banned):
-                yield ctx.finding(
-                    call, "RPR504",
-                    f"{banned}() in obs code; interval math must use "
-                    f"time.monotonic()/time.perf_counter() or the "
-                    f"injected sim clock — wall clocks step under "
-                    f"NTP/suspend and silently corrupt windows",
-                )
-                break
-
-
 register_rule(Rule(
     code="RPR000", name="syntax-error", severity=SEVERITY_ERROR,
     scope="everywhere", check=None,
@@ -696,46 +485,27 @@ register_rule(Rule(
                 "cannot be checked at all",
 ))
 
-# RPR6xx: whole-program flow rules.  Their checkers are not per-file
-# AST passes — they run over the package call graph in
-# repro.lint.flow (enabled with `repro lint --flow`) — so they are
-# registered with check=None, like the engine-enforced RPR9xx family,
-# to appear in --list-rules, selection, and noqa validation.
-register_rule(Rule(
-    code="RPR601", name="interprocedural-rng-taint",
-    severity=SEVERITY_ERROR, scope="everywhere", check=None,
-    description="no shared-state/unseeded RNG reachable (through any "
-                "number of call hops) from the digest/trace/"
-                "ordered-output sink modules (flow pass)",
-))
-register_rule(Rule(
-    code="RPR602", name="interprocedural-clock-taint",
-    severity=SEVERITY_ERROR, scope="everywhere", check=None,
-    description="no wall-clock/entropy read reachable from the "
-                "digest/trace/ordered-output sink modules (flow pass)",
-))
-register_rule(Rule(
-    code="RPR603", name="interprocedural-unordered-taint",
-    severity=SEVERITY_ERROR, scope="everywhere", check=None,
-    description="no unsorted set iteration feeding return values "
-                "reachable from ordered-output sink modules (flow "
-                "pass)",
-))
-register_rule(Rule(
-    code="RPR604", name="pool-unpicklable-flow",
-    severity=SEVERITY_ERROR, scope="everywhere", check=None,
-    description="no lambda/closure/unpicklable bound method flowing "
-                "into ProcessPoolExecutor.submit/map in exec/ or "
-                "shard/, including via task-function parameters "
-                "(flow pass)",
-))
-register_rule(Rule(
-    code="RPR605", name="schema-contract",
-    severity=SEVERITY_ERROR, scope="everywhere", check=None,
-    description="every produced repro-*/N schema version must be "
-                "accepted by its consumers and documented in "
-                "DESIGN.md's schema registry (flow pass)",
-))
+# The whole-program rules run over each program's call graph
+# (repro.lint.flow), not one module at a time.
+for _code, _name, _scope, _description in (
+    ("RPR101", "unseeded-rng", "deterministic",
+     "no shared-state random.*/numpy.random draws or unseeded "
+     "random.Random()/default_rng() in deterministic paths, at any "
+     "call depth"),
+    ("RPR102", "wall-clock-read", "deterministic-or-obs",
+     "no time.time()/datetime.now()/os.urandom()/uuid4() in "
+     "deterministic paths or obs/, at any call depth (perf_counter/"
+     "monotonic for metrics and windows are fine)"),
+    ("RPR103", "unordered-set-iteration", "deterministic",
+     "no iterating a set expression into ordered output in "
+     "deterministic paths, at any call depth; wrap in sorted()"),
+    ("RPR201", "pool-unpicklable-task", "everywhere",
+     "no lambda, closure-local function or lock-holding bound method "
+     "submitted to a process pool, directly or through a task "
+     "parameter (they do not pickle)"),
+):
+    register_rule(Rule(code=_code, name=_name, severity=SEVERITY_ERROR,
+                       scope=_scope, description=_description, check=None))
 
 # Suppression hygiene is enforced by the engine while it matches
 # "repro: noqa" directives; the rules are registered here so they
@@ -759,12 +529,9 @@ __all__ = [
     "check_float_equality",
     "check_missing_all",
     "check_mutable_defaults",
-    "check_pool_tasks",
     "check_registry_construction",
-    "check_set_iteration",
+    "check_shard_merge_iteration",
     "check_span_pairing",
-    "check_unseeded_rng",
     "check_vec_kernel_hygiene",
-    "check_wall_clock",
     "check_worker_globals",
 ]

@@ -1,9 +1,15 @@
-"""The lint engine: file collection, rule dispatch, and suppression.
+"""The lint engine: one run over files and the programs they form.
 
-Run :func:`lint_paths` over files and directories; it parses each
-module once, dispatches the rules whose scope covers the module's path
-tags (see :mod:`repro.lint.rules`), applies inline suppressions, and
-returns a :class:`LintReport`.
+:func:`lint_paths` collects files, parses each once and groups the
+modules into programs: every package root (a directory holding an
+``__init__.py`` whose parent does not) is one program, and a file
+outside any package is a program of its own.  Per module it dispatches
+the per-file rules whose scope covers the module's path tags (see
+:mod:`repro.lint.rules`); per program it builds the call graph once and
+runs the whole-program rules over it — the determinism rules
+``RPR101``–``RPR103`` at every call depth and the pool rule ``RPR201``
+(:mod:`repro.lint.flow`).  Inline suppressions then apply to every
+finding alike, and a :class:`LintReport` comes back.
 
 Inline suppression matches ruff/flake8 ergonomics but is deliberately
 narrower — a code is always required, and a **reason** is required
@@ -14,12 +20,14 @@ too::
 A ``# repro: noqa[...]`` naming an unregistered code raises finding
 ``RPR901``; one without a reason string raises ``RPR902``.  Suppression
 is per-line and per-code: it never hides findings of other codes on the
-same line.
+same line.  A whole-program finding lands on a concrete line (a chain's
+first hop, a caller's argument), so the directive works there too.
 
 Directory walks skip ``tests/lint/fixtures/`` (deliberately-bad rule
-fixtures) and the usual cache directories, but a path passed
-*explicitly* is always linted — ``repro lint
-tests/lint/fixtures/sim/bad_rng.py`` works as expected.
+fixtures) and directories named like the usual caches and build
+outputs, but a path passed *explicitly* is always linted — ``repro lint
+tests/lint/fixtures/sim/bad_rng.py`` or a fixture package directory
+works as expected.
 """
 
 from __future__ import annotations
@@ -29,11 +37,16 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
+from fnmatch import fnmatch
 from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.lint.findings import Finding
+from repro.lint.flow.graph import build_graph, module_import_map
+from repro.lint.flow.pools import check_pool_picklability
+from repro.lint.flow.taint import check_taint_flows
 from repro.lint.rules import (
+    FIXTURE_PREFIX,
     LintError,
     ModuleContext,
     checkers_for,
@@ -41,15 +54,15 @@ from repro.lint.rules import (
     known_codes,
 )
 
-#: Directory-name fragments skipped during directory walks.  Explicit
-#: file arguments bypass this list.
+#: Directory names (fnmatch patterns) skipped during directory walks,
+#: matched against each path component below the walked directory.
+#: Explicit file arguments bypass this list.
 DEFAULT_EXCLUDES = (
-    "tests/lint/fixtures",
     "__pycache__",
     ".git",
     ".venv",
     "build",
-    ".egg-info",
+    "*.egg-info",
 )
 
 _NOQA_RE = re.compile(
@@ -73,7 +86,6 @@ class LintReport:
     findings: list[Finding]
     files: int
     suppressed: int
-    baselined: int = 0
 
     @property
     def counts(self) -> dict[str, int]:
@@ -92,8 +104,9 @@ def collect_files(paths: Sequence[str | Path],
                   config: Config) -> list[Path]:
     """Expand ``paths`` into the sorted, deduplicated file list.
 
-    Files are taken as given (even when an exclude fragment matches);
-    directories are walked recursively with excludes applied.
+    Files are taken as given; directories are walked recursively with
+    excludes applied below the walked directory, and fixture files are
+    skipped unless the walk starts inside the fixture tree.
     """
     seen: set[Path] = set()
     ordered: list[Path] = []
@@ -109,9 +122,15 @@ def collect_files(paths: Sequence[str | Path],
         if path.is_file():
             add(path)
         elif path.is_dir():
+            base = path.resolve()
+            in_fixtures = FIXTURE_PREFIX in base.as_posix() + "/"
             for found in sorted(path.rglob("*.py")):
-                posix = found.as_posix()
-                if any(fragment in posix for fragment in config.exclude):
+                rel = found.relative_to(path)
+                if any(fnmatch(part, pattern) for part in rel.parts
+                       for pattern in config.exclude):
+                    continue
+                if not in_fixtures and \
+                        FIXTURE_PREFIX in (base / rel).as_posix():
                     continue
                 add(found)
         else:
@@ -126,6 +145,26 @@ def _relpath(path: Path, root: Path) -> str:
         return path.as_posix()
 
 
+def _package_root(path: Path) -> Path | None:
+    """The outermost package directory holding ``path``, if any."""
+    root = None
+    directory = path.resolve().parent
+    while (directory / "__init__.py").is_file():
+        root, directory = directory, directory.parent
+    return root
+
+
+def _module_name(path: Path, root: Path | None) -> str:
+    """Dotted module name below ``root`` (a lone file: its stem)."""
+    if root is None:
+        return path.stem
+    parts = list(path.resolve().relative_to(root.parent)
+                 .with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
 def _noqa_comments(source: str) -> list[tuple[int, int, set[str], str]]:
     """Every suppression comment: (line, logical start, codes, reason).
 
@@ -137,6 +176,8 @@ def _noqa_comments(source: str) -> list[tuple[int, int, set[str], str]]:
     of a multi-line call, that is the line findings anchor to.
     """
     comments: list[tuple[int, int, set[str], str]] = []
+    if "noqa" not in source:
+        return comments
     logical_start: int | None = None
     try:
         tokens = tokenize.generate_tokens(io.StringIO(source).readline)
@@ -167,23 +208,19 @@ def _noqa_comments(source: str) -> list[tuple[int, int, set[str], str]]:
     return comments
 
 
-def _noqa_directives(source: str) -> dict[int, tuple[set[str], str]]:
-    """Line number -> (codes, reason) for every suppression comment.
+def _noqa_directives(comments: list[tuple[int, int, set[str], str]]
+                     ) -> dict[int, set[str]]:
+    """Line number -> suppressed codes.
 
     A directive suppresses findings on its own physical line *and* on
     the first line of the logical statement it trails, so a noqa on
     the closing line of a multi-line call still reaches the finding
     (which anchors to the statement's first line).
     """
-    directives: dict[int, tuple[set[str], str]] = {}
-    for line, logical_start, codes, reason in _noqa_comments(source):
+    directives: dict[int, set[str]] = {}
+    for line, logical_start, codes, _ in comments:
         for number in {line, logical_start}:
-            if number in directives:
-                merged = directives[number][0] | codes
-                directives[number] = (merged, directives[number][1] or
-                                      reason)
-            else:
-                directives[number] = (codes, reason)
+            directives.setdefault(number, set()).update(codes)
     return directives
 
 
@@ -195,105 +232,97 @@ class ModuleReport:
     suppressed: int
 
 
-def lint_source(source: str, relpath: str,
-                config: Config | None = None) -> ModuleReport:
-    """Lint one module from source text (the in-memory entry point)."""
-    config = config if config is not None else Config()
-    lines = tuple(source.splitlines())
-    tags = classify_path(relpath)
+def _lint_program(units: Iterable[tuple[str, str, str]],
+                  config: Config) -> ModuleReport:
+    """Lint one program, given its modules' (name, relpath, source)."""
     findings: list[Finding] = []
-    try:
-        tree = ast.parse(source, filename=relpath)
-    except SyntaxError as exc:
-        return ModuleReport(findings=[Finding(
-            path=relpath, line=exc.lineno or 1, col=(exc.offset or 0) + 1,
-            code="RPR000", severity="error",
-            message=f"syntax error: {exc.msg}",
-        )], suppressed=0)
-    ctx = ModuleContext(relpath=relpath, tree=tree, lines=lines, tags=tags,
-                        root=str(config.root))
-    for rule in checkers_for(tags, select=config.select):
-        assert rule.check is not None
-        findings.extend(rule.check(ctx))
-
-    directives = _noqa_directives(source)
-    kept: list[Finding] = []
-    used: dict[int, set[str]] = {}
-    for finding in findings:
-        directive = directives.get(finding.line)
-        if directive is not None and finding.code in directive[0]:
-            used.setdefault(finding.line, set()).add(finding.code)
-        else:
-            kept.append(finding)
-    suppressed = len(findings) - len(kept)
-
-    registered = known_codes()
-    for number, _, codes, reason in _noqa_comments(source):
-        if _selected("RPR901", config):
-            for code in sorted(codes - registered):
-                kept.append(Finding(
-                    path=relpath, line=number, col=1, code="RPR901",
-                    severity="error",
-                    message=f"noqa references unknown rule code {code!r}",
-                ))
-        if _selected("RPR902", config) and not reason:
-            kept.append(Finding(
-                path=relpath, line=number, col=1, code="RPR902",
-                severity="error",
-                message="noqa carries no reason; say why the finding is "
-                        "intentional",
+    modules: list[ModuleContext] = []
+    comments: dict[str, list[tuple[int, int, set[str], str]]] = {}
+    for name, relpath, source in units:
+        try:
+            tree = ast.parse(source, filename=relpath)
+        except SyntaxError as exc:
+            findings.append(Finding(
+                path=relpath, line=exc.lineno or 1,
+                col=(exc.offset or 0) + 1, code="RPR000",
+                severity="error", message=f"syntax error: {exc.msg}",
             ))
+            continue
+        module = ModuleContext(
+            relpath=relpath, tree=tree, tags=classify_path(relpath),
+            root=str(config.root), name=name,
+            imports=module_import_map(name, tree))
+        modules.append(module)
+        comments[relpath] = _noqa_comments(source)
+        for rule in checkers_for(module.tags, select=config.select):
+            assert rule.check is not None
+            findings.extend(rule.check(module))
+
+    graph = build_graph(modules)
+    codes = known_codes() if config.select is None else config.select
+    findings.extend(check_taint_flows(graph, codes))
+    if "RPR201" in codes:
+        findings.extend(check_pool_picklability(graph))
+
+    directives = {relpath: _noqa_directives(found)
+                  for relpath, found in comments.items()}
+    kept = [finding for finding in findings
+            if finding.code not in directives.get(finding.path, {})
+            .get(finding.line, ())]
+    suppressed = len(findings) - len(kept)
+    registered = known_codes()
+    for relpath, found in comments.items():
+        for number, _, codes_named, reason in found:
+            if "RPR901" in codes:
+                for code in sorted(codes_named - registered):
+                    kept.append(Finding(
+                        path=relpath, line=number, col=1, code="RPR901",
+                        severity="error",
+                        message=f"noqa references unknown rule code "
+                                f"{code!r}",
+                    ))
+            if "RPR902" in codes and not reason:
+                kept.append(Finding(
+                    path=relpath, line=number, col=1, code="RPR902",
+                    severity="error",
+                    message="noqa carries no reason; say why the finding "
+                            "is intentional",
+                ))
     kept.sort()
     return ModuleReport(findings=kept, suppressed=suppressed)
 
 
-def _selected(code: str, config: Config) -> bool:
-    return config.select is None or code in config.select
+def lint_source(source: str, relpath: str,
+                config: Config | None = None) -> ModuleReport:
+    """Lint one module from source text (the in-memory entry point).
 
-
-def _lint_file_task(item: tuple[str, str, Config]) -> ModuleReport:
-    """Worker body for the parallel per-file pass (must pickle)."""
-    path_str, relpath, config = item
-    source = Path(path_str).read_text(encoding="utf-8")
-    return lint_source(source, relpath, config)
+    The module is a program of its own: the whole-program rules see
+    only its functions.
+    """
+    config = config if config is not None else Config()
+    return _lint_program([(Path(relpath).stem, relpath, source)], config)
 
 
 def lint_paths(paths: Sequence[str | Path],
-               config: Config | None = None,
-               jobs: int = 1) -> LintReport:
-    """Lint files/directories and return the aggregate report.
-
-    With ``jobs > 1`` the per-file pass fans out over a process pool.
-    Each file's report is computed independently and reassembled in
-    the canonical (sorted) file order before the final findings sort,
-    so the output is byte-identical to a serial run.
-    """
+               config: Config | None = None) -> LintReport:
+    """Lint files/directories and return the aggregate report."""
     config = config if config is not None else Config()
     files = collect_files(paths, config)
-    items = [(str(path), _relpath(path, config.root), config)
-             for path in files]
-    if jobs > 1 and len(items) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(items))
-                                 ) as pool:
-            reports = list(pool.map(_lint_file_task, items,
-                                    chunksize=8))
-    else:
-        reports = [_lint_file_task(item) for item in items]
+    programs: dict[Path, list[tuple[str, str, str]]] = {}
+    for path in files:
+        root = _package_root(path)
+        programs.setdefault(root or path.resolve(), []).append((
+            _module_name(path, root), _relpath(path, config.root),
+            path.read_text(encoding="utf-8")))
     findings: list[Finding] = []
     suppressed = 0
-    for module in reports:
-        findings.extend(module.findings)
-        suppressed += module.suppressed
+    for units in programs.values():
+        report = _lint_program(units, config)
+        findings.extend(report.findings)
+        suppressed += report.suppressed
     findings.sort()
     return LintReport(findings=findings, files=len(files),
                       suppressed=suppressed)
-
-
-def iter_rule_codes(findings: Iterable[Finding]) -> list[str]:
-    """Sorted unique codes present in ``findings`` (test helper)."""
-    return sorted({finding.code for finding in findings})
 
 
 __all__ = [
@@ -302,7 +331,6 @@ __all__ = [
     "LintReport",
     "ModuleReport",
     "collect_files",
-    "iter_rule_codes",
     "lint_paths",
     "lint_source",
 ]

@@ -1,10 +1,6 @@
 """Finding and severity types for the paper-invariant lint engine.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-:meth:`Finding.key` deliberately excludes the line number: baselines
-(see :mod:`repro.lint.baseline`) match findings by ``path::code::
-message`` so that unrelated edits shifting a file's line numbers do not
-invalidate the committed baseline.
+A :class:`Finding` is one rule violation at one source location.
 """
 
 from __future__ import annotations
@@ -30,10 +26,6 @@ class Finding:
     code: str
     severity: str
     message: str
-
-    def key(self) -> str:
-        """Line-number-free identity used for baseline matching."""
-        return f"{self.path}::{self.code}::{self.message}"
 
     def format_text(self) -> str:
         """The one-line human-readable rendering."""

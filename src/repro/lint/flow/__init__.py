@@ -1,74 +1,18 @@
-"""Whole-program flow analysis for the lint engine (``repro lint --flow``).
+"""The whole-program rules of ``repro lint``.
 
-The per-file rule pack (:mod:`repro.lint.checks`) sees one module at a
-time, so it cannot see an unseeded RNG reaching a query digest through
-three call hops, a closure smuggled into a fork pool via a parameter,
-or a producer writing a schema version no reader accepts.  This
-package layers a package-wide pass on top of the same engine:
+The engine (:mod:`repro.lint.engine`) parses each file once, groups
+the modules into programs (a package root, or a lone file), and runs
+these over each program's call graph:
 
-* :mod:`repro.lint.flow.graph` — parses every module of a package once
-  and builds the module/function/call graph (imports, re-exports,
-  ``self.``-method edges, intra-package attribute resolution),
-* :mod:`repro.lint.flow.taint` — interprocedural taint propagation:
-  RNG-nondeterminism, wall-clock reads, and unordered set iteration
-  flowing from *any* function into the digest/trace/ordered-output
-  sink modules (``RPR601``–``RPR603``),
-* :mod:`repro.lint.flow.pools` — picklability inference for every
-  callable reaching ``ProcessPoolExecutor.submit/map`` in ``exec/``
-  and ``shard/``, including callables passed in by callers
-  (``RPR604``),
-* :mod:`repro.lint.flow.schema` — the schema-contract registry:
-  statically extracts every ``repro-*/N`` schema literal, classifies
-  producer and consumer sites, and cross-checks them against each
-  other and the documented registry in ``DESIGN.md`` (``RPR605``),
-* :mod:`repro.lint.flow.analyzer` — orchestration: runs the passes,
-  filters by ``--select``, and honours ``# repro: noqa[...]``.
-
-Findings are ordinary :class:`repro.lint.findings.Finding` objects, so
-baselines, suppression, text/JSON/SARIF output, and the CI gate treat
-flow findings exactly like per-file ones.
+* :mod:`repro.lint.flow.graph` — name resolution and the
+  module/function/call graph (imports, re-exports, ``self.``-method
+  edges),
+* :mod:`repro.lint.flow.taint` — the determinism rules
+  ``RPR101``–``RPR103`` at every call depth: depth 0 where the hazard
+  is, depth ≥ 1 at the first hop of the chain that carries it into a
+  deterministic function,
+* :mod:`repro.lint.flow.pools` — the pool rule ``RPR201``: callables
+  handed to ``submit``/``map`` directly or through a task parameter.
 """
 
-from repro.lint.flow.analyzer import FLOW_CODES, FlowReport, analyze_package
-from repro.lint.flow.graph import (
-    CallSite,
-    FunctionInfo,
-    ModuleInfo,
-    PackageGraph,
-    load_package,
-)
-from repro.lint.flow.pools import check_pool_picklability
-from repro.lint.flow.schema import (
-    SchemaRegistry,
-    check_schema_contracts,
-    documented_schemas,
-    extract_schemas,
-)
-from repro.lint.flow.taint import (
-    TAINT_CLOCK,
-    TAINT_RNG,
-    TAINT_UNORDERED,
-    check_taint_flows,
-    find_taint_sources,
-)
-
-__all__ = [
-    "CallSite",
-    "FLOW_CODES",
-    "FlowReport",
-    "FunctionInfo",
-    "ModuleInfo",
-    "PackageGraph",
-    "SchemaRegistry",
-    "TAINT_CLOCK",
-    "TAINT_RNG",
-    "TAINT_UNORDERED",
-    "analyze_package",
-    "check_pool_picklability",
-    "check_schema_contracts",
-    "check_taint_flows",
-    "documented_schemas",
-    "extract_schemas",
-    "find_taint_sources",
-    "load_package",
-]
+__all__: list[str] = []

@@ -1,32 +1,33 @@
-"""Module and call-graph construction for the flow analyzer.
+"""Name resolution and the call graph the whole-program rules run over.
 
-:func:`load_package` parses every ``*.py`` under a package root once
-and produces a :class:`PackageGraph`:
+The name helpers — :func:`dotted_name`, :func:`module_import_map`,
+:func:`resolve_alias`, :func:`matches` — are the only copies in the
+lint package; per-file checkers use them too.
 
-* a module table (dotted name -> :class:`ModuleInfo`),
+:func:`build_graph` takes the parsed modules of one program (a package
+root's modules, or a lone file) and produces a :class:`PackageGraph`:
+
 * a function table (qualified name -> :class:`FunctionInfo`) covering
   module-level functions and class methods — nested functions and
   lambdas are analyzed as part of their enclosing function, which is
   the granularity taint propagation works at,
-* resolved intra-package call edges (:class:`CallSite`), built by
+* resolved intra-program call edges (:class:`CallSite`), built by
   rewriting each call's dotted name through the module's import map
   (including relative imports) and then resolving it against the
-  package symbol table, following ``__init__``-style re-export chains.
+  program's symbol table, following ``__init__``-style re-export chains.
 
 Resolution is deliberately an *under*-approximation: a call the
-resolver cannot attribute to a package function simply produces no
-edge.  Flow rules built on the graph therefore miss dynamic dispatch,
-but never invent edges — findings stay precise enough to gate CI.
+resolver cannot attribute to a program function simply produces no
+edge.  Rules built on the graph therefore miss dynamic dispatch, but
+never invent edges — findings stay precise enough to gate CI.
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterator
+from dataclasses import dataclass
 
-from repro.lint.rules import LintError
+from repro.lint.rules import ModuleContext
 
 #: How many re-export hops a dotted name may take before resolution
 #: gives up (guards against pathological import cycles).
@@ -34,32 +35,13 @@ _MAX_REEXPORT_HOPS = 8
 
 
 @dataclass(slots=True)
-class ModuleInfo:
-    """One parsed module of the analyzed package."""
-
-    name: str                 # dotted, e.g. "repro.dbms.batch"
-    relpath: str              # repo-relative posix path (finding paths)
-    pkgpath: str              # package-relative posix path ("dbms/batch.py")
-    source: str
-    tree: ast.Module
-    imports: dict[str, str] = field(default_factory=dict)
-
-
-@dataclass(slots=True)
 class FunctionInfo:
     """One module-level function or class method."""
 
     qualname: str             # "repro.dbms.batch.BatchQueryEngine.run"
-    module: ModuleInfo
+    module: ModuleContext
     node: ast.FunctionDef | ast.AsyncFunctionDef
     class_name: str | None = None
-
-    @property
-    def short(self) -> str:
-        """The readable name used in finding messages."""
-        tail = self.qualname.split(".", 1)[1] if "." in self.qualname \
-            else self.qualname
-        return tail
 
     def param_names(self) -> list[str]:
         """Positional parameter names (posonly + regular, sans self)."""
@@ -73,7 +55,7 @@ class FunctionInfo:
 
 @dataclass(slots=True)
 class CallSite:
-    """One resolved intra-package call edge."""
+    """One resolved intra-program call edge."""
 
     caller: str               # qualname of the calling function
     callee: str               # qualname of the called function
@@ -137,23 +119,28 @@ def resolve_alias(dotted: str, imports: dict[str, str]) -> str:
     return dotted
 
 
+def matches(resolved: str, banned: str) -> bool:
+    """Whether an import-resolved dotted name is ``banned`` (or ends
+    with it: ``datetime.datetime.now`` is ``datetime.now``)."""
+    return resolved == banned or resolved.endswith("." + banned)
+
+
 class PackageGraph:
-    """The parsed package: modules, functions, and resolved call edges."""
+    """One program: modules, functions, and resolved call edges."""
 
     def __init__(self, package: str) -> None:
         self.package = package
-        self.modules: dict[str, ModuleInfo] = {}
+        self.modules: dict[str, ModuleContext] = {}
         self.functions: dict[str, FunctionInfo] = {}
         #: class qualname -> (defining module, class node)
-        self.classes: dict[str, tuple[ModuleInfo, ast.ClassDef]] = {}
+        self.classes: dict[str, tuple[ModuleContext, ast.ClassDef]] = {}
         #: class qualname -> method name -> function qualname
         self.methods: dict[str, dict[str, str]] = {}
-        self.calls: dict[str, list[CallSite]] = {}
         self.callers: dict[str, list[CallSite]] = {}
 
     # -- construction -------------------------------------------------
 
-    def add_module(self, info: ModuleInfo) -> None:
+    def add_module(self, info: ModuleContext) -> None:
         self.modules[info.name] = info
         for stmt in info.tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -177,30 +164,33 @@ class PackageGraph:
         """Resolve call edges for every function (call after modules)."""
         for qual in sorted(self.functions):
             info = self.functions[qual]
-            for call in _calls_in(info.node):
+            for call in ast.walk(info.node):
+                if not isinstance(call, ast.Call):
+                    continue
                 callee = self._resolve_call(info, call)
                 if callee is None:
                     continue
-                site = CallSite(
+                self.callers.setdefault(callee, []).append(CallSite(
                     caller=qual, callee=callee,
                     path=info.module.relpath,
                     line=call.lineno, col=call.col_offset + 1, node=call,
-                )
-                self.calls.setdefault(qual, []).append(site)
-                self.callers.setdefault(callee, []).append(site)
+                ))
 
     # -- resolution ---------------------------------------------------
 
-    def resolve_symbol(self, dotted: str) -> str | None:
+    def short(self, qualname: str) -> str:
+        """``qualname`` without the program's root package (messages)."""
+        prefix = self.package + "."
+        return qualname[len(prefix):] if qualname.startswith(prefix) \
+            else qualname
+
+    def resolve_symbol(self, dotted: str, hops: int = 0) -> str | None:
         """Resolve a canonical dotted name to a function qualname.
 
         Handles direct functions, class methods, and re-exports:
         ``repro.trace.get_recorder`` resolves through
         ``trace/__init__.py``'s own import of the symbol.
         """
-        return self._resolve_symbol(dotted, hops=0)
-
-    def _resolve_symbol(self, dotted: str, hops: int) -> str | None:
         if hops > _MAX_REEXPORT_HOPS:
             return None
         if dotted in self.functions:
@@ -212,17 +202,15 @@ class PackageGraph:
         # Re-export: the longest module prefix re-imports the remainder.
         parts = dotted.split(".")
         for cut in range(len(parts) - 1, 0, -1):
-            mod_name = ".".join(parts[:cut])
-            module = self.modules.get(mod_name)
+            module = self.modules.get(".".join(parts[:cut]))
             if module is None:
                 continue
             remainder = parts[cut:]
-            head = remainder[0]
-            if head in module.imports:
-                target = module.imports[head]
+            if remainder[0] in module.imports:
+                target = module.imports[remainder[0]]
                 rest = ".".join(remainder[1:])
                 full = f"{target}.{rest}" if rest else target
-                return self._resolve_symbol(full, hops + 1)
+                return self.resolve_symbol(full, hops + 1)
             return None
         return None
 
@@ -246,78 +234,13 @@ class PackageGraph:
         # Unimported bare name: a sibling defined in this module.
         return self.resolve_symbol(f"{module.name}.{dotted}")
 
-    # -- queries ------------------------------------------------------
 
-    def functions_in(self, pkgpath_prefixes: tuple[str, ...]
-                     ) -> Iterator[FunctionInfo]:
-        """Functions whose module's package path matches a pattern.
-
-        A pattern ending in ``/`` matches every module under that
-        directory; any other pattern matches one module path exactly.
-        """
-        for qual in sorted(self.functions):
-            info = self.functions[qual]
-            if matches_pkgpath(info.module.pkgpath, pkgpath_prefixes):
-                yield info
-
-
-def matches_pkgpath(pkgpath: str, patterns: tuple[str, ...]) -> bool:
-    """Whether a package-relative module path matches any pattern."""
-    for pattern in patterns:
-        if pattern.endswith("/"):
-            if pkgpath.startswith(pattern):
-                return True
-        elif pkgpath == pattern:
-            return True
-    return False
-
-
-def _calls_in(func: ast.FunctionDef | ast.AsyncFunctionDef
-              ) -> Iterator[ast.Call]:
-    """Every call inside ``func``, including nested defs and lambdas."""
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            yield node
-
-
-def load_package(root: str | Path, package: str = "repro",
-                 rel_prefix: str | None = None) -> PackageGraph:
-    """Parse the package tree under ``root`` into a :class:`PackageGraph`.
-
-    ``root`` is the directory that *is* the package (its ``__init__.py``
-    lives directly inside).  ``rel_prefix`` is prepended to
-    package-relative paths to form the repo-relative paths findings
-    carry; it defaults to ``root`` as given.
-    """
-    base = Path(root)
-    if not base.is_dir():
-        raise LintError(f"flow analysis root not found: {base}")
-    prefix = rel_prefix if rel_prefix is not None else base.as_posix()
+def build_graph(modules: list[ModuleContext]) -> PackageGraph:
+    """The call graph of one program's parsed modules."""
+    package = modules[0].name.split(".")[0] if modules else ""
     graph = PackageGraph(package)
-    for path in sorted(base.rglob("*.py")):
-        if "__pycache__" in path.parts:
-            continue
-        pkgpath = path.relative_to(base).as_posix()
-        dotted = pkgpath[:-3].replace("/", ".")
-        if dotted.endswith("__init__"):
-            dotted = dotted[:-len("__init__")].rstrip(".")
-        name = f"{package}.{dotted}" if dotted else package
-        source = path.read_text(encoding="utf-8")
-        try:
-            tree = ast.parse(source, filename=str(path))
-        except SyntaxError:
-            # The per-file pass reports RPR000; the flow pass just
-            # leaves the unparseable module out of the graph.
-            continue
-        info = ModuleInfo(
-            name=name,
-            relpath=f"{prefix}/{pkgpath}" if prefix else pkgpath,
-            pkgpath=pkgpath,
-            source=source,
-            tree=tree,
-            imports=module_import_map(name, tree),
-        )
-        graph.add_module(info)
+    for module in modules:
+        graph.add_module(module)
     graph.link()
     return graph
 
@@ -325,11 +248,10 @@ def load_package(root: str | Path, package: str = "repro",
 __all__ = [
     "CallSite",
     "FunctionInfo",
-    "ModuleInfo",
     "PackageGraph",
+    "build_graph",
     "dotted_name",
-    "load_package",
-    "matches_pkgpath",
+    "matches",
     "module_import_map",
     "resolve_alias",
 ]

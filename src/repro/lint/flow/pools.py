@@ -1,25 +1,21 @@
-"""Interprocedural picklability inference for pool tasks (``RPR604``).
+"""The pool rule's detector (``RPR201``): every task a process pool
+receives must pickle.
 
-The per-file rule ``RPR201`` catches a lambda or closure handed
-*directly* to ``pool.submit``/``pool.map``.  It cannot catch the same
-hazard one hop away: an ``exec/``/``shard/`` helper that forwards a
-``task_fn`` parameter into the pool, called from another module with a
-lambda — the crash only happens at fork time, on a parallel run, on a
-multi-core box.  This pass closes that hole:
+A lambda, a closure-local function or a bound method of a lock-holding
+object crashes only at submit time, on a parallel run, on a multi-core
+box.  For every ``submit``/``map`` call on a pool/executor receiver in
+any function of the program, each positional argument is classified:
 
-* every ``submit``/``map`` call on a pool/executor receiver inside
-  ``exec/`` or ``shard/`` is located,
-* the callable argument is resolved: module-level functions (local or
-  imported, re-exports followed) are fine; names bound to lambdas are
-  flagged; ``functools.partial`` is unwrapped,
-* a callable that is a *parameter* of the enclosing function is traced
-  to every resolved call site, and the argument expression each caller
-  actually passes is classified there — so the finding lands on the
-  caller's lambda, where the fix belongs,
+* lambdas and names bound to lambdas or nested ``def``s in the
+  enclosing function are flagged; ``functools.partial`` is unwrapped,
 * bound methods (``self.method`` / ``obj.method`` with a resolvable
   class) are flagged when the class visibly stores unpicklable state:
   an attribute assigned from ``threading.Lock()``, ``open()``,
-  ``socket.socket()`` and friends.
+  ``socket.socket()`` and friends,
+* an argument that is a *parameter* of the enclosing function is
+  traced to every resolved call site, and what each caller actually
+  passes is classified there — so the finding lands on the caller's
+  expression, where the fix belongs.
 
 Everything unresolvable is silently trusted — the pass never invents
 an edge, so it reports only hazards it can prove from the source.
@@ -37,12 +33,8 @@ from repro.lint.flow.graph import (
     dotted_name,
     resolve_alias,
 )
-from repro.lint.rules import get_rule
 
-CODE = "RPR604"
-
-#: Modules whose pool submissions are checked (package-relative).
-POOL_PKGPATHS: tuple[str, ...] = ("exec/", "shard/")
+CODE = "RPR201"
 
 #: Constructors whose results do not pickle; a class storing one on
 #: ``self`` makes its bound methods unsubmittable to a fork pool.
@@ -70,31 +62,24 @@ def _pool_task_calls(info: FunctionInfo) -> Iterator[ast.Call]:
     for node in ast.walk(info.node):
         if not (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("submit", "map")
-                and node.args):
+                and node.func.attr in ("submit", "map")):
             continue
         receiver = (dotted_name(node.func.value) or "").lower()
         if "pool" in receiver or "executor" in receiver:
             yield node
 
 
-def _nested_def_names(info: FunctionInfo) -> frozenset[str]:
+def _local_callables(info: FunctionInfo) -> frozenset[str]:
+    """Names bound to nested ``def``s or lambdas inside ``info``."""
     names = set()
     for node in ast.walk(info.node):
         if node is not info.node and isinstance(
                 node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             names.add(node.name)
-    return frozenset(names)
-
-
-def _lambda_bound_names(info: FunctionInfo) -> frozenset[str]:
-    names = set()
-    for node in ast.walk(info.node):
-        if isinstance(node, ast.Assign) and isinstance(node.value,
-                                                       ast.Lambda):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    names.add(target.id)
+        elif isinstance(node, ast.Assign) and isinstance(node.value,
+                                                         ast.Lambda):
+            names.update(target.id for target in node.targets
+                         if isinstance(target, ast.Name))
     return frozenset(names)
 
 
@@ -112,15 +97,12 @@ def _unpicklable_state(graph: PackageGraph,
         stores_self = any(
             isinstance(t, ast.Attribute) and isinstance(t.value, ast.Name)
             and t.value.id == "self" for t in sub.targets)
-        if not stores_self:
-            continue
         dotted = dotted_name(sub.value.func)
-        if dotted is None:
+        if not stores_self or dotted is None:
             continue
         resolved = resolve_alias(dotted, module.imports)
-        for banned in _UNPICKLABLE_CTORS:
-            if resolved == banned:
-                return banned
+        if resolved in _UNPICKLABLE_CTORS:
+            return resolved
     return None
 
 
@@ -159,104 +141,66 @@ def _unwrap_partial(expr: ast.expr,
     return expr
 
 
-def _finding(info: FunctionInfo, node: ast.AST, message: str) -> Finding:
-    rule = get_rule(CODE)
-    return Finding(
-        path=info.module.relpath,
-        line=getattr(node, "lineno", 1),
-        col=getattr(node, "col_offset", 0) + 1,
-        code=CODE,
-        severity=rule.severity,
-        message=message,
-    )
-
-
 def _classify_argument(graph: PackageGraph, caller: FunctionInfo,
-                       expr: ast.expr, pool_fn: str) -> Finding | None:
+                       expr: ast.expr, where: str) -> Finding | None:
     """A finding when ``expr`` (passed by ``caller``) cannot pickle."""
     expr = _unwrap_partial(expr, caller.module.imports)
-    where = (f"flows into {pool_fn}() on a process pool via a task "
-             f"parameter")
+    by = graph.short(caller.qualname)
+    message: str | None = None
     if isinstance(expr, ast.Lambda):
-        return _finding(
-            caller, expr,
-            f"lambda passed by {_short(graph, caller.qualname)}() "
-            f"{where}; lambdas do not pickle — use a module-level "
-            f"function")
-    if isinstance(expr, ast.Name):
-        if expr.id in _nested_def_names(caller) \
-                or expr.id in _lambda_bound_names(caller):
-            return _finding(
-                caller, expr,
-                f"closure-local callable {expr.id!r} passed by "
-                f"{_short(graph, caller.qualname)}() {where}; nested "
-                f"functions do not pickle — hoist it to module level")
-        return None
-    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-        class_qual = None
+        message = (f"lambda passed by {by}() {where}; lambdas do not "
+                   f"pickle — use a module-level function")
+    elif isinstance(expr, ast.Name) and expr.id in _local_callables(caller):
+        message = (f"closure-local callable {expr.id!r} passed by {by}() "
+                   f"{where}; nested functions do not pickle — hoist it "
+                   f"to module level")
+    elif isinstance(expr, ast.Attribute) and isinstance(expr.value,
+                                                        ast.Name):
         if expr.value.id == "self" and caller.class_name is not None:
             class_qual = f"{caller.module.name}.{caller.class_name}"
         else:
             class_qual = _local_instance_class(caller, graph, expr.value.id)
-        if class_qual is not None:
-            banned = _unpicklable_state(graph, class_qual)
-            if banned is not None:
-                return _finding(
-                    caller, expr,
-                    f"bound method {_short(graph, class_qual)}."
-                    f"{expr.attr} {where}; the instance holds "
-                    f"{banned}() state, which does not pickle")
-    return None
+        banned = None if class_qual is None \
+            else _unpicklable_state(graph, class_qual)
+        if class_qual is not None and banned is not None:
+            message = (f"bound method {graph.short(class_qual)}."
+                       f"{expr.attr} {where}; the instance holds "
+                       f"{banned}() state, which does not pickle")
+    return None if message is None \
+        else caller.module.finding(expr, CODE, message)
 
 
-def _short(graph: PackageGraph, qualname: str) -> str:
-    prefix = graph.package + "."
-    return qualname[len(prefix):] if qualname.startswith(prefix) \
-        else qualname
-
-
-def check_pool_picklability(graph: PackageGraph,
-                            pool_paths: tuple[str, ...] = POOL_PKGPATHS
-                            ) -> list[Finding]:
-    """RPR604: unpicklable callables reaching pool submission points."""
-    findings: list[Finding] = []
-    for info in graph.functions_in(pool_paths):
+def check_pool_picklability(graph: PackageGraph) -> list[Finding]:
+    """RPR201: unpicklable callables reaching pool submission points."""
+    findings: set[Finding] = set()
+    for qual in sorted(graph.functions):
+        info = graph.functions[qual]
         params = info.param_names()
         for call in _pool_task_calls(info):
-            task = _unwrap_partial(call.args[0], info.module.imports)
             pool_fn = call.func.attr \
                 if isinstance(call.func, ast.Attribute) else "submit"
-            if isinstance(task, ast.Name) and task.id in params:
+            for arg in call.args:
+                task = _unwrap_partial(arg, info.module.imports)
+                if not (isinstance(task, ast.Name) and task.id in params):
+                    found = _classify_argument(
+                        graph, info, task,
+                        f"to {pool_fn}() on a process pool")
+                    if found is not None:
+                        findings.add(found)
+                    continue
                 # The task comes from a caller: classify what each
                 # resolved caller actually passes, at the caller.
                 index = params.index(task.id)
-                for site in sorted(graph.callers.get(info.qualname, []),
-                                   key=lambda s: (s.path, s.line, s.col)):
-                    caller = graph.functions.get(site.caller)
-                    if caller is None:
-                        continue
-                    arg = _argument_at(site.node, index, task.id)
-                    if arg is None:
-                        continue
-                    finding = _classify_argument(graph, caller, arg,
-                                                 pool_fn)
-                    if finding is not None:
-                        findings.append(finding)
-            elif isinstance(task, (ast.Lambda,)):
-                # Direct lambda at the submit site: RPR201 (per-file)
-                # already reports it; the flow pass stays silent.
-                continue
-            else:
-                finding = _classify_argument(graph, info, task, pool_fn)
-                if finding is not None:
-                    findings.append(finding)
-    deduped: list[Finding] = []
-    seen: set[Finding] = set()
-    for finding in sorted(findings):
-        if finding not in seen:
-            seen.add(finding)
-            deduped.append(finding)
-    return deduped
+                for site in graph.callers.get(qual, []):
+                    caller = graph.functions[site.caller]
+                    passed = _argument_at(site.node, index, task.id)
+                    found = None if passed is None else _classify_argument(
+                        graph, caller, passed,
+                        f"flows into {pool_fn}() on a process pool via "
+                        f"a task parameter")
+                    if found is not None:
+                        findings.add(found)
+    return sorted(findings)
 
 
 def _argument_at(call: ast.Call, index: int,
@@ -272,7 +216,5 @@ def _argument_at(call: ast.Call, index: int,
 
 
 __all__ = [
-    "CODE",
-    "POOL_PKGPATHS",
     "check_pool_picklability",
 ]

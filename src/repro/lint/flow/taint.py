@@ -1,71 +1,52 @@
-"""Interprocedural taint analysis (rules ``RPR601``–``RPR603``).
+"""The determinism rules (``RPR101``–``RPR103``) at every call depth.
 
-Three taints matter to the paper's byte-identity promise:
+Three hazards break the byte-identity the sweep and the query answers
+promise, and :func:`hazards` is the one detector for all of them:
 
-* ``rng`` — shared-state ``random.*`` draws, unseeded
-  ``random.Random()``, and module-level ``numpy.random`` draws
-  (``default_rng(seed)`` and seeded generators stay legal),
-* ``clock`` — ``time.time()``/``datetime.now()``-family wall-clock and
-  entropy reads (``perf_counter``/``monotonic`` feed metrics, not
-  results, and stay legal),
-* ``unordered`` — functions whose return/yield values are built by
-  iterating a ``set``/``frozenset`` without ``sorted()``.
+* ``RPR101`` — shared-state ``random.*`` draws, unseeded
+  ``random.Random()``, module-level ``numpy.random`` draws and unseeded
+  ``numpy.random.default_rng()`` (seeded generators stay legal),
+* ``RPR102`` — wall-clock and entropy reads (``time.time()``,
+  ``datetime.now()``, ``os.urandom()``, ``uuid4()``, …);
+  ``perf_counter``/``monotonic`` feed metrics and windows, not
+  results, and stay legal,
+* ``RPR103`` — iterating a ``set``/``frozenset`` expression in a
+  ``for`` loop, a list/generator/dict comprehension or
+  ``list()``/``tuple()`` without ``sorted()``.  This is the one
+  definition of "unordered", whether or not the function returns what
+  the loop builds.
 
-A function *sources* a taint when its own body (including nested
-functions) exhibits it.  Taint then propagates backwards over the call
-graph: every function that can reach a source through resolved call
-edges is tainted.  A violation is a **sink** function — one defined in
-the digest/trace/ordered-output modules (``dbms/batch.py``,
-``dbms/refine.py``, ``trace/recorder.py``, ``reporting/``,
-``shard/sharded.py``) — whose
-taint arrives through at least one call hop.  Same-function uses are
-left to the per-file rules (``RPR101``–``RPR103``), which already
-police the deterministic paths; the flow rules exist for exactly the
-flows those cannot see.
-
+A rule's scope is the modules its registration names (the
+``deterministic`` tag, plus ``obs/`` for ``RPR102``).  At depth 0 the
+detector runs over each in-scope module, module-level code included,
+and reports the hazard where it is.  At depth ≥ 1 it runs over every
+function of the program; each hazard propagates backwards over the
+call graph, and every in-scope function it reaches through at least
+one call hop is reported at its first hop, with the chain spelled out.
 Chains are reconstructed deterministically (BFS, lexicographic
-tie-break) so findings — and therefore baselines — are stable across
-runs and ``--jobs`` values.
+tie-break).
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Collection, Iterator
 
 from repro.lint.findings import Finding
 from repro.lint.flow.graph import (
     CallSite,
-    FunctionInfo,
     PackageGraph,
     dotted_name,
+    matches,
     resolve_alias,
 )
 from repro.lint.rules import get_rule
 
-TAINT_RNG = "rng"
-TAINT_CLOCK = "clock"
-TAINT_UNORDERED = "unordered"
+RNG, CLOCK, UNORDERED = "RPR101", "RPR102", "RPR103"
 
-#: Taint kind -> the rule code that reports it at a sink.
-TAINT_CODES = {
-    TAINT_RNG: "RPR601",
-    TAINT_CLOCK: "RPR602",
-    TAINT_UNORDERED: "RPR603",
-}
-
-#: Module paths (package-relative) whose functions are taint sinks:
-#: they compute digests, record traces, or build ordered output.
-SINK_PKGPATHS: tuple[str, ...] = (
-    "dbms/batch.py",
-    "dbms/refine.py",
-    "trace/recorder.py",
-    "reporting/",
-    "shard/sharded.py",
-)
-
-#: Shared-state ``random`` module functions (mirrors the RPR101 set).
+#: Module-level ``random`` functions that draw from (or reseed) the
+#: shared global generator.
 _RANDOM_FNS = frozenset({
     "random", "randint", "randrange", "uniform", "choice", "choices",
     "shuffle", "sample", "gauss", "normalvariate", "expovariate",
@@ -81,7 +62,7 @@ _NUMPY_RANDOM_FNS = frozenset({
     "standard_normal", "seed", "bytes",
 })
 
-#: Wall-clock and entropy reads (mirrors the RPR102 set).
+#: Wall-clock and entropy reads.
 _WALL_CLOCK = (
     "time.time",
     "time.time_ns",
@@ -94,51 +75,18 @@ _WALL_CLOCK = (
     "uuid.uuid4",
 )
 
+#: Why each hazard matters; every finding's message ends with it.
+_WHY = {
+    RNG: ("results must be a pure function of the inputs — draw from "
+          "a seeded random.Random (or numpy Generator) instead"),
+    CLOCK: ("results and windows must not depend on when the run "
+            "happened — use perf_counter/monotonic for metrics, or "
+            "inject the sim clock"),
+    UNORDERED: ("set iteration order varies across runs — sorted() the "
+                "set before it shapes output"),
+}
 
-@dataclass(frozen=True, slots=True)
-class TaintSource:
-    """Where a taint enters the program."""
-
-    qualname: str             # the sourcing function
-    kind: str                 # TAINT_RNG / TAINT_CLOCK / TAINT_UNORDERED
-    detail: str               # e.g. "random.random()" — message text
-    line: int
-
-
-def _matches(resolved: str, banned: str) -> bool:
-    return resolved == banned or resolved.endswith("." + banned)
-
-
-def _source_calls(info: FunctionInfo) -> Iterator[tuple[str, str, int]]:
-    """(kind, detail, line) for every taint-sourcing call in a function."""
-    imports = info.module.imports
-    for node in ast.walk(info.node):
-        if not isinstance(node, ast.Call):
-            continue
-        dotted = dotted_name(node.func)
-        if dotted is None:
-            continue
-        resolved = resolve_alias(dotted, imports)
-        if resolved == "random.Random" and not node.args:
-            yield TAINT_RNG, "unseeded random.Random()", node.lineno
-            continue
-        head, _, tail = resolved.partition(".")
-        if head == "random" and tail in _RANDOM_FNS:
-            yield TAINT_RNG, f"random.{tail}()", node.lineno
-            continue
-        if resolved.startswith("numpy.random."):
-            fn = resolved.rsplit(".", 1)[-1]
-            if fn in _NUMPY_RANDOM_FNS:
-                yield TAINT_RNG, f"numpy.random.{fn}()", node.lineno
-                continue
-            if fn == "default_rng" and not node.args and not node.keywords:
-                yield (TAINT_RNG, "unseeded numpy.random.default_rng()",
-                       node.lineno)
-                continue
-        for banned in _WALL_CLOCK:
-            if _matches(resolved, banned):
-                yield TAINT_CLOCK, f"{banned}()", node.lineno
-                break
+_UNSORTED = "unsorted set iteration"
 
 
 def _is_set_expr(node: ast.AST) -> bool:
@@ -149,162 +97,122 @@ def _is_set_expr(node: ast.AST) -> bool:
     return False
 
 
-def _unordered_iteration(info: FunctionInfo) -> int | None:
-    """Line of an unsorted set iteration feeding this function's output.
-
-    Fires only when the function actually returns or yields a value —
-    a set iterated purely for membership side effects orders nothing.
-    """
-    produces = any(
-        (isinstance(n, ast.Return) and n.value is not None)
-        or isinstance(n, (ast.Yield, ast.YieldFrom))
-        for n in ast.walk(info.node)
-    )
-    if not produces:
+def _call_hazard(call: ast.Call,
+                 imports: dict[str, str]) -> tuple[str, str] | None:
+    """(code, detail) when ``call`` is a hazard."""
+    dotted = dotted_name(call.func)
+    if dotted is None:
         return None
-    for node in ast.walk(info.node):
-        if isinstance(node, ast.For) and _is_set_expr(node.iter):
-            return node.iter.lineno
-        if isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
-            for gen in node.generators:
-                if _is_set_expr(gen.iter):
-                    return gen.iter.lineno
-        if (isinstance(node, ast.Call)
-                and dotted_name(node.func) in ("list", "tuple")
-                and node.args and _is_set_expr(node.args[0])):
-            return node.lineno
+    if dotted in ("list", "tuple"):
+        if call.args and _is_set_expr(call.args[0]):
+            return UNORDERED, _UNSORTED
+        return None
+    resolved = resolve_alias(dotted, imports)
+    if resolved == "random.Random":
+        return None if call.args else (RNG, "unseeded random.Random()")
+    head, _, tail = resolved.partition(".")
+    if head == "random" and tail in _RANDOM_FNS:
+        return RNG, f"random.{tail}()"
+    if resolved.startswith("numpy.random."):
+        fn = resolved.rsplit(".", 1)[-1]
+        if fn in _NUMPY_RANDOM_FNS:
+            return RNG, f"numpy.random.{fn}()"
+        if fn == "default_rng" and not call.args and not call.keywords:
+            return RNG, "unseeded numpy.random.default_rng()"
+    for banned in _WALL_CLOCK:
+        if matches(resolved, banned):
+            return CLOCK, f"{banned}()"
     return None
 
 
-def find_taint_sources(graph: PackageGraph) -> dict[str, list[TaintSource]]:
-    """Taint sources per function qualname (deterministic order)."""
-    sources: dict[str, list[TaintSource]] = {}
-    for qual in sorted(graph.functions):
-        info = graph.functions[qual]
-        found: list[TaintSource] = []
-        seen_kinds: set[tuple[str, str]] = set()
-        for kind, detail, line in _source_calls(info):
-            if (kind, detail) in seen_kinds:
-                continue
-            seen_kinds.add((kind, detail))
-            found.append(TaintSource(qualname=qual, kind=kind,
-                                     detail=detail, line=line))
-        line = _unordered_iteration(info)
-        if line is not None:
-            found.append(TaintSource(
-                qualname=qual, kind=TAINT_UNORDERED,
-                detail="unsorted set iteration", line=line))
-        if found:
-            sources[qual] = found
-    return sources
+def hazards(node: ast.AST, imports: dict[str, str]
+            ) -> Iterator[tuple[str, ast.AST, str]]:
+    """(code, node, detail) for every determinism hazard under ``node``."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            found = _call_hazard(sub, imports)
+            if found is not None:
+                yield found[0], sub, found[1]
+        elif isinstance(sub, ast.For):
+            if _is_set_expr(sub.iter):
+                yield UNORDERED, sub.iter, _UNSORTED
+        elif isinstance(sub, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
+            for gen in sub.generators:
+                if _is_set_expr(gen.iter):
+                    yield UNORDERED, gen.iter, _UNSORTED
 
 
 @dataclass(slots=True)
 class _Reach:
-    """How a function reaches a taint source of one kind."""
+    """How a function reaches a hazard of one kind."""
 
-    source: TaintSource
+    detail: str
     hop: CallSite | None      # the outgoing call that leads source-ward
-    depth: int
 
 
 def _propagate(graph: PackageGraph,
-               sources: dict[str, list[TaintSource]],
-               kind: str) -> dict[str, _Reach]:
-    """Multi-source BFS over reverse call edges for one taint kind."""
-    reach: dict[str, _Reach] = {}
-    frontier: list[str] = []
-    for qual in sorted(sources):
-        for source in sources[qual]:
-            if source.kind == kind and qual not in reach:
-                reach[qual] = _Reach(source=source, hop=None, depth=0)
-                frontier.append(qual)
-    depth = 0
+               sources: dict[str, str]) -> dict[str, _Reach]:
+    """Multi-source BFS over reverse call edges for one hazard kind."""
+    reach = {qual: _Reach(detail, None) for qual, detail in sources.items()}
+    frontier = sorted(sources)
     while frontier:
-        depth += 1
         next_frontier: list[str] = []
         for callee in frontier:
             for site in sorted(graph.callers.get(callee, []),
                                key=lambda s: (s.caller, s.line, s.col)):
                 if site.caller in reach:
                     continue
-                reach[site.caller] = _Reach(
-                    source=reach[callee].source, hop=site, depth=depth)
+                reach[site.caller] = _Reach(reach[callee].detail, site)
                 next_frontier.append(site.caller)
         frontier = sorted(set(next_frontier))
     return reach
 
 
-def _chain(graph: PackageGraph, reach: dict[str, _Reach],
-           start: str) -> tuple[list[str], CallSite]:
-    """The function chain from ``start`` to the source, plus first hop."""
-    names = [start]
-    first_hop = reach[start].hop
-    assert first_hop is not None
-    current = start
-    while reach[current].hop is not None:
-        hop = reach[current].hop
-        assert hop is not None
-        current = hop.callee
-        names.append(current)
-    return names, first_hop
-
-
-def _shorten(graph: PackageGraph, qualname: str) -> str:
-    prefix = graph.package + "."
-    return qualname[len(prefix):] if qualname.startswith(prefix) \
-        else qualname
-
-
 def check_taint_flows(graph: PackageGraph,
-                      sinks: tuple[str, ...] = SINK_PKGPATHS
-                      ) -> list[Finding]:
-    """RPR601–603: taint reaching a sink function across call hops."""
-    sources = find_taint_sources(graph)
+                      codes: Collection[str]) -> list[Finding]:
+    """RPR101–103 findings among ``codes``, at every call depth."""
+    rules = [get_rule(code) for code in (RNG, CLOCK, UNORDERED)
+             if code in codes]
     findings: list[Finding] = []
-    sink_functions = list(graph.functions_in(sinks))
-    for kind in (TAINT_RNG, TAINT_CLOCK, TAINT_UNORDERED):
-        code = TAINT_CODES[kind]
-        rule = get_rule(code)
-        reach = _propagate(graph, sources, kind)
-        for info in sink_functions:
-            entry = reach.get(info.qualname)
-            if entry is None or entry.hop is None:
-                continue  # untainted, or sourced in-function (per-file rules)
-            names, first_hop = _chain(graph, reach, info.qualname)
-            source = entry.source
-            chain = " -> ".join(_shorten(graph, name) for name in names)
+    for name in sorted(graph.modules):
+        module = graph.modules[name]
+        active = {rule.code for rule in rules
+                  if rule.applies_to(module.tags)}
+        if not active:
+            continue
+        for code, node, detail in hazards(module.tree, module.imports):
+            if code in active:
+                findings.append(module.finding(
+                    node, code, f"{detail}; {_WHY[code]}"))
+    sources: dict[str, dict[str, str]] = {rule.code: {} for rule in rules}
+    for qual in sorted(graph.functions):
+        info = graph.functions[qual]
+        for code, _, detail in hazards(info.node, info.module.imports):
+            if code in sources:
+                sources[code].setdefault(qual, detail)
+    for rule in rules:
+        reach = _propagate(graph, sources[rule.code])
+        for qual in sorted(reach):
+            first_hop = reach[qual].hop
+            if first_hop is None or not rule.applies_to(
+                    graph.functions[qual].module.tags):
+                continue
+            names, current = [qual], qual
+            while (hop := reach[current].hop) is not None:
+                current = hop.callee
+                names.append(current)
+            chain = " -> ".join(graph.short(name) for name in names)
             findings.append(Finding(
-                path=first_hop.path,
-                line=first_hop.line,
-                col=first_hop.col,
-                code=code,
-                severity=rule.severity,
-                message=(f"{source.detail} reaches sink "
-                         f"{_shorten(graph, info.qualname)}() via "
-                         f"{chain}; {_KIND_WHY[kind]}"),
+                path=first_hop.path, line=first_hop.line,
+                col=first_hop.col, code=rule.code, severity=rule.severity,
+                message=(f"{reach[qual].detail} reaches sink "
+                         f"{graph.short(qual)}() via {chain}; "
+                         f"{_WHY[rule.code]}"),
             ))
-    findings.sort()
     return findings
 
 
-_KIND_WHY = {
-    TAINT_RNG: ("digests/traces must be a pure function of the inputs "
-                "— thread a seeded random.Random through instead"),
-    TAINT_CLOCK: ("digests/traces must not depend on when the run "
-                  "happened — inject the sim clock instead"),
-    TAINT_UNORDERED: ("set iteration order varies across runs — "
-                      "sorted() the set before it shapes output"),
-}
-
-
 __all__ = [
-    "SINK_PKGPATHS",
-    "TAINT_CLOCK",
-    "TAINT_CODES",
-    "TAINT_RNG",
-    "TAINT_UNORDERED",
-    "TaintSource",
     "check_taint_flows",
-    "find_taint_sources",
+    "hazards",
 ]

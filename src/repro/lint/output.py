@@ -26,8 +26,7 @@ def format_text(report: LintReport, out: TextIO) -> None:
                           for code in sorted(counts))
     status = "clean" if report.ok else f"{len(report.findings)} finding(s)"
     trailer = (f"lint: {status} in {report.files} file(s)"
-               f" ({report.suppressed} suppressed,"
-               f" {report.baselined} baselined)")
+               f" ({report.suppressed} suppressed)")
     if breakdown:
         trailer += f" [{breakdown}]"
     print(trailer, file=out)
@@ -42,7 +41,6 @@ def report_document(report: LintReport) -> dict[str, object]:
         "findings": [finding.to_dict() for finding in report.findings],
         "counts": report.counts,
         "suppressed": report.suppressed,
-        "baselined": report.baselined,
     }
 
 

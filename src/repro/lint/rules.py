@@ -4,13 +4,16 @@ Every rule is a :class:`Rule`: a stable code (``RPR1xx`` determinism,
 ``RPR2xx`` exec safety, ``RPR3xx`` numeric hygiene, ``RPR4xx`` API
 consistency, ``RPR5xx`` observability discipline, ``RPR9xx`` engine
 hygiene), a severity, a one-line description, a *scope* naming the
-path family it applies to, and an AST checker.  Checkers live in
+path family it applies to, and a per-module AST checker — or none,
+when the engine enforces the rule itself (the whole-program rules of
+:mod:`repro.lint.flow` and suppression hygiene).  Checkers live in
 :mod:`repro.lint.checks` and register themselves via :func:`register`.
 
 Scoping is tag-based.  :func:`classify_path` maps a repo-relative path
 to a set of tags (``deterministic``, ``exec``, ``vec``, ``shard``,
 ``obs``, ``library``, ``test``, ``script``) and each scope is a
-predicate over those tags.
+predicate over those tags; whole-program rules scope their sinks the
+same way.
 Paths under ``tests/lint/fixtures/`` have that prefix stripped before
 classification, so a fixture at ``tests/lint/fixtures/sim/bad.py`` is
 scoped exactly like a real ``sim/`` module — fixtures exercise rules
@@ -29,7 +32,7 @@ from repro.lint.findings import Finding, valid_severity
 
 
 class LintError(ReproError):
-    """A lint rule, configuration, or baseline is malformed."""
+    """A lint rule or configuration is malformed."""
 
 
 #: Fixture trees mimic production paths below this prefix; it is
@@ -47,8 +50,12 @@ def classify_path(relpath: str) -> frozenset[str]:
     tags = set()
     if "tests" in parts or stem.startswith("test_") or stem == "conftest":
         tags.add("test")
+    # Simulation, sweep and kernels, plus what digests, records or
+    # orders their output.
     if ("sim" in parts or "exec" in parts or "vec" in parts
-            or rel.endswith(("dbms/batch.py", "dbms/refine.py"))):
+            or "reporting" in parts
+            or rel.endswith(("dbms/batch.py", "dbms/refine.py",
+                             "trace/recorder.py", "shard/sharded.py"))):
         tags.add("deterministic")
     if "exec" in parts:
         tags.add("exec")
@@ -99,34 +106,39 @@ def _scope_shard(tags: frozenset[str]) -> bool:
     return "shard" in tags and "test" not in tags
 
 
-def _scope_obs(tags: frozenset[str]) -> bool:
-    return "obs" in tags and "test" not in tags
+def _scope_deterministic_or_obs(tags: frozenset[str]) -> bool:
+    # Live windows do interval math: a wall-clock step corrupts them.
+    return _scope_deterministic(tags) or ("obs" in tags
+                                          and "test" not in tags)
 
 
 #: Scope name -> predicate over path tags.
 SCOPES: dict[str, Callable[[frozenset[str]], bool]] = {
     "everywhere": _scope_everywhere,
     "deterministic": _scope_deterministic,
+    "deterministic-or-obs": _scope_deterministic_or_obs,
     "exec": _scope_exec,
     "library": _scope_library,
     "library-not-obs": _scope_library_not_obs,
     "dbms-index": _scope_dbms_index,
     "vec": _scope_vec,
     "shard": _scope_shard,
-    "obs": _scope_obs,
 }
 
 
 @dataclass(frozen=True, slots=True)
 class ModuleContext:
-    """One parsed module as seen by rule checkers."""
+    """One parsed module as seen by rule checkers and the call graph."""
 
     relpath: str
     tree: ast.Module
-    lines: tuple[str, ...]
     tags: frozenset[str] = field(default_factory=frozenset)
     #: Directory ``relpath`` is relative to.
     root: str = ""
+    #: Dotted module name (``repro.dbms.batch``; a lone file's stem).
+    name: str = ""
+    #: Local name -> canonical dotted origin of the module's imports.
+    imports: dict[str, str] = field(default_factory=dict)
 
     def module_tree(self, dotted: str) -> ast.Module | None:
         """The parsed source of module ``dotted``, looked up beside this

@@ -26,7 +26,7 @@ of the workload and therefore ``--jobs``/``--shards``-invariant (see
 EXPERIMENTS.md).  Passing ``clock=time.monotonic`` switches a
 telemetry instance to wall-clock seconds for long-running servers.
 Wall-clock interval math in this package must use ``time.monotonic()``
-or an injected clock, never ``time.time()`` (lint rule RPR504): a
+or an injected clock, never ``time.time()`` (lint rule RPR102): a
 wall-clock step (NTP, suspend) would silently corrupt every window.
 
 :meth:`LiveTelemetry.window_state` emits the whole thing as one plain

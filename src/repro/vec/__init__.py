@@ -11,27 +11,9 @@ NumPy while keeping the scalar code the source of truth:
   runs it takes is decided by their inputs
   (:func:`repro.sim.engine.supports_fast_path`), never by a switch.
 * :mod:`repro.vec.geom` batches the bbox min/max-distance pre-tests of
-  the query core, which picks them by candidate count; that choice
-  alone can be forced scalar, with ``REPRO_VECTORIZE=0`` or
-  ``BatchQueryEngine(vectorize=False)``
-  (:func:`vectorization_default`).
+  the query core, which takes them whenever a query has at least
+  ``repro.dbms.refine._MIN_VEC_CANDIDATES`` candidates — again by
+  input, never by a switch.
 """
 
-from __future__ import annotations
-
-import os
-
-
-def vectorization_default() -> bool:
-    """The process-wide default of the query core's ``vectorize=None``.
-
-    ``REPRO_VECTORIZE=0`` forces the query pre-tests onto the scalar
-    classifier; any other value (or no value) leaves the batched
-    pre-tests enabled.
-    """
-    return os.environ.get("REPRO_VECTORIZE", "1") != "0"
-
-
-__all__ = [
-    "vectorization_default",
-]
+__all__: list[str] = []

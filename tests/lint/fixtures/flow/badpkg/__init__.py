@@ -1,6 +1,6 @@
-"""Deliberately-bad mini-package for the flow analyzer (RPR601-605).
+"""Deliberately-bad mini-package for the whole-program rules.
 
-Every violation here is interprocedural: the hazard and the function it
-breaks live in different modules, which is exactly what the per-file
-rules cannot see.
+The hazards live in ``sim/engine.py`` (found there at depth 0); every
+other violation is interprocedural: the hazard and the function it
+breaks live in different modules (depth ≥ 1).
 """

@@ -4,10 +4,10 @@ from badpkg.sim.engine import jitter, stamp
 
 
 def digest_rows(rows):
-    # RPR601: rng taint arrives one hop away.
+    # RPR101: rng taint arrives one hop away.
     return [row + jitter() for row in rows]
 
 
 def batch_header():
-    # RPR602: wall clock arrives one hop away.
+    # RPR102: wall clock arrives one hop away.
     return {"at": stamp()}

@@ -1,7 +1,7 @@
 """Callers that hand unpicklable tasks into the pool helpers.
 
-RPR201 cannot see these: the lambda/closure is one call away from the
-``submit``/``map`` site, so only the flow pass catches them — and the
+The lambda/closure is one call away from the ``submit``/``map`` site:
+RPR201 traces the task parameter back to these callers, and the
 finding lands here, where the fix belongs.
 """
 
@@ -10,12 +10,12 @@ from badpkg.shard.fanout import ShardState, fan_out
 
 
 def launch(pool, chunks):
-    # RPR604: lambda flows into pool.submit via run_all's parameter.
+    # RPR201: lambda flows into pool.submit via run_all's parameter.
     return run_all(pool, lambda chunk: chunk * 2, chunks)
 
 
 def launch_local(pool, chunks):
-    # RPR604: nested function flows into pool.submit the same way.
+    # RPR201: nested function flows into pool.submit the same way.
     def _scale(chunk):
         return chunk * 3
 
@@ -23,6 +23,6 @@ def launch_local(pool, chunks):
 
 
 def launch_shards(executor, shards):
-    # RPR604: bound method of a lock-holding class flows into map.
+    # RPR201: bound method of a lock-holding class flows into map.
     state = ShardState()
     return fan_out(executor, state.merge, shards)

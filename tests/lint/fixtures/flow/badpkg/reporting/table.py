@@ -4,10 +4,10 @@ from badpkg.sim.engine import jitter, labels
 
 
 def render(values):
-    # RPR601: second rng-tainted sink.
+    # RPR101: second rng-tainted sink.
     return [value * jitter() for value in values]
 
 
 def column_names():
-    # RPR603: unordered set iteration feeds the rendered table.
+    # RPR103: unordered set iteration feeds the rendered table.
     return labels()

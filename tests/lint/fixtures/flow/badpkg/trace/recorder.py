@@ -4,10 +4,10 @@ from badpkg.sim.engine import labels, stamp
 
 
 def record(event):
-    # RPR602: second clock-tainted sink.
+    # RPR102: second clock-tainted sink.
     return {"event": event, "t": stamp()}
 
 
 def tag_set(doc):
-    # RPR603: second unordered-tainted sink.
+    # RPR103: second unordered-tainted sink.
     return labels()

@@ -1,3 +1,7 @@
-"""Flow-suppression fixture: the only finding here is noqa'd."""
+"""Suppression fixture: the only finding here is noqa'd."""
 
-SCHEMA = "repro-hidden/1"  # repro: noqa[RPR605] demo tag, deliberately undocumented
+import random
+
+
+def draw():
+    return random.random()

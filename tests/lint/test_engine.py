@@ -66,6 +66,25 @@ class TestCollectFiles:
         with pytest.raises(LintError, match="no such file"):
             collect_files([Path("does/not/exist.py")], Config())
 
+    def test_excludes_match_whole_components(self, tmp_path):
+        # "build" names a directory, not a substring: rebuild_grid.py
+        # is linted, build/ is skipped.
+        sim = tmp_path / "sim"
+        (sim / "build").mkdir(parents=True)
+        for path in (sim / "grid.py", sim / "rebuild_grid.py",
+                     sim / "build" / "grid.py"):
+            path.write_text("import random\nX = random.random()\n")
+        files = collect_files([sim], Config(root=tmp_path))
+        assert [p.name for p in files] == ["grid.py", "rebuild_grid.py"]
+        report = lint_paths([sim], Config(root=tmp_path))
+        assert [f.path for f in report.findings] == [
+            "sim/grid.py", "sim/rebuild_grid.py"]
+
+    def test_fixture_package_passed_explicitly_is_walked(self):
+        files = collect_files([FIXTURES / "flow" / "goodpkg"],
+                              Config(root=REPO_ROOT))
+        assert len(files) == 14
+
 
 class TestSuppression:
     def test_noqa_suppresses_matching_code(self):
@@ -175,26 +194,3 @@ class TestNoqaContinuationLines:
         report = lint_source(source, "sim/mod.py")
         assert report.findings == []
         assert report.suppressed == 2
-
-
-class TestParallelJobs:
-    def test_jobs_output_is_byte_identical(self, tmp_path):
-        import io as _io
-
-        from repro.lint import format_json
-
-        for index in range(6):
-            (tmp_path / f"m{index}.py").write_text(
-                "def f(x=[]):\n    return x\n")
-        serial = lint_paths([tmp_path], Config(root=tmp_path), jobs=1)
-        parallel = lint_paths([tmp_path], Config(root=tmp_path), jobs=4)
-        buf_serial, buf_parallel = _io.StringIO(), _io.StringIO()
-        format_json(serial, buf_serial)
-        format_json(parallel, buf_parallel)
-        assert buf_serial.getvalue() == buf_parallel.getvalue()
-        assert serial.files == 6
-
-    def test_jobs_one_file_stays_serial(self, tmp_path):
-        (tmp_path / "only.py").write_text("def f(x=[]):\n    return x\n")
-        report = lint_paths([tmp_path], Config(root=tmp_path), jobs=8)
-        assert [f.code for f in report.findings] == ["RPR302"]

@@ -1,6 +1,7 @@
-"""Flow-analysis rules (RPR601–605): bad mini-packages fire with exact
-counts, the clean counterpart stays silent, noqa suppresses, and the
-CLI merges flow findings into the per-file report.
+"""Whole-program rules (RPR101–103 at every depth, RPR201): the bad
+mini-package fires with exact counts, the clean counterpart stays
+silent, noqa suppresses, and the CLI lints a package directory as one
+program.
 """
 
 from __future__ import annotations
@@ -11,42 +12,39 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.lint import Config, LintReport, apply_baseline, load_baseline, write_baseline
-from repro.lint.flow import FLOW_CODES, analyze_package
+from repro.lint import Config, lint_paths
 from tests.lint.conftest import FIXTURES, REPO_ROOT
 
 FLOW = FIXTURES / "flow"
-DESIGN = FLOW / "DESIGN.md"
 
-#: code -> exact finding count in badpkg.  Exact so a pass that starts
-#: double- or under-reporting fails loudly, like the per-file table.
+#: code -> exact finding count in badpkg, depth 0 and depth ≥ 1
+#: together.  Exact so a pass that starts double- or under-reporting
+#: fails loudly, like the per-file table.
 FLOW_BAD_COUNTS = {
-    "RPR601": 2,
-    "RPR602": 2,
-    "RPR603": 2,
-    "RPR604": 3,
-    "RPR605": 2,
+    "RPR101": 4,
+    "RPR102": 3,
+    "RPR103": 3,
+    "RPR201": 3,
 }
+
+
+def lint_package(name, **config):
+    return lint_paths([FLOW / name], Config(root=REPO_ROOT, **config))
 
 
 @pytest.fixture(scope="module")
 def bad_report():
-    return analyze_package(FLOW / "badpkg", package="badpkg",
-                           design_path=DESIGN)
+    return lint_package("badpkg")
 
 
 @pytest.fixture(scope="module")
 def good_report():
-    return analyze_package(FLOW / "goodpkg", package="goodpkg",
-                           design_path=DESIGN)
+    return lint_package("goodpkg")
 
 
 @pytest.mark.parametrize("code,count", sorted(FLOW_BAD_COUNTS.items()))
 def test_bad_package_fires(bad_report, code, count):
-    counts = {c: 0 for c in FLOW_CODES}
-    for finding in bad_report.findings:
-        counts[finding.code] += 1
-    assert counts[code] == count, bad_report.findings
+    assert bad_report.counts.get(code, 0) == count, bad_report.findings
 
 
 def test_good_package_is_silent(good_report):
@@ -54,113 +52,85 @@ def test_good_package_is_silent(good_report):
     assert good_report.suppressed == 0
 
 
-def test_graph_statistics_are_populated(bad_report):
-    assert bad_report.modules >= 10
-    assert bad_report.functions >= 10
-    assert bad_report.call_edges >= 5
-
-
 class TestTaintMessages:
     def test_chain_is_spelled_out(self, bad_report):
-        rng = [f for f in bad_report.findings if f.code == "RPR601"]
+        rng = [f for f in bad_report.findings if f.code == "RPR101"]
         assert any(
             "random.random() reaches sink dbms.batch.digest_rows() via "
             "dbms.batch.digest_rows -> sim.engine.jitter" in f.message
             for f in rng), rng
 
+    def test_chain_into_the_query_core(self, bad_report):
+        # Two hops: refine() -> digest_rows() -> jitter().
+        (finding,) = [f for f in bad_report.findings
+                      if f.path.endswith("dbms/refine.py")]
+        assert finding.code == "RPR101"
+        assert ("via dbms.refine.refine -> dbms.batch.digest_rows -> "
+                "sim.engine.jitter") in finding.message
+
     def test_finding_lands_on_the_first_hop(self, bad_report):
-        # The violation is reported at the sink's call into the tainted
-        # helper, not at the source line in sim/engine.py.
+        # A chain is reported at the sink's call into the tainted
+        # helper, not at the source line in sim/engine.py (where the
+        # depth-0 finding is).
         for finding in bad_report.findings:
-            if finding.code in ("RPR601", "RPR602", "RPR603"):
+            if "reaches sink" in finding.message:
                 assert "sim/engine.py" not in finding.path
 
     def test_clock_taint_names_the_read(self, bad_report):
-        clock = [f for f in bad_report.findings if f.code == "RPR602"]
+        clock = [f for f in bad_report.findings if f.code == "RPR102"]
         assert all("time.time()" in f.message for f in clock)
 
 
 class TestPoolFindings:
     def test_all_land_on_the_caller(self, bad_report):
-        pool = [f for f in bad_report.findings if f.code == "RPR604"]
+        pool = [f for f in bad_report.findings if f.code == "RPR201"]
         assert pool and all(f.path.endswith("driver.py") for f in pool)
 
     def test_three_hazard_kinds(self, bad_report):
         messages = " ".join(
-            f.message for f in bad_report.findings if f.code == "RPR604")
+            f.message for f in bad_report.findings if f.code == "RPR201")
         assert "lambda passed by" in messages
         assert "closure-local callable '_scale'" in messages
         assert "bound method shard.fanout.ShardState.merge" in messages
         assert "threading.Lock() state" in messages
 
 
-class TestSchemaFindings:
-    def test_version_skew_and_undocumented(self, bad_report):
-        messages = [f.message for f in bad_report.findings
-                    if f.code == "RPR605"]
-        assert any("producers emit repro-flowdemo/2 but consumers only "
-                   "accept version(s) 1" in m for m in messages)
-        assert any("repro-undoc/1 is not documented" in m
-                   for m in messages)
-
-    def test_documentation_contract_skipped_without_design(self):
-        report = analyze_package(FLOW / "badpkg", package="badpkg",
-                                 design_path=None)
-        messages = [f.message for f in report.findings
-                    if f.code == "RPR605"]
-        assert not any("not documented" in m for m in messages)
-        assert any("producers emit" in m for m in messages)
-
-
 def test_select_narrows_flow_rules():
-    report = analyze_package(FLOW / "badpkg", package="badpkg",
-                             design_path=DESIGN, select={"RPR604"})
-    assert {f.code for f in report.findings} == {"RPR604"}
+    report = lint_package("badpkg", select=frozenset({"RPR201"}))
+    assert {f.code for f in report.findings} == {"RPR201"}
 
 
 def test_noqa_suppresses_flow_finding():
-    report = analyze_package(FLOW / "noqapkg", package="noqapkg",
-                             design_path=DESIGN)
+    report = lint_package("noqapkg")
     assert report.findings == []
     assert report.suppressed == 1
 
 
-def test_flow_findings_baseline_by_line_free_key(bad_report, tmp_path):
-    # Baseline keys are path::code::message, so a flow finding whose
-    # chain merely moves to another line stays grandfathered.
-    report = LintReport(findings=list(bad_report.findings),
-                        files=bad_report.modules,
-                        suppressed=bad_report.suppressed)
-    baseline_path = tmp_path / "baseline.json"
-    write_baseline(report, baseline_path)
-    shifted = LintReport(
-        findings=[type(f)(path=f.path, line=f.line + 7, col=f.col,
-                          code=f.code, severity=f.severity,
-                          message=f.message)
-                  for f in report.findings],
-        files=report.files, suppressed=report.suppressed)
-    gated = apply_baseline(shifted, load_baseline(baseline_path))
-    assert gated.ok
-    assert gated.baselined == len(report.findings)
-
-
 class TestCli:
-    def test_flow_flag_merges_findings_and_fails(self):
-        out = io.StringIO()
-        code = main([
-            "lint", str(FLOW / "goodpkg" / "driver.py"),
-            "--flow", "--flow-package", str(FLOW / "badpkg"),
-            "--flow-design", str(DESIGN), "--format", "json",
-        ], out=out)
-        assert code != 0
-        document = json.loads(out.getvalue())
-        fired = {f["code"] for f in document["findings"]}
-        assert FLOW_CODES <= fired
-
     def test_flow_on_real_tree_is_clean(self):
-        # The acceptance gate: zero unbaselined flow findings on the
-        # repo's own sources, with the real DESIGN.md registry.
-        report = analyze_package(
-            REPO_ROOT / "src" / "repro",
-            design_path=REPO_ROOT / "DESIGN.md")
-        assert report.findings == [], report.findings
+        # The any-depth rules, through the CLI, on the repo's own
+        # package as one program: no chain from a sink reaches an RNG,
+        # a clock or unordered iteration, and no pool task is unsafe.
+        out = io.StringIO()
+        code = main(["lint", str(REPO_ROOT / "src" / "repro"),
+                     "--select", ",".join(FLOW_BAD_COUNTS),
+                     "--format", "json"], out=out)
+        document = json.loads(out.getvalue())
+        assert document["findings"] == []
+        assert code == 0
+
+
+def test_package_directory_is_one_program():
+    out = io.StringIO()
+    code = main(["lint", str(FLOW / "badpkg"), "--format", "json"], out=out)
+    assert code != 0
+    document = json.loads(out.getvalue())
+    assert document["counts"] == FLOW_BAD_COUNTS
+
+
+@pytest.mark.parametrize("flag", ["--flow", "--jobs=2", "--baseline"])
+def test_removed_flags_are_argparse_errors(flag, capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["lint", flag], out=io.StringIO())
+    assert exited.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -17,7 +17,7 @@ from repro.lint import (
 
 _FINDING_KEYS = {"path", "line", "col", "code", "severity", "message"}
 _DOCUMENT_KEYS = {"schema", "files", "ok", "findings", "counts",
-                  "suppressed", "baselined"}
+                  "suppressed"}
 
 
 def _report(tmp_path):

@@ -1,38 +1,23 @@
 """The acceptance gate, enforced from the test suite itself:
-``repro lint src/ tests/ --baseline`` must be clean on this repo.
+``repro lint src tests`` must be clean on this repo.
 
-Anything new the rules catch must be fixed, suppressed inline with a
-reason, or (for pre-existing debt only) added to ``lint-baseline.json``
-via ``repro lint --update-baseline``.
+One run covers every rule — per-file rules and the whole-program rules
+over ``src/repro`` and ``tests`` alike.  Anything new the rules catch
+must be fixed or suppressed inline with a reason.
 """
 
 from __future__ import annotations
 
-from repro.lint import (
-    DEFAULT_BASELINE_NAME,
-    Config,
-    apply_baseline,
-    lint_paths,
-    load_baseline,
-)
+from repro.lint import Config, lint_paths
 from tests.lint.conftest import REPO_ROOT
 
 
 def test_repo_is_lint_clean_under_baseline():
+    # The baseline is the empty one: there is no baseline file, so no
+    # finding is excused and the run itself must be clean.
     report = lint_paths(
         [REPO_ROOT / "src", REPO_ROOT / "tests"],
         Config(root=REPO_ROOT),
     )
-    entries = load_baseline(REPO_ROOT / DEFAULT_BASELINE_NAME)
-    gated = apply_baseline(report, entries)
-    details = "\n".join(f.format_text() for f in gated.findings)
-    assert gated.ok, f"new lint findings:\n{details}"
-
-
-def test_baseline_has_no_stale_entries_for_error_severity():
-    # The baseline may only carry RPR402 (missing __all__) debt; any
-    # error-severity finding must be fixed or suppressed, never
-    # baselined (ISSUE 5 satellite rule).
-    entries = load_baseline(REPO_ROOT / DEFAULT_BASELINE_NAME)
-    offending = [key for key in entries if "::RPR402::" not in key]
-    assert not offending, offending
+    details = "\n".join(f.format_text() for f in report.findings)
+    assert report.ok, f"lint findings:\n{details}"

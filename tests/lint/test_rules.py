@@ -15,6 +15,7 @@ from tests.lint.conftest import FIXTURES
 #: that starts double- or under-reporting fails loudly.
 BAD_FIXTURES = [
     ("sim/bad_rng.py", "RPR101", 2),
+    ("sim/bad_module_seed.py", "RPR101", 1),
     ("sim/bad_clock.py", "RPR102", 3),
     ("sim/bad_set_iter.py", "RPR103", 3),
     ("shard/bad_merge_iter.py", "RPR104", 3),
@@ -29,7 +30,7 @@ BAD_FIXTURES = [
     ("src/repro/sim/bad_span.py", "RPR501", 1),
     ("src/repro/dbms/bad_registry.py", "RPR502", 1),
     ("src/repro/dbms/bad_jsonl_write.py", "RPR503", 2),
-    ("obs/bad_wall_clock.py", "RPR504", 3),
+    ("obs/bad_wall_clock.py", "RPR102", 3),
     ("anywhere/bad_noqa.py", "RPR901", 1),
     ("anywhere/bad_noqa.py", "RPR902", 1),
     ("anywhere/bad_syntax.py", "RPR000", 1),
@@ -51,7 +52,7 @@ GOOD_FIXTURES = [
     ("src/repro/sim/good_span.py", "RPR501"),
     ("src/repro/obs/good_registry.py", "RPR502"),
     ("src/repro/dbms/good_recorder.py", "RPR503"),
-    ("obs/good_clock.py", "RPR504"),
+    ("obs/good_clock.py", "RPR102"),
     ("anywhere/good_noqa.py", "RPR901"),
     ("anywhere/good_noqa.py", "RPR902"),
 ]
@@ -94,8 +95,8 @@ def test_every_registered_rule_has_a_fixture():
     from repro.lint import all_rules
     from tests.lint.test_flow_rules import FLOW_BAD_COUNTS
 
-    # Per-file rules have file fixtures; flow rules have the bad
-    # mini-packages under fixtures/flow/ (exercised by test_flow_rules).
+    # Rules have file fixtures; the whole-program rules also have the
+    # bad mini-package under fixtures/flow/ (test_flow_rules).
     covered = {code for _, code, _ in BAD_FIXTURES} | set(FLOW_BAD_COUNTS)
     assert covered == {rule.code for rule in all_rules()}
 

@@ -81,7 +81,7 @@ class TestServe:
             main([
                 "monitor", "serve", "--size", "4", "--duration", "6",
                 "--queries", "3", "--slo", slo_path,
-                "--port-file", str(port_file), "--hold", "8",
+                "--port-file", str(port_file), "--hold", "2",
             ], out=out)
 
         # The thread is joined before returning so its use_live /

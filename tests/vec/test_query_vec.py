@@ -1,9 +1,11 @@
 """Vectorized batch-query path: same answers, same cache accounting.
 
-``BatchQueryEngine(vectorize=True)`` must return exactly the answers
-of the scalar batch engine (which are themselves byte-identical to the
-sequential database calls) and count exactly the same cache hits and
-misses, across policies, filters, repeat runs, and position updates.
+With the query core's candidate floor at 1 (the bulk pre-tests run on
+every query) the batch engine must return exactly the answers of the
+floor at infinity (the scalar pre-tests only), which are themselves
+byte-identical to the sequential database calls, and count exactly the
+same cache hits and misses, across policies, filters, repeat runs, and
+position updates.
 """
 
 import pytest
@@ -22,14 +24,20 @@ def counters(engine):
     return engine.cache_hits, engine.cache_misses
 
 
+#: Candidate floors that force the bulk pre-tests on (even for tiny
+#: candidate sets) and off.
+VECTOR, SCALAR = 1, float("inf")
+
+
 @pytest.fixture
-def low_floor(monkeypatch):
-    """Force the bulk kernels on even for tiny candidate sets."""
-    monkeypatch.setattr(refine_module, "_MIN_VEC_CANDIDATES", 1)
+def floor(monkeypatch):
+    """Set the query core's candidate floor for the runs that follow."""
+    return lambda value: monkeypatch.setattr(
+        refine_module, "_MIN_VEC_CANDIDATES", value)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_vectorized_answers_match_scalar_and_sequential(seed, low_floor):
+def test_vectorized_answers_match_scalar_and_sequential(seed, floor):
     database, network, object_ids = build_database(
         TimeSpaceIndex(slab_minutes=5.0), seed=seed
     )
@@ -39,25 +47,27 @@ def test_vectorized_answers_match_scalar_and_sequential(seed, low_floor):
     scalar_db, _, _ = build_database(
         TimeSpaceIndex(slab_minutes=5.0), seed=seed
     )
-    scalar = BatchQueryEngine(scalar_db, vectorize=False)
+    scalar = BatchQueryEngine(scalar_db)
     vec_db, _, _ = build_database(
         TimeSpaceIndex(slab_minutes=5.0), seed=seed
     )
-    vec = BatchQueryEngine(vec_db, vectorize=True)
-    assert vec.vectorize
+    vec = BatchQueryEngine(vec_db)
 
+    floor(SCALAR)
     assert scalar.run(list(queries)) == expected
+    floor(VECTOR)
     assert vec.run(list(queries)) == expected
     assert counters(vec) == counters(scalar)
 
 
-def test_cache_reuse_and_invalidation_match_scalar(low_floor):
+def test_cache_reuse_and_invalidation_match_scalar(floor):
     engines = []
-    for vectorize in (False, True):
+    for candidates in (SCALAR, VECTOR):
+        floor(candidates)
         database, network, object_ids = build_database(
             TimeSpaceIndex(slab_minutes=5.0)
         )
-        engine = BatchQueryEngine(database, vectorize=vectorize)
+        engine = BatchQueryEngine(database)
         queries = build_workload(network, object_ids)
         first = engine.run(list(queries))
         # Re-running hits the generation-keyed cache ...
@@ -75,12 +85,3 @@ def test_cache_reuse_and_invalidation_match_scalar(low_floor):
         third = engine.run(list(queries))
         engines.append((first, second, third, counters(engine)))
     assert engines[0] == engines[1]
-
-
-def test_vectorize_flag_defaults_to_environment(monkeypatch):
-    database, _, _ = build_database(None)
-    monkeypatch.setenv("REPRO_VECTORIZE", "0")
-    assert BatchQueryEngine(database).vectorize is False
-    monkeypatch.delenv("REPRO_VECTORIZE")
-    assert BatchQueryEngine(database).vectorize is True
-    assert BatchQueryEngine(database, vectorize=False).vectorize is False

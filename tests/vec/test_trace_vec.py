@@ -26,13 +26,13 @@ from repro.trace.replay import MODES, TraceReplayer
 from tests.dbms.test_batch import build_database, build_workload
 
 
-def record_batch_session(vectorize):
+def record_batch_session():
     with use_recorder(TraceRecorder(meta={"suite": "vec-trace"})) as rec:
         database, network, object_ids = build_database(
             TimeSpaceIndex(slab_minutes=5.0)
         )
         queries = build_workload(network, object_ids, count=30)
-        BatchQueryEngine(database, vectorize=vectorize).run(queries)
+        BatchQueryEngine(database).run(queries)
         record_index_digest(database)
     return rec
 
@@ -44,20 +44,26 @@ def dump_events(recorder):
 
 
 @pytest.fixture
-def low_floor(monkeypatch):
-    monkeypatch.setattr(refine_module, "_MIN_VEC_CANDIDATES", 1)
+def floor(monkeypatch):
+    """Set the query core's candidate floor: 1 forces the bulk
+    pre-tests on, infinity off."""
+    return lambda value: monkeypatch.setattr(
+        refine_module, "_MIN_VEC_CANDIDATES", value)
 
 
-def test_vectorized_recording_matches_scalar_stream(low_floor):
-    scalar = dump_events(record_batch_session(False))
-    vec = dump_events(record_batch_session(True))
+def test_vectorized_recording_matches_scalar_stream(floor):
+    floor(float("inf"))
+    scalar = dump_events(record_batch_session())
+    floor(1)
+    vec = dump_events(record_batch_session())
     assert [(e.kind, e.data) for e in vec] \
         == [(e.kind, e.data) for e in scalar]
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_vectorized_recording_replays_in_every_mode(mode, low_floor):
-    events = dump_events(record_batch_session(True))
+def test_vectorized_recording_replays_in_every_mode(mode, floor):
+    floor(1)
+    events = dump_events(record_batch_session())
     report = TraceReplayer(mode=mode).replay(events)
     assert report.ok, report.mismatches[:3]
     assert report.queries_checked >= 30
