@@ -35,6 +35,11 @@ Nine commands cover the library's day-one workflows:
 records the run's spans and prints a flame summary (per-span-name
 self/total time) whose self-time column partitions the root span's
 wall clock.
+
+A flag several commands take is declared once (``_SHARED``); a command
+names the ones it takes and states only what differs.  Any
+:class:`~repro.errors.ReproError`, a malformed trace or snapshot field
+included, prints ``error: ...`` and exits 1.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ import sys
 import time
 from contextlib import ExitStack, contextmanager
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Iterator, TextIO
+from typing import TYPE_CHECKING, Any, Iterator, TextIO
 
 from repro.core.policies import make_policy, policy_names
 from repro.errors import ReproError
@@ -97,12 +102,13 @@ def _observing(args: argparse.Namespace, out: TextIO, *, root: str,
     a tracer for ``--spans-out`` / ``--profile`` (the latter under a
     ``root`` span, so the flame summary's self times partition its
     wall clock), a flight recorder (with ``meta``) for ``--trace-out``,
-    live windows (``LiveTelemetry(**windows)``) for ``--live-port`` /
-    ``--port`` / ``--slo`` — plus those named in ``sinks``, installs
-    them together, serves the live endpoint for the block, and on exit
-    writes what was asked for, each with its line on ``out``.  Yields
-    the sinks (``None`` where not installed), the SLO ``spec`` and the
-    bound ``port``.  A command with none of these flags gets a no-op.
+    live windows (``LiveTelemetry(**windows)``) for ``--live-port``
+    (``monitor serve``'s ``--port``) / ``--slo`` — plus those named in
+    ``sinks``, installs them together, serves the live endpoint for the
+    block, and on exit writes what was asked for, each with its line on
+    ``out``.  Yields the sinks (``None`` where not installed), the SLO
+    ``spec`` and the bound ``port``.  A command with none of these flags
+    gets a no-op.
     """
     from repro.obs import Tracer, observe
 
@@ -110,7 +116,7 @@ def _observing(args: argparse.Namespace, out: TextIO, *, root: str,
         return getattr(args, name, None)
 
     profile = bool(flag("profile"))
-    port = flag("live_port") if hasattr(args, "live_port") else flag("port")
+    port = flag("live_port")
     slo = flag("slo")
     serving = port is not None
     wanted = {
@@ -273,34 +279,58 @@ def _shard_factory(shards: int | None, shard_plan: str | None):
     return factory
 
 
+#: Scenario name -> (its builder in :mod:`repro.workloads`, the builder's
+#: fleet-size parameter).  ``--name``'s choices.
+_SCENARIOS = {
+    "taxi": ("taxi_fleet_scenario", "num_taxis"),
+    "trucking": ("trucking_scenario", "num_trucks"),
+    "battlefield": ("battlefield_scenario", "num_units"),
+}
+
+
 def _build_scenario(name: str, size: int, duration: float, seed: int,
                     shards: int | None = None,
                     shard_plan: str | None = None):
-    from repro.workloads import (
-        battlefield_scenario,
-        taxi_fleet_scenario,
-        trucking_scenario,
-    )
+    import repro.workloads
 
-    builders = {
-        "taxi": taxi_fleet_scenario,
-        "trucking": trucking_scenario,
-        "battlefield": battlefield_scenario,
-    }
     try:
-        builder = builders[name]
+        builder, size_param = _SCENARIOS[name]
     except KeyError:
         raise ReproError(
-            f"unknown scenario {name!r}; known: {sorted(builders)}"
+            f"unknown scenario {name!r}; known: {sorted(_SCENARIOS)}"
         ) from None
-    size_param = {
-        "taxi": "num_taxis", "trucking": "num_trucks",
-        "battlefield": "num_units",
-    }[name]
     kwargs = {"duration": duration, "seed": seed, size_param: size}
     if shards is not None or shard_plan is not None:
         kwargs["database_factory"] = _shard_factory(shards, shard_plan)
-    return builder(**kwargs)
+    return getattr(repro.workloads, builder)(**kwargs)
+
+
+def _run_querying(scenario, polygons: list, duration: float, ask,
+                  telemetry=None, after=None) -> tuple[dict, int]:
+    """Run the fleet, asking ``ask(polygon, t)`` about the polygons one
+    at a time, spread evenly over the run's ticks, so the latency
+    histograms sample a live, changing database.
+
+    On every tick the live windows (``telemetry``) advance first and
+    ``after(t)`` runs last.  Returns the fleet's message counts and how
+    many queries were asked.
+    """
+    num_ticks = max(int(duration / scenario.fleet.dt + 1e-9), 1)
+    stride = max(num_ticks // len(polygons), 1)
+    progress = {"tick": 0, "query": 0}
+
+    def on_tick(t: float) -> None:
+        if telemetry is not None:
+            telemetry.advance(t)
+        progress["tick"] += 1
+        if (progress["tick"] % stride == 0
+                and progress["query"] < len(polygons)):
+            ask(polygons[progress["query"]], t)
+            progress["query"] += 1
+        if after is not None:
+            after(t)
+
+    return scenario.fleet.run(on_tick=on_tick), progress["query"]
 
 
 def _cmd_scenario(args: argparse.Namespace, out: TextIO) -> int:
@@ -362,25 +392,9 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
             engine.run([RangeQuery(polygon, t_end) for polygon in polygons])
             queries_issued = len(polygons)
         else:
-            # Spread the query workload evenly over the run's ticks so
-            # the latency histograms sample a live, changing database.
-            num_ticks = max(int(args.duration / scenario.fleet.dt + 1e-9), 1)
-            stride = max(num_ticks // args.queries, 1)
-            progress = {"tick": 0, "query": 0}
-
-            def on_tick(t: float) -> None:
-                if telemetry is not None:
-                    telemetry.advance(t)
-                progress["tick"] += 1
-                if (progress["tick"] % stride == 0
-                        and progress["query"] < len(polygons)):
-                    scenario.database.range_query(
-                        polygons[progress["query"]], t
-                    )
-                    progress["query"] += 1
-
-            counts = scenario.fleet.run(on_tick=on_tick)
-            queries_issued = progress["query"]
+            counts, queries_issued = _run_querying(
+                scenario, polygons, args.duration,
+                scenario.database.range_query, telemetry)
 
         if args.jobs > 1:
             # Exercise the parallel executor so the emitted snapshot
@@ -464,27 +478,21 @@ def _cmd_monitor_serve(args: argparse.Namespace, out: TextIO) -> int:
             scenario.network, random.Random(args.seed + 1),
             count=args.queries,
         )
-        num_ticks = max(int(args.duration / scenario.fleet.dt + 1e-9), 1)
-        stride = max(num_ticks // max(args.queries, 1), 1)
-        progress = {"tick": 0, "query": 0}
 
-        def on_tick(t: float) -> None:
-            telemetry.advance(t)
-            progress["tick"] += 1
-            if (progress["tick"] % stride == 0
-                    and progress["query"] < len(polygons)):
-                # A fresh one-query batch per sampled tick: the
-                # engine's run() feeds dbms_batch_seconds /
-                # dbms_batch_queries into the live windows.
-                engine = BatchQueryEngine(scenario.database)
-                engine.run([RangeQuery(polygons[progress["query"]], t)])
-                progress["query"] += 1
+        def ask(polygon, t: float) -> None:
+            # A fresh one-query batch per sampled tick: the engine's
+            # run() feeds dbms_batch_seconds / dbms_batch_queries into
+            # the live windows.
+            BatchQueryEngine(scenario.database).run([RangeQuery(polygon, t)])
+
+        def after(t: float) -> None:
             if spike is not None and t >= spike[0]:
                 telemetry.observe("dbms_batch_seconds", spike[1])
             if collector is not None:
                 collector.sample(now=t)
 
-        counts = scenario.fleet.run(on_tick=on_tick)
+        counts, queries_issued = _run_querying(
+            scenario, polygons, args.duration, ask, telemetry, after)
         telemetry.advance(args.duration)
         if collector is not None:
             collector.sample(force=True)
@@ -492,7 +500,7 @@ def _cmd_monitor_serve(args: argparse.Namespace, out: TextIO) -> int:
         total = sum(counts.values())
         print(f"# run complete: {scenario.name}, "
               f"{len(scenario.database)} objects, {total} update "
-              f"messages, {progress['query']} batched queries",
+              f"messages, {queries_issued} batched queries",
               file=out, flush=True)
         if collector is not None:
             print(f"# collector: {collector.rows} snapshots -> "
@@ -533,8 +541,12 @@ def _cmd_monitor_check(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_monitor_tail(args: argparse.Namespace, out: TextIO) -> int:
     """Print a collector file as a per-snapshot table."""
-    from repro.obs.exporters import quantile_from_buckets
-    from repro.obs.live import evaluate, load_slo, read_collector
+    from repro.obs.live import (
+        evaluate,
+        load_slo,
+        read_collector,
+        window_quantile,
+    )
 
     spec = load_slo(args.slo) if args.slo is not None else None
     header, rows = read_collector(args.collector)
@@ -548,20 +560,10 @@ def _cmd_monitor_tail(args: argparse.Namespace, out: TextIO) -> int:
         updates = series.get("update_messages", {})
         fast_updates = updates.get("windows", {}).get(
             "fast", {}).get("total", 0.0)
-        p95 = 0.0
         batch = series.get("dbms_batch_seconds")
-        if batch is not None:
-            block = batch["windows"]["fast"]
-            cumulative = []
-            running = 0
-            for bound, count in zip(batch["bounds"],
-                                    block["bucket_counts"]):
-                running += count
-                cumulative.append({"le": bound, "count": running})
-            cumulative.append(
-                {"le": float("inf"), "count": block["count"]}
-            )
-            p95 = quantile_from_buckets(cumulative, 0.95)
+        p95 = (0.0 if batch is None else
+               window_quantile(batch["bounds"], batch["windows"]["fast"],
+                               0.95))
         status = "-"
         if spec is not None:
             status = evaluate(spec, state)["status"]
@@ -709,25 +711,6 @@ def _cmd_lint(args: argparse.Namespace, out: TextIO) -> int:
     return 0 if report.ok else 1
 
 
-def _issue_sequential(database, queries) -> None:
-    """Answer a mixed batch workload one call at a time."""
-    from repro.dbms.batch import PositionQuery, RangeQuery
-
-    for query in queries:
-        if isinstance(query, PositionQuery):
-            database.position_of(query.object_id, query.time)
-        elif isinstance(query, RangeQuery):
-            database.range_query(
-                query.polygon, query.time,
-                where=query.where, class_name=query.class_name,
-            )
-        else:
-            database.within_distance(
-                query.center, query.radius, query.time,
-                where=query.where, class_name=query.class_name,
-            )
-
-
 def _cmd_trace_record(args: argparse.Namespace, out: TextIO) -> int:
     """Record a fleet scenario plus query workload as a JSONL trace."""
     from repro.dbms.batch import BatchQueryEngine
@@ -756,7 +739,8 @@ def _cmd_trace_record(args: argparse.Namespace, out: TextIO) -> int:
         if args.batch:
             BatchQueryEngine(database).run(queries)
         else:
-            _issue_sequential(database, queries)
+            for query in queries:
+                database.ask(query)
         # Cover the db-only query kinds too, then checkpoint the index.
         extent = scenario.network.bounding_extent()
         center = Point((extent[0] + extent[2]) / 2.0,
@@ -805,6 +789,7 @@ def _cmd_trace_summary(args: argparse.Namespace, out: TextIO) -> int:
 def _cmd_query(args: argparse.Namespace, out: TextIO) -> int:
     from repro.dbms.mql import execute as execute_mql
     from repro.dbms.persistence import load_database
+    from repro.dbms.query import PositionAnswer, RangeAnswer
 
     database = load_database(args.snapshot)
     answer = execute_mql(database, args.statement)
@@ -815,12 +800,12 @@ def _cmd_query(args: argparse.Namespace, out: TextIO) -> int:
                   f"[{entry.min_distance:.3f}, {entry.max_distance:.3f}] mi "
                   f"({marker})", file=out)
         return 0
-    if hasattr(answer, "may"):
+    if isinstance(answer, RangeAnswer):
         print(f"must: {sorted(answer.must)}", file=out)
         print(f"may : {sorted(answer.may - answer.must)}", file=out)
         print(f"examined {answer.examined} of {len(database)} objects",
               file=out)
-    elif hasattr(answer, "position"):
+    elif isinstance(answer, PositionAnswer):
         print(f"position ({answer.position.x:.4f}, "
               f"{answer.position.y:.4f}) +/- {answer.error_bound:.4f} mi",
               file=out)
@@ -829,6 +814,44 @@ def _cmd_query(args: argparse.Namespace, out: TextIO) -> int:
     else:
         print(f"t = {answer:.3f} min", file=out)
     return 0
+
+
+#: Flags several commands take, each declared once; a command names the
+#: ones it takes (:func:`_add_shared`) and states only what differs.
+_SHARED: dict[str, dict[str, Any]] = {
+    "--name": {"default": "taxi", "choices": tuple(_SCENARIOS)},
+    "--size": {"type": int, "default": 10, "help": "fleet size"},
+    "--duration": {"type": float, "default": 15.0, "help": "sim minutes"},
+    "--seed": {"type": int, "default": 7},
+    "--queries": {"type": int, "default": 20,
+                  "help": "size of the query workload"},
+    "--batch": {"action": "store_true",
+                "help": "answer the queries through the batch engine"},
+    "--shards": {"type": int, "help": "lay the index out over this many "
+                                      "spatial shards (answers invariant)"},
+    "--shard-plan": {"help": "a saved partitioning plan (JSON) instead "
+                             "of a uniform --shards grid"},
+    "--jobs": {"type": int, "default": 1,
+               "help": "worker processes (answers invariant)"},
+    "--profile": {"action": "store_true",
+                  "help": "print a flame summary of the run's spans"},
+    "--trace-out": {"help": "record the DBMS workload as a JSONL trace"},
+    "--live-port": {"type": int, "help": "serve /metrics, /health, "
+                                         "/snapshot on this port (0: any)"},
+    "--slo": {"help": "repro-slo/1 JSON spec for the live windows"},
+}
+
+_SCENARIO_FLAGS = ("--name", "--size", "--duration", "--seed")
+
+
+def _add_shared(parser: argparse.ArgumentParser, *flags: str,
+                **overrides: dict[str, Any]) -> None:
+    """Declare the shared ``flags`` on ``parser``, in order; ``overrides``
+    maps a flag's dest to what differs for this command."""
+    for flag in flags:
+        dest = flag[2:].replace("-", "_")
+        parser.add_argument(flag, **{**_SHARED[flag],
+                                     **overrides.get(dest, {})})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -842,28 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--fast", action="store_true")
     report.add_argument("--metrics-out", default=None,
                         help="write a JSONL metrics snapshot of the run")
-    report.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the sweep-shaped "
-                             "experiments (numbers are identical for "
-                             "any value)")
-    report.add_argument("--profile", action="store_true",
-                        help="record spans and print a flame summary "
-                             "after the run")
-    report.add_argument("--trace-out", default=None,
-                        help="record the run's DBMS workload as a JSONL "
-                             "flight-recorder trace at this path")
-    report.add_argument("--shards", type=int, default=4,
-                        help="shard count for the sharding experiment "
-                             "(E20); answers are shard-count invariant")
-    report.add_argument("--live-port", type=int, default=None,
-                        help="serve /metrics, /health, /snapshot on this "
-                             "port for the duration of the report "
-                             "(0 binds an ephemeral port; wall-clock "
-                             "windows)")
-    report.add_argument("--slo", default=None,
-                        help="repro-slo/1 spec evaluated over the live "
-                             "windows; the verdict is printed after the "
-                             "report")
+    _add_shared(report, "--jobs", "--profile", "--trace-out", "--shards",
+                "--live-port", "--slo", shards={"default": 4})
     report.set_defaults(func=_cmd_report)
 
     simulate = sub.add_parser("simulate", help="simulate one trip")
@@ -875,40 +878,24 @@ def build_parser() -> argparse.ArgumentParser:
                           choices=sorted(_CURVES))
     simulate.add_argument("--trace", default=None,
                           help="CSV speed trace (overrides --curve)")
-    simulate.add_argument("--duration", type=float, default=60.0)
-    simulate.add_argument("--seed", type=int, default=42)
+    _add_shared(simulate, "--duration", "--seed",
+                duration={"default": 60.0}, seed={"default": 42})
     simulate.add_argument("--dt", type=float, default=1.0 / 60.0)
     simulate.add_argument("--series-csv", default=None,
                           help="write per-tick series to this CSV path")
     simulate.set_defaults(func=_cmd_simulate)
 
     scenario = sub.add_parser("scenario", help="run a fleet scenario")
-    scenario.add_argument("--name", default="taxi",
-                          choices=("taxi", "trucking", "battlefield"))
-    scenario.add_argument("--size", type=int, default=10)
-    scenario.add_argument("--duration", type=float, default=15.0)
-    scenario.add_argument("--seed", type=int, default=7)
+    _add_shared(scenario, *_SCENARIO_FLAGS)
     scenario.add_argument("--snapshot", default=None,
                           help="save the final database as JSON")
-    scenario.add_argument("--profile", action="store_true",
-                          help="record spans and print a flame summary "
-                               "after the run")
+    _add_shared(scenario, "--profile")
     scenario.set_defaults(func=_cmd_scenario)
 
     stats = sub.add_parser(
         "stats", help="run a fleet scenario and emit a metrics snapshot"
     )
-    stats.add_argument("--name", default="taxi",
-                       choices=("taxi", "trucking", "battlefield"))
-    stats.add_argument("--size", type=int, default=10)
-    stats.add_argument("--duration", type=float, default=15.0)
-    stats.add_argument("--seed", type=int, default=7)
-    stats.add_argument("--queries", type=int, default=20,
-                       help="range queries issued against the live database")
-    stats.add_argument("--batch", action="store_true",
-                       help="answer the query workload through the batched "
-                            "query engine (shared index traversal + "
-                            "uncertainty cache) after the run")
+    _add_shared(stats, *_SCENARIO_FLAGS, "--queries", "--batch")
     stats.add_argument("--format", default="prom",
                        choices=("prom", "jsonl", "both"),
                        help="snapshot format(s) printed to stdout")
@@ -918,32 +905,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the JSONL snapshot to this path")
     stats.add_argument("--spans-out", default=None,
                        help="write the span trace (JSONL) to this path")
-    stats.add_argument("--trace-out", default=None,
-                       help="record the run's DBMS workload as a JSONL "
-                            "flight-recorder trace at this path")
-    stats.add_argument("--shards", type=int, default=None,
-                       help="serve the scenario through a spatially "
-                            "sharded database with this many shards "
-                            "(uniform grid over the network extent)")
-    stats.add_argument("--shard-plan", default=None,
-                       help="load a saved partitioning plan (JSON) instead "
-                            "of a uniform --shards grid")
-    stats.add_argument("--jobs", type=int, default=1,
-                       help="also run a small parallel sweep with this many "
-                            "workers (and fan sharded --batch queries over "
-                            "this many processes); telemetry is merged "
-                            "under worker=\"chunk-N\" labels")
-    stats.add_argument("--profile", action="store_true",
-                       help="record spans under a root span and print a "
-                            "flame summary after the snapshot")
-    stats.add_argument("--live-port", type=int, default=None,
-                       help="serve /metrics, /health, /snapshot on this "
-                            "port during the run (0 binds an ephemeral "
-                            "port; sim-time windows)")
-    stats.add_argument("--slo", default=None,
-                       help="repro-slo/1 spec evaluated over the live "
-                            "windows; the verdict is printed after the "
-                            "snapshot")
+    _add_shared(stats, "--trace-out", "--shards", "--shard-plan", "--jobs",
+                "--profile", "--live-port", "--slo")
     stats.set_defaults(func=_cmd_stats)
 
     lint = sub.add_parser(
@@ -1024,20 +987,8 @@ def build_parser() -> argparse.ArgumentParser:
         "record", help="record a fleet scenario + query workload as "
                        "schema-versioned JSONL"
     )
-    trace_record.add_argument("--name", default="taxi",
-                              choices=("taxi", "trucking", "battlefield"))
-    trace_record.add_argument("--size", type=int, default=10)
-    trace_record.add_argument("--duration", type=float, default=15.0)
-    trace_record.add_argument("--seed", type=int, default=7)
-    trace_record.add_argument("--queries", type=int, default=20,
-                              help="mixed position/range/within queries "
-                                   "issued after the run")
-    trace_record.add_argument("--batch", action="store_true",
-                              help="issue the query workload through the "
-                                   "batched query engine")
-    trace_record.add_argument("--shards", type=int, default=None,
-                              help="record the run through a sharded "
-                                   "database with this many shards")
+    _add_shared(trace_record, *_SCENARIO_FLAGS, "--queries", "--batch",
+                "--shards")
     trace_record.add_argument("--out", default="trace.jsonl",
                               help="trace output path")
     trace_record.set_defaults(func=_cmd_trace_record)
@@ -1047,10 +998,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "verify byte-identical answer digests"
     )
     trace_replay.add_argument("trace", help="JSONL trace path")
-    trace_replay.add_argument("--shards", type=int, default=None,
-                              help="replay over this many shards instead "
-                                   "of the recorded layout; answer digests "
-                                   "must still match")
+    _add_shared(trace_replay, "--shards")
     trace_replay.add_argument("--mode", default="auto",
                               choices=("auto", "sequential", "batch"),
                               help="query path: as recorded (auto), or "
@@ -1074,21 +1022,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="run a scenario under live telemetry and serve "
                       "/metrics, /health, /snapshot over HTTP"
     )
-    monitor_serve.add_argument("--name", default="taxi",
-                               choices=("taxi", "trucking", "battlefield"))
-    monitor_serve.add_argument("--size", type=int, default=10)
-    monitor_serve.add_argument("--duration", type=float, default=15.0)
-    monitor_serve.add_argument("--seed", type=int, default=7)
-    monitor_serve.add_argument("--queries", type=int, default=20,
-                               help="batched range queries spread over "
-                                    "the run's ticks")
-    monitor_serve.add_argument("--shards", type=int, default=None,
-                               help="serve through a sharded database "
-                                    "with this many shards")
-    monitor_serve.add_argument("--shard-plan", default=None,
-                               help="load a saved partitioning plan "
-                                    "instead of a uniform --shards grid")
+    _add_shared(monitor_serve, *_SCENARIO_FLAGS, "--queries", "--shards",
+                "--shard-plan")
     monitor_serve.add_argument("--port", type=int, default=0,
+                               dest="live_port",
                                help="HTTP port (0 binds an ephemeral "
                                     "port; it is printed and optionally "
                                     "written to --port-file)")
@@ -1098,9 +1035,7 @@ def build_parser() -> argparse.ArgumentParser:
     monitor_serve.add_argument("--hold", type=float, default=0.0,
                                help="keep serving this many wall-clock "
                                     "seconds after the run finishes")
-    monitor_serve.add_argument("--slo", default=None,
-                               help="repro-slo/1 JSON spec driving "
-                                    "/health (absent: always healthy)")
+    _add_shared(monitor_serve, "--slo")
     monitor_serve.add_argument("--collector-out", default=None,
                                help="append windowed snapshots to this "
                                     "JSONL file (repro-live-collector/1)")
@@ -1127,8 +1062,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     monitor_check.add_argument("collector",
                                help="repro-live-collector/1 JSONL path")
-    monitor_check.add_argument("--slo", required=True,
-                               help="repro-slo/1 JSON spec")
+    _add_shared(monitor_check, "--slo", slo={"required": True})
     monitor_check.add_argument("--strict", action="store_true",
                                help="exit 1 if any snapshot is burning")
     monitor_check.set_defaults(func=_cmd_monitor_check)
@@ -1138,9 +1072,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     monitor_tail.add_argument("collector",
                               help="repro-live-collector/1 JSONL path")
-    monitor_tail.add_argument("--slo", default=None,
-                              help="also evaluate each snapshot against "
-                                   "this repro-slo/1 spec")
+    _add_shared(monitor_tail, "--slo")
     monitor_tail.set_defaults(func=_cmd_monitor_tail)
     return parser
 

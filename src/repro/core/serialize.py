@@ -5,7 +5,8 @@ parameters* — the DBMS needs them to derive deviation bounds, and a
 persisted database needs them to reconstruct the policy objects.  A
 *spec* is a JSON-compatible dict with a ``name`` key plus the
 constructor parameters; :func:`policy_to_spec` and
-:func:`policy_from_spec` round-trip every built-in policy.
+:func:`policy_from_spec` round-trip every built-in policy, and a spec
+that does not decode raises :class:`~repro.errors.PolicyError`.
 """
 
 from __future__ import annotations
@@ -30,7 +31,23 @@ from repro.core.policies import (
     DelayedLinearPolicy,
 )
 from repro.core.policy import UpdatePolicy
-from repro.errors import PolicyError
+from repro.errors import PolicyError, SpecReader
+
+#: Each policy by spec name: its class and the parameters its spec
+#: carries beyond ``update_cost`` and ``cost_function``, in spec order
+#: (numbers, except ``use_delay``).  Only the update cost parameterises
+#: the paper's policies.
+_POLICIES: dict[str, tuple[type, tuple[str, ...]]] = {
+    "dl": (DelayedLinearPolicy, ()),
+    "ail": (AverageImmediateLinearPolicy, ()),
+    "cil": (CurrentImmediateLinearPolicy, ()),
+    "traditional": (TraditionalPointPolicy, ("precision",)),
+    "fixed-threshold": (FixedThresholdPolicy, ("bound",)),
+    "periodic": (PeriodicPolicy, ("period",)),
+    "adaptive": (AdaptivePolicy, ("volatility_threshold", "window_minutes",
+                                  "hysteresis")),
+    "horizon": (HorizonCostPolicy, ("horizon", "use_delay")),
+}
 
 
 def cost_function_to_spec(cost_function: DeviationCostFunction) -> dict[str, Any]:
@@ -44,66 +61,54 @@ def cost_function_to_spec(cost_function: DeviationCostFunction) -> dict[str, Any
     )
 
 
-def cost_function_from_spec(spec: dict[str, Any]) -> DeviationCostFunction:
+def cost_function_from_spec(spec: Any) -> DeviationCostFunction:
     """Rebuild a deviation cost function from its spec."""
-    name = spec.get("name")
+    fields = SpecReader(spec, PolicyError, "cost function spec")
+    name = fields.get("name", str)
     if name == "uniform":
         return UniformDeviationCost()
     if name == "step":
-        return StepDeviationCost(threshold=float(spec["threshold"]))
+        return StepDeviationCost(threshold=float(fields.number("threshold")))
     raise PolicyError(f"unknown cost function spec {spec!r}")
 
 
 def policy_to_spec(policy: UpdatePolicy) -> dict[str, Any]:
     """A policy instance as a plain dict (name + parameters)."""
+    for constructor, parameters in _POLICIES.values():
+        if isinstance(policy, constructor):
+            break
+    else:
+        raise PolicyError(f"cannot serialise policy {policy!r}")
     spec: dict[str, Any] = {
         "name": policy.name,
         "update_cost": policy.update_cost,
         "cost_function": cost_function_to_spec(policy.cost_function),
     }
-    if isinstance(policy, TraditionalPointPolicy):
-        spec["precision"] = policy.precision
-    elif isinstance(policy, FixedThresholdPolicy):
-        spec["bound"] = policy.bound
-    elif isinstance(policy, PeriodicPolicy):
-        spec["period"] = policy.period
-    elif isinstance(policy, AdaptivePolicy):
-        spec["volatility_threshold"] = policy.volatility_threshold
-        spec["window_minutes"] = policy.window_minutes
-        spec["hysteresis"] = policy.hysteresis
-    elif isinstance(policy, HorizonCostPolicy):
-        spec["horizon"] = policy.horizon
-        spec["use_delay"] = policy.fitting.use_delay
-    elif isinstance(policy, (DelayedLinearPolicy,
-                             AverageImmediateLinearPolicy,
-                             CurrentImmediateLinearPolicy)):
-        pass  # only the update cost parameterises the paper's policies
-    else:
-        raise PolicyError(f"cannot serialise policy {policy!r}")
+    for key in parameters:
+        spec[key] = (policy.fitting.use_delay if key == "use_delay"
+                     else getattr(policy, key))
     return spec
 
 
-def policy_from_spec(spec: dict[str, Any]) -> UpdatePolicy:
+def policy_from_spec(spec: Any) -> UpdatePolicy:
     """Rebuild a policy instance from its spec."""
-    spec = dict(spec)
-    name = spec.pop("name", None)
-    update_cost = float(spec.pop("update_cost"))
-    cost_spec = spec.pop("cost_function", {"name": "uniform"})
-    cost_function = cost_function_from_spec(cost_spec)
-    constructors: dict[str, Any] = {
-        "dl": DelayedLinearPolicy,
-        "ail": AverageImmediateLinearPolicy,
-        "cil": CurrentImmediateLinearPolicy,
-        "traditional": TraditionalPointPolicy,
-        "fixed-threshold": FixedThresholdPolicy,
-        "periodic": PeriodicPolicy,
-        "adaptive": AdaptivePolicy,
-        "horizon": HorizonCostPolicy,
-    }
-    constructor = constructors.get(name)
-    if constructor is None:
+    fields = SpecReader(spec, PolicyError, "policy spec")
+    name = fields.get("name", str)
+    if name not in _POLICIES:
         raise PolicyError(f"unknown policy spec name {name!r}")
-    return constructor(update_cost, cost_function=cost_function, **spec)
+    constructor, parameters = _POLICIES[name]
+    unknown = set(spec) - {"name", "update_cost", "cost_function",
+                           *parameters}
+    if unknown:
+        raise fields.fail(f"unknown field(s) {sorted(unknown)} for {name!r}")
+    return constructor(
+        float(fields.number("update_cost")),
+        cost_function=cost_function_from_spec(
+            fields.get("cost_function", dict, {"name": "uniform"})),
+        **{key: fields.get(key, bool) if key == "use_delay"
+           else fields.number(key)
+           for key in parameters if key in spec},
+    )
 
 
 __all__ = [

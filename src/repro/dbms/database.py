@@ -51,8 +51,10 @@ from repro.trace.events import (
 # Last on purpose: this is where `import repro` first loads numpy (see
 # the note above that import in repro/dbms/refine.py).
 from repro.dbms.refine import (
+    Answer,
     PositionQuery,
     ProximityQuery,
+    Query,
     QueryCore,
     RangeQuery,
     WithinDistanceQuery,
@@ -114,10 +116,7 @@ class MovingObjectDatabase:
         self.routes.add(route)
         p = probe()
         if p.enabled:
-            p.event(
-                ROUTE_REGISTER, route_id=route.route_id, name=route.name,
-                vertices=[[v.x, v.y] for v in route.polyline.vertices],
-            )
+            p.event(ROUTE_REGISTER, **route.to_spec())
 
     def table(self, class_name: str) -> Table:
         """The non-spatial attribute table of an object class."""
@@ -478,6 +477,19 @@ class MovingObjectDatabase:
         """
         return self._core.one(
             ProximityQuery(anchor_id, radius, t, where, class_name))
+
+    def ask(self, query: Query) -> Answer:
+        """One query value through its public (timed) method above."""
+        if isinstance(query, PositionQuery):
+            return self.position_of(query.object_id, query.time)
+        filters = {"where": query.where, "class_name": query.class_name}
+        if isinstance(query, RangeQuery):
+            return self.range_query(query.polygon, query.time, **filters)
+        if isinstance(query, WithinDistanceQuery):
+            return self.within_distance(query.center, query.radius,
+                                        query.time, **filters)
+        return self.within_distance_of_object(
+            query.object_id, query.radius, query.time, **filters)
 
     @timed("dbms_query_seconds", kind="nearest")
     def nearest(self, center: Point, k: int, t: float,

@@ -39,6 +39,12 @@ from typing import Any, Union
 
 from repro.dbms.database import MovingObjectDatabase
 from repro.dbms.query import NearestAnswer, PositionAnswer, RangeAnswer
+from repro.dbms.refine import (
+    PositionQuery,
+    ProximityQuery,
+    RangeQuery,
+    WithinDistanceQuery,
+)
 from repro.dbms.trajectory import when_may_reach, when_must_reach
 from repro.errors import GeometryError, QueryError
 from repro.geometry.point import Point
@@ -391,44 +397,25 @@ def execute(database: MovingObjectDatabase,
     WHEN.
     """
     statement = parse(query)
-    if isinstance(statement, RetrieveStatement):
-        t = (statement.at_time if statement.at_time is not None
-             else database.clock_time)
-        where = statement.where or None
-        if statement.polygon is not None:
-            return database.range_query(
-                statement.polygon, t, where=where,
-                class_name=statement.class_name,
-            )
-        assert statement.radius is not None
-        if statement.anchor_id is not None:
-            return database.within_distance_of_object(
-                statement.anchor_id, statement.radius, t, where=where,
-                class_name=statement.class_name,
-            )
-        assert statement.center is not None
-        return database.within_distance(
-            statement.center, statement.radius, t, where=where,
-            class_name=statement.class_name,
-        )
-    if isinstance(statement, NearestStatement):
-        t = (statement.at_time if statement.at_time is not None
-             else database.clock_time)
-        return database.nearest(
-            statement.center, statement.k, t,
-            where=statement.where or None,
-            class_name=statement.class_name,
-        )
-    if isinstance(statement, PositionStatement):
-        t = (statement.at_time if statement.at_time is not None
-             else database.clock_time)
-        return database.position_of(statement.object_id, t)
     if isinstance(statement, WhenStatement):
         until = (statement.until if statement.until is not None
                  else database.clock_time + DEFAULT_WHEN_HORIZON)
         reach = when_must_reach if statement.must else when_may_reach
         return reach(database, statement.object_id, statement.polygon, until)
-    raise QueryError(f"MQL: unhandled statement {statement!r}")
+    t = (statement.at_time if statement.at_time is not None
+         else database.clock_time)
+    if isinstance(statement, PositionStatement):
+        return database.ask(PositionQuery(statement.object_id, t))
+    filters = (statement.where or None, statement.class_name)
+    if isinstance(statement, NearestStatement):
+        return database.nearest(statement.center, statement.k, t, *filters)
+    if statement.polygon is not None:
+        return database.ask(RangeQuery(statement.polygon, t, *filters))
+    if statement.anchor_id is not None:
+        return database.ask(ProximityQuery(
+            statement.anchor_id, statement.radius, t, *filters))
+    return database.ask(WithinDistanceQuery(
+        statement.center, statement.radius, t, *filters))
 
 __all__ = [
     "DEFAULT_WHEN_HORIZON",

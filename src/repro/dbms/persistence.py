@@ -3,7 +3,11 @@
 Snapshots the full database state — routes, schema, mobile records
 (position attributes + policies + speed envelopes), stationary objects,
 non-spatial attribute rows, the update log, and the clock — to a single
-JSON document, and reconstructs an equivalent database from it.
+JSON document, and reconstructs an equivalent database from it.  Routes,
+classes and update messages are stored by their types' own
+``to_spec``/``from_spec`` codecs, the ones the flight recorder and trace
+replay use; a malformed snapshot raises a :mod:`repro.errors` error
+naming the field.
 
 The time-space index is *not* serialised: it is derived state, rebuilt
 from the persisted o-plane inputs on load when an index is supplied.
@@ -12,21 +16,16 @@ from the persisted o-plane inputs on load when an index is supplied.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Any
 
 from repro.core.position import PositionAttribute
 from repro.core.serialize import policy_from_spec, policy_to_spec
 from repro.dbms.database import MovingObjectDatabase
-from repro.dbms.schema import (
-    AttributeDef,
-    Mobility,
-    ObjectClass,
-    SpatialKind,
-)
+from repro.dbms.schema import ObjectClass
 from repro.dbms.update_log import PositionUpdateMessage
-from repro.errors import QueryError
+from repro.errors import QueryError, SpecReader, read_json_object
 from repro.geometry.point import Point
-from repro.geometry.polyline import Polyline
 from repro.routes.route import Route
 
 #: Snapshot format version, checked on load.
@@ -35,159 +34,95 @@ FORMAT_VERSION = 1
 
 def database_to_dict(database: MovingObjectDatabase) -> dict[str, Any]:
     """The whole database as a JSON-compatible dict."""
-    routes = [
-        {
-            "route_id": route.route_id,
-            "name": route.name,
-            "vertices": [[v.x, v.y] for v in route.polyline.vertices],
-        }
-        for route in database.routes
+    records = [
+        {"object_id": object_id, "class_name": record.class_name,
+         "max_speed": record.max_speed,
+         "policy": policy_to_spec(record.policy),
+         "attribute": asdict(record.attribute),
+         "row": database.table(record.class_name).get(object_id)}
+        for object_id, record in database._records.items()
     ]
-    classes = []
-    for class_name in database.schema.class_names():
-        object_class = database.schema.get(class_name)
-        classes.append(
-            {
-                "name": object_class.name,
-                "spatial_kind": object_class.spatial_kind.value,
-                "mobility": object_class.mobility.value,
-                "attributes": [
-                    {
-                        "name": attr.name,
-                        "type": attr.type_name,
-                        "required": attr.required,
-                    }
-                    for attr in object_class.attributes
-                ],
-            }
-        )
-    records = []
-    for object_id in database.object_ids():
-        record = database.record(object_id)
-        attribute = record.attribute
-        records.append(
-            {
-                "object_id": object_id,
-                "class_name": record.class_name,
-                "max_speed": record.max_speed,
-                "policy": policy_to_spec(record.policy),
-                "attribute": {
-                    "starttime": attribute.starttime,
-                    "route_id": attribute.route_id,
-                    "start_x": attribute.start_x,
-                    "start_y": attribute.start_y,
-                    "direction": attribute.direction,
-                    "speed": attribute.speed,
-                    "policy": attribute.policy,
-                },
-                "row": database.table(record.class_name).get(object_id),
-            }
-        )
     stationary = [
-        {
-            "object_id": object_id,
-            "class_name": database._stationary[object_id][0],
-            "x": database.stationary_position(object_id).x,
-            "y": database.stationary_position(object_id).y,
-            "row": database.table(
-                database._stationary[object_id][0]
-            ).get(object_id),
-        }
-        for object_id in database.stationary_ids()
+        {"object_id": object_id, "class_name": class_name,
+         "x": point.x, "y": point.y,
+         "row": database.table(class_name).get(object_id)}
+        for object_id, (class_name, point) in database._stationary.items()
     ]
-    messages = [
-        {
-            "object_id": m.object_id,
-            "time": m.time,
-            "x": m.x,
-            "y": m.y,
-            "speed": m.speed,
-            "route_id": m.route_id,
-            "direction": m.direction,
-            "policy": m.policy,
-        }
-        for m in database.update_log.messages()
-    ]
+    schema = database.schema
     return {
         "format_version": FORMAT_VERSION,
         "horizon": database.horizon,
         "clock_time": database.clock_time,
-        "routes": routes,
-        "classes": classes,
+        "routes": [route.to_spec() for route in database.routes],
+        "classes": [schema.get(name).to_spec()
+                    for name in schema.class_names()],
         "records": records,
         "stationary": stationary,
-        "update_log": messages,
+        "update_log": [m.to_spec() for m in database.update_log.messages()],
     }
 
 
-def database_from_dict(data: dict[str, Any],
-                       index: Any = None) -> MovingObjectDatabase:
+def _mobile_record(spec: Any) -> tuple:
+    """A snapshot's mobile record, decoded: ``(object_id, class_name,
+    attribute, policy, max_speed, row)``."""
+    fields = SpecReader(spec, QueryError, "snapshot record")
+    block = SpecReader(fields.get("attribute", dict), QueryError,
+                       "snapshot record attribute")
+    attribute = PositionAttribute(
+        starttime=block.number("starttime"),
+        route_id=block.get("route_id", str),
+        start_x=block.number("start_x"), start_y=block.number("start_y"),
+        direction=block.get("direction", int), speed=block.number("speed"),
+        policy=block.get("policy", str),
+    )
+    return (fields.get("object_id", str), fields.get("class_name", str),
+            attribute, policy_from_spec(fields.get("policy", dict)),
+            fields.number("max_speed"), fields.get("row", dict, None))
+
+
+def database_from_dict(data: Any, index: Any = None) -> MovingObjectDatabase:
     """Reconstruct a database from :func:`database_to_dict` output.
 
     Supplying ``index`` (e.g. a fresh
     :class:`~repro.index.timespace.TimeSpaceIndex`) re-derives every
     object's o-plane on insert.
     """
+    fields = SpecReader(data, QueryError, "snapshot")
     version = data.get("format_version")
     if version != FORMAT_VERSION:
         raise QueryError(
             f"unsupported snapshot format version {version!r} "
             f"(expected {FORMAT_VERSION})"
         )
-    database = MovingObjectDatabase(index=index, horizon=data["horizon"])
-    for route_data in data["routes"]:
-        database.register_route(
-            Route(
-                route_data["route_id"],
-                Polyline(Point(x, y) for x, y in route_data["vertices"]),
-                name=route_data.get("name"),
-            )
-        )
-    for class_data in data["classes"]:
-        database.schema.define(
-            ObjectClass(
-                name=class_data["name"],
-                spatial_kind=SpatialKind(class_data["spatial_kind"]),
-                mobility=Mobility(class_data["mobility"]),
-                attributes=tuple(
-                    AttributeDef(a["name"], a["type"], a["required"])
-                    for a in class_data["attributes"]
-                ),
-            )
-        )
+    database = MovingObjectDatabase(index=index,
+                                    horizon=fields.number("horizon"))
+    for spec in fields.get("routes", list):
+        database.register_route(Route.from_spec(spec))
+    for spec in fields.get("classes", list):
+        database.schema.define(ObjectClass.from_spec(spec))
     # Insert in starttime order: the write path enforces a monotone
     # database clock.
-    for record_data in sorted(
-        data["records"], key=lambda r: r["attribute"]["starttime"]
-    ):
-        attr = record_data["attribute"]
-        policy = policy_from_spec(record_data["policy"])
+    mobile = sorted(map(_mobile_record, fields.get("records", list)),
+                    key=lambda decoded: decoded[2].starttime)
+    for object_id, class_name, attribute, policy, max_speed, row in mobile:
         # Insert at the attribute's own starttime, then restore the
         # exact attribute (the insert path validates route membership).
         database.insert_moving_object(
-            object_id=record_data["object_id"],
-            class_name=record_data["class_name"],
-            route_id=attr["route_id"],
-            t=attr["starttime"],
-            position=Point(attr["start_x"], attr["start_y"]),
-            direction=attr["direction"],
-            speed=attr["speed"],
-            policy=policy,
-            max_speed=record_data["max_speed"],
-            attributes=record_data["row"] or None,
+            object_id, class_name, attribute.route_id, attribute.starttime,
+            attribute.start_point, attribute.direction, attribute.speed,
+            policy, max_speed=max_speed, attributes=row or None,
         )
-        record = database.record(record_data["object_id"])
-        record.attribute = PositionAttribute(**attr)
-    for stationary_data in data["stationary"]:
+        database.record(object_id).attribute = attribute
+    for spec in fields.get("stationary", list):
+        point = SpecReader(spec, QueryError, "snapshot stationary object")
         database.insert_stationary_object(
-            stationary_data["object_id"],
-            stationary_data["class_name"],
-            Point(stationary_data["x"], stationary_data["y"]),
-            stationary_data["row"] or None,
+            point.get("object_id", str), point.get("class_name", str),
+            Point(point.number("x"), point.number("y")),
+            point.get("row", dict, None) or None,
         )
-    for message_data in data["update_log"]:
-        database.update_log.record(PositionUpdateMessage(**message_data))
-    database.clock_time = data["clock_time"]
+    for spec in fields.get("update_log", list):
+        database.update_log.record(PositionUpdateMessage.from_spec(spec))
+    database.clock_time = fields.number("clock_time")
     return database
 
 
@@ -198,10 +133,10 @@ def save_database(database: MovingObjectDatabase, path: str) -> None:
 
 
 def load_database(path: str, index: Any = None) -> MovingObjectDatabase:
-    """Load a database snapshot written by :func:`save_database`."""
-    with open(path) as handle:
-        data = json.load(handle)
-    return database_from_dict(data, index=index)
+    """Load a database snapshot written by :func:`save_database`; an
+    unreadable file is a :class:`QueryError`, like a malformed record."""
+    return database_from_dict(read_json_object(path, QueryError, "snapshot"),
+                              index=index)
 
 __all__ = [
     "FORMAT_VERSION",

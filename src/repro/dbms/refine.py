@@ -55,7 +55,7 @@ from repro.dbms.query import (
     distance_range_between_polylines,
     distance_range_to_polyline,
 )
-from repro.errors import QueryError
+from repro.errors import QueryError, SpecReader
 from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
@@ -156,6 +156,43 @@ class ProximityQuery:
 
 Query = Union[PositionQuery, RangeQuery, WithinDistanceQuery, ProximityQuery]
 Answer = Union[PositionAnswer, RangeAnswer]
+
+
+def query_from_spec(kind: Any, time: Any, object_id: Any,
+                    data: dict[str, Any]) -> Query:
+    """The inverse of ``Query.fields()``: a recorded query as a value.
+
+    ``time`` and ``object_id`` are the event-level fields a recorded
+    query keeps beside its ``data``.  Bad input is a :class:`QueryError`
+    naming the field.
+    """
+    fields = SpecReader({**data, "time": time, "object_id": object_id},
+                        QueryError, f"{kind} query")
+    t = fields.number("time")
+    filters = (fields.get("where", dict, None),
+               fields.get("class_name", str, None))
+    if kind == "position":
+        return PositionQuery(fields.get("object_id", str), t)
+    if kind == "range":
+        return RangeQuery(Polygon.from_coordinates(fields.pairs("polygon")),
+                          t, *filters)
+    if kind == "within":
+        return WithinDistanceQuery(Point(*fields.pair("center")),
+                                   fields.number("radius"), t, *filters)
+    if kind == "proximity":
+        return ProximityQuery(fields.get("object_id", str),
+                              fields.number("radius"), t, *filters)
+    raise QueryError(f"unknown query kind {kind!r}")
+
+
+def nearest_from_spec(time: Any, data: dict[str, Any]) -> tuple:
+    """A recorded ``nearest`` query — the one kind the batch engine does
+    not answer, so without a query value — as the arguments of
+    :meth:`~repro.dbms.database.MovingObjectDatabase.nearest`."""
+    fields = SpecReader({**data, "time": time}, QueryError, "nearest query")
+    return (Point(*fields.pair("center")), fields.get("k", int),
+            fields.number("time"), fields.get("where", dict, None),
+            fields.get("class_name", str, None))
 
 
 # ----------------------------------------------------------------------
@@ -658,4 +695,6 @@ __all__ = [
     "RangeQuery",
     "WithinDistanceQuery",
     "check_point",
+    "nearest_from_spec",
+    "query_from_spec",
 ]

@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import SchemaError
+from repro.errors import SchemaError, SpecReader
 from repro.obs.probe import probe
 from repro.trace.events import CLASS_DEFINE
 
@@ -119,6 +119,36 @@ class ObjectClass:
                 return attr
         raise SchemaError(f"class {self.name!r} has no attribute {name!r}")
 
+    def to_spec(self) -> dict[str, Any]:
+        """The class as a trace event and a snapshot both store it."""
+        return {
+            "name": self.name,
+            "spatial_kind": self.spatial_kind.value,
+            "mobility": self.mobility.value,
+            "attributes": [
+                {"name": a.name, "type": a.type_name, "required": a.required}
+                for a in self.attributes
+            ],
+        }
+
+    @classmethod
+    def from_spec(cls, spec: Any) -> "ObjectClass":
+        """Inverse of :meth:`to_spec`; bad input is a :class:`SchemaError`."""
+        fields = SpecReader(spec, SchemaError, "object class")
+        attributes = []
+        for entry in fields.get("attributes", list, []):
+            attr = SpecReader(entry, SchemaError, "class attribute")
+            attributes.append(AttributeDef(
+                attr.get("name", str), attr.get("type", str),
+                attr.get("required", bool, False)))
+        try:
+            spatial_kind = SpatialKind(fields.get("spatial_kind", str))
+            mobility = Mobility(fields.get("mobility", str))
+        except ValueError as exc:
+            raise fields.fail(str(exc)) from None
+        return cls(fields.get("name", str), spatial_kind, mobility,
+                   tuple(attributes))
+
     def validate_row(self, values: dict[str, Any]) -> None:
         """Check a row of non-spatial attribute values against the class."""
         declared = {a.name: a for a in self.attributes}
@@ -148,16 +178,7 @@ class Schema:
         self._classes[object_class.name] = object_class
         p = probe()
         if p.enabled:
-            p.event(
-                CLASS_DEFINE, name=object_class.name,
-                spatial_kind=object_class.spatial_kind.value,
-                mobility=object_class.mobility.value,
-                attributes=[
-                    {"name": a.name, "type": a.type_name,
-                     "required": a.required}
-                    for a in object_class.attributes
-                ],
-            )
+            p.event(CLASS_DEFINE, **object_class.to_spec())
         return object_class
 
     def define_mobile_point_class(self, name: str,

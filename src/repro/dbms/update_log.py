@@ -12,8 +12,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Any
 
-from repro.errors import QueryError
+from repro.errors import QueryError, SpecReader
 from repro.obs.probe import probe
 from repro.trace.events import UPDATE
 
@@ -47,6 +48,37 @@ class PositionUpdateMessage:
                 f"update message speed must be nonnegative, got {self.speed}"
             )
 
+    def to_spec(self) -> dict[str, Any]:
+        """The message as a snapshot's ``update_log`` stores it (a trace
+        keeps ``time`` and ``object_id`` at event level)."""
+        return {"object_id": self.object_id, "time": self.time,
+                "x": self.x, "y": self.y, "speed": self.speed,
+                "route_id": self.route_id, "direction": self.direction,
+                "policy": self.policy}
+
+    @classmethod
+    def from_spec(cls, spec: Any) -> "PositionUpdateMessage":
+        """Inverse of :meth:`to_spec`; bad input is a :class:`QueryError`."""
+        fields = SpecReader(spec, QueryError, "update message")
+        direction = fields.get("direction", int, None)
+        if direction not in (None, 0, 1):
+            raise fields.fail(f"direction must be 0 or 1, got {direction}")
+        policy = fields.get("policy", (str, dict), None)
+        if policy is not None:
+            # Checked here; the database installs it on process_update.
+            from repro.core.policies import policy_names
+            from repro.core.serialize import policy_from_spec
+
+            if isinstance(policy, dict):
+                policy_from_spec(policy)
+            elif policy not in policy_names():
+                raise fields.fail(f"unknown policy {policy!r}")
+        return cls(fields.get("object_id", str), fields.number("time"),
+                   fields.number("x"), fields.number("y"),
+                   fields.number("speed"),
+                   route_id=fields.get("route_id", str, None),
+                   direction=direction, policy=policy)
+
 
 class UpdateLog:
     """Append-only log of received update messages, with statistics."""
@@ -66,12 +98,7 @@ class UpdateLog:
         self._per_object[message.object_id] += 1
         p = probe()
         if p.enabled:
-            p.event(
-                UPDATE, time=message.time, object_id=message.object_id,
-                x=message.x, y=message.y, speed=message.speed,
-                route_id=message.route_id, direction=message.direction,
-                policy=message.policy,
-            )
+            p.event(UPDATE, **message.to_spec())
 
     def __len__(self) -> int:
         return len(self._messages)

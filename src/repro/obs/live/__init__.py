@@ -24,6 +24,7 @@ from repro.obs.live.server import (
     LiveServer,
     PROM_CONTENT_TYPE,
     live_prometheus_lines,
+    window_quantile,
 )
 from repro.obs.live.slo import (
     DEFAULT_FAST_BURN,
@@ -89,4 +90,5 @@ __all__ = [
     "set_live",
     "use_live",
     "verdict_json",
+    "window_quantile",
 ]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from itertools import accumulate
 
 from repro.errors import ObservabilityError
 from repro.obs.exporters import prometheus_text, quantile_from_buckets
@@ -44,6 +45,20 @@ def _fmt(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
     return repr(float(value))
+
+
+def window_quantile(bounds: list, block: dict, q: float) -> float:
+    """The ``q``-quantile of one window of a windowed histogram.
+
+    ``block`` holds the window's per-bucket counts over ``bounds`` (plus
+    the overflow bucket) and its total ``count``; they become the
+    cumulative ``{"le", "count"}`` pairs
+    :func:`~repro.obs.exporters.quantile_from_buckets` reads.
+    """
+    cumulative = [{"le": bound, "count": running} for bound, running
+                  in zip(bounds, accumulate(block["bucket_counts"]))]
+    cumulative.append({"le": float("inf"), "count": block["count"]})
+    return quantile_from_buckets(cumulative, q)
 
 
 def live_prometheus_lines(state: dict) -> list[str]:
@@ -77,16 +92,9 @@ def live_prometheus_lines(state: dict) -> list[str]:
         if entry["kind"] != "histogram":
             continue
         for window in windows:
-            block = entry["windows"][window]
-            cumulative = []
-            running = 0
-            for bound, count in zip(entry["bounds"],
-                                    block["bucket_counts"]):
-                running += count
-                cumulative.append({"le": bound, "count": running})
-            cumulative.append({"le": float("inf"), "count": block["count"]})
             for q in LIVE_QUANTILES:
-                value = quantile_from_buckets(cumulative, q)
+                value = window_quantile(entry["bounds"],
+                                        entry["windows"][window], q)
                 labels = (f'series="{name}",window="{window}",'
                           f'quantile="{_fmt(q)}"')
                 lines.append(
@@ -231,4 +239,5 @@ __all__ = [
     "LiveServer",
     "PROM_CONTENT_TYPE",
     "live_prometheus_lines",
+    "window_quantile",
 ]

@@ -47,7 +47,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from repro.errors import ObservabilityError
+from repro.errors import ObservabilityError, SpecReader, read_json_object
 
 #: Schema tag of SLO documents.
 SLO_SCHEMA = "repro-slo/1"
@@ -87,19 +87,6 @@ class SLOSpec:
     slos: tuple[SLO, ...]
 
 
-def _require(doc: dict, field: str, kinds: type | tuple[type, ...],
-             context: str):
-    if field not in doc:
-        raise ObservabilityError(f"{context}: missing field {field!r}")
-    value = doc[field]
-    if not isinstance(value, kinds) or isinstance(value, bool):
-        raise ObservabilityError(
-            f"{context}: field {field!r} must be "
-            f"{getattr(kinds, '__name__', kinds)}, got {value!r}"
-        )
-    return value
-
-
 def parse_slo(document: dict) -> SLOSpec:
     """Validate and parse one ``repro-slo/1`` JSON document."""
     if not isinstance(document, dict):
@@ -115,72 +102,48 @@ def parse_slo(document: dict) -> SLOSpec:
     slos: list[SLO] = []
     seen: set[str] = set()
     for entry in entries:
-        name = _require(entry, "name", str, "slo entry")
-        context = f"slo {name!r}"
+        name = SpecReader(entry, ObservabilityError, "slo entry").get(
+            "name", str)
+        fields = SpecReader(entry, ObservabilityError, f"slo {name!r}")
         if name in seen:
             raise ObservabilityError(f"duplicate slo name {name!r}")
         seen.add(name)
-        kind = _require(entry, "kind", str, context)
+        kind = fields.get("kind", str)
         if kind not in _KINDS:
-            raise ObservabilityError(
-                f"{context}: unknown kind {kind!r}; known: {_KINDS}"
-            )
+            raise fields.fail(f"unknown kind {kind!r}; known: {_KINDS}")
         params: dict = {}
         if kind == "latency_quantile":
-            params["series"] = _require(entry, "series", str, context)
-            q = _require(entry, "q", (int, float), context)
+            params["series"] = fields.get("series", str)
+            q = fields.number("q")
             if not 0.0 < q < 1.0:
-                raise ObservabilityError(
-                    f"{context}: q must be in (0, 1), got {q}"
-                )
+                raise fields.fail(f"q must be in (0, 1), got {q}")
             params["q"] = float(q)
-            params["threshold"] = float(
-                _require(entry, "threshold", (int, float), context)
-            )
+            params["threshold"] = float(fields.number("threshold"))
         elif kind == "error_rate":
-            params["total_series"] = _require(
-                entry, "total_series", str, context)
-            params["error_series"] = _require(
-                entry, "error_series", str, context)
-            ceiling = _require(entry, "ceiling", (int, float), context)
+            params["total_series"] = fields.get("total_series", str)
+            params["error_series"] = fields.get("error_series", str)
+            ceiling = fields.number("ceiling")
             if not 0.0 < ceiling <= 1.0:
-                raise ObservabilityError(
-                    f"{context}: ceiling must be in (0, 1], got {ceiling}"
-                )
+                raise fields.fail(f"ceiling must be in (0, 1], got {ceiling}")
             params["ceiling"] = float(ceiling)
         else:
-            params["bound"] = float(
-                _require(entry, "bound", (int, float), context))
-            fraction = _require(
-                entry, "max_stale_fraction", (int, float), context)
+            params["bound"] = float(fields.number("bound"))
+            fraction = fields.number("max_stale_fraction")
             if not 0.0 < fraction <= 1.0:
-                raise ObservabilityError(
-                    f"{context}: max_stale_fraction must be in (0, 1], "
-                    f"got {fraction}"
-                )
+                raise fields.fail(f"max_stale_fraction must be in (0, 1], "
+                                  f"got {fraction}")
             params["max_stale_fraction"] = float(fraction)
         slos.append(SLO(
             name=name, kind=kind, params=params,
-            fast_burn=float(entry.get("fast_burn", DEFAULT_FAST_BURN)),
-            slow_burn=float(entry.get("slow_burn", DEFAULT_SLOW_BURN)),
+            fast_burn=float(fields.number("fast_burn", DEFAULT_FAST_BURN)),
+            slow_burn=float(fields.number("slow_burn", DEFAULT_SLOW_BURN)),
         ))
     return SLOSpec(slos=tuple(slos))
 
 
 def load_slo(path: str) -> SLOSpec:
     """Parse the SLO document at ``path``."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ObservabilityError(
-            f"cannot read SLO spec {path!r}: {exc}"
-        ) from exc
-    except ValueError as exc:
-        raise ObservabilityError(
-            f"SLO spec {path!r} is not valid JSON: {exc}"
-        ) from exc
-    return parse_slo(document)
+    return parse_slo(read_json_object(path, ObservabilityError, "SLO spec"))
 
 
 def _bad_from_buckets(bounds: list, bucket_counts: list,

@@ -17,9 +17,9 @@ spatial object").
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Iterator
 
-from repro.errors import RouteError
+from repro.errors import RouteError, SpecReader
 from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
 from repro.geometry.polyline import Polyline
@@ -36,6 +36,20 @@ class Route:
         self._route_id = route_id
         self._polyline = polyline
         self._name = name or route_id
+
+    def to_spec(self) -> dict[str, Any]:
+        """The route as a trace event and a snapshot both store it."""
+        return {"route_id": self._route_id, "name": self._name,
+                "vertices": [[v.x, v.y] for v in self._polyline.vertices]}
+
+    @classmethod
+    def from_spec(cls, spec: Any) -> "Route":
+        """Inverse of :meth:`to_spec`; bad input is a :class:`RouteError`."""
+        fields = SpecReader(spec, RouteError, "route")
+        vertices = fields.pairs("vertices")
+        return cls(fields.get("route_id", str),
+                   Polyline(Point(x, y) for x, y in vertices),
+                   name=fields.get("name", str, None))
 
     @property
     def route_id(self) -> str:

@@ -31,7 +31,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Sequence
 
-from repro.errors import ShardError
+from repro.errors import ShardError, SpecReader, read_json_object
 from repro.geometry.bbox import Rect2D
 
 #: Shard-plan file schema identifier.
@@ -337,35 +337,28 @@ def _node_to_spec(node: "_SplitNode | int") -> Any:
 
 
 def _node_from_spec(raw: Any) -> "_SplitNode | int":
-    if isinstance(raw, bool):
-        raise ShardError(f"malformed split node {raw!r}")
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return raw
-    if not isinstance(raw, dict):
-        raise ShardError(f"malformed split node {raw!r}")
-    try:
-        return _SplitNode(
-            axis=int(raw["axis"]),
-            cut=float(raw["cut"]),
-            low=_node_from_spec(raw["low"]),
-            high=_node_from_spec(raw["high"]),
-        )
-    except KeyError as exc:
-        raise ShardError(f"split node missing key {exc}") from None
+    fields = SpecReader(raw, ShardError, "split node")
+    return _SplitNode(
+        axis=fields.get("axis", int),
+        cut=float(fields.number("cut")),
+        low=_node_from_spec(fields.get("low", (int, dict))),
+        high=_node_from_spec(fields.get("high", (int, dict))),
+    )
 
 
 def partitioning_from_spec(spec: dict[str, Any]) -> Partitioning:
     """Rebuild a partitioning from its :meth:`~Partitioning.to_spec`."""
-    if not isinstance(spec, dict):
-        raise ShardError(f"partitioning spec must be a dict, got {spec!r}")
+    fields = SpecReader(spec, ShardError, "partitioning spec")
     kind = spec.get("kind")
     bounds = _bounds_from_spec(spec.get("bounds"))
     if kind == UniformGridPartitioning.kind:
         return UniformGridPartitioning(
-            bounds, int(spec["nx"]), int(spec["ny"])
-        )
+            bounds, fields.get("nx", int), fields.get("ny", int))
     if kind == BinarySplitPartitioning.kind:
-        return BinarySplitPartitioning(bounds, _node_from_spec(spec["root"]))
+        return BinarySplitPartitioning(
+            bounds, _node_from_spec(fields.get("root", (int, dict))))
     raise ShardError(f"unknown partitioning kind {kind!r}")
 
 
@@ -408,14 +401,8 @@ def save_plan(partitioning: Partitioning, path: str,
 
 def load_plan(path: str) -> Partitioning:
     """Load a shard-plan file written by :func:`save_plan`."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise ShardError(f"cannot read shard plan {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ShardError(f"malformed shard plan {path!r}: {exc}") from exc
-    if not isinstance(document, dict) or document.get("schema") != PLAN_SCHEMA:
+    document = read_json_object(path, ShardError, "shard plan")
+    if document.get("schema") != PLAN_SCHEMA:
         raise ShardError(
             f"unsupported shard-plan schema in {path!r}; "
             f"this build reads {PLAN_SCHEMA}"

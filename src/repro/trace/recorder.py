@@ -200,6 +200,11 @@ def read_trace(source: str | IO[str]) -> tuple[dict[str, Any], list[TraceEvent]]
             document = json.loads(line)
         except json.JSONDecodeError as exc:
             raise TraceError(f"bad JSON on line {lineno}: {exc}") from exc
+        if not (isinstance(document, dict)
+                and isinstance(document.get("seq"), int)
+                and isinstance(document.get("data", {}), dict)):
+            raise TraceError(f"line {lineno} is not an event object "
+                             "(an int seq and an object data)")
         kind = document.get("kind")
         if kind not in KINDS:
             raise TraceError(f"unknown event kind {kind!r} on line {lineno}")

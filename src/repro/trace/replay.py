@@ -16,9 +16,9 @@ DBMS layer can import the recorder API without a cycle; the heavy
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.errors import TraceError
+from repro.errors import ReproError, TraceError
 from repro.trace import events as ev
 from repro.trace.events import TraceEvent, answer_digest
 from repro.trace.recorder import read_trace, record_index_digest
@@ -28,6 +28,19 @@ MODES = ("auto", "sequential", "batch")
 
 #: Query kinds only a database call can answer (not a batch).
 _DB_ONLY_KINDS = ("nearest",)
+
+#: Events the replayed machinery re-emits by itself.
+_DERIVED_KINDS = (ev.CACHE, ev.INDEX_INSERT, ev.INDEX_REPLACE,
+                  ev.INDEX_REMOVE)
+
+
+def _decoded(event: TraceEvent, decode: Callable[..., Any],
+             *args: Any) -> Any:
+    """``decode(*args)``, whose domain error gains the event's seq."""
+    try:
+        return decode(*args)
+    except ReproError as exc:
+        raise type(exc)(f"event {event.seq} ({event.kind}): {exc}") from exc
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,30 +158,40 @@ class TraceReplayer:
         if event.kind == ev.DB_CONFIG:
             self._db = self._build_database(data)
             self._engine = None
-        elif event.kind == ev.CLASS_DEFINE:
-            self._define_class(self._require_db(event), data)
+            return
+        if event.kind in _DERIVED_KINDS:
+            return  # the re-driven machinery re-emits them
+        db = self._require_db(event)
+        if event.kind == ev.CLASS_DEFINE:
+            from repro.dbms.schema import ObjectClass
+
+            db.schema.define(_decoded(event, ObjectClass.from_spec, data))
         elif event.kind == ev.ROUTE_REGISTER:
-            self._register_route(self._require_db(event), data)
+            from repro.routes.route import Route
+
+            db.register_route(_decoded(event, Route.from_spec, data))
         elif event.kind == ev.INSERT_MOBILE:
-            self._insert_mobile(self._require_db(event), event)
+            self._insert_mobile(db, event)
         elif event.kind == ev.INSERT_STATIONARY:
-            self._insert_stationary(self._require_db(event), event)
+            self._insert_stationary(db, event)
         elif event.kind == ev.REMOVE_OBJECT:
-            self._require_db(event).remove_object(event.object_id)
+            db.remove_object(event.object_id)
         elif event.kind == ev.UPDATE:
-            self._install_update(self._require_db(event), event)
+            from repro.dbms.update_log import PositionUpdateMessage
+
+            db.process_update(_decoded(
+                event, PositionUpdateMessage.from_spec,
+                {**data, "time": event.time, "object_id": event.object_id}))
         elif event.kind == ev.QUERY:
-            answer = self._issue_query(self._require_db(event), event)
-            self._check(event, answer, report)
+            self._check(event, self._ask(db, event), report)
         elif event.kind == ev.INDEX_CONFIG:
-            self._require_db(event).rebuild_index(
+            db.rebuild_index(
                 slab_minutes=data.get("slab_minutes", 5.0),
                 max_entries=data.get("max_entries", 8),
                 min_entries=data.get("min_entries", 3),
             )
             self._engine = None  # the swap invalidates cached traversals
         elif event.kind == ev.SHARD_ROUTE:
-            self._require_db(event)
             if self.shards is None and self._partitioned is not None:
                 report.shard_checks += 1
                 actual_shard = self._partitioned.owner_of(event.object_id)
@@ -184,7 +207,7 @@ class TraceReplayer:
             if self.shards is not None:
                 pass  # override changes the physical index layout
             else:
-                actual = record_index_digest(self._require_db(event))
+                actual = record_index_digest(db)
                 report.index_checks += 1
                 if actual != data.get("digest"):
                     report.mismatches.append(ReplayMismatch(
@@ -193,9 +216,6 @@ class TraceReplayer:
                         actual=str(actual),
                         detail="index content digest diverged",
                     ))
-        elif event.kind in (ev.CACHE, ev.INDEX_INSERT, ev.INDEX_REPLACE,
-                            ev.INDEX_REMOVE):
-            pass  # derived events; the re-driven machinery re-emits them
         else:  # pragma: no cover - KINDS is closed in events.py
             raise TraceError(f"unreplayable event kind {event.kind!r}")
 
@@ -260,37 +280,6 @@ class TraceReplayer:
         return workload_from_events(self._events).bounds
 
     @staticmethod
-    def _define_class(db: Any, data: dict[str, Any]) -> None:
-        from repro.dbms.schema import (
-            AttributeDef,
-            Mobility,
-            ObjectClass,
-            SpatialKind,
-        )
-
-        db.schema.define(ObjectClass(
-            name=data["name"],
-            spatial_kind=SpatialKind(data["spatial_kind"]),
-            mobility=Mobility(data["mobility"]),
-            attributes=tuple(
-                AttributeDef(a["name"], a["type"], a.get("required", False))
-                for a in data.get("attributes", [])
-            ),
-        ))
-
-    @staticmethod
-    def _register_route(db: Any, data: dict[str, Any]) -> None:
-        from repro.geometry.point import Point
-        from repro.geometry.polyline import Polyline
-        from repro.routes.route import Route
-
-        db.register_route(Route(
-            data["route_id"],
-            Polyline(Point(x, y) for x, y in data["vertices"]),
-            name=data.get("name"),
-        ))
-
-    @staticmethod
     def _insert_mobile(db: Any, event: TraceEvent) -> None:
         from repro.core.serialize import policy_from_spec
         from repro.geometry.point import Point
@@ -299,7 +288,8 @@ class TraceReplayer:
         db.insert_moving_object(
             event.object_id, data["class_name"], data["route_id"],
             event.time, Point(*data["position"]), data["direction"],
-            data["speed"], policy_from_spec(data["policy"]),
+            data["speed"],
+            _decoded(event, policy_from_spec, data.get("policy")),
             max_speed=data["max_speed"],
             attributes=data.get("attributes"),
         )
@@ -315,99 +305,29 @@ class TraceReplayer:
         )
 
     @staticmethod
-    def _install_update(db: Any, event: TraceEvent) -> None:
-        from repro.dbms.update_log import PositionUpdateMessage
+    def _query(event: TraceEvent) -> Any:
+        from repro.dbms.refine import query_from_spec
 
-        data = event.data
-        db.process_update(PositionUpdateMessage(
-            event.object_id, event.time, data["x"], data["y"],
-            data["speed"], route_id=data.get("route_id"),
-            direction=data.get("direction"), policy=data.get("policy"),
-        ))
+        return _decoded(event, query_from_spec, event.data.get("kind"),
+                        event.time, event.object_id, event.data)
 
-    def _issue_query(self, db: Any, event: TraceEvent) -> Any:
-        from repro.geometry.point import Point
-        from repro.geometry.polygon import Polygon
+    def _ask(self, db: Any, event: TraceEvent) -> Any:
+        """One query event through the database's public methods."""
+        if event.data.get("kind") in _DB_ONLY_KINDS:
+            from repro.dbms.refine import nearest_from_spec
 
-        data = event.data
-        kind = data.get("kind")
-        where = data.get("where")
-        class_name = data.get("class_name")
-        if kind == "position":
-            return db.position_of(event.object_id, event.time)
-        if kind == "range":
-            return db.range_query(
-                Polygon.from_coordinates(
-                    [(x, y) for x, y in data["polygon"]]
-                ),
-                event.time, where=where, class_name=class_name,
-            )
-        if kind == "within":
-            return db.within_distance(
-                Point(*data["center"]), data["radius"], event.time,
-                where=where, class_name=class_name,
-            )
-        if kind == "proximity":
-            return db.within_distance_of_object(
-                event.object_id, data["radius"], event.time,
-                where=where, class_name=class_name,
-            )
-        if kind == "nearest":
-            return db.nearest(
-                Point(*data["center"]), data["k"], event.time,
-                where=where, class_name=class_name,
-            )
-        raise TraceError(
-            f"event {event.seq}: unknown query kind {kind!r}"
-        )
+            return db.nearest(*_decoded(event, nearest_from_spec,
+                                        event.time, event.data))
+        return db.ask(self._query(event))
 
     def _replay_batch(self, group: list[TraceEvent],
                       report: ReplayReport) -> None:
-        from repro.dbms.batch import (
-            BatchQueryEngine,
-            PositionQuery,
-            ProximityQuery,
-            RangeQuery,
-            WithinDistanceQuery,
-        )
-        from repro.geometry.point import Point
-        from repro.geometry.polygon import Polygon
+        from repro.dbms.batch import BatchQueryEngine
 
         db = self._require_db(group[0])
         if self._engine is None:
             self._engine = BatchQueryEngine(db)
-        queries: list[Any] = []
-        for event in group:
-            data = event.data
-            kind = data.get("kind")
-            if kind == "position":
-                queries.append(PositionQuery(event.object_id, event.time))
-            elif kind == "range":
-                queries.append(RangeQuery(
-                    Polygon.from_coordinates(
-                        [(x, y) for x, y in data["polygon"]]
-                    ),
-                    event.time, where=data.get("where"),
-                    class_name=data.get("class_name"),
-                ))
-            elif kind == "within":
-                queries.append(WithinDistanceQuery(
-                    Point(*data["center"]), data["radius"], event.time,
-                    where=data.get("where"),
-                    class_name=data.get("class_name"),
-                ))
-            elif kind == "proximity":
-                queries.append(ProximityQuery(
-                    event.object_id, data["radius"], event.time,
-                    where=data.get("where"),
-                    class_name=data.get("class_name"),
-                ))
-            else:
-                raise TraceError(
-                    f"event {event.seq}: query kind {kind!r} cannot "
-                    "replay through the batch engine"
-                )
-        answers = self._engine.run(queries)
+        answers = self._engine.run([self._query(event) for event in group])
         for event, answer in zip(group, answers):
             self._check(event, answer, report)
 

@@ -40,6 +40,13 @@ class TestCostFunctionSpecs:
         with pytest.raises(PolicyError):
             cost_function_from_spec({"name": "quadratic"})
 
+    @pytest.mark.parametrize("spec", [
+        {"name": "step"}, {"name": "step", "threshold": "high"}, None,
+    ], ids=["no-threshold", "string-threshold", "not-an-object"])
+    def test_malformed_spec_is_a_policy_error(self, spec):
+        with pytest.raises(PolicyError):
+            cost_function_from_spec(spec)
+
 
 class TestPolicySpecs:
     @pytest.mark.parametrize("policy", [
@@ -77,3 +84,16 @@ class TestPolicySpecs:
     def test_unknown_name_rejected(self):
         with pytest.raises(PolicyError):
             policy_from_spec({"name": "psychic", "update_cost": 5.0})
+
+    @pytest.mark.parametrize("spec", [
+        {"name": "dl"},
+        {"name": "dl", "update_cost": 5.0, "bound": 1.0},
+        {"name": "dl", "update_cost": "abc"},
+        {"name": "dl", "update_cost": 5.0, "cost_function": "uniform"},
+        {"update_cost": 5.0},
+        ["dl", 5.0],
+    ], ids=["no-update-cost", "extra-key", "string-cost",
+            "cost-function-not-an-object", "no-name", "not-an-object"])
+    def test_malformed_spec_is_a_policy_error(self, spec):
+        with pytest.raises(PolicyError):
+            policy_from_spec(spec)

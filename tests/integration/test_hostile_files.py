@@ -1,0 +1,221 @@
+"""Hostile trace and snapshot files: every malformed field is an error line.
+
+A small recorded trace and a saved snapshot are corrupted one field at
+a time — each required key dropped, one wrong-typed value, one unknown
+enum or policy name per record kind — and handed to ``repro trace
+replay`` / ``repro query``.  Each run must exit 1 with a single
+``error: ...`` line on stderr: the one decoder of each record turns the
+bad field into a :mod:`repro.errors` error, and no exception escapes
+``main``.
+"""
+
+import copy
+import io
+import json
+
+import pytest
+
+from repro.cli import main
+
+#: Trace record kinds: (label, event kind, query kind, keys to drop,
+#: [(key, wrong-typed value)], (key, unknown enum or policy name)).
+#: A key is a dotted path into the event (``data.policy.name``).
+TRACE_RECORDS = [
+    ("class_define", "class_define", None,
+     ["data.name", "data.spatial_kind", "data.mobility"],
+     [("data.attributes", "free"), ("data.name", 5)],
+     ("data.spatial_kind", "blob")),
+    ("route_register", "route_register", None,
+     ["data.route_id", "data.vertices"],
+     [("data.vertices", [[0.0, "x"], [1.0, 1.0]])], None),
+    ("insert_mobile_policy", "insert_mobile", None,
+     ["data.policy", "data.policy.name", "data.policy.update_cost"],
+     [("data.policy.update_cost", "abc"), ("data.policy.bound", 1.0)],
+     ("data.policy.name", "psychic")),
+    ("update", "update", None,
+     ["time", "object_id", "data.x", "data.y", "data.speed"],
+     [("data.speed", "fast"), ("data.direction", "left")],
+     ("data.policy", "psychic")),
+    ("position_query", "query", "position",
+     ["time", "object_id", "data.kind"], [("time", "soon")],
+     ("data.kind", "psychic")),
+    ("range_query", "query", "range", ["data.polygon"],
+     [("data.polygon", "abc"), ("data.where", "free")],
+     ("data.kind", "psychic")),
+    ("within_query", "query", "within", ["data.center", "data.radius"],
+     [("data.radius", "far"), ("data.center", [1.0])],
+     ("data.kind", "psychic")),
+    ("proximity_query", "query", "proximity",
+     ["object_id", "data.radius"], [("data.radius", [1.0])],
+     ("data.kind", "psychic")),
+    ("nearest_query", "query", "nearest", ["data.center", "data.k"],
+     [("data.k", "three"), ("data.class_name", 7)],
+     ("data.kind", "psychic")),
+]
+
+#: Snapshot record kinds: (section, keys to drop, wrong values, enum).
+SNAPSHOT_RECORDS = [
+    ("routes", ["route_id", "vertices"], [("vertices", "abc")], None),
+    ("classes", ["name", "spatial_kind", "mobility"],
+     [("name", 5), ("attributes", [{"name": "free", "type": 5}])],
+     ("mobility", "teleport")),
+    ("records",
+     ["object_id", "class_name", "max_speed", "policy", "attribute",
+      "policy.name", "policy.update_cost", "attribute.starttime",
+      "attribute.route_id", "attribute.start_x", "attribute.start_y",
+      "attribute.direction", "attribute.speed", "attribute.policy"],
+     [("max_speed", "fast"), ("attribute.direction", "north")],
+     ("policy.name", "psychic")),
+    ("update_log", ["object_id", "time", "x", "y", "speed"],
+     [("speed", "fast"), ("direction", 7)], ("policy", "psychic")),
+]
+
+#: Whole-document keys of a snapshot.
+SNAPSHOT_KEYS = ["horizon", "clock_time", "routes", "classes", "records",
+                 "stationary", "update_log"]
+
+
+def cases(records):
+    """``pytest.param(label, path, value)`` per corruption of each
+    record kind; a ``value`` of ``...`` drops the key."""
+    for record in records:
+        label, (drops, wrong, enum) = record[0], record[-3:]
+        changes = [(key, ...) for key in drops] + wrong
+        if enum is not None:
+            changes.append(enum)
+        for key, value in changes:
+            how = "drop" if value is ... else "set"
+            yield pytest.param(label, key, value,
+                               id=f"{label}-{how}-{key}")
+
+
+def mutate(document, path, value):
+    *parents, last = path.split(".")
+    for key in parents:
+        document = document[key]
+    if value is ...:
+        del document[last]
+    else:
+        document[last] = value
+
+
+def run_failing(argv, capsys):
+    """Run ``main(argv)``; it must fail with exactly one error line."""
+    code = main(argv, out=io.StringIO())
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line]
+    assert code == 1
+    assert len(errors) == 1 and errors[0].startswith("error: "), errors
+    return errors[0]
+
+
+@pytest.fixture(scope="module")
+def recorded(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("hostile")
+    trace = directory / "trace.jsonl"
+    snapshot = directory / "snapshot.json"
+    out = io.StringIO()
+    assert main(["trace", "record", "--size", "5", "--duration", "12",
+                 "--seed", "7", "--queries", "10", "--out", str(trace)],
+                out=out) == 0
+    assert main(["scenario", "--seed", "7", "--snapshot", str(snapshot)],
+                out=out) == 0
+    return trace.read_text().splitlines(), json.loads(snapshot.read_text())
+
+
+def test_the_uncorrupted_files_replay_and_load(recorded, tmp_path):
+    lines, snapshot = recorded
+    kinds = {json.loads(line)["data"].get("kind") for line in lines[1:]}
+    assert {"position", "range", "within", "proximity", "nearest"} <= kinds
+    assert all(snapshot[section] for section, *_ in SNAPSHOT_RECORDS)
+    trace = tmp_path / "t.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    assert main(["trace", "replay", str(trace)], out=io.StringIO()) == 0
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(snapshot))
+    assert main(["query", str(path), "POSITION OF taxi-1"],
+                out=io.StringIO()) == 0
+
+
+_BY_LABEL = {record[0]: record for record in TRACE_RECORDS}
+
+
+def corrupt_trace(lines, label, path, value):
+    """``lines`` with the first event of ``label``'s kind corrupted,
+    and that event's seq."""
+    _, kind, query_kind = _BY_LABEL[label][:3]
+    lines = list(lines)
+    for i, line in enumerate(lines[1:], start=1):
+        event = json.loads(line)
+        if event["kind"] == kind and event["data"].get("kind") == query_kind:
+            mutate(event, path, value)
+            lines[i] = json.dumps(event, sort_keys=True)
+            return lines, event["seq"]
+    raise AssertionError(f"the trace holds no {label} event")
+
+
+@pytest.mark.parametrize("label, path, value", cases(TRACE_RECORDS))
+def test_corrupt_trace_event(recorded, tmp_path, capsys, label, path,
+                             value):
+    lines, seq = corrupt_trace(recorded[0], label, path, value)
+    trace = tmp_path / "hostile.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    message = run_failing(["trace", "replay", str(trace)], capsys)
+    assert message.startswith(f"error: event {seq} "), message
+
+
+@pytest.mark.parametrize("label, path, value", [
+    case for case in cases(TRACE_RECORDS)
+    if case.values[0].endswith("_query") and case.values[0] != "nearest_query"
+])
+def test_corrupt_query_replayed_as_a_batch(recorded, tmp_path, capsys,
+                                           label, path, value):
+    lines, seq = corrupt_trace(recorded[0], label, path, value)
+    trace = tmp_path / "hostile.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    message = run_failing(["trace", "replay", str(trace), "--mode", "batch"],
+                          capsys)
+    assert message.startswith(f"error: event {seq} "), message
+
+
+@pytest.mark.parametrize("section, path, value", cases(SNAPSHOT_RECORDS))
+def test_corrupt_snapshot_record(recorded, tmp_path, capsys, section, path,
+                                 value):
+    snapshot = copy.deepcopy(recorded[1])
+    mutate(snapshot[section][0], path, value)
+    target = tmp_path / "hostile.json"
+    target.write_text(json.dumps(snapshot, indent=1))
+    run_failing(["query", str(target), "POSITION OF taxi-1"], capsys)
+
+
+@pytest.mark.parametrize("key", SNAPSHOT_KEYS)
+def test_snapshot_without_a_section(recorded, tmp_path, capsys, key):
+    snapshot = copy.deepcopy(recorded[1])
+    del snapshot[key]
+    target = tmp_path / "hostile.json"
+    target.write_text(json.dumps(snapshot))
+    run_failing(["query", str(target), "POSITION OF taxi-1"], capsys)
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "not-object"])
+def test_unreadable_snapshot_file(recorded, tmp_path, capsys, damage):
+    target = tmp_path / "hostile.json"
+    text = json.dumps(recorded[1], indent=1)
+    if damage == "truncated":
+        target.write_text(text[: len(text) // 2])
+    elif damage == "not-object":
+        target.write_text(json.dumps([recorded[1]]))
+    run_failing(["query", str(target), "POSITION OF taxi-1"], capsys)
+
+
+@pytest.mark.parametrize("damage", ["missing", "truncated", "not-object"])
+def test_unreadable_trace_file(recorded, tmp_path, capsys, damage):
+    lines = list(recorded[0])
+    target = tmp_path / "hostile.jsonl"
+    if damage == "truncated":
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]
+    elif damage == "not-object":
+        lines[-1] = "[]"
+    if damage != "missing":
+        target.write_text("\n".join(lines) + "\n")
+    run_failing(["trace", "replay", str(target)], capsys)

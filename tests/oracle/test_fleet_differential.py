@@ -107,10 +107,10 @@ def test_fleet_run_equals_the_tick_by_tick_loop(vehicles, dt, seed,
 
 
 @pytest.mark.parametrize("size", [1, 33])
-def test_either_side_of_the_kernel_floor(size, monkeypatch):
-    """The dispatcher had a floor of 32 lanes per pass and has none now:
-    a group of one or of 33, with other lanes woven through it, rides a
-    pass; the one lane the kernel cannot take runs alone."""
+def test_any_group_size_rides_one_pass(size, monkeypatch):
+    """A group of one or of 33 lanes, with other lanes woven through
+    it, rides one kernel pass (there is no lane floor); the one lane
+    the kernel cannot take runs alone."""
     passes, runs = watch_dispatch(monkeypatch)
     vehicles = [("ail", 0.2, 3.05)] * size
     vehicles[5:5] = [("fixed-threshold", 0.2, 3.05), ("ail", 0.2, 2.0),

@@ -123,14 +123,26 @@ def mask_e7_timing(report):
     return "\n".join(lines)
 
 
+@pytest.fixture(scope="module")
+def fast_report(tmp_path_factory):
+    """``(metrics path, output)`` of one ``report --fast --metrics-out``
+    run, shared by the tests that read the report and its snapshot."""
+    path = str(tmp_path_factory.mktemp("report") / "report-metrics.jsonl")
+    code, output = run_cli(["report", "--fast", "--metrics-out", path])
+    assert code == 0
+    return path, output
+
+
 class TestReport:
-    def test_fast_report(self):
-        code, output = run_cli(["report", "--fast"])
-        assert code == 0
+    def test_fast_report(self, fast_report):
+        path, output = fast_report
+        written = f"metrics snapshot written to {path}\n"
+        assert output.endswith(written)
+        report = output[:-len(written)]
         missing = [f"[E{i}]" for i in range(1, 21)
-                   if f"[E{i}]\n" not in output]
+                   if f"[E{i}]\n" not in report]
         assert not missing
-        digest = hashlib.sha256(mask_e7_timing(output).encode()).hexdigest()
+        digest = hashlib.sha256(mask_e7_timing(report).encode()).hexdigest()
         assert digest == FAST_REPORT_MASKED_SHA256
 
 
@@ -297,12 +309,10 @@ class TestSeedDeterminism:
 
 
 class TestReportMetricsOut:
-    def test_fast_report_writes_snapshot(self, tmp_path):
+    def test_fast_report_writes_snapshot(self, fast_report):
         import json
 
-        path = str(tmp_path / "report-metrics.jsonl")
-        code, output = run_cli(["report", "--fast", "--metrics-out", path])
-        assert code == 0
+        path, output = fast_report
         assert f"metrics snapshot written to {path}" in output
         documents = [json.loads(l) for l in open(path)]
         names = {d["name"] for d in documents}
