@@ -12,9 +12,13 @@ and asserts (not eyeballs) the claims ``repro.vec`` makes:
    the fleet (the reference costs ~1 ms per vehicle) — and
 2. one fused ``simulate_batch`` pass over six update costs yields,
    byte for byte, the metrics of six single-cost passes, with both
-   legs timed.
+   legs timed, and
+3. one sample lane of every family beyond dl/ail/cil (the baselines,
+   the uniform-cost horizon rule, a step-cost lane) returns the
+   reference loop's ``TripResult`` — metrics, events and series — on
+   ``repr``.
 
-Both are asserted in every mode; ``--fast`` only shrinks the fleet for
+All three are asserted in every mode; ``--fast`` only shrinks the fleet for
 CI smoke.  Nothing is gated on speed: there is no second loop in
 ``src/`` to race the kernel against, and the end-to-end ledger
 (``benchmarks/e2e``) is where a slower kernel shows.
@@ -36,6 +40,7 @@ from pathlib import Path
 from time import perf_counter
 
 from repro.bench import benchmark as register_benchmark
+from repro.core.cost import StepDeviationCost
 from repro.core.policies import make_policy
 from repro.exec import TickGrid
 from repro.experiments.sweep import SweepSpec
@@ -53,6 +58,15 @@ SWEEP_COSTS = SweepSpec().update_costs
 SWEEP_VEHICLES = 160
 DURATION = 10.0
 DT = 0.1
+
+#: Claim 3's lanes: ``make_policy`` name and keywords.
+FAMILY_SAMPLES = (
+    ("fixed-threshold", {"bound": 0.3}),
+    ("traditional", {"precision": 0.5}),
+    ("periodic", {"period": 1.0}),
+    ("horizon", {"horizon": 5.0}),
+    ("fixed-threshold", {"bound": 0.3, "cost_function": StepDeviationCost(0.1)}),
+)
 
 FULL_VEHICLES = 100_000
 FAST_VEHICLES = 256
@@ -79,15 +93,32 @@ def build_fleet(num_vehicles: int, num_unique: int,
     return [base[i % num_unique] for i in range(num_vehicles)]
 
 
-def reference_metrics(grids: list[TickGrid]) -> list:
-    """The oracle's metrics (it lives with the tests, outside ``src``)."""
+def oracle():
+    """``reference_run`` (it lives with the tests, outside ``src``)."""
     root = str(Path(__file__).resolve().parent.parent)
     if root not in sys.path:
         sys.path.insert(0, root)
     from tests.oracle.policy_reference import reference_run
 
+    return reference_run
+
+
+def reference_metrics(grids: list[TickGrid]) -> list:
+    """The oracle's metrics."""
     policy = make_policy("dl", UPDATE_COST)
-    return [reference_run(grid, policy).metrics for grid in grids]
+    return [oracle()(grid, policy).metrics for grid in grids]
+
+
+def families_identical(grid: TickGrid) -> bool:
+    """Claim 3: each of :data:`FAMILY_SAMPLES` as a kernel lane of one
+    trip, series recorded, against the reference loop."""
+    batch = VecTripBatch.from_grids([grid])
+    return all(
+        repr(simulate_batch(batch, make_policy(name, UPDATE_COST, **kwargs),
+                            record_series=True)[0])
+        == repr(oracle()(grid, make_policy(name, UPDATE_COST, **kwargs),
+                         record_series=True))
+        for name, kwargs in FAMILY_SAMPLES)
 
 
 def vectorized_metrics(grids: list[TickGrid]) -> list:
@@ -180,6 +211,7 @@ def run_benchmark(fast: bool = False) -> dict:
         "reference_sample": len(sample),
         "reference_seconds": reference_seconds,
         "byte_identical": identical,
+        "families_byte_identical": families_identical(grids[0]),
         "cost_axis": {
             "num_vehicles": sweep_vehicles,
             "update_costs": list(SWEEP_COSTS),
@@ -226,6 +258,10 @@ def main(argv: list[str] | None = None) -> int:
     if not report["byte_identical"]:
         print("FAIL: vectorized metrics differ from the reference loop",
               file=sys.stderr)
+        return 1
+    if not report["families_byte_identical"]:
+        print("FAIL: a family's sample lane differs from the reference "
+              "loop", file=sys.stderr)
         return 1
     if not axis["byte_identical"]:
         print("FAIL: the fused cost-axis pass differs from the "

@@ -101,7 +101,7 @@ class StepDeviationCost(DeviationCostFunction):
     name = "step"
 
     def __init__(self, threshold: float) -> None:
-        if threshold < 0:
+        if not threshold >= 0:
             raise PolicyError(f"step threshold must be nonnegative, got {threshold}")
         self.threshold = threshold
 

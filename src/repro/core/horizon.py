@@ -52,9 +52,9 @@ class HorizonCostPolicy(UpdatePolicy):
                  cost_function: DeviationCostFunction | None = None,
                  integration_step: float = 1.0 / 60.0) -> None:
         super().__init__(update_cost, cost_function)
-        if horizon <= 0:
+        if not horizon > 0:
             raise PolicyError(f"horizon must be positive, got {horizon}")
-        if integration_step <= 0 or integration_step > horizon:
+        if not 0 < integration_step <= horizon:
             raise PolicyError(
                 f"integration step must be in (0, horizon], got "
                 f"{integration_step}"

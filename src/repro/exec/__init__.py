@@ -1,7 +1,7 @@
 """Execution of (trip, policy) runs: tick-grid caching + sweep executor.
 
 :func:`repro.exec.executor.simulate_lanes` runs any set of independent
-(trip, policy) lanes — a kernel pass per group of dl/ail/cil lanes, the
+(trip, policy) lanes — a kernel pass per group of kernel lanes, the
 reference loop for every other lane.  The subsystem behind ``--jobs``
 sits on it: it
 decomposes sweep grids into independent (policy, update-cost, trip)

@@ -49,7 +49,12 @@ from repro.core.policy import UpdatePolicy
 from repro.errors import ExperimentError
 from repro.exec.cache import GridTrip, TickGrid, TripTickCache
 from repro.obs.probe import probe
-from repro.sim.engine import PolicySimulation, TripResult, supports_fast_path
+from repro.sim.engine import (
+    PolicySimulation,
+    TripResult,
+    kernel_lane,
+    supports_fast_path,
+)
 from repro.sim.metrics import TripMetrics, aggregate_metrics
 from repro.sim.speed_curves import SpeedCurve
 from repro.sim.trip import Trip
@@ -127,17 +132,18 @@ def _make_policy(spec: SweepSpec, policy_index: int,
 
 def simulate_lanes(lanes: Sequence[tuple[Trip | TickGrid, UpdatePolicy]],
                    dt: float, *, collect_events: bool = True,
-                   ) -> list[TripResult]:
+                   record_series: bool = False) -> list[TripResult]:
     """Run every ``(trip, policy)`` lane; results come in lane order.
 
     A lane names its trip or the trip's prebuilt :class:`TickGrid`.
-    Every lane the kernel supports (:func:`supports_fast_path`, on a
-    grid of this ``dt``) joins the pass of its (policy class, tick
-    layout) group, one cost row per update cost; rows of one class over
-    the same grids share a pass.  Every other lane is
-    :meth:`PolicySimulation.run` on its grid.  Each lane runs its whole
-    trip alone, so lanes must not share a stateful policy.
-    ``collect_events=False`` lets kernel passes skip the event lists.
+    Every lane the kernel supports (:func:`kernel_lane`, on a grid of
+    this ``dt``) joins the pass of its (kind, tick layout) group, one
+    row per set of lane parameters; rows of one kind over the same
+    grids share a pass.  Every other lane is :meth:`PolicySimulation.run`
+    on its grid.  Each lane runs its whole trip alone, so lanes must not
+    share a stateful policy.  ``collect_events=False`` lets kernel
+    passes skip the event lists; ``record_series`` attaches every
+    lane's per-tick series.
     """
     grids = [trip if isinstance(trip, TickGrid) else TickGrid.build(trip, dt)
              for trip, _ in lanes]
@@ -145,28 +151,30 @@ def simulate_lanes(lanes: Sequence[tuple[Trip | TickGrid, UpdatePolicy]],
     results: list[TripResult | None] = [None] * len(lanes)
     rows: dict[tuple, list[int]] = {}
     for i, (grid, policy) in enumerate(zip(grids, policies)):
-        if grid.dt == dt and supports_fast_path(policy):
-            rows.setdefault((type(policy), grid.num_ticks, grid.duration,
-                             policy.update_cost), []).append(i)
-    # The same grids (by identity) under several costs or classes are
-    # packed once; each class's cost rows are one pass over the batch.
-    passes: dict[tuple[TickGrid, ...], dict[type, list[list[int]]]] = {}
-    for (family, *_), row in rows.items():
+        lane = kernel_lane(policy)
+        if grid.dt == dt and lane is not None:
+            rows.setdefault((lane[0], grid.num_ticks, grid.duration, lane[1]),
+                            []).append(i)
+    # The same grids (by identity) under several rows or kinds are
+    # packed once; each kind's rows are one pass over the batch.
+    passes: dict[tuple[TickGrid, ...], dict[tuple, list[list[int]]]] = {}
+    for (kind, *_), row in rows.items():
         columns = tuple(grids[i] for i in row)
-        passes.setdefault(columns, {}).setdefault(family, []).append(row)
-    for columns, families in passes.items():
+        passes.setdefault(columns, {}).setdefault(kind, []).append(row)
+    for columns, kinds in passes.items():
         batch = VecTripBatch.from_grids(columns)
-        for cost_rows in families.values():
+        for kind_rows in kinds.values():
             flat = simulate_batch(
-                batch, [policies[row[0]] for row in cost_rows],
-                collect_events=collect_events)
-            for c, row in enumerate(cost_rows):
+                batch, [policies[row[0]] for row in kind_rows],
+                collect_events=collect_events, record_series=record_series)
+            for c, row in enumerate(kind_rows):
                 for j, i in enumerate(row):
                     results[i] = flat[c * len(columns) + j]
     for i, result in enumerate(results):
         if result is None:
             results[i] = PolicySimulation(GridTrip(grids[i]), policies[i],
-                                          dt=dt, grid=grids[i]).run()
+                                          dt=dt, grid=grids[i]).run(
+                                              record_series)
     return results  # type: ignore[return-value]
 
 
@@ -174,8 +182,8 @@ def _run_cells(spec: SweepSpec, cells: list[SweepCell],
                grids: list[TickGrid], first: int) -> list[TripMetrics]:
     """The cells' metrics, in cell order; ``grids`` start at trip ``first``.
 
-    The kernel only reads a policy's class and cost, so its cells share
-    one instance per (policy, cost).  Any other cell runs
+    The kernel only reads a policy's kind and parameters, so its cells
+    share one instance per (policy, cost).  Any other cell runs
     ``policy.decide``, which may keep state across ticks
     (``AdaptivePolicy``): a fresh instance each.
     """

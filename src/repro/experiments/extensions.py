@@ -23,6 +23,7 @@ from repro.core.horizon import HorizonCostPolicy
 from repro.core.policies import make_policy
 from repro.dbms.database import MovingObjectDatabase
 from repro.errors import ExperimentError
+from repro.exec.executor import simulate_lanes
 from repro.experiments.tables import TableResult
 from repro.geometry.polygon import Polygon
 from repro.index.timespace import TimeSpaceIndex
@@ -62,13 +63,9 @@ def table_horizon_policy(update_cost: float = 5.0, num_curves: int = 6,
     trips = [Trip.synthetic(c, route_id=f"hz-{i}")
              for i, c in enumerate(curves)]
 
-    def run(policy_factory, cost_function=None):
-        metrics = []
-        for trip in trips:
-            policy = policy_factory()
-            result = simulate_trip(trip, policy, dt=dt)
-            metrics.append(result.metrics)
-        return aggregate_metrics(metrics)
+    def run(policy_factory):
+        return aggregate_metrics([result.metrics for result in simulate_lanes(
+            [(trip, policy_factory()) for trip in trips], dt)])
 
     uniform_horizon = run(
         lambda: HorizonCostPolicy(update_cost, horizon=5.0)
@@ -132,9 +129,6 @@ def table_adaptive_policy(update_cost: float = 5.0, num_trips: int = 6,
         metrics = [
             simulate_trip(trip, factory(), dt=dt).metrics for trip in trips
         ]
-        aggregate = aggregate_metrics(
-            [m for m in metrics]
-        ) if len({m.policy for m in metrics}) == 1 else None
         total = sum(m.total_cost for m in metrics) / len(metrics)
         updates = sum(m.num_updates for m in metrics) / len(metrics)
         deviation = sum(m.avg_deviation for m in metrics) / len(metrics)

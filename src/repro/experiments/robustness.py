@@ -12,8 +12,10 @@ from __future__ import annotations
 import random
 
 from repro.core.policies import make_policy
+from repro.exec.executor import simulate_lanes
 from repro.experiments.tables import TableResult
-from repro.sim.noise import simulate_trip_with_noise
+from repro.sim.grid import TickGrid
+from repro.sim.noise import audit, noisy_grid, reading_draws
 from repro.sim.speed_curves import standard_curve_set
 from repro.sim.trip import Trip
 
@@ -24,30 +26,31 @@ def table_noise_robustness(epsilons: tuple[float, ...] = (0.0, 0.02, 0.05, 0.1),
                            num_curves: int = 5, duration: float = 30.0,
                            seed: int = 53,
                            dt: float = 1.0 / 30.0) -> TableResult:
-    """Violation accounting per noise level, naive vs. inflated bounds."""
+    """Violation accounting per noise level, naive vs. inflated bounds.
+
+    Each trip's readings are drawn once and scaled per ``epsilon``; the
+    noisy grids run as lanes of one :func:`simulate_lanes` pass, and
+    each run is audited twice.
+    """
     rng = random.Random(seed)
     curves = standard_curve_set(rng, count=num_curves, duration=duration)
-    trips = [Trip.synthetic(c, route_id=f"noise-{i}")
-             for i, c in enumerate(curves)]
+    cleans = [TickGrid.build(Trip.synthetic(c, route_id=f"noise-{i}"), dt)
+              for i, c in enumerate(curves)]
+    draws = [reading_draws(seed + i, clean) for i, clean in enumerate(cleans)]
+    runs = simulate_lanes(
+        [(noisy_grid(clean, epsilon, u), make_policy(policy_name, update_cost))
+         for epsilon in epsilons for clean, u in zip(cleans, draws)],
+        dt, record_series=True)
     rows: list[list[object]] = []
-    for epsilon in epsilons:
-        naive_violations = 0
-        inflated_violations = 0
-        ticks = 0
-        updates = 0
-        for i, trip in enumerate(trips):
-            naive = simulate_trip_with_noise(
-                trip, make_policy(policy_name, update_cost), epsilon,
-                seed=seed + i, dt=dt, inflate_bounds=False,
-            )
-            inflated = simulate_trip_with_noise(
-                trip, make_policy(policy_name, update_cost), epsilon,
-                seed=seed + i, dt=dt, inflate_bounds=True,
-            )
+    for e, epsilon in enumerate(epsilons):
+        naive_violations = inflated_violations = ticks = updates = 0
+        for clean, run in zip(cleans, runs[e * num_curves:]):
+            naive = audit(clean, run, epsilon, inflate_bounds=False)
             naive_violations += naive.violations
-            inflated_violations += inflated.violations
+            inflated_violations += audit(clean, run, epsilon,
+                                         inflate_bounds=True).violations
             ticks += naive.ticks
-            updates += inflated.num_updates
+            updates += naive.num_updates
         rows.append(
             [
                 epsilon,

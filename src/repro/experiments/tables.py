@@ -63,33 +63,19 @@ def _table_trips(curves: list[SpeedCurve], label: str) -> list[Trip]:
             for i, curve in enumerate(curves)]
 
 
-def _run_policy_over_curves(policy_name: str, update_cost: float,
-                            curves: list[SpeedCurve], dt: float,
-                            executor=None, trips: list[Trip] | None = None,
-                            **kwargs: object):
-    """One (policy, cost) cell row over a curve set, via the executor.
-
-    Passing the same ``executor`` and ``trips`` across calls shares the
-    trips' tick grids between policies (the ablation tables compare
-    several policies on one curve set, so all but the first call hit
-    the cache).
-    """
-    from repro.exec import SweepExecutor
-
-    if executor is None:
-        executor = SweepExecutor()
-    if trips is None:
-        trips = _table_trips(curves, policy_name)
+def _policy_cells(names: tuple[str, ...], update_cost: float,
+                  curves: list[SpeedCurve], dt: float, executor, label: str,
+                  policy_kwargs: dict[str, dict[str, object]] | None = None):
+    """``{name: aggregate}`` of each policy at one cost over a curve set:
+    one sweep, so one kernel pass per family over the same packed trips
+    (and ``executor``'s cache shares their grids with later calls)."""
     spec = SweepSpec(
-        policy_names=(policy_name,),
-        update_costs=(update_cost,),
+        policy_names=names, update_costs=(update_cost,),
         num_curves=len(curves),
-        duration=max(curve.duration for curve in curves),
-        dt=dt,
-        policy_kwargs={policy_name: dict(kwargs)} if kwargs else {},
-    )
-    result = executor.run(spec, trips=trips)
-    return result.cells[policy_name][update_cost]
+        duration=max(curve.duration for curve in curves), dt=dt,
+        policy_kwargs=policy_kwargs or {})
+    cells = executor.run(spec, trips=_table_trips(curves, label)).cells
+    return {name: cells[name][update_cost] for name in names}
 
 
 def table_update_savings(precision_miles: float = 1.0,
@@ -115,39 +101,16 @@ def table_update_savings(precision_miles: float = 1.0,
 
     rng = random.Random(seed)
     curves = standard_curve_set(rng, count=num_curves, duration=duration)
-    executor = SweepExecutor(jobs=jobs)
-    trips = _table_trips(curves, "savings")
-    rows: list[list[object]] = []
-    baseline = _run_policy_over_curves(
-        "traditional", update_cost, curves, dt,
-        executor=executor, trips=trips, precision=precision_miles,
-    )
-    runs = [
-        ("traditional", baseline),
-        (
-            "fixed-threshold",
-            _run_policy_over_curves(
-                "fixed-threshold", update_cost, curves, dt,
-                executor=executor, trips=trips, bound=precision_miles,
-            ),
-        ),
-        ("dl", _run_policy_over_curves("dl", update_cost, curves, dt,
-                                       executor=executor, trips=trips)),
-        ("ail", _run_policy_over_curves("ail", update_cost, curves, dt,
-                                        executor=executor, trips=trips)),
-        ("cil", _run_policy_over_curves("cil", update_cost, curves, dt,
-                                        executor=executor, trips=trips)),
-    ]
-    for name, aggregate in runs:
-        rows.append(
-            [
-                name,
-                aggregate.num_updates,
-                aggregate.num_updates / baseline.num_updates,
-                aggregate.avg_deviation,
-                aggregate.max_deviation,
-            ]
-        )
+    cells = _policy_cells(
+        ("traditional", "fixed-threshold", "dl", "ail", "cil"), update_cost,
+        curves, dt, SweepExecutor(jobs=jobs), "savings",
+        {"traditional": {"precision": precision_miles},
+         "fixed-threshold": {"bound": precision_miles}})
+    baseline = cells["traditional"]
+    rows: list[list[object]] = [
+        [name, cell.num_updates, cell.num_updates / baseline.num_updates,
+         cell.avg_deviation, cell.max_deviation]
+        for name, cell in cells.items()]
     return TableResult(
         experiment_id="E4",
         title=(
@@ -254,11 +217,8 @@ def table_predictor_ablation(update_cost: float = 5.0, num_curves: int = 8,
     executor = SweepExecutor(jobs=jobs)
     rows: list[list[object]] = []
     for regime, curves in (("highway", highway), ("city", city)):
-        trips = _table_trips(curves, regime)
-        current = _run_policy_over_curves("cil", update_cost, curves, dt,
-                                          executor=executor, trips=trips)
-        average = _run_policy_over_curves("ail", update_cost, curves, dt,
-                                          executor=executor, trips=trips)
+        current, average = _policy_cells(("cil", "ail"), update_cost, curves,
+                                         dt, executor, regime).values()
         winner = "current" if current.total_cost < average.total_cost else "average"
         rows.append(
             [regime, current.total_cost, average.total_cost, winner]
@@ -293,11 +253,8 @@ def table_delay_ablation(update_cost: float = 5.0, num_curves: int = 8,
     rows: list[list[object]] = []
     for regime, curves in (("piecewise-stable", stable),
                            ("continuous-drift", drifting)):
-        trips = _table_trips(curves, regime)
-        dl = _run_policy_over_curves("dl", update_cost, curves, dt,
-                                     executor=executor, trips=trips)
-        cil = _run_policy_over_curves("cil", update_cost, curves, dt,
-                                      executor=executor, trips=trips)
+        dl, cil = _policy_cells(("dl", "cil"), update_cost, curves, dt,
+                                executor, regime).values()
         rows.append(
             [
                 regime,

@@ -25,10 +25,11 @@ reckoning and multi-leg journeys go through these two.
 :meth:`PolicySimulation._run_generic` is the definition of a run — an
 :class:`OnboardComputer`, ``policy.decide`` and
 :func:`bounds_for_policy`, tick by tick — and takes whatever only it
-can express: baselines and extensions, a non-uniform cost function.
-The kernel (:func:`repro.vec.engine.simulate_batch`) is the same
-arithmetic over arrays for the exact dl/ail/cil classes, per-tick
-series included, held to the reference on ``repr`` by the test suite;
+can express: a stateful or subclassed policy, another speed predictor
+or cost function.  The kernel (:func:`repro.vec.engine.simulate_batch`)
+is the same arithmetic over arrays for every row of
+:data:`KERNEL_FAMILIES`, per-tick series included, held to the
+reference on ``repr`` by the test suite;
 :meth:`PolicySimulation.run` sends such a policy to it as a batch of
 one, and :func:`repro.exec.executor.simulate_lanes` groups many runs —
 a sweep, a fleet — into shared passes.
@@ -36,19 +37,28 @@ a sweep, a fleet — into shared passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from repro.core.bounds import DeviationBounds, bounds_for_policy
-from repro.core.cost import UniformDeviationCost
+from repro.core.baselines import (
+    FixedThresholdPolicy,
+    PeriodicPolicy,
+    TraditionalPointPolicy,
+)
+from repro.core.bounds import bounds_for_policy
+from repro.core.cost import StepDeviationCost, UniformDeviationCost
+from repro.core.horizon import HorizonCostPolicy
 from repro.core.policies import (
     AverageImmediateLinearPolicy,
     CurrentImmediateLinearPolicy,
     DelayedLinearPolicy,
 )
-from repro.core.policy import UpdatePolicy
+from repro.core.policy import THRESHOLD_TOLERANCE, UpdatePolicy
+from repro.core.speed import AverageSpeedSinceUpdate, CurrentSpeed
 from repro.errors import SimulationError
 from repro.obs.probe import Probe, probe
 from repro.sim.clock import SimulationClock
@@ -58,23 +68,80 @@ from repro.sim.trip import Trip
 from repro.sim.vehicle import OnboardComputer, UpdateEvent
 from repro.units import DEFAULT_TICK_MINUTES
 
-#: Policies the kernel replicates exactly: it hardcodes the dl/ail/cil
-#: decision algebra (simple fitting + Proposition 1) and the §3.3 bound
-#: formulas.  Anything else — baselines, extensions, a subclass with its
-#: own ``decide``, custom cost functions — takes the reference loop.
-_FAST_PATH_POLICIES = (
-    DelayedLinearPolicy,
-    AverageImmediateLinearPolicy,
-    CurrentImmediateLinearPolicy,
-)
+
+def _horizon_cap(policy: HorizonCostPolicy) -> float:
+    """``horizon_cost_bounds``'s cap: ``C / H``, zero bounds at ``<= 0``."""
+    trigger = policy.update_cost / policy.horizon
+    return 0.0 if trigger <= 0 else trigger
+
+
+class KernelFamily(NamedTuple):
+    """One row of the kernel's family table (DESIGN.md §4).
+
+    ``fire`` is what ``decide`` holds against a lane's level: the
+    deviation against Proposition 1 (``"prop1"``, screened by Equation
+    3), the deviation times a factor, the travel since the update (read
+    before the zero snap: ``"distance"``) or the time since it.
+    ``constants`` gives a policy's ``(level, factor, bound cap, event
+    threshold)``; prop1 derives them from ``C``.  A ``static`` row
+    declares speed 0 and bounds only the lead, by ``V``.  A row that
+    ``reads_cost`` decides from its cost function: uniform cost only.
+    """
+
+    fire: str
+    constants: Callable[[Any], tuple[float, float, float, float]] | None = None
+    static: bool = False
+    reads_cost: bool = False
+
+
+_SLACK = 1.0 - THRESHOLD_TOLERANCE  # of every constant-level ``decide``
+
+#: What the kernel runs, by exact policy class, each row in the float
+#: order of ``decide``, :class:`OnboardComputer` and
+#: :func:`bounds_for_policy`.  Anything else — a subclass,
+#: ``AdaptivePolicy``, another speed predictor or cost function — takes
+#: the reference loop.
+KERNEL_FAMILIES: dict[type, KernelFamily] = {
+    DelayedLinearPolicy: KernelFamily("prop1"),
+    AverageImmediateLinearPolicy: KernelFamily("prop1"),
+    CurrentImmediateLinearPolicy: KernelFamily("prop1"),
+    FixedThresholdPolicy: KernelFamily("deviation", lambda p: (
+        p.bound * _SLACK, 1.0, p.bound, p.bound)),
+    TraditionalPointPolicy: KernelFamily("distance", lambda p: (
+        p.precision * _SLACK, 1.0, p.precision, p.precision), static=True),
+    PeriodicPolicy: KernelFamily("elapsed", lambda p: (
+        p.period * _SLACK, 1.0, math.inf, math.inf)),
+    HorizonCostPolicy: KernelFamily("deviation", lambda p: (
+        p.update_cost, p.horizon, _horizon_cap(p), p.update_cost / p.horizon),
+        reads_cost=True),
+}
+
+
+def kernel_lane(policy: UpdatePolicy) -> tuple[tuple, tuple] | None:
+    """``(kind, parameters)`` of a kernel lane, or ``None``: the
+    reference loop.  Lanes of one kind — class, speed predictor, cost
+    function class — share a pass; the parameters are ``C``, the step
+    cost's ``h`` (``None`` under the uniform cost) and the constants.
+    The step cost changes only the integrand, so it runs wherever the
+    decision does not read the cost function.
+    """
+    family = KERNEL_FAMILIES.get(type(policy))
+    if family is None:
+        return None
+    cost = policy.cost_function
+    predictor = None if family.static else type(policy.speed_predictor)
+    if predictor not in (None, CurrentSpeed, AverageSpeedSinceUpdate) or not (
+            type(cost) is UniformDeviationCost
+            or type(cost) is StepDeviationCost and not family.reads_cost):
+        return None
+    return (type(policy), predictor, type(cost)), (
+        policy.update_cost, getattr(cost, "threshold", None),
+        *(family.constants(policy) if family.constants else ()))
 
 
 def supports_fast_path(policy: UpdatePolicy) -> bool:
     """Whether the kernel can run this policy exactly."""
-    return (
-        type(policy) in _FAST_PATH_POLICIES
-        and type(policy.cost_function) is UniformDeviationCost
-    )
+    return kernel_lane(policy) is not None
 
 
 @dataclass(frozen=True, slots=True)
@@ -152,10 +219,6 @@ class PolicySimulation:
             )
         #: The trip's kinematics on the clock: the only thing a run reads.
         self.grid = grid
-        #: Memoized DBMS-side bounds by declared speed: updates that
-        #: re-declare an already-seen speed reuse the bound object
-        #: instead of rebuilding identical closures.
-        self._bounds_memo: dict[float, DeviationBounds] = {}
 
     def run(self, record_series: bool = False) -> TripResult:
         """Execute the whole trip and return its result.
@@ -166,7 +229,7 @@ class PolicySimulation:
         """
         if not supports_fast_path(self.policy):
             return self._run_generic(record_series)
-        # vec.engine imports TripResult and supports_fast_path from here.
+        # vec.engine imports TripResult and kernel_lane from here.
         from repro.vec.batch import VecTripBatch
         from repro.vec.engine import simulate_batch
 
@@ -182,7 +245,8 @@ class PolicySimulation:
     def _run_generic(self, record_series: bool = False) -> TripResult:
         trip = GridTrip(self.grid)
         computer = OnboardComputer(trip, self.policy)  # type: ignore[arg-type]
-        bounds = self._bounds_for(computer.declared_speed)
+        policy, max_speed = self.policy, self.max_speed
+        bounds = bounds_for_policy(policy, computer.declared_speed, max_speed)
         dt = self.clock.dt
 
         # Observability hooks: instruments are hoisted out of the tick
@@ -234,7 +298,8 @@ class PolicySimulation:
                 decision = self.policy.decide(state)
                 if decision.send:
                     computer.apply_update(t, decision, deviation)
-                    bounds = self._bounds_for(computer.declared_speed)
+                    bounds = bounds_for_policy(
+                        policy, computer.declared_speed, max_speed)
                     if observed:
                         update_counter.inc()
 
@@ -270,14 +335,6 @@ class PolicySimulation:
         return TripResult(metrics=metrics, updates=list(computer.events),
                           series=series)
 
-    def _bounds_for(self, declared_speed: float) -> DeviationBounds:
-        bounds = self._bounds_memo.get(declared_speed)
-        if bounds is None:
-            bounds = bounds_for_policy(self.policy, declared_speed,
-                                       self.max_speed)
-            self._bounds_memo[declared_speed] = bounds
-        return bounds
-
 
 def simulate_trip(trip: Trip, policy: UpdatePolicy,
                   dt: float = DEFAULT_TICK_MINUTES,
@@ -287,9 +344,12 @@ def simulate_trip(trip: Trip, policy: UpdatePolicy,
     return PolicySimulation(trip, policy, dt, max_speed).run(record_series)
 
 __all__ = [
+    "KERNEL_FAMILIES",
+    "KernelFamily",
     "PolicySimulation",
     "TripResult",
     "TripSeries",
+    "kernel_lane",
     "simulate_trip",
     "supports_fast_path",
 ]

@@ -4,8 +4,9 @@ This package vectorizes the two hottest paths of the reproduction with
 NumPy while keeping the scalar code the source of truth:
 
 * :mod:`repro.vec.engine` runs one policy family — every trip under
-  every update cost of dl, ail or cil, or one trip under one policy —
-  over ``(n_costs, n_vehicles)`` state arrays, mirroring the reference
+  every parameter row of one kind of :data:`~repro.sim.engine.KERNEL_FAMILIES`,
+  or one trip under one policy — over ``(n_rows, n_vehicles)`` state
+  arrays, mirroring the reference
   loop (:meth:`repro.sim.engine.PolicySimulation._run_generic`)
   operation for operation so the results are byte-identical.  Which
   runs it takes is decided by their inputs

@@ -1,10 +1,12 @@
 """The vectorized policy-simulation engine for whole policy families.
 
 :func:`simulate_batch` advances every vehicle of a
-:class:`~repro.vec.batch.VecTripBatch` through the dl/ail/cil decision
-algebra under every update cost of a sweep at once, a *window* of ticks
+:class:`~repro.vec.batch.VecTripBatch` through one row of the family
+table (:data:`~repro.sim.engine.KERNEL_FAMILIES`: the dl/ail/cil
+decision algebra, or a constant, distance or clock level) under every
+parameter row of a sweep at once, a *window* of ticks
 per pass: NumPy tiles of shape ``(w, k, n)`` — ``w`` ticks by ``k``
-update costs by ``n`` vehicles.  A single policy is the ``k = 1`` call
+parameter rows by ``n`` vehicles.  A single policy is the ``k = 1`` call
 of the same loop.  Each per-lane arithmetic step — deviation, §3.3
 bound, Proposition-1 threshold, update resets — uses the float64
 expressions of the reference loop
@@ -25,10 +27,10 @@ everything before it; the update is applied there and only the fired
 lanes, only from the row after their fire, are speculated again, until
 no replayed lane fires.  A row is committed — added to the integrals,
 folded into the maxima — only once no earlier row of its lane can
-still fire.  The threshold itself (a divide, a square root) is only
-computed where Equation 3, ``deviation * t >= 2C``, says a fire is
+still fire.  A prop1 lane's threshold (a divide, a square root) is
+only computed where Equation 3, ``deviation * t >= 2C``, says a fire is
 possible (:func:`_screen_level`); the exact expressions decide every
-candidate.
+candidate.  Every other row's level is its exact test.
 
 The cost axis is broadcast, never materialised: a window's kinematics
 rows ``travel[i0:i1]`` have shape ``(w, 1, n)`` and its tick times
@@ -73,19 +75,19 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.core.policies import (
-    AverageImmediateLinearPolicy,
-    DelayedLinearPolicy,
-)
+from repro.core.policies import DelayedLinearPolicy
 from repro.core.policy import THRESHOLD_TOLERANCE, UpdatePolicy
+from repro.core.speed import AverageSpeedSinceUpdate
 from repro.errors import SimulationError
 from repro.obs.probe import probe
 from repro.sim.engine import (
+    KERNEL_FAMILIES,
+    KernelFamily,
     TripResult,
     TripSeries,
     _record_run,
     _tick_instruments,
-    supports_fast_path,
+    kernel_lane,
 )
 from repro.sim.metrics import TripMetrics
 from repro.sim.vehicle import UpdateEvent, ZERO_DEVIATION_TOLERANCE
@@ -115,7 +117,8 @@ class _Lanes(NamedTuple):
     """Per-lane state: what one run carries from tick to tick, as arrays.
 
     ``(k, n)`` for a block, ``(F,)`` for the lanes of a replay.  The
-    last three are ``None`` outside dl, where nothing reads them.
+    dl plateaus and last-zero elapsed are ``None`` outside dl, the
+    row constants (``screen`` is the level) ``None`` in a prop1 row.
     """
 
     declared: np.ndarray
@@ -128,6 +131,9 @@ class _Lanes(NamedTuple):
     last_zero: np.ndarray | None
     slow_plateau: np.ndarray | None
     fast_plateau: np.ndarray | None
+    factor: np.ndarray | None = None
+    cap: np.ndarray | None = None
+    threshold: np.ndarray | None = None
 
     def flat(self) -> "_Lanes":
         """The same arrays by flat lane index (views, not copies)."""
@@ -146,8 +152,10 @@ def simulate_batch(batch: VecTripBatch,
                    record_series: bool = False) -> list[TripResult]:
     """Simulate every trip of ``batch`` under one policy family.
 
-    ``policy`` is one dl/ail/cil policy, or a sequence of policies of
-    one class that differ in update cost — the cost axis of a sweep.
+    ``policy`` is one policy of a :data:`~repro.sim.engine.KERNEL_FAMILIES`
+    row, or a sequence of policies of one kind
+    (:func:`~repro.sim.engine.kernel_lane`) that differ in their
+    parameters — the cost axis of a sweep.
     Returns one :class:`TripResult` per (policy, trip) lane, policy-major:
     entry ``c * batch.size + j`` is trip ``j`` under the ``c``-th policy,
     so a single policy yields one result per batch row, in row order.
@@ -156,22 +164,24 @@ def simulate_batch(batch: VecTripBatch,
     way, and with ``record_series``, which attaches each lane's per-tick
     :class:`~repro.sim.engine.TripSeries`.  Raises
     :class:`~repro.errors.SimulationError` for policies outside the
-    fast-path family or of mixed classes.
+    table or of mixed kinds.
     """
     policies = [policy] if isinstance(policy, UpdatePolicy) else list(policy)
     if not policies:
         raise SimulationError("simulate_batch needs at least one policy")
-    for member in policies:
-        if not supports_fast_path(member):
+    lanes = [kernel_lane(member) for member in policies]
+    for member, lane in zip(policies, lanes):
+        if lane is None:
             raise SimulationError(
                 f"policy {member.name!r} is not supported by the vectorized "
                 "engine; PolicySimulation.run takes it through the "
                 "reference loop"
             )
-        if type(member) is not type(policies[0]):
+        if lane[0] != lanes[0][0]:
             raise SimulationError(
-                "policies of one simulate_batch call must share a class; "
-                f"got {member.name!r} alongside {policies[0].name!r}"
+                "policies of one simulate_batch call must share a class, "
+                f"speed predictor and cost function; got {member!r} "
+                f"alongside {policies[0]!r}"
             )
     # Blocks hold BLOCK_VEHICLES lanes whatever the cost count.
     block = max(1, BLOCK_VEHICLES // len(policies))
@@ -189,7 +199,7 @@ def simulate_batch(batch: VecTripBatch,
         for start in range(0, batch.size, block):
             stop = min(start + block, batch.size)
             for results, row in zip(per_policy, _simulate_block(
-                    batch, policies, start, stop, collect_events,
+                    batch, policies, lanes, start, stop, collect_events,
                     record_series, tally)):
                 results.extend(row)
         if record is not None:
@@ -252,6 +262,7 @@ def _scan(ufunc: np.ufunc, rows: np.ndarray) -> None:
 
 def _speculate(t: np.ndarray, actual: np.ndarray, lanes: _Lanes,
                valid: np.ndarray | None, scratch: list[np.ndarray],
+               family: KernelFamily,
                ) -> tuple[tuple[np.ndarray, ...], np.ndarray | None, int,
                           tuple[np.ndarray, ...] | None]:
     """Advance ``lanes`` over the rows of ``t`` as if none of them fired.
@@ -268,6 +279,7 @@ def _speculate(t: np.ndarray, actual: np.ndarray, lanes: _Lanes,
     them.  ``valid`` masks the rows of a replay that precede the lane's
     own fire (elapsed <= 0 under its new state): they neither count as
     zero-deviation ticks nor fire, and the caller discards their values.
+    ``family`` is the lanes' row of the family table.
     """
     elapsed, v_elapsed, deviation, bound, work, flags, reckoned = scratch[:7]
     tiles = (deviation, bound, reckoned)[:2 if reckoned is deviation else 3]
@@ -306,18 +318,31 @@ def _speculate(t: np.ndarray, actual: np.ndarray, lanes: _Lanes,
     else:
         # max(min(vt, cap), min(gap*t, cap)) == min(max(vt, gap*t),
         # cap): min/max only select inputs, so the fused form picks
-        # the same float the reference's nested form picks.
-        np.maximum(v_elapsed, work, out=bound)
-        np.divide(lanes.two_cost, elapsed, out=work)
-        np.minimum(bound, work, out=bound)
+        # the same float the reference's nested form picks.  A static
+        # lane's bound has no slow side; Proposition 4 caps at 2C/t.
+        lead = work if family.static else np.maximum(v_elapsed, work,
+                                                     out=bound)
+        cap = lanes.cap
+        if cap is None:
+            cap = np.divide(lanes.two_cost, elapsed, out=work)
+        np.minimum(lead, cap, out=bound)
 
-    # Equation 3 screens; the exact float expressions decide.
-    if fill is not None:
+    # Equation 3 screens prop1 lanes; every other level is the exact
+    # test.  Travel since the update is compared as it is, unclamped:
+    # against a positive level, max(x, 0) decides as x does.
+    fire = family.fire
+    if fire == "elapsed":
+        reach = elapsed
+    elif fire == "distance":
+        reach = np.subtract(actual, lanes.last_travel, out=work)
+    elif fire == "deviation":
+        reach = np.multiply(deviation, lanes.factor, out=work)
+    elif fill is not None:
         np.add(elapsed, fill, out=work)
-        np.multiply(deviation, work, out=work)
+        reach = np.multiply(deviation, work, out=work)
     else:
-        np.multiply(deviation, elapsed, out=work)
-    candidate = np.greater_equal(work, lanes.screen, out=flags)
+        reach = np.multiply(deviation, elapsed, out=work)
+    candidate = np.greater_equal(reach, lanes.screen, out=flags)
     if valid is not None:
         np.logical_and(candidate, valid, out=candidate)
     at = candidate.reshape(-1).nonzero()[0]
@@ -326,12 +351,18 @@ def _speculate(t: np.ndarray, actual: np.ndarray, lanes: _Lanes,
     row, lane = np.divmod(at, candidate[0].size)
     at_deviation = deviation.reshape(-1)[at]
     at_elapsed = elapsed.reshape(-1)[at]
-    threshold = _threshold(at_deviation, at_elapsed,
-                           None if fill is None else fill.reshape(-1)[at],
-                           lanes.cost.reshape(-1)[lane])
-    # A screen level of 0 also admits rows without a deviation.
-    fired = ((at_deviation >= threshold * (1.0 - THRESHOLD_TOLERANCE))
-             & (at_deviation > 0.0)).nonzero()[0]
+    if fire == "prop1":
+        threshold = _threshold(at_deviation, at_elapsed,
+                               None if fill is None else fill.reshape(-1)[at],
+                               lanes.cost.reshape(-1)[lane])
+        # A screen level of 0 also admits rows without a deviation.
+        fired = ((at_deviation >= threshold * (1.0 - THRESHOLD_TOLERANCE))
+                 & (at_deviation > 0.0)).nonzero()[0]
+    else:
+        threshold = lanes.threshold.reshape(-1)[lane]
+        # The horizon rule, like Proposition 1, needs a deviation.
+        fired = ((at_deviation > 0.0).nonzero()[0] if fire == "deviation"
+                 else np.arange(at.size))
     if not fired.size:
         return tiles, fill, at.size, None
     if row[fired[0]] != row[fired[-1]]:
@@ -358,15 +389,16 @@ def _scratch(shape: tuple[int, ...], use_delay: bool,
 
 
 def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
-                    start: int, stop: int, collect_events: bool,
-                    record_series: bool,
+                    kernel_lanes: list, start: int, stop: int,
+                    collect_events: bool, record_series: bool,
                     tally: dict[str, int]) -> list[list[TripResult]]:
     """Run trips ``[start, stop)`` of the batch under every policy.
 
     Returns one result row per policy.  State is ``(k, n)`` for ``k``
     policies by ``n`` trips and a window's tile ``(w, k, n)``; tick
     times ``(w, 1, 1)`` and the window's kinematics rows ``(w, 1, n)``
-    broadcast against them.
+    broadcast against them.  ``kernel_lanes`` holds each policy's
+    :func:`~repro.sim.engine.kernel_lane`, all of one kind.
     """
     n = stop - start
     k = len(policies)
@@ -383,14 +415,24 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
     # Flat lane c * n + j is trip j (column j of the block) under cost c.
     column = np.broadcast_to(np.arange(n), shape).reshape(-1)
     max_speeds = batch.max_speeds[start:stop][column]
-    costs = [member.update_cost for member in policies]
-    cost = np.repeat(np.array(costs, dtype=np.float64), n).reshape(shape)
-    use_delay = isinstance(policies[0], DelayedLinearPolicy)
-    declare_average = isinstance(policies[0], AverageImmediateLinearPolicy)
+    family_class, predictor, _ = kernel_lanes[0][0]
+    family = KERNEL_FAMILIES[family_class]
+    use_delay = family_class is DelayedLinearPolicy
+    declare_average = predictor is AverageSpeedSinceUpdate
+    # Per policy, then per lane: C, the step cost's h, the row constants.
+    costs, steps, *constants = zip(*(lane[1] for lane in kernel_lanes))
+    per_lane = [None if values[0] is None else np.repeat(
+        np.array(values, dtype=np.float64), n).reshape(shape)
+        for values in (costs, steps, *constants)]
+    cost, step = per_lane[:2]
+    level, factor, cap, threshold = per_lane[2:] or (
+        _screen_level(cost, num_ticks, float(times[-1])), None, None, None)
 
     declared = np.empty(shape, dtype=np.float64)
     declared[:] = speeds[0]
-    gap = batch.max_speeds[start:stop] - declared
+    # A static lane's bound reads V itself, before its first update too.
+    gap = batch.max_speeds[start:stop] - (
+        np.zeros(shape) if family.static else declared)
     gap = np.where(gap < 0.0, 0.0, gap)
     lanes = _Lanes(
         declared=declared,
@@ -399,17 +441,22 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
         gap=gap,
         cost=cost,
         two_cost=2.0 * cost,
-        screen=_screen_level(cost, num_ticks, float(times[-1])),
+        screen=level,
         last_zero=np.zeros(shape, dtype=np.float64) if use_delay else None,
         slow_plateau=np.sqrt(2.0 * declared * cost) if use_delay else None,
         fast_plateau=np.sqrt(2.0 * gap * cost) if use_delay else None,
+        factor=factor,
+        cap=cap,
+        threshold=threshold,
     )
     state = lanes.flat()  # where an update scatters, a replay gathers
 
     # Under the uniform cost a tick adds the identical `deviation * dt`
     # to deviation_integral and deviation_cost, so one accumulator
-    # serves both metrics bit-for-bit.
+    # serves both metrics bit-for-bit; the step cost adds its own,
+    # `rate * dt` with rate 1 above h, else 0.
     deviation_integral = np.zeros(shape, dtype=np.float64)
+    step_integral = None if step is None else np.zeros(shape)
     uncertainty_integral = np.zeros(shape, dtype=np.float64)
     max_deviation = np.zeros(shape, dtype=np.float64)
     max_uncertainty = np.zeros(shape, dtype=np.float64)
@@ -439,7 +486,8 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
         if end - i0 != window:
             scratch = [buffer[:end - i0] for buffer in scratch]
         tiles, fill, admitted, fires = _speculate(
-            tile_times[i0:end], tile_travel[i0:end], lanes, None, scratch)
+            tile_times[i0:end], tile_travel[i0:end], lanes, None, scratch,
+            family)
         deviation, bound = tiles[:2]
         candidates += admitted
         if fill is not None:
@@ -459,7 +507,9 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
             trip = column[lane]
             fired_time = times[tick]
             fired_travel = travel[tick, trip]
-            if declare_average:
+            if family.static:
+                new_speed = np.zeros(lane.size)
+            elif declare_average:
                 distance = fired_travel - state.last_travel[lane]
                 distance = np.where(distance < 0.0, 0.0, distance)
                 ratio = distance / fired_elapsed
@@ -510,7 +560,7 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
                 times[first:end, np.newaxis],
                 travel[first:end, column[replaying]],
                 state.take(replaying), valid,
-                _scratch(valid.shape, use_delay, record_series))
+                _scratch(valid.shape, use_delay, record_series), family)
             for tile, redo in zip(tiles, redone):
                 tile = tile.reshape(-1, width)
                 tile[first - i0:, replaying] = np.where(
@@ -523,8 +573,12 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
 
         # Commit: the integrals take the window's rows in tick order,
         # the additions the tick loop makes; maxima only select.
-        for integral, values in ((deviation_integral, deviation),
-                                 (uncertainty_integral, bound)):
+        integrals = [(deviation_integral, deviation),
+                     (uncertainty_integral, bound)]
+        if step_integral is not None:
+            integrals.append((step_integral, np.greater(
+                deviation, step, out=scratch[5])))
+        for integral, values in integrals:
             addends = np.multiply(values, dt, out=scratch[0])
             np.add(integral, addends[0], out=addends[0])
             _scan(np.add, addends)
@@ -554,10 +608,12 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
                       store.reshape(num_ticks, width).T.tolist()
                       for store in stores))]
     rows: list[list[TripResult]] = []
-    for c, (member, cost_value, lane_updates, dev_integrals, unc_integrals,
-            max_deviations, max_uncertainties) in enumerate(zip(
+    for c, (member, cost_value, lane_updates, dev_integrals, dev_costs,
+            unc_integrals, max_deviations, max_uncertainties) in enumerate(zip(
                 policies, costs, num_updates.reshape(shape).tolist(),
-                deviation_integral.tolist(), uncertainty_integral.tolist(),
+                deviation_integral.tolist(),
+                (deviation_integral if step is None else step_integral
+                 ).tolist(), uncertainty_integral.tolist(),
                 max_deviation.tolist(), max_uncertainty.tolist())):
         row_results: list[TripResult] = []
         for j in range(n):
@@ -568,8 +624,8 @@ def _simulate_block(batch: VecTripBatch, policies: list[UpdatePolicy],
                 duration=duration,
                 num_updates=lane_updates[j],
                 deviation_integral=dev_integral,
-                deviation_cost=dev_integral,
-                total_cost=cost_value * lane_updates[j] + dev_integral,
+                deviation_cost=dev_costs[j],
+                total_cost=cost_value * lane_updates[j] + dev_costs[j],
                 avg_deviation=dev_integral / duration,
                 max_deviation=max_deviations[j],
                 avg_uncertainty=unc_integrals[j] / duration,

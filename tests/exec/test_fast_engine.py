@@ -12,13 +12,15 @@ import random
 
 import pytest
 
-from repro.core.cost import StepDeviationCost
+from repro.core.cost import StepDeviationCost, UniformDeviationCost
+from repro.core.horizon import HorizonCostPolicy
 from repro.core.policies import (
     AverageImmediateLinearPolicy,
     CurrentImmediateLinearPolicy,
     DelayedLinearPolicy,
     make_policy,
 )
+from repro.core.speed import BlendedSpeed, TripAverageSpeed
 from repro.errors import SimulationError
 from repro.exec import GridTrip, TickGrid
 from repro.exec.executor import simulate_lanes
@@ -100,10 +102,12 @@ def test_duration_that_is_no_multiple_of_dt(policy_name, duration, dt):
 def test_lanes_match_the_reference_with_and_without_events(collect_events):
     grids = [TickGrid.build(build_trip(kind, 6.0, seed), 0.1)
              for seed, kind in enumerate(sorted(CURVES) * 2)]
-    lanes = [(grid, make_policy(name, cost))
+    other = {"speed_predictor": TripAverageSpeed()}  # no kernel lane
+    lanes = [(grid, make_policy(name, cost, **kwargs))
              for grid in grids
-             for name, cost in (("dl", 0.3), ("ail", 0.0), ("ail", 0.3),
-                                ("fixed-threshold", 0.3))]
+             for name, cost, kwargs in (
+                 ("dl", 0.3, {}), ("ail", 0.0, {}), ("ail", 0.3, {}),
+                 ("fixed-threshold", 0.3, {}), ("periodic", 0.3, other))]
     results = simulate_lanes(lanes, 0.1, collect_events=collect_events)
     assert any(result.updates for result in results)
     for (grid, policy), result in zip(lanes, results):
@@ -155,12 +159,14 @@ def test_a_subclass_runs_its_own_decide():
 
 
 def test_grid_trip_generic_path_matches_for_baselines():
-    """Baseline policies (no kernel) still run against the cached
-    grid via GridTrip, byte-identically."""
+    """Baselines with a speed predictor outside the kernel table still
+    run against the cached grid via GridTrip, byte-identically."""
     trip = build_trip()
     grid = TickGrid.build(trip, DT)
-    for name, kwargs in (("traditional", {"precision": 0.4}),
-                         ("fixed-threshold", {"bound": 0.5})):
+    for name, kwargs in (
+            ("periodic", {"period": 0.4, "speed_predictor": BlendedSpeed(0.5)}),
+            ("fixed-threshold", {"bound": 0.5,
+                                 "speed_predictor": TripAverageSpeed()})):
         policy = make_policy(name, C, **kwargs)
         assert not supports_fast_path(policy)
         generic = simulate_trip(trip, policy, dt=DT)
@@ -171,25 +177,38 @@ def test_grid_trip_generic_path_matches_for_baselines():
         assert cached.updates == generic.updates
 
 
+class SquaredCost(UniformDeviationCost):
+    """Not the uniform cost, whatever it inherits."""
+
+    def rate(self, deviation):
+        return deviation * deviation
+
+
 def test_supports_fast_path_requires_uniform_cost():
+    """The step cost is an integrand, so any row whose decision does not
+    read the cost function takes it; the horizon rule does read it, and
+    no row takes a cost function outside the table."""
     assert supports_fast_path(DelayedLinearPolicy(C))
     assert supports_fast_path(AverageImmediateLinearPolicy(C))
     assert supports_fast_path(CurrentImmediateLinearPolicy(C))
-    stepped = DelayedLinearPolicy(C, cost_function=StepDeviationCost(0.3))
-    assert not supports_fast_path(stepped)
+    assert supports_fast_path(
+        DelayedLinearPolicy(C, cost_function=StepDeviationCost(0.3)))
+    assert supports_fast_path(HorizonCostPolicy(C))
+    assert not supports_fast_path(
+        HorizonCostPolicy(C, cost_function=StepDeviationCost(0.3)))
+    assert not supports_fast_path(
+        DelayedLinearPolicy(C, cost_function=SquaredCost()))
 
 
 def test_non_uniform_cost_falls_back_to_generic():
     trip = build_trip()
     grid = TickGrid.build(trip, DT)
-    policy = DelayedLinearPolicy(C, cost_function=StepDeviationCost(0.3))
-    generic = simulate_trip(trip, policy, dt=DT)
-    cached = PolicySimulation(
-        trip,
-        DelayedLinearPolicy(C, cost_function=StepDeviationCost(0.3)),
-        dt=DT, grid=grid,
-    ).run()
-    assert cached.metrics == generic.metrics
+    stepped = lambda: HorizonCostPolicy(
+        1.0, cost_function=StepDeviationCost(0.3))
+    generic = reference_run(grid, stepped())
+    assert generic.updates
+    cached = PolicySimulation(trip, stepped(), dt=DT, grid=grid).run()
+    assert_same(cached, generic)
 
 
 def test_record_series_matches_generic_path():

@@ -18,6 +18,8 @@ from repro.core.baselines import (
     PeriodicPolicy,
     TraditionalPointPolicy,
 )
+from repro.core.cost import StepDeviationCost
+from repro.core.horizon import HorizonCostPolicy
 from repro.core.policies import make_policy
 from repro.errors import PolicyError, SimulationError
 from repro.sim.clock import SimulationClock
@@ -50,7 +52,7 @@ def test_noise_magnitude(trip, epsilon):
 
 
 @pytest.mark.parametrize("name", ["dl", "ail", "cil", "fixed-threshold",
-                                  "traditional", "periodic"])
+                                  "traditional", "periodic", "horizon"])
 def test_update_cost(name):
     with pytest.raises(PolicyError):
         make_policy(name, NAN)
@@ -65,6 +67,19 @@ def test_update_cost(name):
 def test_baseline_thresholds(build):
     with pytest.raises(PolicyError):
         build(NAN)
+
+
+@pytest.mark.parametrize("build", [
+    lambda value: HorizonCostPolicy(5.0, horizon=value),
+    lambda value: HorizonCostPolicy(5.0, horizon=INF, integration_step=value),
+    lambda value: StepDeviationCost(value),
+], ids=["horizon", "integration_step", "step_threshold"])
+def test_kernel_lane_constants(build):
+    """Each becomes a per-lane constant of a kernel pass: NaN is refused,
+    an infinite value stays legal."""
+    with pytest.raises(PolicyError):
+        build(NAN)
+    build(INF)
 
 
 @pytest.mark.parametrize("simulate", [simulate_route_dead_reckoning,

@@ -41,9 +41,10 @@ def watch_dispatch(monkeypatch):
     simulate_batch = executor.simulate_batch
     run = PolicySimulation.run
 
-    def batch_spy(batch, policies, collect_events=True):
+    def batch_spy(batch, policies, collect_events=True, record_series=False):
         passes.append((batch, [policy.update_cost for policy in policies]))
-        return simulate_batch(batch, policies, collect_events=collect_events)
+        return simulate_batch(batch, policies, collect_events=collect_events,
+                              record_series=record_series)
 
     def run_spy(self, record_series=False):
         runs.append(self.policy.name)

@@ -1,7 +1,7 @@
 """Differential test: ``FleetSimulation.run`` against the tick-by-tick loop.
 
 ``FleetSimulation.run`` asks the lane dispatcher for every vehicle's
-update events (a kernel pass per group of dl/ail/cil lanes, the
+update events (a kernel pass per group of kernel lanes, the
 reference loop for the rest, all on tick grids) and replays them in
 tick order.
 ``tests/oracle/fleet_reference.py`` steps one onboard computer per
@@ -12,8 +12,8 @@ must show every ``on_tick(t)`` the same database.
 
 Generated fleets have 1-80 vehicles in up to four (policy, update cost,
 trip duration) blocks, so kernel passes range from one lane to eighty;
-policies are dl/ail/cil plus fixed-threshold, which is no kernel
-policy; costs repeat across distinct policy objects; two of
+policies are dl/ail/cil, fixed-threshold (kernel lanes) and adaptive,
+which is no kernel policy; costs repeat across distinct policy objects; two of
 the four durations are no multiple of either ``dt``; vehicles are
 inserted in a drawn order; the run is as long as the longest trip,
 shorter than some trips, or longer than all; with and without a hook.
@@ -37,7 +37,7 @@ from tests.conftest import examples
 from tests.oracle import fleet_reference
 from tests.oracle.policy_reference import watch_dispatch
 
-POLICIES = ("dl", "ail", "cil", "fixed-threshold")
+POLICIES = ("dl", "ail", "cil", "fixed-threshold", "adaptive")
 COSTS = (0.05, 0.2, 1.0)
 DURATIONS = (1.0, 2.0, 3.05, 4.33)
 RUN_DURATIONS = (None, 0.95, 2.5, 7.0)
@@ -113,7 +113,7 @@ def test_any_group_size_rides_one_pass(size, monkeypatch):
     the kernel cannot take runs alone."""
     passes, runs = watch_dispatch(monkeypatch)
     vehicles = [("ail", 0.2, 3.05)] * size
-    vehicles[5:5] = [("fixed-threshold", 0.2, 3.05), ("ail", 0.2, 2.0),
+    vehicles[5:5] = [("adaptive", 0.2, 3.05), ("ail", 0.2, 2.0),
                      ("dl", 0.05, 3.05)]
     assert check(vehicles, 0.1, 7, None, True)
     assert check(vehicles, 0.1, 7, 2.5, False)
@@ -122,8 +122,8 @@ def test_any_group_size_rides_one_pass(size, monkeypatch):
     # rows share their columns.
     groups = {}
     for vehicle in vehicles:
-        if vehicle[0] != "fixed-threshold":
+        if vehicle[0] != "adaptive":
             groups[vehicle] = groups.get(vehicle, 0) + 1
     assert ([batch.size for batch, _ in passes]
             == list(groups.values()) * 2 == [size, 1, 1] * 2)
-    assert runs == ["fixed-threshold"] * 2
+    assert runs == ["adaptive"] * 2

@@ -6,7 +6,13 @@ import pytest
 
 from repro.core.policies import make_policy
 from repro.errors import SimulationError
-from repro.sim.noise import NoisyTripView, simulate_trip_with_noise
+from repro.sim.grid import TickGrid
+from repro.sim.noise import (
+    NoisyTripView,
+    noisy_grid,
+    reading_draws,
+    simulate_trip_with_noise,
+)
 from repro.sim.speed_curves import CityCurve, ConstantCurve
 from repro.sim.trip import Trip
 
@@ -49,6 +55,21 @@ class TestNoisyTripView:
         trip = Trip.synthetic(ConstantCurve(10.0, 1.0))
         with pytest.raises(SimulationError):
             NoisyTripView(trip, -0.1, seed=1)
+
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.0, 1e-9, 0.02, 0.1, 0.5])
+    def test_array_drawn_readings_are_the_views(self, epsilon):
+        """One draw per (seed, tick), scaled per epsilon: every reading
+        is the float the scalar definition returns, clamp included."""
+        trip = Trip.synthetic(CityCurve(6.0, random.Random(7)))
+        clean = TickGrid.build(trip, DT)
+        draws = reading_draws(17, clean)
+        view = NoisyTripView(trip, epsilon, seed=17)
+        expected = [view.distance_travelled(t) for t in clean.times.tolist()]
+        assert repr(noisy_grid(clean, epsilon, draws).travel.tolist()) \
+            == repr(expected)
+        if epsilon == 0.5:
+            assert 0.0 in expected  # the clamp at the start of the trip
 
 
 class TestNoisyRuns:

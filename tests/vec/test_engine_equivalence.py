@@ -15,6 +15,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.core.policies import make_policy
+from repro.core.speed import AverageSpeedSinceUpdate
 from repro.errors import SimulationError
 from repro.exec import TickGrid
 from repro.sim.speed_curves import CityCurve, HighwayCurve, RushHourCurve
@@ -156,7 +157,12 @@ def test_mixed_policy_classes_are_rejected():
         simulate_batch(batch, [])
     with pytest.raises(SimulationError):
         simulate_batch(batch, [make_policy("dl", 5.0),
-                               make_policy("periodic", 5.0)])
+                               make_policy("adaptive", 5.0)])
+    with pytest.raises(SimulationError):  # one class, two predictors
+        simulate_batch(batch, [
+            make_policy("periodic", 5.0),
+            make_policy("periodic", 5.0,
+                        speed_predictor=AverageSpeedSinceUpdate())])
 
 
 def test_repeated_grids_match_distinct_conversion():
@@ -185,7 +191,7 @@ def test_unsupported_policy_is_rejected():
     grid = build_grid()
     batch = VecTripBatch.from_grids([grid])
     with pytest.raises(SimulationError):
-        simulate_batch(batch, make_policy("periodic", 5.0))
+        simulate_batch(batch, make_policy("adaptive", 5.0))
 
 
 def test_empty_batch_is_rejected():

@@ -198,7 +198,8 @@ def test_an_observed_mixed_fleet_reports_what_its_lanes_report_alone(tiles):
         reference.metrics.num_updates for reference in references]
     assert_same_telemetry(registry, reference_registry)
     assert registry.value("sim_runs_total", policy="fixed-threshold") == 2
-    assert len(tiles) == 2 * 3  # three passes of one window each
+    # Five passes of one window each: fixed-threshold is a kernel lane.
+    assert len(tiles) == 2 * 5
 
 
 # ----------------------------------------------------------------------

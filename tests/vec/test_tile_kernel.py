@@ -9,7 +9,9 @@ zero-deviation run — and compare every ``TripMetrics`` and
 ``UpdateEvent`` with :meth:`PolicySimulation._run_generic`
 (``tests/oracle/policy_reference.py``) on ``repr``, so ``-0.0`` and the
 last digit count.  The kernel's span counters say whether the case that
-was built is the case that ran.
+was built is the case that ran.  Every window length also runs one
+lane of each constant-threshold, distance- and elapsed-fired row of the
+family table (``FAMILIES``).
 
 The Equation-3 screen is checked separately: whatever the exact
 Proposition-1 test fires, the kernel must have admitted.
@@ -26,11 +28,14 @@ from hypothesis import strategies as st
 
 np = pytest.importorskip("numpy")
 
+from repro.core.cost import StepDeviationCost
 from repro.core.policies import make_policy
 from repro.core.policy import THRESHOLD_TOLERANCE, OnboardState
+from repro.core.speed import AverageSpeedSinceUpdate
 from repro.exec import TickGrid
 from repro.obs.registry import use_tracer
 from repro.obs.tracing import Tracer
+from repro.sim.engine import KernelFamily
 from repro.sim.speed_curves import PiecewiseConstantCurve
 from repro.sim.trip import Trip
 from repro.vec import engine
@@ -41,6 +46,16 @@ from tests.oracle.policy_reference import assert_same, reference_run
 from tests.vec.test_engine_equivalence import CURVES, build_grid
 
 POLICIES = ("dl", "ail", "cil")
+#: One lane of each constant-threshold, distance- and elapsed-fired row
+#: (the periodic one declares its average speed under the step cost);
+#: ``make_policy`` keywords by name.
+FAMILIES = {
+    "fixed-threshold": {"bound": 0.05},
+    "traditional": {"precision": 0.3},
+    "periodic": {"period": 0.45, "speed_predictor": AverageSpeedSinceUpdate(),
+                 "cost_function": StepDeviationCost(0.02)},
+    "horizon": {"horizon": 2.0},
+}
 
 #: 40 ticks of 0.1 min; the speed changes after ticks 10, 17, 26 and 32,
 #: so under dl and cil (which declare the current speed) the deviation
@@ -61,7 +76,8 @@ curve_grid = functools.lru_cache(maxsize=None)(build_grid)
 
 def run_reference(grid, policy_name, cost):
     """The oracle of one lane: ``_run_generic``."""
-    return reference_run(grid, make_policy(policy_name, cost))
+    return reference_run(grid, make_policy(policy_name, cost,
+                                           **FAMILIES.get(policy_name, {})))
 
 
 def fire_ticks(result, dt):
@@ -76,7 +92,8 @@ def check(monkeypatch, grids, policy_name, costs, window=None, budget=None,
         # W = min(budget // lanes, isqrt(budget)), so:
         budget = window * max(window, len(costs) * len(grids))
     monkeypatch.setattr(engine, "TILE_ELEMENTS", budget)
-    policies = [make_policy(policy_name, cost) for cost in costs]
+    policies = [make_policy(policy_name, cost, **FAMILIES.get(policy_name, {}))
+                for cost in costs]
     with use_tracer(Tracer()) as tracer:
         rows = simulate_batch(VecTripBatch.from_grids(grids), policies,
                               collect_events=collect_events)
@@ -94,7 +111,7 @@ def check(monkeypatch, grids, policy_name, costs, window=None, budget=None,
     return record.attrs
 
 
-@pytest.mark.parametrize("policy_name", POLICIES)
+@pytest.mark.parametrize("policy_name", POLICIES + tuple(FAMILIES))
 @pytest.mark.parametrize("window", [1, 2, 3, 7, 39, 40, 41, 1000])
 def test_every_window_length_matches_run_fast(monkeypatch, policy_name,
                                               window):
@@ -108,6 +125,9 @@ def test_every_window_length_matches_run_fast(monkeypatch, policy_name,
         assert attrs["replay_rounds"] == attrs["replayed_lanes"] == 0
     else:
         assert attrs["replay_rounds"] > 0
+    if window == 40:  # one window: some lane fires again inside it
+        assert max(len(run_reference(grid, policy_name, 0.05).updates)
+                   for grid in grids) >= 2
 
 
 @pytest.mark.parametrize("policy_name,cost,fires", [
@@ -271,7 +291,7 @@ def kernel_fires(deviation, elapsed, delay, cost, use_delay,
     with np.errstate(divide="ignore", invalid="ignore"):
         *_, admitted, fires = engine._speculate(
             np.array([[elapsed]]), np.array([[deviation]]), lanes, None,
-            engine._scratch((1, 1), use_delay, False))
+            engine._scratch((1, 1), use_delay, False), KernelFamily("prop1"))
     assert fires is None or admitted == 1
     return fires is not None
 
