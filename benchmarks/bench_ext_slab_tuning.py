@@ -28,7 +28,7 @@ def test_slab_tuning(benchmark):
     # Exactness is independent of granularity.
     assert len(may_sizes) == 1
 
-    built = _build_fleet(80, seed=61, use_index=True)
+    built = _build_fleet(80, seed=61)
     planes = {
         object_id: built.database.oplane_of(object_id)
         for object_id in built.database.object_ids()

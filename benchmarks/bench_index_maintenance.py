@@ -14,7 +14,7 @@ from repro.experiments.indexing import _build_fleet, experiment_index_maintenanc
 @register_benchmark("index.oplane_swap", group="index")
 def harness_oplane_swap():
     """One o-plane remove+insert swap on a live 100-object index."""
-    built = _build_fleet(100, seed=14, use_index=True)
+    built = _build_fleet(100, seed=14, maintained=True)
     index = built.database._index
     object_id = built.database.object_ids()[0]
     plane = built.database.oplane_of(object_id)
@@ -33,7 +33,7 @@ def test_index_maintenance(benchmark):
     assert table.row_by_key("updates processed")[1] > 0
 
     # Kernel timed: one o-plane swap on a live index.
-    built = _build_fleet(100, seed=14, use_index=True)
+    built = _build_fleet(100, seed=14, maintained=True)
     index = built.database._index
     object_id = built.database.object_ids()[0]
     plane = built.database.oplane_of(object_id)

@@ -19,7 +19,7 @@ from repro.workloads.query_workloads import polygon_query_workload
 @register_benchmark("index.range_query", group="index")
 def harness_indexed_range_query():
     """One indexed polygon range query against a 200-object fleet."""
-    built = _build_fleet(200, seed=6, use_index=True)
+    built = _build_fleet(200, seed=6)
     rng = random.Random(1)
     polygon = polygon_query_workload(built.network, rng, 1,
                                      side_miles=(1.5, 1.5))[0]
@@ -39,7 +39,7 @@ def test_index_sublinearity(benchmark):
     assert fractions[-1] < fractions[0]  # sublinear scaling
 
     # Kernel timed: one indexed range query on the larger fleet.
-    built = _build_fleet(200, seed=6, use_index=True)
+    built = _build_fleet(200, seed=6)
     rng = random.Random(1)
     polygon = polygon_query_workload(built.network, rng, 1,
                                      side_miles=(1.5, 1.5))[0]

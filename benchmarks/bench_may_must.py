@@ -17,7 +17,7 @@ from repro.workloads.query_workloads import polygon_query_workload
 @register_benchmark("index.may_must_classify", group="index")
 def harness_may_must_classify():
     """Classify one range query (may/must sets) on an 80-object fleet."""
-    built = _build_fleet(80, seed=10, use_index=True)
+    built = _build_fleet(80, seed=10)
     rng = random.Random(2)
     polygon = polygon_query_workload(built.network, rng, 1)[0]
     t = built.end_time
@@ -36,7 +36,7 @@ def test_may_must_correctness(benchmark):
     assert table.row_by_key("ground-truth inside occurrences")[1] > 0
 
     # Kernel timed: classification of one query against a live fleet.
-    built = _build_fleet(80, seed=10, use_index=True)
+    built = _build_fleet(80, seed=10)
     rng = random.Random(2)
     polygon = polygon_query_workload(built.network, rng, 1)[0]
     t = built.end_time

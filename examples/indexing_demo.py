@@ -16,8 +16,8 @@ from repro.workloads.query_workloads import polygon_query_workload
 
 
 def main() -> None:
-    print("Building a 300-vehicle fleet with a time-space index...")
-    built = _build_fleet(300, seed=5, use_index=True, duration=10.0)
+    print("Building a 300-vehicle fleet, then STR-loading its time-space index...")
+    built = _build_fleet(300, seed=5, duration=10.0)
     database = built.database
     index = database._index
     t = built.end_time

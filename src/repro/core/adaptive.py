@@ -56,12 +56,12 @@ class AdaptivePolicy(UpdatePolicy):
                  hysteresis: float = 0.2,
                  cost_function: DeviationCostFunction | None = None) -> None:
         super().__init__(update_cost, cost_function)
-        if volatility_threshold <= 0:
+        if not volatility_threshold > 0:
             raise PolicyError(
                 f"volatility threshold must be positive, got "
                 f"{volatility_threshold}"
             )
-        if window_minutes <= 0:
+        if not window_minutes > 0:
             raise PolicyError(
                 f"window_minutes must be positive, got {window_minutes}"
             )

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 
-from repro.experiments.indexing import _build_fleet
+from repro.experiments.indexing import _simulate_fleet
 from repro.experiments.tables import TableResult
 from repro.index.rtree import SearchStats
 from repro.workloads.query_workloads import polygon_query_workload
@@ -30,9 +30,7 @@ def table_slab_tuning(slab_widths: tuple[float, ...] = (1.0, 2.5, 5.0, 10.0, 20.
                       duration: float = 10.0,
                       seed: int = 59) -> TableResult:
     """Candidates/query and maintenance cost per slab width."""
-    built = _build_fleet(
-        num_objects, seed, use_index=True, duration=duration,
-    )
+    built = _simulate_fleet(num_objects, seed, duration=duration)
     # The same query workload for every slab width — the rows must
     # differ only in index granularity.
     polygons = polygon_query_workload(

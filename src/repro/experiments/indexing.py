@@ -14,18 +14,18 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from typing import Any
 
 from repro.dbms.database import MovingObjectDatabase
 from repro.errors import ExperimentError
 from repro.experiments.tables import TableResult
 from repro.index.rtree import SearchStats
-from repro.index.scan import LinearScanIndex
 from repro.index.timespace import TimeSpaceIndex
 from repro.routes.generators import grid_city_network
 from repro.sim.fleet import FleetSimulation
 from repro.sim.speed_curves import CityCurve, HighwayCurve, SpeedCurve
-from repro.sim.trip import Trip
 from repro.workloads.query_workloads import polygon_query_workload
+from repro.workloads.scenarios import _build_trip
 
 
 @dataclass
@@ -36,11 +36,12 @@ class _BuiltFleet:
     end_time: float
 
 
-def _build_fleet(num_objects: int, seed: int, use_index: bool,
-                 duration: float = 10.0, dt: float = 1.0 / 30.0,
-                 policy_name: str = "ail",
-                 update_cost: float = 5.0) -> _BuiltFleet:
-    """A grid-city fleet, simulated to ``duration`` minutes.
+def _simulate_fleet(num_objects: int, seed: int,
+                    index: TimeSpaceIndex | None = None,
+                    duration: float = 10.0, dt: float = 1.0 / 30.0,
+                    policy_name: str = "ail",
+                    update_cost: float = 5.0) -> _BuiltFleet:
+    """A grid-city fleet, simulated to ``duration`` minutes over ``index``.
 
     A coarser tick than the policy experiments keeps large fleets fast;
     the indexing results do not depend on tick resolution.
@@ -56,7 +57,6 @@ def _build_fleet(num_objects: int, seed: int, use_index: bool,
     blocks = max(16, blocks_for_trips, int(num_objects ** 0.5) * 4)
     network = grid_city_network(blocks_x=blocks, blocks_y=blocks,
                                 block_miles=0.25)
-    index = TimeSpaceIndex() if use_index else LinearScanIndex()
     database = MovingObjectDatabase(index=index, horizon=duration * 2)
     database.schema.define_mobile_point_class("vehicle")
     fleet = FleetSimulation(database, dt=dt)
@@ -66,12 +66,8 @@ def _build_fleet(num_objects: int, seed: int, use_index: bool,
             if i % 2 == 0
             else HighwayCurve(duration, rng, cruise=rng.uniform(0.4, 0.8))
         )
-        needed = curve.mean_speed() * curve.duration * 1.02 + 0.1
-        route = network.random_route(rng, min_length=needed,
-                                     max_attempts=256)
-        trip = Trip(route, curve)
         fleet.add_vehicle(
-            f"vehicle-{i}", "vehicle", trip,
+            f"vehicle-{i}", "vehicle", _build_trip(network, curve, rng),
             make_policy(policy_name, update_cost),
         )
     fleet.run()
@@ -80,13 +76,24 @@ def _build_fleet(num_objects: int, seed: int, use_index: bool,
     )
 
 
+def _build_fleet(num_objects: int, seed: int, maintained: bool = False,
+                 **options: Any) -> _BuiltFleet:
+    """:func:`_simulate_fleet`, indexed: through the §4.2 swap on every
+    update if ``maintained`` (E12), else STR-loaded once at the end."""
+    built = _simulate_fleet(num_objects, seed,
+                            TimeSpaceIndex() if maintained else None, **options)
+    if not maintained:
+        built.database.rebuild_index()
+    return built
+
+
 def experiment_index_sublinearity(fleet_sizes: tuple[int, ...] = (100, 400, 1600),
                                   queries_per_size: int = 20,
                                   seed: int = 5) -> TableResult:
     """E7: candidates examined per query, index vs. linear scan."""
     rows: list[list[object]] = []
     for size in fleet_sizes:
-        built = _build_fleet(size, seed, use_index=True)
+        built = _build_fleet(size, seed)
         rng = random.Random(seed + size)
         polygons = polygon_query_workload(
             built.network, rng, queries_per_size, side_miles=(1.0, 2.0)
@@ -126,7 +133,7 @@ def experiment_may_must_correctness(num_objects: int = 150,
                                     num_queries: int = 40,
                                     seed: int = 9) -> TableResult:
     """E8: validate may/must answers against ground truth."""
-    built = _build_fleet(num_objects, seed, use_index=True)
+    built = _build_fleet(num_objects, seed)
     rng = random.Random(seed + 1)
     polygons = polygon_query_workload(
         built.network, rng, num_queries, side_miles=(1.0, 3.0)
@@ -168,7 +175,7 @@ def experiment_may_must_correctness(num_objects: int = 150,
 def experiment_index_maintenance(num_objects: int = 200,
                                  seed: int = 13) -> TableResult:
     """E12: cost of the §4.2 o-plane swap on position updates."""
-    built = _build_fleet(num_objects, seed, use_index=True)
+    built = _build_fleet(num_objects, seed, maintained=True)
     index: TimeSpaceIndex = built.database._index
     tree = index.tree
     tree.check_invariants()

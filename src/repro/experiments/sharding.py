@@ -31,7 +31,6 @@ from repro.dbms.update_log import PositionUpdateMessage
 from repro.experiments.tables import TableResult
 from repro.geometry.point import Point
 from repro.geometry.polyline import Polyline
-from repro.index.timespace import TimeSpaceIndex
 from repro.routes.route import Route
 from repro.shard import (
     PartitionSearcher,
@@ -61,13 +60,14 @@ def record_corridor_trace(num_objects: int = 24, num_updates: int = 12,
     drifting with small per-minute displacements — sending periodic
     position updates; the query load is small within-distance windows
     centred on the corridor.  Everything is captured by the flight
-    recorder, so the returned events are exactly what ``repro trace
-    record`` would persist.
+    recorder, so the returned events are the workload
+    :func:`~repro.shard.cost.workload_from_events` reads.  It reads no
+    answer, so the database keeps no index and its queries scan.
     """
     rng = random.Random(seed)
     recorder = TraceRecorder(meta={"experiment": "E20", "seed": seed})
     with use_recorder(recorder):
-        database = MovingObjectDatabase(index=TimeSpaceIndex())
+        database = MovingObjectDatabase()
         database.schema.define_mobile_point_class("car", ())
         for lane, y in enumerate(_LANES):
             database.register_route(Route(

@@ -68,16 +68,12 @@ def _scenario(name: str, network: RouteNetwork, curves: list[SpeedCurve],
               policy_name: str, update_cost: float,
               attributes: tuple[AttributeDef, ...] = (),
               attribute_maker=None,
-              use_index: bool = True,
               dt: float = DEFAULT_TICK_MINUTES,
               database_factory: DatabaseFactory | None = None) -> FleetScenario:
     if database_factory is not None:
-        # The factory decides indexing for itself; use_index is the
-        # default-database knob only.
         database = database_factory(network)
     else:
-        index = TimeSpaceIndex() if use_index else None
-        database = MovingObjectDatabase(index=index)
+        database = MovingObjectDatabase(index=TimeSpaceIndex())
     database.schema.define_mobile_point_class(class_name, attributes)
     fleet = FleetSimulation(database, dt=dt)
     for i, curve in enumerate(curves):
@@ -94,7 +90,6 @@ def _scenario(name: str, network: RouteNetwork, curves: list[SpeedCurve],
 def taxi_fleet_scenario(num_taxis: int = 20, duration: float = 30.0,
                         seed: int = 7, policy: str = "ail",
                         update_cost: float = 5.0,
-                        use_index: bool = True,
                         dt: float = DEFAULT_TICK_MINUTES,
                         database_factory: DatabaseFactory | None = None,
                         ) -> FleetScenario:
@@ -122,14 +117,13 @@ def taxi_fleet_scenario(num_taxis: int = 20, duration: float = 30.0,
         policy_name=policy, update_cost=update_cost,
         attributes=(AttributeDef("free", "bool"),),
         attribute_maker=lambda i, r: {"free": r.random() < 0.5},
-        use_index=use_index, dt=dt, database_factory=database_factory,
+        dt=dt, database_factory=database_factory,
     )
 
 
 def trucking_scenario(num_trucks: int = 15, duration: float = 45.0,
                       seed: int = 11, policy: str = "dl",
                       update_cost: float = 5.0,
-                      use_index: bool = True,
                       dt: float = DEFAULT_TICK_MINUTES,
                       database_factory: DatabaseFactory | None = None,
                       ) -> FleetScenario:
@@ -154,14 +148,13 @@ def trucking_scenario(num_trucks: int = 15, duration: float = 45.0,
         policy_name=policy, update_cost=update_cost,
         attributes=(AttributeDef("carrier", "string"),),
         attribute_maker=lambda i, r: {"carrier": f"carrier-{i % 3}"},
-        use_index=use_index, dt=dt, database_factory=database_factory,
+        dt=dt, database_factory=database_factory,
     )
 
 
 def battlefield_scenario(num_units: int = 25, duration: float = 30.0,
                          seed: int = 23, policy: str = "cil",
                          update_cost: float = 2.0,
-                         use_index: bool = True,
                          dt: float = DEFAULT_TICK_MINUTES,
                          database_factory: DatabaseFactory | None = None,
                          ) -> FleetScenario:
@@ -195,7 +188,7 @@ def battlefield_scenario(num_units: int = 25, duration: float = 30.0,
         attribute_maker=lambda i, r: {
             "allegiance": "friendly" if i % 2 == 0 else "hostile"
         },
-        use_index=use_index, dt=dt, database_factory=database_factory,
+        dt=dt, database_factory=database_factory,
     )
 
 __all__ = [

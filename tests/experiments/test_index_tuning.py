@@ -10,10 +10,11 @@ from repro.workloads.query_workloads import polygon_query_workload
 
 def rows_with_a_fleet_per_width(slab_widths, num_objects, num_queries,
                                 duration=10.0, seed=59):
-    """E19's rows the way they were first computed: a fresh fleet per width."""
+    """E19's rows the way they were first computed: a fresh fleet per width,
+    simulated against a swap-maintained index before the rebuild."""
     rows = []
     for slab_minutes in slab_widths:
-        built = _build_fleet(num_objects, seed, use_index=True,
+        built = _build_fleet(num_objects, seed, maintained=True,
                              duration=duration)
         index = built.database.rebuild_index(slab_minutes=slab_minutes)
         polygons = polygon_query_workload(

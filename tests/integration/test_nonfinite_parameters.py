@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.core.adaptive import AdaptivePolicy
 from repro.core.baselines import (
     FixedThresholdPolicy,
     PeriodicPolicy,
@@ -67,6 +68,18 @@ def test_update_cost(name):
 def test_baseline_thresholds(build):
     with pytest.raises(PolicyError):
         build(NAN)
+
+
+@pytest.mark.parametrize("build", [
+    lambda value: AdaptivePolicy(5.0, volatility_threshold=value),
+    lambda value: AdaptivePolicy(5.0, window_minutes=value),
+], ids=["volatility_threshold", "window_minutes"])
+def test_adaptive_regime_parameters(build):
+    """NaN is refused; an infinite threshold (never volatile) or window
+    (every sample kept) stays legal."""
+    with pytest.raises(PolicyError):
+        build(NAN)
+    build(INF)
 
 
 @pytest.mark.parametrize("build", [
