@@ -60,7 +60,7 @@ SpatialIndexError = IndexError_
 
 
 class ShardError(ReproError):
-    """A sharding partitioning, plan, or cost-model input is invalid."""
+    """A sharding partitioning or shard-plan file is invalid."""
 
 
 class SimulationError(ReproError):

@@ -67,7 +67,7 @@ def run_all(fast: bool = False, out: TextIO | None = None,
     ``jobs`` fans the sweep-shaped experiments (E1–E3, E4, the ablation
     tables) over worker processes; every number in the report is
     invariant under the job count.  ``shards`` sets the shard budget
-    for the E20 shard-plan search.
+    for E20's candidate plans.
     """
     if out is None:
         out = sys.stdout
@@ -225,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--shards", type=int, default=4,
-        help="shard budget for the E20 shard-plan search",
+        help="shard count of E20's candidate plans",
     )
     args = parser.parse_args(argv)
     if args.metrics_out is not None:

@@ -1,47 +1,46 @@
-"""E20: cost-model-driven shard-plan search on a skewed trace.
+"""E20: shard fan-out on a skewed corridor, as the partitioned index routes it.
 
 The scale-out question the paper's DBMS framing raises but does not
 answer: how should the plane be cut into shards when the workload is
-spatially skewed?  We record a "highway corridor" trace — objects and
-queries concentrated in a narrow horizontal band — through the real
-database under the flight recorder, distill it into a
-:class:`~repro.shard.cost.TraceWorkload`, and let
-:class:`~repro.shard.search.PartitionSearcher` rank candidate
-partitionings by the cost model::
+spatially skewed?  A "highway corridor" — cars on four horizontal
+lanes, within-distance queries clustered on the band — is laid out
+under every candidate plan by
+:class:`~repro.shard.sharded.PartitionedIndex`, the index a sharded
+database runs, and each query window is routed the way that index
+routes it.
 
-    alpha * update_fanout + beta * cross_shard_query_fanin
-        + gamma * temporal_skew
-
-The table contrasts every candidate against the default squarest
-uniform grid: on this trace the default grid's horizontal cut slices
-the corridor, so most queries fan to several shards, while the
-searched plan cuts only across the corridor and keeps the p95 fan-out
-down.  Measured fan-outs come from
-:func:`~repro.shard.cost.measured_fanouts` (the partitioning actually
-applied to every recorded query window), not from the model.
+The index routes by *route coverage* (§4.2 indexes an object by its
+o-plane on its route): a window goes to every shard owning an object
+whose route meets it.  Every lane crosses the whole corridor, so a cut
+across the corridor leaves every shard covering all of it; only cuts
+along the lanes prune.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from functools import partial
 
 from repro.core.policies import make_policy
 from repro.dbms.database import MovingObjectDatabase
 from repro.dbms.update_log import PositionUpdateMessage
+from repro.errors import ExperimentError
 from repro.experiments.tables import TableResult
+from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
 from repro.geometry.polyline import Polyline
+from repro.index.oplane import OPlane
+from repro.index.timespace import TimeSpaceIndex
 from repro.routes.route import Route
 from repro.shard import (
-    PartitionSearcher,
-    ShardCostModel,
-    measured_fanouts,
-    percentile,
+    BinarySplitPartitioning,
+    PartitionedIndex,
+    Partitioning,
+    UniformGridPartitioning,
+    grid_shapes,
     uniform_grid_for,
-    workload_from_events,
 )
-from repro.trace.events import TraceEvent
-from repro.trace.recorder import TraceRecorder, use_recorder
 
 #: Corridor lane y-coordinates: a band straddling the extent's middle,
 #: so any horizontal cut through the centre slices every lane.
@@ -50,113 +49,161 @@ _LANES = (3.7, 3.9, 4.1, 4.3)
 #: Corridor extent (miles); routes span the full x-range.
 _EXTENT = 8.0
 
+#: The corridor's bounding rectangle: every route and position in it.
+_BOUNDS = Rect2D(0.0, _LANES[0], _EXTENT, _LANES[-1])
 
-def record_corridor_trace(num_objects: int = 24, num_updates: int = 12,
-                          num_queries: int = 160,
-                          seed: int = 67) -> tuple[TraceEvent, ...]:
-    """Record the skewed corridor workload through a real database.
+#: Radius (miles) of every corridor query.
+_RADIUS = 0.35
 
-    Objects cruise the corridor lanes — spread along the full length,
-    drifting with small per-minute displacements — sending periodic
-    position updates; the query load is small within-distance windows
-    centred on the corridor.  Everything is captured by the flight
-    recorder, so the returned events are the workload
-    :func:`~repro.shard.cost.workload_from_events` reads.  It reads no
-    answer, so the database keeps no index and its queries scan.
+
+def run_corridor(database: MovingObjectDatabase, num_objects: int = 24,
+                 num_updates: int = 12, num_queries: int = 160,
+                 seed: int = 67, ask: bool = False,
+                 ) -> tuple[dict[str, OPlane], list[Rect2D]]:
+    """Drive the skewed corridor workload through ``database``.
+
+    Cars cruise the corridor lanes — spread along the full length,
+    drifting with small per-minute displacements along their own lane
+    — sending periodic position updates; the query load is small
+    within-distance queries centred on the corridor, interleaved with
+    the update ticks.  Returns every car's o-plane as inserted and
+    every query's window (``center ± radius``, the window a
+    within-distance query searches), in order.  The queries are
+    only asked of ``database`` when ``ask`` is set.
     """
     rng = random.Random(seed)
-    recorder = TraceRecorder(meta={"experiment": "E20", "seed": seed})
-    with use_recorder(recorder):
-        database = MovingObjectDatabase()
-        database.schema.define_mobile_point_class("car", ())
-        for lane, y in enumerate(_LANES):
-            database.register_route(Route(
-                f"lane-{lane}",
-                Polyline([Point(0.0, y), Point(_EXTENT, y)]),
-            ))
-        policy = make_policy("dl", 5.0)
-        xs: list[float] = []
+    database.schema.define_mobile_point_class("car", ())
+    for lane, y in enumerate(_LANES):
+        database.register_route(Route(
+            f"lane-{lane}",
+            Polyline([Point(0.0, y), Point(_EXTENT, y)]),
+        ))
+    policy = make_policy("dl", 5.0)
+    xs: list[float] = []
+    for i in range(num_objects):
+        lane = i % len(_LANES)
+        x = rng.uniform(0.3, _EXTENT - 0.3)
+        xs.append(x)
+        database.insert_moving_object(
+            f"car-{i}", "car", f"lane-{lane}", 0.0,
+            Point(x, _LANES[lane]), 1, rng.uniform(0.3, 0.5),
+            policy, max_speed=0.8,
+        )
+    planes = {f"car-{i}": database.oplane_of(f"car-{i}")
+              for i in range(num_objects)}
+    windows: list[Rect2D] = []
+
+    def next_query(at: float) -> None:
+        center = Point(rng.uniform(2.6, 5.4), rng.uniform(3.8, 4.2))
+        windows.append(Rect2D(center.x - _RADIUS, center.y - _RADIUS,
+                              center.x + _RADIUS, center.y + _RADIUS))
+        if ask:
+            database.within_distance(center, _RADIUS, at)
+
+    per_tick = max(num_queries // num_updates, 1)
+    t = 0.0
+    for _ in range(num_updates):
+        t += 1.0
         for i in range(num_objects):
             lane = i % len(_LANES)
-            x = rng.uniform(0.3, _EXTENT - 0.3)
-            xs.append(x)
-            database.insert_moving_object(
-                f"car-{i}", "car", f"lane-{lane}", 0.0,
-                Point(x, _LANES[lane]), 1, rng.uniform(0.3, 0.5),
-                policy, max_speed=0.8,
-            )
-        def issue_query(at: float) -> None:
-            center = Point(rng.uniform(2.6, 5.4), rng.uniform(3.8, 4.2))
-            database.within_distance(center, 0.35, at)
+            xs[i] = min(max(xs[i] + rng.uniform(-0.25, 0.3), 0.2),
+                        _EXTENT - 0.2)
+            database.process_update(PositionUpdateMessage(
+                f"car-{i}", t, xs[i], _LANES[lane],
+                rng.uniform(0.3, 0.5), route_id=f"lane-{lane}",
+                direction=1,
+            ))
+        for _ in range(min(per_tick, num_queries - len(windows))):
+            next_query(t + 0.5)
+    while len(windows) < num_queries:
+        next_query(t + 0.5)
+    return planes, windows
 
-        # Queries interleave with the update ticks so every time
-        # segment carries a realistic read+write mix.
-        per_tick = max(num_queries // num_updates, 1)
-        issued = 0
-        t = 0.0
-        for _ in range(num_updates):
-            t += 1.0
-            for i in range(num_objects):
-                lane = i % len(_LANES)
-                xs[i] = min(max(xs[i] + rng.uniform(-0.25, 0.3), 0.2),
-                            _EXTENT - 0.2)
-                database.process_update(PositionUpdateMessage(
-                    f"car-{i}", t, xs[i], _LANES[lane],
-                    rng.uniform(0.3, 0.5), route_id=f"lane-{lane}",
-                    direction=1,
-                ))
-            for _ in range(per_tick):
-                if issued >= num_queries:
-                    break
-                issue_query(t + 0.5)
-                issued += 1
-        while issued < num_queries:
-            issue_query(t + 0.5)
-            issued += 1
-    return recorder.events()
+
+def candidate_plans(planes: dict[str, OPlane],
+                    num_shards: int) -> list[tuple[str, Partitioning]]:
+    """E20's candidates over the corridor, in a fixed order.
+
+    Every uniform grid shape of ``num_shards``, then the recursive
+    binary split weighted by the insert points and its load-agnostic
+    midpoint variant.
+    """
+    plans: list[tuple[str, Partitioning]] = [
+        (f"uniform-{nx}x{ny}", UniformGridPartitioning(_BOUNDS, nx, ny))
+        for nx, ny in grid_shapes(num_shards)
+    ]
+    points = [(plane.attribute.start_x, plane.attribute.start_y)
+              for plane in planes.values()]
+    plans.append(("binary-split", BinarySplitPartitioning.build(
+        _BOUNDS, points, num_shards)))
+    plans.append(("binary-split-midpoint",
+                  BinarySplitPartitioning.build_midpoint(
+                      _BOUNDS, num_shards)))
+    return plans
+
+
+def routed_fanouts(plan: Partitioning, planes: dict[str, OPlane],
+                   windows: list[Rect2D], horizon: float,
+                   ) -> tuple[PartitionedIndex, list[int]]:
+    """The index ``plan`` lays ``planes`` out in, and each window's fan-out.
+
+    Fan-out reads only owners and coverage, so one slab per inner
+    index is enough.  Inserting the planes alone stands for the whole
+    run because ownership is sticky (an update never moves an object
+    to another shard) and every corridor update stays on its own lane,
+    so no shard's coverage grows after the inserts.
+    """
+    index = PartitionedIndex(plan, partial(TimeSpaceIndex,
+                                           slab_minutes=horizon))
+    for object_id, plane in planes.items():
+        index.insert(object_id, plane)
+    return index, [len(index.shards_for_window(window))
+                   for window in windows]
 
 
 def table_sharding(num_shards: int = 4, num_objects: int = 24,
                    num_updates: int = 12, num_queries: int = 160,
                    seed: int = 67) -> TableResult:
-    """Rank candidate shard plans on the recorded corridor trace."""
-    events = record_corridor_trace(
-        num_objects=num_objects, num_updates=num_updates,
+    """Measured query fan-out of each candidate plan on the corridor."""
+    if num_queries < 1:
+        raise ExperimentError(f"num_queries must be positive, got {num_queries}")
+    database = MovingObjectDatabase()
+    planes, windows = run_corridor(
+        database, num_objects=num_objects, num_updates=num_updates,
         num_queries=num_queries, seed=seed,
     )
-    workload = workload_from_events(events)
-    model = ShardCostModel()
-    ranked = PartitionSearcher(num_shards, model).rank(workload)
-    default = uniform_grid_for(workload.bounds, num_shards)
+    default = uniform_grid_for(_BOUNDS, num_shards)
     default_label = f"uniform-{default.nx}x{default.ny}"
     rows: list[list[object]] = []
-    for scored in ranked:
-        fanouts = measured_fanouts(scored.partitioning, workload)
-        label = scored.label
-        if label == default_label:
-            label += " (default)"
+    for label, plan in candidate_plans(planes, num_shards):
+        index, fanouts = routed_fanouts(plan, planes, windows,
+                                        database.horizon)
+        ordered = sorted(fanouts)
         rows.append([
-            label,
-            scored.cost.update_fanout,
-            scored.cost.query_fanin,
-            scored.cost.temporal_skew,
-            scored.cost.total,
-            percentile(fanouts, 0.95) if fanouts else 0.0,
+            label + (" (default)" if label == default_label else ""),
+            "/".join(map(str, index.shard_sizes())),
+            sum(fanouts) / len(fanouts),
+            ordered[math.ceil(0.95 * len(ordered)) - 1],
+            fanouts.count(1) / len(fanouts),
         ])
+    # Stable sort: candidate order breaks ties.
+    rows.sort(key=lambda row: row[2])
     return TableResult(
         experiment_id="E20",
         title=(
-            f"Shard-plan search on the corridor trace "
-            f"({num_objects} objects, {num_queries} queries, "
-            f"{num_shards} shards; best plan first)"
+            f"Query fan-out through the partitioned index on the "
+            f"corridor ({num_objects} objects, {num_queries} queries, "
+            f"{num_shards} shards; lowest mean first)"
         ),
-        headers=["plan", "update fan-out", "query fan-in",
-                 "temporal skew", "total cost", "p95 query fan-out"],
+        headers=["plan", "objects per shard", "mean fan-out",
+                 "p95 fan-out", "single-shard share"],
         rows=rows,
     )
 
 
 __all__ = [
-    "record_corridor_trace",
+    "candidate_plans",
+    "routed_fanouts",
+    "run_corridor",
     "table_sharding",
 ]

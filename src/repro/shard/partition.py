@@ -21,7 +21,7 @@ between cells over time).
 Partitionings round-trip through JSON specs (:meth:`Partitioning.
 to_spec` / :func:`partitioning_from_spec`) and shard-plan files
 (:func:`save_plan` / :func:`load_plan`, schema ``repro-shard-plan/1``)
-so a searched plan can be handed to ``repro stats --shard-plan``.
+so a chosen plan can be handed to ``repro stats --shard-plan``.
 """
 
 from __future__ import annotations
@@ -42,10 +42,14 @@ def _bounds_to_spec(bounds: Rect2D) -> list[float]:
     return [bounds.min_x, bounds.min_y, bounds.max_x, bounds.max_y]
 
 
-def _bounds_from_spec(raw: Any) -> Rect2D:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 4:
-        raise ShardError(f"bounds spec must be [min_x, min_y, max_x, max_y], got {raw!r}")
-    return Rect2D(float(raw[0]), float(raw[1]), float(raw[2]), float(raw[3]))
+def _bounds_from_spec(fields: SpecReader) -> Rect2D:
+    raw = fields.get("bounds", list)
+    if len(raw) != 4 or not all(
+            isinstance(value, (int, float)) and not isinstance(value, bool)
+            for value in raw):
+        raise fields.fail(
+            f"field 'bounds' must be [min_x, min_y, max_x, max_y], got {raw!r}")
+    return Rect2D(*map(float, raw))
 
 
 class Partitioning(ABC):
@@ -352,7 +356,7 @@ def partitioning_from_spec(spec: dict[str, Any]) -> Partitioning:
     """Rebuild a partitioning from its :meth:`~Partitioning.to_spec`."""
     fields = SpecReader(spec, ShardError, "partitioning spec")
     kind = spec.get("kind")
-    bounds = _bounds_from_spec(spec.get("bounds"))
+    bounds = _bounds_from_spec(fields)
     if kind == UniformGridPartitioning.kind:
         return UniformGridPartitioning(
             bounds, fields.get("nx", int), fields.get("ny", int))
@@ -407,7 +411,8 @@ def load_plan(path: str) -> Partitioning:
             f"unsupported shard-plan schema in {path!r}; "
             f"this build reads {PLAN_SCHEMA}"
         )
-    return partitioning_from_spec(document["partitioning"])
+    fields = SpecReader(document, ShardError, "shard plan")
+    return partitioning_from_spec(fields.get("partitioning", dict))
 
 
 __all__ = [

@@ -16,12 +16,15 @@ DBMS layer can import the recorder API without a cycle; the heavy
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from repro.errors import ReproError, TraceError
+from repro.errors import ReproError, SpecReader, TraceError
 from repro.trace import events as ev
 from repro.trace.events import TraceEvent, answer_digest
 from repro.trace.recorder import read_trace, record_index_digest
+
+if TYPE_CHECKING:
+    from repro.geometry.bbox import Rect2D
 
 #: Replay modes: honour the recorded engine, or force one path.
 MODES = ("auto", "sequential", "batch")
@@ -41,6 +44,74 @@ def _decoded(event: TraceEvent, decode: Callable[..., Any],
         return decode(*args)
     except ReproError as exc:
         raise type(exc)(f"event {event.seq} ({event.kind}): {exc}") from exc
+
+
+def _mobile_insert(spec: dict[str, Any]) -> dict[str, Any]:
+    """The checked arguments of an ``insert_mobile`` event."""
+    from repro.core.serialize import policy_from_spec
+    from repro.geometry.point import Point
+
+    fields = SpecReader(spec, TraceError, "insert_mobile")
+    direction = fields.get("direction", int)
+    if direction not in (0, 1):
+        raise fields.fail(f"direction must be 0 or 1, got {direction}")
+    return dict(
+        object_id=fields.get("object_id", str),
+        class_name=fields.get("class_name", str),
+        route_id=fields.get("route_id", str), t=fields.number("time"),
+        position=Point(*fields.pair("position")), direction=direction,
+        speed=fields.number("speed"),
+        policy=policy_from_spec(spec.get("policy")),
+        max_speed=fields.number("max_speed"),
+        attributes=fields.get("attributes", dict, None))
+
+
+def _stationary_insert(spec: dict[str, Any]) -> dict[str, Any]:
+    """The checked arguments of an ``insert_stationary`` event."""
+    from repro.geometry.point import Point
+
+    fields = SpecReader(spec, TraceError, "insert_stationary")
+    return dict(
+        object_id=fields.get("object_id", str),
+        class_name=fields.get("class_name", str),
+        position=Point(*fields.pair("position")),
+        attributes=fields.get("attributes", dict, None))
+
+
+def _positions(event: TraceEvent) -> list[list[float]]:
+    """The plane positions an event names, read through checked fields."""
+    fields = SpecReader(event.data, TraceError, event.kind)
+    if event.kind == ev.ROUTE_REGISTER:
+        return fields.pairs("vertices")
+    if event.kind in (ev.INSERT_MOBILE, ev.INSERT_STATIONARY):
+        return [fields.pair("position")]
+    if event.kind == ev.UPDATE:
+        return [[fields.number("x"), fields.number("y")]]
+    return []
+
+
+def _trace_bounds(trace_events: Sequence[TraceEvent]) -> "Rect2D":
+    """Spatial extent of a trace, for ``--shards`` override grids.
+
+    The bounding rectangle of every route vertex and every insert,
+    update and stationary position, grown by 0.5 when degenerate, the
+    unit square when there is none.  Any bounds yield correct answers
+    (partitionings clamp outside points to the nearest cell).
+    """
+    from repro.geometry.bbox import Rect2D
+
+    xs: list[float] = []
+    ys: list[float] = []
+    for event in trace_events:
+        for x, y in _decoded(event, _positions, event):
+            xs.append(float(x))
+            ys.append(float(y))
+    if not xs:
+        return Rect2D(0.0, 0.0, 1.0, 1.0)
+    rect = Rect2D(min(xs), min(ys), max(xs), max(ys))
+    if rect.min_x == rect.max_x or rect.min_y == rect.max_y:
+        return rect.expanded(0.5)
+    return rect
 
 
 @dataclass(frozen=True, slots=True)
@@ -156,7 +227,8 @@ class TraceReplayer:
     def _apply(self, event: TraceEvent, report: ReplayReport) -> None:
         data = event.data
         if event.kind == ev.DB_CONFIG:
-            self._db = self._build_database(data)
+            self._db = _decoded(event, self._build_database, data,
+                                self._override_grid())
             self._engine = None
             return
         if event.kind in _DERIVED_KINDS:
@@ -171,9 +243,12 @@ class TraceReplayer:
 
             db.register_route(_decoded(event, Route.from_spec, data))
         elif event.kind == ev.INSERT_MOBILE:
-            self._insert_mobile(db, event)
+            db.insert_moving_object(**_decoded(event, _mobile_insert, {
+                **data, "time": event.time, "object_id": event.object_id}))
         elif event.kind == ev.INSERT_STATIONARY:
-            self._insert_stationary(db, event)
+            db.insert_stationary_object(**_decoded(
+                event, _stationary_insert,
+                {**data, "object_id": event.object_id}))
         elif event.kind == ev.REMOVE_OBJECT:
             db.remove_object(event.object_id)
         elif event.kind == ev.UPDATE:
@@ -219,13 +294,25 @@ class TraceReplayer:
         else:  # pragma: no cover - KINDS is closed in events.py
             raise TraceError(f"unreplayable event kind {event.kind!r}")
 
-    def _build_database(self, data: dict[str, Any]) -> Any:
+    def _override_grid(self) -> Any:
+        """The ``shards`` override's grid; a bad position is its own
+        event's error, so it is read outside the ``db_config``'s."""
+        if self.shards is None:
+            return None
+        from repro.shard.partition import uniform_grid_for
+
+        return uniform_grid_for(_trace_bounds(self._events), self.shards)
+
+    def _build_database(self, data: dict[str, Any], grid: Any) -> Any:
         from repro.dbms.database import MovingObjectDatabase
 
-        index_name = data.get("index", "none")
-        slab_minutes = data.get("slab_minutes", 5.0)
+        fields = SpecReader(data, TraceError, "db_config")
+        index_name = fields.get("index", str, "none")
+        slab_minutes = fields.number("slab_minutes", 5.0)
+        horizon = fields.number("horizon", 120.0)
+        shards = fields.get("shards", int, None)
         index_factory: Any
-        if index_name in (None, "none", "NoneType"):
+        if index_name in ("none", "NoneType"):
             index_factory = None
         elif index_name == "TimeSpaceIndex":
             from repro.index.timespace import TimeSpaceIndex
@@ -246,63 +333,16 @@ class TraceReplayer:
             # No boxes to lay out: an index-free database replays the
             # same answers whatever shard count the trace names.
             pass
-        elif data.get("shards") is None and self.shards is None:
+        elif shards is None and grid is None:
             index = index_factory()
         else:
-            from repro.shard.partition import (
-                partitioning_from_spec,
-                uniform_grid_for,
-            )
+            from repro.shard.partition import partitioning_from_spec
             from repro.shard.sharded import PartitionedIndex
 
-            if self.shards is not None:
-                partitioning = uniform_grid_for(
-                    self._trace_bounds(), self.shards
-                )
-            else:
-                partitioning = partitioning_from_spec(data["partitioning"])
-            index = self._partitioned = PartitionedIndex(
-                partitioning, index_factory
-            )
-        return MovingObjectDatabase(
-            index=index, horizon=data.get("horizon", 120.0),
-        )
-
-    def _trace_bounds(self) -> Any:
-        """Spatial extent of the trace, for --shards override grids.
-
-        Any bounds yield correct answers (partitionings clamp
-        out-of-range points to the nearest cell); tight bounds just
-        make the override grid meaningful.
-        """
-        from repro.shard.cost import workload_from_events
-
-        return workload_from_events(self._events).bounds
-
-    @staticmethod
-    def _insert_mobile(db: Any, event: TraceEvent) -> None:
-        from repro.core.serialize import policy_from_spec
-        from repro.geometry.point import Point
-
-        data = event.data
-        db.insert_moving_object(
-            event.object_id, data["class_name"], data["route_id"],
-            event.time, Point(*data["position"]), data["direction"],
-            data["speed"],
-            _decoded(event, policy_from_spec, data.get("policy")),
-            max_speed=data["max_speed"],
-            attributes=data.get("attributes"),
-        )
-
-    @staticmethod
-    def _insert_stationary(db: Any, event: TraceEvent) -> None:
-        from repro.geometry.point import Point
-
-        data = event.data
-        db.insert_stationary_object(
-            event.object_id, data["class_name"],
-            Point(*data["position"]), attributes=data.get("attributes"),
-        )
+            if grid is None:
+                grid = partitioning_from_spec(fields.get("partitioning", dict))
+            index = self._partitioned = PartitionedIndex(grid, index_factory)
+        return MovingObjectDatabase(index=index, horizon=horizon)
 
     @staticmethod
     def _query(event: TraceEvent) -> Any:

@@ -16,6 +16,12 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.dbms.database import MovingObjectDatabase
+from repro.dbms.schema import Mobility, ObjectClass, SpatialKind
+from repro.geometry.bbox import Rect2D
+from repro.geometry.point import Point
+from repro.shard import save_plan, uniform_grid_for
+from repro.trace.recorder import TraceRecorder, use_recorder
 
 #: Trace record kinds: (label, event kind, query kind, keys to drop,
 #: [(key, wrong-typed value)], (key, unknown enum or policy name)).
@@ -28,6 +34,17 @@ TRACE_RECORDS = [
     ("route_register", "route_register", None,
      ["data.route_id", "data.vertices"],
      [("data.vertices", [[0.0, "x"], [1.0, 1.0]])], None),
+    ("db_config", "db_config", None, [],
+     [("data.horizon", "long"), ("data.slab_minutes", "wide")], None),
+    ("insert_mobile", "insert_mobile", None,
+     ["time", "object_id", "data.class_name", "data.route_id",
+      "data.position", "data.direction", "data.speed", "data.max_speed"],
+     [("data.position", "abc"), ("data.speed", "fast")], None),
+    ("insert_mobile_point", "insert_mobile", None, [],
+     [("data.position", [1.0, "x"])], None),
+    ("insert_stationary", "insert_stationary", None,
+     ["object_id", "data.class_name", "data.position"],
+     [("data.position", "abc"), ("data.attributes", "free")], None),
     ("insert_mobile_policy", "insert_mobile", None,
      ["data.policy", "data.policy.name", "data.policy.update_cost"],
      [("data.policy.update_cost", "abc"), ("data.policy.bound", 1.0)],
@@ -70,6 +87,14 @@ SNAPSHOT_RECORDS = [
      [("speed", "fast"), ("direction", 7)], ("policy", "psychic")),
 ]
 
+#: Corruptions of a partitioning, as a dotted path into a shard-plan
+#: file (a sharded trace's ``db_config`` carries the same spec).
+PLAN_CORRUPTIONS = [
+    pytest.param("partitioning.bounds", ["a", 0, 1, 1], id="bounds-text"),
+    pytest.param("partitioning.bounds", [None, 0, 1, 1], id="bounds-null"),
+    pytest.param("partitioning", ..., id="drop-partitioning"),
+]
+
 #: Whole-document keys of a snapshot.
 SNAPSHOT_KEYS = ["horizon", "clock_time", "routes", "classes", "records",
                  "stationary", "update_log"]
@@ -109,6 +134,26 @@ def run_failing(argv, capsys):
     return errors[0]
 
 
+def with_a_depot(lines):
+    """``lines`` plus a stationary class and one stationary object,
+    recorded through the library and appended with continuing seqs (no
+    scenario inserts stationary objects)."""
+    with use_recorder(TraceRecorder()) as recorder:
+        database = MovingObjectDatabase()
+        database.schema.define(ObjectClass("depot", SpatialKind.POINT,
+                                           Mobility.STATIONARY))
+        database.insert_stationary_object("depot-1", "depot",
+                                          Point(1.0, 1.0))
+    extra = [event for event in recorder.to_dicts()
+             if event["kind"] != "db_config"]
+    for seq, event in enumerate(extra, start=len(lines) - 1):
+        event["seq"] = seq
+    header = json.loads(lines[0])
+    header["events"] += len(extra)
+    return [json.dumps(header, sort_keys=True), *lines[1:],
+            *(json.dumps(event, sort_keys=True) for event in extra)]
+
+
 @pytest.fixture(scope="module")
 def recorded(tmp_path_factory):
     directory = tmp_path_factory.mktemp("hostile")
@@ -120,7 +165,8 @@ def recorded(tmp_path_factory):
                 out=out) == 0
     assert main(["scenario", "--seed", "7", "--snapshot", str(snapshot)],
                 out=out) == 0
-    return trace.read_text().splitlines(), json.loads(snapshot.read_text())
+    return (with_a_depot(trace.read_text().splitlines()),
+            json.loads(snapshot.read_text()))
 
 
 def test_the_uncorrupted_files_replay_and_load(recorded, tmp_path):
@@ -178,6 +224,21 @@ def test_corrupt_query_replayed_as_a_batch(recorded, tmp_path, capsys,
     assert message.startswith(f"error: event {seq} "), message
 
 
+@pytest.mark.parametrize("label, path, value", [
+    case for case in cases(TRACE_RECORDS)
+    if case.values[1].rsplit(".", 1)[-1] in ("vertices", "position", "x", "y")
+])
+def test_corrupt_extent_under_a_shard_override(recorded, tmp_path, capsys,
+                                               label, path, value):
+    """The ``--shards`` override grid reads every position up front."""
+    lines, seq = corrupt_trace(recorded[0], label, path, value)
+    trace = tmp_path / "hostile.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    message = run_failing(["trace", "replay", str(trace), "--shards", "2"],
+                          capsys)
+    assert message.startswith(f"error: event {seq} "), message
+
+
 @pytest.mark.parametrize("section, path, value", cases(SNAPSHOT_RECORDS))
 def test_corrupt_snapshot_record(recorded, tmp_path, capsys, section, path,
                                  value):
@@ -219,3 +280,48 @@ def test_unreadable_trace_file(recorded, tmp_path, capsys, damage):
     if damage != "missing":
         target.write_text("\n".join(lines) + "\n")
     run_failing(["trace", "replay", str(target)], capsys)
+
+
+STATS = ["stats", "--name", "taxi", "--size", "3", "--duration", "3",
+         "--queries", "2"]
+
+
+@pytest.fixture(scope="module")
+def shard_plan(tmp_path_factory):
+    path = tmp_path_factory.mktemp("plan") / "plan.json"
+    save_plan(uniform_grid_for(Rect2D(0.0, 0.0, 10.0, 10.0), 2), str(path))
+    assert main(STATS + ["--shard-plan", str(path)], out=io.StringIO()) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("path, value", PLAN_CORRUPTIONS)
+def test_corrupt_shard_plan(shard_plan, tmp_path, capsys, path, value):
+    plan = copy.deepcopy(shard_plan)
+    mutate(plan, path, value)
+    target = tmp_path / "hostile-plan.json"
+    target.write_text(json.dumps(plan))
+    run_failing(STATS + ["--shard-plan", str(target)], capsys)
+
+
+@pytest.fixture(scope="module")
+def sharded_trace(tmp_path_factory):
+    trace = tmp_path_factory.mktemp("sharded") / "trace.jsonl"
+    assert main(["trace", "record", "--size", "3", "--duration", "5",
+                 "--seed", "7", "--queries", "2", "--shards", "2",
+                 "--out", str(trace)], out=io.StringIO()) == 0
+    assert main(["trace", "replay", str(trace)], out=io.StringIO()) == 0
+    return trace.read_text().splitlines()
+
+
+@pytest.mark.parametrize("path, value", PLAN_CORRUPTIONS)
+def test_corrupt_partitioning_of_a_sharded_trace(sharded_trace, tmp_path,
+                                                 capsys, path, value):
+    lines = list(sharded_trace)
+    event = json.loads(lines[1])
+    assert event["kind"] == "db_config"
+    mutate(event["data"], path, value)
+    lines[1] = json.dumps(event, sort_keys=True)
+    trace = tmp_path / "hostile.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    message = run_failing(["trace", "replay", str(trace)], capsys)
+    assert message.startswith(f"error: event {event['seq']} "), message

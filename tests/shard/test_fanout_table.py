@@ -1,0 +1,103 @@
+"""E20's fan-out table against the sharded database it describes.
+
+E20 routes each corridor query window through a
+:class:`~repro.shard.sharded.PartitionedIndex` that holds only the
+insert-time o-planes.  Here the same corridor runs, queries and all,
+through ``MovingObjectDatabase(index=PartitionedIndex(plan,
+TimeSpaceIndex))`` under every one of E20's plans: the fan-out the
+database's index records for each query must be the one E20's shortcut
+routes, in order, and the table's columns must summarise exactly those.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from repro.dbms.database import MovingObjectDatabase
+from repro.experiments.sharding import (
+    candidate_plans,
+    routed_fanouts,
+    run_corridor,
+    table_sharding,
+)
+from repro.index.timespace import TimeSpaceIndex
+from repro.shard import PartitionedIndex
+
+SIZE = {"num_objects": 12, "num_updates": 8, "num_queries": 60}
+SHARDS = 4
+LABELS = ["uniform-1x4", "uniform-2x2", "uniform-4x1", "binary-split",
+          "binary-split-midpoint"]
+
+
+@pytest.fixture(scope="module")
+def shortcut():
+    """E20's inputs: insert-time o-planes, query windows and horizon."""
+    database = MovingObjectDatabase()
+    planes, windows = run_corridor(database, **SIZE)
+    return planes, windows, database.horizon
+
+
+@pytest.fixture(scope="module")
+def plans(shortcut):
+    return dict(candidate_plans(shortcut[0], SHARDS))
+
+
+@pytest.fixture(scope="module")
+def measured(plans):
+    """Per plan: the sharded database's index and each query's fan-out."""
+    found = {}
+    for label, plan in plans.items():
+        index = PartitionedIndex(plan, TimeSpaceIndex)
+        fanouts: list[int] = []
+        index.observe_fanout = fanouts.append
+        run_corridor(MovingObjectDatabase(index=index), ask=True, **SIZE)
+        found[label] = index, fanouts
+    return found
+
+
+@pytest.fixture(scope="module")
+def table():
+    return table_sharding(num_shards=SHARDS, **SIZE)
+
+
+def test_e20_runs_every_candidate(plans):
+    assert list(plans) == LABELS
+
+
+@pytest.mark.parametrize("label", LABELS)
+def test_the_shortcut_routes_as_the_sharded_database_does(
+        shortcut, plans, measured, label):
+    planes, windows, horizon = shortcut
+    index, fanouts = measured[label]
+    routed, expected = routed_fanouts(plans[label], planes, windows, horizon)
+    assert len(fanouts) == SIZE["num_queries"]
+    assert fanouts == expected
+    assert index.shard_sizes() == routed.shard_sizes()
+
+
+def test_the_table_summarises_the_sharded_database(measured, table):
+    rows = {row[0].removesuffix(" (default)"): row for row in table.rows}
+    assert sorted(rows) == sorted(LABELS)
+    for label, (index, fanouts) in measured.items():
+        ordered = sorted(fanouts)
+        assert rows[label][1:] == [
+            "/".join(map(str, index.shard_sizes())),
+            sum(fanouts) / len(fanouts),
+            ordered[math.ceil(0.95 * len(ordered)) - 1],
+            fanouts.count(1) / len(fanouts),
+        ]
+
+
+def test_rows_are_ordered_by_mean_fanout_then_candidate_order(table):
+    keys = [(row[2], LABELS.index(row[0].removesuffix(" (default)")))
+            for row in table.rows]
+    assert keys == sorted(keys)
+
+
+def test_sharding_table_marks_the_default_row(table):
+    assert table.experiment_id == "E20"
+    default_rows = [row[0] for row in table.rows if "(default)" in row[0]]
+    assert default_rows == ["uniform-2x2 (default)"]
+    assert "p95 fan-out" in table.headers

@@ -99,12 +99,14 @@ class TestQuery:
 #: SHA-256 of ``report --fast`` with the E7 ``index ms/query`` column (a
 #: wall-clock reading) dropped: a change that moves a printed digit must
 #: update it on purpose, with the masked report's diff as the review
-#: artefact.  Moved once since PR 11, when grid routes became constructed
-#: and the horizon integral exact (E7, E8, E12, E19 and E13's step row);
+#: artefact.  It has moved twice: when grid routes became constructed
+#: and the horizon integral exact (E7, E8, E12, E19 and E13's step row;
+#: ``c5038500...`` -> ``c0a41dbe...``), and when E20 became the fan-out
+#: the partitioned index measures (the ``[E20]`` block only).
 #: ``report_masked_sha256`` in ``benchmarks/e2e/results/pr11.json`` keeps
-#: the older ``c5038500...`` as history.
+#: the oldest ``c5038500...`` as history.
 FAST_REPORT_MASKED_SHA256 = (
-    "c0a41dbe9c250bc5b3bc23083823276c54b2badeb2679460600b1e94ef26d81e"
+    "246ff6642399b5d4d6be5276bf97d557429c11b1eacde75807f8bd1cc559910d"
 )
 
 
