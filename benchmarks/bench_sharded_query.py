@@ -4,39 +4,29 @@ Builds the same city fleet twice — a :class:`MovingObjectDatabase`
 behind one time-space index, and one behind a 4-shard
 :class:`PartitionedIndex` under a uniform grid — applies an identical
 round of position updates to both, then answers one mixed position /
-range / within-distance workload three ways:
+range / within-distance workload two ways:
 
 * **single** — one ``BatchQueryEngine.run`` over the monolithic
   index (the pre-sharding read path),
-* **sharded serial** — ``BatchQueryEngine(jobs=1)`` over the
-  partitioned index: coverage-pruned fan-out for window queries, one
-  multi-search per shard, candidate sets unioned,
-* **sharded parallel** — ``jobs=N``: active shards' sub-batches fanned
-  over a fork process pool and merged.
+* **sharded** — the same over the partitioned index: one multi-search
+  per shard, candidate sets unioned,
 
 and asserts (not eyeballs) the claims the shard layer makes:
 
 1. the merged answers are *byte-identical* to the single-shard run —
    both by element-wise equality and by a SHA-256 digest over the
    canonical answer payloads (the same digests the flight recorder
-   checks), for the serial AND the parallel leg, in every mode;
-2. on a host with >= 4 usable cores, the best sharded leg beats the
-   single-shard engine by >= 3x wall clock on the full workload
-   (2000 objects / 5000 queries).  Query answering is dominated by
-   per-candidate uncertainty classification, which sharding splits
-   across shards but never duplicates — so the speedup is delivered
-   by the process pool, and on fewer cores the gate is skipped with
-   an explicit message while the speedups are still recorded;
-3. sharding is never a serial regression: the jobs=1 leg must stay
-   within ``MAX_SERIAL_OVERHEAD``x of the single-shard time on the
-   full workload.
+   checks), in every mode;
+2. sharding is never a serial regression: the sharded leg must stay
+   within ``MAX_OVERHEAD``x of the single-shard time on the
+   full workload (2000 objects / 5000 queries).
 
 Any violated claim exits non-zero.  Results are written as JSON for
 artifact upload::
 
     python benchmarks/bench_sharded_query.py            # 2000 obj / 5000 q
     python benchmarks/bench_sharded_query.py --fast     # CI smoke
-    python benchmarks/bench_sharded_query.py --jobs 8 --output out.json
+    python benchmarks/bench_sharded_query.py --shards 8 --output out.json
 """
 
 from __future__ import annotations
@@ -44,7 +34,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import random
 import sys
 from time import perf_counter
@@ -61,27 +50,16 @@ from repro.shard import PartitionedIndex, uniform_grid_for
 from repro.trace.events import answer_digest
 from repro.workloads.query_workloads import mixed_query_workload
 
-MIN_SPEEDUP_FULL = 3.0
-#: Cores below which the speed gate is advisory: the pool cannot
-#: physically deliver parallelism, only the digests are load-bearing.
-MIN_CORES_FOR_GATE = 4
-#: Serial no-regression bound: jobs=1 sharding may cost at most this
-#: factor over the monolithic engine on the full workload.
-MAX_SERIAL_OVERHEAD = 1.5
+#: No-regression bound: sharding may cost at most this factor over
+#: the monolithic engine on the full workload.
+MAX_OVERHEAD = 1.5
 
 #: Query instants — a serving workload clusters around "now".
 QUERY_TIMES = (10.0, 12.5, 15.0)
 UPDATE_TIME = 5.0
-#: Window sizes kept local so coverage pruning has leverage.
+#: Window sizes kept local, so most shards' trees reject a window.
 SIDE_MILES = (0.3, 0.9)
 RADIUS_MILES = (0.2, 0.5)
-
-
-def usable_cores() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux hosts
-        return os.cpu_count() or 1
 
 
 def _populate(database, num_objects: int, seed: int) -> list[str]:
@@ -173,9 +151,9 @@ def harness_single_batch():
 
 @register_benchmark("shard.sharded_serial", group="shard")
 def harness_sharded_serial():
-    """BatchQueryEngine(jobs=1) over the partitioned index."""
+    """One BatchQueryEngine.run over the partitioned index."""
     _, sharded, queries = _harness_fixtures()
-    return lambda: BatchQueryEngine(sharded, jobs=1).run(queries)
+    return lambda: BatchQueryEngine(sharded).run(queries)
 
 
 def timed(fn):
@@ -185,7 +163,7 @@ def timed(fn):
 
 
 def run_benchmark(fast: bool = False, num_shards: int = 4,
-                  jobs: int = 4, seed: int = 1998) -> dict:
+                  seed: int = 1998) -> dict:
     num_objects = 150 if fast else 2000
     num_queries = 400 if fast else 5000
 
@@ -196,11 +174,8 @@ def run_benchmark(fast: bool = False, num_shards: int = 4,
     single_answers, single_seconds = timed(
         lambda: BatchQueryEngine(single).run(queries)
     )
-    serial_answers, serial_seconds = timed(
-        lambda: BatchQueryEngine(sharded, jobs=1).run(queries)
-    )
-    parallel_answers, parallel_seconds = timed(
-        lambda: BatchQueryEngine(sharded, jobs=jobs).run(queries)
+    sharded_answers, sharded_seconds = timed(
+        lambda: BatchQueryEngine(sharded).run(queries)
     )
 
     single_digest = merged_digest(single_answers)
@@ -209,24 +184,17 @@ def run_benchmark(fast: bool = False, num_shards: int = 4,
             "num_objects": num_objects,
             "num_queries": num_queries,
             "num_shards": num_shards,
-            "jobs": jobs,
             "query_times": list(QUERY_TIMES),
             "seed": seed,
             "fast": fast,
         },
-        "usable_cores": usable_cores(),
         "shard_sizes": sharded._index.shard_sizes(),
         "single_seconds": single_seconds,
-        "sharded_serial_seconds": serial_seconds,
-        "sharded_parallel_seconds": parallel_seconds,
-        "speedup_serial": single_seconds / serial_seconds,
-        "speedup_parallel": single_seconds / parallel_seconds,
-        "serial_overhead": serial_seconds / single_seconds,
+        "sharded_seconds": sharded_seconds,
+        "overhead": sharded_seconds / single_seconds,
         "digest_single": single_digest,
-        "digest_serial": merged_digest(serial_answers),
-        "digest_parallel": merged_digest(parallel_answers),
-        "identical_serial": serial_answers == single_answers,
-        "identical_parallel": parallel_answers == single_answers,
+        "digest_sharded": merged_digest(sharded_answers),
+        "identical": sharded_answers == single_answers,
     }
     return report
 
@@ -239,9 +207,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="reduced workload for CI smoke (digests "
                              "asserted, speed recorded but not gated)")
     parser.add_argument("--shards", type=int, default=4,
-                        help="shard count for the sharded legs")
-    parser.add_argument("--jobs", type=int, default=4,
-                        help="worker processes for the parallel leg")
+                        help="shard count for the sharded leg")
     parser.add_argument("--seed", type=int, default=1998,
                         help="workload random seed")
     parser.add_argument("--output", default="BENCH_sharded_query.json",
@@ -249,7 +215,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     report = run_benchmark(fast=args.fast, num_shards=args.shards,
-                           jobs=args.jobs, seed=args.seed)
+                           seed=args.seed)
 
     with open(args.output, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2)
@@ -261,49 +227,30 @@ def main(argv: list[str] | None = None) -> int:
           f"{workload['num_shards']} shards "
           f"({'fast' if args.fast else 'full'})")
     print(f"single             : {report['single_seconds']:.3f} s")
-    print(f"sharded (jobs=1)   : {report['sharded_serial_seconds']:.3f} s "
-          f"({report['speedup_serial']:.2f}x)")
-    print(f"sharded (jobs={args.jobs})   : "
-          f"{report['sharded_parallel_seconds']:.3f} s "
-          f"({report['speedup_parallel']:.2f}x)")
+    print(f"sharded            : {report['sharded_seconds']:.3f} s "
+          f"({report['overhead']:.2f}x)")
     print(f"merged digest      : {report['digest_single'][:16]}…")
     print(f"report written to  : {args.output}")
 
     # Claim 1 — byte-identical merges — is asserted in every mode.
-    for leg in ("serial", "parallel"):
-        if report[f"digest_{leg}"] != report["digest_single"]:
-            print(f"FAIL: {leg} merged-answer digest differs from "
-                  f"single-shard", file=sys.stderr)
-            return 1
-        if not report[f"identical_{leg}"]:
-            print(f"FAIL: {leg} answers differ element-wise from "
-                  f"single-shard", file=sys.stderr)
-            return 1
+    if report["digest_sharded"] != report["digest_single"]:
+        print("FAIL: sharded merged-answer digest differs from "
+              "single-shard", file=sys.stderr)
+        return 1
+    if not report["identical"]:
+        print("FAIL: sharded answers differ element-wise from "
+              "single-shard", file=sys.stderr)
+        return 1
 
-    # Claims 2 & 3 — speed — only on the full workload; the fast one
-    # is too small for pool startup to amortise.
-    if not args.fast:
-        if report["serial_overhead"] > MAX_SERIAL_OVERHEAD:
-            print(f"FAIL: sharded serial overhead "
-                  f"{report['serial_overhead']:.2f}x exceeds "
-                  f"{MAX_SERIAL_OVERHEAD}x", file=sys.stderr)
-            return 1
-        cores = report["usable_cores"]
-        if cores >= MIN_CORES_FOR_GATE:
-            best = max(report["speedup_serial"],
-                       report["speedup_parallel"])
-            if best < MIN_SPEEDUP_FULL:
-                print(f"FAIL: best sharded speedup {best:.2f}x is below "
-                      f"the required {MIN_SPEEDUP_FULL}x",
-                      file=sys.stderr)
-                return 1
-        else:
-            print(f"note: {cores} usable core(s) < {MIN_CORES_FOR_GATE}; "
-                  f"the {MIN_SPEEDUP_FULL}x pool gate is skipped — "
-                  f"speedups recorded in the report")
+    # Claim 2 — no regression — only on the full workload; the fast one
+    # is too small to time.
+    if not args.fast and report["overhead"] > MAX_OVERHEAD:
+        print(f"FAIL: sharded overhead {report['overhead']:.2f}x "
+              f"exceeds {MAX_OVERHEAD}x", file=sys.stderr)
+        return 1
     print("OK: merged answers byte-identical to single-shard"
-          + ("" if args.fast else ", serial overhead within "
-             f"{MAX_SERIAL_OVERHEAD}x"))
+          + ("" if args.fast else ", overhead within "
+             f"{MAX_OVERHEAD}x"))
     return 0
 
 

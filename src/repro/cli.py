@@ -380,14 +380,13 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
             # Batched serving mode: run the fleet, then answer the
             # whole query workload in one batch pass (shared R-tree
             # traversal + uncertainty cache) against the final
-            # database state.  Over a sharded index the engine fans
-            # the batch out over --jobs.
+            # database state.
             from repro.dbms.batch import BatchQueryEngine, RangeQuery
 
             tick_hook = (telemetry.advance if telemetry is not None
                          else None)
             counts = scenario.fleet.run(on_tick=tick_hook)
-            engine = BatchQueryEngine(scenario.database, jobs=args.jobs)
+            engine = BatchQueryEngine(scenario.database)
             t_end = scenario.database.clock_time
             engine.run([RangeQuery(polygon, t_end) for polygon in polygons])
             queries_issued = len(polygons)

@@ -16,8 +16,6 @@ a batch can have —
 * **hoisted filter sets** — the stationary-object id set and each
   distinct ``(where, class_name)`` eligibility set are computed once
   per batch instead of once per query,
-* **a fork pool** — ``jobs > 1`` answers a batch over a partitioned
-  index one partition per worker (:mod:`repro.shard.parallel`),
 * batch-level telemetry: ``dbms_batch_*`` metrics, a batch id and slot
   on every recorded query, and one ``cache`` trace event per run.
 
@@ -30,8 +28,6 @@ against byte for byte.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 from repro.dbms.database import MovingObjectDatabase
 from repro.dbms.refine import (
@@ -60,23 +56,14 @@ class BatchQueryEngine:
     ``max_cache_entries`` bounds the shared cache whenever this engine
     adds to it; on overflow the cache is cleared wholesale (correct,
     merely cold).
-
-    ``jobs > 1`` answers a batch over a partitioned index
-    (:class:`~repro.shard.sharded.PartitionedIndex`) one partition per
-    fork-pool worker whenever the batch reaches more than one
-    partition; answers are identical for every ``jobs`` value.
     """
 
     def __init__(self, database: MovingObjectDatabase,
-                 max_cache_entries: int = 1 << 18,
-                 jobs: int = 1) -> None:
+                 max_cache_entries: int = 1 << 18) -> None:
         if max_cache_entries < 1:
             raise QueryError(
                 f"max_cache_entries must be positive, got {max_cache_entries}"
             )
-        if jobs < 1:
-            raise QueryError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
         self._db = database
         self._max_cache_entries = max_cache_entries
         self.cache_hits = 0
@@ -131,29 +118,11 @@ class BatchQueryEngine:
 
     def _answer(self, queries: list[BatchQuery],
                 stats: SearchStats | None) -> list[BatchAnswer]:
-        """Validate, then answer serially or over the fork pool."""
-        self._db._core.validate(queries)
-        if self.jobs > 1:
-            from repro.shard.parallel import answer_in_pool
-
-            answers = answer_in_pool(self, queries, stats)
-            if answers is not None:
-                return answers
-        return self.answer_over(self._db._index, queries, stats)
-
-    def answer_over(self, index: Any, queries: list[BatchQuery],
-                    stats: SearchStats | None = None,
-                    stationary: bool = True) -> list[BatchAnswer]:
-        """Answers refined from ``index``'s candidates, unvalidated.
-
-        :meth:`run` calls this over the database's own index.  The
-        fork pool (:mod:`repro.shard.parallel`) calls it once per
-        partition with ``stationary=False``: such a piece holds only
-        what that partition's candidates contribute.
-        """
+        """Validate, then refine the database index's candidates."""
         core = self._db._core
+        core.validate(queries)
         hits, misses = core.hits, core.misses
-        answers = core.answer(index, queries, stats, stationary,
+        answers = core.answer(self._db._index, queries, stats,
                               limit=self._max_cache_entries)
         self.cache_hits += core.hits - hits
         self.cache_misses += core.misses - misses

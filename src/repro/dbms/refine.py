@@ -501,6 +501,10 @@ class QueryCore:
                 continue
             db._check_index_coverage(query.time)
             if isinstance(query, RangeQuery):
+                if not isinstance(query.polygon, Polygon):
+                    raise QueryError(
+                        f"range query needs a Polygon, got "
+                        f"{type(query.polygon).__name__}")
                 for vertex in query.polygon.vertices:
                     check_point(vertex, "polygon vertex")
                 continue
@@ -525,14 +529,11 @@ class QueryCore:
         return answer
 
     def answer(self, index: Any, queries: Sequence[Query],
-               stats: SearchStats | None = None, stationary: bool = True,
+               stats: SearchStats | None = None,
                limit: int = _DEFAULT_LIMIT) -> list[Answer]:
         """Answers refined from ``index``'s candidates, unvalidated.
 
-        ``stats`` aggregates index work over all ``queries``.  With
-        ``stationary=False`` the stationary population reads as empty:
-        a partition's piece of a pooled batch leaves it to the merge
-        (:mod:`repro.shard.parallel`).
+        ``stats`` aggregates index work over all ``queries``.
         """
         regions = [
             None if isinstance(query, PositionQuery)
@@ -540,7 +541,7 @@ class QueryCore:
             for query in queries
         ]
         found = self._gather(index, queries, regions, stats)
-        eligible = _EligibilitySets(self._db, stationary)
+        eligible = _EligibilitySets(self._db)
         p = probe()
         counters = ({outcome: p.instrument("dbms_classified_total",
                                            outcome=outcome)
@@ -642,13 +643,11 @@ class _EligibilitySets:
     per distinct filter over the whole mobile (or stationary)
     population, instead of per query over each candidate set;
     membership is :meth:`MovingObjectDatabase._filter_candidates`'s
-    (candidate sets only ever contain known ids).  With
-    ``stationary=False`` the stationary population reads as empty.
+    (candidate sets only ever contain known ids).
     """
 
-    def __init__(self, database: Any, stationary: bool = True) -> None:
+    def __init__(self, database: Any) -> None:
         self._db = database
-        self._include_stationary = stationary
         self._passing: dict = {}
 
     def filter_mobile(self, candidates: set[str],
@@ -660,8 +659,6 @@ class _EligibilitySets:
 
     def stationary(self, where: dict[str, Any] | None,
                    class_name: str | None) -> frozenset[str]:
-        if not self._include_stationary:
-            return frozenset()
         if where is None and class_name is None:
             return self._db.stationary_id_set()
         return self._pass(False, where, class_name)

@@ -32,9 +32,8 @@ one probe (:mod:`repro.obs.probe`); a pool worker runs its rectangle
 under the probe's worker session and returns what it published as a
 picklable bundle beside its metrics, which the parent adopts under a
 ``worker="chunk-N"`` label — so an observed ``--jobs N`` sweep reports
-the counters of the serial one.  :func:`pool_context` is the one
-multiprocessing context of this pool and the shard pool
-(:mod:`repro.shard.parallel`).
+the counters of the serial one.  :func:`pool_context` is this pool's
+multiprocessing context.
 """
 
 from __future__ import annotations
@@ -248,9 +247,8 @@ def _run_rectangle(
 def pool_context():
     """Fork where available (cheap on Linux), default context elsewhere.
 
-    The one multiprocessing context of both worker pools (this one and
-    :mod:`repro.shard.parallel`): a forked worker inherits its state —
-    and the parent's probe, which :meth:`Probe.isolated` then replaces.
+    A forked worker inherits its state — and the parent's probe, which
+    :meth:`Probe.isolated` then replaces.
     """
     import multiprocessing
 

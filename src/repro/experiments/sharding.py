@@ -1,4 +1,4 @@
-"""E20: shard fan-out on a skewed corridor, as the partitioned index routes it.
+"""E20: shard fan-out on a skewed corridor, as the partitioned index searches it.
 
 The scale-out question the paper's DBMS framing raises but does not
 answer: how should the plane be cut into shards when the workload is
@@ -6,24 +6,20 @@ spatially skewed?  A "highway corridor" — cars on four horizontal
 lanes, within-distance queries clustered on the band — is laid out
 under every candidate plan by
 :class:`~repro.shard.sharded.PartitionedIndex`, the index a sharded
-database runs, and each query window is routed the way that index
-routes it.
-
-The index routes by *route coverage* (§4.2 indexes an object by its
-o-plane on its route): a window goes to every shard owning an object
-whose route meets it.  Every lane crosses the whole corridor, so a cut
-across the corridor leaves every shard covering all of it; only cuts
-along the lanes prune.
+database runs, which searches every shard's tree for every query
+window.  A query's fan-out is the number of shards that answer it with
+a candidate: the shards owning an object whose slab box (§4.2) meets
+the window at the query's time.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from functools import partial
 
 from repro.core.policies import make_policy
 from repro.dbms.database import MovingObjectDatabase
+from repro.dbms.query import RangeAnswer
 from repro.dbms.update_log import PositionUpdateMessage
 from repro.errors import ExperimentError
 from repro.experiments.tables import TableResult
@@ -35,7 +31,6 @@ from repro.index.timespace import TimeSpaceIndex
 from repro.routes.route import Route
 from repro.shard import (
     BinarySplitPartitioning,
-    PartitionedIndex,
     Partitioning,
     UniformGridPartitioning,
     grid_shapes,
@@ -58,8 +53,7 @@ _RADIUS = 0.35
 
 def run_corridor(database: MovingObjectDatabase, num_objects: int = 24,
                  num_updates: int = 12, num_queries: int = 160,
-                 seed: int = 67, ask: bool = False,
-                 ) -> tuple[dict[str, OPlane], list[Rect2D]]:
+                 seed: int = 67) -> tuple[dict[str, OPlane], list[RangeAnswer]]:
     """Drive the skewed corridor workload through ``database``.
 
     Cars cruise the corridor lanes — spread along the full length,
@@ -67,9 +61,7 @@ def run_corridor(database: MovingObjectDatabase, num_objects: int = 24,
     — sending periodic position updates; the query load is small
     within-distance queries centred on the corridor, interleaved with
     the update ticks.  Returns every car's o-plane as inserted and
-    every query's window (``center ± radius``, the window a
-    within-distance query searches), in order.  The queries are
-    only asked of ``database`` when ``ask`` is set.
+    every query's answer, in order.
     """
     rng = random.Random(seed)
     database.schema.define_mobile_point_class("car", ())
@@ -91,14 +83,11 @@ def run_corridor(database: MovingObjectDatabase, num_objects: int = 24,
         )
     planes = {f"car-{i}": database.oplane_of(f"car-{i}")
               for i in range(num_objects)}
-    windows: list[Rect2D] = []
+    answers: list[RangeAnswer] = []
 
     def next_query(at: float) -> None:
         center = Point(rng.uniform(2.6, 5.4), rng.uniform(3.8, 4.2))
-        windows.append(Rect2D(center.x - _RADIUS, center.y - _RADIUS,
-                              center.x + _RADIUS, center.y + _RADIUS))
-        if ask:
-            database.within_distance(center, _RADIUS, at)
+        answers.append(database.within_distance(center, _RADIUS, at))
 
     per_tick = max(num_queries // num_updates, 1)
     t = 0.0
@@ -113,11 +102,11 @@ def run_corridor(database: MovingObjectDatabase, num_objects: int = 24,
                 rng.uniform(0.3, 0.5), route_id=f"lane-{lane}",
                 direction=1,
             ))
-        for _ in range(min(per_tick, num_queries - len(windows))):
+        for _ in range(min(per_tick, num_queries - len(answers))):
             next_query(t + 0.5)
-    while len(windows) < num_queries:
+    while len(answers) < num_queries:
         next_query(t + 0.5)
-    return planes, windows
+    return planes, answers
 
 
 def candidate_plans(planes: dict[str, OPlane],
@@ -142,23 +131,26 @@ def candidate_plans(planes: dict[str, OPlane],
     return plans
 
 
-def routed_fanouts(plan: Partitioning, planes: dict[str, OPlane],
-                   windows: list[Rect2D], horizon: float,
-                   ) -> tuple[PartitionedIndex, list[int]]:
-    """The index ``plan`` lays ``planes`` out in, and each window's fan-out.
+def owned_fanouts(plan: Partitioning, planes: dict[str, OPlane],
+                  answers: list[RangeAnswer]) -> tuple[list[int], list[int]]:
+    """Objects per shard under ``plan``, and each answer's fan-out.
 
-    Fan-out reads only owners and coverage, so one slab per inner
-    index is enough.  Inserting the planes alone stands for the whole
-    run because ownership is sticky (an update never moves an object
-    to another shard) and every corridor update stays on its own lane,
-    so no shard's coverage grows after the inserts.
+    A shard answers a window exactly when it owns one of the window's
+    candidates (each shard's candidates are the single index's
+    candidates it owns), and an object's owner is the shard of its
+    insert point.  So one run over a single index stands for a sharded
+    run under every plan.
     """
-    index = PartitionedIndex(plan, partial(TimeSpaceIndex,
-                                           slab_minutes=horizon))
-    for object_id, plane in planes.items():
-        index.insert(object_id, plane)
-    return index, [len(index.shards_for_window(window))
-                   for window in windows]
+    owner = {
+        object_id: plan.shard_of_point(plane.attribute.start_x,
+                                       plane.attribute.start_y)
+        for object_id, plane in planes.items()
+    }
+    sizes = [0] * plan.num_shards
+    for shard in owner.values():
+        sizes[shard] += 1
+    return sizes, [len({owner[object_id] for object_id in answer.candidates})
+                   for answer in answers]
 
 
 def table_sharding(num_shards: int = 4, num_objects: int = 24,
@@ -167,21 +159,23 @@ def table_sharding(num_shards: int = 4, num_objects: int = 24,
     """Measured query fan-out of each candidate plan on the corridor."""
     if num_queries < 1:
         raise ExperimentError(f"num_queries must be positive, got {num_queries}")
-    database = MovingObjectDatabase()
-    planes, windows = run_corridor(
-        database, num_objects=num_objects, num_updates=num_updates,
+    # Each query comes 0.5 min after an update, so one slab holds every
+    # box a query reads: a 5-minute horizon finds the candidates the
+    # default 120-minute one does, from one slab box per o-plane.
+    planes, answers = run_corridor(
+        MovingObjectDatabase(index=TimeSpaceIndex(), horizon=5.0),
+        num_objects=num_objects, num_updates=num_updates,
         num_queries=num_queries, seed=seed,
     )
     default = uniform_grid_for(_BOUNDS, num_shards)
     default_label = f"uniform-{default.nx}x{default.ny}"
     rows: list[list[object]] = []
     for label, plan in candidate_plans(planes, num_shards):
-        index, fanouts = routed_fanouts(plan, planes, windows,
-                                        database.horizon)
+        sizes, fanouts = owned_fanouts(plan, planes, answers)
         ordered = sorted(fanouts)
         rows.append([
             label + (" (default)" if label == default_label else ""),
-            "/".join(map(str, index.shard_sizes())),
+            "/".join(map(str, sizes)),
             sum(fanouts) / len(fanouts),
             ordered[math.ceil(0.95 * len(ordered)) - 1],
             fanouts.count(1) / len(fanouts),
@@ -203,7 +197,7 @@ def table_sharding(num_shards: int = 4, num_objects: int = 24,
 
 __all__ = [
     "candidate_plans",
-    "routed_fanouts",
+    "owned_fanouts",
     "run_corridor",
     "table_sharding",
 ]

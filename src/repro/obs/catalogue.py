@@ -24,7 +24,7 @@ COUNTER = "counter"
 GAUGE = "gauge"
 HISTOGRAM = "histogram"
 
-#: Shards a routed query window can fan out to.
+#: Shards that can answer one query window.
 FANOUT_BUCKETS: tuple[float, ...] = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0)
 
 
@@ -138,10 +138,10 @@ CATALOGUE: dict[str, Metric] = {
     "index_slab_boxes": Metric(GAUGE, "Slab boxes currently stored."),
     # -- shard: the partitioned index --------------------------------------
     "shard_query_fanout": Metric(
-        HISTOGRAM, "Shards consulted per routed query window.",
+        HISTOGRAM, "Shards answering a query window with a candidate.",
         FANOUT_BUCKETS, live="shard_fanout"),
     "shard_queries_total": Metric(
-        COUNTER, "Query windows routed by the partitioned index.",
+        COUNTER, "Query windows searched by the partitioned index.",
         live="shard_queries"),
     "shard_updates_total": Metric(
         COUNTER, "Position updates routed to each shard."),

@@ -2,8 +2,7 @@
 
 The scale-out layer: partition the plane into shards
 (:mod:`repro.shard.partition`) and lay the database's index out over
-N shards with sound fan-out pruning (:mod:`repro.shard.sharded`; the
-batch engine's fork pool lives in :mod:`repro.shard.parallel`).
+N shards, each searched by its own tree (:mod:`repro.shard.sharded`).
 """
 
 from repro.shard.partition import (

@@ -10,43 +10,33 @@ inner indexes, one per shard of a
 update log and one clock, so every query kind, validation and trace
 event is the single implementation in :mod:`repro.dbms` — a may/must
 answer (Theorems 5-6) is a function of the records, and the partition
-only decides which boxes are searched.
+only decides which tree holds which boxes.
 
-* **routing** — each o-plane is owned by exactly one shard, chosen
+* **ownership** — each o-plane is owned by exactly one shard, chosen
   from its attribute's start point at insert; ownership is sticky (an
-  object that drives into another cell stays with its owner — the
-  owner's *coverage* grows instead), so every index update is a
-  single-shard operation.
-* **fan-out pruning** — each shard tracks a coverage rectangle: the
-  union of the route bounding boxes of every route its o-planes have
-  ever lain on.  Every index box of an o-plane is a sub-polyline of its
-  route (:meth:`OPlane.travel_range` clamps to ``[0, length]``), so a
-  query window disjoint from a shard's coverage cannot match any of its
-  index boxes — that shard is skipped without changing the candidate
-  set.  Pruning only engages when every shard runs a
-  :class:`~repro.index.timespace.TimeSpaceIndex`; the linear-scan
-  baseline reports its whole population for any window, so every shard
-  must be consulted.
-* **candidate sets partition by owner** — a window's candidates are the
-  union of the fanned shards' candidates, which is the set a single
-  index over the same o-planes returns (up to the false positives
-  refinement removes either way).
+  object that drives into another cell stays with its owner), so every
+  index update is a single-shard operation.
+* **search is the pruning** — a window is searched in every shard, and
+  a shard none of whose slab boxes meets the window fails at its
+  tree's root cover.  A shard's candidates are exactly the candidates
+  a single index over the same o-planes returns that the shard owns,
+  so their union is that index's candidate set.
 
-The index emits one ``shard_route`` trace event per routing decision
-and the ``shard_*`` metrics where fan-out is decided.
+The index emits one ``shard_route`` trace event per ownership decision
+and, per searched window, the number of shards that answered with a
+candidate (``shard_query_fanout``).
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.errors import IndexError_, ShardError
+from repro.errors import IndexError_
 from repro.geometry.bbox import Rect2D
 from repro.index.oplane import OPlane
 from repro.index.rtree import SearchStats
 from repro.index.timespace import TimeSpaceIndex
 from repro.obs.probe import probe
-from repro.routes.route import Route
 from repro.shard.partition import Partitioning
 from repro.trace.events import SHARD_ROUTE, digest
 
@@ -62,10 +52,6 @@ class PartitionedIndex:
         self.num_shards = partitioning.num_shards
         self._parts = [index_factory() for _ in range(self.num_shards)]
         self._owner: dict[str, int] = {}
-        self._coverage: list[Rect2D | None] = [None] * self.num_shards
-        self._covered_routes: list[set[str]] = [
-            set() for _ in range(self.num_shards)
-        ]
 
     def __len__(self) -> int:
         return len(self._owner)
@@ -88,14 +74,6 @@ class PartitionedIndex:
         if shard is None:
             raise IndexError_(f"object {object_id!r} is not indexed")
         return shard
-
-    def coverage_of(self, shard: int) -> Rect2D | None:
-        """The shard's coverage rectangle (``None`` when empty)."""
-        if not 0 <= shard < self.num_shards:
-            raise ShardError(
-                f"shard id {shard} out of range [0, {self.num_shards})"
-            )
-        return self._coverage[shard]
 
     def shard_sizes(self) -> list[int]:
         """Indexed object count per shard, in shard order."""
@@ -122,42 +100,14 @@ class PartitionedIndex:
         return None if None in parts else digest(parts)
 
     # ------------------------------------------------------------------
-    # Routing
+    # Telemetry
     # ------------------------------------------------------------------
 
-    def _prunable(self) -> bool:
-        """Fan-out pruning is sound only over the time-space index.
-
-        ``LinearScanIndex`` returns its whole population for any
-        window, so candidate sets do not partition by coverage and
-        every shard must be consulted.
-        """
-        return all(isinstance(part, TimeSpaceIndex) for part in self._parts)
-
-    def shards_for_window(self, window: Rect2D) -> tuple[int, ...]:
-        """Shards whose coverage can contribute candidates to ``window``."""
-        if not self._prunable():
-            return tuple(range(self.num_shards))
-        return tuple(
-            shard for shard in range(self.num_shards)
-            if self._coverage[shard] is not None
-            and self._coverage[shard].intersects(window)
-        )
-
-    def _grow_coverage(self, shard: int, route: Route) -> None:
-        if route.route_id in self._covered_routes[shard]:
-            return
-        self._covered_routes[shard].add(route.route_id)
-        bbox = route.polyline.bounding_rect()
-        current = self._coverage[shard]
-        self._coverage[shard] = bbox if current is None \
-            else current.union(bbox)
-
-    def observe_fanout(self, fanned: int) -> None:
-        """Count one routed window against the fan-out telemetry."""
+    def observe_fanout(self, answered: int) -> None:
+        """Count one searched window and the shards that answered it."""
         p = probe()
         if p.enabled:
-            p.observe("shard_query_fanout", float(fanned))
+            p.observe("shard_query_fanout", float(answered))
             p.count("shard_queries_total")
 
     def _publish_size(self, shard: int) -> None:
@@ -186,7 +136,6 @@ class PartitionedIndex:
                     object_id=object_id, shard=shard)
         result = self._parts[shard].insert(object_id, plane)
         self._owner[object_id] = shard
-        self._grow_coverage(shard, plane.route)
         self._publish_size(shard)
         return result
 
@@ -195,14 +144,13 @@ class PartitionedIndex:
         shard = self._owner.get(object_id)
         if shard is None:
             return self.insert(object_id, plane)
-        self._grow_coverage(shard, plane.route)
         p = probe()
         if p.enabled:
             p.count("shard_updates_total", shard=str(shard))
         return self._parts[shard].replace(object_id, plane)
 
     def remove(self, object_id: str) -> int:
-        """Drop an object from its owner shard (coverage never shrinks)."""
+        """Drop an object from its owner shard."""
         shard = self.owner_of(object_id)
         del self._owner[object_id]
         removed = self._parts[shard].remove(object_id)
@@ -211,7 +159,7 @@ class PartitionedIndex:
 
     def rebuilt(self, planes: dict[str, OPlane],
                 **tuning: float) -> "PartitionedIndex":
-        """Re-slab every shard in place; owners and coverage are kept."""
+        """Re-slab every shard in place; owners are kept."""
         owned: list[dict[str, OPlane]] = [{} for _ in self._parts]
         for object_id, plane in planes.items():
             owned[self._owner[object_id]][object_id] = plane
@@ -227,32 +175,24 @@ class PartitionedIndex:
 
     def candidates_at(self, region: Rect2D, t: float,
                       stats: SearchStats | None = None) -> set[str]:
-        """Union of the fanned shards' candidates for one window."""
-        fanned = self.shards_for_window(region)
-        self.observe_fanout(len(fanned))
-        found: set[str] = set()
-        for shard in fanned:
-            found |= self._parts[shard].candidates_at(region, t, stats)
-        return found
+        """Union of every shard's candidates for one window."""
+        pieces = [part.candidates_at(region, t, stats) for part in self._parts]
+        self.observe_fanout(sum(1 for piece in pieces if piece))
+        return set().union(*pieces)
 
     def candidates_at_many(self, windows: list[tuple[Rect2D, float]],
                            stats: SearchStats | None = None) -> list[set[str]]:
         """Candidate sets for many windows: one multi-search per shard."""
-        routed: list[list[int]] = [[] for _ in self._parts]
-        for slot, (region, _) in enumerate(windows):
-            fanned = self.shards_for_window(region)
-            self.observe_fanout(len(fanned))
-            for shard in fanned:
-                routed[shard].append(slot)
         found: list[set[str]] = [set() for _ in windows]
-        for part, slots in zip(self._parts, routed):
-            if not slots:
-                continue
-            pieces = part.candidates_at_many(
-                [windows[slot] for slot in slots], stats
-            )
-            for slot, piece in zip(slots, pieces):
-                found[slot] |= piece
+        answered = [0] * len(windows)
+        for part in self._parts:
+            for slot, piece in enumerate(
+                    part.candidates_at_many(windows, stats)):
+                if piece:
+                    found[slot] |= piece
+                    answered[slot] += 1
+        for count in answered:
+            self.observe_fanout(count)
         return found
 
 

@@ -78,6 +78,14 @@ def _stationary_insert(spec: dict[str, Any]) -> dict[str, Any]:
         attributes=fields.get("attributes", dict, None))
 
 
+def _index_tuning(spec: dict[str, Any]) -> dict[str, Any]:
+    """The checked arguments of an ``index_config`` event."""
+    fields = SpecReader(spec, TraceError, "index_config")
+    return dict(slab_minutes=fields.number("slab_minutes", 5.0),
+                max_entries=fields.get("max_entries", int, 8),
+                min_entries=fields.get("min_entries", int, 3))
+
+
 def _positions(event: TraceEvent) -> list[list[float]]:
     """The plane positions an event names, read through checked fields."""
     fields = SpecReader(event.data, TraceError, event.kind)
@@ -260,11 +268,7 @@ class TraceReplayer:
         elif event.kind == ev.QUERY:
             self._check(event, self._ask(db, event), report)
         elif event.kind == ev.INDEX_CONFIG:
-            db.rebuild_index(
-                slab_minutes=data.get("slab_minutes", 5.0),
-                max_entries=data.get("max_entries", 8),
-                min_entries=data.get("min_entries", 3),
-            )
+            db.rebuild_index(**_decoded(event, _index_tuning, data))
             self._engine = None  # the swap invalidates cached traversals
         elif event.kind == ev.SHARD_ROUTE:
             if self.shards is None and self._partitioned is not None:

@@ -387,10 +387,8 @@ class TestValidationAndMetrics:
         with pytest.raises(QueryError, match="NaN"):
             one_at_a_time(database, [query])
         healthy = PositionQuery(object_ids[1], 10.0)
-        for jobs in (1, 2):
-            engine = BatchQueryEngine(database, jobs=jobs)
-            with pytest.raises(QueryError, match="NaN"):
-                engine.run([healthy, query])
+        with pytest.raises(QueryError, match="NaN"):
+            BatchQueryEngine(database).run([healthy, query])
         # Nothing was cached under a key that can never hit.
         assert all(t == t for t in database._core._derived)
 
@@ -404,6 +402,16 @@ class TestValidationAndMetrics:
                           (Point(1.0, NAN), 10.0)]:
             with pytest.raises(QueryError, match="NaN"):
                 database.nearest(center, 2, t)
+
+    def test_a_rectangle_is_not_a_range_polygon(self):
+        database, _, object_ids = build_database(
+            TimeSpaceIndex(slab_minutes=5.0), num_objects=4)
+        rect = Rect2D(0.0, 0.0, 1.0, 1.0)
+        with pytest.raises(QueryError, match="needs a Polygon, got Rect2D"):
+            database.range_query(rect, 10.0)
+        with pytest.raises(QueryError, match="needs a Polygon, got Rect2D"):
+            BatchQueryEngine(database).run(
+                [PositionQuery(object_ids[0], 10.0), RangeQuery(rect, 10.0)])
 
     def test_infinite_radius_stays_legal(self):
         database, _, object_ids = build_database(

@@ -36,6 +36,9 @@ TRACE_RECORDS = [
      [("data.vertices", [[0.0, "x"], [1.0, 1.0]])], None),
     ("db_config", "db_config", None, [],
      [("data.horizon", "long"), ("data.slab_minutes", "wide")], None),
+    ("index_config", "index_config", None, [],
+     [("data.slab_minutes", "wide"), ("data.max_entries", "many"),
+      ("data.min_entries", 2.5)], None),
     ("insert_mobile", "insert_mobile", None,
      ["time", "object_id", "data.class_name", "data.route_id",
       "data.position", "data.direction", "data.speed", "data.max_speed"],
@@ -135,15 +138,17 @@ def run_failing(argv, capsys):
 
 
 def with_a_depot(lines):
-    """``lines`` plus a stationary class and one stationary object,
-    recorded through the library and appended with continuing seqs (no
-    scenario inserts stationary objects)."""
+    """``lines`` plus a stationary class, one stationary object and an
+    index rebuild, recorded through the library and appended with
+    continuing seqs (no scenario inserts stationary objects or
+    rebuilds its index)."""
     with use_recorder(TraceRecorder()) as recorder:
         database = MovingObjectDatabase()
         database.schema.define(ObjectClass("depot", SpatialKind.POINT,
                                            Mobility.STATIONARY))
         database.insert_stationary_object("depot-1", "depot",
                                           Point(1.0, 1.0))
+        database.rebuild_index()
     extra = [event for event in recorder.to_dicts()
              if event["kind"] != "db_config"]
     for seq, event in enumerate(extra, start=len(lines) - 1):
@@ -173,6 +178,7 @@ def test_the_uncorrupted_files_replay_and_load(recorded, tmp_path):
     lines, snapshot = recorded
     kinds = {json.loads(line)["data"].get("kind") for line in lines[1:]}
     assert {"position", "range", "within", "proximity", "nearest"} <= kinds
+    assert json.loads(lines[-1])["kind"] == "index_config"
     assert all(snapshot[section] for section, *_ in SNAPSHOT_RECORDS)
     trace = tmp_path / "t.jsonl"
     trace.write_text("\n".join(lines) + "\n")
@@ -208,6 +214,19 @@ def test_corrupt_trace_event(recorded, tmp_path, capsys, label, path,
     trace.write_text("\n".join(lines) + "\n")
     message = run_failing(["trace", "replay", str(trace)], capsys)
     assert message.startswith(f"error: event {seq} "), message
+
+
+@pytest.mark.parametrize("key", ["slab_minutes", "max_entries",
+                                 "min_entries"])
+def test_null_index_tuning_replays_with_the_default(recorded, tmp_path,
+                                                    key):
+    lines, _ = corrupt_trace(recorded[0], "index_config", f"data.{key}",
+                             None)
+    trace = tmp_path / "null.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    out = io.StringIO()
+    assert main(["trace", "replay", str(trace)], out=out) == 0
+    assert "replay OK" in out.getvalue()
 
 
 @pytest.mark.parametrize("label, path, value", [

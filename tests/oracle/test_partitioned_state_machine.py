@@ -10,21 +10,25 @@ interleaved over each database's one shared cache) into
 * the **model** — the record tables of a ``MovingObjectDatabase(
   index=None)`` read by ``tests/oracle/query_reference.py``: every query
   scans every record and derives every value afresh; nothing is cached,
-  pre-tested, partitioned or pooled; and
+  pre-tested or partitioned;
 * the **subjects** — ``PartitionedIndex`` over {``TimeSpaceIndex``,
-  ``LinearScanIndex``} x {1, 3, 7} shards, each batched with ``jobs`` 1
-  and 2, and the model database's own query core,
+  ``LinearScanIndex``} x {1, 3, 7} shards, each batched by one
+  long-lived engine, and the model database's own query core; and
+* one **single-index** database per inner index class, for the shards'
+  candidate sets,
 
 and holds, after every step: answers equal the reference's over the
 same database, and answer digests equal across layouts wherever they
 promise it (everything but ``examined``/``candidates`` against the
 model; those two as well among subjects whose shards run the same index
 class, and against the model for the scan class), ``must`` inside
-``may`` (Theorems 5-6), exactly one owner per mobile id, every owner's
-coverage over every route the object has been assigned, one index entry
-per mobile object, and a derived-value cache that holds only what can
-still be asked: entries of present objects, derived from their current
-position attribute, for times the clock has not passed.
+``may`` (Theorems 5-6), exactly one owner per mobile id, one index entry
+per mobile object, each shard's candidates for a window exactly the
+single index's candidates that the shard owns (so searching every shard
+and grouping one index's candidates by owner both count the shards that
+answer), and a derived-value cache that holds only what can still be
+asked: entries of present objects, derived from their current position
+attribute, for times the clock has not passed.
 """
 
 from __future__ import annotations
@@ -95,7 +99,12 @@ polygons = st.one_of(
 )
 centers = st.builds(Point, coords, coords)
 radii = st.floats(0.0, 2.5)
-offsets = st.sampled_from([0.0, 0.5, 3.0])
+OFFSETS = [0.0, 0.5, 3.0]
+offsets = st.sampled_from(OFFSETS)
+#: Windows the candidate invariant searches: the whole plane, cells,
+#: a sliver on a route crossing and one half outside the bounds.
+WINDOWS = [BOUNDS, Rect2D(0.5, 0.5, 1.5, 1.5), Rect2D(2.5, 0.5, 3.5, 3.5),
+           Rect2D(1.9, 2.9, 2.1, 3.1), Rect2D(-0.5, 3.6, 0.4, 4.5)]
 
 
 def without_scan_fields(answer):
@@ -104,7 +113,7 @@ def without_scan_fields(answer):
 
 
 class Subject:
-    """One partitioned database and its two long-lived batch engines."""
+    """One partitioned database and its long-lived batch engine."""
 
     def __init__(self, inner, shards):
         self.name = f"{inner.__name__}x{shards}"
@@ -124,8 +133,7 @@ class Subject:
         self.scans = self.inner is LinearScanIndex
         self.database = database
         self.index = database._index
-        self.engines = [BatchQueryEngine(database, jobs=jobs)
-                        for jobs in (1, 2)]
+        self.engine = BatchQueryEngine(database)
 
 
 class PartitionedDatabaseMachine(RuleBasedStateMachine):
@@ -138,6 +146,8 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
             for inner in (TimeSpaceIndex, LinearScanIndex)
             for shards in (1, 3, 7)
         ]
+        self.singles = {inner: MovingObjectDatabase(index=inner())
+                        for inner in (TimeSpaceIndex, LinearScanIndex)}
         for database in self.databases():
             database.schema.define_mobile_point_class(
                 "taxi", (AttributeDef("free", "bool"),))
@@ -148,11 +158,10 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
             for route in ROUTES:
                 database.register_route(route)
         self.now = 0.0
-        #: ``object_id -> route ids`` assigned since its latest insert.
-        self.assigned: dict[str, set[str]] = {}
 
     def databases(self):
-        return [self.model] + [subject.database for subject in self.subjects]
+        return ([self.model, *self.singles.values()]
+                + [subject.database for subject in self.subjects])
 
     def mobile(self):
         return self.model.object_ids()
@@ -172,7 +181,7 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
         position = route.travel_point(fraction * route.length, direction)
         arguments = (object_id, class_name, route.route_id, self.now,
                      position, direction, speed, policy)
-        if object_id in self.assigned:
+        if object_id in self.mobile():
             for database in self.databases():
                 try:
                     database.insert_moving_object(*arguments, max_speed=0.6)
@@ -183,7 +192,6 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
         for database in self.databases():
             database.insert_moving_object(
                 *arguments, max_speed=0.6, attributes={"free": free})
-        self.assigned[object_id] = {route.route_id}
 
     @rule(object_id=st.sampled_from(STATIONARY_IDS), x=coords, y=coords)
     def insert_stationary(self, object_id, x, y):
@@ -211,7 +219,6 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
         object_id = data.draw(st.sampled_from(sorted(known)))
         for database in self.databases():
             database.remove_object(object_id)
-        self.assigned.pop(object_id, None)
 
     def _install(self, object_id, **fields):
         for database in self.databases():
@@ -243,7 +250,6 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
         position = route.travel_point(fraction * route.length, direction)
         self._install(object_id, x=position.x, y=position.y, speed=speed,
                       route_id=route.route_id, direction=direction)
-        self.assigned[object_id].add(route.route_id)
 
     @rule(data=st.data(), policy=policies, by_name=st.booleans())
     def update_policy(self, data, policy, by_name):
@@ -264,6 +270,8 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
             assert subject.database.rebuild_index(
                 slab_minutes=slab_minutes) is subject.index
             subject.scans = False
+        for single in self.singles.values():
+            single.rebuild_index(slab_minutes=slab_minutes)
 
     @rule()
     def snapshot_round_trip(self):
@@ -272,10 +280,9 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
             subject.attach(database_from_dict(
                 database_to_dict(subject.database),
                 index=subject.fresh_index()))
-        # A loaded object is routed by its current attribute alone.
-        for object_id in self.assigned:
-            self.assigned[object_id] = {
-                self.model.record(object_id).attribute.route_id}
+        for inner, single in self.singles.items():
+            self.singles[inner] = database_from_dict(
+                database_to_dict(single), index=inner())
 
     # -- reads ----------------------------------------------------------
 
@@ -360,12 +367,12 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
         assert self.model_engine.run(queries) == expected
         ranges = [i for i, query in enumerate(queries)
                   if not isinstance(query, PositionQuery)]
-        # Serial batch, the same queries singly, pooled batch: three
-        # callers of one database's cache, interleaved.
-        for engine_slot in (0, 1):
+        # The batch, the same queries singly, the batch again: callers
+        # of one database's cache, interleaved.
+        for _ in range(2):
             answers = []
             for subject in self.subjects:
-                got = subject.engines[engine_slot].run(queries)
+                got = subject.engine.run(queries)
                 assert got == sequential(subject.database, queries), \
                     subject.name
                 assert got == one_at_a_time(subject.database, queries), \
@@ -394,7 +401,7 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
             assert set(core._bounds) <= set(database.object_ids())
 
     @invariant()
-    def one_owner_and_covered(self):
+    def one_owner(self):
         mobile = self.mobile()
         for subject in self.subjects:
             index = subject.index
@@ -408,11 +415,20 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
                            in enumerate(index.partitions)
                            if object_id in part]
                 assert holders == [index.owner_of(object_id)], subject.name
-                coverage = index.coverage_of(holders[0])
-                for route_id in self.assigned[object_id]:
-                    bbox = self.model.routes.get(
-                        route_id).polyline.bounding_rect()
-                    assert coverage.contains_rect(bbox), subject.name
+
+    @invariant()
+    def shards_answer_with_what_they_own(self):
+        for subject in self.subjects:
+            index = subject.index
+            single = self.singles[subject.inner]._index
+            for window in WINDOWS:
+                for t in (self.now + offset for offset in OFFSETS):
+                    expected = single.candidates_at(window, t)
+                    for shard, part in enumerate(index.partitions):
+                        assert part.candidates_at(window, t) == {
+                            object_id for object_id in expected
+                            if index.owner_of(object_id) == shard
+                        }, subject.name
 
 
 TestPartitionedDatabase = PartitionedDatabaseMachine.TestCase

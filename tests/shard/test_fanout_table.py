@@ -1,12 +1,13 @@
-"""E20's fan-out table against the sharded database it describes.
+"""E20's fan-out table against the sharded databases it describes.
 
-E20 routes each corridor query window through a
-:class:`~repro.shard.sharded.PartitionedIndex` that holds only the
-insert-time o-planes.  Here the same corridor runs, queries and all,
-through ``MovingObjectDatabase(index=PartitionedIndex(plan,
-TimeSpaceIndex))`` under every one of E20's plans: the fan-out the
-database's index records for each query must be the one E20's shortcut
-routes, in order, and the table's columns must summarise exactly those.
+E20 runs the corridor once, over a single ``TimeSpaceIndex`` with a
+5-minute horizon, and counts for each query the distinct owners of its
+candidates under each plan.  Here the same corridor runs, queries and
+all, through ``MovingObjectDatabase(index=PartitionedIndex(plan,
+TimeSpaceIndex))`` at the default horizon under every one of E20's
+plans: the fan-out the database's index observes for each query must
+be the one E20 counts, in order, and the table's columns must
+summarise exactly those.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import pytest
 from repro.dbms.database import MovingObjectDatabase
 from repro.experiments.sharding import (
     candidate_plans,
-    routed_fanouts,
+    owned_fanouts,
     run_corridor,
     table_sharding,
 )
@@ -33,10 +34,10 @@ LABELS = ["uniform-1x4", "uniform-2x2", "uniform-4x1", "binary-split",
 
 @pytest.fixture(scope="module")
 def shortcut():
-    """E20's inputs: insert-time o-planes, query windows and horizon."""
-    database = MovingObjectDatabase()
-    planes, windows = run_corridor(database, **SIZE)
-    return planes, windows, database.horizon
+    """E20's shortcut, one run over a single index: insert-time o-planes
+    and every query's answer."""
+    return run_corridor(
+        MovingObjectDatabase(index=TimeSpaceIndex(), horizon=5.0), **SIZE)
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +53,9 @@ def measured(plans):
         index = PartitionedIndex(plan, TimeSpaceIndex)
         fanouts: list[int] = []
         index.observe_fanout = fanouts.append
-        run_corridor(MovingObjectDatabase(index=index), ask=True, **SIZE)
+        database = MovingObjectDatabase(index=index)
+        assert database.horizon == 120.0
+        run_corridor(database, **SIZE)
         found[label] = index, fanouts
     return found
 
@@ -69,12 +72,12 @@ def test_e20_runs_every_candidate(plans):
 @pytest.mark.parametrize("label", LABELS)
 def test_the_shortcut_routes_as_the_sharded_database_does(
         shortcut, plans, measured, label):
-    planes, windows, horizon = shortcut
+    planes, answers = shortcut
     index, fanouts = measured[label]
-    routed, expected = routed_fanouts(plans[label], planes, windows, horizon)
+    sizes, expected = owned_fanouts(plans[label], planes, answers)
     assert len(fanouts) == SIZE["num_queries"]
     assert fanouts == expected
-    assert index.shard_sizes() == routed.shard_sizes()
+    assert index.shard_sizes() == sizes
 
 
 def test_the_table_summarises_the_sharded_database(measured, table):

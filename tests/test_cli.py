@@ -99,14 +99,16 @@ class TestQuery:
 #: SHA-256 of ``report --fast`` with the E7 ``index ms/query`` column (a
 #: wall-clock reading) dropped: a change that moves a printed digit must
 #: update it on purpose, with the masked report's diff as the review
-#: artefact.  It has moved twice: when grid routes became constructed
-#: and the horizon integral exact (E7, E8, E12, E19 and E13's step row;
-#: ``c5038500...`` -> ``c0a41dbe...``), and when E20 became the fan-out
-#: the partitioned index measures (the ``[E20]`` block only).
+#: artefact.  It has moved three times: when grid routes became
+#: constructed and the horizon integral exact (E7, E8, E12, E19 and E13's
+#: step row; ``c5038500...`` -> ``c0a41dbe...``), when E20 became the
+#: fan-out the partitioned index measures, and when that fan-out became
+#: the shards answering a window, not the shards it was routed to
+#: (``246ff664...`` -> ``8f71e1e9...``; both the ``[E20]`` block only).
 #: ``report_masked_sha256`` in ``benchmarks/e2e/results/pr11.json`` keeps
 #: the oldest ``c5038500...`` as history.
 FAST_REPORT_MASKED_SHA256 = (
-    "246ff6642399b5d4d6be5276bf97d557429c11b1eacde75807f8bd1cc559910d"
+    "8f71e1e9c835eacca865d176da579ee598a388b356083b75b216517dd71ef4ba"
 )
 
 
