@@ -11,17 +11,16 @@ one script prices all of it.  Two workloads —
   event per answer) —
 
 each run plain, under every sink alone (``registry``, ``tracer``,
-``recorder``, ``live``) and under all four; ``python
+``recorder``) and under all three; ``python
 benchmarks/bench_observed_overhead.py`` prints one row per pairing with
 its ``observed_over_plain`` ratio.  What the *plain* path costs — one
 ``probe()`` read and one flag test per hook — is covered end to end by
 the committed ledger (``benchmarks/e2e/``).
 
-Two gates ride along (``pytest benchmarks/bench_observed_overhead.py``):
+A gate rides along (``pytest benchmarks/bench_observed_overhead.py``):
 with the flight recorder on, the serve workload stays within 10 % of
-plain (1 001 events, each answer SHA-256-digested); with the live
-windows on, within 3 %.  Both take the best *paired* ratio over
-interleaved rounds with GC paused, so machine drift hits both legs of a
+plain (1 001 events, each answer SHA-256-digested).  It takes the best
+*paired* ratio over interleaved rounds with GC paused, so machine drift hits both legs of a
 round alike.  The registered harness cases (``repro bench run``) keep
 their names from the three scripts this one replaces and run a
 scaled-down serve workload.
@@ -40,7 +39,6 @@ from repro.dbms.database import MovingObjectDatabase
 from repro.dbms.schema import AttributeDef
 from repro.index.timespace import TimeSpaceIndex
 from repro.obs import observe
-from repro.obs.live import LiveTelemetry
 from repro.obs.probe import probe
 from repro.routes.generators import grid_city_network
 from repro.sim.engine import simulate_trip
@@ -57,9 +55,7 @@ NUM_QUERIES = 1000
 FAST_OBJECTS = 120
 FAST_QUERIES = 240
 QUERY_TIMES = (8.0, 10.0, 12.0)
-#: Feed operations per raw-feed harness round.
-FEED_OPS = 20_000
-SINKS = ("registry", "tracer", "recorder", "live")
+SINKS = ("registry", "tracer", "recorder")
 
 
 def trip_workload():
@@ -186,27 +182,9 @@ register_benchmark("obs.noop_registry", group="obs")(case(trip_workload))
 register_benchmark("obs.live_registry", group="obs")(
     case(trip_workload, "registry"))
 for _name, _sink in (("trace.null_recorder", None),
-                     ("trace.live_recorder", "recorder"),
-                     ("live.off", None), ("live.on", "live")):
+                     ("trace.live_recorder", "recorder")):
     register_benchmark(_name, group=_name.split(".")[0], warmup=1,
                        repeat=3)(case(fast_serve_workload, _sink))
-
-
-@register_benchmark("live.feed", group="live", warmup=1, repeat=3)
-def harness_live_feed():
-    """Raw ring-buffer feed throughput (inc/observe/record_update)."""
-    telemetry = LiveTelemetry()
-    rng = random.Random(5)
-    ticks = sorted(rng.uniform(0.0, 120.0) for _ in range(FEED_OPS))
-
-    def kernel():
-        for i, t in enumerate(ticks):
-            telemetry.inc("ops", now=t)
-            telemetry.observe("lat", 0.001 * (i % 7), now=t)
-            telemetry.record_update(f"obj{i % 50}", t)
-        return telemetry.window_state()
-
-    return kernel
 
 
 @pytest.fixture(scope="module")
@@ -242,23 +220,9 @@ def test_recorder_overhead_gates(serve_kernel):
         f"recorder-on overhead {overhead * 100:.2f}% exceeds 10%")
 
 
-def test_live_overhead_gate(serve_kernel):
-    """Acceptance gate: live aggregation <3% on the 500x1000 workload."""
-    assert probe().enabled is False
-    expected = serve_kernel()
-    answers, sinks = under(serve_kernel, live=True)()
-    assert answers == expected
-    series = sinks["live"].window_state()["series"]
-    assert series["dbms_batch_seconds"]["lifetime"]["count"] == 1
-    assert series["dbms_batch_queries"]["lifetime"]["total"] == NUM_QUERIES
-    overhead = gated_overhead(serve_kernel, "live")
-    assert overhead < 0.03, (
-        f"live aggregation overhead {overhead * 100:.2f}% exceeds 3%")
-
-
 @pytest.mark.parametrize("name", [
     "obs.noop_registry", "obs.live_registry", "trace.null_recorder",
-    "trace.live_recorder", "live.off", "live.on", "live.feed"])
+    "trace.live_recorder"])
 def test_bench_registered_case(benchmark, name):
     """``pytest benchmarks/ --benchmark-only`` times the harness cases."""
     assert benchmark(get_case(name).factory()) is not None

@@ -12,6 +12,7 @@ fingerprint, and gates against the committed baselines under
 from repro.bench.baseline import (
     DEFAULT_TOLERANCE,
     Comparison,
+    check_tolerance,
     compare,
     default_baseline_path,
     load_baseline,
@@ -53,6 +54,7 @@ __all__ = [
     "validate_results",
     "DEFAULT_TOLERANCE",
     "Comparison",
+    "check_tolerance",
     "compare",
     "default_baseline_path",
     "load_baseline",

@@ -88,11 +88,18 @@ def same_machine(current_env: dict, baseline_env: dict) -> bool:
                for k in _MACHINE_KEYS)
 
 
+def check_tolerance(tolerance: float) -> None:
+    """Raise :class:`BenchmarkError` unless ``tolerance`` is positive and
+    finite (at NaN or inf no ratio would ever regress)."""
+    if not 0 < tolerance < float("inf"):
+        raise BenchmarkError(
+            f"tolerance must be positive and finite, got {tolerance}")
+
+
 def compare(current: dict, baseline: dict,
             tolerance: float = DEFAULT_TOLERANCE) -> list[Comparison]:
     """Pair up the two documents' cases; one :class:`Comparison` each."""
-    if tolerance <= 0:
-        raise BenchmarkError(f"tolerance must be positive, got {tolerance}")
+    check_tolerance(tolerance)
     baseline_by_name = {r["name"]: r for r in baseline["results"]}
     comparisons: list[Comparison] = []
     for result in current["results"]:
@@ -133,6 +140,7 @@ def regressions(comparisons: list[Comparison]) -> list[Comparison]:
 __all__ = [
     "Comparison",
     "DEFAULT_TOLERANCE",
+    "check_tolerance",
     "compare",
     "default_baseline_path",
     "load_baseline",

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Nine commands cover the library's day-one workflows:
+Eight commands cover the library's day-one workflows:
 
 * ``report [--fast]`` — regenerate the full reproduction report
   (every paper table/figure plus the extension experiments); with
@@ -8,7 +8,7 @@ Nine commands cover the library's day-one workflows:
 * ``simulate`` — run one trip under one policy and print its metrics
   (optionally dumping the per-tick series as CSV),
 * ``scenario`` — run a fleet scenario and print message accounting,
-* ``stats`` — run a fleet scenario under a live metrics registry and
+* ``stats`` — run a fleet scenario under a metrics registry and
   tracer, issue range queries against the running database, and emit
   the metric snapshot (Prometheus text and/or JSONL, plus an optional
   span trace),
@@ -21,12 +21,6 @@ Nine commands cover the library's day-one workflows:
   ``record`` a scenario + query workload as schema-versioned JSONL,
   ``replay`` it against a fresh database verifying byte-identical
   answer digests, ``summary`` its event counts,
-* ``monitor`` — the live telemetry service (:mod:`repro.obs.live`):
-  ``serve`` a scenario with sliding-window metrics over HTTP
-  (``/metrics``, ``/health``, ``/snapshot``) while appending collector
-  snapshots, ``check`` a collector file offline against an SLO spec
-  (verdicts byte-identical to the live ``/health`` bodies), ``tail``
-  a collector file as a human-readable table,
 * ``lint`` — the paper-invariant static analysis (:mod:`repro.lint`):
   one run over files and the programs they form, exit 1 on any
   finding.
@@ -47,7 +41,6 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import time
 from contextlib import ExitStack, contextmanager
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any, Iterator, TextIO
@@ -92,23 +85,18 @@ def _build_curve(kind: str, duration: float, seed: int,
 @contextmanager
 def _observing(args: argparse.Namespace, out: TextIO, *, root: str,
                sinks: tuple[str, ...] = (), meta: dict | None = None,
-               windows: dict | None = None, mark: str = "",
-               banner: str = "live endpoint:",
-               verdict: bool = True) -> Iterator[SimpleNamespace]:
+               mark: str = "") -> Iterator[SimpleNamespace]:
     """One observation session for a command.
 
     Builds whichever sinks the command's flags ask for — a registry for
-    ``--metrics-out`` / ``--prom-out`` / ``--jsonl-out`` (and to serve),
-    a tracer for ``--spans-out`` / ``--profile`` (the latter under a
-    ``root`` span, so the flame summary's self times partition its
-    wall clock), a flight recorder (with ``meta``) for ``--trace-out``,
-    live windows (``LiveTelemetry(**windows)``) for ``--live-port``
-    (``monitor serve``'s ``--port``) / ``--slo`` — plus those named in
-    ``sinks``, installs them together, serves the live endpoint for the
-    block, and on exit writes what was asked for, each with its line on
-    ``out``.  Yields the sinks (``None`` where not installed), the SLO
-    ``spec`` and the bound ``port``.  A command with none of these flags
-    gets a no-op.
+    ``--metrics-out`` / ``--prom-out`` / ``--jsonl-out``, a tracer for
+    ``--spans-out`` / ``--profile`` (the latter under a ``root`` span,
+    so the flame summary's self times partition its wall clock), a
+    flight recorder (with ``meta``) for ``--trace-out`` — plus those
+    named in ``sinks``, installs them together, and on exit writes what
+    was asked for, each with its line on ``out`` (the trace's line
+    prefixed by ``mark``).  Yields the sinks (``None`` where not
+    installed).  A command with none of these flags gets a no-op.
     """
     from repro.obs import Tracer, observe
 
@@ -116,52 +104,25 @@ def _observing(args: argparse.Namespace, out: TextIO, *, root: str,
         return getattr(args, name, None)
 
     profile = bool(flag("profile"))
-    port = flag("live_port")
-    slo = flag("slo")
-    serving = port is not None
-    wanted = {
-        "registry": "registry" in sinks or serving or any(
-            flag(name) is not None
-            for name in ("metrics_out", "prom_out", "jsonl_out")),
-        "tracer": ("tracer" in sinks or profile
-                   or flag("spans_out") is not None),
-        "recorder": "recorder" in sinks or flag("trace_out") is not None,
-        "live": serving or slo is not None,
-    }
-    tracer = recorder = telemetry = spec = None
-    if wanted["tracer"]:
+    registry = "registry" in sinks or any(
+        flag(name) is not None
+        for name in ("metrics_out", "prom_out", "jsonl_out"))
+    tracer = recorder = None
+    if "tracer" in sinks or profile or flag("spans_out") is not None:
         tracer = Tracer(max_spans=1_000_000 if profile else 100_000)
-    if wanted["recorder"]:
+    if "recorder" in sinks or flag("trace_out") is not None:
         from repro.trace import TraceRecorder
 
         recorder = TraceRecorder(meta=meta)
-    if wanted["live"]:
-        from repro.obs.live import (
-            LiveServer,
-            LiveTelemetry,
-            SLOSpec,
-            load_slo,
-        )
-
-        telemetry = LiveTelemetry(**(windows or {}))
-        spec = load_slo(slo) if slo is not None else SLOSpec(slos=())
     session = SimpleNamespace(registry=None, tracer=tracer,
-                              recorder=recorder, telemetry=telemetry,
-                              spec=spec, port=None)
+                              recorder=recorder)
     with ExitStack() as stack:
         p = stack.enter_context(observe(
-            registry=wanted["registry"] or None, tracer=tracer,
-            recorder=recorder, live=telemetry))
-        if wanted["registry"]:
+            registry=registry or None, tracer=tracer, recorder=recorder))
+        if registry:
             session.registry = p.registry
         if profile:
             stack.enter_context(tracer.span(root))  # repro: noqa[RPR501] entered here, exited with the stack: a `with` cannot be conditional
-        if serving:
-            server = LiveServer(session.registry, telemetry, spec, port=port)
-            session.port = server.start()
-            stack.callback(server.stop)
-            print(f"# {banner} http://127.0.0.1:{session.port} "
-                  f"(/metrics /health /snapshot)", file=out, flush=True)
         yield session
     from repro.obs import print_flame_summary, write_jsonl, write_prometheus
 
@@ -177,37 +138,29 @@ def _observing(args: argparse.Namespace, out: TextIO, *, root: str,
     if flag("spans_out") is not None:
         exported = tracer.export_jsonl(args.spans_out)
         print(f"# {exported} spans written to {args.spans_out}", file=out)
-    trace_line = None
     if flag("trace_out") is not None:
         from repro.trace import write_trace
 
         count = write_trace(recorder, args.trace_out)
-        trace_line = (f"{mark}workload trace ({count} events) written to "
-                      f"{args.trace_out}")
-    # `stats` (the marked one) names its trace before its verdict,
-    # `report` after.
-    if trace_line is not None and mark:
-        print(trace_line, file=out)
-    if verdict and slo is not None:
-        from repro.obs.live import evaluate, verdict_json
-
-        result = evaluate(spec, telemetry.window_state())
-        print(f"# slo status: {result['status']}", file=out)
-        print(verdict_json(result), file=out)
-    if trace_line is not None and not mark:
-        print(trace_line, file=out)
+        print(f"{mark}workload trace ({count} events) written to "
+              f"{args.trace_out}", file=out)
     if profile:
         print_flame_summary(tracer, out)
+
+
+def _check_counts(args: argparse.Namespace, *flags: str) -> None:
+    """Refuse a count flag below 1 before the command does any work."""
+    for flag in flags:
+        value = getattr(args, flag[2:])
+        if value is not None and value < 1:
+            raise ReproError(f"{flag} must be >= 1, got {value}")
 
 
 def _cmd_report(args: argparse.Namespace, out: TextIO) -> int:
     from repro.experiments.runner import run_all
 
-    # Report runs on the wall clock, so the live windows do too: 60 s
-    # fast / 12 min slow burn windows.
-    with _observing(args, out, root="report", windows={
-            "fast_window": 60.0, "slow_window": 720.0, "bucket": 5.0,
-            "clock": time.monotonic}):
+    _check_counts(args, "--jobs", "--shards")
+    with _observing(args, out, root="report"):
         run_all(fast=args.fast, out=out, jobs=args.jobs,
                 shards=args.shards)
     return 0
@@ -258,8 +211,6 @@ def _shard_factory(shards: int | None, shard_plan: str | None):
     """
     if shards is not None and shard_plan is not None:
         raise ReproError("--shards and --shard-plan are mutually exclusive")
-    if shards is not None and shards < 1:
-        raise ReproError(f"--shards must be >= 1, got {shards}")
     from repro.dbms.database import MovingObjectDatabase
     from repro.geometry.bbox import Rect2D
     from repro.index.timespace import TimeSpaceIndex
@@ -305,30 +256,24 @@ def _build_scenario(name: str, size: int, duration: float, seed: int,
     return getattr(repro.workloads, builder)(**kwargs)
 
 
-def _run_querying(scenario, polygons: list, duration: float, ask,
-                  telemetry=None, after=None) -> tuple[dict, int]:
+def _run_querying(scenario, polygons: list, duration: float,
+                  ask) -> tuple[dict, int]:
     """Run the fleet, asking ``ask(polygon, t)`` about the polygons one
     at a time, spread evenly over the run's ticks, so the latency
-    histograms sample a live, changing database.
+    histograms sample a changing database.
 
-    On every tick the live windows (``telemetry``) advance first and
-    ``after(t)`` runs last.  Returns the fleet's message counts and how
-    many queries were asked.
+    Returns the fleet's message counts and how many queries were asked.
     """
     num_ticks = max(int(duration / scenario.fleet.dt + 1e-9), 1)
     stride = max(num_ticks // len(polygons), 1)
     progress = {"tick": 0, "query": 0}
 
     def on_tick(t: float) -> None:
-        if telemetry is not None:
-            telemetry.advance(t)
         progress["tick"] += 1
         if (progress["tick"] % stride == 0
                 and progress["query"] < len(polygons)):
             ask(polygons[progress["query"]], t)
             progress["query"] += 1
-        if after is not None:
-            after(t)
 
     return scenario.fleet.run(on_tick=on_tick), progress["query"]
 
@@ -360,6 +305,7 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
     from repro.obs import jsonl_snapshot, prometheus_text
     from repro.workloads.query_workloads import polygon_query_workload
 
+    _check_counts(args, "--jobs", "--shards")
     random.seed(args.seed)
     with _observing(args, out, root="stats", sinks=("registry", "tracer"),
                     mark="# ", meta={
@@ -367,7 +313,6 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
                         "size": args.size, "duration": args.duration,
                         "seed": args.seed,
                     }) as session:
-        telemetry = session.telemetry
         scenario = _build_scenario(
             args.name, args.size, args.duration, args.seed,
             shards=args.shards, shard_plan=args.shard_plan,
@@ -383,9 +328,7 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
             # database state.
             from repro.dbms.batch import BatchQueryEngine, RangeQuery
 
-            tick_hook = (telemetry.advance if telemetry is not None
-                         else None)
-            counts = scenario.fleet.run(on_tick=tick_hook)
+            counts = scenario.fleet.run()
             engine = BatchQueryEngine(scenario.database)
             t_end = scenario.database.clock_time
             engine.run([RangeQuery(polygon, t_end) for polygon in polygons])
@@ -393,7 +336,7 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
         else:
             counts, queries_issued = _run_querying(
                 scenario, polygons, args.duration,
-                scenario.database.range_query, telemetry)
+                scenario.database.range_query)
 
         if args.jobs > 1:
             # Exercise the parallel executor so the emitted snapshot
@@ -429,149 +372,6 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _parse_spike(spec: str | None) -> tuple[float, float] | None:
-    """``--spike START:SECONDS`` -> (sim start time, injected latency)."""
-    if spec is None:
-        return None
-    try:
-        start_text, value_text = spec.split(":", 1)
-        return float(start_text), float(value_text)
-    except ValueError:
-        raise ReproError(
-            f"--spike must be START:SECONDS (e.g. 10:0.5), got {spec!r}"
-        ) from None
-
-
-def _cmd_monitor_serve(args: argparse.Namespace, out: TextIO) -> int:
-    """Run a scenario under live telemetry and serve it over HTTP."""
-    from repro.dbms.batch import BatchQueryEngine, RangeQuery
-    from repro.obs.live import LiveCollector, evaluate, verdict_json
-    from repro.workloads.query_workloads import polygon_query_workload
-
-    spike = _parse_spike(args.spike)
-    random.seed(args.seed)
-    with ExitStack() as stack:
-        # The verdict is printed before --hold, not when the session
-        # ends, so the session does not print it again.
-        session = stack.enter_context(_observing(
-            args, out, root="monitor", banner="serving", verdict=False,
-            windows={"fast_window": args.fast_window,
-                     "slow_window": args.slow_window,
-                     "bucket": args.bucket}))
-        telemetry = session.telemetry
-        collector = None
-        if args.collector_out is not None:
-            collector = LiveCollector(
-                telemetry, args.collector_out, interval=args.interval
-            )
-            collector.open()
-            stack.callback(collector.close)
-        if args.port_file is not None:
-            with open(args.port_file, "w", encoding="utf-8") as handle:
-                handle.write(f"{session.port}\n")
-        scenario = _build_scenario(
-            args.name, args.size, args.duration, args.seed,
-            shards=args.shards, shard_plan=args.shard_plan,
-        )
-        polygons = polygon_query_workload(
-            scenario.network, random.Random(args.seed + 1),
-            count=args.queries,
-        )
-
-        def ask(polygon, t: float) -> None:
-            # A fresh one-query batch per sampled tick: the engine's
-            # run() feeds dbms_batch_seconds / dbms_batch_queries into
-            # the live windows.
-            BatchQueryEngine(scenario.database).run([RangeQuery(polygon, t)])
-
-        def after(t: float) -> None:
-            if spike is not None and t >= spike[0]:
-                telemetry.observe("dbms_batch_seconds", spike[1])
-            if collector is not None:
-                collector.sample(now=t)
-
-        counts, queries_issued = _run_querying(
-            scenario, polygons, args.duration, ask, telemetry, after)
-        telemetry.advance(args.duration)
-        if collector is not None:
-            collector.sample(force=True)
-        verdict = evaluate(session.spec, telemetry.window_state())
-        total = sum(counts.values())
-        print(f"# run complete: {scenario.name}, "
-              f"{len(scenario.database)} objects, {total} update "
-              f"messages, {queries_issued} batched queries",
-              file=out, flush=True)
-        if collector is not None:
-            print(f"# collector: {collector.rows} snapshots -> "
-                  f"{collector.path}", file=out, flush=True)
-        print(f"# slo status: {verdict['status']}", file=out, flush=True)
-        if args.slo is not None:
-            print(verdict_json(verdict), file=out, flush=True)
-        if args.hold > 0:
-            print(f"# holding the endpoint for {args.hold}s",
-                  file=out, flush=True)
-            time.sleep(args.hold)
-    return 0
-
-
-def _cmd_monitor_check(args: argparse.Namespace, out: TextIO) -> int:
-    """Replay a collector file through the SLO evaluator offline."""
-    from repro.obs.live import (
-        STATUS_BURNING,
-        check_file,
-        load_slo,
-        verdict_json,
-    )
-
-    spec = load_slo(args.slo)
-    worst_burning = False
-    rows = 0
-    for verdict in check_file(spec, args.collector):
-        rows += 1
-        print(verdict_json(verdict), file=out)
-        if verdict["status"] == STATUS_BURNING:
-            worst_burning = True
-    if rows == 0:
-        raise ReproError(
-            f"collector file {args.collector!r} holds no snapshots"
-        )
-    return 1 if worst_burning and args.strict else 0
-
-
-def _cmd_monitor_tail(args: argparse.Namespace, out: TextIO) -> int:
-    """Print a collector file as a per-snapshot table."""
-    from repro.obs.live import (
-        evaluate,
-        load_slo,
-        read_collector,
-        window_quantile,
-    )
-
-    spec = load_slo(args.slo) if args.slo is not None else None
-    header, rows = read_collector(args.collector)
-    print(f"# {args.collector}: {len(rows)} snapshots, fast window "
-          f"{header['fast_window']}, slow window {header['slow_window']}",
-          file=out)
-    print(f"{'now':>8}  {'updates/fast':>12}  {'batch p95':>10}  "
-          f"{'max aoi':>8}  status", file=out)
-    for state in rows:
-        series = state["series"]
-        updates = series.get("update_messages", {})
-        fast_updates = updates.get("windows", {}).get(
-            "fast", {}).get("total", 0.0)
-        batch = series.get("dbms_batch_seconds")
-        p95 = (0.0 if batch is None else
-               window_quantile(batch["bounds"], batch["windows"]["fast"],
-                               0.95))
-        status = "-"
-        if spec is not None:
-            status = evaluate(spec, state)["status"]
-        print(f"{state['now']:>8.2f}  {fast_updates:>12.0f}  "
-              f"{p95:>10.4f}  {state['aoi']['max_age']:>8.2f}  {status}",
-              file=out)
-    return 0
-
-
 def _bench_cases(args: argparse.Namespace):
     from repro.bench import load_directory, registered_cases
 
@@ -600,6 +400,7 @@ def _cmd_bench_run(args: argparse.Namespace, out: TextIO) -> int:
     from pathlib import Path
 
     from repro.bench import (
+        check_tolerance,
         compare,
         default_baseline_path,
         load_baseline,
@@ -609,6 +410,7 @@ def _cmd_bench_run(args: argparse.Namespace, out: TextIO) -> int:
         write_results,
     )
 
+    check_tolerance(args.tolerance)
     cases = _bench_cases(args)
     if not cases:
         print("error: no registered benchmarks matched", file=sys.stderr)
@@ -717,6 +519,7 @@ def _cmd_trace_record(args: argparse.Namespace, out: TextIO) -> int:
     from repro.trace import record_index_digest, write_trace
     from repro.workloads.query_workloads import mixed_query_workload
 
+    _check_counts(args, "--shards")
     random.seed(args.seed)
     with _observing(args, out, root="trace", sinks=("recorder",), meta={
             "command": "trace record", "scenario": args.name,
@@ -835,9 +638,6 @@ _SHARED: dict[str, dict[str, Any]] = {
     "--profile": {"action": "store_true",
                   "help": "print a flame summary of the run's spans"},
     "--trace-out": {"help": "record the DBMS workload as a JSONL trace"},
-    "--live-port": {"type": int, "help": "serve /metrics, /health, "
-                                         "/snapshot on this port (0: any)"},
-    "--slo": {"help": "repro-slo/1 JSON spec for the live windows"},
 }
 
 _SCENARIO_FLAGS = ("--name", "--size", "--duration", "--seed")
@@ -865,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--metrics-out", default=None,
                         help="write a JSONL metrics snapshot of the run")
     _add_shared(report, "--jobs", "--profile", "--trace-out", "--shards",
-                "--live-port", "--slo", shards={"default": 4})
+                shards={"default": 4})
     report.set_defaults(func=_cmd_report)
 
     simulate = sub.add_parser("simulate", help="simulate one trip")
@@ -905,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("--spans-out", default=None,
                        help="write the span trace (JSONL) to this path")
     _add_shared(stats, "--trace-out", "--shards", "--shard-plan", "--jobs",
-                "--profile", "--live-port", "--slo")
+                "--profile")
     stats.set_defaults(func=_cmd_stats)
 
     lint = sub.add_parser(
@@ -1010,69 +810,6 @@ def build_parser() -> argparse.ArgumentParser:
     trace_summary.add_argument("trace", help="JSONL trace path")
     trace_summary.set_defaults(func=_cmd_trace_summary)
 
-    monitor = sub.add_parser(
-        "monitor", help="live telemetry: serve/check/tail windowed "
-                        "metrics and SLO burn rates"
-    )
-    monitor_sub = monitor.add_subparsers(dest="monitor_command",
-                                         required=True)
-
-    monitor_serve = monitor_sub.add_parser(
-        "serve", help="run a scenario under live telemetry and serve "
-                      "/metrics, /health, /snapshot over HTTP"
-    )
-    _add_shared(monitor_serve, *_SCENARIO_FLAGS, "--queries", "--shards",
-                "--shard-plan")
-    monitor_serve.add_argument("--port", type=int, default=0,
-                               dest="live_port",
-                               help="HTTP port (0 binds an ephemeral "
-                                    "port; it is printed and optionally "
-                                    "written to --port-file)")
-    monitor_serve.add_argument("--port-file", default=None,
-                               help="write the bound port here (for "
-                                    "scripts racing a backgrounded serve)")
-    monitor_serve.add_argument("--hold", type=float, default=0.0,
-                               help="keep serving this many wall-clock "
-                                    "seconds after the run finishes")
-    _add_shared(monitor_serve, "--slo")
-    monitor_serve.add_argument("--collector-out", default=None,
-                               help="append windowed snapshots to this "
-                                    "JSONL file (repro-live-collector/1)")
-    monitor_serve.add_argument("--interval", type=float, default=1.0,
-                               help="collector cadence in sim minutes")
-    monitor_serve.add_argument("--fast-window", type=float, default=5.0,
-                               help="fast window width (sim minutes)")
-    monitor_serve.add_argument("--slow-window", type=float, default=60.0,
-                               help="slow window width (sim minutes)")
-    monitor_serve.add_argument("--bucket", type=float, default=0.5,
-                               help="ring-buffer bucket width "
-                                    "(sim minutes)")
-    monitor_serve.add_argument("--spike", default=None,
-                               help="inject a latency spike: START:SECONDS "
-                                    "observes SECONDS into "
-                                    "dbms_batch_seconds on every tick from "
-                                    "sim time START (burn-rate demo/tests)")
-    monitor_serve.set_defaults(func=_cmd_monitor_serve)
-
-    monitor_check = monitor_sub.add_parser(
-        "check", help="replay a collector JSONL through the SLO "
-                      "evaluator; verdicts are byte-identical to the "
-                      "live /health bodies"
-    )
-    monitor_check.add_argument("collector",
-                               help="repro-live-collector/1 JSONL path")
-    _add_shared(monitor_check, "--slo", slo={"required": True})
-    monitor_check.add_argument("--strict", action="store_true",
-                               help="exit 1 if any snapshot is burning")
-    monitor_check.set_defaults(func=_cmd_monitor_check)
-
-    monitor_tail = monitor_sub.add_parser(
-        "tail", help="print a collector JSONL as a per-snapshot table"
-    )
-    monitor_tail.add_argument("collector",
-                              help="repro-live-collector/1 JSONL path")
-    _add_shared(monitor_tail, "--slo")
-    monitor_tail.set_defaults(func=_cmd_monitor_tail)
     return parser
 
 

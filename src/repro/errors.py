@@ -4,7 +4,7 @@ Every error raised by the library derives from :class:`ReproError`, so
 callers can catch library failures with a single ``except`` clause while
 still distinguishing the broad failure categories below.
 :func:`read_json_object` and :class:`SpecReader` are where outside
-input (a snapshot, an SLO spec, a trace event, a policy spec ...) becomes
+input (a snapshot, a shard plan, a trace event, a policy spec ...) becomes
 one of them.
 """
 
@@ -84,7 +84,7 @@ def read_json_object(path: str, error: type[ReproError], what: str) -> dict:
     """The JSON object in the file at ``path``.
 
     A missing or unreadable file, bad JSON or a document that is not an
-    object raises ``error`` naming ``what`` (a snapshot, an SLO spec ...).
+    object raises ``error`` naming ``what`` (a snapshot, a shard plan ...).
     """
     try:
         with open(path, encoding="utf-8") as handle:

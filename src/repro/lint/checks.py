@@ -495,7 +495,7 @@ for _code, _name, _scope, _description in (
     ("RPR102", "wall-clock-read", "deterministic-or-obs",
      "no time.time()/datetime.now()/os.urandom()/uuid4() in "
      "deterministic paths or obs/, at any call depth (perf_counter/"
-     "monotonic for metrics and windows are fine)"),
+     "monotonic for metrics and spans are fine)"),
     ("RPR103", "unordered-set-iteration", "deterministic",
      "no iterating a set expression into ordered output in "
      "deterministic paths, at any call depth; wrap in sorted()"),

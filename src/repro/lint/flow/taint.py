@@ -8,7 +8,7 @@ promise, and :func:`hazards` is the one detector for all of them:
   ``numpy.random.default_rng()`` (seeded generators stay legal),
 * ``RPR102`` — wall-clock and entropy reads (``time.time()``,
   ``datetime.now()``, ``os.urandom()``, ``uuid4()``, …);
-  ``perf_counter``/``monotonic`` feed metrics and windows, not
+  ``perf_counter``/``monotonic`` feed metrics and spans, not
   results, and stay legal,
 * ``RPR103`` — iterating a ``set``/``frozenset`` expression in a
   ``for`` loop, a list/generator/dict comprehension or
@@ -79,7 +79,7 @@ _WALL_CLOCK = (
 _WHY = {
     RNG: ("results must be a pure function of the inputs — draw from "
           "a seeded random.Random (or numpy Generator) instead"),
-    CLOCK: ("results and windows must not depend on when the run "
+    CLOCK: ("results and spans must not depend on when the run "
             "happened — use perf_counter/monotonic for metrics, or "
             "inject the sim clock"),
     UNORDERED: ("set iteration order varies across runs — sorted() the "

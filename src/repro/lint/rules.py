@@ -107,7 +107,8 @@ def _scope_shard(tags: frozenset[str]) -> bool:
 
 
 def _scope_deterministic_or_obs(tags: frozenset[str]) -> bool:
-    # Live windows do interval math: a wall-clock step corrupts them.
+    # Span timestamps are subtracted into durations and self times: a
+    # wall-clock step corrupts them.
     return _scope_deterministic(tags) or ("obs" in tags
                                           and "test" not in tags)
 

@@ -1,12 +1,11 @@
-"""Observability: one probe, its four sinks, and exporters.
+"""Observability: one probe, its three sinks, and exporters.
 
 Instrumented code states each fact once to the process's single
 :class:`~repro.obs.probe.Probe` (:func:`repro.obs.probe.probe`, not
 re-exported here: the name is the submodule's); the probe decides
 which installed sinks hear it, and the metric catalogue
 (:mod:`repro.obs.catalogue`) declares every series name once — kind,
-help text, buckets, the live series it feeds.  The sinks in this
-package:
+help text, buckets.  The sinks in this package:
 
 * **Instruments** (:mod:`repro.obs.metrics`) — counters, gauges, and
   fixed-bucket histograms owned by a :class:`MetricsRegistry`; a
@@ -14,12 +13,10 @@ package:
 * **Tracing** (:mod:`repro.obs.tracing`) — nested timed spans recorded
   by a :class:`Tracer` with JSONL export; :func:`span` opens a span on
   the process tracer.
-* **Live windows** (:mod:`repro.obs.live`) — sliding-window series,
-  SLO burn rates and the HTTP endpoint.
 * **Exporters** (:mod:`repro.obs.exporters`) — Prometheus text format
   and JSONL snapshots.
 
-(The fourth sink, the flight recorder, is :mod:`repro.trace`.)  Enable
+(The third sink, the flight recorder, is :mod:`repro.trace`.)  Enable
 one sink for a block::
 
     from repro.obs import use_registry, prometheus_text

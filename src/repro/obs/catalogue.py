@@ -2,16 +2,14 @@
 
 A hook names a metric and states a value (``p.count("index_searches_total")``);
 what that name *is* — its kind, its ``# HELP`` text, its histogram
-buckets, the live-window series it also feeds, the counter a failing
-timed block bumps — is declared here and nowhere else, so two hooks
-cannot disagree about a name and an exporter never prints a series
-nobody described.  ``tests/obs/test_one_probe.py`` holds the two in
+buckets, the counter a failing timed block bumps — is declared here
+and nowhere else, so two hooks cannot disagree about a name and an
+exporter never prints a series nobody described.  ``tests/obs/test_one_probe.py`` holds the two in
 step: every name a hook hands to the probe is listed, and every listed
 name is emitted by some hook.
 
 Names follow the Prometheus conventions (``*_total`` counters,
-``*_seconds`` / ``*_miles`` units); a live series keeps the shorter
-name the SLO documents (:mod:`repro.obs.live.slo`) already use.
+``*_seconds`` / ``*_miles`` units).
 """
 
 from __future__ import annotations
@@ -34,10 +32,8 @@ class Metric:
 
     kind: str
     help: str
-    #: Histogram bucket edges (the live series shares them).
+    #: Histogram bucket edges.
     buckets: tuple[float, ...] = LATENCY_BUCKETS_S
-    #: The live-window series fed alongside the registry instrument.
-    live: str | None = None
     #: The counter a ``timed`` block over this histogram bumps when it
     #: raises.
     errors: str | None = None
@@ -78,17 +74,13 @@ CATALOGUE: dict[str, Metric] = {
     "exec_tasks_total": Metric(
         COUNTER, "Sweep executions dispatched through the executor."),
     "exec_cells_total": Metric(
-        COUNTER, "Simulation cells executed by the executor.",
-        live="exec_cells_completed"),
+        COUNTER, "Simulation cells executed by the executor."),
     "exec_pool_seconds": Metric(
-        HISTOGRAM, "Wall-clock seconds per sweep execution.",
-        live="exec_sweep_seconds"),
+        HISTOGRAM, "Wall-clock seconds per sweep execution."),
     "exec_task_seconds": Metric(
         HISTOGRAM, "Wall-clock seconds per worker task (chunk)."),
     # -- dbms: updates (§3.1) and queries (§4) ---------------------------
-    # Stated as an ``update`` trace event (``Probe.event``), whose live
-    # side is ``LiveTelemetry.record_update``: the ``update_messages``
-    # series and the age-of-information anchor in one call.
+    # Stated as an ``update`` trace event (``Probe.event``).
     "dbms_update_messages_total": Metric(
         COUNTER, "Position-update messages received by the database."),
     "dbms_update_seconds": Metric(
@@ -100,13 +92,11 @@ CATALOGUE: dict[str, Metric] = {
         COUNTER, "Candidate classifications by may/must outcome."),
     "dbms_batch_seconds": Metric(
         HISTOGRAM, "Wall-clock latency of one query batch.",
-        live="dbms_batch_seconds", errors="dbms_batch_errors_total"),
+        errors="dbms_batch_errors_total"),
     "dbms_batch_errors_total": Metric(
-        COUNTER, "Query batches that raised instead of answering.",
-        live="dbms_batch_errors"),
+        COUNTER, "Query batches that raised instead of answering."),
     "dbms_batch_queries_total": Metric(
-        COUNTER, "Queries answered by the batch engine, by kind.",
-        live="dbms_batch_queries"),
+        COUNTER, "Queries answered by the batch engine, by kind."),
     "dbms_batch_cache_hits_total": Metric(
         COUNTER, "Uncertainty-cache hits in the batch engine."),
     "dbms_batch_cache_misses_total": Metric(
@@ -139,10 +129,9 @@ CATALOGUE: dict[str, Metric] = {
     # -- shard: the partitioned index --------------------------------------
     "shard_query_fanout": Metric(
         HISTOGRAM, "Shards answering a query window with a candidate.",
-        FANOUT_BUCKETS, live="shard_fanout"),
+        FANOUT_BUCKETS),
     "shard_queries_total": Metric(
-        COUNTER, "Query windows searched by the partitioned index.",
-        live="shard_queries"),
+        COUNTER, "Query windows searched by the partitioned index."),
     "shard_updates_total": Metric(
         COUNTER, "Position updates routed to each shard."),
     "shard_objects": Metric(GAUGE, "Mobile objects owned by each shard."),

@@ -2,8 +2,8 @@
 
 :func:`timed` and :func:`time_section` time a function or a ``with``
 block into a latency histogram through the probe: one ``perf_counter``
-pair feeds the registry histogram, the live series the catalogue names
-for it and — when the block raises — its error counter.  Both read the
+pair feeds the registry histogram and — when the block raises — its
+error counter.  Both read the
 probe at call time and short-circuit when nothing listens, so
 decorating a hot method costs one extra function call and one
 attribute check per invocation — nothing else.  A metric's help text

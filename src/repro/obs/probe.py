@@ -2,11 +2,11 @@
 
 What an observed run publishes is the paper's own ledger — update
 messages and their cost (§3.1), the onboard deviation and the DBMS-side
-bound at every tick (§3.3), index work per query (§4.2) — and four
-sinks want it: the metrics registry, the span tracer, the flight
-recorder and the live windows.  A hook does not know which of them are
-installed.  It reads the process's single :class:`Probe`, tests its one
-precomputed ``enabled`` flag, and states each fact in one statement::
+bound at every tick (§3.3), index work per query (§4.2) — and three
+sinks want it: the metrics registry, the span tracer and the flight
+recorder.  A hook does not know which of them are installed.  It reads
+the process's single :class:`Probe`, tests its one precomputed
+``enabled`` flag, and states each fact in one statement::
 
     p = probe()
     if p.enabled:
@@ -14,7 +14,7 @@ precomputed ``enabled`` flag, and states each fact in one statement::
         p.event(INDEX_INSERT, object_id=object_id, boxes=inserted)
 
 The probe decides who hears it (DESIGN.md §4 has the fact -> sinks
-table); a metric's kind, help text, buckets and live series come from
+table); a metric's kind, help text and buckets come from
 :mod:`repro.obs.catalogue`.  Unobserved, a hook costs one ``probe()``
 read and one flag test.
 
@@ -39,7 +39,7 @@ from repro.errors import ObservabilityError
 from repro.obs.catalogue import CATALOGUE, UNLISTED
 
 #: The sink slots, in the order ``enabled`` consults them.
-_SINKS = ("registry", "tracer", "recorder", "live")
+_SINKS = ("registry", "tracer", "recorder")
 #: ``repro.trace.events.UPDATE``: the event kind that is also a metric.
 _UPDATE = "update"
 _UPDATE_COUNTER = "dbms_update_messages_total"
@@ -59,7 +59,6 @@ class Probe:
         self.registry: Any = _OFF
         self.tracer: Any = _OFF
         self.recorder: Any = _OFF
-        self.live: Any = _OFF
         self.enabled = False
 
     def _install(self, name: str, sink: Any) -> Any:
@@ -68,16 +67,14 @@ class Probe:
         self.enabled = any(getattr(self, slot).enabled for slot in _SINKS)
         return previous
 
-    # -- metrics (registry, and the live series the catalogue names) ----
+    # -- metrics (registry) -----------------------------------------------
 
     def count(self, name: str, amount: float = 1.0, **labels: str) -> None:
         """Add ``amount`` to the counter ``name``."""
-        metric = CATALOGUE.get(name, UNLISTED)
         if self.registry.enabled:
-            self.registry.counter(name, help=metric.help,
-                                  **labels).inc(amount)
-        if metric.live is not None and self.live.enabled:
-            self.live.inc(metric.live, amount)
+            self.registry.counter(
+                name, help=CATALOGUE.get(name, UNLISTED).help, **labels,
+            ).inc(amount)
 
     def gauge(self, name: str, value: float, **labels: str) -> None:
         """Set the gauge ``name``."""
@@ -93,16 +90,10 @@ class Probe:
             self.registry.histogram(name, help=metric.help,
                                     buckets=metric.buckets,
                                     **labels).observe(value)
-        if metric.live is not None and self.live.enabled:
-            self.live.observe(metric.live, value, buckets=metric.buckets)
 
     def instrument(self, name: str, **labels: str) -> Any:
         """The registry instrument of a catalogued ``name``, for a loop
-        that hoists the lookup (a no-op one when no registry listens).
-
-        Samples fed to it reach the registry only: a name with a live
-        series is stated through :meth:`count` / :meth:`observe`.
-        """
+        that hoists the lookup (a no-op one when no registry listens)."""
         metric = CATALOGUE[name]
         if metric.kind == "histogram":
             return self.registry.histogram(
@@ -142,16 +133,13 @@ class Probe:
         """One DBMS-visible event; ``data`` is its JSON payload.
 
         An ``update`` event — the paper's position-update message — is
-        also ``dbms_update_messages_total`` and the live windows'
-        age-of-information anchor.
+        also ``dbms_update_messages_total``.
         """
         if self.recorder.enabled:
             self.recorder.record(kind, time=time, object_id=object_id,
                                  **data)
         if kind == _UPDATE:
             self.count(_UPDATE_COUNTER)
-            if self.live.enabled:
-                self.live.record_update(object_id, time)
 
     def query(self, kind: str, answer: Any, *, time: float,
               **params: Any) -> None:
@@ -187,8 +175,8 @@ class Probe:
         The parent's sinks arrive in a forked worker by inheritance,
         but what is written to them dies with the process.  So the
         kinds that can travel home as data — registry, tracer — are
-        replaced by fresh ones where the parent listens, and the rest
-        are switched off.
+        replaced by fresh ones where the parent listens, and the
+        recorder is switched off.
         """
         with observe(**{name: name in ("registry", "tracer")
                         for name in _SINKS if getattr(self, name).enabled}):
@@ -266,10 +254,10 @@ def slot(name: str, factory: Callable[[], Any],
 def observe(**sinks: Any) -> Iterator[Probe]:
     """Install several sinks for one block and yield the probe.
 
-    One keyword per slot (``registry``, ``tracer``, ``recorder``,
-    ``live``): a sink instance installs it, ``True`` installs a fresh
-    default one, ``False`` switches the slot off, ``None`` leaves it as
-    it is.  ``with observe(registry=True, tracer=True) as p:`` then
+    One keyword per slot (``registry``, ``tracer``, ``recorder``): a
+    sink instance installs it, ``True`` installs a fresh default one,
+    ``False`` switches the slot off, ``None`` leaves it as it is.
+    ``with observe(registry=True, tracer=True) as p:`` then
     ``p.registry`` / ``p.tracer`` hold what the block published.
     """
     with ExitStack() as stack:

@@ -52,13 +52,19 @@ class SpeedCurve(ABC):
     kind: str = "abstract"
 
     def __init__(self, duration: float) -> None:
-        if not 0 < duration < float("inf"):
-            raise SimulationError(
-                f"duration must be positive and finite, got {duration}")
-        self.duration = duration
+        self.duration = self._checked_duration(duration)
         # Curves are immutable after construction, so a summary is
         # computed once per (kind, samples).
         self._summaries: dict[tuple[str, int], float] = {}
+
+    @staticmethod
+    def _checked_duration(duration: float) -> float:
+        """``duration``, or a :class:`SimulationError` unless it is
+        positive and finite."""
+        if not 0 < duration < float("inf"):
+            raise SimulationError(
+                f"duration must be positive and finite, got {duration}")
+        return duration
 
     @abstractmethod
     def speed(self, t: float) -> float:
@@ -265,6 +271,8 @@ class CityCurve(SpeedCurve):
                  stop_minutes: tuple[float, float] = (0.2, 1.0)) -> None:
         if cruise <= 0:
             raise SimulationError(f"cruise speed must be positive, got {cruise}")
+        # Checked before the phase loop, which never ends at inf.
+        self._checked_duration(duration)
         phases: list[tuple[float, float]] = []
         total = 0.0
         driving = True

@@ -102,15 +102,17 @@ def taxi_fleet_scenario(num_taxis: int = 20, duration: float = 30.0,
     if num_taxis < 1:
         raise SimulationError("need at least one taxi")
     rng = random.Random(seed)
+    # The curves check ``duration`` before it sizes the grid below;
+    # building the grid draws nothing from ``rng``.
+    curves: list[SpeedCurve] = [
+        CityCurve(duration, rng, cruise=rng.uniform(0.3, 0.6))
+        for _ in range(num_taxis)
+    ]
     # Size the grid so random shortest paths can host full-length trips
     # (~0.8 mi/min worst-case city cruise for the whole duration).
     blocks = max(24, int(0.8 * duration / 0.25) + 4)
     network = grid_city_network(blocks_x=blocks, blocks_y=blocks,
                                 block_miles=0.25)
-    curves: list[SpeedCurve] = [
-        CityCurve(duration, rng, cruise=rng.uniform(0.3, 0.6))
-        for _ in range(num_taxis)
-    ]
     return _scenario(
         "taxi-fleet", network, curves, rng,
         class_name="taxi",

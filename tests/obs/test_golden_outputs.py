@@ -33,8 +33,6 @@ PROM_RUNS = {
 SPANS = ["stats", "--name", "taxi", "--size", "12", "--duration", "10",
          "--queries", "12", "--seed", "3", "--format", "prom",
          "--jobs", "2", "--profile"]
-MONITOR = ["monitor", "serve", "--size", "5", "--duration", "10",
-           "--queries", "5", "--seed", "3", "--interval", "2"]
 TRACE = ["trace", "record", "--size", "8", "--duration", "12", "--seed",
          "11", "--queries", "25"]
 TRACE_RUNS = {"plain": [], "shards4": ["--shards", "4"],
@@ -78,22 +76,6 @@ def span_tree(path):
     return "\n".join(lines) + "\n"
 
 
-def live_lifetimes(collector):
-    """The last collected ``window_state``: series keys, kinds and
-    lifetime counts, and the age-of-information population."""
-    state = json.loads(Path(collector).read_text().splitlines()[-1])
-    series = {
-        name: {"kind": entry["kind"],
-               "lifetime": entry["lifetime"].get(
-                   "total", entry["lifetime"].get("count"))}
-        for name, entry in state["series"].items()
-    }
-    return json.dumps({"series": series, "now": state["now"],
-                       "aoi_objects": state["aoi"]["objects"],
-                       "aoi_bucket_counts": state["aoi"]["bucket_counts"]},
-                      indent=1, sort_keys=True) + "\n"
-
-
 def render(name, tmp):
     if name in PROM_RUNS:
         return masked_prometheus(run(STATS + PROM_RUNS[name]))
@@ -101,10 +83,6 @@ def render(name, tmp):
         path = str(Path(tmp) / "spans.jsonl")
         run(SPANS + ["--spans-out", path])
         return span_tree(path)
-    if name == "monitor_serve.live.json":
-        path = str(Path(tmp) / "collector.jsonl")
-        run(MONITOR + ["--collector-out", path])
-        return live_lifetimes(path)
     assert name == "trace_record.sha256"
     digests = {}
     for label, extra in TRACE_RUNS.items():
@@ -116,8 +94,7 @@ def render(name, tmp):
     return json.dumps(digests, indent=1, sort_keys=True) + "\n"
 
 
-FIXTURES = [*PROM_RUNS, "stats_jobs2.spans", "monitor_serve.live.json",
-            "trace_record.sha256"]
+FIXTURES = [*PROM_RUNS, "stats_jobs2.spans", "trace_record.sha256"]
 
 
 @pytest.mark.parametrize("name", FIXTURES)

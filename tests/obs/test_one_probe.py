@@ -8,20 +8,18 @@ declares a series no hook emits.
 """
 
 import ast
-import re
 from pathlib import Path
 
 import repro
 import repro.obs.probe as probe_module
 from repro.obs.catalogue import CATALOGUE
-from repro.obs.live import slo
 from repro.trace import events
 
 SRC = Path(repro.__file__).parent
 #: The packages whose hooks the probe replaced.
 INSTRUMENTED = ("sim", "vec", "exec", "dbms", "index", "shard")
-AMBIENT_READS = {"get_registry", "get_tracer", "get_recorder", "get_live"}
-USE_SPELLINGS = {"use_registry", "use_tracer", "use_recorder", "use_live"}
+AMBIENT_READS = {"get_registry", "get_tracer", "get_recorder"}
+USE_SPELLINGS = {"use_registry", "use_tracer", "use_recorder"}
 #: Probe verbs whose first argument is a metric name.
 METRIC_VERBS = {"count", "gauge", "observe", "timed", "instrument"}
 
@@ -135,22 +133,9 @@ def test_catalogue_entries_are_coherent():
         assert metric.help, name
         if metric.errors is not None:
             assert CATALOGUE[metric.errors].kind == "counter", name
-        if metric.live is not None:
-            assert metric.kind != "gauge", name
-    live = [metric.live for metric in CATALOGUE.values()
-            if metric.live is not None]
-    assert len(live) == len(set(live))
 
 
-def test_the_documented_slo_reads_series_some_hook_feeds():
-    documented = set(re.findall(
-        r'"(?:series|total_series|error_series)": "(\w+)"', slo.__doc__))
-    assert documented == {"dbms_batch_seconds", "dbms_batch_queries",
-                          "dbms_batch_errors"}
-    assert documented <= {metric.live for metric in CATALOGUE.values()}
-
-
-def test_one_probe_four_slots_one_session():
+def test_one_probe_three_slots_one_session():
     constructed = []
     slots = []
     pool_contexts = []
@@ -166,7 +151,7 @@ def test_one_probe_four_slots_one_session():
             if isinstance(node, ast.FunctionDef)
             and node.name.lstrip("_") == "pool_context"]
     assert constructed == ["obs/probe.py"]
-    assert sorted(slots) == ["live", "recorder", "registry", "tracer"]
+    assert sorted(slots) == ["recorder", "registry", "tracer"]
     assert pool_contexts == ["exec/executor.py"]
     cli = ast.parse((SRC / "cli.py").read_text())
     entered = [called_name(call) for call in calls(cli)

@@ -9,9 +9,8 @@ import pytest
 
 import repro
 from repro.errors import ObservabilityError
-from repro.obs import MetricsRegistry, Tracer, observe
-from repro.obs.catalogue import CATALOGUE
-from repro.obs.live import LiveTelemetry
+from repro.obs import Counter, Histogram, MetricsRegistry, Tracer, observe
+from repro.obs.catalogue import CATALOGUE, UNLISTED
 from repro.obs.probe import probe
 from repro.trace import TraceRecorder, events
 from repro.trace.events import answer_digest
@@ -23,17 +22,17 @@ class TestEnabled:
     def test_off_by_default_and_on_under_any_one_sink(self):
         p = probe()
         assert p.enabled is False
-        for slot in ("registry", "tracer", "recorder", "live"):
+        for slot in ("registry", "tracer", "recorder"):
             with observe(**{slot: True}):
                 assert p.enabled is True
             assert p.enabled is False
 
     def test_observe_values(self):
         registry = MetricsRegistry()
-        with observe(registry=registry, tracer=True, live=None) as p:
+        with observe(registry=registry, tracer=True, recorder=None) as p:
             assert p.registry is registry
             assert isinstance(p.tracer, Tracer)
-            assert p.live.enabled is False
+            assert p.recorder.enabled is False
             with observe(registry=False):
                 assert p.registry.enabled is False and p.enabled
             assert p.registry is registry
@@ -46,27 +45,28 @@ class TestEnabled:
 
 
 class TestFactsReachTheirSinks:
-    def test_a_catalogued_metric_carries_its_help_buckets_and_live_series(self):
-        with observe(registry=True, live=True) as p:
+    def test_a_catalogued_metric_carries_its_help_buckets_and_kind(self):
+        with observe(registry=True) as p:
             p.observe("shard_query_fanout", 2.0)
             p.count("shard_queries_total")
-            registry, state = p.registry, p.live.window_state()
+            registry = p.registry
         entry = CATALOGUE["shard_query_fanout"]
         assert registry.help_text("shard_query_fanout") == entry.help
+        assert isinstance(registry.get("shard_query_fanout"), Histogram)
         assert registry.get("shard_query_fanout").bounds == entry.buckets
-        assert state["series"]["shard_fanout"]["bounds"] == list(
-            entry.buckets)
-        assert state["series"]["shard_queries"]["lifetime"]["total"] == 1.0
+        assert isinstance(registry.get("shard_queries_total"), Counter)
+        assert registry.value("shard_queries_total") == 1.0
 
     def test_an_unlisted_name_is_a_plain_latency_series(self):
-        with observe(registry=True, live=True) as p:
+        with observe(registry=True) as p:
             p.count("my_counter", 2, shard="a")
             with p.timed("my_seconds"):
                 pass
-            registry, state = p.registry, p.live.window_state()
+            registry = p.registry
         assert registry.value("my_counter", shard="a") == 2.0
         assert registry.get("my_seconds").count == 1
-        assert state["series"] == {}
+        assert registry.get("my_seconds").bounds == UNLISTED.buckets
+        assert registry.help_text("my_seconds") == ""
 
     def test_instrument_is_the_registry_instrument_or_a_noop(self):
         with observe(registry=True) as p:
@@ -79,14 +79,13 @@ class TestFactsReachTheirSinks:
         with pytest.raises(KeyError):
             probe().instrument("not_in_the_catalogue")
 
-    def test_an_update_event_is_a_counter_and_an_age_anchor(self):
+    def test_an_update_event_is_counted_and_recorded(self):
         recorder = TraceRecorder()
-        with observe(registry=True, live=True, recorder=recorder) as p:
+        with observe(registry=True, recorder=recorder) as p:
             p.event(events.UPDATE, time=3.0, object_id="cab-1", speed=0.4)
             p.event(events.CACHE, hits=1, misses=0)
-            registry, live = p.registry, p.live
+            registry = p.registry
         assert registry.value("dbms_update_messages_total") == 1.0
-        assert live.ages(now=5.0) == {"cab-1": 2.0}
         assert [event.kind for event in recorder.events()] == [
             events.UPDATE, events.CACHE]
 
@@ -132,15 +131,15 @@ class TestWorkerTelemetry:
         p.adopt(None, worker="w-0")
 
     def test_a_worker_session_switches_the_untransportable_sinks_off(self):
-        with observe(recorder=True, live=LiveTelemetry()) as p:
+        with observe(recorder=True) as p:
             with p.isolated():
                 assert p.enabled is False
-            assert p.recorder.enabled and p.live.enabled
+            assert p.recorder.enabled
 
 
 class TestImportOrder:
     """A slot is bound when its sink's module is imported; a fresh
-    interpreter that never imports ``repro.obs.live`` must still run."""
+    interpreter that never imports ``repro.trace`` must still run."""
 
     def run(self, *argv):
         env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -157,16 +156,17 @@ class TestImportOrder:
         done = self.run("-c", (
             "import sys\n"
             "from repro.obs.probe import observe, probe\n"
-            "assert 'repro.obs.live.windows' not in sys.modules\n"
-            "with observe(live=None, registry=True) as p:\n"
-            "    assert p.enabled and not p.live.enabled\n"
+            "assert 'repro.trace.recorder' not in sys.modules\n"
+            "with observe(recorder=None, registry=True) as p:\n"
+            "    assert p.enabled and not p.recorder.enabled\n"
             "    with p.isolated():\n"
             "        assert p.capture() == {'metrics': {'counters': [],"
             " 'gauges': [], 'histograms': []}, 'spans': None}\n"
             "try:\n"
-            "    with observe(live=True):\n"
+            "    with observe(recorder=True):\n"
             "        pass\n"
             "except Exception as exc:\n"
             "    print(type(exc).__name__, exc)\n"))
         assert done.returncode == 0, done.stderr
-        assert done.stdout.startswith("ObservabilityError sink slot 'live'")
+        assert done.stdout.startswith(
+            "ObservabilityError sink slot 'recorder'")

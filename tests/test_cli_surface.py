@@ -46,9 +46,9 @@ def test_every_parser_keeps_its_options():
     assert json.loads(json.dumps(surface(build_parser()))) == recorded
 
 
-def test_the_fixture_covers_all_seventeen_parsers():
+def test_the_fixture_covers_all_thirteen_parsers():
     recorded = json.loads(FIXTURE.read_text(encoding="utf-8"))
-    assert len(recorded) == 1 + 17  # `repro` itself, then its parsers
+    assert len(recorded) == 1 + 13  # `repro` itself, then its parsers
 
 
 if __name__ == "__main__":

@@ -3,7 +3,7 @@
 ``import repro`` binds no public name until it is read (PEP 562), and
 each CLI command imports its own dependencies, so a ``trace replay``
 child never loads the simulator, the sweep executor, the experiments,
-the linter, the benchmark harness or the live-telemetry server.  Each
+the linter or the benchmark harness.  Each
 check runs in a fresh interpreter: an in-process test would see
 whatever earlier tests imported.
 """
@@ -27,7 +27,7 @@ SRC = Path(repro.__file__).parents[1]
 
 #: Subpackages a replay has no use for.
 NOT_FOR_REPLAY = ("repro.sim", "repro.exec", "repro.experiments",
-                  "repro.lint", "repro.bench", "repro.obs.live")
+                  "repro.lint", "repro.bench")
 
 
 def modules_after(code: str) -> set[str]:
