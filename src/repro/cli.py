@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Eight commands cover the library's day-one workflows:
+Seven commands cover the library's day-one workflows:
 
 * ``report [--fast]`` — regenerate the full reproduction report
   (every paper table/figure plus the extension experiments); with
@@ -12,8 +12,6 @@ Eight commands cover the library's day-one workflows:
   tracer, issue range queries against the running database, and emit
   the metric snapshot (Prometheus text and/or JSONL, plus an optional
   span trace),
-* ``query`` — execute an MQL statement against a JSON database
-  snapshot (see :mod:`repro.dbms.persistence`),
 * ``bench`` — the unified benchmark harness (:mod:`repro.bench`):
   ``list`` the registered cases, ``run`` them with baseline regression
   gating and ``BENCH_<group>.json`` trajectory artifacts,
@@ -32,7 +30,7 @@ wall clock.
 
 A flag several commands take is declared once (``_SHARED``); a command
 names the ones it takes and states only what differs.  Any
-:class:`~repro.errors.ReproError`, a malformed trace or snapshot field
+:class:`~repro.errors.ReproError`, a malformed trace or plan field
 included, prints ``error: ...`` and exits 1.
 """
 
@@ -588,36 +586,6 @@ def _cmd_trace_summary(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _cmd_query(args: argparse.Namespace, out: TextIO) -> int:
-    from repro.dbms.mql import execute as execute_mql
-    from repro.dbms.persistence import load_database
-    from repro.dbms.query import PositionAnswer, RangeAnswer
-
-    database = load_database(args.snapshot)
-    answer = execute_mql(database, args.statement)
-    if isinstance(answer, list):
-        for entry in answer:
-            marker = "certain" if entry.certain else "maybe"
-            print(f"{entry.object_id}: distance in "
-                  f"[{entry.min_distance:.3f}, {entry.max_distance:.3f}] mi "
-                  f"({marker})", file=out)
-        return 0
-    if isinstance(answer, RangeAnswer):
-        print(f"must: {sorted(answer.must)}", file=out)
-        print(f"may : {sorted(answer.may - answer.must)}", file=out)
-        print(f"examined {answer.examined} of {len(database)} objects",
-              file=out)
-    elif isinstance(answer, PositionAnswer):
-        print(f"position ({answer.position.x:.4f}, "
-              f"{answer.position.y:.4f}) +/- {answer.error_bound:.4f} mi",
-              file=out)
-    elif answer is None:
-        print("never (within the horizon)", file=out)
-    else:
-        print(f"t = {answer:.3f} min", file=out)
-    return 0
-
-
 #: Flags several commands take, each declared once; a command names the
 #: ones it takes (:func:`_add_shared`) and states only what differs.
 _SHARED: dict[str, dict[str, Any]] = {
@@ -726,11 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--list-rules", action="store_true",
                       help="print the registered rules and exit")
     lint.set_defaults(func=_cmd_lint)
-
-    query = sub.add_parser("query", help="run MQL against a snapshot")
-    query.add_argument("snapshot", help="JSON snapshot path")
-    query.add_argument("statement", help="MQL statement")
-    query.set_defaults(func=_cmd_query)
 
     bench = sub.add_parser(
         "bench", help="run the unified benchmark harness"

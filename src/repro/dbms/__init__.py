@@ -29,8 +29,6 @@ from repro.dbms.batch import (
     WithinDistanceQuery,
 )
 from repro.dbms.database import MovingObjectDatabase
-from repro.dbms.mql import execute as execute_mql
-from repro.dbms.mql import parse as parse_mql
 from repro.dbms.moving_object import MovingObjectRecord
 from repro.dbms.query import PositionAnswer, RangeAnswer
 from repro.dbms.schema import Mobility, ObjectClass, Schema, SpatialKind
@@ -44,8 +42,6 @@ __all__ = [
     "ProximityQuery",
     "RangeQuery",
     "WithinDistanceQuery",
-    "execute_mql",
-    "parse_mql",
     "MovingObjectRecord",
     "PositionAnswer",
     "RangeAnswer",

@@ -509,8 +509,8 @@ class MovingObjectDatabase:
         """
         self._core.check_time(t)
         check_point(center, "center")
-        if k < 1:
-            raise QueryError(f"k must be positive, got {k}")
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            raise QueryError(f"k must be a positive integer, got {k!r}")
         mobile = list(self._filter_candidates(
             set(self._records), where, class_name
         ))

@@ -18,6 +18,8 @@ attribute + policy bounds) — no contact with the moving object.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.uncertainty import UncertaintyInterval
 from repro.dbms.database import MovingObjectDatabase
 from repro.dbms.query import Containment, classify_against_polygon
@@ -57,8 +59,14 @@ def _earliest_transition(database: MovingObjectDatabase, object_id: str,
     :data:`_REFINE_TOLERANCE`.  Conservative for the monotone-reach
     cases these queries serve; a region entered and left entirely
     between scan points can be missed, so ``step`` trades cost for
-    completeness.
+    completeness.  ``until`` must be finite and ``step`` finite and
+    positive; otherwise the scan never ends, steps backwards or stops
+    at a NaN.
     """
+    if not math.isfinite(until):
+        raise QueryError(f"query horizon must be finite, got {until}")
+    if not (step > 0 and math.isfinite(step)):
+        raise QueryError(f"scan step must be positive and finite, got {step}")
     record = database.record(object_id)
     start = max(record.attribute.starttime, database.clock_time)
     if until <= start:

@@ -147,7 +147,7 @@ class OPlane:
 
     def boxes(self, slab_minutes: float = 5.0) -> list[Box3D]:
         """Decompose the o-plane into time-slab boxes for the R-tree."""
-        if slab_minutes <= 0:
+        if not slab_minutes > 0:
             raise IndexError_(f"slab_minutes must be positive, got {slab_minutes}")
         slabs: list[tuple[float, float]] = []
         elapsed = 0.0

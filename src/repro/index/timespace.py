@@ -43,7 +43,7 @@ class TimeSpaceIndex:
 
     def __init__(self, slab_minutes: float = 5.0,
                  max_entries: int = 8, min_entries: int = 3) -> None:
-        if slab_minutes <= 0:
+        if not slab_minutes > 0:
             raise IndexError_(f"slab_minutes must be positive, got {slab_minutes}")
         self.slab_minutes = slab_minutes
         self._tree = RTree(max_entries=max_entries, min_entries=min_entries)

@@ -1,4 +1,4 @@
-"""Spatial partitionings: mapping positions and extents to shard ids.
+"""Spatial partitionings: mapping positions to shard ids.
 
 A :class:`Partitioning` divides the plane's bounding region into
 ``num_shards`` disjoint cells and assigns every point to exactly one
@@ -69,26 +69,8 @@ class Partitioning(ABC):
         """The owning shard of ``(x, y)`` (clamped into the bounds)."""
 
     @abstractmethod
-    def shards_for_rect(self, rect: Rect2D) -> tuple[int, ...]:
-        """Every shard whose cell intersects ``rect``, ascending.
-
-        Conservative for rects beyond the bounds: they clamp onto the
-        boundary cells, mirroring :meth:`shard_of_point` ownership.
-        """
-
-    @abstractmethod
-    def region_of(self, shard: int) -> Rect2D:
-        """The cell rectangle of one shard."""
-
-    @abstractmethod
     def to_spec(self) -> dict[str, Any]:
         """A JSON-safe spec that :func:`partitioning_from_spec` accepts."""
-
-    def _check_shard(self, shard: int) -> None:
-        if not 0 <= shard < self.num_shards:
-            raise ShardError(
-                f"shard id {shard} out of range [0, {self.num_shards})"
-            )
 
 
 class UniformGridPartitioning(Partitioning):
@@ -119,29 +101,6 @@ class UniformGridPartitioning(Partitioning):
 
     def shard_of_point(self, x: float, y: float) -> int:
         return self._row_of(y) * self.nx + self._column_of(x)
-
-    def shards_for_rect(self, rect: Rect2D) -> tuple[int, ...]:
-        col_lo = self._column_of(rect.min_x)
-        col_hi = self._column_of(rect.max_x)
-        row_lo = self._row_of(rect.min_y)
-        row_hi = self._row_of(rect.max_y)
-        return tuple(
-            row * self.nx + col
-            for row in range(row_lo, row_hi + 1)
-            for col in range(col_lo, col_hi + 1)
-        )
-
-    def region_of(self, shard: int) -> Rect2D:
-        self._check_shard(shard)
-        row, col = divmod(shard, self.nx)
-        cell_w = self.bounds.width / self.nx
-        cell_h = self.bounds.height / self.ny
-        return Rect2D(
-            self.bounds.min_x + col * cell_w,
-            self.bounds.min_y + row * cell_h,
-            self.bounds.min_x + (col + 1) * cell_w,
-            self.bounds.min_y + (row + 1) * cell_h,
-        )
 
     def to_spec(self) -> dict[str, Any]:
         return {
@@ -180,16 +139,15 @@ class BinarySplitPartitioning(Partitioning):
     kind = "binary_split"
 
     def __init__(self, bounds: Rect2D, root: "_SplitNode | int") -> None:
-        regions: dict[int, Rect2D] = {}
-        _collect_regions(root, bounds, regions)
-        leaf_ids = sorted(regions)
+        leaves: set[int] = set()
+        _collect_leaves(root, bounds, leaves)
+        leaf_ids = sorted(leaves)
         if leaf_ids != list(range(len(leaf_ids))):
             raise ShardError(
                 f"binary split leaves must be ids 0..n-1, got {leaf_ids}"
             )
         super().__init__(bounds, len(leaf_ids))
         self.root = root
-        self._regions = regions
 
     @classmethod
     def build(cls, bounds: Rect2D, points: Sequence[tuple[float, float]],
@@ -225,29 +183,6 @@ class BinarySplitPartitioning(Partitioning):
             coordinate = x if node.axis == 0 else y
             node = node.low if coordinate < node.cut else node.high
         return node
-
-    def shards_for_rect(self, rect: Rect2D) -> tuple[int, ...]:
-        found: list[int] = []
-        stack: list[_SplitNode | int] = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, int):
-                found.append(node)
-                continue
-            lo = rect.min_x if node.axis == 0 else rect.min_y
-            hi = rect.max_x if node.axis == 0 else rect.max_y
-            # The cut line belongs to the high side; a rect touching it
-            # from below still only reaches low cells, but coverage at
-            # the line itself must fan both ways to stay conservative.
-            if lo <= node.cut:
-                stack.append(node.low)
-            if hi >= node.cut:
-                stack.append(node.high)
-        return tuple(sorted(found))
-
-    def region_of(self, shard: int) -> Rect2D:
-        self._check_shard(shard)
-        return self._regions[shard]
 
     def to_spec(self) -> dict[str, Any]:
         return {
@@ -289,44 +224,40 @@ def _build_split(rect: Rect2D, points: list[tuple[float, float]], k: int,
             cut = quantile
     low_points = [p for p in points if p[axis] < cut]
     high_points = [p for p in points if p[axis] >= cut]
-    if axis == 0:
-        low_rect = Rect2D(rect.min_x, rect.min_y, cut, rect.max_y)
-        high_rect = Rect2D(cut, rect.min_y, rect.max_x, rect.max_y)
-    else:
-        low_rect = Rect2D(rect.min_x, rect.min_y, rect.max_x, cut)
-        high_rect = Rect2D(rect.min_x, cut, rect.max_x, rect.max_y)
+    low_rect, high_rect = _halves(rect, axis, cut)
     low = _build_split(low_rect, low_points, k_low, counter, midpoint)
     high = _build_split(high_rect, high_points, k - k_low, counter, midpoint)
     return _SplitNode(axis=axis, cut=cut, low=low, high=high)
 
 
-def _collect_regions(node: "_SplitNode | int", rect: Rect2D,
-                     regions: dict[int, Rect2D]) -> None:
+def _halves(rect: Rect2D, axis: int, cut: float) -> tuple[Rect2D, Rect2D]:
+    """``rect`` cut at ``cut`` across ``axis``: ``(low, high)``."""
+    if axis == 0:
+        return (Rect2D(rect.min_x, rect.min_y, cut, rect.max_y),
+                Rect2D(cut, rect.min_y, rect.max_x, rect.max_y))
+    return (Rect2D(rect.min_x, rect.min_y, rect.max_x, cut),
+            Rect2D(rect.min_x, cut, rect.max_x, rect.max_y))
+
+
+def _collect_leaves(node: "_SplitNode | int", rect: Rect2D,
+                    leaves: set[int]) -> None:
+    """Add the leaf ids under ``node`` to ``leaves``, rejecting a leaf
+    that appears twice, a bad axis or a cut outside its cell ``rect``."""
     if isinstance(node, int):
-        if node in regions:
+        if node in leaves:
             raise ShardError(f"binary split leaf id {node} appears twice")
-        regions[node] = rect
+        leaves.add(node)
         return
     if node.axis not in (0, 1):
         raise ShardError(f"split axis must be 0 or 1, got {node.axis!r}")
-    if node.axis == 0:
-        if not rect.min_x <= node.cut <= rect.max_x:
-            raise ShardError(
-                f"split cut {node.cut} outside cell x-range "
-                f"[{rect.min_x}, {rect.max_x}]"
-            )
-        low_rect = Rect2D(rect.min_x, rect.min_y, node.cut, rect.max_y)
-        high_rect = Rect2D(node.cut, rect.min_y, rect.max_x, rect.max_y)
-    else:
-        if not rect.min_y <= node.cut <= rect.max_y:
-            raise ShardError(
-                f"split cut {node.cut} outside cell y-range "
-                f"[{rect.min_y}, {rect.max_y}]"
-            )
-        low_rect = Rect2D(rect.min_x, rect.min_y, rect.max_x, node.cut)
-        high_rect = Rect2D(rect.min_x, node.cut, rect.max_x, rect.max_y)
-    _collect_regions(node.low, low_rect, regions)
-    _collect_regions(node.high, high_rect, regions)
+    lo, hi = ((rect.min_x, rect.max_x) if node.axis == 0
+              else (rect.min_y, rect.max_y))
+    if not lo <= node.cut <= hi:
+        raise ShardError(f"split cut {node.cut} outside cell "
+                         f"{'xy'[node.axis]}-range [{lo}, {hi}]")
+    low_rect, high_rect = _halves(rect, node.axis, node.cut)
+    _collect_leaves(node.low, low_rect, leaves)
+    _collect_leaves(node.high, high_rect, leaves)
 
 
 def _node_to_spec(node: "_SplitNode | int") -> Any:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import settings
@@ -26,6 +28,22 @@ settings.load_profile("tier1")
 def examples(count: int) -> int:
     """``count`` examples under ``tier1``, ten times as many to explore."""
     return count * settings.default.max_examples // 100
+
+
+@contextmanager
+def deadline(seconds: float):
+    """Raise ``TimeoutError`` in the block once ``seconds`` have passed,
+    so a call that would never return fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

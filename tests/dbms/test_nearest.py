@@ -87,6 +87,11 @@ class TestNearest:
         with pytest.raises(QueryError):
             db.nearest(Point(0, 0), 0, 1.0)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, float("nan"), True, "3"])
+    def test_a_non_integer_k_is_a_query_error(self, db, k):
+        with pytest.raises(QueryError, match="k must be a positive integer"):
+            db.nearest(Point(0, 0), k, 1.0)
+
     @pytest.mark.parametrize("selection", [
         {}, {"where": {"free": True}}, {"class_name": "depot"}])
     def test_equals_the_cache_free_reference(self, db, selection):

@@ -142,6 +142,8 @@ class TestBoxes:
         plane = make_plane(straight_route_10)
         with pytest.raises(IndexError_):
             plane.boxes(slab_minutes=0.0)
+        with pytest.raises(IndexError_):
+            plane.boxes(slab_minutes=float("nan"))
 
     def test_immediate_bounds_narrow_late_boxes(self, straight_route_10):
         """With Proposition-4 bounds, late slabs are not wider than the

@@ -138,6 +138,8 @@ class TestCandidates:
     def test_validation(self):
         with pytest.raises(IndexError_):
             TimeSpaceIndex(slab_minutes=0.0)
+        with pytest.raises(IndexError_):
+            TimeSpaceIndex(slab_minutes=float("nan"))
 
 
 class TestBulkBuild:

@@ -15,8 +15,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import signal
-from contextlib import contextmanager
 from pathlib import Path
 from unittest import mock
 
@@ -24,6 +22,7 @@ import pytest
 
 from repro.bench import benchmark, harness
 from repro.cli import build_parser, main
+from tests.conftest import deadline
 
 SURFACE = Path(__file__).parents[1] / "data" / "cli_surface.json"
 HOSTILE = ("nan", "inf", "0", "-1")
@@ -80,20 +79,6 @@ def numeric_options() -> list[tuple[str, str]]:
 
 CASES = [(prog, option, value) for prog, option in numeric_options()
          for value in HOSTILE]
-
-
-@contextmanager
-def deadline(seconds: float):
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module")

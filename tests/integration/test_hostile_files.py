@@ -2,11 +2,12 @@
 
 A small recorded trace and a saved snapshot are corrupted one field at
 a time — each required key dropped, one wrong-typed value, one unknown
-enum or policy name per record kind — and handed to ``repro trace
-replay`` / ``repro query``.  Each run must exit 1 with a single
-``error: ...`` line on stderr: the one decoder of each record turns the
-bad field into a :mod:`repro.errors` error, and no exception escapes
-``main``.
+enum or policy name per record kind.  A trace is handed to ``repro
+trace replay``, which must exit 1 with a single ``error: ...`` line on
+stderr.  A snapshot is read back with ``load_database`` and asked for
+one position, which must raise a :mod:`repro.errors` error: the one
+decoder of each record turns the bad field into that error, and no
+other exception escapes.
 """
 
 import copy
@@ -17,7 +18,9 @@ import pytest
 
 from repro.cli import main
 from repro.dbms.database import MovingObjectDatabase
+from repro.dbms.persistence import load_database
 from repro.dbms.schema import Mobility, ObjectClass, SpatialKind
+from repro.errors import ReproError
 from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
 from repro.shard import save_plan, uniform_grid_for
@@ -137,6 +140,22 @@ def run_failing(argv, capsys):
     return errors[0]
 
 
+def load_and_ask(path):
+    """Load the snapshot at ``path`` and ask where ``taxi-1`` is at the
+    database clock."""
+    database = load_database(str(path))
+    return database.position_of("taxi-1", database.clock_time)
+
+
+def load_failing(path):
+    """:func:`load_and_ask` must raise a :mod:`repro.errors` error with
+    a one-line message; any other exception fails the test."""
+    with pytest.raises(ReproError) as caught:
+        load_and_ask(path)
+    message = str(caught.value)
+    assert message and "\n" not in message, message
+
+
 def with_a_depot(lines):
     """``lines`` plus a stationary class, one stationary object and an
     index rebuild, recorded through the library and appended with
@@ -185,8 +204,7 @@ def test_the_uncorrupted_files_replay_and_load(recorded, tmp_path):
     assert main(["trace", "replay", str(trace)], out=io.StringIO()) == 0
     path = tmp_path / "s.json"
     path.write_text(json.dumps(snapshot))
-    assert main(["query", str(path), "POSITION OF taxi-1"],
-                out=io.StringIO()) == 0
+    assert load_and_ask(path).object_id == "taxi-1"
 
 
 _BY_LABEL = {record[0]: record for record in TRACE_RECORDS}
@@ -259,33 +277,32 @@ def test_corrupt_extent_under_a_shard_override(recorded, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("section, path, value", cases(SNAPSHOT_RECORDS))
-def test_corrupt_snapshot_record(recorded, tmp_path, capsys, section, path,
-                                 value):
+def test_corrupt_snapshot_record(recorded, tmp_path, section, path, value):
     snapshot = copy.deepcopy(recorded[1])
     mutate(snapshot[section][0], path, value)
     target = tmp_path / "hostile.json"
     target.write_text(json.dumps(snapshot, indent=1))
-    run_failing(["query", str(target), "POSITION OF taxi-1"], capsys)
+    load_failing(target)
 
 
 @pytest.mark.parametrize("key", SNAPSHOT_KEYS)
-def test_snapshot_without_a_section(recorded, tmp_path, capsys, key):
+def test_snapshot_without_a_section(recorded, tmp_path, key):
     snapshot = copy.deepcopy(recorded[1])
     del snapshot[key]
     target = tmp_path / "hostile.json"
     target.write_text(json.dumps(snapshot))
-    run_failing(["query", str(target), "POSITION OF taxi-1"], capsys)
+    load_failing(target)
 
 
 @pytest.mark.parametrize("damage", ["missing", "truncated", "not-object"])
-def test_unreadable_snapshot_file(recorded, tmp_path, capsys, damage):
+def test_unreadable_snapshot_file(recorded, tmp_path, damage):
     target = tmp_path / "hostile.json"
     text = json.dumps(recorded[1], indent=1)
     if damage == "truncated":
         target.write_text(text[: len(text) // 2])
     elif damage == "not-object":
         target.write_text(json.dumps([recorded[1]]))
-    run_failing(["query", str(target), "POSITION OF taxi-1"], capsys)
+    load_failing(target)
 
 
 @pytest.mark.parametrize("damage", ["missing", "truncated", "not-object"])

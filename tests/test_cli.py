@@ -6,6 +6,7 @@ import io
 import pytest
 
 from repro.cli import main
+from repro.dbms.persistence import load_database
 
 
 def run_cli(args):
@@ -69,31 +70,10 @@ class TestScenario:
         )
         assert code == 0
         assert "snapshot written" in output
-
-
-class TestQuery:
-    def test_query_against_snapshot(self, tmp_path):
-        path = str(tmp_path / "db.json")
-        code, _ = run_cli(
-            ["scenario", "--name", "taxi", "--size", "3",
-             "--duration", "4", "--snapshot", path]
-        )
-        assert code == 0
-        code, output = run_cli(
-            ["query", path, "RETRIEVE taxi WITHIN 50 OF (8, 8)"]
-        )
-        assert code == 0
-        assert "must:" in output
-        code, output = run_cli(["query", path, "POSITION OF taxi-1"])
-        assert code == 0
-        assert "position (" in output
-
-    def test_bad_statement_reports_error(self, tmp_path):
-        path = str(tmp_path / "db.json")
-        run_cli(["scenario", "--name", "taxi", "--size", "2",
-                 "--duration", "4", "--snapshot", path])
-        code, _ = run_cli(["query", path, "DROP TABLE taxis"])
-        assert code == 1
+        database = load_database(path)
+        answer = database.position_of("taxi-1", database.clock_time)
+        assert answer.object_id == "taxi-1"
+        assert answer.error_bound >= 0.0
 
 
 #: SHA-256 of ``report --fast`` with the E7 ``index ms/query`` column (a

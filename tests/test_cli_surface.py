@@ -48,7 +48,7 @@ def test_every_parser_keeps_its_options():
 
 def test_the_fixture_covers_all_thirteen_parsers():
     recorded = json.loads(FIXTURE.read_text(encoding="utf-8"))
-    assert len(recorded) == 1 + 13  # `repro` itself, then its parsers
+    assert len(recorded) == 1 + 12  # `repro` itself, then its twelve subparsers
 
 
 if __name__ == "__main__":
