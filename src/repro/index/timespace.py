@@ -10,9 +10,10 @@ rectangles that intersect [the new o-plane] p2."
 
 :class:`TimeSpaceIndex` realises this on top of the R-tree: each
 object's current o-plane is decomposed into slab boxes
-(:meth:`~repro.index.oplane.OPlane.boxes`) inserted under the object's
+(:meth:`~repro.index.oplane.OPlane.boxes`), and each run of consecutive
+slabs that share a rectangle is inserted as one box under the object's
 id; a position update swaps the old boxes for new ones; a query at time
-``t0`` retrieves the candidate ids whose slab boxes intersect the query
+``t0`` retrieves the candidate ids whose boxes intersect the query
 region's footprint at ``t0``.  Refinement to exact may/must answers
 happens above, in the DBMS query processor.
 """
@@ -25,9 +26,34 @@ from typing import Any
 from repro.errors import IndexError_
 from repro.geometry.bbox import Box3D, Rect2D
 from repro.index.oplane import OPlane
-from repro.index.rtree import RTree, SearchStats
+from repro.index.rtree import RTree, SearchStats, entries_digest
 from repro.obs.probe import Probe, probe
 from repro.trace.events import INDEX_INSERT, INDEX_REMOVE, INDEX_REPLACE
+
+
+def _runs(boxes: list[Box3D]) -> list[Box3D]:
+    """One box per maximal run of consecutive slab boxes that share a
+    rectangle and whose times touch, spanning the run's time.
+
+    A run's closed time span is the union of its slabs' touching closed
+    spans, so a search window meets the run exactly when it meets one of
+    its slabs: the candidate sets cannot change, only how many times a
+    payload appears in a raw search list.
+    """
+    runs: list[Box3D] = []
+    first = last = None
+    for box in [*boxes, None]:  # None closes the last run
+        if (box is not None and last is not None and last.max_t == box.min_t
+                and last.min_x == box.min_x and last.min_y == box.min_y
+                and last.max_x == box.max_x and last.max_y == box.max_y):
+            last = box
+            continue
+        if first is not None and last is not None:
+            runs.append(first if first is last else Box3D(
+                first.min_x, first.min_y, first.min_t,
+                first.max_x, first.max_y, last.max_t))
+        first = last = box
+    return runs
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,7 +102,7 @@ class TimeSpaceIndex:
         """Build an index over many o-planes at once (STR packing).
 
         The cold-start path (snapshot load, index rebuild): decompose
-        every plane into slab boxes and bulk-load the R-tree, which is
+        every plane into slab runs and bulk-load the R-tree, which is
         an order of magnitude faster than inserting one plane at a time.
         """
         index = cls(slab_minutes=slab_minutes, max_entries=max_entries,
@@ -86,7 +112,7 @@ class TimeSpaceIndex:
             boxes = plane.boxes(slab_minutes)
             index._planes[object_id] = plane
             index._boxes[object_id] = boxes
-            items.extend((box, object_id) for box in boxes)
+            items.extend((run, object_id) for run in _runs(boxes))
         index._tree = RTree.bulk_load(
             items, max_entries=max_entries, min_entries=min_entries
         )
@@ -103,7 +129,7 @@ class TimeSpaceIndex:
                 "slab_minutes": self.slab_minutes}
 
     def insert(self, object_id: str, plane: OPlane) -> int:
-        """Index a new object's o-plane; returns the box count."""
+        """Index a new object's o-plane; returns the stored box count."""
         inserted = self._insert_boxes(object_id, plane)
         p = probe()
         if p.enabled:
@@ -121,11 +147,12 @@ class TimeSpaceIndex:
             )
         if boxes is None:
             boxes = plane.boxes(self.slab_minutes)
-        for box in boxes:
-            self._tree.insert(box, object_id)
+        runs = _runs(boxes)
+        for run in runs:
+            self._tree.insert(run, object_id)
         self._planes[object_id] = plane
         self._boxes[object_id] = boxes
-        return len(boxes)
+        return len(runs)
 
     def remove(self, object_id: str) -> int:
         """Drop an object from the index; returns removed box count."""
@@ -141,15 +168,15 @@ class TimeSpaceIndex:
         """Remove without publishing metrics (replace publishes once)."""
         if object_id not in self._planes:
             raise IndexError_(f"object {object_id!r} is not indexed")
-        boxes = self._boxes.pop(object_id)
+        runs = _runs(self._boxes.pop(object_id))
         del self._planes[object_id]
         removed = 0
-        for box in boxes:
-            if self._tree.delete(box, object_id):
+        for run in runs:
+            if self._tree.delete(run, object_id):
                 removed += 1
-        if removed != len(boxes):
+        if removed != len(runs):
             raise IndexError_(
-                f"index corruption: expected to remove {len(boxes)} boxes "
+                f"index corruption: expected to remove {len(runs)} boxes "
                 f"for {object_id!r}, removed {removed}"
             )
         return removed
@@ -198,12 +225,27 @@ class TimeSpaceIndex:
         )
 
     def content_digest(self) -> str:
-        """Digest of the underlying R-tree's content (replay checks)."""
-        return self._tree.content_digest()
+        """Digest of the R-tree's content in slab units (replay checks).
+
+        Each stored run is read back from the tree and expanded into the
+        object's slab boxes it covers (same rectangle, time inside the
+        run), so the digest equals that of a tree holding one box per
+        slab, and a lost or extra tree entry still changes it.
+        """
+        return entries_digest(
+            (slab, object_id)
+            for run, object_id in self._tree.items()
+            for slab in [
+                box for box in self._boxes.get(object_id, ())
+                if run.min_t <= box.min_t and box.max_t <= run.max_t
+                and box.min_x == run.min_x and box.min_y == run.min_y
+                and box.max_x == run.max_x and box.max_y == run.max_y
+            ] or [run]
+        )
 
     def candidates_at(self, region: Rect2D, t: float,
                       stats: SearchStats | None = None) -> set[str]:
-        """Object ids whose slab boxes intersect ``region`` at time ``t``.
+        """Object ids whose boxes intersect ``region`` at time ``t``.
 
         This is the sublinear retrieval step: the ids come back as a
         set because an o-plane may contribute several matching boxes.
@@ -233,7 +275,7 @@ class TimeSpaceIndex:
         return list(self._planes)
 
     def total_boxes(self) -> int:
-        """Total number of slab boxes stored."""
+        """Total number of boxes (slab runs) stored in the tree."""
         return len(self._tree)
 
 __all__ = [

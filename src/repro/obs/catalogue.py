@@ -119,13 +119,17 @@ CATALOGUE: dict[str, Metric] = {
         HISTOGRAM, "Queries sharing each node visit of a batched "
                    "traversal (mean per batch).", COUNT_BUCKETS),
     "index_boxes_inserted_total": Metric(
-        COUNTER, "Slab boxes inserted into the time-space index."),
+        COUNTER, "Boxes inserted into the time-space index (one per run "
+                 "of slabs sharing a rectangle)."),
     "index_boxes_removed_total": Metric(
-        COUNTER, "Slab boxes removed from the time-space index."),
+        COUNTER, "Boxes removed from the time-space index (one per run "
+                 "of slabs sharing a rectangle)."),
     "index_replace_skipped_total": Metric(
         COUNTER, "Replaces skipped because slab boxes were unchanged."),
     "index_objects": Metric(GAUGE, "Objects currently indexed."),
-    "index_slab_boxes": Metric(GAUGE, "Slab boxes currently stored."),
+    "index_slab_boxes": Metric(
+        GAUGE, "Boxes currently stored: one per run of slabs sharing a "
+               "rectangle."),
     # -- shard: the partitioned index --------------------------------------
     "shard_query_fanout": Metric(
         HISTOGRAM, "Shards answering a query window with a candidate.",

@@ -7,7 +7,10 @@ polygon classifier also runs with no rectangle shortcut — answered as
 one batch and one at a time.  The digests below were taken from the
 tree *before* the segment screens, the float-local R-tree search and
 ``Route.interval_rect`` existed (commit 39d8818): those changes may skip
-work, never move an answer or a stored box.
+work, never move an answer or a stored box.  The index literals hold
+slab boxes: the tree stores one box per run of slabs sharing a
+rectangle, and ``content_digest()`` expands each run back into its
+slabs before hashing, so the literals still apply.
 """
 
 from __future__ import annotations

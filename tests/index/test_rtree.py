@@ -22,6 +22,17 @@ class TestConstruction:
         with pytest.raises(IndexError_):
             RTree(max_entries=8, min_entries=0)
 
+    @pytest.mark.parametrize("tuning", [
+        {"max_entries": "8"}, {"max_entries": 8.0}, {"max_entries": True},
+        {"min_entries": 1.5}, {"min_entries": "3"}, {"min_entries": True},
+        {"max_entries": float("nan")}, {"min_entries": None},
+    ])
+    def test_fanout_must_be_an_int(self, tuning):
+        with pytest.raises(IndexError_, match="must be an int"):
+            RTree(**tuning)
+        with pytest.raises(IndexError_, match="must be an int"):
+            RTree.bulk_load([(box(0, 0, 0), "a")], **tuning)
+
     def test_empty_tree(self):
         tree = RTree()
         assert len(tree) == 0

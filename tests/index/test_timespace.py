@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.bounds import delayed_linear_bounds
 from repro.core.position import PositionAttribute
+from repro.dbms.database import MovingObjectDatabase
 from repro.errors import IndexError_
 from repro.geometry.bbox import Rect2D
 from repro.index.oplane import OPlane
@@ -140,6 +141,16 @@ class TestCandidates:
             TimeSpaceIndex(slab_minutes=0.0)
         with pytest.raises(IndexError_):
             TimeSpaceIndex(slab_minutes=float("nan"))
+
+    @pytest.mark.parametrize("tuning", [
+        {"max_entries": "8"}, {"max_entries": False}, {"min_entries": 1.5},
+    ])
+    def test_fanout_must_be_an_int(self, tuning):
+        with pytest.raises(IndexError_, match="must be an int"):
+            TimeSpaceIndex(**tuning)
+        database = MovingObjectDatabase()
+        with pytest.raises(IndexError_, match="must be an int"):
+            database.rebuild_index(**tuning)
 
 
 class TestBulkBuild:

@@ -79,16 +79,19 @@ class TestScenario:
 #: SHA-256 of ``report --fast`` with the E7 ``index ms/query`` column (a
 #: wall-clock reading) dropped: a change that moves a printed digit must
 #: update it on purpose, with the masked report's diff as the review
-#: artefact.  It has moved three times: when grid routes became
+#: artefact.  It has moved four times: when grid routes became
 #: constructed and the horizon integral exact (E7, E8, E12, E19 and E13's
 #: step row; ``c5038500...`` -> ``c0a41dbe...``), when E20 became the
-#: fan-out the partitioned index measures, and when that fan-out became
-#: the shards answering a window, not the shards it was routed to
-#: (``246ff664...`` -> ``8f71e1e9...``; both the ``[E20]`` block only).
+#: fan-out the partitioned index measures, when that fan-out became the
+#: shards answering a window, not the shards it was routed to
+#: (``246ff664...`` -> ``8f71e1e9...``; both the ``[E20]`` block only),
+#: and when the time-space index began storing one box per run of slabs
+#: sharing a rectangle (E12's boxes and nodes, E19's boxes and entries
+#: tested; ``8f71e1e9...`` -> ``00e09648...``).
 #: ``report_masked_sha256`` in ``benchmarks/e2e/results/pr11.json`` keeps
 #: the oldest ``c5038500...`` as history.
 FAST_REPORT_MASKED_SHA256 = (
-    "8f71e1e9c835eacca865d176da579ee598a388b356083b75b216517dd71ef4ba"
+    "00e096484cdc8a6842518672b36fc627ee74bd306507dd0c193e901908230b66"
 )
 
 
