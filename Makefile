@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint bench bench-harness report report-fast examples clean
+.PHONY: install test lint bench report report-fast examples clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -28,9 +28,6 @@ lint:
 
 bench:
 	PYTHONPATH=src $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
-bench-harness:
-	PYTHONPATH=src $(PYTHON) -m repro bench run --fast
 
 report:
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.runner

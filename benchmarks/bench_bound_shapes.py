@@ -7,16 +7,8 @@ peak], in the absence of an update, the bound ... decreases as time
 progresses.  This is a surprising positive result."
 """
 
-from repro.bench import benchmark as register_benchmark
 from repro.core.bounds import immediate_linear_bounds
 from repro.experiments.figures import figure_bound_shapes
-
-
-@register_benchmark("core.bound_eval", group="core")
-def harness_bound_eval():
-    """Evaluate the immediate-linear bound at 60 elapsed times."""
-    bounds = immediate_linear_bounds(1.0, 1.5, 5.0)
-    return lambda: [bounds.total(t * 0.25) for t in range(60)]
 
 
 def test_bound_shapes(benchmark):

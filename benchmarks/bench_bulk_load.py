@@ -8,7 +8,6 @@ and comparable per-query work.
 
 import random
 
-from repro.bench import benchmark as register_benchmark
 from repro.geometry.bbox import Box3D
 from repro.index.rtree import RTree, SearchStats
 
@@ -26,12 +25,6 @@ def _items(count, seed):
 
 
 ITEMS = _items(1500, seed=21)
-
-
-@register_benchmark("rtree.bulk_load_1500", group="rtree")
-def harness_bulk_load():
-    """STR-pack 1500 boxes into a fresh R-tree."""
-    return lambda: RTree.bulk_load(ITEMS)
 
 
 def test_bench_bulk_load(benchmark):

@@ -7,26 +7,10 @@ small fraction of a second so the full sweeps stay laptop-friendly.
 
 import random
 
-from repro.bench import benchmark as register_benchmark
 from repro.core.policies import make_policy
 from repro.sim.engine import simulate_trip
 from repro.sim.speed_curves import CityCurve, HighwayCurve
 from repro.sim.trip import Trip
-
-
-@register_benchmark("engine.hour_trip", group="engine")
-def harness_hour_trip():
-    """One-hour city trip at one-second ticks under ail (C=5)."""
-    trip = Trip.synthetic(CityCurve(60.0, random.Random(7)))
-    policy = make_policy("ail", 5.0)
-    return lambda: simulate_trip(trip, policy, dt=1.0 / 60.0)
-
-
-@register_benchmark("engine.trip_construction", group="engine")
-def harness_trip_construction():
-    """Curve integration cost (dominates fleet set-up)."""
-    rng = random.Random(8)
-    return lambda: Trip.synthetic(HighwayCurve(60.0, rng))
 
 
 def test_bench_hour_trip_one_second_ticks(benchmark):
@@ -55,7 +39,7 @@ def test_bench_series_recording_overhead(benchmark):
     What recording adds to ``test_bench_hour_trip``'s kind of run: a
     reckoned-travel buffer, three tile copies a window and the
     ``tolist()`` of 3600 rows.  (Not a reference-loop timing: the
-    kernel returns the series.)  No ``baselines/bench-fast.json`` row.
+    kernel returns the series.)
     """
     trip = Trip.synthetic(HighwayCurve(60.0, random.Random(9)))
     result = benchmark(

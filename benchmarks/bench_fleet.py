@@ -3,11 +3,10 @@ layer of the end-to-end ledger (``benchmarks/e2e``).
 
 A fleet runs once, so every timed call needs a fleet that has not run.
 The expensive part of building one — routes and speed curves — is done
-once; the factory then registers the same trips with as many fresh
-databases as the harness will time, and each call runs the next one.
+once; ``unrun_fleets`` then registers the same trips with as many fresh
+databases as there are timed rounds, and each round runs the next one.
 """
 
-from repro.bench import benchmark as register_benchmark
 from repro.core.policies import make_policy
 from repro.dbms.database import MovingObjectDatabase
 from repro.index.timespace import TimeSpaceIndex
@@ -15,7 +14,6 @@ from repro.sim.fleet import FleetSimulation
 from repro.workloads.scenarios import taxi_fleet_scenario
 
 DT = 1.0 / 30.0
-WARMUP, REPEAT = 1, 5
 
 
 def unrun_fleets(count, num_vehicles=200, duration=10.0):
@@ -34,15 +32,8 @@ def unrun_fleets(count, num_vehicles=200, duration=10.0):
     return fleets
 
 
-@register_benchmark("fleet.run_200", group="fleet",
-                    warmup=WARMUP, repeat=REPEAT)
-def harness_fleet_run_200():
-    """200 ail vehicles, 10 min at dt = 1/30, into a TimeSpaceIndex."""
-    fleets = unrun_fleets(WARMUP + REPEAT)
-    return lambda: fleets.pop().run()
-
-
 def test_bench_fleet_run_200(benchmark):
+    """200 ail vehicles, 10 min at dt = 1/30, into a TimeSpaceIndex."""
     fleets = unrun_fleets(4)
     counts = benchmark.pedantic(lambda: fleets.pop().run(), rounds=4)
     assert sum(counts.values()) > 0

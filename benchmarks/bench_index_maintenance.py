@@ -7,18 +7,7 @@ intersect [the new o-plane]."  Measures the cost of that swap and
 checks the tree survives a full fleet run with invariants intact.
 """
 
-from repro.bench import benchmark as register_benchmark
 from repro.experiments.indexing import _build_fleet, experiment_index_maintenance
-
-
-@register_benchmark("index.oplane_swap", group="index")
-def harness_oplane_swap():
-    """One o-plane remove+insert swap on a live 100-object index."""
-    built = _build_fleet(100, seed=14, maintained=True)
-    index = built.database._index
-    object_id = built.database.object_ids()[0]
-    plane = built.database.oplane_of(object_id)
-    return lambda: index.replace(object_id, plane, force=True)
 
 
 def test_index_maintenance(benchmark):

@@ -10,21 +10,9 @@ everything by construction.
 
 import random
 
-from repro.bench import benchmark as register_benchmark
 from repro.experiments.indexing import _build_fleet, experiment_index_sublinearity
 from repro.index.rtree import SearchStats
 from repro.workloads.query_workloads import polygon_query_workload
-
-
-@register_benchmark("index.range_query", group="index")
-def harness_indexed_range_query():
-    """One indexed polygon range query against a 200-object fleet."""
-    built = _build_fleet(200, seed=6)
-    rng = random.Random(1)
-    polygon = polygon_query_workload(built.network, rng, 1,
-                                     side_miles=(1.5, 1.5))[0]
-    t = built.end_time
-    return lambda: built.database.range_query(polygon, t)
 
 
 def test_index_sublinearity(benchmark):

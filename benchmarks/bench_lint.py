@@ -2,15 +2,12 @@
 
 Not a paper artefact — advisory evidence that the paper-invariant
 lint run (per-file rules and the whole-program rules, one run) stays
-cheap enough to gate CI and pre-commit runs.  The cases ride the
-unified harness (``repro bench run``) and have entries in the
-committed fast baseline; a case missing from a baseline compares as
-"new" and never fails the regression gate.
+cheap enough to gate CI and pre-commit runs.  ``pytest
+benchmarks/bench_lint.py --benchmark-only`` times both kernels.
 """
 
 from pathlib import Path
 
-from repro.bench import benchmark as register_benchmark
 from repro.lint import Config, lint_paths, lint_source
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -32,39 +29,27 @@ _SYNTHETIC_MODULE = (
 )
 
 
-@register_benchmark("lint.src_repro", group="lint")
-def harness_lint_src():
+def lint_src():
     """One full lint run (every rule, the call graph included) over
     the src/repro tree."""
-    config = Config(root=REPO_ROOT)
-    target = REPO_ROOT / "src" / "repro"
-
-    def run():
-        return lint_paths([target], config)
-
-    return run
+    return lint_paths([REPO_ROOT / "src" / "repro"], Config(root=REPO_ROOT))
 
 
-@register_benchmark("lint.single_module_x100", group="lint")
-def harness_lint_single_module():
+def lint_single_module_x100():
     """Re-lint one dirty in-memory module 100 times (parse + rules)."""
-
-    def run():
-        total = 0
-        for _ in range(100):
-            report = lint_source(_SYNTHETIC_MODULE, "sim/synthetic.py")
-            total += len(report.findings)
-        return total
-
-    return run
+    total = 0
+    for _ in range(100):
+        report = lint_source(_SYNTHETIC_MODULE, "sim/synthetic.py")
+        total += len(report.findings)
+    return total
 
 
-def test_lint_src_kernel_runs():
-    report = harness_lint_src()()
+def test_lint_src_kernel_runs(benchmark):
+    report = benchmark.pedantic(lint_src, rounds=3)
     assert report.files > 0
     assert report.findings == []
 
 
-def test_single_module_kernel_counts_findings():
+def test_single_module_kernel_counts_findings(benchmark):
     # RPR101 + RPR102 + RPR302 per pass.
-    assert harness_lint_single_module()() == 100 * 3
+    assert benchmark(lint_single_module_x100) == 100 * 3

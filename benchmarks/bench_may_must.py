@@ -9,19 +9,8 @@ outside the may-set is inside — zero violations.
 
 import random
 
-from repro.bench import benchmark as register_benchmark
 from repro.experiments.indexing import _build_fleet, experiment_may_must_correctness
 from repro.workloads.query_workloads import polygon_query_workload
-
-
-@register_benchmark("index.may_must_classify", group="index")
-def harness_may_must_classify():
-    """Classify one range query (may/must sets) on an 80-object fleet."""
-    built = _build_fleet(80, seed=10)
-    rng = random.Random(2)
-    polygon = polygon_query_workload(built.network, rng, 1)[0]
-    t = built.end_time
-    return lambda: built.database.range_query(polygon, t)
 
 
 def test_may_must_correctness(benchmark):

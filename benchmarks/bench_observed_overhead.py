@@ -21,9 +21,9 @@ A gate rides along (``pytest benchmarks/bench_observed_overhead.py``):
 with the flight recorder on, the serve workload stays within 10 % of
 plain (1 001 events, each answer SHA-256-digested).  It takes the best
 *paired* ratio over interleaved rounds with GC paused, so machine drift hits both legs of a
-round alike.  The registered harness cases (``repro bench run``) keep
-their names from the three scripts this one replaces and run a
-scaled-down serve workload.
+round alike.  ``pytest benchmarks/bench_observed_overhead.py
+--benchmark-only`` times four cases, named after the three scripts this
+one replaces; the two serve cases run a scaled-down workload.
 """
 
 import gc
@@ -32,7 +32,6 @@ import time
 
 import pytest
 
-from repro.bench import benchmark as register_benchmark, get_case
 from repro.core.policies import make_policy
 from repro.dbms.batch import BatchQueryEngine
 from repro.dbms.database import MovingObjectDatabase
@@ -51,7 +50,7 @@ DT = 1.0 / 60.0
 #: The acceptance workload: 500 objects, 1 000 queries.
 NUM_OBJECTS = 500
 NUM_QUERIES = 1000
-#: Scaled-down workload for the registered harness cases.
+#: Scaled-down workload for the timed serve cases.
 FAST_OBJECTS = 120
 FAST_QUERIES = 240
 QUERY_TIMES = (8.0, 10.0, 12.0)
@@ -101,7 +100,7 @@ def serve_workload(num_objects=NUM_OBJECTS, num_queries=NUM_QUERIES):
 
 
 def fast_serve_workload():
-    """The serve workload scaled down for the harness."""
+    """The serve workload scaled down for the timed cases."""
     return serve_workload(FAST_OBJECTS, FAST_QUERIES)
 
 
@@ -168,23 +167,11 @@ def overhead_rows(workloads=None, budget=0.5):
 
 
 def case(workload, sink=None):
-    """A harness factory: ``workload`` plain, or under one sink."""
+    """A kernel factory: ``workload`` plain, or under one sink."""
     def factory():
         return under(workload(), **({sink: True} if sink else {}))
 
-    factory.__doc__ = (f"{workload.__name__}, "
-                       + (f"under a {sink}" if sink else "nothing installed"))
     return factory
-
-
-# The names (and disciplines) the three replaced scripts registered.
-register_benchmark("obs.noop_registry", group="obs")(case(trip_workload))
-register_benchmark("obs.live_registry", group="obs")(
-    case(trip_workload, "registry"))
-for _name, _sink in (("trace.null_recorder", None),
-                     ("trace.live_recorder", "recorder")):
-    register_benchmark(_name, group=_name.split(".")[0], warmup=1,
-                       repeat=3)(case(fast_serve_workload, _sink))
 
 
 @pytest.fixture(scope="module")
@@ -220,12 +207,15 @@ def test_recorder_overhead_gates(serve_kernel):
         f"recorder-on overhead {overhead * 100:.2f}% exceeds 10%")
 
 
-@pytest.mark.parametrize("name", [
-    "obs.noop_registry", "obs.live_registry", "trace.null_recorder",
-    "trace.live_recorder"])
-def test_bench_registered_case(benchmark, name):
-    """``pytest benchmarks/ --benchmark-only`` times the harness cases."""
-    assert benchmark(get_case(name).factory()) is not None
+@pytest.mark.parametrize("factory", [
+    pytest.param(case(trip_workload), id="obs.noop_registry"),
+    pytest.param(case(trip_workload, "registry"), id="obs.live_registry"),
+    pytest.param(case(fast_serve_workload), id="trace.null_recorder"),
+    pytest.param(case(fast_serve_workload, "recorder"),
+                 id="trace.live_recorder")])
+def test_bench_registered_case(benchmark, factory):
+    """Each workload timed plain or under one sink."""
+    assert benchmark(factory()) is not None
 
 
 def test_every_pairing_runs_and_reports_a_ratio():

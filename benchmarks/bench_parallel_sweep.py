@@ -32,7 +32,6 @@ import json
 import sys
 from time import perf_counter
 
-from repro.bench import benchmark as register_benchmark
 from repro.core.policies import make_policy
 from repro.exec import SweepExecutor
 from repro.experiments.sweep import SweepSpec, build_curves
@@ -46,21 +45,6 @@ MIN_SPEEDUP = 2.0
 def fast_spec() -> SweepSpec:
     return SweepSpec(update_costs=(1.0, 5.0, 20.0), num_curves=4,
                      duration=15.0, dt=1.0 / 30.0)
-
-
-@register_benchmark("sweep.legacy_serial", group="sweep")
-def harness_legacy_serial():
-    """The per-cell sweep loop on the fast grid (a grid and a batch of
-    one per cell)."""
-    spec = fast_spec()
-    return lambda: legacy_serial_sweep(spec)
-
-
-@register_benchmark("sweep.executor_serial", group="sweep")
-def harness_executor_serial():
-    """SweepExecutor(jobs=1) on the fast grid: shared grids, fused passes."""
-    spec = fast_spec()
-    return lambda: SweepExecutor(jobs=1).run(spec)
 
 
 def legacy_serial_sweep(spec: SweepSpec):

@@ -57,8 +57,6 @@ from repro.obs import MetricsRegistry, use_registry
 from repro.routes.generators import grid_city_network
 from repro.workloads.query_workloads import mixed_query_workload
 
-from repro.bench import benchmark as register_benchmark
-
 #: Query instants — a serving workload clusters around "now".
 QUERY_TIMES = (10.0, 12.5, 15.0)
 UPDATE_TIME = 5.0
@@ -118,26 +116,6 @@ def build_workload(num_queries: int, object_ids: list[str], seed: int):
     return mixed_query_workload(
         network, rng, num_queries, object_ids, QUERY_TIMES,
     )
-
-
-def _harness_workload():
-    database, object_ids = build_database(60, 4, seed=1998)
-    queries = build_workload(150, object_ids, seed=1998)
-    return database, queries
-
-
-@register_benchmark("query_batch.sequential", group="query_batch")
-def harness_sequential_queries():
-    """One database call per query (each a batch of one)."""
-    database, queries = _harness_workload()
-    return lambda: run_sequential(database, queries)
-
-
-@register_benchmark("query_batch.batched", group="query_batch")
-def harness_batched_queries():
-    """One BatchQueryEngine.run over the same mixed workload."""
-    database, queries = _harness_workload()
-    return lambda: BatchQueryEngine(database).run(queries)
 
 
 def reference_answers(database: MovingObjectDatabase, queries) -> list:

@@ -8,7 +8,6 @@ import random
 
 import pytest
 
-from repro.bench import benchmark as register_benchmark
 from repro.geometry.bbox import Box3D
 from repro.index.rtree import RTree
 
@@ -35,51 +34,6 @@ def _load_tree(count=2000, seed=1):
 @pytest.fixture(scope="module")
 def loaded_tree():
     return _load_tree()
-
-
-@register_benchmark("rtree.insert_500", group="rtree")
-def harness_rtree_insert():
-    """Build a 500-entry R-tree one insert at a time."""
-    boxes = _random_boxes(500, seed=2)
-
-    def build():
-        tree = RTree()
-        for i, box in enumerate(boxes):
-            tree.insert(box, i)
-        return tree
-
-    return build
-
-
-@register_benchmark("rtree.delete_500", group="rtree")
-def harness_rtree_delete():
-    """Delete 500 of a 2000-entry tree's entries, then put them back.
-
-    Delete + CondenseTree is half of every o-plane swap.  The reinsert
-    restores the entry count (so every repeat does comparable work),
-    which makes this row delete + insert: read it against
-    ``rtree.insert_500``.
-    """
-    boxes = _random_boxes(2000, seed=1)
-    tree = _load_tree()
-    victims = random.Random(5).sample(range(len(boxes)), 500)
-
-    def churn():
-        for i in victims:
-            assert tree.delete(boxes[i], i)
-        for i in victims:
-            tree.insert(boxes[i], i)
-        return len(tree)
-
-    return churn
-
-
-@register_benchmark("rtree.search_100_windows", group="rtree")
-def harness_rtree_search():
-    """100 window queries against a loaded 2000-entry tree."""
-    tree = _load_tree()
-    windows = _random_boxes(100, seed=3)
-    return lambda: sum(len(tree.search(w)) for w in windows)
 
 
 def test_bench_insert(benchmark):

@@ -38,7 +38,6 @@ import random
 import sys
 from time import perf_counter
 
-from repro.bench import benchmark as register_benchmark
 from repro.core.policies import make_policy
 from repro.dbms.batch import BatchQueryEngine
 from repro.dbms.database import MovingObjectDatabase
@@ -133,27 +132,6 @@ def merged_digest(answers) -> str:
     for answer in answers:
         rollup.update(answer_digest(answer).encode("ascii"))
     return rollup.hexdigest()
-
-
-def _harness_fixtures():
-    single, object_ids = build_single(150, seed=1998)
-    sharded, _ = build_sharded(150, 4, seed=1998)
-    queries = build_workload(400, object_ids, seed=1998)
-    return single, sharded, queries
-
-
-@register_benchmark("shard.single_batch", group="shard")
-def harness_single_batch():
-    """One BatchQueryEngine.run over the monolithic database."""
-    single, _, queries = _harness_fixtures()
-    return lambda: BatchQueryEngine(single).run(queries)
-
-
-@register_benchmark("shard.sharded_serial", group="shard")
-def harness_sharded_serial():
-    """One BatchQueryEngine.run over the partitioned index."""
-    _, sharded, queries = _harness_fixtures()
-    return lambda: BatchQueryEngine(sharded).run(queries)
 
 
 def timed(fn):

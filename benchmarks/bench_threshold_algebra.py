@@ -5,19 +5,8 @@ Checks (1) ``k_opt(a, b) <= k_opt(a, 0)`` over a parameter grid, and
 incomparable — adversarial speed curves push the count either way.
 """
 
-from repro.bench import benchmark as register_benchmark
 from repro.core.thresholds import optimal_update_threshold
 from repro.experiments.tables import table_threshold_algebra
-
-
-@register_benchmark("core.threshold_grid", group="core")
-def harness_threshold_grid():
-    """k_opt over the 29x30 (a, b) parameter grid."""
-    return lambda: [
-        optimal_update_threshold(a / 10.0, b / 10.0, 5.0)
-        for a in range(1, 30)
-        for b in range(0, 30)
-    ]
 
 
 def test_threshold_algebra(benchmark):

@@ -39,7 +39,6 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-from repro.bench import benchmark as register_benchmark
 from repro.core.cost import StepDeviationCost
 from repro.core.policies import make_policy
 from repro.exec import TickGrid
@@ -143,27 +142,6 @@ def per_cost_metrics(batch: VecTripBatch) -> list:
         for result in simulate_batch(batch, make_policy("dl", cost),
                                      collect_events=False)
     ]
-
-
-@register_benchmark("vec.batch_pack", group="vec")
-def harness_batch_pack():
-    """VecTripBatch.from_grids packing a 256-vehicle fleet."""
-    grids = build_fleet(FAST_VEHICLES, FAST_UNIQUE)
-    return lambda: VecTripBatch.from_grids(grids)
-
-
-@register_benchmark("vec.sim_batch", group="vec")
-def harness_sim_batch():
-    """Vectorized dl sweep (pack + simulate) on a 256-vehicle fleet."""
-    grids = build_fleet(FAST_VEHICLES, FAST_UNIQUE)
-    return lambda: vectorized_metrics(grids)
-
-
-@register_benchmark("vec.sim_batch_costs", group="vec")
-def harness_sim_batch_costs():
-    """One fused pass over six update costs on the 256-vehicle fleet."""
-    batch = VecTripBatch.from_grids(build_fleet(FAST_VEHICLES, FAST_UNIQUE))
-    return lambda: fused_metrics(batch)
 
 
 def timed(fn, repeat: int = 1):

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Seven commands cover the library's day-one workflows:
+Six commands cover the library's day-one workflows:
 
 * ``report [--fast]`` — regenerate the full reproduction report
   (every paper table/figure plus the extension experiments); with
@@ -12,9 +12,6 @@ Seven commands cover the library's day-one workflows:
   tracer, issue range queries against the running database, and emit
   the metric snapshot (Prometheus text and/or JSONL, plus an optional
   span trace),
-* ``bench`` — the unified benchmark harness (:mod:`repro.bench`):
-  ``list`` the registered cases, ``run`` them with baseline regression
-  gating and ``BENCH_<group>.json`` trajectory artifacts,
 * ``trace`` — the workload flight recorder (:mod:`repro.trace`):
   ``record`` a scenario + query workload as schema-versioned JSONL,
   ``replay`` it against a fresh database verifying byte-identical
@@ -370,113 +367,6 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _bench_cases(args: argparse.Namespace):
-    from repro.bench import load_directory, registered_cases
-
-    load_directory(args.dir)
-    cases = registered_cases()
-    if args.filter:
-        cases = [c for c in cases
-                 if args.filter in c.name or args.filter in c.group]
-    return cases
-
-
-def _cmd_bench_list(args: argparse.Namespace, out: TextIO) -> int:
-    cases = _bench_cases(args)
-    if not cases:
-        print("no registered benchmarks matched", file=out)
-        return 1
-    width = max(len(c.name) for c in cases)
-    for case in cases:
-        print(f"{case.name:<{width}}  [{case.group}]  {case.description}",
-              file=out)
-    print(f"{len(cases)} benchmark(s) registered", file=out)
-    return 0
-
-
-def _cmd_bench_run(args: argparse.Namespace, out: TextIO) -> int:
-    from pathlib import Path
-
-    from repro.bench import (
-        check_tolerance,
-        compare,
-        default_baseline_path,
-        load_baseline,
-        regressions,
-        run_benchmarks,
-        same_machine,
-        write_results,
-    )
-
-    check_tolerance(args.tolerance)
-    cases = _bench_cases(args)
-    if not cases:
-        print("error: no registered benchmarks matched", file=sys.stderr)
-        return 1
-
-    document = run_benchmarks(
-        cases, fast=args.fast,
-        progress=lambda name: print(f"running {name} ...", file=out),
-    )
-    width = max(len(r["name"]) for r in document["results"])
-    print(f"\n{'benchmark':<{width}}  {'min_s':>10}  {'median_s':>10}  "
-          f"{'stddev_s':>10}", file=out)
-    for result in document["results"]:
-        print(f"{result['name']:<{width}}  {result['min_s']:>10.6f}  "
-              f"{result['median_s']:>10.6f}  {result['stddev_s']:>10.6f}",
-              file=out)
-
-    if args.json_out is not None:
-        write_results(document, args.json_out)
-        print(f"results written to {args.json_out}", file=out)
-
-    if args.artifacts_dir is not None:
-        groups = sorted({r["group"] for r in document["results"]})
-        for group in groups:
-            artifact = {
-                **document,
-                "results": [r for r in document["results"]
-                            if r["group"] == group],
-            }
-            path = Path(args.artifacts_dir) / f"BENCH_{group}.json"
-            write_results(artifact, path)
-        print(f"{len(groups)} BENCH_<group>.json trajectory artifact(s) "
-              f"written to {args.artifacts_dir}", file=out)
-
-    if args.update_baseline:
-        baseline_path = (Path(args.baseline) if args.baseline is not None
-                         else default_baseline_path(args.dir, args.fast))
-        write_results(document, baseline_path)
-        print(f"baseline updated: {baseline_path}", file=out)
-        return 0
-
-    baseline_path = (Path(args.baseline) if args.baseline is not None
-                     else default_baseline_path(args.dir, args.fast))
-    if not baseline_path.is_file():
-        print(f"no baseline at {baseline_path}; comparison skipped "
-              f"(run with --update-baseline to create one)", file=out)
-        return 0
-
-    baseline = load_baseline(baseline_path)
-    if not same_machine(document["environment"], baseline["environment"]):
-        print("note: baseline was recorded on a different environment; "
-              "cross-machine comparison is advisory — use a generous "
-              "--tolerance or --advisory", file=out)
-    comparisons = compare(document, baseline, tolerance=args.tolerance)
-    for comparison in comparisons:
-        if comparison.status != "ok":
-            print(comparison.describe(), file=out)
-    failures = regressions(comparisons)
-    if failures and not args.advisory:
-        print(f"FAIL: {len(failures)} benchmark(s) regressed beyond "
-              f"{args.tolerance}x of {baseline_path}", file=sys.stderr)
-        return 1
-    label = "advisory: " if args.advisory and failures else ""
-    print(f"{label}baseline check passed for {len(comparisons)} case(s) "
-          f"(tolerance {args.tolerance}x)", file=out)
-    return 0
-
-
 def _cmd_lint(args: argparse.Namespace, out: TextIO) -> int:
     from repro.lint import (
         Config,
@@ -694,51 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument("--list-rules", action="store_true",
                       help="print the registered rules and exit")
     lint.set_defaults(func=_cmd_lint)
-
-    bench = sub.add_parser(
-        "bench", help="run the unified benchmark harness"
-    )
-    bench_sub = bench.add_subparsers(dest="bench_command", required=True)
-
-    def common_bench_args(p):
-        p.add_argument("--dir", default="benchmarks",
-                       help="directory of bench_*.py scripts to load")
-        p.add_argument("--filter", default=None,
-                       help="only cases whose name or group contains this "
-                            "substring")
-
-    bench_list = bench_sub.add_parser(
-        "list", help="list the registered benchmark cases"
-    )
-    common_bench_args(bench_list)
-    bench_list.set_defaults(func=_cmd_bench_list)
-
-    bench_run = bench_sub.add_parser(
-        "run", help="time the registered cases and gate against baselines"
-    )
-    common_bench_args(bench_run)
-    bench_run.add_argument("--fast", action="store_true",
-                           help="reduced warmup/repeat discipline (CI smoke; "
-                                "compared against the fast baseline)")
-    bench_run.add_argument("--json-out", default=None,
-                           help="write the full schema-versioned result "
-                                "document to this path")
-    bench_run.add_argument("--artifacts-dir", default=".",
-                           help="write per-group BENCH_<group>.json "
-                                "trajectory artifacts here")
-    bench_run.add_argument("--baseline", default=None,
-                           help="baseline JSON to gate against (default: "
-                                "<dir>/baselines/bench-<mode>.json)")
-    bench_run.add_argument("--tolerance", type=float, default=1.5,
-                           help="regression gate: current min may be up to "
-                                "this multiple of the baseline min")
-    bench_run.add_argument("--advisory", action="store_true",
-                           help="report regressions but exit 0 (for "
-                                "cross-machine comparisons)")
-    bench_run.add_argument("--update-baseline", action="store_true",
-                           help="write this run as the new baseline instead "
-                                "of gating")
-    bench_run.set_defaults(func=_cmd_bench_run)
 
     trace = sub.add_parser(
         "trace", help="record/replay/summarize workload traces"

@@ -76,8 +76,9 @@ class MovingObjectDatabase:
 
     def __init__(self, schema: Schema | None = None, index: Any = None,
                  horizon: float = 120.0) -> None:
-        if horizon <= 0:
-            raise QueryError(f"horizon must be positive, got {horizon}")
+        if not 0 < horizon < math.inf:
+            raise QueryError(
+                f"horizon must be positive and finite, got {horizon}")
         self.routes = RouteDatabase()
         self.schema = schema or Schema()
         self.update_log = UpdateLog()

@@ -22,6 +22,7 @@ exact refinement of Theorems 5–6).
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -56,8 +57,9 @@ class OPlane:
     start_travel: float | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise IndexError_(f"horizon must be positive, got {self.horizon}")
+        if not 0 < self.horizon < math.inf:
+            raise IndexError_(
+                f"horizon must be positive and finite, got {self.horizon}")
         if self.route.route_id != self.attribute.route_id:
             raise IndexError_(
                 f"attribute is on route {self.attribute.route_id!r}, "

@@ -1,8 +1,7 @@
 """Tests for the helpers in benchmarks/conftest.py.
 
 The conftest is not importable as a package module (benchmarks/ has no
-__init__), so it is loaded by file path — the same way the harness
-loads the bench scripts themselves.
+__init__), so it is loaded by file path.
 """
 
 import importlib.util

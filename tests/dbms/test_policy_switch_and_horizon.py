@@ -69,6 +69,13 @@ class TestPolicySwitch:
 
 
 class TestIndexHorizonCoverage:
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_horizon_rejected(self, horizon):
+        # NaN would index no slab at all; +inf would lay slabs forever.
+        with pytest.raises(QueryError, match="finite"):
+            MovingObjectDatabase(index=TimeSpaceIndex(), horizon=horizon)
+
     def test_query_beyond_horizon_rejected(self):
         db = build(index=TimeSpaceIndex(), horizon=30.0)
         region = Polygon.rectangle(0.0, -1.0, 50.0, 1.0)

@@ -40,6 +40,12 @@ class TestConstruction:
             OPlane(attr, straight_route_10,
                    delayed_linear_bounds(1.0, 1.5, C), 10.0)
 
+    @pytest.mark.parametrize("horizon", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_non_finite_horizon_rejected(self, straight_route_10, horizon):
+        with pytest.raises(IndexError_, match="finite"):
+            make_plane(straight_route_10, horizon=horizon)
+
     def test_time_span(self, straight_route_10):
         plane = make_plane(straight_route_10, starttime=5.0, horizon=10.0)
         assert plane.start_time == 5.0

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from repro.core.bounds import bounds_for_policy
 from repro.core.policies import make_policy, policy_names
 from repro.core.position import PositionAttribute
-from repro.errors import PolicyError
+from repro.errors import IndexError_, PolicyError
 from repro.geometry.bbox import Box3D
 from repro.index.oplane import OPlane
 from repro.routes.generators import grid_city_network
@@ -125,10 +125,10 @@ def test_negative_elapsed_time_still_raises(seed):
 
 
 def test_no_times_no_check():
-    """A plane with no slab (``horizon <= 0`` does not refuse NaN)
-    evaluates no bound and, as before, has no boxes."""
+    """No instants evaluate no bound; a NaN horizon, which would lay no
+    slab, is refused when the plane is built."""
     plane = seeded_plane(0)
     assert plane.bounds.sample([]) == ([], [])
-    nan_plane = OPlane(plane.attribute, plane.route, plane.bounds,
-                       horizon=float("nan"))
-    assert nan_plane.boxes() == []
+    with pytest.raises(IndexError_, match="finite"):
+        OPlane(plane.attribute, plane.route, plane.bounds,
+               horizon=float("nan"))

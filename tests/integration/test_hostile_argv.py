@@ -16,11 +16,9 @@ import argparse
 import io
 import json
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
-from repro.bench import benchmark, harness
 from repro.cli import build_parser, main
 from tests.conftest import deadline
 
@@ -49,8 +47,6 @@ def small_context(tmp: Path, trace: Path) -> dict[str, list[str]]:
         "repro trace record": [*scenario, "--queries", "2",
                                "--out", str(tmp / "recorded.jsonl")],
         "repro trace replay": [str(trace)],
-        "repro bench run": ["--dir", str(tmp), "--fast",
-                            "--artifacts-dir", str(tmp)],
     }
 
 
@@ -93,8 +89,8 @@ def recorded_trace(tmp_path_factory) -> Path:
 def test_the_walk_reaches_every_command_with_a_number():
     walked = {prog for prog, _ in numeric_options()}
     assert walked == {"repro report", "repro simulate", "repro scenario",
-                      "repro stats", "repro bench run",
-                      "repro trace record", "repro trace replay"}
+                      "repro stats", "repro trace record",
+                      "repro trace replay"}
     assert {(prog, option) for prog, option, _ in VALID} <= set(
         numeric_options())
 
@@ -107,16 +103,11 @@ def test_a_hostile_number_is_refused_before_any_work(
     argv = [*prog.split()[1:], *small_context(tmp_path, recorded_trace)[prog],
             option, value]
     out = io.StringIO()
-    with mock.patch.dict(harness._REGISTRY):
-        # `bench run` gets one trivial case, so a tolerance it wrongly
-        # accepts reaches the comparison instead of "nothing matched".
-        benchmark("hostile.noop", group="hostile", warmup=0,
-                  repeat=1)(lambda: lambda: None)
-        with deadline(DEADLINE_S):
-            try:
-                code = main(argv, out=out)
-            except SystemExit as exc:
-                code = exc.code
+    with deadline(DEADLINE_S):
+        try:
+            code = main(argv, out=out)
+        except SystemExit as exc:
+            code = exc.code
     stderr = capsys.readouterr().err
     if (prog, option, value) in VALID:
         assert code == 0, stderr

@@ -25,6 +25,7 @@ from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
 from repro.shard import save_plan, uniform_grid_for
 from repro.trace.recorder import TraceRecorder, use_recorder
+from tests.conftest import deadline
 
 #: Trace record kinds: (label, event kind, query kind, keys to drop,
 #: [(key, wrong-typed value)], (key, unknown enum or policy name)).
@@ -100,6 +101,13 @@ PLAN_CORRUPTIONS = [
     pytest.param("partitioning.bounds", [None, 0, 1, 1], id="bounds-null"),
     pytest.param("partitioning", ..., id="drop-partitioning"),
 ]
+
+#: Horizons that parse as JSON numbers but index no o-plane: ``NaN``
+#: lays no slab, ``Infinity`` lays slabs forever.
+NON_FINITE = [pytest.param(float("nan"), id="nan"),
+              pytest.param(float("inf"), id="inf")]
+#: A run that takes longer than this counts as a hang.
+DEADLINE_S = 1.0
 
 #: Whole-document keys of a snapshot.
 SNAPSHOT_KEYS = ["horizon", "clock_time", "routes", "classes", "records",
@@ -234,6 +242,18 @@ def test_corrupt_trace_event(recorded, tmp_path, capsys, label, path,
     assert message.startswith(f"error: event {seq} "), message
 
 
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_non_finite_trace_horizon(recorded, tmp_path, capsys, value):
+    lines, seq = corrupt_trace(recorded[0], "db_config", "data.horizon",
+                               value)
+    trace = tmp_path / "hostile.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    with deadline(DEADLINE_S):
+        message = run_failing(["trace", "replay", str(trace)], capsys)
+    assert message.startswith(f"error: event {seq} "), message
+    assert "horizon" in message, message
+
+
 @pytest.mark.parametrize("key", ["slab_minutes", "max_entries",
                                  "min_entries"])
 def test_null_index_tuning_replays_with_the_default(recorded, tmp_path,
@@ -283,6 +303,16 @@ def test_corrupt_snapshot_record(recorded, tmp_path, section, path, value):
     target = tmp_path / "hostile.json"
     target.write_text(json.dumps(snapshot, indent=1))
     load_failing(target)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_non_finite_snapshot_horizon(recorded, tmp_path, value):
+    snapshot = copy.deepcopy(recorded[1])
+    snapshot["horizon"] = value
+    target = tmp_path / "hostile.json"
+    target.write_text(json.dumps(snapshot))
+    with deadline(DEADLINE_S):
+        load_failing(target)
 
 
 @pytest.mark.parametrize("key", SNAPSHOT_KEYS)

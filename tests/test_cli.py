@@ -348,99 +348,3 @@ class TestProfile:
         )
         assert code == 0
         assert "flame summary" not in output
-
-
-class TestBench:
-    import pathlib
-
-    BENCH_DIR = str(pathlib.Path(__file__).resolve().parent.parent
-                    / "benchmarks")
-
-    def run_bench(self, tmp_path, *extra):
-        return run_cli(
-            ["bench", "run", "--dir", self.BENCH_DIR, "--fast",
-             "--filter", "core", "--artifacts-dir", str(tmp_path),
-             *extra]
-        )
-
-    def test_list_shows_registered_cases(self):
-        code, output = run_cli(["bench", "list", "--dir", self.BENCH_DIR])
-        assert code == 0
-        assert "core.threshold_grid" in output
-        assert "[engine]" in output
-        count = int(output.splitlines()[-1].split()[0])
-        assert count >= 10
-
-    def test_list_filter(self):
-        code, output = run_cli(
-            ["bench", "list", "--dir", self.BENCH_DIR,
-             "--filter", "query_batch"]
-        )
-        assert code == 0
-        assert "query_batch.batched" in output
-        assert "core.bound_eval" not in output
-
-    def test_run_writes_schema_versioned_json_and_artifacts(self, tmp_path):
-        import json
-
-        from repro.bench import validate_results
-
-        out = tmp_path / "out.json"
-        code, output = self.run_bench(
-            tmp_path, "--json-out", str(out),
-            "--baseline", str(tmp_path / "missing.json"),
-        )
-        assert code == 0
-        assert "no baseline" in output  # comparison skipped, not a failure
-        document = json.loads(out.read_text())
-        validate_results(document)
-        names = {r["name"] for r in document["results"]}
-        assert names == {"core.bound_eval", "core.threshold_grid"}
-        artifact = json.loads((tmp_path / "BENCH_core.json").read_text())
-        validate_results(artifact)
-        assert {r["group"] for r in artifact["results"]} == {"core"}
-
-    def test_baseline_roundtrip_gates_and_passes(self, tmp_path):
-        baseline = tmp_path / "baseline.json"
-        code, output = self.run_bench(
-            tmp_path, "--baseline", str(baseline), "--update-baseline"
-        )
-        assert code == 0 and "baseline updated" in output
-        code, output = self.run_bench(
-            tmp_path, "--baseline", str(baseline), "--tolerance", "1000"
-        )
-        assert code == 0
-        assert "baseline check passed" in output
-
-    def test_regression_exits_nonzero(self, tmp_path):
-        import json
-
-        baseline = tmp_path / "baseline.json"
-        code, _ = self.run_bench(
-            tmp_path, "--baseline", str(baseline), "--update-baseline"
-        )
-        assert code == 0
-        # Doctor the baseline so the current run must look regressed.
-        document = json.loads(baseline.read_text())
-        for result in document["results"]:
-            scale = 1e-9 / result["min_s"]
-            result["min_s"] *= scale
-            result["median_s"] *= scale
-            result["mean_s"] *= scale
-            result["times_s"] = [t * scale for t in result["times_s"]]
-        baseline.write_text(json.dumps(document))
-
-        code, output = self.run_bench(tmp_path, "--baseline", str(baseline))
-        assert code == 1
-        assert "regression" in output
-
-        # --advisory reports but does not gate.
-        code, output = self.run_bench(
-            tmp_path, "--baseline", str(baseline), "--advisory"
-        )
-        assert code == 0
-        assert "advisory" in output
-
-    def test_missing_dir_is_an_error(self):
-        code, _ = run_cli(["bench", "list", "--dir", "/nonexistent"])
-        assert code == 1

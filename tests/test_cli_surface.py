@@ -46,9 +46,9 @@ def test_every_parser_keeps_its_options():
     assert json.loads(json.dumps(surface(build_parser()))) == recorded
 
 
-def test_the_fixture_covers_all_thirteen_parsers():
+def test_the_fixture_covers_all_ten_parsers():
     recorded = json.loads(FIXTURE.read_text(encoding="utf-8"))
-    assert len(recorded) == 1 + 12  # `repro` itself, then its twelve subparsers
+    assert len(recorded) == 1 + 9  # `repro` itself, then its nine subparsers
 
 
 if __name__ == "__main__":

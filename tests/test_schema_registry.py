@@ -3,9 +3,8 @@
 versioned reader accepts its writer's current tag.
 
 That producers and consumers agree on a document's shape is the
-round-trip tests' job (trace write -> read -> replay, SLO file -> parse,
-collector append -> ``monitor check``, bench baseline write -> load);
-the shard plan, which had none, gets one here.
+round-trip tests' job (trace write -> read -> replay); the shard plan,
+which had none, gets one here.
 """
 
 from __future__ import annotations
@@ -53,7 +52,6 @@ DESIGN = (REPO_ROOT / "DESIGN.md").read_text(encoding="utf-8")
 
 def test_every_tag_in_the_source_is_a_row():
     assert missing_rows(DESIGN) == set()
-    assert "repro-bench/1" in source_tags()  # the f-string form
 
 
 def test_every_row_is_used_in_the_source():
