@@ -11,7 +11,7 @@ written once::
 
 A query kind contributes only its *region* (:class:`_PolygonRegion`,
 :class:`_DiscRegion`, :class:`_StripRegion`): the search window, the
-classification of one interval geometry (with whatever sound bbox
+classification of one interval geometry (with whatever sound
 pre-test the kind has), and the classification of a stationary point.
 Position queries skip the region steps and read the cached interval.
 
@@ -61,13 +61,6 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.index.rtree import SearchStats
 from repro.obs.probe import probe
-
-#: Below this many candidates the per-call NumPy overhead outweighs the
-#: loop it replaces; the scalar pre-tests run.  The vectorised pre-tests
-#: (``repro.vec.geom``, hence NumPy) are imported where they first run,
-#: so a process whose queries never classify this many candidates at
-#: once never loads NumPy (the benchmark's ``trace replay`` children).
-_MIN_VEC_CANDIDATES = 8
 
 #: Cache entries kept when the caller names no bound of its own.
 _DEFAULT_LIMIT = 1 << 18
@@ -202,10 +195,12 @@ def nearest_from_spec(time: Any, data: dict[str, Any]) -> tuple:
 def _exact_rect(polygon: Polygon) -> Rect2D | None:
     """``polygon``'s region as a :class:`Rect2D`, if it is exactly one.
 
-    A simple 4-gon whose vertex set is the corner set of its bounding
-    rectangle *is* that rectangle (any simple ordering of four corner
-    points traces the same closed region).  Returns ``None`` for every
-    other shape, in which case no rectangle shortcut applies.
+    A 4-gon whose vertex set is the corner set of its bounding rectangle
+    and whose every edge is axis-parallel *is* that rectangle: each
+    corner's two ring neighbours are the two corners sharing an x or a
+    y with it.  (The same corners in bow-tie order are not.)  Returns
+    ``None`` for every other shape, in which case no rectangle shortcut
+    applies.
     """
     vertices = polygon.vertices
     if len(vertices) != 4:
@@ -217,6 +212,12 @@ def _exact_rect(polygon: Polygon) -> Rect2D | None:
     }
     if {(v.x, v.y) for v in vertices} != corners:
         return None
+    if not all(map(math.isfinite,
+                   (rect.min_x, rect.min_y, rect.max_x, rect.max_y))):
+        return None
+    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
+        if a.x != b.x and a.y != b.y:
+            return None
     return rect
 
 
@@ -235,13 +236,19 @@ def _rect_max_distance(center: Point, rect: Rect2D) -> float:
 
 
 class _PolygonRegion:
-    """§4's polygon ``G``, with the bbox pre-tests of a range query.
+    """§4's polygon ``G``, with the pre-tests of a range query.
 
     The pre-tests decide an outcome only when the exact predicate is
-    guaranteed to agree: disjoint bboxes cannot intersect (OUT without
-    materialising the test), and when the polygon is exactly a closed
-    rectangle holding the whole geometry bbox the interval lies in it
-    in its entirety (MUST).
+    guaranteed to agree (proofs: DESIGN.md, "Screens").  A bbox missing
+    the window is OUT.  When the polygon is exactly a rectangle, call a
+    point *held* when ``min_x <= x < max_x`` and ``min_y <= y < max_y``:
+    ``ring_contains_point`` holds it inside by ray casting alone, with
+    no help from its ``EPSILON`` edge test (which rounding defeats at
+    large coordinates).  A geometry whose bbox is held lies in the
+    rectangle in its entirety (MUST); one the closed rectangle does not
+    hold whole but with a held vertex touches it without lying in it
+    (MAY, the vertex screen).  Everything else goes to the exact
+    classifier.
     """
 
     __slots__ = ("polygon", "window", "rect")
@@ -254,24 +261,37 @@ class _PolygonRegion:
 
     def classify(self, entries: list[tuple]) -> list[str]:
         polygon, window, rect = self.polygon, self.window, self.rect
-        if len(entries) >= _MIN_VEC_CANDIDATES:
-            from repro.vec import geom as vec_geom
-
-            out, must = vec_geom.range_pretest(
-                window, rect, [entry[3] for entry in entries]
-            )
+        if rect is None:
             return [
-                _OUT if out[i]
-                else _MUST if must is not None and must[i]
+                _OUT if not window.intersects(entry[3])
                 else classify_polyline_against_polygon(entry[2], polygon)
-                for i, entry in enumerate(entries)
+                for entry in entries
             ]
-        return [
-            _OUT if not window.intersects(entry[3])
-            else _MUST if rect is not None and rect.contains_rect(entry[3])
-            else classify_polyline_against_polygon(entry[2], polygon)
-            for entry in entries
-        ]
+        min_x, min_y, max_x, max_y = (rect.min_x, rect.min_y,
+                                      rect.max_x, rect.max_y)
+        outcomes = []
+        for entry in entries:
+            bbox = entry[3]
+            low_x, low_y, high_x, high_y = (bbox.min_x, bbox.min_y,
+                                            bbox.max_x, bbox.max_y)
+            outcome = None
+            if (high_x < min_x or max_x < low_x
+                    or high_y < min_y or max_y < low_y):
+                outcome = _OUT
+            elif (min_x <= low_x and high_x <= max_x
+                    and min_y <= low_y and high_y <= max_y):
+                if high_x < max_x and high_y < max_y:
+                    outcome = _MUST
+            else:
+                geometry = entry[2]
+                for x, y in zip(geometry.xs, geometry.ys):
+                    if min_x <= x < max_x and min_y <= y < max_y:
+                        outcome = _MAY
+                        break
+            outcomes.append(
+                classify_polyline_against_polygon(entry[2], polygon)
+                if outcome is None else outcome)
+        return outcomes
 
     def classify_point(self, point: Point) -> str:
         return _MUST if self.polygon.contains_point(point) else _OUT
@@ -282,9 +302,7 @@ class _DiscRegion:
 
     Bbox distance bounds bracket the exact min/max distances (the
     geometry lies inside its bbox), so the pre-tests agree with the
-    exact classification whenever they fire.  The vectorized screens
-    are a hair conservative, so an ulp-boundary bbox merely falls
-    through to the exact classifier; the outcome is the same either way.
+    exact classification whenever they fire.
     """
 
     __slots__ = ("center", "radius", "window")
@@ -299,18 +317,6 @@ class _DiscRegion:
 
     def classify(self, entries: list[tuple]) -> list[str]:
         center, radius = self.center, self.radius
-        if len(entries) >= _MIN_VEC_CANDIDATES:
-            from repro.vec import geom as vec_geom
-
-            out, must = vec_geom.within_pretest(
-                center, radius, [entry[3] for entry in entries]
-            )
-            return [
-                _OUT if out[i] else _MUST if must[i]
-                else classify_polyline_within_distance(
-                    center, radius, entry[2])
-                for i, entry in enumerate(entries)
-            ]
         return [
             _OUT if _rect_min_distance(center, entry[3]) > radius
             else _MUST if _rect_max_distance(center, entry[3]) <= radius
@@ -371,10 +377,8 @@ _REGIONS = {RangeQuery: _PolygonRegion, WithinDistanceQuery: _DiscRegion,
 class QueryCore:
     """The refine skeleton and derived-value cache of one database.
 
-    A query with at least ``_MIN_VEC_CANDIDATES`` candidates runs the
-    bbox pre-tests through the NumPy kernels of :mod:`repro.vec.geom`.
-    Answers are identical either way: a pre-test only ever decides what
-    the exact classifier would.
+    A region's pre-tests only ever decide what the exact classifier
+    would (DESIGN.md, "Screens").
     """
 
     def __init__(self, database: Any) -> None:

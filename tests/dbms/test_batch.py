@@ -23,7 +23,6 @@ from unittest import mock
 import pytest
 
 from repro.core.policies import make_policy
-from repro.dbms import refine
 from repro.dbms.batch import (
     BatchQueryEngine,
     PositionQuery,
@@ -107,9 +106,6 @@ def assert_every_path_matches_reference(database, queries):
     assert engine.run(queries) == expected
     assert one_at_a_time(database, queries) == expected
     assert engine.run(queries) == expected
-    # The scalar pre-tests only: no query reaches the bulk floor.
-    with mock.patch.object(refine, "_MIN_VEC_CANDIDATES", math.inf):
-        assert BatchQueryEngine(database).run(queries) == expected
 
 
 def one_at_a_time(database, queries):

@@ -7,12 +7,15 @@ from repro.dbms.query import (
     Containment,
     RangeAnswer,
     classify_against_polygon,
+    classify_polyline_against_polygon,
     classify_within_distance,
     distance_range_to_interval,
 )
+from repro.dbms.refine import RangeQuery, _exact_rect, _PolygonRegion
 from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
+from repro.geometry.polyline import Polyline
 
 
 def interval(lower, upper, route_id="r-straight"):
@@ -83,6 +86,46 @@ class TestClassifyPolygon:
             interval(3.0, 7.0), straight_route_10, u_shape
         )
         assert outcome2 == Containment.MUST
+
+
+class TestRectangleScreens:
+    """A polygon takes the refine stage's rectangle screens only when
+    their answers are the exact classifier's."""
+
+    SEGMENT = Polyline.from_coordinates([(0.45, 0.1), (0.55, 0.1)])
+
+    def screened(self, polygon, count):
+        entry = (None, None, self.SEGMENT, self.SEGMENT.bounding_rect())
+        region = _PolygonRegion(None, RangeQuery(polygon, 0.0), 0)
+        return region.classify([entry] * count)
+
+    @pytest.mark.parametrize("count", [1, 8])
+    def test_a_bow_tie_on_the_unit_squares_corners_is_not_a_rectangle(
+            self, count):
+        # The two triangles meet at (0.5, 0.5); the segment runs below
+        # it, through the gap between them.
+        bow_tie = Polygon.from_coordinates([(0, 0), (1, 1), (1, 0), (0, 1)])
+        assert _exact_rect(bow_tie) is None
+        exact = classify_polyline_against_polygon(self.SEGMENT, bow_tie)
+        assert exact == Containment.OUT
+        assert self.screened(bow_tie, count) == [exact] * count
+
+    def test_an_infinite_side_is_left_to_the_exact_classifier(self):
+        # Ray casting turns an infinite edge into a NaN crossing, so the
+        # classifier's answer is not the closed-bounds one.
+        strip = Polygon.from_coordinates(
+            [(0, 0), (float("inf"), 0), (float("inf"), 1), (0, 1)])
+        assert _exact_rect(strip) is None
+        exact = classify_polyline_against_polygon(self.SEGMENT, strip)
+        assert self.screened(strip, 1) == [exact]
+
+    @pytest.mark.parametrize("order", [(0, 1, 2, 3), (3, 2, 1, 0),
+                                       (2, 3, 0, 1)])
+    def test_a_rectangle_in_ring_order_is_one(self, order):
+        corners = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        polygon = Polygon.from_coordinates([corners[i] for i in order])
+        assert _exact_rect(polygon) == polygon.bounding_rect
+        assert self.screened(polygon, 1) == [Containment.MUST]
 
 
 class TestWithinDistance:

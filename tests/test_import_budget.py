@@ -27,7 +27,7 @@ SRC = Path(repro.__file__).parents[1]
 
 #: Subpackages a replay has no use for.
 NOT_FOR_REPLAY = ("repro.sim", "repro.exec", "repro.experiments",
-                  "repro.lint", "repro.bench")
+                  "repro.lint", "repro.bench", "repro.vec")
 
 
 def modules_after(code: str) -> set[str]:
@@ -54,6 +54,38 @@ def test_import_repro_loads_no_subpackage_and_no_numpy():
 def test_the_query_path_imports_numpy_only_when_it_computes_with_it():
     modules = modules_after("import repro.dbms, repro.obs, repro.trace")
     assert not loaded(modules, "numpy")
+
+
+def test_many_candidate_queries_load_no_numpy():
+    # Twelve objects on one road, at least eight the candidates of each
+    # query.
+    modules = modules_after("""
+from repro.core.policies import make_policy
+from repro.dbms.batch import BatchQueryEngine
+from repro.dbms.database import MovingObjectDatabase
+from repro.dbms.refine import RangeQuery, WithinDistanceQuery
+from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
+from repro.geometry.polyline import Polyline
+from repro.index.timespace import TimeSpaceIndex
+from repro.routes.route import Route
+db = MovingObjectDatabase(index=TimeSpaceIndex())
+db.schema.define_mobile_point_class("car")
+db.register_route(Route("r", Polyline.from_coordinates([(0, 0), (30, 0)])))
+for i in range(12):
+    db.insert_moving_object(f"c{i}", "car", "r", 0.0, Point(2.0 * i, 0.0),
+                            0, speed=0.5, policy=make_policy("ail", 0.5),
+                            max_speed=1.0)
+answers = BatchQueryEngine(db).run([
+    RangeQuery(Polygon.rectangle(-1, -1, 31, 1), 2.0),
+    RangeQuery(Polygon.rectangle(3, -1, 27, 1), 2.0),
+    WithinDistanceQuery(Point(12.0, 0.0), 20.0, 2.0),
+    WithinDistanceQuery(Point(12.0, 0.0), 9.0, 2.0),
+])
+assert all(len(a.candidates) >= 8 for a in answers), answers
+""")
+    assert not loaded(modules, "numpy")
+    assert not loaded(modules, "repro.vec")
 
 
 def test_building_the_parser_imports_no_simulator():
