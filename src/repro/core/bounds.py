@@ -70,15 +70,19 @@ class DeviationBounds:
     database position ``t`` time units after the last update; ``fast(t)``
     bounds how far it can lead; ``total(t)`` bounds the deviation
     regardless of direction and equals ``max(slow, fast)``.
+    ``ceiling(e)``, where a family has one, is no smaller than the
+    computed ``slow(t)`` at any ``t >= e`` (the o-plane's route-end screen).
     """
 
-    __slots__ = ("_slow", "_fast", "policy_name")
+    __slots__ = ("_slow", "_fast", "policy_name", "ceiling")
 
     def __init__(self, slow: BoundFunction, fast: BoundFunction,
-                 policy_name: str = "custom") -> None:
+                 policy_name: str = "custom",
+                 ceiling: BoundFunction | None = None) -> None:
         self._slow = slow
         self._fast = fast
         self.policy_name = policy_name
+        self.ceiling = ceiling
 
     def slow(self, t: float) -> float:
         """Bound on the slow deviation at elapsed time ``t``."""
@@ -115,13 +119,16 @@ def delayed_linear_bounds(declared_speed: float, max_speed: float,
     v = declared_speed
     gap = max(max_speed - declared_speed, 0.0)
 
+    plateau = math.sqrt(2.0 * v * update_cost)
+
     def slow(t: float) -> float:
-        return min(math.sqrt(2.0 * v * update_cost), v * t)
+        return min(plateau, v * t)
 
     def fast(t: float) -> float:
         return min(math.sqrt(2.0 * gap * update_cost), gap * t)
 
-    return DeviationBounds(slow, fast, policy_name="dl")
+    return DeviationBounds(slow, fast, policy_name="dl",
+                           ceiling=lambda e: plateau)
 
 
 def immediate_linear_bounds(declared_speed: float, max_speed: float,
@@ -147,7 +154,8 @@ def immediate_linear_bounds(declared_speed: float, max_speed: float,
     def fast(t: float) -> float:
         return min(threshold_cap(t), gap * t)
 
-    return DeviationBounds(slow, fast, policy_name="immediate")
+    return DeviationBounds(slow, fast, policy_name="immediate",
+                           ceiling=threshold_cap)
 
 
 def fixed_threshold_bounds(declared_speed: float, max_speed: float,
@@ -169,7 +177,8 @@ def fixed_threshold_bounds(declared_speed: float, max_speed: float,
     def fast(t: float) -> float:
         return min(bound, gap * t)
 
-    return DeviationBounds(slow, fast, policy_name="fixed-threshold")
+    return DeviationBounds(slow, fast, policy_name="fixed-threshold",
+                           ceiling=lambda e: bound)
 
 
 def traditional_bounds(max_speed: float, precision: float) -> DeviationBounds:
@@ -190,7 +199,8 @@ def traditional_bounds(max_speed: float, precision: float) -> DeviationBounds:
     def fast(t: float) -> float:
         return min(precision, max_speed * t)
 
-    return DeviationBounds(slow, fast, policy_name="traditional")
+    return DeviationBounds(slow, fast, policy_name="traditional",
+                           ceiling=slow)
 
 
 def periodic_bounds(declared_speed: float, max_speed: float) -> DeviationBounds:
@@ -219,15 +229,16 @@ def horizon_cost_bounds(declared_speed: float, max_speed: float,
     _check_speeds(declared_speed, max_speed)
     if update_cost < 0:
         raise PolicyError(f"update cost must be nonnegative, got {update_cost}")
-    if horizon <= 0:
-        raise PolicyError(f"horizon must be positive, got {horizon}")
+    if not 0 < horizon < math.inf:
+        raise PolicyError(f"horizon must be positive and finite, got {horizon}")
     trigger = update_cost / horizon
     if trigger <= 0:
         # Free updates: the deviation is pinned to zero.
         return DeviationBounds(lambda t: 0.0, lambda t: 0.0,
-                               policy_name="horizon")
+                               policy_name="horizon", ceiling=lambda e: 0.0)
     bounds = fixed_threshold_bounds(declared_speed, max_speed, trigger)
-    return DeviationBounds(bounds.slow, bounds.fast, policy_name="horizon")
+    return DeviationBounds(bounds.slow, bounds.fast, policy_name="horizon",
+                           ceiling=bounds.ceiling)
 
 
 def bounds_for_policy(policy: UpdatePolicy, declared_speed: float,

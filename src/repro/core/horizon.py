@@ -52,8 +52,8 @@ class HorizonCostPolicy(UpdatePolicy):
                  cost_function: DeviationCostFunction | None = None,
                  integration_step: float = 1.0 / 60.0) -> None:
         super().__init__(update_cost, cost_function)
-        if not horizon > 0:
-            raise PolicyError(f"horizon must be positive, got {horizon}")
+        if not 0 < horizon < float("inf"):
+            raise PolicyError(f"horizon must be positive and finite, got {horizon}")
         if not 0 < integration_step <= horizon:
             raise PolicyError(
                 f"integration step must be in (0, horizon], got "

@@ -80,9 +80,12 @@ def _check_radius(radius: float) -> None:
 
 
 def check_point(point: Point, what: str) -> None:
-    """Reject a NaN coordinate (no distance to it is ordered)."""
-    _reject_nan(point.x, what)
-    _reject_nan(point.y, what)
+    """Reject a NaN coordinate (no distance to it is ordered) or an
+    infinite one (ray casting crosses an infinite edge at NaN)."""
+    for value in (point.x, point.y):
+        _reject_nan(value, what)
+        if value in (math.inf, -math.inf):
+            raise QueryError(f"{what} must be finite, got {value}")
 
 
 @dataclass(frozen=True, slots=True)

@@ -36,7 +36,8 @@ from repro.geometry.segment import Segment
 class Polyline:
     """An immutable piecewise-linear curve with arc-length queries."""
 
-    __slots__ = ("_vertices", "_xs", "_ys", "_cumulative", "_length")
+    __slots__ = ("_vertices", "_xs", "_ys", "_cumulative", "_length",
+                 "_separated")
 
     def __init__(self, vertices: Iterable[Point]) -> None:
         verts = tuple(vertices)
@@ -63,6 +64,7 @@ class Polyline:
         self._ys = tuple(ys)
         self._cumulative = cumulative
         self._length = cumulative[-1]
+        self._separated: bool | None = None
 
     @classmethod
     def from_coordinates(cls, coords: Iterable[tuple[float, float]]) -> "Polyline":
@@ -238,7 +240,27 @@ class Polyline:
         return Polyline(map(Point, *self._strip(from_distance, to_distance)))
 
     def subline_rect(self, from_distance: float, to_distance: float) -> Rect2D:
-        """``subline(...).bounding_rect()``, bit for bit, geometry-free."""
+        """``subline(...).bounding_rect()``, bit for bit, geometry-free;
+        no strip is built where it would drop no point (DESIGN.md)."""
+        lo = min(max(min(from_distance, to_distance), 0.0), self._length)
+        hi = min(max(max(from_distance, to_distance), 0.0), self._length)
+        if self._separated is None:  # no consecutive vertices within EPSILON
+            xs, ys = self._xs, self._ys
+            self._separated = all(
+                abs(ax - bx) > EPSILON or abs(ay - by) > EPSILON
+                for ax, bx, ay, by in zip(xs, xs[1:], ys, ys[1:]))
+        if hi - lo > EPSILON and self._separated:
+            first = self._segment_index_at(lo) + 1
+            last = self._segment_index_at(hi) + 1
+            sx, sy = self._coords_at(lo)
+            ex, ey = self._coords_at(hi)
+            xs, ys = self._xs[first:last], self._ys[first:last]
+            ax, ay = (xs[0], ys[0]) if xs else (ex, ey)
+            bx, by = (xs[-1], ys[-1]) if xs else (sx, sy)
+            if ((abs(sx - ax) > EPSILON or abs(sy - ay) > EPSILON)
+                    and (abs(bx - ex) > EPSILON or abs(by - ey) > EPSILON)):
+                return Rect2D(min(sx, *xs, ex), min(sy, *ys, ey),
+                              max(sx, *xs, ex), max(sy, *ys, ey))
         xs, ys = self._strip(from_distance, to_distance)
         return Rect2D(min(xs), min(ys), max(xs), max(ys))
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import struct
+from itertools import accumulate
 from dataclasses import dataclass, field
 
 from repro.core.bounds import DeviationBounds
@@ -147,6 +148,25 @@ class OPlane:
             ranges.append((lo, hi))
         return ranges
 
+    def _route_end_slab(self, start_travel: float,
+                        slabs: list[tuple[float, float]],
+                        samples: int) -> int:
+        """The first slab from which on every sampled travel range is
+        provably the route-end stub ``(L, L)`` (DESIGN.md, "Screens");
+        ``len(slabs)`` for bounds without a slow ceiling."""
+        ceiling = self.bounds.ceiling
+        if ceiling is None:
+            return len(slabs)
+        v = self.attribute.speed
+        # M_k: the largest of _travel_ranges' margins over slabs k...
+        largest = list(accumulate(reversed(
+            [v * (hi - lo) / max(samples, 1) for lo, hi in slabs]), max))
+        for k, (lo, _) in enumerate(slabs):
+            low = (start_travel + v * lo) - ceiling(lo)
+            if low - largest[-1 - k] >= self.route.length:
+                return k
+        return len(slabs)
+
     def boxes(self, slab_minutes: float = 5.0) -> list[Box3D]:
         """Decompose the o-plane into time-slab boxes for the R-tree."""
         if not slab_minutes > 0:
@@ -157,8 +177,11 @@ class OPlane:
             slab_end = min(elapsed + slab_minutes, self.horizon)
             slabs.append((elapsed, slab_end))
             elapsed = slab_end
-        # One projection per plane, not one per slab.
-        ranges = self._travel_ranges(self._start_travel(), slabs, 4)
+        # One projection per plane; no samples past the route-end screen.
+        start_travel = self._start_travel()
+        moving = self._route_end_slab(start_travel, slabs, 4)
+        ranges = self._travel_ranges(start_travel, slabs[:moving], 4)
+        ranges += [(self.route.length,) * 2] * (len(slabs) - moving)
         boxes: list[Box3D] = []
         # Past the end of the route every slab clamps to one stub: a
         # travel range that repeats bit for bit keeps its rectangle.

@@ -163,3 +163,70 @@ class TestDispatch:
         assert bounds_for_policy(Mystery(C), V, BIG_V) is not None
         with pytest.raises(PolicyError):
             bounds_for_policy(Foreign(C), V, BIG_V)
+
+
+def family_bounds():
+    """``(name, bounds)`` for every family, at speeds that make each
+    bound's branches cross inside the grid below."""
+    from repro.core.cost import StepDeviationCost
+    from repro.core.horizon import HorizonCostPolicy
+
+    for v, big_v, cost in [(0.0, 1.0, 0.18), (1.0, 1.5, 5.0),
+                           (0.3, 0.3, 0.0), (1e-300, 2.0, 5.0)]:
+        yield "dl", delayed_linear_bounds(v, big_v, cost)
+        yield "immediate", immediate_linear_bounds(v, big_v, cost)
+        yield "fixed-threshold", fixed_threshold_bounds(v, big_v, 0.7)
+        yield "traditional", traditional_bounds(big_v, 0.7)
+        yield "periodic", periodic_bounds(v, big_v)
+        for policy in (HorizonCostPolicy(cost, horizon=4.0),
+                       HorizonCostPolicy(cost, horizon=4.0,
+                                         cost_function=StepDeviationCost(1))):
+            yield "horizon", bounds_for_policy(policy, v, big_v)
+
+
+class TestSlowCeiling:
+    """``ceiling(e)`` is no smaller than the computed ``slow(t)`` at any
+    ``t >= e``; periodic bounds, the horizon policy under a non-uniform
+    cost and hand-built bounds have none."""
+
+    GRID = [0.0, 1e-300, 0.01, 0.6, 1.0, 2.5, 3.3, 10.0, 120.0, 1e6]
+
+    def test_ceiling_bounds_every_later_slow(self):
+        checked = 0
+        for name, bounds in family_bounds():
+            if bounds.ceiling is None:
+                assert name in ("periodic", "horizon")
+                continue
+            for i, e in enumerate(self.GRID):
+                ceiling = bounds.ceiling(e)
+                assert all(bounds.slow(t) <= ceiling
+                           for t in self.GRID[i:]), (name, e)
+                checked += 1
+        assert checked > 100
+
+    def test_family_ceilings(self):
+        assert immediate_linear_bounds(0.0, 1.0, 5.0).ceiling(0.0) == math.inf
+        assert immediate_linear_bounds(0.0, 1.0, 5.0).ceiling(4.0) == 2.5
+        assert delayed_linear_bounds(2.0, 3.0, 5.0).ceiling(0.0) == (
+            math.sqrt(20.0))
+        assert fixed_threshold_bounds(1.0, 2.0, 0.7).ceiling(9.0) == 0.7
+        assert traditional_bounds(2.0, 0.7).ceiling(0.0) == 0.0
+        assert periodic_bounds(1.0, 2.0).ceiling is None
+        from repro.core.bounds import DeviationBounds
+
+        assert DeviationBounds(abs, abs).ceiling is None
+
+    def test_horizon_ceilings_follow_the_trigger(self):
+        from repro.core.bounds import horizon_cost_bounds
+
+        assert horizon_cost_bounds(1.0, 2.0, 5.0, 4.0).ceiling(3.0) == 1.25
+        assert horizon_cost_bounds(1.0, 2.0, 0.0, 4.0).ceiling(3.0) == 0.0
+
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+    def test_horizon_must_be_positive_and_finite(self, horizon):
+        """``C/inf`` is 0, the free-updates bound: a drifting object
+        would be claimed exact."""
+        from repro.core.bounds import horizon_cost_bounds
+
+        with pytest.raises(PolicyError, match="finite"):
+            horizon_cost_bounds(1.0, 2.0, 5.0, horizon)

@@ -195,6 +195,9 @@ class TestBoundsAndValidation:
     def test_parameters_checked(self):
         with pytest.raises(PolicyError):
             HorizonCostPolicy(C, horizon=0.0)
+        # C/inf would be the free-updates trigger: a zero bound.
+        with pytest.raises(PolicyError, match="finite"):
+            HorizonCostPolicy(C, horizon=float("inf"))
         with pytest.raises(PolicyError):
             HorizonCostPolicy(C, horizon=5.0, integration_step=0.0)
         with pytest.raises(PolicyError):

@@ -350,6 +350,21 @@ NAN_QUERIES = {
 }
 
 
+INF = math.inf
+
+#: ``name -> query``: one infinite coordinate in each place a range or
+#: within query takes a point.  Ray casting crosses an infinite edge at
+#: NaN, so such a polygon would answer "may" where it should not.
+INF_QUERIES = {
+    "range-vertex-x": RangeQuery(Polygon.from_coordinates(
+        [(0.0, 0.0), (INF, 0.0), (INF, 1.0), (0.0, 1.0)]), 10.0),
+    "range-vertex-y": RangeQuery(Polygon.from_coordinates(
+        [(0.0, 0.0), (1.0, 0.0), (1.0, -INF)]), 10.0),
+    "within-center-x": WithinDistanceQuery(Point(INF, 1.0), 1.0, 10.0),
+    "within-center-y": WithinDistanceQuery(Point(1.0, -INF), 1.0, 10.0),
+}
+
+
 def two_partition_index():
     bounds = Rect2D(*grid_city_network(6, 6, 0.5).bounding_extent())
     return PartitionedIndex(
@@ -397,6 +412,21 @@ class TestValidationAndMetrics:
                           (Point(1.0, NAN), 10.0)]:
             with pytest.raises(QueryError, match="NaN"):
                 database.nearest(center, 2, t)
+
+    @pytest.mark.parametrize("partitioned", [False, True],
+                             ids=["monolithic", "2-partition"])
+    @pytest.mark.parametrize("name", sorted(INF_QUERIES))
+    def test_an_infinite_coordinate_is_rejected_singly_and_batched(
+            self, name, partitioned):
+        index = (two_partition_index() if partitioned
+                 else TimeSpaceIndex(slab_minutes=5.0))
+        database, _, object_ids = build_database(index, num_objects=4)
+        query = INF_QUERIES[name]
+        with pytest.raises(QueryError, match="must be finite"):
+            one_at_a_time(database, [query])
+        healthy = PositionQuery(object_ids[1], 10.0)
+        with pytest.raises(QueryError, match="must be finite"):
+            BatchQueryEngine(database).run([healthy, query])
 
     def test_a_rectangle_is_not_a_range_polygon(self):
         database, _, object_ids = build_database(

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.bounds import bounds_for_policy
+from repro.core.bounds import DeviationBounds, bounds_for_policy
+from repro.core.cost import StepDeviationCost
 from repro.core.policies import make_policy, policy_names
 from repro.core.position import PositionAttribute
 from repro.errors import IndexError_, PolicyError
@@ -132,3 +133,131 @@ def test_no_times_no_check():
     with pytest.raises(IndexError_, match="finite"):
         OPlane(plane.attribute, plane.route, plane.bounds,
                horizon=float("nan"))
+
+
+# ----------------------------------------------------------------------
+# Planes that pass their route's end
+# ----------------------------------------------------------------------
+#
+# ``OPlane.boxes`` samples only the slabs before the route-end screen's
+# and gives every later one ``(L, L)``.  These planes reach the end
+# early and stay there: a start at ``L``, speeds ``0`` and ``1e-300``,
+# every family (periodic, the horizon policy under step cost and a
+# hand-built ``DeviationBounds`` have no ceiling and sample every
+# slab), horizons far beyond the trip and slab widths that do not
+# divide them.
+
+#: Families beyond the registry: the horizon policy's zero trigger and
+#: non-uniform cost, and bounds built by hand, without a ceiling.
+EXTRA_KINDS = ["horizon-free", "horizon-step", "custom"]
+
+
+def route_end_bounds(kind: str, cost: float, speed: float,
+                     max_speed: float):
+    if kind == "custom":
+        ail = bounds_for_policy(make_policy("ail", cost), speed, max_speed)
+        return DeviationBounds(ail.slow, ail.fast)
+    if kind == "horizon-free":
+        return bounds_for_policy(make_policy("horizon", 0.0), speed,
+                                 max_speed)
+    if kind == "horizon-step":
+        return bounds_for_policy(
+            make_policy("horizon", cost,
+                        cost_function=StepDeviationCost(0.5)),
+            speed, max_speed)
+    return bounds_for_policy(make_policy(kind, cost), speed, max_speed)
+
+
+def route_end_plane(seed: int) -> OPlane:
+    rng = random.Random(seed)
+    route = NETWORK.random_route(rng, min_length=1.0)
+    direction = rng.randrange(2)
+    speed = rng.choice([0.0, 1e-300, rng.uniform(0.2, 0.6), 2.0])
+    travel = rng.choice([route.length, route.length - 1e-9,
+                         rng.uniform(0.0, route.length), 0.0])
+    start = route.travel_point(travel, direction)
+    kind = rng.choice(sorted(policy_names()) + EXTRA_KINDS)
+    return OPlane(
+        PositionAttribute(
+            starttime=rng.choice([0.0, 7.5]), route_id=route.route_id,
+            start_x=start.x, start_y=start.y, direction=direction,
+            speed=speed, policy="dl"),
+        route,
+        route_end_bounds(kind, rng.choice([0.0, 0.18, 5.0]), speed,
+                         rng.choice([speed, speed * 1.6, 1.0])),
+        horizon=rng.choice([120.0, 600.0, 37.3]),
+        # At L itself, or wherever the start point projects.
+        start_travel=travel if rng.random() < 0.5 else None,
+    )
+
+
+def slab_spans(plane: OPlane, slab_minutes: float):
+    """The elapsed-time slabs ``OPlane.boxes`` lays."""
+    slabs = []
+    elapsed = 0.0
+    while elapsed < plane.horizon - 1e-12:
+        slab_end = min(elapsed + slab_minutes, plane.horizon)
+        slabs.append((elapsed, slab_end))
+        elapsed = slab_end
+    return slabs
+
+
+@settings(max_examples=examples(100), deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       slab_minutes=st.sampled_from([5.0, 3.3, 7.0, 0.9]))
+def test_route_end_planes_equal_the_per_sample_reference(seed,
+                                                         slab_minutes):
+    plane = route_end_plane(seed)
+    assert box_bits(plane.boxes(slab_minutes)) == box_bits(
+        reference_boxes(plane, slab_minutes))
+
+
+def test_the_screen_skips_the_route_end_slabs():
+    """Over seeded route-end planes the screen leaves about 40 % of the
+    slabs unsampled, and bounds without a ceiling sample them all."""
+    skipped = total = 0
+    for seed in range(300):
+        plane = route_end_plane(seed)
+        for slab_minutes in (5.0, 3.3):
+            slabs = slab_spans(plane, slab_minutes)
+            moving = plane._route_end_slab(plane._start_travel(), slabs, 4)
+            if plane.bounds.ceiling is None:
+                assert moving == len(slabs)
+            skipped += len(slabs) - moving
+            total += len(slabs)
+            assert box_bits(plane.boxes(slab_minutes)) == box_bits(
+                reference_boxes(plane, slab_minutes))
+    assert skipped > total // 3
+
+
+#: Families whose slow bound is 0 from ``t = 0`` at declared speed 0:
+#: the only ones whose ceiling proves a parked object's first slab.
+ZERO_AT_REST = {"dl", "traditional", "horizon-free"}
+
+
+@pytest.mark.parametrize("kind", sorted(policy_names()) + EXTRA_KINDS)
+def test_every_family_at_its_route_end(kind):
+    """An object at ``L`` under each family.  Driving on at speed 2, a
+    ceiling proves every slab from the second on the stub; parked, only
+    a bound that is 0 from the start proves the first one (ail's
+    ``2C/e`` and a fixed trigger stay positive).  Bounds without a
+    ceiling sample every slab."""
+    route = NETWORK.random_route(random.Random(5), min_length=1.0)
+    end = route.travel_point(route.length, 0)
+    for speed in (2.0, 0.0):
+        plane = OPlane(
+            PositionAttribute(
+                starttime=3.0, route_id=route.route_id, start_x=end.x,
+                start_y=end.y, direction=0, speed=speed, policy="dl"),
+            route, route_end_bounds(kind, 5.0, speed, 2.0),
+            horizon=600.0, start_travel=route.length)
+        slabs = slab_spans(plane, 7.0)
+        if plane.bounds.ceiling is None:
+            expected = len(slabs)
+        elif speed:
+            expected = 1
+        else:
+            expected = 0 if kind in ZERO_AT_REST else len(slabs)
+        assert plane._route_end_slab(route.length, slabs, 4) == expected
+        assert box_bits(plane.boxes(7.0)) == box_bits(
+            reference_boxes(plane, 7.0))

@@ -107,7 +107,29 @@ def free_polylines(draw):
         return Polyline.from_coordinates([(3, 0), (0, 0), (0, 3)])
 
 
-polylines = st.one_of(staircases(), free_polylines())
+close_offsets = st.sampled_from([0.0, -0.0, EPSILON / 2.0, EPSILON,
+                                 -EPSILON, 1.5 * EPSILON, 1e-7])
+
+
+@st.composite
+def crowded_polylines(draw):
+    """A polyline with some vertices repeated or moved within a few
+    ``EPSILON`` of their predecessor, on one axis or both."""
+    base = draw(st.one_of(staircases(), free_polylines()))
+    verts = []
+    for x, y in zip(base.xs, base.ys):
+        verts.append((x, y))
+        if draw(st.integers(0, 2)) == 0:
+            verts.append((x + draw(close_offsets), y + draw(close_offsets)))
+    if draw(st.booleans()):
+        verts.insert(0, (-0.0, -0.0))
+    try:
+        return Polyline.from_coordinates(verts)
+    except GeometryError:
+        return base
+
+
+polylines = st.one_of(staircases(), free_polylines(), crowded_polylines())
 nudges = st.sampled_from([0.0, 1e-10, -1e-10, 9e-10, -9e-10])
 widths = st.sampled_from([0.0, EPSILON / 2.0, EPSILON, 1.5 * EPSILON,
                           1.7 * EPSILON, 1e-7, 0.3])
@@ -241,3 +263,84 @@ def test_start_of_route_at_negative_zero_is_not_reused_for_zero():
         ref.bounding_rect(ref.subline(line, -0.0, 1.0)))
     assert rect_bits(plus) == rect_bits(
         ref.bounding_rect(ref.subline(line, 0.0, 1.0)))
+
+
+# ----------------------------------------------------------------------
+# Polyline.subline_rect's direct path
+# ----------------------------------------------------------------------
+#
+# ``subline_rect`` skips ``_strip`` where the strip would keep every
+# point: the interval is longer than ``EPSILON``, no two consecutive
+# vertices are within ``EPSILON`` on both axes and neither end is within
+# it of its neighbouring vertex.  Polylines with close or repeated
+# vertices (``crowded_polylines``, which the walk above draws too), ones
+# at ``-0.0`` and intervals ending on a vertex must take the strip's
+# rectangle, bit for bit.
+
+
+def separated(polyline: Polyline) -> bool:
+    """The polyline's cached flag: no consecutive vertices within
+    ``EPSILON`` on both axes (set by its first ``subline_rect``)."""
+    polyline.subline_rect(0.0, polyline.length)
+    return polyline._separated
+
+
+def check_subline_rect(polyline: Polyline, lo: float, hi: float) -> None:
+    """``subline_rect`` against ``_strip``'s rectangle and the oracle's."""
+    rect = polyline.subline_rect(lo, hi)
+    xs, ys = polyline._strip(lo, hi)
+    assert rect_bits(rect) == packed(min(xs), min(ys), max(xs), max(ys))
+    try:
+        expected = ref.subline(polyline, lo, hi)
+    except GeometryError:
+        return  # the old stub fault; ``_strip`` is the reference here
+    assert rect_bits(rect) == rect_bits(ref.bounding_rect(expected))
+
+
+class TestDirectRect:
+    @settings(max_examples=examples(200), deadline=None)
+    @given(st.data(), polylines)
+    def test_intervals_ending_on_a_vertex(self, data, polyline):
+        cumulative = polyline._cumulative
+        lo = data.draw(st.sampled_from(cumulative))
+        hi = data.draw(st.one_of(st.sampled_from(cumulative),
+                                 arc_lengths(polyline)))
+        check_subline_rect(polyline, lo, hi)
+        check_subline_rect(polyline, hi, lo)
+
+    def test_close_vertices_and_negative_zero(self):
+        line = Polyline.from_coordinates(
+            [(-0.0, -0.0), (1.0, -0.0), (1.0 + EPSILON / 2.0, 0.0),
+             (1.0, 1.0), (1.0, 1.0), (-0.0, 1.0)])
+        assert not separated(line)
+        for lo, hi in [(0.0, 3.0), (-0.0, 0.5), (0.5, 1.0), (1.0, 2.5),
+                       (0.0, line.length), (-1.0, 0.25)]:
+            check_subline_rect(line, lo, hi)
+
+    def test_grid_routes_take_the_direct_path(self, monkeypatch):
+        """On grid routes the direct path answers intervals away from
+        the vertices without building a strip; an interval ending on a
+        vertex builds one."""
+        rng = random.Random(42)
+        network = grid_city_network(10, 10, 0.25)
+        lines = [network.random_route(rng, min_length=1.0).polyline
+                 for _ in range(40)]
+        assert all(separated(line) for line in lines)
+        inside = [(line, lo, rng.uniform(lo, line.length))
+                  for line in lines for lo in
+                  (rng.uniform(0.0, line.length) for _ in range(10))]
+        on_vertex = [(line, 0.0, line._cumulative[1]) for line in lines]
+        calls = []
+        strip = Polyline._strip
+        monkeypatch.setattr(Polyline, "_strip", lambda self, lo, hi: (
+            calls.append(lo) or strip(self, lo, hi)))
+        for line, lo, hi in inside:
+            line.subline_rect(lo, hi)
+        stripped_inside = len(calls)
+        for line, lo, hi in on_vertex:
+            line.subline_rect(lo, hi)
+        monkeypatch.undo()
+        assert stripped_inside < len(inside) // 10
+        assert len(calls) - stripped_inside == len(on_vertex)
+        for line, lo, hi in inside + on_vertex:
+            check_subline_rect(line, lo, hi)

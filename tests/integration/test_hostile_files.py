@@ -281,6 +281,29 @@ def test_corrupt_query_replayed_as_a_batch(recorded, tmp_path, capsys,
     assert message.startswith(f"error: event {seq} "), message
 
 
+#: Query points with an infinite coordinate: they decode, and the query
+#: core refuses them when the query is asked, one at a time or batched.
+INFINITE_POINTS = [
+    pytest.param("range_query", "data.polygon",
+                 [[0.0, 0.0], [float("inf"), 0.0], [float("inf"), 1.0],
+                  [0.0, 1.0]], id="range-vertex"),
+    pytest.param("within_query", "data.center", [1.0, float("-inf")],
+                 id="within-center"),
+]
+
+
+@pytest.mark.parametrize("mode", ["sequential", "batch"])
+@pytest.mark.parametrize("label, path, value", INFINITE_POINTS)
+def test_infinite_query_point(recorded, tmp_path, capsys, label, path,
+                              value, mode):
+    lines, _ = corrupt_trace(recorded[0], label, path, value)
+    trace = tmp_path / "hostile.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    message = run_failing(["trace", "replay", str(trace), "--mode", mode],
+                          capsys)
+    assert "must be finite, got " in message, message
+
+
 @pytest.mark.parametrize("label, path, value", [
     case for case in cases(TRACE_RECORDS)
     if case.values[1].rsplit(".", 1)[-1] in ("vertices", "position", "x", "y")
@@ -313,6 +336,41 @@ def test_non_finite_snapshot_horizon(recorded, tmp_path, value):
     target.write_text(json.dumps(snapshot))
     with deadline(DEADLINE_S):
         load_failing(target)
+
+
+def horizon_policy(horizon):
+    return {"name": "horizon", "update_cost": 5.0, "horizon": horizon}
+
+
+#: Horizon-policy horizons that are not positive and finite: ``C/inf``
+#: is the free-updates trigger, a bound of 0 on a drifting object.
+BAD_POLICY_HORIZONS = [pytest.param(float("inf"), id="inf"),
+                       pytest.param(0.0, id="zero"),
+                       pytest.param(-1.0, id="negative")]
+
+
+@pytest.mark.parametrize("value", BAD_POLICY_HORIZONS)
+def test_trace_policy_spec_horizon(recorded, tmp_path, capsys, value):
+    lines, seq = corrupt_trace(recorded[0], "insert_mobile_policy",
+                               "data.policy", horizon_policy(value))
+    trace = tmp_path / "hostile.jsonl"
+    trace.write_text("\n".join(lines) + "\n")
+    message = run_failing(["trace", "replay", str(trace)], capsys)
+    assert message.startswith(f"error: event {seq} "), message
+    assert "horizon" in message, message
+
+
+@pytest.mark.parametrize("value", BAD_POLICY_HORIZONS)
+def test_snapshot_policy_spec_horizon(recorded, tmp_path, value):
+    snapshot = copy.deepcopy(recorded[1])
+    target = tmp_path / "hostile.json"
+    # A finite horizon loads and answers: only the horizon is at fault.
+    snapshot["records"][0]["policy"] = horizon_policy(5.0)
+    target.write_text(json.dumps(snapshot))
+    load_and_ask(target)
+    snapshot["records"][0]["policy"] = horizon_policy(value)
+    target.write_text(json.dumps(snapshot))
+    load_failing(target)
 
 
 @pytest.mark.parametrize("key", SNAPSHOT_KEYS)

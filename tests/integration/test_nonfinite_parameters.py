@@ -82,17 +82,24 @@ def test_adaptive_regime_parameters(build):
     build(INF)
 
 
-@pytest.mark.parametrize("build", [
-    lambda value: HorizonCostPolicy(5.0, horizon=value),
-    lambda value: HorizonCostPolicy(5.0, horizon=INF, integration_step=value),
-    lambda value: StepDeviationCost(value),
+@pytest.mark.parametrize("build, infinite", [
+    (lambda value: HorizonCostPolicy(5.0, horizon=value), False),
+    (lambda value: HorizonCostPolicy(5.0, horizon=5.0,
+                                     integration_step=value), False),
+    (lambda value: StepDeviationCost(value), True),
 ], ids=["horizon", "integration_step", "step_threshold"])
-def test_kernel_lane_constants(build):
-    """Each becomes a per-lane constant of a kernel pass: NaN is refused,
-    an infinite value stays legal."""
+def test_kernel_lane_constants(build, infinite):
+    """Each becomes a per-lane constant of a kernel pass: NaN is refused.
+    An infinite step threshold stays legal; an infinite horizon is
+    refused (``C/inf`` is the free-updates trigger, a zero bound), and
+    with it an infinite integration step, which is at most the horizon."""
     with pytest.raises(PolicyError):
         build(NAN)
-    build(INF)
+    if infinite:
+        build(INF)
+    else:
+        with pytest.raises(PolicyError):
+            build(INF)
 
 
 @pytest.mark.parametrize("simulate", [simulate_route_dead_reckoning,

@@ -58,7 +58,7 @@ PARAMETERS = {
         {"period": st.sampled_from((0.05, 0.3, 1.0, 2.5)),
          "speed_predictor": PREDICTORS}),
     "horizon": st.fixed_dictionaries(
-        {"horizon": st.sampled_from((0.5, 2.0, 5.0, float("inf"))),
+        {"horizon": st.sampled_from((0.5, 2.0, 5.0, 1e6)),
          "use_delay": st.booleans(), "speed_predictor": PREDICTORS}),
 }
 COSTS = (0.0, 0.0, 1e-6, 0.05, 1.0, 5.0)
