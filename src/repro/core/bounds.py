@@ -154,8 +154,9 @@ def immediate_linear_bounds(declared_speed: float, max_speed: float,
     def fast(t: float) -> float:
         return min(threshold_cap(t), gap * t)
 
+    # Parked (v = 0), slow(t) = min(2C/t, 0 t) = 0 at every t.
     return DeviationBounds(slow, fast, policy_name="immediate",
-                           ceiling=threshold_cap)
+                           ceiling=threshold_cap if v else lambda e: 0.0)
 
 
 def fixed_threshold_bounds(declared_speed: float, max_speed: float,

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.errors import SimulationError
 from repro.sim.clock import SimulationClock
-from repro.sim.trip import Trip
+from repro.sim.trip import Trip, time_grid
 
 
 class TickGrid:
@@ -45,9 +45,7 @@ class TickGrid:
                  times: Sequence[float] | np.ndarray,
                  travel: Sequence[float] | np.ndarray,
                  speeds: Sequence[float] | np.ndarray) -> None:
-        times, travel, speeds = (
-            _frozen_vector(values) for values in (times, travel, speeds)
-        )
+        times, travel, speeds = map(_frozen_vector, (times, travel, speeds))
         if times.ndim != 1 or not times.shape == travel.shape == speeds.shape:
             raise SimulationError(
                 f"grid arrays disagree: {times.shape} times, "
@@ -82,8 +80,7 @@ class TickGrid:
         interpolation; both return the floats their scalar forms
         (``trip.speed(t)``, ``trip.distance_travelled(t)``) return.
         """
-        clock = SimulationClock(trip.duration, dt)
-        times = np.arange(clock.num_ticks + 1) * dt
+        times = time_grid(SimulationClock(trip.duration, dt).num_ticks, dt)
         return cls(dt=dt, duration=trip.duration, max_speed=trip.max_speed,
                    times=times, travel=trip.distance_travelled_many(times),
                    speeds=trip.curve.speed_many(times))
@@ -106,7 +103,10 @@ class TickGrid:
 
 
 def _frozen_vector(values: Sequence[float] | np.ndarray) -> np.ndarray:
-    """A read-only float64 copy of ``values`` (grids are shared)."""
+    """``values`` as a read-only float64 array, copied unless it is one."""
+    if (isinstance(values, np.ndarray) and values.dtype == np.float64
+            and not values.flags.writeable):
+        return values
     vector = np.array(values, dtype=np.float64)
     vector.setflags(write=False)
     return vector

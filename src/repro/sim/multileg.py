@@ -73,9 +73,7 @@ class MultiLegTrip:
         for leg in legs:
             self._boundaries.append(self._boundaries[-1] + leg.route.length)
         # Reuse the single-route trip's integrator for the profile.
-        times, cumulative = Trip._integrate(curve)
-        self._times = times
-        self._cumulative = cumulative
+        self._times, self._cumulative = Trip._integrate(curve)
         if self.total_distance > self.total_length + 1e-9:
             raise SimulationError(
                 f"journey distance {self.total_distance:.2f} exceeds the "
@@ -94,7 +92,7 @@ class MultiLegTrip:
     @property
     def total_distance(self) -> float:
         """Distance the speed curve actually covers."""
-        return self._cumulative[-1]
+        return self._cumulative.item(-1)
 
     @property
     def max_speed(self) -> float:

@@ -18,6 +18,7 @@ real network routes so that range queries have interesting geometry.
 from __future__ import annotations
 
 import bisect
+import weakref
 from typing import Sequence
 
 import numpy as np
@@ -31,8 +32,22 @@ from repro.sim.speed_curves import SpeedCurve
 #: Internal integration resolution (minutes).  One second.
 _INTEGRATION_DT = 1.0 / 60.0
 
+_TIME_GRIDS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
-def interpolate_distance(times: list[float], cumulative: list[float],
+
+def time_grid(steps: int, dt: float) -> np.ndarray:
+    """Read-only ``arange(steps + 1) * dt``: one array per layout, shared
+    by every trip and tick grid on it while one of them lives."""
+    times = _TIME_GRIDS.get((steps, dt))
+    if times is None:
+        times = np.arange(steps + 1) * dt
+        times.setflags(write=False)
+        _TIME_GRIDS[steps, dt] = times
+    return times
+
+
+def interpolate_distance(times: Sequence[float] | np.ndarray,
+                         cumulative: Sequence[float] | np.ndarray,
                          duration: float, t: float) -> float:
     """Distance travelled at ``t``, linear between the integration samples.
 
@@ -47,8 +62,8 @@ def interpolate_distance(times: list[float], cumulative: list[float],
     t = min(max(t, 0.0), duration)
     idx = bisect.bisect_right(times, t) - 1
     idx = min(max(idx, 0), len(times) - 2)
-    t0, t1 = times[idx], times[idx + 1]
-    d0, d1 = cumulative[idx], cumulative[idx + 1]
+    t0, t1 = float(times[idx]), float(times[idx + 1])
+    d0, d1 = float(cumulative[idx]), float(cumulative[idx + 1])
     if t1 <= t0:
         return d0
     return d0 + (d1 - d0) * (t - t0) / (t1 - t0)
@@ -115,23 +130,23 @@ class Trip:
         self._max_speed = curve.max_speed()
 
     @staticmethod
-    def _integrate(curve: SpeedCurve) -> tuple[list[float], list[float]]:
+    def _integrate(curve: SpeedCurve) -> tuple[np.ndarray, np.ndarray]:
         """Midpoint-rule cumulative distance at the internal resolution.
 
         The midpoint rule is exact for piecewise-constant curves whose
         phase boundaries align with the sample grid (the common case for
         hand-built scenarios) and second-order accurate for the smooth
         synthetic curves — unlike the trapezoid rule, it does not smear
-        speed discontinuities across a sample.
+        speed discontinuities across a sample.  Both are read-only arrays.
         """
         steps = max(int(round(curve.duration / _INTEGRATION_DT)), 1)
         dt = curve.duration / steps
         midpoint_speeds = curve.speed_many((np.arange(1, steps + 1) - 0.5) * dt)
-        # cumsum adds one step at a time, left to right; the results stay
-        # Python lists for distance_travelled's bisect.
-        cumulative = [0.0] + np.cumsum(midpoint_speeds * dt).tolist()
-        times = (np.arange(steps + 1) * dt).tolist()
-        return times, cumulative
+        # cumsum adds one step at a time, left to right.
+        cumulative = np.zeros(steps + 1)
+        np.cumsum(midpoint_speeds * dt, out=cumulative[1:])
+        cumulative.setflags(write=False)
+        return time_grid(steps, dt), cumulative
 
     @property
     def duration(self) -> float:
@@ -141,7 +156,7 @@ class Trip:
     @property
     def total_distance(self) -> float:
         """Total distance travelled over the whole trip (miles)."""
-        return self._cumulative[-1]
+        return self._cumulative.item(-1)
 
     @property
     def max_speed(self) -> float:
@@ -200,4 +215,5 @@ __all__ = [
     "Trip",
     "interpolate_distance",
     "interpolate_distance_many",
+    "time_grid",
 ]

@@ -360,9 +360,9 @@ class TraceReplayer:
         if event.data.get("kind") in _DB_ONLY_KINDS:
             from repro.dbms.refine import nearest_from_spec
 
-            return db.nearest(*_decoded(event, nearest_from_spec,
-                                        event.time, event.data))
-        return db.ask(self._query(event))
+            return _decoded(event, db.nearest, *_decoded(
+                event, nearest_from_spec, event.time, event.data))
+        return _decoded(event, db.ask, self._query(event))
 
     def _replay_batch(self, group: list[TraceEvent],
                       report: ReplayReport) -> None:
@@ -371,7 +371,14 @@ class TraceReplayer:
         db = self._require_db(group[0])
         if self._engine is None:
             self._engine = BatchQueryEngine(db)
-        answers = self._engine.run([self._query(event) for event in group])
+        queries = [self._query(event) for event in group]
+        try:
+            answers = self._engine.run(queries)
+        except ReproError:
+            # A batch refuses its first bad query; put alone, it names it.
+            for event, query in zip(group, queries):
+                _decoded(event, self._engine.run, [query])
+            raise
         for event, answer in zip(group, answers):
             self._check(event, answer, report)
 

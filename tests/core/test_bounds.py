@@ -205,8 +205,10 @@ class TestSlowCeiling:
         assert checked > 100
 
     def test_family_ceilings(self):
-        assert immediate_linear_bounds(0.0, 1.0, 5.0).ceiling(0.0) == math.inf
-        assert immediate_linear_bounds(0.0, 1.0, 5.0).ceiling(4.0) == 2.5
+        assert immediate_linear_bounds(0.5, 1.0, 5.0).ceiling(0.0) == math.inf
+        assert immediate_linear_bounds(0.5, 1.0, 5.0).ceiling(4.0) == 2.5
+        # Parked, min(2C/t, 0 t) is 0 at every t.
+        assert immediate_linear_bounds(0.0, 1.0, 5.0).ceiling(0.0) == 0.0
         assert delayed_linear_bounds(2.0, 3.0, 5.0).ceiling(0.0) == (
             math.sqrt(20.0))
         assert fixed_threshold_bounds(1.0, 2.0, 0.7).ceiling(9.0) == 0.7

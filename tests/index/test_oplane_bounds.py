@@ -232,16 +232,18 @@ def test_the_screen_skips_the_route_end_slabs():
 
 #: Families whose slow bound is 0 from ``t = 0`` at declared speed 0:
 #: the only ones whose ceiling proves a parked object's first slab.
-ZERO_AT_REST = {"dl", "traditional", "horizon-free"}
+#: ail, cil and adaptive are among them, since ``min(2C/t, 0 t) = 0``.
+ZERO_AT_REST = {"adaptive", "ail", "cil", "dl", "traditional",
+                "horizon-free"}
 
 
 @pytest.mark.parametrize("kind", sorted(policy_names()) + EXTRA_KINDS)
 def test_every_family_at_its_route_end(kind):
     """An object at ``L`` under each family.  Driving on at speed 2, a
     ceiling proves every slab from the second on the stub; parked, only
-    a bound that is 0 from the start proves the first one (ail's
-    ``2C/e`` and a fixed trigger stay positive).  Bounds without a
-    ceiling sample every slab."""
+    a bound that is 0 from the start proves the first one (a fixed
+    trigger stays positive).  Bounds without a ceiling sample every
+    slab."""
     route = NETWORK.random_route(random.Random(5), min_length=1.0)
     end = route.travel_point(route.length, 0)
     for speed in (2.0, 0.0):

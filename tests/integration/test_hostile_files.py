@@ -296,11 +296,12 @@ INFINITE_POINTS = [
 @pytest.mark.parametrize("label, path, value", INFINITE_POINTS)
 def test_infinite_query_point(recorded, tmp_path, capsys, label, path,
                               value, mode):
-    lines, _ = corrupt_trace(recorded[0], label, path, value)
+    lines, seq = corrupt_trace(recorded[0], label, path, value)
     trace = tmp_path / "hostile.jsonl"
     trace.write_text("\n".join(lines) + "\n")
     message = run_failing(["trace", "replay", str(trace), "--mode", mode],
                           capsys)
+    assert message.startswith(f"error: event {seq} (query): "), message
     assert "must be finite, got " in message, message
 
 

@@ -302,7 +302,9 @@ class TestIntegrate:
     def test_equals_the_scalar_integrator(self, curve):
         times, cumulative = Trip._integrate(curve)
         ref_times, ref_cumulative = scalar_integrate(curve)
-        assert type(times) is list and type(cumulative) is list
+        for profile in (times, cumulative):
+            assert profile.dtype == np.float64 and not profile.flags.writeable
+        times, cumulative = times.tolist(), cumulative.tolist()
         assert all(type(x) is float for x in times + cumulative)
         assert times == ref_times
         assert cumulative == ref_cumulative
@@ -312,7 +314,8 @@ class TestIntegrate:
         curves += [ConstantCurve(0.001, 1.0), ConstantCurve(1.0 / 60.0, 0.4),
                    PiecewiseConstantCurve([(0.02, 1.0), (0.013, 0.0)])]
         for curve in curves:
-            assert Trip._integrate(curve) == scalar_integrate(curve)
+            times, cumulative = Trip._integrate(curve)
+            assert (times.tolist(), cumulative.tolist()) == scalar_integrate(curve)
 
     def test_multileg_shares_the_profile_and_the_interpolation(self):
         curve = CityCurve(12.0, random.Random(9))

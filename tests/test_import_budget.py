@@ -88,6 +88,22 @@ assert all(len(a.candidates) >= 8 for a in answers), answers
     assert not loaded(modules, "repro.vec")
 
 
+def test_query_workloads_load_no_simulator():
+    modules = modules_after(
+        "from repro.workloads import mixed_query_workload")
+    assert not loaded(modules, "numpy")
+    assert not loaded(modules, "repro.sim")
+
+
+def test_every_workload_name_is_its_home_modules_object():
+    import repro.workloads as workloads
+
+    for name in workloads.__all__:
+        home = importlib.import_module(workloads._LAZY[name])
+        assert getattr(workloads, name) is getattr(home, name), name
+    assert not hasattr(workloads, "no_such_name")
+
+
 def test_building_the_parser_imports_no_simulator():
     modules = modules_after(
         "from repro.cli import build_parser\nbuild_parser()")
