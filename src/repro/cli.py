@@ -154,10 +154,9 @@ def _check_counts(args: argparse.Namespace, *flags: str) -> None:
 def _cmd_report(args: argparse.Namespace, out: TextIO) -> int:
     from repro.experiments.runner import run_all
 
-    _check_counts(args, "--jobs", "--shards")
+    _check_counts(args, "--shards")
     with _observing(args, out, root="report"):
-        run_all(fast=args.fast, out=out, jobs=args.jobs,
-                shards=args.shards)
+        run_all(fast=args.fast, out=out, shards=args.shards)
     return 0
 
 
@@ -300,7 +299,7 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
     from repro.obs import jsonl_snapshot, prometheus_text
     from repro.workloads.query_workloads import polygon_query_workload
 
-    _check_counts(args, "--jobs", "--shards")
+    _check_counts(args, "--shards")
     random.seed(args.seed)
     with _observing(args, out, root="stats", sinks=("registry", "tracer"),
                     mark="# ", meta={
@@ -333,19 +332,6 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
                 scenario, polygons, args.duration,
                 scenario.database.range_query)
 
-        if args.jobs > 1:
-            # Exercise the parallel executor so the emitted snapshot
-            # demonstrates merged per-worker telemetry (the metrics
-            # carry worker="chunk-N" labels, the span tree the adopted
-            # worker spans).
-            from repro.exec import SweepExecutor
-            from repro.experiments.sweep import SweepSpec
-
-            SweepExecutor(jobs=args.jobs).run(SweepSpec(
-                policy_names=("dl", "ail"), update_costs=(2.0, 5.0),
-                num_curves=max(args.jobs, 2),
-                duration=min(args.duration, 10.0), seed=args.seed,
-            ))
         if session.recorder is not None:
             from repro.trace import record_index_digest
 
@@ -491,8 +477,6 @@ _SHARED: dict[str, dict[str, Any]] = {
                                       "spatial shards (answers invariant)"},
     "--shard-plan": {"help": "a saved partitioning plan (JSON) instead "
                              "of a uniform --shards grid"},
-    "--jobs": {"type": int, "default": 1,
-               "help": "worker processes (answers invariant)"},
     "--profile": {"action": "store_true",
                   "help": "print a flame summary of the run's spans"},
     "--trace-out": {"help": "record the DBMS workload as a JSONL trace"},
@@ -522,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--fast", action="store_true")
     report.add_argument("--metrics-out", default=None,
                         help="write a JSONL metrics snapshot of the run")
-    _add_shared(report, "--jobs", "--profile", "--trace-out", "--shards",
+    _add_shared(report, "--profile", "--trace-out", "--shards",
                 shards={"default": 4})
     report.set_defaults(func=_cmd_report)
 
@@ -562,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the JSONL snapshot to this path")
     stats.add_argument("--spans-out", default=None,
                        help="write the span trace (JSONL) to this path")
-    _add_shared(stats, "--trace-out", "--shards", "--shard-plan", "--jobs",
+    _add_shared(stats, "--trace-out", "--shards", "--shard-plan",
                 "--profile")
     stats.set_defaults(func=_cmd_stats)
 

@@ -3,8 +3,7 @@
 Every (policy, update-cost) cell of the §3.4 grid that runs the same
 trip reads the same :class:`~repro.sim.grid.TickGrid` (re-exported
 here with :class:`GridTrip`).  A :class:`TripTickCache` builds each
-trip's grid once for every cell that asks; the parallel executor ships
-the grids to its workers, which never rebuild trips.
+trip's grid once for every cell that asks.
 """
 
 from __future__ import annotations

@@ -9,37 +9,19 @@ reference loop) for every other lane — and since lanes never interact,
 the grouping cannot change a result.
 
 :class:`SweepExecutor` decomposes a
-:class:`~repro.experiments.sweep.SweepSpec` into its cells and hands
-them to it — serially, or as (policy, trip-block) rectangles fanned out
-over a ``ProcessPoolExecutor``.  The cells are re-assembled in canonical
-(policy, cost, trip) order before aggregating — so the resulting
-:class:`~repro.experiments.sweep.SweepResult` is float-for-float
-identical no matter the job count or the order in which workers finish.
+:class:`~repro.experiments.sweep.SweepSpec` into its cells, hands them
+to it in one in-process call, and aggregates the results in canonical
+(policy, cost, trip) order — the same order, and therefore the same
+float summation, as one reference run per cell.
 
-Determinism stack, bottom to top:
-
-* every cell simulation is a pure function of (trip kinematics, policy,
-  C, dt) — no RNG is drawn at run time (each cell still carries a
-  stable seed, derived from ``spec.seed`` and its grid coordinates, so
-  future stochastic components inherit schedule-independence for free);
-* trip kinematics reach workers as prebuilt :class:`TickGrid` arrays
-  (workers never rebuild trips, so there is no rebuild to diverge);
-* results are keyed by cell index and aggregated in spec order, never
-  in completion order.
-
-Telemetry follows the results.  Every hook here states its facts to the
-one probe (:mod:`repro.obs.probe`); a pool worker runs its rectangle
-under the probe's worker session and returns what it published as a
-picklable bundle beside its metrics, which the parent adopts under a
-``worker="chunk-N"`` label — so an observed ``--jobs N`` sweep reports
-the counters of the serial one.  :func:`pool_context` is this pool's
-multiprocessing context.
+Every cell simulation is a pure function of (trip kinematics, policy,
+C, dt): no RNG is drawn at run time.  Each cell still carries a stable
+seed, derived from ``spec.seed`` and its grid coordinates, so a future
+stochastic component inherits order-independence for free.
 """
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
@@ -69,9 +51,9 @@ class SweepCell:
     """One independent unit of sweep work: (policy, cost, trip).
 
     ``seed`` is a stable function of the spec seed and the cell's grid
-    coordinates — identical across serial/parallel execution and across
-    runs — reserved for stochastic simulation components (noise models)
-    so that adding randomness later cannot break order-independence.
+    coordinates — identical across runs — reserved for stochastic
+    simulation components (noise models) so that adding randomness
+    later cannot break order-independence.
     """
 
     policy_index: int
@@ -92,27 +74,14 @@ def cell_seed(spec_seed: int, policy_index: int, cost_index: int,
     return mixed & 0x7FFFFFFF
 
 
-def _family_cells(spec: SweepSpec, policy_index: int, start: int,
-                  stop: int) -> list[SweepCell]:
-    """One policy's cells over trips ``[start, stop)``, in (cost, trip) order."""
-    return [
-        SweepCell(
-            policy_index=policy_index,
-            cost_index=c,
-            trip_index=t,
-            seed=cell_seed(spec.seed, policy_index, c, t),
-        )
-        for c in range(len(spec.update_costs))
-        for t in range(start, stop)
-    ]
-
-
 def _decompose(spec: SweepSpec) -> list[SweepCell]:
     """All cells of the spec grid in canonical (policy, cost, trip) order."""
     return [
-        cell
+        SweepCell(policy_index=p, cost_index=c, trip_index=t,
+                  seed=cell_seed(spec.seed, p, c, t))
         for p in range(len(spec.policy_names))
-        for cell in _family_cells(spec, p, 0, spec.num_curves)
+        for c in range(len(spec.update_costs))
+        for t in range(spec.num_curves)
     ]
 
 
@@ -178,8 +147,8 @@ def simulate_lanes(lanes: Sequence[tuple[Trip | TickGrid, UpdatePolicy]],
 
 
 def _run_cells(spec: SweepSpec, cells: list[SweepCell],
-               grids: list[TickGrid], first: int) -> list[TripMetrics]:
-    """The cells' metrics, in cell order; ``grids`` start at trip ``first``.
+               grids: list[TickGrid]) -> list[TripMetrics]:
+    """The cells' metrics, in cell order; ``grids`` are indexed by trip.
 
     The kernel only reads a policy's kind and parameters, so its cells
     share one instance per (policy, cost).  Any other cell runs
@@ -195,76 +164,18 @@ def _run_cells(spec: SweepSpec, cells: list[SweepCell],
             policy = _make_policy(spec, *key)
             if supports_fast_path(policy):
                 shared[key] = policy
-        lanes.append((grids[cell.trip_index - first], policy))
+        lanes.append((grids[cell.trip_index], policy))
     return [result.metrics for result in simulate_lanes(
         lanes, spec.dt, collect_events=False)]
 
 
-@dataclass(frozen=True, slots=True)
-class _WorkerState:
-    """What a pool worker needs besides its task: installed once per
-    worker by the pool initializer so tasks only carry three integers."""
-
-    spec: SweepSpec
-    grids: list[TickGrid]
-
-
-_WORKER: _WorkerState | None = None
-
-
-def _init_worker(state: _WorkerState) -> None:
-    global _WORKER
-    _WORKER = state
-
-
-def _run_rectangle(
-    rectangle: tuple[int, int, int],
-) -> tuple[list[TripMetrics], float, dict | None]:
-    """Run one ``(policy index, trip start, trip stop)`` rectangle in a worker.
-
-    Returns ``(metrics in (cost, trip) order, secs, telemetry bundle)``.
-    The rectangle runs under the probe's worker session
-    (:meth:`~repro.obs.probe.Probe.isolated`) and ships what it
-    published back as plain data for the parent to adopt; when nobody
-    observes, nothing is installed and no telemetry returns.
-    """
-    state = _WORKER
-    if state is None:
-        raise ExperimentError(
-            "sweep worker ran a task before its initializer installed "
-            "the spec and grids"
-        )
-    policy_index, first, stop = rectangle
-    start = perf_counter()
-    with probe().isolated() as p:
-        results = _run_cells(
-            state.spec, _family_cells(state.spec, policy_index, first, stop),
-            state.grids[first:stop], first)
-        bundle = p.capture()
-    return results, perf_counter() - start, bundle
-
-
-def pool_context():
-    """Fork where available (cheap on Linux), default context elsewhere.
-
-    A forked worker inherits its state — and the parent's probe, which
-    :meth:`Probe.isolated` then replaces.
-    """
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX platforms
-        return multiprocessing.get_context()
-
-
 class SweepExecutor:
-    """Runs sweep grids deterministically, serially or in parallel.
+    """Runs sweep grids deterministically, in-process.
 
-    ``jobs=1`` executes in-process; ``jobs>1`` fans (policy, trip-block)
-    rectangles out over a process pool.  Either way the same tick-grid cache backs every cell
-    and the output is byte-identical to the legacy serial loop (the
-    parallel-equivalence tests assert exact float equality).
+    One tick-grid cache backs every cell, and the output is
+    float-for-float that of one reference run per cell (the
+    equivalence tests assert exact equality).  ``jobs`` has one legal
+    value, 1: the sweep runs in the calling process.
 
     The executor (and its :class:`TripTickCache`) may be reused across
     ``run`` calls: passing the same trip objects again reuses their
@@ -274,9 +185,9 @@ class SweepExecutor:
 
     def __init__(self, jobs: int = 1,
                  cache: TripTickCache | None = None) -> None:
-        if jobs < 1:
-            raise ExperimentError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
+        if jobs != 1:
+            raise ExperimentError(
+                f"the sweep runs in-process: jobs must be 1, got {jobs}")
         self.cache = cache if cache is not None else TripTickCache()
 
     def run(self, spec: SweepSpec,
@@ -304,92 +215,25 @@ class SweepExecutor:
 
         p = probe()
         start = perf_counter()
-        mode = "parallel" if self.jobs > 1 else "serial"
-        with p.span("sweep_execute", jobs=self.jobs, cells=len(cells),
-                  policies=len(spec.policy_names),
-                  costs=len(spec.update_costs), trips=spec.num_curves):
-            if self.jobs == 1:
-                # Each cell fetches its grid through the cache, so the
-                # cache's hit rate reflects the actual cross-cell
-                # sharing (all but the first lookup per trip hit).
-                grids = [
-                    self.cache.grid_for(trips[cell.trip_index], spec.dt)
-                    for cell in cells
-                ][:spec.num_curves]
-                cell_metrics = _run_cells(spec, cells, grids, 0)
-            else:
-                # Workers receive prebuilt grids (one cache lookup per
-                # trip here; the sharing happens inside each worker).
-                grids = [self.cache.grid_for(trip, spec.dt)
-                         for trip in trips]
-                cell_metrics = self._run_parallel(spec, grids)
+        with p.span("sweep_execute", cells=len(cells),
+                    policies=len(spec.policy_names),
+                    costs=len(spec.update_costs), trips=spec.num_curves):
+            # Each cell fetches its grid through the cache, so the
+            # cache's hit rate reflects the actual cross-cell sharing
+            # (all but the first lookup per trip hit).
+            grids = [
+                self.cache.grid_for(trips[cell.trip_index], spec.dt)
+                for cell in cells
+            ][:spec.num_curves]
+            cell_metrics = _run_cells(spec, cells, grids)
         elapsed = perf_counter() - start
 
         if p.enabled:
-            p.count("exec_tasks_total", mode=mode)
-            if self.jobs == 1:
-                # Parallel runs count their cells per finished chunk in
-                # _run_parallel; serial runs land them here in one go.
-                p.count("exec_cells_total", len(cells), mode=mode)
-            p.observe("exec_pool_seconds", elapsed, mode=mode)
+            p.count("exec_tasks_total")
+            p.count("exec_cells_total", len(cells))
+            p.observe("exec_pool_seconds", elapsed)
 
         return SweepResult(spec=spec, cells=self._aggregate(spec, cell_metrics))
-
-    def _run_parallel(self, spec: SweepSpec,
-                      grids: list[TickGrid]) -> list[TripMetrics]:
-        """Fan (policy, trip-block) rectangles out over a process pool.
-
-        A rectangle spans every update cost, so a worker's kernel pass
-        covers the cost axis exactly as the serial one does.
-        Results return in cell order.
-        """
-        num_policies = len(spec.policy_names)
-        num_costs = len(spec.update_costs)
-        num_trips = spec.num_curves
-        # A handful of rectangles per worker balances load (some trips
-        # fire more updates than others) against dispatch overhead.
-        blocks = max(1, math.ceil(self.jobs * 4 / num_policies))
-        block = math.ceil(num_trips / blocks)
-        rectangles = [
-            (p, first, min(first + block, num_trips))
-            for p in range(num_policies)
-            for first in range(0, num_trips, block)
-        ]
-
-        p = probe()
-        results: list[TripMetrics | None] = (
-            [None] * (num_policies * num_costs * num_trips)
-        )
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(rectangles)),
-            mp_context=pool_context(),
-            initializer=_init_worker,
-            initargs=(_WorkerState(spec, grids),),
-        ) as pool:
-            futures = [pool.submit(_run_rectangle, rectangle)
-                       for rectangle in rectangles]
-            for chunk_index, (rectangle, future) in enumerate(
-                    zip(rectangles, futures)):
-                chunk_results, task_seconds, bundle = future.result()
-                if p.enabled:
-                    p.observe("exec_task_seconds", task_seconds)
-                    p.adopt(bundle, worker=f"chunk-{chunk_index}")
-                    p.count("exec_cells_total", len(chunk_results),
-                            mode="parallel")
-                policy_index, first, stop = rectangle
-                width = stop - first
-                if len(chunk_results) != num_costs * width:
-                    raise ExperimentError(
-                        f"rectangle {rectangle} returned "
-                        f"{len(chunk_results)} results, expected "
-                        f"{num_costs * width}"
-                    )
-                for c in range(num_costs):
-                    base = (policy_index * num_costs + c) * num_trips + first
-                    results[base:base + width] = (
-                        chunk_results[c * width:(c + 1) * width]
-                    )
-        return results  # type: ignore[return-value]
 
     @staticmethod
     def _aggregate(spec: SweepSpec, cell_metrics: list[TripMetrics]):
@@ -398,7 +242,7 @@ class SweepExecutor:
         ``cell_metrics`` is indexed like :func:`_decompose`'s output, so
         the per-(policy, cost) trip lists are rebuilt in trip order —
         the same order (and therefore the same float summation) as the
-        legacy serial loop, regardless of completion order.
+        legacy serial loop.
         """
         num_costs = len(spec.update_costs)
         num_trips = spec.num_curves
@@ -417,6 +261,5 @@ __all__ = [
     "SweepCell",
     "SweepExecutor",
     "cell_seed",
-    "pool_context",
     "simulate_lanes",
 ]

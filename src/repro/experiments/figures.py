@@ -78,14 +78,9 @@ def figure_uncertainty(result: SweepResult) -> Figure:
     )
 
 
-def run_standard_sweep(spec: SweepSpec | None = None,
-                       jobs: int = 1) -> SweepResult:
-    """The shared sweep behind E1–E3 (one simulation pass, three figures).
-
-    ``jobs`` fans the grid out over worker processes; the result is
-    byte-identical to a serial run for any job count.
-    """
-    return run_policy_sweep(spec or SweepSpec(), jobs=jobs)
+def run_standard_sweep(spec: SweepSpec | None = None) -> SweepResult:
+    """The shared sweep behind E1–E3 (one simulation pass, three figures)."""
+    return run_policy_sweep(spec or SweepSpec())
 
 
 def figure_bound_shapes(declared_speed: float = 1.0, max_speed: float = 1.5,

@@ -59,15 +59,12 @@ def fast_spec() -> SweepSpec:
 
 
 def run_all(fast: bool = False, out: TextIO | None = None,
-            jobs: int = 1, shards: int = 4) -> None:
+            shards: int = 4) -> None:
     """Execute E1–E20 and write the report to ``out`` (default stdout).
 
     ``out`` defaults to *the current* ``sys.stdout`` at call time, so
     stream redirection (e.g. under test capture) behaves as expected.
-    ``jobs`` fans the sweep-shaped experiments (E1–E3, E4, the ablation
-    tables) over worker processes; every number in the report is
-    invariant under the job count.  ``shards`` sets the shard budget
-    for E20's candidate plans.
+    ``shards`` sets the shard budget for E20's candidate plans.
     """
     if out is None:
         out = sys.stdout
@@ -80,7 +77,7 @@ def run_all(fast: bool = False, out: TextIO | None = None,
     emit()
 
     spec = fast_spec() if fast else SweepSpec()
-    sweep = run_standard_sweep(spec, jobs=jobs)
+    sweep = run_standard_sweep(spec)
     for figure in (
         figure_messages(sweep),
         figure_total_cost(sweep),
@@ -92,7 +89,6 @@ def run_all(fast: bool = False, out: TextIO | None = None,
 
     savings = table_update_savings(
         num_curves=spec.num_curves, duration=spec.duration, dt=spec.dt,
-        jobs=jobs,
     )
     emit(f"[{savings.experiment_id}]")
     emit(savings.render())
@@ -121,7 +117,6 @@ def run_all(fast: bool = False, out: TextIO | None = None,
 
     predictor = table_predictor_ablation(
         num_curves=4 if fast else 8, duration=spec.duration, dt=spec.dt,
-        jobs=jobs,
     )
     emit(f"[{predictor.experiment_id}]")
     emit(predictor.render())
@@ -129,7 +124,6 @@ def run_all(fast: bool = False, out: TextIO | None = None,
 
     delay = table_delay_ablation(
         num_curves=4 if fast else 8, duration=spec.duration, dt=spec.dt,
-        jobs=jobs,
     )
     emit(f"[{delay.experiment_id}]")
     emit(delay.render())
@@ -219,11 +213,6 @@ def main(argv: list[str] | None = None) -> int:
              "snapshot to this path (machine-readable run telemetry)",
     )
     parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the sweep-shaped experiments "
-             "(results are identical for any value)",
-    )
-    parser.add_argument(
         "--shards", type=int, default=4,
         help="shard count of E20's candidate plans",
     )
@@ -232,10 +221,10 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs import use_registry, write_jsonl
 
         with use_registry() as registry:
-            run_all(fast=args.fast, jobs=args.jobs, shards=args.shards)
+            run_all(fast=args.fast, shards=args.shards)
         write_jsonl(registry, args.metrics_out)
     else:
-        run_all(fast=args.fast, jobs=args.jobs, shards=args.shards)
+        run_all(fast=args.fast, shards=args.shards)
     return 0
 
 

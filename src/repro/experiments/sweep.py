@@ -77,8 +77,7 @@ def build_curves(spec: SweepSpec) -> list[SpeedCurve]:
 
 
 def run_policy_sweep(spec: SweepSpec,
-                     curves: list[SpeedCurve] | None = None,
-                     jobs: int = 1) -> SweepResult:
+                     curves: list[SpeedCurve] | None = None) -> SweepResult:
     """Run the full (policy x update-cost) grid over the curve set.
 
     Each policy sees the *same* trips (same curves, same routes), so
@@ -86,12 +85,11 @@ def run_policy_sweep(spec: SweepSpec,
 
     Execution is delegated to :class:`repro.exec.SweepExecutor`, which
     shares each trip's precomputed tick grid across every (policy, cost)
-    cell and, for ``jobs > 1``, fans cells out over worker processes.
-    The result is byte-identical for any job count.
+    cell.
     """
     from repro.exec import SweepExecutor
 
-    return SweepExecutor(jobs=jobs).run(spec, curves=curves)
+    return SweepExecutor().run(spec, curves=curves)
 
 __all__ = [
     "SweepResult",

@@ -82,8 +82,7 @@ def table_update_savings(precision_miles: float = 1.0,
                          update_cost: float = 5.0,
                          num_curves: int = 20, duration: float = 60.0,
                          seed: int = 42,
-                         dt: float = DEFAULT_TICK_MINUTES,
-                         jobs: int = 1) -> TableResult:
+                         dt: float = DEFAULT_TICK_MINUTES) -> TableResult:
     """E4: message counts, temporal modeling vs. the traditional method.
 
     All policies run the same curve set.  The traditional baseline
@@ -103,7 +102,7 @@ def table_update_savings(precision_miles: float = 1.0,
     curves = standard_curve_set(rng, count=num_curves, duration=duration)
     cells = _policy_cells(
         ("traditional", "fixed-threshold", "dl", "ail", "cil"), update_cost,
-        curves, dt, SweepExecutor(jobs=jobs), "savings",
+        curves, dt, SweepExecutor(), "savings",
         {"traditional": {"precision": precision_miles},
          "fixed-threshold": {"bound": precision_miles}})
     baseline = cells["traditional"]
@@ -200,8 +199,7 @@ def table_threshold_algebra(update_cost: float = 5.0) -> TableResult:
 
 def table_predictor_ablation(update_cost: float = 5.0, num_curves: int = 8,
                              duration: float = 60.0, seed: int = 17,
-                             dt: float = DEFAULT_TICK_MINUTES,
-                             jobs: int = 1) -> TableResult:
+                             dt: float = DEFAULT_TICK_MINUTES) -> TableResult:
     """E10: which predicted speed suits which driving regime (§3.1).
 
     The paper: current speed "may be appropriate for highway driving in
@@ -214,7 +212,7 @@ def table_predictor_ablation(update_cost: float = 5.0, num_curves: int = 8,
     rng = random.Random(seed)
     highway = [HighwayCurve(duration, rng) for _ in range(num_curves)]
     city = [CityCurve(duration, rng) for _ in range(num_curves)]
-    executor = SweepExecutor(jobs=jobs)
+    executor = SweepExecutor()
     rows: list[list[object]] = []
     for regime, curves in (("highway", highway), ("city", city)):
         current, average = _policy_cells(("cil", "ail"), update_cost, curves,
@@ -234,8 +232,7 @@ def table_predictor_ablation(update_cost: float = 5.0, num_curves: int = 8,
 
 def table_delay_ablation(update_cost: float = 5.0, num_curves: int = 8,
                          duration: float = 60.0, seed: int = 29,
-                         dt: float = DEFAULT_TICK_MINUTES,
-                         jobs: int = 1) -> TableResult:
+                         dt: float = DEFAULT_TICK_MINUTES) -> TableResult:
     """E11: what the estimator's delay term buys (dl vs. cil).
 
     dl and cil differ only in the estimator delay (both declare the
@@ -249,7 +246,7 @@ def table_delay_ablation(update_cost: float = 5.0, num_curves: int = 8,
     stable = [CityCurve(duration, rng) for _ in range(num_curves)]
     drifting = [HighwayCurve(duration, rng, wobble=0.15)
                 for _ in range(num_curves)]
-    executor = SweepExecutor(jobs=jobs)
+    executor = SweepExecutor()
     rows: list[list[object]] = []
     for regime, curves in (("piecewise-stable", stable),
                            ("continuous-drift", drifting)):

@@ -1,19 +1,19 @@
 """Paper-invariant static analysis (``repro lint``).
 
 The reproduction's headline guarantees — dead-reckoning math matching
-Propositions 1–4, and parallel/batched output byte-identical to serial
-— rest on invariants that normal tests cannot watch at every commit:
-determinism of the sim/exec/batch paths, fork/pickle safety in the
-executor, numeric hygiene in the cost algebra, a stable public API
-surface, and observability discipline.  This package machine-checks
+Propositions 1–4, and kernel/batched output byte-identical to the
+reference loops — rest on invariants that normal tests cannot watch at
+every commit: determinism of the sim/exec/batch paths, numeric hygiene
+in the cost algebra, a stable public API surface, and observability
+discipline.  This package machine-checks
 them at rest, in one run in which each hazard has one detector and
 one code:
 
 * :mod:`repro.lint.rules` — rule registry + tag-based path scoping,
 * :mod:`repro.lint.checks` — the per-module rule pack,
 * :mod:`repro.lint.flow` — the whole-program rules: determinism
-  (``RPR101``–``RPR103``) at every call depth and pool picklability
-  (``RPR201``), over each program's call graph,
+  (``RPR101``–``RPR103``) at every call depth, over each program's
+  call graph,
 * :mod:`repro.lint.engine` — file collection, one parse per file,
   dispatch, and the ``# repro: noqa[CODE] reason`` suppression
   protocol,

@@ -2,15 +2,13 @@
 
 Code families (see :mod:`repro.lint.rules` for scoping):
 
-* ``RPR1xx`` **determinism** — the parallel sweep and the batched
+* ``RPR1xx`` **determinism** — the sweep's kernel and the batched
   query engine promise byte-identical output; unseeded RNG, wall-clock
   reads, and set-iteration order reaching ``sim/``, ``exec/``,
   ``vec/``, the digest/trace/report modules or (for the clock) ``obs/``
   silently break that promise.  ``RPR101``–``RPR103`` are
   whole-program rules (:mod:`repro.lint.flow.taint`): they fire at any
   call depth.
-* ``RPR2xx`` **exec safety** — fork/pickle hazards around the process
-  pools; ``RPR201`` is whole-program (:mod:`repro.lint.flow.pools`).
 * ``RPR3xx`` **numeric hygiene** — float ``==`` and mutable defaults
   corrupt the §3 cost algebra in ways tests rarely catch; ``vec/``
   kernels additionally ban per-element loops over arrays and
@@ -103,28 +101,6 @@ def check_shard_merge_iteration(ctx: ModuleContext) -> Iterator[Finding]:
                 and dotted_name(node.func) in ("list", "tuple")
                 and node.args and _shard_keyed(_dict_view(node.args[0]))):
             yield ctx.finding(node, "RPR104", message)
-
-
-@register(
-    "RPR202", "worker-global-mutation", SEVERITY_ERROR, "exec",
-    "inside exec/, only pool-initializer functions (_init*) may rebind "
-    "module globals; worker tasks must not",
-)
-def check_worker_globals(ctx: ModuleContext) -> Iterator[Finding]:
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        if node.name.startswith(("_init", "init")):
-            continue
-        for stmt in ast.walk(node):
-            if isinstance(stmt, ast.Global):
-                yield ctx.finding(
-                    stmt, "RPR202",
-                    f"function {node.name!r} rebinds module globals "
-                    f"({', '.join(stmt.names)}); under fork, worker-side "
-                    f"mutation diverges from the parent — only pool "
-                    f"initializers (_init*) may do this",
-                )
 
 
 def _is_float_operand(node: ast.AST) -> bool:
@@ -499,10 +475,6 @@ for _code, _name, _scope, _description in (
     ("RPR103", "unordered-set-iteration", "deterministic",
      "no iterating a set expression into ordered output in "
      "deterministic paths, at any call depth; wrap in sorted()"),
-    ("RPR201", "pool-unpicklable-task", "everywhere",
-     "no lambda, closure-local function or lock-holding bound method "
-     "submitted to a process pool, directly or through a task "
-     "parameter (they do not pickle)"),
 ):
     register_rule(Rule(code=_code, name=_name, severity=SEVERITY_ERROR,
                        scope=_scope, description=_description, check=None))
@@ -533,5 +505,4 @@ __all__ = [
     "check_shard_merge_iteration",
     "check_span_pairing",
     "check_vec_kernel_hygiene",
-    "check_worker_globals",
 ]

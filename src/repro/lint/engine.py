@@ -7,8 +7,7 @@ outside any package is a program of its own.  Per module it dispatches
 the per-file rules whose scope covers the module's path tags (see
 :mod:`repro.lint.rules`); per program it builds the call graph once and
 runs the whole-program rules over it — the determinism rules
-``RPR101``–``RPR103`` at every call depth and the pool rule ``RPR201``
-(:mod:`repro.lint.flow`).  Inline suppressions then apply to every
+``RPR101``–``RPR103`` at every call depth (:mod:`repro.lint.flow`).  Inline suppressions then apply to every
 finding alike, and a :class:`LintReport` comes back.
 
 Inline suppression matches ruff/flake8 ergonomics but is deliberately
@@ -43,7 +42,6 @@ from typing import Iterable, Sequence
 
 from repro.lint.findings import Finding
 from repro.lint.flow.graph import build_graph, module_import_map
-from repro.lint.flow.pools import check_pool_picklability
 from repro.lint.flow.taint import check_taint_flows
 from repro.lint.rules import (
     FIXTURE_PREFIX,
@@ -261,8 +259,6 @@ def _lint_program(units: Iterable[tuple[str, str, str]],
     graph = build_graph(modules)
     codes = known_codes() if config.select is None else config.select
     findings.extend(check_taint_flows(graph, codes))
-    if "RPR201" in codes:
-        findings.extend(check_pool_picklability(graph))
 
     directives = {relpath: _noqa_directives(found)
                   for relpath, found in comments.items()}

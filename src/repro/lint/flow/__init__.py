@@ -10,9 +10,7 @@ these over each program's call graph:
 * :mod:`repro.lint.flow.taint` — the determinism rules
   ``RPR101``–``RPR103`` at every call depth: depth 0 where the hazard
   is, depth ≥ 1 at the first hop of the chain that carries it into a
-  deterministic function,
-* :mod:`repro.lint.flow.pools` — the pool rule ``RPR201``: callables
-  handed to ``submit``/``map`` directly or through a task parameter.
+  deterministic function.
 """
 
 __all__: list[str] = []

@@ -43,15 +43,6 @@ class FunctionInfo:
     node: ast.FunctionDef | ast.AsyncFunctionDef
     class_name: str | None = None
 
-    def param_names(self) -> list[str]:
-        """Positional parameter names (posonly + regular, sans self)."""
-        args = self.node.args
-        names = [a.arg for a in (*args.posonlyargs, *args.args)]
-        if self.class_name is not None and names and \
-                names[0] in ("self", "cls"):
-            names = names[1:]
-        return names
-
 
 @dataclass(slots=True)
 class CallSite:
@@ -132,8 +123,6 @@ class PackageGraph:
         self.package = package
         self.modules: dict[str, ModuleContext] = {}
         self.functions: dict[str, FunctionInfo] = {}
-        #: class qualname -> (defining module, class node)
-        self.classes: dict[str, tuple[ModuleContext, ast.ClassDef]] = {}
         #: class qualname -> method name -> function qualname
         self.methods: dict[str, dict[str, str]] = {}
         self.callers: dict[str, list[CallSite]] = {}
@@ -149,7 +138,6 @@ class PackageGraph:
                     qualname=qual, module=info, node=stmt)
             elif isinstance(stmt, ast.ClassDef):
                 class_qual = f"{info.name}.{stmt.name}"
-                self.classes[class_qual] = (info, stmt)
                 table = self.methods.setdefault(class_qual, {})
                 for sub in stmt.body:
                     if isinstance(sub, (ast.FunctionDef,

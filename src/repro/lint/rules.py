@@ -1,17 +1,17 @@
 """Rule registry and path scoping for the lint engine.
 
 Every rule is a :class:`Rule`: a stable code (``RPR1xx`` determinism,
-``RPR2xx`` exec safety, ``RPR3xx`` numeric hygiene, ``RPR4xx`` API
-consistency, ``RPR5xx`` observability discipline, ``RPR9xx`` engine
-hygiene), a severity, a one-line description, a *scope* naming the
-path family it applies to, and a per-module AST checker — or none,
+``RPR3xx`` numeric hygiene, ``RPR4xx`` API consistency, ``RPR5xx``
+observability discipline, ``RPR9xx`` engine hygiene), a severity, a
+one-line description, a *scope* naming the path family it applies to,
+and a per-module AST checker — or none,
 when the engine enforces the rule itself (the whole-program rules of
 :mod:`repro.lint.flow` and suppression hygiene).  Checkers live in
 :mod:`repro.lint.checks` and register themselves via :func:`register`.
 
 Scoping is tag-based.  :func:`classify_path` maps a repo-relative path
-to a set of tags (``deterministic``, ``exec``, ``vec``, ``shard``,
-``obs``, ``library``, ``test``, ``script``) and each scope is a
+to a set of tags (``deterministic``, ``vec``, ``shard``, ``obs``,
+``library``, ``test``, ``script``) and each scope is a
 predicate over those tags; whole-program rules scope their sinks the
 same way.
 Paths under ``tests/lint/fixtures/`` have that prefix stripped before
@@ -57,8 +57,6 @@ def classify_path(relpath: str) -> frozenset[str]:
             or rel.endswith(("dbms/batch.py", "dbms/refine.py",
                              "trace/recorder.py", "shard/sharded.py"))):
         tags.add("deterministic")
-    if "exec" in parts:
-        tags.add("exec")
     if "shard" in parts:
         tags.add("shard")
     if "vec" in parts:
@@ -80,10 +78,6 @@ def _scope_everywhere(tags: frozenset[str]) -> bool:
 
 def _scope_deterministic(tags: frozenset[str]) -> bool:
     return "deterministic" in tags
-
-
-def _scope_exec(tags: frozenset[str]) -> bool:
-    return "exec" in tags and "test" not in tags
 
 
 def _scope_library(tags: frozenset[str]) -> bool:
@@ -118,7 +112,6 @@ SCOPES: dict[str, Callable[[frozenset[str]], bool]] = {
     "everywhere": _scope_everywhere,
     "deterministic": _scope_deterministic,
     "deterministic-or-obs": _scope_deterministic_or_obs,
-    "exec": _scope_exec,
     "library": _scope_library,
     "library-not-obs": _scope_library_not_obs,
     "dbms-index": _scope_dbms_index,

@@ -77,8 +77,6 @@ CATALOGUE: dict[str, Metric] = {
         COUNTER, "Simulation cells executed by the executor."),
     "exec_pool_seconds": Metric(
         HISTOGRAM, "Wall-clock seconds per sweep execution."),
-    "exec_task_seconds": Metric(
-        HISTOGRAM, "Wall-clock seconds per worker task (chunk)."),
     # -- dbms: updates (§3.1) and queries (§4) ---------------------------
     # Stated as an ``update`` trace event (``Probe.event``).
     "dbms_update_messages_total": Metric(

@@ -328,47 +328,6 @@ class MetricsRegistry:
             "histograms": histograms,
         }
 
-    def merge_snapshot(self, snapshot: dict[str, list[dict]],
-                       **labels: str) -> None:
-        """Fold another registry's :meth:`snapshot` into this one.
-
-        This is how worker-process telemetry reaches the parent:
-        counters are summed, histograms are bucket-merged (bucket
-        bounds must agree with any instrument already registered under
-        the name), and gauges are last-write — so callers pass an
-        identifying label set (e.g. ``worker="chunk-3"``) to keep each
-        worker's gauges distinguishable.
-        """
-        for sample in snapshot.get("counters", []):
-            merged = {**sample["labels"], **labels}
-            self.counter(sample["name"], **merged).inc(sample["value"])
-        for sample in snapshot.get("gauges", []):
-            merged = {**sample["labels"], **labels}
-            self.gauge(sample["name"], **merged).set(sample["value"])
-        for sample in snapshot.get("histograms", []):
-            merged = {**sample["labels"], **labels}
-            buckets = sample["buckets"]
-            bounds = tuple(float(b["le"]) for b in buckets[:-1])
-            histogram = self.histogram(sample["name"], buckets=bounds,
-                                       **merged)
-            if histogram.bounds != bounds:
-                raise ObservabilityError(
-                    f"histogram {sample['name']!r} bucket mismatch on "
-                    f"merge: {histogram.bounds} != {bounds}"
-                )
-            running = 0
-            for i, bucket in enumerate(buckets):
-                per_bucket = bucket["count"] - running
-                running = bucket["count"]
-                if per_bucket < 0:
-                    raise ObservabilityError(
-                        f"histogram {sample['name']!r} has non-cumulative "
-                        "buckets in merged snapshot"
-                    )
-                histogram.bucket_counts[i] += per_bucket
-            histogram.sum += sample["sum"]
-            histogram.count += sample["count"]
-
 
 class _NullCounter:
     __slots__ = ()

@@ -21,8 +21,7 @@ read and one flag test.
 The sinks are *slots* of the probe: :func:`slot` builds the ``get_*`` /
 ``set_*`` / ``use_*`` spellings the sink modules export, each slot's
 off-value being its module's ``Null*`` sink; :func:`observe` installs
-several at once.  A pool worker's telemetry comes home as data:
-:meth:`Probe.isolated`, :meth:`Probe.capture`, :meth:`Probe.adopt`.
+several at once.
 
 This module imports nothing from :mod:`repro.trace`: that package binds
 its recorder slot here while it is being imported.
@@ -165,48 +164,6 @@ class Probe:
                 issuer["index"] = index
             self.query(query.kind, answer, time=query.time,
                        **query.fields(), **issuer)
-
-    # -- a worker's telemetry, as data -------------------------------------
-
-    @contextmanager
-    def isolated(self) -> Iterator["Probe"]:
-        """A pool worker's session.
-
-        The parent's sinks arrive in a forked worker by inheritance,
-        but what is written to them dies with the process.  So the
-        kinds that can travel home as data — registry, tracer — are
-        replaced by fresh ones where the parent listens, and the
-        recorder is switched off.
-        """
-        with observe(**{name: name in ("registry", "tracer")
-                        for name in _SINKS if getattr(self, name).enabled}):
-            yield self
-
-    def capture(self) -> dict[str, Any] | None:
-        """What the registry and tracer hold, as one picklable bundle
-        (``None`` when neither listens)."""
-        if not (self.registry.enabled or self.tracer.enabled):
-            return None
-        return {
-            "metrics": (self.registry.snapshot()
-                        if self.registry.enabled else None),
-            "spans": self.tracer.to_dicts() if self.tracer.enabled else None,
-        }
-
-    def adopt(self, bundle: dict[str, Any] | None, *, worker: str) -> None:
-        """Fold a worker's :meth:`capture` bundle in under ``worker``."""
-        if bundle is None:
-            return
-        snapshot = bundle["metrics"]
-        if snapshot is not None and self.registry.enabled:
-            for samples in snapshot.values():
-                for sample in samples:
-                    self.registry.describe(
-                        sample["name"],
-                        CATALOGUE.get(sample["name"], UNLISTED).help)
-            self.registry.merge_snapshot(snapshot, worker=worker)
-        if bundle["spans"] and self.tracer.enabled:
-            self.tracer.adopt_spans(bundle["spans"], worker=worker)
 
 
 _PROBE = Probe()

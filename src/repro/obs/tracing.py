@@ -164,46 +164,6 @@ class Tracer:
                 dicts.append({**record.to_dict(), "open": True})
         return dicts
 
-    def adopt_spans(self, span_dicts: list[dict[str, Any]],
-                    **attrs: Any) -> int:
-        """Graft spans exported by another tracer into this one.
-
-        This is how worker-process span trees reach the parent tracer:
-        each finished span from ``span_dicts`` (as produced by
-        :meth:`to_dicts`) is re-registered under fresh ids, its parent
-        remapped into the adopted tree; roots of the foreign tree hang
-        off whatever span is open here (or become roots).  ``attrs``
-        (e.g. ``worker="chunk-3"``) are stamped onto every adopted
-        span.  Still-open foreign spans are skipped.  Returns the
-        number of spans adopted.
-
-        Two passes: exported spans arrive in completion order, so a
-        child can precede its parent — ids must all be assigned before
-        any parent link is remapped.
-        """
-        parent_id = self._stack[-1].span_id if self._stack else None
-        eligible = [d for d in span_dicts
-                    if not d.get("open") and d.get("end") is not None]
-        id_map: dict[int, int] = {}
-        for span in eligible:
-            id_map[span["span_id"]] = self._next_id
-            self._next_id += 1
-        for span in eligible:
-            foreign_parent = span.get("parent_id")
-            if foreign_parent is not None:
-                mapped = id_map.get(foreign_parent, parent_id)
-            else:
-                mapped = parent_id
-            self._finish(SpanRecord(
-                name=span["name"],
-                start=span["start"],
-                span_id=id_map[span["span_id"]],
-                parent_id=mapped,
-                end=span["end"],
-                attrs={**span.get("attrs", {}), **attrs},
-            ))
-        return len(eligible)
-
     def export_jsonl(self, target: str | TextIO) -> int:
         """Write one JSON object per span; returns the span count.
 

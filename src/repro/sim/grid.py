@@ -79,10 +79,16 @@ class TickGrid:
         One array evaluation each of the speed curve and the distance
         interpolation; both return the floats their scalar forms
         (``trip.speed(t)``, ``trip.distance_travelled(t)``) return.
+        Where those distances are byte for byte the trip's own
+        integration profile (a tick layout equal to the integration
+        layout), the grid keeps the trip's read-only array, not a copy.
         """
         times = time_grid(SimulationClock(trip.duration, dt).num_ticks, dt)
+        travel = trip.distance_travelled_many(times)
+        if travel.tobytes() == trip._cumulative.tobytes():
+            travel = trip._cumulative
         return cls(dt=dt, duration=trip.duration, max_speed=trip.max_speed,
-                   times=times, travel=trip.distance_travelled_many(times),
+                   times=times, travel=travel,
                    speeds=trip.curve.speed_many(times))
 
     def index_of(self, t: float) -> int:

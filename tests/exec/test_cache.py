@@ -48,6 +48,22 @@ class TestTickGrid:
             assert tuple(grid.travel.tolist()) == travel
             assert tuple(grid.speeds.tolist()) == speeds
 
+    def test_keeps_the_trips_profile_when_it_is_the_travel(self):
+        # Sweep trips at 1-s ticks: the tick layout is the integration
+        # layout, so the grid holds the trip's own array, not a copy.
+        from repro.experiments.sweep import SweepSpec, build_curves
+
+        spec = SweepSpec(num_curves=4, seed=3)
+        for curve in build_curves(spec):
+            trip = Trip.synthetic(curve)
+            grid = TickGrid.build(trip, spec.dt)
+            assert grid.travel is trip._cumulative
+            coarse = TickGrid.build(trip, 0.5)
+            assert coarse.travel is not trip._cumulative
+            assert not np.shares_memory(coarse.travel, trip._cumulative)
+            _, travel, _ = reference_grid(trip, 0.5)
+            assert tuple(coarse.travel.tolist()) == travel
+
     def test_holds_read_only_float64_arrays(self):
         grid = TickGrid.build(city_trip(), DT)
         for values in (grid.times, grid.travel, grid.speeds):

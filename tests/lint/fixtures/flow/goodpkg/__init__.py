@@ -1,5 +1,5 @@
 """Clean counterpart to ``badpkg``: the same shapes, done legally.
 
-Seeded/injected randomness, an injected clock, sorted sets, and
-module-level pool tasks — the flow analyzer must stay silent here.
+Seeded/injected randomness, an injected clock and sorted sets — the
+flow analyzer must stay silent here.
 """

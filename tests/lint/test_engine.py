@@ -16,9 +16,9 @@ class TestClassifyPath:
         tags = classify_path("src/repro/sim/engine.py")
         assert "deterministic" in tags and "library" in tags
 
-    def test_exec_is_deterministic_and_exec(self):
+    def test_exec_is_deterministic(self):
         tags = classify_path("src/repro/exec/executor.py")
-        assert {"deterministic", "exec", "library"} <= tags
+        assert {"deterministic", "library"} <= tags
 
     def test_dbms_batch_is_deterministic_but_not_other_dbms(self):
         assert "deterministic" in classify_path("src/repro/dbms/batch.py")
@@ -83,7 +83,7 @@ class TestCollectFiles:
     def test_fixture_package_passed_explicitly_is_walked(self):
         files = collect_files([FIXTURES / "flow" / "goodpkg"],
                               Config(root=REPO_ROOT))
-        assert len(files) == 14
+        assert len(files) == 9
 
 
 class TestSuppression:

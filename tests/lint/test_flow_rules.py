@@ -1,4 +1,4 @@
-"""Whole-program rules (RPR101–103 at every depth, RPR201): the bad
+"""Whole-program rules (RPR101–103 at every depth): the bad
 mini-package fires with exact counts, the clean counterpart stays
 silent, noqa suppresses, and the CLI lints a package directory as one
 program.
@@ -24,7 +24,6 @@ FLOW_BAD_COUNTS = {
     "RPR101": 4,
     "RPR102": 3,
     "RPR103": 3,
-    "RPR201": 3,
 }
 
 
@@ -81,23 +80,9 @@ class TestTaintMessages:
         assert all("time.time()" in f.message for f in clock)
 
 
-class TestPoolFindings:
-    def test_all_land_on_the_caller(self, bad_report):
-        pool = [f for f in bad_report.findings if f.code == "RPR201"]
-        assert pool and all(f.path.endswith("driver.py") for f in pool)
-
-    def test_three_hazard_kinds(self, bad_report):
-        messages = " ".join(
-            f.message for f in bad_report.findings if f.code == "RPR201")
-        assert "lambda passed by" in messages
-        assert "closure-local callable '_scale'" in messages
-        assert "bound method shard.fanout.ShardState.merge" in messages
-        assert "threading.Lock() state" in messages
-
-
 def test_select_narrows_flow_rules():
-    report = lint_package("badpkg", select=frozenset({"RPR201"}))
-    assert {f.code for f in report.findings} == {"RPR201"}
+    report = lint_package("badpkg", select=frozenset({"RPR102"}))
+    assert {f.code for f in report.findings} == {"RPR102"}
 
 
 def test_noqa_suppresses_flow_finding():
@@ -110,7 +95,7 @@ class TestCli:
     def test_flow_on_real_tree_is_clean(self):
         # The any-depth rules, through the CLI, on the repo's own
         # package as one program: no chain from a sink reaches an RNG,
-        # a clock or unordered iteration, and no pool task is unsafe.
+        # a clock or unordered iteration.
         out = io.StringIO()
         code = main(["lint", str(REPO_ROOT / "src" / "repro"),
                      "--select", ",".join(FLOW_BAD_COUNTS),

@@ -19,8 +19,6 @@ BAD_FIXTURES = [
     ("sim/bad_clock.py", "RPR102", 3),
     ("sim/bad_set_iter.py", "RPR103", 3),
     ("shard/bad_merge_iter.py", "RPR104", 3),
-    ("exec/bad_pool_lambda.py", "RPR201", 2),
-    ("exec/bad_worker_global.py", "RPR202", 1),
     ("src/repro/core/bad_float_eq.py", "RPR301", 2),
     ("anywhere/bad_mutable_default.py", "RPR302", 3),
     ("vec/bad_kernel.py", "RPR304", 5),
@@ -42,8 +40,6 @@ GOOD_FIXTURES = [
     ("sim/good_clock.py", "RPR102"),
     ("sim/good_set_iter.py", "RPR103"),
     ("shard/good_merge_iter.py", "RPR104"),
-    ("exec/good_pool.py", "RPR201"),
-    ("exec/good_worker_global.py", "RPR202"),
     ("src/repro/core/good_float_eq.py", "RPR301"),
     ("anywhere/good_mutable_default.py", "RPR302"),
     ("vec/good_kernel.py", "RPR304"),

@@ -28,11 +28,11 @@ STATS = ["stats", "--name", "taxi", "--size", "40", "--duration", "10",
 PROM_RUNS = {
     "stats_sequential.prom": [],
     "stats_batch.prom": ["--batch"],
-    "stats_batch_shards4.prom": ["--batch", "--shards", "4", "--jobs", "1"],
+    "stats_batch_shards4.prom": ["--batch", "--shards", "4"],
 }
 SPANS = ["stats", "--name", "taxi", "--size", "12", "--duration", "10",
          "--queries", "12", "--seed", "3", "--format", "prom",
-         "--jobs", "2", "--profile"]
+         "--profile"]
 TRACE = ["trace", "record", "--size", "8", "--duration", "12", "--seed",
          "11", "--queries", "25"]
 TRACE_RUNS = {"plain": [], "shards4": ["--shards", "4"],
@@ -79,7 +79,7 @@ def span_tree(path):
 def render(name, tmp):
     if name in PROM_RUNS:
         return masked_prometheus(run(STATS + PROM_RUNS[name]))
-    if name == "stats_jobs2.spans":
+    if name == "stats_profile.spans":
         path = str(Path(tmp) / "spans.jsonl")
         run(SPANS + ["--spans-out", path])
         return span_tree(path)
@@ -94,7 +94,7 @@ def render(name, tmp):
     return json.dumps(digests, indent=1, sort_keys=True) + "\n"
 
 
-FIXTURES = [*PROM_RUNS, "stats_jobs2.spans", "trace_record.sha256"]
+FIXTURES = [*PROM_RUNS, "stats_profile.spans", "trace_record.sha256"]
 
 
 @pytest.mark.parametrize("name", FIXTURES)

@@ -138,7 +138,6 @@ def test_catalogue_entries_are_coherent():
 def test_one_probe_three_slots_one_session():
     constructed = []
     slots = []
-    pool_contexts = []
     for relpath, tree in modules():
         for call in calls(tree):
             if called_name(call) == "Probe":
@@ -146,13 +145,8 @@ def test_one_probe_three_slots_one_session():
             if called_name(call) == "slot" and isinstance(call.func,
                                                           ast.Name):
                 slots.append(call.args[0].value)
-        pool_contexts += [
-            relpath for node in ast.walk(tree)
-            if isinstance(node, ast.FunctionDef)
-            and node.name.lstrip("_") == "pool_context"]
     assert constructed == ["obs/probe.py"]
     assert sorted(slots) == ["recorder", "registry", "tracer"]
-    assert pool_contexts == ["exec/executor.py"]
     cli = ast.parse((SRC / "cli.py").read_text())
     entered = [called_name(call) for call in calls(cli)
                if called_name(call) in USE_SPELLINGS | {"observe"}

@@ -2,9 +2,14 @@
 
 import hashlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.dbms.persistence import load_database
 
@@ -251,23 +256,22 @@ class TestTrace:
         assert open(first).read() == open(second).read()
 
 
-class TestStatsParallel:
-    ARGS = ["stats", "--name", "taxi", "--size", "4", "--duration", "8",
-            "--seed", "3", "--queries", "4", "--jobs", "4"]
+class TestNoJobsFlag:
+    """The sweep runs in-process, so ``--jobs`` is no option: argparse
+    refuses it with a usage error, and no traceback."""
 
-    def test_jobs_report_merged_worker_metrics(self):
-        code, output = run_cli(self.ARGS + ["--format", "prom"])
-        assert code == 0
-        assert 'worker="chunk-' in output  # merged worker telemetry
-        assert "sim_runs_total" in output
-
-    def test_jobs_trace_replays(self, tmp_path):
-        trace = str(tmp_path / "stats-trace.jsonl")
-        code, _ = run_cli(self.ARGS + ["--trace-out", trace])
-        assert code == 0
-        code, output = run_cli(["trace", "replay", trace])
-        assert code == 0
-        assert "replay OK" in output
+    @pytest.mark.parametrize("command", ["report", "stats"])
+    def test_jobs_is_a_usage_error(self, command):
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(repro.__file__).parent.parent)}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", command, "--jobs", "2"],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 2
+        assert done.stderr.startswith("usage: repro ")
+        assert "unrecognized arguments: --jobs 2" in done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout == ""
 
 
 class TestSeedDeterminism:

@@ -1,4 +1,4 @@
-"""DESIGN.md §7.5's schema registry matches the ``repro-*/N`` tags in
+"""DESIGN.md §7.4's schema registry matches the ``repro-*/N`` tags in
 ``src/repro``: every tag is a row, every row is used, and each
 versioned reader accepts its writer's current tag.
 
@@ -21,8 +21,8 @@ _TAG = re.compile(r"repro-[a-z0-9][a-z0-9-]*/(?:[0-9]+|\{\w+\})")
 
 
 def registry_rows(design: str) -> set[str]:
-    """The tags listed in the first column of §7.5's table."""
-    section = design.split("### 7.5 Schema registry", 1)[1]
+    """The tags listed in the first column of §7.4's table."""
+    section = design.split("### 7.4 Schema registry", 1)[1]
     section = section.split("\n#", 1)[0]
     return set(re.findall(r"^\| `(repro-[^`]+)` \|", section, re.MULTILINE))
 

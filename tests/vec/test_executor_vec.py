@@ -2,8 +2,8 @@
 
 A sweep must equal, cell for cell, each cell run alone through the
 reference loop (``PolicySimulation._run_generic`` on a fresh policy,
-aggregated as ``SweepExecutor._aggregate`` does) — serially and across
-worker counts — and the dispatcher must route every cell the kernel
+aggregated as ``SweepExecutor._aggregate`` does) — and the dispatcher
+must route every cell the kernel
 supports through a pass, whatever the sweep's size, and only those.
 """
 
@@ -11,7 +11,6 @@ import pytest
 
 pytest.importorskip("numpy")
 
-from repro.errors import ExperimentError
 from repro.exec import SweepExecutor, TickGrid
 from repro.exec import executor as executor_module
 from repro.experiments.sweep import SweepSpec, build_curves
@@ -63,13 +62,6 @@ def test_vectorized_serial_run_equals_scalar():
     assert repr(vec.cells) == repr(reference_sweep(spec))
 
 
-def test_vectorized_parallel_run_equals_serial():
-    spec = small_spec()
-    parallel = SweepExecutor(jobs=4).run(spec)
-    assert repr(parallel.cells) == repr(reference_sweep(spec))
-    assert parallel == SweepExecutor(jobs=1).run(spec)
-
-
 def test_vectorized_dispatch_actually_engages(dispatch):
     passes, runs = dispatch
     SweepExecutor(jobs=1).run(small_spec())
@@ -85,14 +77,13 @@ def test_one_kernel_pass_per_policy_family(dispatch):
     assert all(batch is passes[0][0] for batch, _ in passes)  # packed once
 
 
-@pytest.mark.parametrize("jobs", [1, 2, 3])
-def test_every_job_count_yields_the_scalar_cells(monkeypatch, jobs):
+def test_a_sweep_yields_the_scalar_cells(monkeypatch):
     """Cell for cell, not only aggregate for aggregate."""
     spec = small_spec(
         policy_names=("dl", "ail", "fixed-threshold", "cil"),
         policy_kwargs={"fixed-threshold": {"bound": 0.5}},
         update_costs=(0.0, 1.0, 5.0),
-        num_curves=7,  # the last parallel trip block is a single trip
+        num_curves=7,
     )
     trips = sweep_trips(spec)
     expected = reference_cells(spec, trips)
@@ -104,14 +95,8 @@ def test_every_job_count_yields_the_scalar_cells(monkeypatch, jobs):
         return aggregate(spec, cell_metrics)
 
     monkeypatch.setattr(SweepExecutor, "_aggregate", staticmethod(spy))
-    SweepExecutor(jobs=jobs).run(spec, trips=trips)
+    SweepExecutor().run(spec, trips=trips)
     assert repr(captured) == repr([expected])
-
-
-def test_worker_task_without_initializer_is_a_domain_error():
-    assert executor_module._WORKER is None
-    with pytest.raises(ExperimentError):
-        executor_module._run_rectangle((0, 0, 1))
 
 
 @pytest.mark.parametrize("num_curves", [1, 2])
@@ -124,20 +109,17 @@ def test_a_sweep_of_any_size_rides_kernel_passes(dispatch, num_curves):
     assert [(batch.size, costs) for batch, costs in passes] == [
         (num_curves, [1.0, 5.0])] * 3
     assert runs == []
-    assert repr(SweepExecutor(jobs=4).run(spec).cells) == expected
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_stateful_policy_cells_each_get_a_fresh_instance(dispatch, jobs):
+def test_stateful_policy_cells_each_get_a_fresh_instance(dispatch):
     """``AdaptivePolicy`` keeps a speed window across ticks: a cell that
     inherits another trip's window decides differently."""
     passes, runs = dispatch
     spec = small_spec(policy_names=("adaptive", "ail"))
-    result = SweepExecutor(jobs=jobs).run(spec)
+    result = SweepExecutor().run(spec)
     assert repr(result.cells) == repr(reference_sweep(spec))
-    if jobs == 1:
-        assert runs == ["adaptive"] * (2 * 6)
-        assert [costs for _, costs in passes] == [[1.0, 5.0]]
+    assert runs == ["adaptive"] * (2 * 6)
+    assert [costs for _, costs in passes] == [[1.0, 5.0]]
     # The case can tell: one instance per (policy, cost) row moves cells.
     grids = [TickGrid.build(trip, spec.dt) for trip in sweep_trips(spec)]
     shared = [reference_run(grid, policy).metrics

@@ -7,8 +7,7 @@ the result rows the run instruments.  So a kernel run and the same
 lanes each through ``PolicySimulation._run_generic`` must leave the
 same ``sim_*`` samples — counters, last-run gauges and every histogram
 bucket equal; a histogram's ``sum`` only to rounding, because it is a
-sum in a different order (as it already is between ``--jobs 1`` and
-``--jobs 4``) — and the same results as an unobserved run.
+sum in a different order — and the same results as an unobserved run.
 """
 
 from __future__ import annotations
@@ -211,15 +210,14 @@ def test_results_do_not_depend_on_who_is_watching():
                      policy_kwargs={"fixed-threshold": {"bound": 0.5}},
                      update_costs=(0.0, 1.0), num_curves=5, duration=8.0,
                      dt=0.1)
-    plain = repr(SweepExecutor(jobs=1).run(spec).cells)
-    for jobs in (1, 4):
-        with use_registry() as registry, use_tracer() as tracer:
-            observed = SweepExecutor(jobs=jobs).run(spec)
-        assert repr(observed.cells) == plain
-        assert sum(sample["value"]
-                   for sample in registry.snapshot()["counters"]
-                   if sample["name"] == "sim_runs_total") == 4 * 2 * 5
-        assert tracer.spans_named("simulate_trip_batch")
+    plain = repr(SweepExecutor().run(spec).cells)
+    with use_registry() as registry, use_tracer() as tracer:
+        observed = SweepExecutor().run(spec)
+    assert repr(observed.cells) == plain
+    assert sum(sample["value"]
+               for sample in registry.snapshot()["counters"]
+               if sample["name"] == "sim_runs_total") == 4 * 2 * 5
+    assert tracer.spans_named("simulate_trip_batch")
     trip = Trip.synthetic(CURVES["city"](9.0, random.Random(11)))
     for policy_name in ("dl", "ail", "cil", "periodic"):
         alone = simulate_trip(trip, make_policy(policy_name, 0.3), dt=0.1)
