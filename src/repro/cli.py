@@ -198,7 +198,7 @@ def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _shard_factory(shards: int | None, shard_plan: str | None):
-    """A scenario ``database_factory`` laying the index out over shards.
+    """A scenario ``database_factory`` whose one index is owned by shards.
 
     ``--shard-plan`` loads a saved partitioning verbatim; ``--shards``
     lays a uniform grid over the scenario network's extent.
@@ -208,7 +208,7 @@ def _shard_factory(shards: int | None, shard_plan: str | None):
     from repro.dbms.database import MovingObjectDatabase
     from repro.geometry.bbox import Rect2D
     from repro.index.timespace import TimeSpaceIndex
-    from repro.shard import PartitionedIndex, load_plan, uniform_grid_for
+    from repro.shard import load_plan, uniform_grid_for
 
     def factory(network):
         if shard_plan is not None:
@@ -217,9 +217,8 @@ def _shard_factory(shards: int | None, shard_plan: str | None):
             partitioning = uniform_grid_for(
                 Rect2D(*network.bounding_extent()), shards
             )
-        return MovingObjectDatabase(
-            index=PartitionedIndex(partitioning, TimeSpaceIndex)
-        )
+        return MovingObjectDatabase(index=TimeSpaceIndex(),
+                                    partitioning=partitioning)
 
     return factory
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.policy import UpdatePolicy
 from repro.core.position import PositionAttribute
@@ -46,6 +46,8 @@ from repro.trace.events import (
     INSERT_STATIONARY,
     REMOVE_OBJECT,
     ROUTE_REGISTER,
+    SHARD_ROUTE,
+    digest,
 )
 
 # Last on purpose: this is where `import repro` first loads numpy (see
@@ -61,29 +63,46 @@ from repro.dbms.refine import (
     check_point,
 )
 
+if TYPE_CHECKING:
+    from repro.shard.partition import Partitioning
+
 
 class MovingObjectDatabase:
     """A database of moving (and stationary) objects.
 
     ``index`` may be a :class:`~repro.index.timespace.TimeSpaceIndex`,
-    a :class:`~repro.index.scan.LinearScanIndex`, a
-    :class:`~repro.shard.sharded.PartitionedIndex` over either (the
-    sharded database), or ``None`` (range queries then scan the record
-    table directly).  ``horizon`` is the
+    a :class:`~repro.index.scan.LinearScanIndex`, or ``None`` (range
+    queries then scan the record table directly).  ``horizon`` is the
     o-plane time span indexed ahead of each update (the paper's trip
     cutoff ``Z``).
+
+    A :class:`~repro.shard.partition.Partitioning` makes the database
+    sharded: the one index still holds every o-plane, and the plan
+    gives each indexed object an *owner*, the shard of its start point
+    at its first insert.  The owner is kept across updates and index
+    rebuilds and dropped on removal; it changes no answer, only what
+    the shard telemetry and the flight recorder's routing checks read
+    (``shard_route`` events, per-shard update counts and sizes, and per
+    searched window the number of distinct owners among its
+    candidates, its fan-out).
     """
 
     def __init__(self, schema: Schema | None = None, index: Any = None,
-                 horizon: float = 120.0) -> None:
+                 horizon: float = 120.0,
+                 partitioning: Partitioning | None = None) -> None:
         if not 0 < horizon < math.inf:
             raise QueryError(
                 f"horizon must be positive and finite, got {horizon}")
+        if partitioning is not None and index is None:
+            raise QueryError("a partitioning needs an index to own")
         self.routes = RouteDatabase()
         self.schema = schema or Schema()
         self.update_log = UpdateLog()
         self.horizon = horizon
         self._index = index
+        self.partitioning = partitioning
+        #: Indexed object id -> owning shard (under a partitioning).
+        self._owner: dict[str, int] = {}
         self._tables: dict[str, Table] = {}
         self._records: dict[str, MovingObjectRecord] = {}
         #: Stationary point objects: id -> (class name, fixed position).
@@ -106,6 +125,9 @@ class MovingObjectDatabase:
         if p.enabled:
             config = index.describe() if index is not None \
                 else {"index": "none"}
+            if partitioning is not None:
+                config.update(shards=partitioning.num_shards,
+                              partitioning=partitioning.to_spec())
             p.event(DB_CONFIG, horizon=horizon, **config)
 
     # ------------------------------------------------------------------
@@ -241,6 +263,9 @@ class MovingObjectDatabase:
             p.event(REMOVE_OBJECT, object_id=object_id)
         if indexed:
             self._index.remove(object_id)
+            shard = self._owner.pop(object_id, None)
+            if shard is not None:
+                self._publish_shard_size(shard)
 
     def record(self, object_id: str) -> MovingObjectRecord:
         """The server-side record of one object."""
@@ -318,11 +343,56 @@ class MovingObjectDatabase:
         """Swap the object's o-plane in the index (the §4.2 p1/p2 swap)."""
         if self._index is None:
             return
-        plane = self.oplane_of(record.object_id)
-        if record.object_id in self._index:
-            self._index.replace(record.object_id, plane)
+        object_id = record.object_id
+        plane = self.oplane_of(object_id)
+        if object_id in self._index:
+            shard = self._owner.get(object_id)
+            if shard is not None:
+                probe().count("shard_updates_total", shard=str(shard))
+            self._index.replace(object_id, plane)
+        elif self.partitioning is None:
+            self._index.insert(object_id, plane)
         else:
-            self._index.insert(record.object_id, plane)
+            self._insert_owned(record, plane)
+
+    def _insert_owned(self, record: MovingObjectRecord,
+                      plane: OPlane) -> None:
+        """Index a new object under its owner, its start point's shard."""
+        attribute = record.attribute
+        shard = self.partitioning.shard_of_point(
+            attribute.start_x, attribute.start_y)
+        p = probe()
+        if p.enabled:
+            p.event(SHARD_ROUTE, time=attribute.starttime,
+                    object_id=record.object_id, shard=shard)
+        self._index.insert(record.object_id, plane)
+        self._owner[record.object_id] = shard
+        self._publish_shard_size(shard)
+
+    def _publish_shard_size(self, shard: int) -> None:
+        p = probe()
+        if p.enabled:
+            p.gauge("shard_objects", list(self._owner.values()).count(shard),
+                    shard=str(shard))
+
+    def owner_of(self, object_id: str) -> int:
+        """The shard owning an indexed object under the partitioning."""
+        try:
+            return self._owner[object_id]
+        except KeyError:
+            raise QueryError(
+                f"object {object_id!r} has no owning shard") from None
+
+    def partition_digest(self) -> str | None:
+        """One digest over each shard's index entries, in shard order
+        (``None`` when the index keeps no digest): a sharded database's
+        replay checkpoint."""
+        owned: list[set[str]] = [
+            set() for _ in range(self.partitioning.num_shards)]
+        for object_id, shard in self._owner.items():
+            owned[shard].add(object_id)
+        parts = [self._index.content_digest(ids) for ids in owned]
+        return None if None in parts else digest(parts)
 
     def rebuild_index(self, slab_minutes: float = 5.0,
                       max_entries: int = 8, min_entries: int = 3) -> Any:
@@ -330,11 +400,10 @@ class MovingObjectDatabase:
 
         Re-slabs every mobile object's plane at the requested
         granularity (§4.2's partitioning knob) and swaps the rebuilt
-        index in, in the current index's layout (a partitioned index
-        keeps its plan and owners).  This is the supported way to
-        retune the index on a live database — assigning ``_index``
-        directly bypasses the flight recorder and the run stops being
-        replayable.
+        index in (a sharded database keeps its plan and owners).  This
+        is the supported way to retune the index on a live database —
+        assigning ``_index`` directly bypasses the flight recorder and
+        the run stops being replayable.
         """
         from repro.index.timespace import TimeSpaceIndex
 

@@ -80,12 +80,15 @@ def _mobile_record(spec: Any) -> tuple:
             fields.number("max_speed"), fields.get("row", dict, None))
 
 
-def database_from_dict(data: Any, index: Any = None) -> MovingObjectDatabase:
+def database_from_dict(data: Any, index: Any = None,
+                       partitioning: Any = None) -> MovingObjectDatabase:
     """Reconstruct a database from :func:`database_to_dict` output.
 
     Supplying ``index`` (e.g. a fresh
     :class:`~repro.index.timespace.TimeSpaceIndex`) re-derives every
-    object's o-plane on insert.
+    object's o-plane on insert; a ``partitioning`` as well makes the
+    loaded database sharded, each object owned by its start point's
+    shard.
     """
     fields = SpecReader(data, QueryError, "snapshot")
     version = data.get("format_version")
@@ -95,7 +98,8 @@ def database_from_dict(data: Any, index: Any = None) -> MovingObjectDatabase:
             f"(expected {FORMAT_VERSION})"
         )
     database = MovingObjectDatabase(index=index,
-                                    horizon=fields.number("horizon"))
+                                    horizon=fields.number("horizon"),
+                                    partitioning=partitioning)
     for spec in fields.get("routes", list):
         database.register_route(Route.from_spec(spec))
     for spec in fields.get("classes", list):

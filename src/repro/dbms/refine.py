@@ -567,7 +567,8 @@ class QueryCore:
 
         Position queries get ``None``.  A lone window is one plain
         index search; several share one traversal (the index's
-        multi-search); with no index every record is a candidate.
+        multi-search); with no index every record is a candidate.  A
+        sharded database counts each window's fan-out.
         """
         slots = [i for i, region in enumerate(regions) if region is not None]
         found: list[set[str] | None] = [None] * len(queries)
@@ -588,7 +589,20 @@ class QueryCore:
             for slot, ids in zip(slots,
                                  index.candidates_at_many(windows, stats)):
                 found[slot] = ids
+        if slots and self._db.partitioning is not None:
+            self._observe_fanout([found[slot] for slot in slots])
         return found
+
+    def _observe_fanout(self, candidate_sets: list) -> None:
+        """Count each searched window's fan-out: the distinct owners
+        among its candidates, the shards a per-shard search would ask."""
+        owner = self._db._owner
+        p = probe()
+        if p.enabled:
+            for ids in candidate_sets:
+                p.observe("shard_query_fanout",
+                          float(len({owner[i] for i in ids})))
+                p.count("shard_queries_total")
 
     def _position(self, query: PositionQuery, limit: int) -> PositionAnswer:
         """"What is the current position of m?" with error bounds (§3.3)."""

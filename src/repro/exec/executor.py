@@ -218,13 +218,8 @@ class SweepExecutor:
         with p.span("sweep_execute", cells=len(cells),
                     policies=len(spec.policy_names),
                     costs=len(spec.update_costs), trips=spec.num_curves):
-            # Each cell fetches its grid through the cache, so the
-            # cache's hit rate reflects the actual cross-cell sharing
-            # (all but the first lookup per trip hit).
-            grids = [
-                self.cache.grid_for(trips[cell.trip_index], spec.dt)
-                for cell in cells
-            ][:spec.num_curves]
+            # One grid lookup per trip: every cell of a trip shares it.
+            grids = [self.cache.grid_for(trip, spec.dt) for trip in trips]
             cell_metrics = _run_cells(spec, cells, grids)
         elapsed = perf_counter() - start
 

@@ -1,15 +1,14 @@
-"""E20: shard fan-out on a skewed corridor, as the partitioned index searches it.
+"""E20: shard fan-out on a skewed corridor, as a sharded database counts it.
 
 The scale-out question the paper's DBMS framing raises but does not
 answer: how should the plane be cut into shards when the workload is
 spatially skewed?  A "highway corridor" — cars on four horizontal
 lanes, within-distance queries clustered on the band — is laid out
-under every candidate plan by
-:class:`~repro.shard.sharded.PartitionedIndex`, the index a sharded
-database runs, which searches every shard's tree for every query
-window.  A query's fan-out is the number of shards that answer it with
-a candidate: the shards owning an object whose slab box (§4.2) meets
-the window at the query's time.
+under every candidate plan.  A sharded database keeps one index and
+gives each object an owner shard (the shard of its insert point); a
+query's fan-out is the number of distinct owners among its candidates:
+the shards owning an object whose slab box (§4.2) meets the window at
+the query's time, which a per-shard search would have to ask.
 """
 
 from __future__ import annotations
@@ -135,11 +134,10 @@ def owned_fanouts(plan: Partitioning, planes: dict[str, OPlane],
                   answers: list[RangeAnswer]) -> tuple[list[int], list[int]]:
     """Objects per shard under ``plan``, and each answer's fan-out.
 
-    A shard answers a window exactly when it owns one of the window's
-    candidates (each shard's candidates are the single index's
-    candidates it owns), and an object's owner is the shard of its
-    insert point.  So one run over a single index stands for a sharded
-    run under every plan.
+    A window's fan-out is the number of distinct owners among its
+    candidates, and an object's owner is the shard of its insert point.
+    So one run over a single index stands for a sharded run under
+    every plan.
     """
     owner = {
         object_id: plan.shard_of_point(plane.attribute.start_x,

@@ -65,7 +65,7 @@ class LinearScanIndex:
                            stats: SearchStats | None = None) -> list[set[str]]:
         return [self.candidates_at(region, t, stats) for region, t in windows]
 
-    def content_digest(self) -> None:
+    def content_digest(self, object_ids: Any = None) -> None:
         """The baseline keeps no tree to digest (replay skips the check)."""
         return None
 

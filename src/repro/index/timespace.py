@@ -21,7 +21,7 @@ happens above, in the DBMS query processor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Container
 
 from repro.errors import IndexError_
 from repro.geometry.bbox import Box3D, Rect2D
@@ -224,17 +224,20 @@ class TimeSpaceIndex:
             boxes_removed=removed, boxes_inserted=inserted
         )
 
-    def content_digest(self) -> str:
+    def content_digest(self, object_ids: Container[str] | None = None) -> str:
         """Digest of the R-tree's content in slab units (replay checks).
 
         Each stored run is read back from the tree and expanded into the
         object's slab boxes it covers (same rectangle, time inside the
         run), so the digest equals that of a tree holding one box per
-        slab, and a lost or extra tree entry still changes it.
+        slab, and a lost or extra tree entry still changes it.  Given
+        ``object_ids``, only their entries are digested: the digest of a
+        tree that held only those objects.
         """
         return entries_digest(
             (slab, object_id)
             for run, object_id in self._tree.items()
+            if object_ids is None or object_id in object_ids
             for slab in [
                 box for box in self._boxes.get(object_id, ())
                 if run.min_t <= box.min_t and box.max_t <= run.max_t

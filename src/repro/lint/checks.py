@@ -50,59 +50,6 @@ def _calls(ctx: ModuleContext) -> Iterator[tuple[ast.Call, str]]:
                 yield node, resolve_alias(dotted, ctx.imports)
 
 
-def _dict_view(node: ast.expr) -> str | None:
-    """Receiver dotted name when ``node`` is ``X.values/items/keys()``."""
-    if (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("values", "items", "keys")
-            and not node.args and not node.keywords):
-        return dotted_name(node.func.value)
-    return None
-
-
-def _shard_keyed(name: str | None) -> bool:
-    if not name:
-        return False
-    lowered = name.lower()
-    return "shard" in lowered or "owner" in lowered
-
-
-def _builds_ordered_output(loop: ast.For) -> bool:
-    """Does the loop body append/extend/insert or yield (ordered sinks)?"""
-    for node in ast.walk(loop):
-        if (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("append", "extend", "insert")):
-            return True
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-    return False
-
-
-@register(
-    "RPR104", "shard-merge-order", SEVERITY_ERROR, "shard",
-    "no iterating shard-keyed mapping views into ordered output in "
-    "shard merge paths; wrap in sorted()",
-)
-def check_shard_merge_iteration(ctx: ModuleContext) -> Iterator[Finding]:
-    message = ("shard-keyed mapping iteration follows insertion/arrival "
-               "order, which differs across shard merges; wrap the view "
-               "in sorted() before building ordered output")
-    for node in ast.walk(ctx.tree):
-        if isinstance(node, ast.For):
-            if (_shard_keyed(_dict_view(node.iter))
-                    and _builds_ordered_output(node)):
-                yield ctx.finding(node.iter, "RPR104", message)
-        elif isinstance(node, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
-            for gen in node.generators:
-                if _shard_keyed(_dict_view(gen.iter)):
-                    yield ctx.finding(gen.iter, "RPR104", message)
-        elif (isinstance(node, ast.Call)
-                and dotted_name(node.func) in ("list", "tuple")
-                and node.args and _shard_keyed(_dict_view(node.args[0]))):
-            yield ctx.finding(node, "RPR104", message)
-
-
 def _is_float_operand(node: ast.AST) -> bool:
     if isinstance(node, ast.Constant) and isinstance(node.value, float):
         return True
@@ -502,7 +449,6 @@ __all__ = [
     "check_missing_all",
     "check_mutable_defaults",
     "check_registry_construction",
-    "check_shard_merge_iteration",
     "check_span_pairing",
     "check_vec_kernel_hygiene",
 ]

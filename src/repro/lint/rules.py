@@ -10,7 +10,7 @@ when the engine enforces the rule itself (the whole-program rules of
 :mod:`repro.lint.checks` and register themselves via :func:`register`.
 
 Scoping is tag-based.  :func:`classify_path` maps a repo-relative path
-to a set of tags (``deterministic``, ``vec``, ``shard``, ``obs``,
+to a set of tags (``deterministic``, ``vec``, ``obs``, ``dbms``,
 ``library``, ``test``, ``script``) and each scope is a
 predicate over those tags; whole-program rules scope their sinks the
 same way.
@@ -55,10 +55,8 @@ def classify_path(relpath: str) -> frozenset[str]:
     if ("sim" in parts or "exec" in parts or "vec" in parts
             or "reporting" in parts
             or rel.endswith(("dbms/batch.py", "dbms/refine.py",
-                             "trace/recorder.py", "shard/sharded.py"))):
+                             "trace/recorder.py"))):
         tags.add("deterministic")
-    if "shard" in parts:
-        tags.add("shard")
     if "vec" in parts:
         tags.add("vec")
     if "obs" in parts:
@@ -96,10 +94,6 @@ def _scope_vec(tags: frozenset[str]) -> bool:
     return "vec" in tags and "test" not in tags
 
 
-def _scope_shard(tags: frozenset[str]) -> bool:
-    return "shard" in tags and "test" not in tags
-
-
 def _scope_deterministic_or_obs(tags: frozenset[str]) -> bool:
     # Span timestamps are subtracted into durations and self times: a
     # wall-clock step corrupts them.
@@ -116,7 +110,6 @@ SCOPES: dict[str, Callable[[frozenset[str]], bool]] = {
     "library-not-obs": _scope_library_not_obs,
     "dbms-index": _scope_dbms_index,
     "vec": _scope_vec,
-    "shard": _scope_shard,
 }
 
 

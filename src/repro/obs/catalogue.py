@@ -128,7 +128,9 @@ CATALOGUE: dict[str, Metric] = {
     "index_slab_boxes": Metric(
         GAUGE, "Boxes currently stored: one per run of slabs sharing a "
                "rectangle."),
-    # -- shard: the partitioned index --------------------------------------
+    # -- shard: ownership under a partitioning.  The help texts are
+    # exported and pinned by golden outputs, so they keep the wording of
+    # the per-shard-tree layout.
     "shard_query_fanout": Metric(
         HISTOGRAM, "Shards answering a query window with a candidate.",
         FANOUT_BUCKETS),

@@ -1,8 +1,10 @@
 """Spatial sharding for the moving-objects DBMS.
 
 The scale-out layer: partition the plane into shards
-(:mod:`repro.shard.partition`) and lay the database's index out over
-N shards, each searched by its own tree (:mod:`repro.shard.sharded`).
+(:mod:`repro.shard.partition`).  A sharded database is
+``MovingObjectDatabase(index=..., partitioning=plan)``: its one index
+holds every o-plane, and the plan gives each indexed object an owner
+shard.
 """
 
 from repro.shard.partition import (
@@ -16,12 +18,10 @@ from repro.shard.partition import (
     save_plan,
     uniform_grid_for,
 )
-from repro.shard.sharded import PartitionedIndex
 
 __all__ = [
     "BinarySplitPartitioning",
     "PLAN_SCHEMA",
-    "PartitionedIndex",
     "Partitioning",
     "UniformGridPartitioning",
     "grid_shapes",

@@ -134,13 +134,19 @@ def record_index_digest(database: Any,
     ``recorder`` if given, else to the active recorder when enabled.
     """
     index = getattr(database, "_index", None)
-    value = index.content_digest() if index is not None else None
+    if index is None:
+        return None
+    # A sharded database digests each shard's entries; its label is the
+    # one the trace format has always carried for that layout.
+    if getattr(database, "partitioning", None) is None:
+        value, label = index.content_digest(), type(index).__name__
+    else:
+        value, label = database.partition_digest(), "PartitionedIndex"
     if value is None:
         return None
     target = recorder if recorder is not None else get_recorder()
     if target.enabled:
-        target.record(INDEX_DIGEST, digest=value,
-                      index=type(index).__name__)
+        target.record(INDEX_DIGEST, digest=value, index=label)
     return value
 
 

@@ -176,9 +176,6 @@ class TraceReplayer:
         #: physical layout legitimately differs.
         self.shards = shards
         self._db: Any = None
-        #: The database's index when the trace lays it out over shards
-        #: (routing checks read owners from it), else ``None``.
-        self._partitioned: Any = None
         self._engine: Any = None
         self._events: Sequence[TraceEvent] = ()
 
@@ -271,9 +268,9 @@ class TraceReplayer:
             db.rebuild_index(**_decoded(event, _index_tuning, data))
             self._engine = None  # the swap invalidates cached traversals
         elif event.kind == ev.SHARD_ROUTE:
-            if self.shards is None and self._partitioned is not None:
+            if self.shards is None and db.partitioning is not None:
                 report.shard_checks += 1
-                actual_shard = self._partitioned.owner_of(event.object_id)
+                actual_shard = _decoded(event, db.owner_of, event.object_id)
                 if actual_shard != data.get("shard"):
                     report.mismatches.append(ReplayMismatch(
                         seq=event.seq, kind=event.kind,
@@ -315,38 +312,29 @@ class TraceReplayer:
         slab_minutes = fields.number("slab_minutes", 5.0)
         horizon = fields.number("horizon", 120.0)
         shards = fields.get("shards", int, None)
-        index_factory: Any
+        index: Any
         if index_name in ("none", "NoneType"):
-            index_factory = None
-        elif index_name == "TimeSpaceIndex":
+            # No index to own: an index-free database replays the same
+            # answers whatever shard count the trace names.
+            return MovingObjectDatabase(horizon=horizon)
+        if index_name == "TimeSpaceIndex":
             from repro.index.timespace import TimeSpaceIndex
 
-            def index_factory() -> Any:
-                return TimeSpaceIndex(slab_minutes=slab_minutes)
+            index = TimeSpaceIndex(slab_minutes=slab_minutes)
         elif index_name == "LinearScanIndex":
             from repro.index.scan import LinearScanIndex
 
-            index_factory = LinearScanIndex
+            index = LinearScanIndex()
         else:
             raise TraceError(
                 f"trace was recorded with unknown index {index_name!r}"
             )
-        index: Any = None
-        self._partitioned = None
-        if index_factory is None:
-            # No boxes to lay out: an index-free database replays the
-            # same answers whatever shard count the trace names.
-            pass
-        elif shards is None and grid is None:
-            index = index_factory()
-        else:
+        if grid is None and shards is not None:
             from repro.shard.partition import partitioning_from_spec
-            from repro.shard.sharded import PartitionedIndex
 
-            if grid is None:
-                grid = partitioning_from_spec(fields.get("partitioning", dict))
-            index = self._partitioned = PartitionedIndex(grid, index_factory)
-        return MovingObjectDatabase(index=index, horizon=horizon)
+            grid = partitioning_from_spec(fields.get("partitioning", dict))
+        return MovingObjectDatabase(index=index, horizon=horizon,
+                                    partitioning=grid)
 
     @staticmethod
     def _query(event: TraceEvent) -> Any:

@@ -37,9 +37,8 @@ from repro.units import DEFAULT_TICK_MINUTES
 
 
 #: Builds the scenario's database from its network.  Lets callers hand
-#: the database an index laid out over the network's extent (a
-#: :class:`~repro.shard.sharded.PartitionedIndex`) without the scenario
-#: layer importing the shard package.
+#: the database a partitioning of the network's extent (a sharded
+#: database) without the scenario layer importing the shard package.
 DatabaseFactory = Callable[[RouteNetwork], Any]
 
 

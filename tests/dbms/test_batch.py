@@ -43,7 +43,7 @@ from repro.index.scan import LinearScanIndex
 from repro.index.timespace import TimeSpaceIndex
 from repro.obs import MetricsRegistry, observe, use_registry
 from repro.routes.generators import grid_city_network
-from repro.shard import PartitionedIndex, uniform_grid_for
+from repro.shard import uniform_grid_for
 from repro.workloads.query_workloads import mixed_query_workload
 from tests.oracle import query_reference as reference
 from tests.oracle.query_reference import sequential
@@ -52,11 +52,12 @@ C = 5.0
 QUERY_TIMES = (8.0, 10.0, 12.0)
 
 
-def build_database(index, num_objects=12, seed=2):
+def build_database(index, num_objects=12, seed=2, partitioning=None):
     """A small city fleet in a fresh database over ``index``."""
     rng = random.Random(seed)
     network = grid_city_network(6, 6, 0.5)
-    database = MovingObjectDatabase(index=index, horizon=90.0)
+    database = MovingObjectDatabase(index=index, horizon=90.0,
+                                    partitioning=partitioning)
     database.schema.define_mobile_point_class(
         "taxi", (AttributeDef("free", "bool"),)
     )
@@ -365,12 +366,9 @@ INF_QUERIES = {
 }
 
 
-def two_partition_index():
+def grid_plan(num_shards):
     bounds = Rect2D(*grid_city_network(6, 6, 0.5).bounding_extent())
-    return PartitionedIndex(
-        uniform_grid_for(bounds, 2),
-        lambda: TimeSpaceIndex(slab_minutes=5.0),
-    )
+    return uniform_grid_for(bounds, num_shards)
 
 
 class TestValidationAndMetrics:
@@ -390,9 +388,9 @@ class TestValidationAndMetrics:
                              ids=["monolithic", "2-partition"])
     @pytest.mark.parametrize("name", sorted(NAN_QUERIES))
     def test_nan_is_rejected_singly_and_batched(self, name, partitioned):
-        index = (two_partition_index() if partitioned
-                 else TimeSpaceIndex(slab_minutes=5.0))
-        database, _, object_ids = build_database(index, num_objects=4)
+        database, _, object_ids = build_database(
+            TimeSpaceIndex(slab_minutes=5.0), num_objects=4,
+            partitioning=grid_plan(2) if partitioned else None)
         query = NAN_QUERIES[name](object_ids[0])
         with pytest.raises(QueryError, match="NaN"):
             one_at_a_time(database, [query])
@@ -405,9 +403,9 @@ class TestValidationAndMetrics:
     @pytest.mark.parametrize("partitioned", [False, True],
                              ids=["monolithic", "2-partition"])
     def test_nan_nearest_is_rejected(self, partitioned):
-        index = (two_partition_index() if partitioned
-                 else TimeSpaceIndex(slab_minutes=5.0))
-        database, _, _ = build_database(index, num_objects=4)
+        database, _, _ = build_database(
+            TimeSpaceIndex(slab_minutes=5.0), num_objects=4,
+            partitioning=grid_plan(2) if partitioned else None)
         for center, t in [(Point(1.0, 1.0), NAN), (Point(NAN, 1.0), 10.0),
                           (Point(1.0, NAN), 10.0)]:
             with pytest.raises(QueryError, match="NaN"):
@@ -418,9 +416,9 @@ class TestValidationAndMetrics:
     @pytest.mark.parametrize("name", sorted(INF_QUERIES))
     def test_an_infinite_coordinate_is_rejected_singly_and_batched(
             self, name, partitioned):
-        index = (two_partition_index() if partitioned
-                 else TimeSpaceIndex(slab_minutes=5.0))
-        database, _, object_ids = build_database(index, num_objects=4)
+        database, _, object_ids = build_database(
+            TimeSpaceIndex(slab_minutes=5.0), num_objects=4,
+            partitioning=grid_plan(2) if partitioned else None)
         query = INF_QUERIES[name]
         with pytest.raises(QueryError, match="must be finite"):
             one_at_a_time(database, [query])
@@ -582,7 +580,8 @@ def rebuild_index(database, object_ids):
 
 def snapshot_round_trip(database, object_ids, index):
     change_route_and_direction(database, object_ids)
-    return database_from_dict(database_to_dict(database), index=index)
+    return database_from_dict(database_to_dict(database), index=index,
+                              partitioning=database.partitioning)
 
 
 #: ``name -> step(database, object_ids)``.
@@ -596,14 +595,6 @@ RECORD_CHANGES = {
 }
 
 
-def sharded_index():
-    bounds = Rect2D(*grid_city_network(6, 6, 0.5).bounding_extent())
-    return PartitionedIndex(
-        uniform_grid_for(bounds, 4),
-        lambda: TimeSpaceIndex(slab_minutes=5.0),
-    )
-
-
 class TestRecordChanges:
     """Memo and cache stay exact through everything that changes a record."""
 
@@ -612,11 +603,9 @@ class TestRecordChanges:
     @pytest.mark.parametrize(
         "change", sorted(RECORD_CHANGES) + ["snapshot-round-trip"])
     def test_every_query_kind_equals_memo_free(self, change, sharded):
-        def make_index():
-            return (sharded_index() if sharded
-                    else TimeSpaceIndex(slab_minutes=5.0))
-
-        database, network, object_ids = build_database(make_index())
+        database, network, object_ids = build_database(
+            TimeSpaceIndex(slab_minutes=5.0),
+            partitioning=grid_plan(4) if sharded else None)
         engine = BatchQueryEngine(database)
         queries = build_workload(network, object_ids, count=40)
         # Prime every memo and the engine's cache with the old state.
@@ -624,7 +613,8 @@ class TestRecordChanges:
         engine.run(queries)
 
         if change == "snapshot-round-trip":
-            database = snapshot_round_trip(database, object_ids, make_index())
+            database = snapshot_round_trip(
+                database, object_ids, TimeSpaceIndex(slab_minutes=5.0))
             engine = BatchQueryEngine(database)
         else:
             RECORD_CHANGES[change](database, object_ids)

@@ -12,20 +12,19 @@ from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.index.timespace import TimeSpaceIndex
 from repro.routes.generators import straight_route
-from repro.shard import PartitionedIndex, UniformGridPartitioning
+from repro.shard import UniformGridPartitioning
 
 C = 5.0
 
 
 def two_partitions():
-    return PartitionedIndex(
-        UniformGridPartitioning(Rect2D(0.0, -1.0, 30.0, 1.0), 2, 1),
-        TimeSpaceIndex,
-    )
+    return {"index": TimeSpaceIndex(),
+            "partitioning": UniformGridPartitioning(
+                Rect2D(0.0, -1.0, 30.0, 1.0), 2, 1)}
 
 
-def make_db(index=None):
-    database = MovingObjectDatabase(index=index)
+def make_db(**layout):
+    database = MovingObjectDatabase(**layout)
     database.schema.define_mobile_point_class(
         "taxi", (AttributeDef("free", "bool"),)
     )
@@ -42,10 +41,10 @@ def db():
     return make_db()
 
 
-@pytest.fixture(params=[lambda: None, two_partitions],
+@pytest.fixture(params=[dict, two_partitions],
                 ids=["monolithic", "two-partitions"])
 def either_db(request):
-    return make_db(request.param())
+    return make_db(**request.param())
 
 
 def add_taxi(db, object_id, x, free=True, speed=0.0):

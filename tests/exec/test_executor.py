@@ -120,14 +120,18 @@ class TestExecutorSurface:
             SweepExecutor().run(spec, trips=trips[:2])
 
     def test_cache_shared_across_runs(self):
-        """Reusing the executor with the same trips reuses their grids."""
+        """Reusing the executor with the same trips reuses their grids,
+        and a run looks each trip's grid up once, whatever its cells."""
         spec = small_spec(num_curves=2, duration=5.0,
-                          policy_names=("ail",), update_costs=(5.0,))
+                          policy_names=("ail", "dl"),
+                          update_costs=(5.0, 2.0))
         trips = [Trip.synthetic(curve, route_id=f"t-{i}")
                  for i, curve in enumerate(build_curves(spec))]
         executor = SweepExecutor()
         executor.run(spec, trips=trips)
-        assert executor.cache.misses == 2
+        cache = executor.cache
+        assert (cache.misses, cache.hits) == (2, 0)
+        assert cache.misses + cache.hits == spec.num_curves
         executor.run(spec, trips=trips)
-        assert executor.cache.misses == 2
-        assert executor.cache.hits == 2
+        assert (cache.misses, cache.hits) == (2, 2)
+        assert cache.misses + cache.hits == 2 * spec.num_curves

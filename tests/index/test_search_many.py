@@ -130,18 +130,10 @@ class TestCandidatesAtMany:
 def _indexes():
     """One of each index class, over the same four o-planes."""
     from repro.index.scan import LinearScanIndex
-    from repro.shard import PartitionedIndex, uniform_grid_for
-
-    def partitioned(inner):
-        return PartitionedIndex(
-            uniform_grid_for(Rect2D(0.0, -1.0, 40.0, 1.0), 2), inner)
 
     return {
         "timespace": TimeSpaceIndex(slab_minutes=5.0),
         "scan": LinearScanIndex(),
-        "partitioned-timespace": partitioned(
-            lambda: TimeSpaceIndex(slab_minutes=5.0)),
-        "partitioned-scan": partitioned(LinearScanIndex),
     }
 
 

@@ -18,7 +18,6 @@ BAD_FIXTURES = [
     ("sim/bad_module_seed.py", "RPR101", 1),
     ("sim/bad_clock.py", "RPR102", 3),
     ("sim/bad_set_iter.py", "RPR103", 3),
-    ("shard/bad_merge_iter.py", "RPR104", 3),
     ("src/repro/core/bad_float_eq.py", "RPR301", 2),
     ("anywhere/bad_mutable_default.py", "RPR302", 3),
     ("vec/bad_kernel.py", "RPR304", 5),
@@ -39,7 +38,6 @@ GOOD_FIXTURES = [
     ("sim/good_rng.py", "RPR101"),
     ("sim/good_clock.py", "RPR102"),
     ("sim/good_set_iter.py", "RPR103"),
-    ("shard/good_merge_iter.py", "RPR104"),
     ("src/repro/core/good_float_eq.py", "RPR301"),
     ("anywhere/good_mutable_default.py", "RPR302"),
     ("vec/good_kernel.py", "RPR304"),

@@ -10,25 +10,21 @@ interleaved over each database's one shared cache) into
 * the **model** — the record tables of a ``MovingObjectDatabase(
   index=None)`` read by ``tests/oracle/query_reference.py``: every query
   scans every record and derives every value afresh; nothing is cached,
-  pre-tested or partitioned;
-* the **subjects** — ``PartitionedIndex`` over {``TimeSpaceIndex``,
-  ``LinearScanIndex``} x {1, 3, 7} shards, each batched by one
-  long-lived engine, and the model database's own query core; and
-* one **single-index** database per inner index class, for the shards'
-  candidate sets,
+  pre-tested or partitioned; and
+* the **subjects** — sharded databases over {``TimeSpaceIndex``,
+  ``LinearScanIndex``} x {1, 7} shards, each batched by one long-lived
+  engine, and the model database's own query core,
 
 and holds, after every step: answers equal the reference's over the
 same database, and answer digests equal across layouts wherever they
 promise it (everything but ``examined``/``candidates`` against the
-model; those two as well among subjects whose shards run the same index
-class, and against the model for the scan class), ``must`` inside
-``may`` (Theorems 5-6), exactly one owner per mobile id, one index entry
-per mobile object, each shard's candidates for a window exactly the
-single index's candidates that the shard owns (so searching every shard
-and grouping one index's candidates by owner both count the shards that
-answer), and a derived-value cache that holds only what can still be
-asked: entries of present objects, derived from their current position
-attribute, for times the clock has not passed.
+model; those two as well among subjects over the same index class, and
+against the model for the scan class), ``must`` inside ``may``
+(Theorems 5-6), one index entry and exactly one owner per mobile id —
+the shard of its start point at its first insert (or at a snapshot
+load), dropped on removal — and a derived-value cache that holds only
+what can still be asked: entries of present objects, derived from
+their current position attribute, for times the clock has not passed.
 """
 
 from __future__ import annotations
@@ -58,7 +54,7 @@ from repro.geometry.polyline import Polyline
 from repro.index.scan import LinearScanIndex
 from repro.index.timespace import TimeSpaceIndex
 from repro.routes.route import Route
-from repro.shard import PartitionedIndex, uniform_grid_for
+from repro.shard import uniform_grid_for
 from repro.trace.events import answer_digest
 from tests.conftest import examples
 from tests.dbms.test_batch import one_at_a_time
@@ -101,10 +97,6 @@ centers = st.builds(Point, coords, coords)
 radii = st.floats(0.0, 2.5)
 OFFSETS = [0.0, 0.5, 3.0]
 offsets = st.sampled_from(OFFSETS)
-#: Windows the candidate invariant searches: the whole plane, cells,
-#: a sliver on a route crossing and one half outside the bounds.
-WINDOWS = [BOUNDS, Rect2D(0.5, 0.5, 1.5, 1.5), Rect2D(2.5, 0.5, 3.5, 3.5),
-           Rect2D(1.9, 2.9, 2.1, 3.1), Rect2D(-0.5, 3.6, 0.4, 4.5)]
 
 
 def without_scan_fields(answer):
@@ -113,26 +105,22 @@ def without_scan_fields(answer):
 
 
 class Subject:
-    """One partitioned database and its long-lived batch engine."""
+    """One sharded database and its long-lived batch engine."""
 
     def __init__(self, inner, shards):
         self.name = f"{inner.__name__}x{shards}"
         self.inner = inner
-        self.shards = shards
-        self.attach(MovingObjectDatabase(index=self.fresh_index()))
-
-    def fresh_index(self):
-        return PartitionedIndex(
-            uniform_grid_for(BOUNDS, self.shards), self.inner)
+        self.plan = uniform_grid_for(BOUNDS, shards)
+        self.attach(MovingObjectDatabase(index=inner(),
+                                         partitioning=self.plan))
 
     def attach(self, database):
         """Adopt ``database`` (new, or loaded from a snapshot)."""
-        #: Shards report their whole population (until a rebuild swaps
+        #: The scan reports its whole population (until a rebuild swaps
         #: the real index in): ``examined``/``candidates`` then equal
         #: the model's.
         self.scans = self.inner is LinearScanIndex
         self.database = database
-        self.index = database._index
         self.engine = BatchQueryEngine(database)
 
 
@@ -144,10 +132,10 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
         self.subjects = [
             Subject(inner, shards)
             for inner in (TimeSpaceIndex, LinearScanIndex)
-            for shards in (1, 3, 7)
+            for shards in (1, 7)
         ]
-        self.singles = {inner: MovingObjectDatabase(index=inner())
-                        for inner in (TimeSpaceIndex, LinearScanIndex)}
+        #: Mobile id -> the start point its owner is the shard of.
+        self.owned_at = {}
         for database in self.databases():
             database.schema.define_mobile_point_class(
                 "taxi", (AttributeDef("free", "bool"),))
@@ -160,8 +148,7 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
         self.now = 0.0
 
     def databases(self):
-        return ([self.model, *self.singles.values()]
-                + [subject.database for subject in self.subjects])
+        return [self.model] + [subject.database for subject in self.subjects]
 
     def mobile(self):
         return self.model.object_ids()
@@ -192,6 +179,7 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
         for database in self.databases():
             database.insert_moving_object(
                 *arguments, max_speed=0.6, attributes={"free": free})
+        self.owned_at[object_id] = position
 
     @rule(object_id=st.sampled_from(STATIONARY_IDS), x=coords, y=coords)
     def insert_stationary(self, object_id, x, y):
@@ -268,21 +256,20 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
     def rebuild_index(self, slab_minutes):
         for subject in self.subjects:
             assert subject.database.rebuild_index(
-                slab_minutes=slab_minutes) is subject.index
+                slab_minutes=slab_minutes) is subject.database._index
             subject.scans = False
-        for single in self.singles.values():
-            single.rebuild_index(slab_minutes=slab_minutes)
 
     @rule()
     def snapshot_round_trip(self):
-        """Every subject is saved and loaded over a fresh index."""
+        """Every subject is saved and loaded over a fresh index; a load
+        inserts each object at its current start point."""
         for subject in self.subjects:
             subject.attach(database_from_dict(
                 database_to_dict(subject.database),
-                index=subject.fresh_index()))
-        for inner, single in self.singles.items():
-            self.singles[inner] = database_from_dict(
-                database_to_dict(single), index=inner())
+                index=subject.inner(), partitioning=subject.plan))
+        self.owned_at = {
+            object_id: self.model.record(object_id).attribute.start_point
+            for object_id in self.mobile()}
 
     # -- reads ----------------------------------------------------------
 
@@ -404,31 +391,17 @@ class PartitionedDatabaseMachine(RuleBasedStateMachine):
     def one_owner(self):
         mobile = self.mobile()
         for subject in self.subjects:
-            index = subject.index
+            database = subject.database
             # A snapshot loads records in starttime order.
-            assert sorted(subject.database.object_ids()) == sorted(mobile), \
+            assert sorted(database.object_ids()) == sorted(mobile), \
                 subject.name
-            assert len(index) == len(mobile), subject.name
-            assert sum(index.shard_sizes()) == len(mobile), subject.name
+            assert len(database._index) == len(mobile), subject.name
+            assert sorted(database._owner) == sorted(mobile), subject.name
             for object_id in mobile:
-                holders = [shard for shard, part
-                           in enumerate(index.partitions)
-                           if object_id in part]
-                assert holders == [index.owner_of(object_id)], subject.name
-
-    @invariant()
-    def shards_answer_with_what_they_own(self):
-        for subject in self.subjects:
-            index = subject.index
-            single = self.singles[subject.inner]._index
-            for window in WINDOWS:
-                for t in (self.now + offset for offset in OFFSETS):
-                    expected = single.candidates_at(window, t)
-                    for shard, part in enumerate(index.partitions):
-                        assert part.candidates_at(window, t) == {
-                            object_id for object_id in expected
-                            if index.owner_of(object_id) == shard
-                        }, subject.name
+                point = self.owned_at[object_id]
+                assert database.owner_of(object_id) == \
+                    subject.plan.shard_of_point(point.x, point.y), \
+                    subject.name
 
 
 TestPartitionedDatabase = PartitionedDatabaseMachine.TestCase

@@ -3,11 +3,12 @@
 E20 runs the corridor once, over a single ``TimeSpaceIndex`` with a
 5-minute horizon, and counts for each query the distinct owners of its
 candidates under each plan.  Here the same corridor runs, queries and
-all, through ``MovingObjectDatabase(index=PartitionedIndex(plan,
-TimeSpaceIndex))`` at the default horizon under every one of E20's
-plans: the fan-out the database's index observes for each query must
-be the one E20 counts, in order, and the table's columns must
-summarise exactly those.
+all, through ``MovingObjectDatabase(index=TimeSpaceIndex(),
+partitioning=plan)`` at the default horizon under every one of E20's
+plans: the fan-out the sharded database observes for each query (its
+``shard_query_fanout`` histogram, read after every query) must be the
+one E20 counts, in order, and the table's columns must summarise
+exactly those.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.experiments.sharding import (
     table_sharding,
 )
 from repro.index.timespace import TimeSpaceIndex
-from repro.shard import PartitionedIndex
+from repro.obs.probe import observe
 
 SIZE = {"num_objects": 12, "num_updates": 8, "num_queries": 60}
 SHARDS = 4
@@ -45,18 +46,40 @@ def plans(shortcut):
     return dict(candidate_plans(shortcut[0], SHARDS))
 
 
+def observed_fanouts(database):
+    """Run the corridor through ``database``; each query's fan-out as
+    its ``shard_query_fanout`` observation."""
+    fanouts: list[int] = []
+    ask = database.within_distance
+
+    def within_distance(*args):
+        histogram = p.registry.get("shard_query_fanout")
+        before = histogram.sum if histogram is not None else 0.0
+        answer = ask(*args)
+        fanouts.append(int(p.registry.get("shard_query_fanout").sum - before))
+        return answer
+
+    database.within_distance = within_distance
+    with observe(registry=True) as p:
+        run_corridor(database, **SIZE)
+        assert p.registry.value("shard_queries_total") == len(fanouts)
+    return fanouts
+
+
 @pytest.fixture(scope="module")
 def measured(plans):
-    """Per plan: the sharded database's index and each query's fan-out."""
+    """Per plan: objects per shard of the sharded database, and each
+    query's fan-out."""
     found = {}
     for label, plan in plans.items():
-        index = PartitionedIndex(plan, TimeSpaceIndex)
-        fanouts: list[int] = []
-        index.observe_fanout = fanouts.append
-        database = MovingObjectDatabase(index=index)
+        database = MovingObjectDatabase(index=TimeSpaceIndex(),
+                                        partitioning=plan)
         assert database.horizon == 120.0
-        run_corridor(database, **SIZE)
-        found[label] = index, fanouts
+        fanouts = observed_fanouts(database)
+        owners = [database.owner_of(object_id)
+                  for object_id in database.object_ids()]
+        sizes = [owners.count(shard) for shard in range(plan.num_shards)]
+        found[label] = sizes, fanouts
     return found
 
 
@@ -73,20 +96,20 @@ def test_e20_runs_every_candidate(plans):
 def test_the_shortcut_routes_as_the_sharded_database_does(
         shortcut, plans, measured, label):
     planes, answers = shortcut
-    index, fanouts = measured[label]
-    sizes, expected = owned_fanouts(plans[label], planes, answers)
+    sizes, fanouts = measured[label]
+    expected_sizes, expected = owned_fanouts(plans[label], planes, answers)
     assert len(fanouts) == SIZE["num_queries"]
     assert fanouts == expected
-    assert index.shard_sizes() == sizes
+    assert sizes == expected_sizes
 
 
 def test_the_table_summarises_the_sharded_database(measured, table):
     rows = {row[0].removesuffix(" (default)"): row for row in table.rows}
     assert sorted(rows) == sorted(LABELS)
-    for label, (index, fanouts) in measured.items():
+    for label, (sizes, fanouts) in measured.items():
         ordered = sorted(fanouts)
         assert rows[label][1:] == [
-            "/".join(map(str, index.shard_sizes())),
+            "/".join(map(str, sizes)),
             sum(fanouts) / len(fanouts),
             ordered[math.ceil(0.95 * len(ordered)) - 1],
             fanouts.count(1) / len(fanouts),

@@ -1,34 +1,35 @@
-"""Partitioned-index correctness: ownership, fan-out, byte-identical answers.
+"""Sharded-database correctness: ownership, fan-out, byte-identical answers.
 
 The contract under test is the one the benchmark gates: a
-:class:`MovingObjectDatabase` over a :class:`PartitionedIndex`, for any
-shard count, answers every query byte-identically to one over a single
+:class:`MovingObjectDatabase` under a partitioning, for any shard
+count, answers every query byte-identically to one over a single
 :class:`TimeSpaceIndex` fed the identical workload.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import random
 
 import pytest
 
+from repro.cli import main
 from repro.core.policies import make_policy
 from repro.dbms.batch import BatchQueryEngine
 from repro.dbms.database import MovingObjectDatabase
 from repro.dbms.schema import Mobility, ObjectClass, SpatialKind
 from repro.dbms.update_log import PositionUpdateMessage
+from repro.errors import QueryError
 from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
+from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
 from repro.index.timespace import TimeSpaceIndex
+from repro.obs.probe import observe
 from repro.routes.generators import grid_city_network
 from repro.routes.route import Route
-from repro.shard import (
-    PartitionedIndex,
-    UniformGridPartitioning,
-    uniform_grid_for,
-)
+from repro.shard import UniformGridPartitioning, uniform_grid_for
 from repro.trace.events import answer_digest
 from repro.workloads.query_workloads import mixed_query_workload
 
@@ -39,9 +40,8 @@ CORRIDOR_BOUNDS = Rect2D(0.0, 0.0, 4.0, 2.0)
 
 
 def sharded_database(partitioning):
-    return MovingObjectDatabase(
-        index=PartitionedIndex(partitioning, TimeSpaceIndex)
-    )
+    return MovingObjectDatabase(index=TimeSpaceIndex(),
+                                partitioning=partitioning)
 
 
 def populate_corridor(database):
@@ -71,23 +71,34 @@ class TestBoundaryStraddle:
 
     def test_exactly_one_owner(self, pair):
         _, sharded = pair
-        assert sharded._index.owner_of("car-edge") == 0
-        holders = [
-            shard for shard, part in enumerate(sharded._index.partitions)
-            if "car-edge" in part
-        ]
-        assert holders == [0]
+        assert [sharded.owner_of(object_id) for object_id
+                in ("car-edge", "car-left", "car-right")] == [0, 0, 1]
+        assert "car-edge" in sharded._index
+
+    def test_owner_is_sticky_until_removal(self, pair):
+        _, sharded = pair
+        with observe(registry=True) as p:
+            # car-edge drives into the right shard's cell.
+            sharded.process_update(PositionUpdateMessage(
+                "car-edge", 1.0, 3.0, 1.0, 0.3))
+            assert sharded.owner_of("car-edge") == 0
+            assert p.registry.value("shard_updates_total", shard="0") == 1
+            sharded.remove_object("car-edge")
+            assert p.registry.value("shard_objects", shard="0") == 1
+        with pytest.raises(QueryError, match="no owning shard"):
+            sharded.owner_of("car-edge")
 
     def test_straddling_window_fans_to_both_shards(self, pair):
         _, sharded = pair
-        index = sharded._index
-        observed = []
-        index.observe_fanout = observed.append
         # Reaches car-right's first slab box, which starts at x = 3.225.
-        straddle = Rect2D(1.5, 0.5, 3.5, 1.5)
-        found = index.candidates_at(straddle, 2.0)
-        assert {index.owner_of(object_id) for object_id in found} == {0, 1}
-        assert observed == [2]
+        straddle = Polygon.rectangle(1.5, 0.5, 3.5, 1.5)
+        with observe(registry=True) as p:
+            answer = sharded.range_query(straddle, 2.0)
+            fanout = p.registry.get("shard_query_fanout")
+            assert (fanout.count, fanout.sum) == (1, 2.0)
+            assert p.registry.value("shard_queries_total") == 1
+        assert {sharded.owner_of(object_id)
+                for object_id in answer.candidates} == {0, 1}
 
     @pytest.mark.parametrize("center_x", [1.6, 2.6])
     def test_visible_from_both_sides_of_the_boundary(self, pair,
@@ -155,13 +166,18 @@ def digest(answers) -> str:
     return rollup.hexdigest()
 
 
+def test_a_partitioning_needs_an_index():
+    with pytest.raises(QueryError, match="needs an index"):
+        MovingObjectDatabase(partitioning=uniform_grid_for(fleet_bounds(), 2))
+
+
 class TestDegenerateSingleShard:
     def test_one_shard_equals_single_database(self):
         single = MovingObjectDatabase(index=TimeSpaceIndex())
         network, object_ids = populate_fleet(single)
         sharded = sharded_database(uniform_grid_for(fleet_bounds(), 1))
         populate_fleet(sharded)
-        assert sharded._index.num_shards == 1
+        assert sharded.partitioning.num_shards == 1
         assert sorted(sharded.object_ids()) == sorted(single.object_ids())
 
         queries = build_queries(network, object_ids)
@@ -221,7 +237,7 @@ class TestShardJobsInvariance:
                     == single.nearest(center, 5, t))
 
 
-#: ``shards -> (owner of taxi-0..13, PartitionedIndex.content_digest())``.
+#: ``shards -> (owner of taxi-0..13, partition_digest())``.
 #: The owners are those the facade class of PR 14 laid out on this fleet;
 #: the content digests were re-pinned once, when the grid began to
 #: construct its staircases (same endpoints and lengths, other elbows).
@@ -244,11 +260,23 @@ class TestLayoutUnchanged:
             uniform_grid_for(fleet_bounds(), num_shards)
         )
         _, object_ids = populate_fleet(sharded)
-        index = sharded._index
         owners, content = PR14_LAYOUT[num_shards]
-        assert [index.owner_of(o) for o in object_ids] == owners
-        assert index.content_digest() == content
-        assert index.shard_sizes() == [
-            owners.count(shard) for shard in range(num_shards)
-        ]
-        assert len(index) == len(object_ids)
+        assert [sharded.owner_of(o) for o in object_ids] == owners
+        assert sharded.partition_digest() == content
+        assert len(sharded._index) == len(object_ids)
+
+
+class TestSizeGauges:
+    def test_index_objects_is_the_sum_of_shard_objects(self):
+        out = io.StringIO()
+        assert main(["stats", "--name", "taxi", "--size", "12",
+                     "--duration", "10", "--queries", "5", "--seed", "3",
+                     "--format", "prom", "--shards", "4"], out=out) == 0
+        samples = dict(line.rsplit(" ", 1)
+                       for line in out.getvalue().splitlines()
+                       if line and not line.startswith("#"))
+        owned = [float(value) for name, value in samples.items()
+                 if name.startswith("shard_objects{")]
+        # Two owners or more: one shard's count is not the total.
+        assert len(owned) >= 2
+        assert float(samples["index_objects"]) == sum(owned) == 12

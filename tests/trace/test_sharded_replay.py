@@ -24,7 +24,7 @@ from repro.geometry.bbox import Rect2D
 from repro.geometry.point import Point
 from repro.index.timespace import TimeSpaceIndex
 from repro.routes.generators import grid_city_network
-from repro.shard import PartitionedIndex, uniform_grid_for
+from repro.shard import uniform_grid_for
 from repro.trace.events import (
     INDEX_DIGEST,
     INDEX_INSERT,
@@ -52,12 +52,12 @@ def record_sharded_session(num_shards=4):
     with use_recorder(TraceRecorder(meta=dict(META))) as recorder:
         rng = random.Random(11)
         network = grid_city_network(6, 6, 0.5)
-        database = MovingObjectDatabase(index=PartitionedIndex(
-            uniform_grid_for(
+        database = MovingObjectDatabase(
+            index=TimeSpaceIndex(),
+            partitioning=uniform_grid_for(
                 Rect2D(*network.bounding_extent()), num_shards
             ),
-            TimeSpaceIndex,
-        ))
+        )
         database.schema.define_mobile_point_class("taxi")
         object_ids = []
         for i in range(10):
