@@ -5,6 +5,11 @@ A fleet runs once, so every timed call needs a fleet that has not run.
 The expensive part of building one — routes and speed curves — is done
 once; ``unrun_fleets`` then registers the same trips with as many fresh
 databases as there are timed rounds, and each round runs the next one.
+
+Nothing reads a fleet's index while it runs, so a ``TimeSpaceIndex()``
+builds no tree here: the timed run pays for the o-planes and their slab
+boxes, not for R-tree inserts and deletes (the tree would be STR-loaded
+by the first query).
 """
 
 from repro.core.policies import make_policy

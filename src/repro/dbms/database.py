@@ -101,8 +101,11 @@ class MovingObjectDatabase:
         self.horizon = horizon
         self._index = index
         self.partitioning = partitioning
-        #: Indexed object id -> owning shard (under a partitioning).
+        #: Indexed object id -> owning shard (under a partitioning), and
+        #: how many objects each shard owns.
         self._owner: dict[str, int] = {}
+        self._owned = [0] * (partitioning.num_shards
+                             if partitioning is not None else 0)
         self._tables: dict[str, Table] = {}
         self._records: dict[str, MovingObjectRecord] = {}
         #: Stationary point objects: id -> (class name, fixed position).
@@ -128,6 +131,8 @@ class MovingObjectDatabase:
             if partitioning is not None:
                 config.update(shards=partitioning.num_shards,
                               partitioning=partitioning.to_spec())
+                for shard in range(partitioning.num_shards):
+                    p.gauge("shard_objects", 0, shard=str(shard))
             p.event(DB_CONFIG, horizon=horizon, **config)
 
     # ------------------------------------------------------------------
@@ -265,6 +270,7 @@ class MovingObjectDatabase:
             self._index.remove(object_id)
             shard = self._owner.pop(object_id, None)
             if shard is not None:
+                self._owned[shard] -= 1
                 self._publish_shard_size(shard)
 
     def record(self, object_id: str) -> MovingObjectRecord:
@@ -367,13 +373,13 @@ class MovingObjectDatabase:
                     object_id=record.object_id, shard=shard)
         self._index.insert(record.object_id, plane)
         self._owner[record.object_id] = shard
+        self._owned[shard] += 1
         self._publish_shard_size(shard)
 
     def _publish_shard_size(self, shard: int) -> None:
         p = probe()
         if p.enabled:
-            p.gauge("shard_objects", list(self._owner.values()).count(shard),
-                    shard=str(shard))
+            p.gauge("shard_objects", self._owned[shard], shard=str(shard))
 
     def owner_of(self, object_id: str) -> int:
         """The shard owning an indexed object under the partitioning."""

@@ -6,7 +6,8 @@
   query region; no object outside the may-set is inside (soundness of
   Theorems 5–6 plus the conservative o-plane decomposition).
 * E12 — index maintenance: boxes removed/inserted per position update
-  (the §4.2 o-plane swap), plus tree statistics.
+  (the §4.2 o-plane swap), plus the statistics of a tree swapped from
+  its first insert (``bulk_build({})``; a plain index is STR-loaded).
 """
 
 from __future__ import annotations
@@ -79,9 +80,11 @@ def _simulate_fleet(num_objects: int, seed: int,
 def _build_fleet(num_objects: int, seed: int, maintained: bool = False,
                  **options: Any) -> _BuiltFleet:
     """:func:`_simulate_fleet`, indexed: through the §4.2 swap on every
-    update if ``maintained`` (E12), else STR-loaded once at the end."""
-    built = _simulate_fleet(num_objects, seed,
-                            TimeSpaceIndex() if maintained else None, **options)
+    update from the first if ``maintained`` (E12), else STR-loaded once
+    at the end."""
+    built = _simulate_fleet(
+        num_objects, seed,
+        TimeSpaceIndex.bulk_build({}) if maintained else None, **options)
     if not maintained:
         built.database.rebuild_index()
     return built

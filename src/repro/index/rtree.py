@@ -554,7 +554,9 @@ class RTree:
         ``stats`` aggregates work across the batch; ``results`` counts
         the total matches over all queries.  When observability is
         enabled, batch-level counters (`index_multi_*`) record the
-        traversal sharing so the amortisation is measurable.
+        traversal sharing so the amortisation is measurable, and
+        ``index_search_results`` observes each window's result count,
+        as one :meth:`search` per window would.
         """
         results: list[list[Hashable]] = [[] for _ in boxes]
         if not boxes:
@@ -616,7 +618,9 @@ class RTree:
             if nodes_visited:
                 p.observe("index_multi_node_share",
                           shared_visits / nodes_visited)
-            p.observe("index_search_results", total_results)
+            sizes = p.instrument("index_search_results")
+            for found in results:
+                sizes.observe(len(found))
         return results
 
     def search_at_time(self, min_x: float, min_y: float, max_x: float,

@@ -65,7 +65,13 @@ class IndexMaintenanceStats:
 
 
 class TimeSpaceIndex:
-    """3-D index of o-planes, keyed by object id."""
+    """3-D index of o-planes, keyed by object id.
+
+    The swap only pays off for a tree someone searches: until the first
+    read (a search, a digest, :attr:`tree`) a write changes only the
+    content, returning, counting and emitting what a swap would, and
+    that read STR-loads the tree over it, in last-written order.
+    """
 
     def __init__(self, slab_minutes: float = 5.0,
                  max_entries: int = 8, min_entries: int = 3) -> None:
@@ -73,6 +79,9 @@ class TimeSpaceIndex:
             raise IndexError_(f"slab_minutes must be positive, got {slab_minutes}")
         self.slab_minutes = slab_minutes
         self._tree = RTree(max_entries=max_entries, min_entries=min_entries)
+        #: Whether ``_tree`` holds the content; ``_size`` counts its runs.
+        self._built = False
+        self._size = 0
         self._planes: dict[str, OPlane] = {}
         self._boxes: dict[str, list[Box3D]] = {}
 
@@ -85,8 +94,21 @@ class TimeSpaceIndex:
 
     @property
     def tree(self) -> RTree:
-        """The underlying R-tree (read-only use by benchmarks)."""
+        """The underlying R-tree, built on first read (read-only use by
+        benchmarks)."""
+        if not self._built:
+            self._build()
         return self._tree
+
+    def _build(self) -> None:
+        items = [(run, object_id) for object_id, boxes in self._boxes.items()
+                 for run in _runs(boxes)]
+        if items:  # else the constructor's empty tree is the one
+            self._tree = RTree.bulk_load(
+                items, max_entries=self._tree.max_entries,
+                min_entries=self._tree.min_entries)
+        self._built = True
+        self._size = len(items)
 
     def plane_of(self, object_id: str) -> OPlane:
         """The currently indexed o-plane of an object."""
@@ -101,21 +123,18 @@ class TimeSpaceIndex:
                    max_entries: int = 8, min_entries: int = 3) -> "TimeSpaceIndex":
         """Build an index over many o-planes at once (STR packing).
 
-        The cold-start path (snapshot load, index rebuild): decompose
+        The cold-start path (index rebuild, re-slabbing): decompose
         every plane into slab runs and bulk-load the R-tree, which is
         an order of magnitude faster than inserting one plane at a time.
+        The tree exists on return, even over no planes, so every later
+        write is the §4.2 swap.
         """
         index = cls(slab_minutes=slab_minutes, max_entries=max_entries,
                     min_entries=min_entries)
-        items: list[tuple[Box3D, str]] = []
         for object_id, plane in planes.items():
-            boxes = plane.boxes(slab_minutes)
             index._planes[object_id] = plane
-            index._boxes[object_id] = boxes
-            items.extend((run, object_id) for run in _runs(boxes))
-        index._tree = RTree.bulk_load(
-            items, max_entries=max_entries, min_entries=min_entries
-        )
+            index._boxes[object_id] = plane.boxes(slab_minutes)
+        index._build()
         return index
 
     def rebuilt(self, planes: dict[str, OPlane],
@@ -148,10 +167,12 @@ class TimeSpaceIndex:
         if boxes is None:
             boxes = plane.boxes(self.slab_minutes)
         runs = _runs(boxes)
-        for run in runs:
-            self._tree.insert(run, object_id)
+        if self._built:
+            for run in runs:
+                self._tree.insert(run, object_id)
         self._planes[object_id] = plane
         self._boxes[object_id] = boxes
+        self._size += len(runs)
         return len(runs)
 
     def remove(self, object_id: str) -> int:
@@ -170,6 +191,9 @@ class TimeSpaceIndex:
             raise IndexError_(f"object {object_id!r} is not indexed")
         runs = _runs(self._boxes.pop(object_id))
         del self._planes[object_id]
+        self._size -= len(runs)
+        if not self._built:
+            return len(runs)
         removed = 0
         for run in runs:
             if self._tree.delete(run, object_id):
@@ -183,7 +207,7 @@ class TimeSpaceIndex:
 
     def _publish_size(self, p: Probe) -> None:
         p.gauge("index_objects", len(self._planes))
-        p.gauge("index_slab_boxes", len(self._tree))
+        p.gauge("index_slab_boxes", self._size)
 
     def replace(self, object_id: str, plane: OPlane,
                 force: bool = False) -> IndexMaintenanceStats:
@@ -236,7 +260,7 @@ class TimeSpaceIndex:
         """
         return entries_digest(
             (slab, object_id)
-            for run, object_id in self._tree.items()
+            for run, object_id in self.tree.items()
             if object_ids is None or object_id in object_ids
             for slab in [
                 box for box in self._boxes.get(object_id, ())
@@ -256,7 +280,7 @@ class TimeSpaceIndex:
         (the decomposition is conservative); some returned objects will
         be filtered out by exact refinement.
         """
-        payloads = self._tree.search(
+        payloads = self.tree.search(
             Box3D.from_rect(region, t, t), stats
         )
         return set(payloads)  # type: ignore[arg-type]
@@ -270,7 +294,7 @@ class TimeSpaceIndex:
         (:meth:`RTree.search_many`).
         """
         boxes = [Box3D.from_rect(region, t, t) for region, t in windows]
-        found = self._tree.search_many(boxes, stats)
+        found = self.tree.search_many(boxes, stats)
         return [set(payloads) for payloads in found]  # type: ignore[arg-type]
 
     def object_ids(self) -> list[str]:
@@ -278,8 +302,8 @@ class TimeSpaceIndex:
         return list(self._planes)
 
     def total_boxes(self) -> int:
-        """Total number of boxes (slab runs) stored in the tree."""
-        return len(self._tree)
+        """Total number of boxes (slab runs) stored, built or not."""
+        return self._size
 
 __all__ = [
     "IndexMaintenanceStats",

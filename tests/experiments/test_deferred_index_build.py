@@ -19,6 +19,7 @@ from repro.experiments.indexing import _build_fleet
 from repro.workloads.query_workloads import polygon_query_workload
 
 from tests.conftest import examples
+from tests.index.test_lazy_tree import count_tree_work
 
 
 @settings(max_examples=examples(20))
@@ -50,3 +51,12 @@ def test_deferred_build_answers_as_the_swap(num_objects, seed, duration,
         got = packed.database.range_query(polygon, t)
         assert (got.may, got.must, got.candidates, got.examined) == (
             want.may, want.must, want.candidates, want.examined)
+
+
+def test_the_maintained_fleet_swaps_from_its_first_insert(monkeypatch):
+    """E12's index has its tree before the fleet's first write: every
+    update is the §4.2 swap, and nothing is bulk-loaded."""
+    calls = count_tree_work(monkeypatch)
+    built = _build_fleet(6, 3, maintained=True, duration=5.0)
+    assert calls["bulk_load"] == 0
+    assert calls["insert"] >= built.database._index.total_boxes() > 0

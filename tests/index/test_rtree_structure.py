@@ -1,8 +1,9 @@
 """Node-for-node structure pins for R-tree maintenance.
 
 ChooseLeaf, the quadratic split and the covering-box refresh decide the
-tree's *shape*, and E7/E19's ``entries tested/query`` columns (hence
-the pinned report digest) depend on that shape.  These tests pin it:
+tree's *shape*, and E12's tree height/nodes and E19's ``entries
+tested/query`` columns (hence the pinned report digest) depend on that
+shape.  These tests pin it:
 for a seeded insert / delete / reinsert sequence the height, node
 count, content digest and a per-level digest of every node's boxes *in
 entry order* must equal the values recorded when the maintenance code

@@ -17,6 +17,7 @@ from repro.geometry.bbox import Box3D, Rect2D
 from repro.index.oplane import OPlane
 from repro.index.rtree import RTree, SearchStats
 from repro.index.timespace import TimeSpaceIndex
+from repro.obs.probe import observe
 from repro.routes.generators import straight_route
 from tests.index.test_rtree_structure import adversarial_boxes
 
@@ -76,6 +77,22 @@ class TestSearchMany:
         box = random_box(rng, max_side=40.0)
         first, second = tree.search_many([box, box])
         assert set(first) == set(second) == set(tree.search(box))
+
+    def test_observes_each_windows_result_count(self):
+        """``index_search_results`` is a per-search histogram: a batch of
+        40 windows is 40 observations, as 40 single searches are."""
+        rng = random.Random(5)
+        tree = populated_tree(rng)
+        boxes = [random_box(rng, max_side=25.0) for _ in range(40)]
+        with observe(registry=True) as p:
+            many = tree.search_many(boxes)
+            batched = p.registry.get("index_search_results")
+            assert (batched.count, batched.sum) == (
+                40, sum(len(found) for found in many))
+            for box in boxes:
+                tree.search(box)
+            assert (batched.count, batched.sum) == (80, 2 * sum(
+                len(found) for found in many))
 
     def test_visits_fewer_nodes_than_separate_searches(self):
         rng = random.Random(13)

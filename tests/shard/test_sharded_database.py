@@ -268,6 +268,8 @@ class TestLayoutUnchanged:
 
 class TestSizeGauges:
     def test_index_objects_is_the_sum_of_shard_objects(self):
+        """Every shard has a ``shard_objects`` line, the one that owns no
+        object too (shard 0 here), and they sum to ``index_objects``."""
         out = io.StringIO()
         assert main(["stats", "--name", "taxi", "--size", "12",
                      "--duration", "10", "--queries", "5", "--seed", "3",
@@ -277,6 +279,6 @@ class TestSizeGauges:
                        if line and not line.startswith("#"))
         owned = [float(value) for name, value in samples.items()
                  if name.startswith("shard_objects{")]
-        # Two owners or more: one shard's count is not the total.
-        assert len(owned) >= 2
+        assert len(owned) == 4
+        assert 0.0 in owned
         assert float(samples["index_objects"]) == sum(owned) == 12

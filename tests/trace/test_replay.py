@@ -49,6 +49,7 @@ from tests.dbms.test_batch import (
     memo_free,
     one_at_a_time,
 )
+from tests.index.test_lazy_tree import count_tree_work
 
 META = {"suite": "trace-roundtrip"}
 
@@ -275,3 +276,25 @@ class TestReplayerValidation:
         write_trace(stream, path)
         assert cli_main(["trace", "replay", path], out=io.StringIO()) == 1
         assert "error: duplicate object id 'x'" in capsys.readouterr().err
+
+
+class TestReplayTreeWork:
+    """A recorded fleet writes all its o-planes before its first query,
+    so a replay's index keeps only its content until then and loads the
+    tree once, by STR: no R-tree insert or delete.  The same replay
+    swapped 103 inserts and 36 deletes through the tree when every write
+    was the §4.2 swap; the tree holds the same 47 slab runs either way."""
+
+    def test_one_bulk_load_per_replay(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "ci.jsonl")
+        assert cli_main(["trace", "record", "--size", "8", "--duration",
+                         "12", "--seed", "11", "--queries", "25",
+                         "--out", path], out=io.StringIO()) == 0
+        calls = count_tree_work(monkeypatch)
+        for mode in MODES:
+            calls.update(insert=0, delete=0, bulk_load=0)
+            replayer = TraceReplayer(mode=mode)
+            report = replayer.replay_file(path)
+            assert report.ok and report.index_checks == 1, mode
+            assert calls == {"insert": 0, "delete": 0, "bulk_load": 1}, mode
+            assert replayer._db._index.total_boxes() == 47
