@@ -1,8 +1,8 @@
 """Benchmarks of the ``repro.lint`` static-analysis engine.
 
 Not a paper artefact — advisory evidence that the paper-invariant
-lint run (per-file rules and the whole-program rules, one run) stays
-cheap enough to gate CI and pre-commit runs.  ``pytest
+lint run (every rule, one module at a time) stays cheap enough to gate
+CI and pre-commit runs.  ``pytest
 benchmarks/bench_lint.py --benchmark-only`` times both kernels.
 """
 
@@ -30,8 +30,7 @@ _SYNTHETIC_MODULE = (
 
 
 def lint_src():
-    """One full lint run (every rule, the call graph included) over
-    the src/repro tree."""
+    """One full lint run (every rule) over the src/repro tree."""
     return lint_paths([REPO_ROOT / "src" / "repro"], Config(root=REPO_ROOT))
 
 

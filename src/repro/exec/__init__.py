@@ -1,22 +1,18 @@
-"""Execution of (trip, policy) runs: tick-grid caching + sweep executor.
+"""The §3.4 sweep: tick-grid caching + the sweep executor.
 
-:func:`repro.exec.executor.simulate_lanes` runs any set of independent
-(trip, policy) lanes — a kernel pass per group of kernel lanes, the
-reference loop for every other lane.  :class:`SweepExecutor` sits on
-it: it decomposes sweep grids into independent (policy, update-cost,
-trip) cells, shares each trip's precomputed tick-grid kinematics across
-all the cells that consume it, and aggregates the results in canonical
-order, in-process.
+:class:`SweepExecutor` decomposes sweep grids into independent
+(policy, update-cost, trip) cells, shares each trip's precomputed
+tick-grid kinematics across all the cells that consume it, runs them
+through :func:`repro.sim.lanes.simulate_lanes` and aggregates the
+results in canonical order, in-process.
 """
 
 from repro.exec.cache import GridTrip, TickGrid, TripTickCache
-from repro.exec.executor import SweepCell, SweepExecutor, cell_seed
+from repro.exec.executor import SweepExecutor
 
 __all__ = [
     "GridTrip",
     "TickGrid",
     "TripTickCache",
-    "SweepCell",
     "SweepExecutor",
-    "cell_seed",
 ]

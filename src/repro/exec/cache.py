@@ -3,7 +3,7 @@
 Every (policy, update-cost) cell of the §3.4 grid that runs the same
 trip reads the same :class:`~repro.sim.grid.TickGrid` (re-exported
 here with :class:`GridTrip`).  A :class:`TripTickCache` builds each
-trip's grid once for every cell that asks.
+trip's grid once, however many sweep runs ask for it.
 """
 
 from __future__ import annotations
@@ -16,9 +16,10 @@ from repro.sim.trip import Trip
 class TripTickCache:
     """Shares :class:`TickGrid` objects across simulation cells.
 
-    Keyed by trip identity and ``dt``: the sweep grid reuses the same
-    trip objects across every (policy, update-cost) cell, so all but the
-    first lookup per trip hit.  The cache pins the trip objects it has
+    Keyed by trip identity and ``dt``.  A sweep looks each trip's grid
+    up once and hands it to every (policy, update-cost) cell of the
+    trip, so a hit is a later ``run`` on the same executor passing the
+    same trip objects again.  The cache pins the trip objects it has
     seen, keeping the identity keys valid for its lifetime.
     """
 

@@ -1,84 +1,41 @@
-"""Deterministic execution of independent (trip, policy) runs.
-
-The update decision is made onboard, from the object's own deviation
-(§3.1–3.3), so the cells of the §3.4 grid and the vehicles of a fleet
-alike are independent *lanes*.  :func:`simulate_lanes` is the one place
-that decides how lanes run — a kernel pass for every group of lanes the
-kernel supports, :meth:`~repro.sim.engine.PolicySimulation.run` (the
-reference loop) for every other lane — and since lanes never interact,
-the grouping cannot change a result.
+"""Deterministic execution of the §3.4 sweep grid.
 
 :class:`SweepExecutor` decomposes a
-:class:`~repro.experiments.sweep.SweepSpec` into its cells, hands them
-to it in one in-process call, and aggregates the results in canonical
-(policy, cost, trip) order — the same order, and therefore the same
-float summation, as one reference run per cell.
+:class:`~repro.experiments.sweep.SweepSpec` into its independent
+(policy, cost, trip) cells, hands them to
+:func:`~repro.sim.lanes.simulate_lanes` in one in-process call, and
+aggregates the results in canonical (policy, cost, trip) order — the
+same order, and therefore the same float summation, as one reference
+run per cell.
 
 Every cell simulation is a pure function of (trip kinematics, policy,
-C, dt): no RNG is drawn at run time.  Each cell still carries a stable
-seed, derived from ``spec.seed`` and its grid coordinates, so a future
-stochastic component inherits order-independence for free.
+C, dt): no RNG is drawn at run time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from time import perf_counter
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.core.policy import UpdatePolicy
 from repro.errors import ExperimentError
-from repro.exec.cache import GridTrip, TickGrid, TripTickCache
+from repro.exec.cache import TickGrid, TripTickCache
 from repro.obs.probe import probe
-from repro.sim.engine import (
-    PolicySimulation,
-    TripResult,
-    kernel_lane,
-    supports_fast_path,
-)
+from repro.sim.engine import supports_fast_path
+from repro.sim.lanes import simulate_lanes
 from repro.sim.metrics import TripMetrics, aggregate_metrics
 from repro.sim.speed_curves import SpeedCurve
 from repro.sim.trip import Trip
-from repro.vec.batch import VecTripBatch
-from repro.vec.engine import simulate_batch
 
 if TYPE_CHECKING:  # pragma: no cover - experiments imports sim.fleet, a caller
     from repro.experiments.sweep import SweepResult, SweepSpec
 
 
-@dataclass(frozen=True, slots=True)
-class SweepCell:
-    """One independent unit of sweep work: (policy, cost, trip).
-
-    ``seed`` is a stable function of the spec seed and the cell's grid
-    coordinates — identical across runs — reserved for stochastic
-    simulation components (noise models) so that adding randomness
-    later cannot break order-independence.
-    """
-
-    policy_index: int
-    cost_index: int
-    trip_index: int
-    seed: int
-
-
-def cell_seed(spec_seed: int, policy_index: int, cost_index: int,
-              trip_index: int) -> int:
-    """A stable 31-bit per-cell seed from the spec seed and coordinates."""
-    mixed = (
-        spec_seed * 1_000_003
-        ^ policy_index * 8_191
-        ^ cost_index * 131_071
-        ^ trip_index * 524_287
-    )
-    return mixed & 0x7FFFFFFF
-
-
-def _decompose(spec: SweepSpec) -> list[SweepCell]:
-    """All cells of the spec grid in canonical (policy, cost, trip) order."""
+def _decompose(spec: SweepSpec) -> list[tuple[int, int, int]]:
+    """All ``(policy, cost, trip)`` index triples of the spec grid, in
+    canonical order: trip fastest, policy slowest."""
     return [
-        SweepCell(policy_index=p, cost_index=c, trip_index=t,
-                  seed=cell_seed(spec.seed, p, c, t))
+        (p, c, t)
         for p in range(len(spec.policy_names))
         for c in range(len(spec.update_costs))
         for t in range(spec.num_curves)
@@ -98,55 +55,7 @@ def _make_policy(spec: SweepSpec, policy_index: int,
     )
 
 
-def simulate_lanes(lanes: Sequence[tuple[Trip | TickGrid, UpdatePolicy]],
-                   dt: float, *, collect_events: bool = True,
-                   record_series: bool = False) -> list[TripResult]:
-    """Run every ``(trip, policy)`` lane; results come in lane order.
-
-    A lane names its trip or the trip's prebuilt :class:`TickGrid`.
-    Every lane the kernel supports (:func:`kernel_lane`, on a grid of
-    this ``dt``) joins the pass of its (kind, tick layout) group, one
-    row per set of lane parameters; rows of one kind over the same
-    grids share a pass.  Every other lane is :meth:`PolicySimulation.run`
-    on its grid.  Each lane runs its whole trip alone, so lanes must not
-    share a stateful policy.  ``collect_events=False`` lets kernel
-    passes skip the event lists; ``record_series`` attaches every
-    lane's per-tick series.
-    """
-    grids = [trip if isinstance(trip, TickGrid) else TickGrid.build(trip, dt)
-             for trip, _ in lanes]
-    policies = [policy for _, policy in lanes]
-    results: list[TripResult | None] = [None] * len(lanes)
-    rows: dict[tuple, list[int]] = {}
-    for i, (grid, policy) in enumerate(zip(grids, policies)):
-        lane = kernel_lane(policy)
-        if grid.dt == dt and lane is not None:
-            rows.setdefault((lane[0], grid.num_ticks, grid.duration, lane[1]),
-                            []).append(i)
-    # The same grids (by identity) under several rows or kinds are
-    # packed once; each kind's rows are one pass over the batch.
-    passes: dict[tuple[TickGrid, ...], dict[tuple, list[list[int]]]] = {}
-    for (kind, *_), row in rows.items():
-        columns = tuple(grids[i] for i in row)
-        passes.setdefault(columns, {}).setdefault(kind, []).append(row)
-    for columns, kinds in passes.items():
-        batch = VecTripBatch.from_grids(columns)
-        for kind_rows in kinds.values():
-            flat = simulate_batch(
-                batch, [policies[row[0]] for row in kind_rows],
-                collect_events=collect_events, record_series=record_series)
-            for c, row in enumerate(kind_rows):
-                for j, i in enumerate(row):
-                    results[i] = flat[c * len(columns) + j]
-    for i, result in enumerate(results):
-        if result is None:
-            results[i] = PolicySimulation(GridTrip(grids[i]), policies[i],
-                                          dt=dt, grid=grids[i]).run(
-                                              record_series)
-    return results  # type: ignore[return-value]
-
-
-def _run_cells(spec: SweepSpec, cells: list[SweepCell],
+def _run_cells(spec: SweepSpec, cells: list[tuple[int, int, int]],
                grids: list[TickGrid]) -> list[TripMetrics]:
     """The cells' metrics, in cell order; ``grids`` are indexed by trip.
 
@@ -157,14 +66,14 @@ def _run_cells(spec: SweepSpec, cells: list[SweepCell],
     """
     shared: dict[tuple[int, int], UpdatePolicy] = {}
     lanes = []
-    for cell in cells:
-        key = (cell.policy_index, cell.cost_index)
+    for policy_index, cost_index, trip_index in cells:
+        key = (policy_index, cost_index)
         policy = shared.get(key)
         if policy is None:
             policy = _make_policy(spec, *key)
             if supports_fast_path(policy):
                 shared[key] = policy
-        lanes.append((grids[cell.trip_index], policy))
+        lanes.append((grids[trip_index], policy))
     return [result.metrics for result in simulate_lanes(
         lanes, spec.dt, collect_events=False)]
 
@@ -252,9 +161,4 @@ class SweepExecutor:
             cells[policy_name] = by_cost
         return cells
 
-__all__ = [
-    "SweepCell",
-    "SweepExecutor",
-    "cell_seed",
-    "simulate_lanes",
-]
+__all__ = ["SweepExecutor"]

@@ -23,12 +23,12 @@ from repro.core.horizon import HorizonCostPolicy
 from repro.core.policies import make_policy
 from repro.dbms.database import MovingObjectDatabase
 from repro.errors import ExperimentError
-from repro.exec.executor import simulate_lanes
 from repro.experiments.tables import TableResult
 from repro.geometry.polygon import Polygon
 from repro.index.timespace import TimeSpaceIndex
 from repro.routes.generators import straight_route, winding_route
 from repro.sim.engine import simulate_trip
+from repro.sim.lanes import simulate_lanes
 from repro.sim.metrics import aggregate_metrics
 from repro.sim.multileg import Leg, MultiLegDriver, MultiLegTrip
 from repro.sim.speed_curves import (

@@ -12,9 +12,9 @@ from __future__ import annotations
 import random
 
 from repro.core.policies import make_policy
-from repro.exec.executor import simulate_lanes
 from repro.experiments.tables import TableResult
 from repro.sim.grid import TickGrid
+from repro.sim.lanes import simulate_lanes
 from repro.sim.noise import audit, noisy_grid, reading_draws
 from repro.sim.speed_curves import standard_curve_set
 from repro.sim.trip import Trip

@@ -3,22 +3,24 @@
 The reproduction's headline guarantees — dead-reckoning math matching
 Propositions 1–4, and kernel/batched output byte-identical to the
 reference loops — rest on invariants that normal tests cannot watch at
-every commit: determinism of the sim/exec/batch paths, numeric hygiene
-in the cost algebra, a stable public API surface, and observability
-discipline.  This package machine-checks
-them at rest, in one run in which each hazard has one detector and
-one code:
+every commit: no unseeded RNG, wall clock or set-iteration order in
+the sim/exec/batch paths, numeric hygiene in the cost algebra, and
+observability discipline.  This package machine-checks them at rest,
+one module at a time, with one detector and one code per hazard:
 
 * :mod:`repro.lint.rules` — rule registry + tag-based path scoping,
-* :mod:`repro.lint.checks` — the per-module rule pack,
-* :mod:`repro.lint.flow` — the whole-program rules: determinism
-  (``RPR101``–``RPR103``) at every call depth, over each program's
-  call graph,
+* :mod:`repro.lint.checks` — the rule pack, determinism
+  (``RPR101``–``RPR103``) included, and the name helpers,
 * :mod:`repro.lint.engine` — file collection, one parse per file,
   dispatch, and the ``# repro: noqa[CODE] reason`` suppression
   protocol,
 * :mod:`repro.lint.output` — text, ``repro-lint/1`` JSON, and SARIF
   2.1.0 renderings.
+
+The two promises no single module can show are checked by running the
+program: ``tests/test_determinism.py`` compares a sweep's cells and
+recorded traces across two hash seeds, and ``tests/test_public_api.py``
+imports every module and resolves each name of its ``__all__``.
 
 Entry points: ``repro lint [paths]`` (CLI), ``make lint``, and the CI
 ``lint`` job.  See README "Static analysis" for the workflow, including

@@ -1,19 +1,21 @@
-"""The per-module rule pack, and the registry entries of the rest.
+"""The rule pack: every rule's per-module checker, and the registry
+entries of the rules the engine enforces itself.
 
 Code families (see :mod:`repro.lint.rules` for scoping):
 
 * ``RPR1xx`` **determinism** — the sweep's kernel and the batched
   query engine promise byte-identical output; unseeded RNG, wall-clock
-  reads, and set-iteration order reaching ``sim/``, ``exec/``,
-  ``vec/``, the digest/trace/report modules or (for the clock) ``obs/``
-  silently break that promise.  ``RPR101``–``RPR103`` are
-  whole-program rules (:mod:`repro.lint.flow.taint`): they fire at any
-  call depth.
+  reads, and set-iteration order in ``sim/``, ``exec/``, ``vec/``, the
+  digest/trace/report modules or (for the clock) ``obs/`` silently
+  break that promise.  :func:`hazards` is the one detector for all
+  three codes.  A rule sees one module, so a hazard in a helper those
+  modules call is out of its sight: ``tests/test_determinism.py``
+  checks the promise itself by running the program under two hash
+  seeds.
 * ``RPR3xx`` **numeric hygiene** — float ``==`` and mutable defaults
   corrupt the §3 cost algebra in ways tests rarely catch; ``vec/``
   kernels additionally ban per-element loops over arrays and
   narrower-than-float64 dtypes, which break the byte-identity promise.
-* ``RPR4xx`` **API consistency** — ``__all__`` drift.
 * ``RPR5xx`` **observability discipline** — span pairing, registry
   construction, and flight-recorder event discipline (DBMS/index
   modules serialize events through ``repro.trace``, never ad hoc).
@@ -22,8 +24,9 @@ Code families (see :mod:`repro.lint.rules` for scoping):
 Rules the engine enforces itself are registered here with
 ``check=None``, so they are documented and selectable like any other.
 Checkers are pure functions from a :class:`ModuleContext` to an
-iterator of findings; they never read the filesystem themselves (RPR401
-asks the context for the modules a lazy table names).
+iterator of findings.  The name helpers — :func:`dotted_name`,
+:func:`module_import_map`, :func:`resolve_alias`, :func:`matches` —
+are the only copies in the lint package.
 """
 
 from __future__ import annotations
@@ -31,14 +34,61 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.findings import SEVERITY_ERROR, SEVERITY_WARNING, Finding
-from repro.lint.flow.graph import dotted_name, matches, resolve_alias
+from repro.lint.findings import SEVERITY_ERROR, Finding
 from repro.lint.rules import (
+    Checker,
     ModuleContext,
     Rule,
     register,
     register_rule,
 )
+
+
+def dotted_name(node: ast.AST) -> str | None:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: list[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def module_import_map(tree: ast.Module) -> dict[str, str]:
+    """Local name -> canonical dotted origin of the absolute imports."""
+    mapping: dict[str, str] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname is not None:
+                    mapping[alias.asname] = alias.name
+                else:
+                    head = alias.name.split(".")[0]
+                    mapping[head] = head
+        elif isinstance(node, ast.ImportFrom) and node.module \
+                and not node.level:
+            for alias in node.names:
+                if alias.name != "*":
+                    mapping[alias.asname or alias.name] = \
+                        f"{node.module}.{alias.name}"
+    return mapping
+
+
+def resolve_alias(dotted: str, imports: dict[str, str]) -> str:
+    """Rewrite ``dotted``'s head through the module's import aliases."""
+    head, _, rest = dotted.partition(".")
+    if head in imports:
+        origin = imports[head]
+        return f"{origin}.{rest}" if rest else origin
+    return dotted
+
+
+def matches(resolved: str, banned: str) -> bool:
+    """Whether an import-resolved dotted name is ``banned`` (or ends
+    with it: ``datetime.datetime.now`` is ``datetime.now``)."""
+    return resolved == banned or resolved.endswith("." + banned)
 
 
 def _calls(ctx: ModuleContext) -> Iterator[tuple[ast.Call, str]]:
@@ -48,6 +98,134 @@ def _calls(ctx: ModuleContext) -> Iterator[tuple[ast.Call, str]]:
             dotted = dotted_name(node.func)
             if dotted is not None:
                 yield node, resolve_alias(dotted, ctx.imports)
+
+
+RNG, CLOCK, UNORDERED = "RPR101", "RPR102", "RPR103"
+
+#: Module-level ``random`` functions that draw from (or reseed) the
+#: shared global generator.
+_RANDOM_FNS = frozenset({
+    "random", "randint", "randrange", "uniform", "choice", "choices",
+    "shuffle", "sample", "gauss", "normalvariate", "expovariate",
+    "betavariate", "triangular", "getrandbits", "seed",
+    "lognormvariate", "paretovariate", "vonmisesvariate",
+    "weibullvariate",
+})
+
+#: Module-level ``numpy.random`` draws (global-generator state).
+_NUMPY_RANDOM_FNS = frozenset({
+    "rand", "randn", "randint", "random", "random_sample", "ranf",
+    "sample", "choice", "shuffle", "permutation", "normal", "uniform",
+    "standard_normal", "seed", "bytes",
+})
+
+#: Wall-clock and entropy reads.
+_WALL_CLOCK = (
+    "time.time",
+    "time.time_ns",
+    "datetime.now",
+    "datetime.utcnow",
+    "datetime.today",
+    "date.today",
+    "os.urandom",
+    "uuid.uuid1",
+    "uuid.uuid4",
+)
+
+_UNSORTED = "unsorted set iteration"
+
+
+def _is_set_expr(node: ast.AST) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.Call):
+        return dotted_name(node.func) in ("set", "frozenset")
+    return False
+
+
+def _call_hazard(call: ast.Call,
+                 imports: dict[str, str]) -> tuple[str, str] | None:
+    """(code, detail) when ``call`` is a hazard."""
+    dotted = dotted_name(call.func)
+    if dotted is None:
+        return None
+    if dotted in ("list", "tuple"):
+        if call.args and _is_set_expr(call.args[0]):
+            return UNORDERED, _UNSORTED
+        return None
+    resolved = resolve_alias(dotted, imports)
+    if resolved == "random.Random":
+        return None if call.args else (RNG, "unseeded random.Random()")
+    head, _, tail = resolved.partition(".")
+    if head == "random" and tail in _RANDOM_FNS:
+        return RNG, f"random.{tail}()"
+    if resolved.startswith("numpy.random."):
+        fn = resolved.rsplit(".", 1)[-1]
+        if fn in _NUMPY_RANDOM_FNS:
+            return RNG, f"numpy.random.{fn}()"
+        if fn == "default_rng" and not call.args and not call.keywords:
+            return RNG, "unseeded numpy.random.default_rng()"
+    for banned in _WALL_CLOCK:
+        if matches(resolved, banned):
+            return CLOCK, f"{banned}()"
+    return None
+
+
+def hazards(node: ast.AST, imports: dict[str, str]
+            ) -> Iterator[tuple[str, ast.AST, str]]:
+    """(code, node, detail) for every determinism hazard under ``node``.
+
+    ``RPR103``'s "unordered" has one definition, the stricter one: a
+    set expression iterated by a ``for``, a list/generator/dict
+    comprehension or ``list()``/``tuple()``, whether or not the
+    function returns what it builds.
+    """
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Call):
+            found = _call_hazard(sub, imports)
+            if found is not None:
+                yield found[0], sub, found[1]
+        elif isinstance(sub, ast.For):
+            if _is_set_expr(sub.iter):
+                yield UNORDERED, sub.iter, _UNSORTED
+        elif isinstance(sub, (ast.ListComp, ast.GeneratorExp, ast.DictComp)):
+            for gen in sub.generators:
+                if _is_set_expr(gen.iter):
+                    yield UNORDERED, gen.iter, _UNSORTED
+
+
+def _hazard_rule(code: str, why: str) -> Checker:
+    """The checker of determinism rule ``code``: its hazards, anywhere
+    in the module (module-level code included)."""
+
+    def check(ctx: ModuleContext) -> Iterator[Finding]:
+        for found, node, detail in hazards(ctx.tree, ctx.imports):
+            if found == code:
+                yield ctx.finding(node, code, f"{detail}; {why}")
+
+    return check
+
+
+for _code, _name, _scope, _description, _why in (
+    (RNG, "unseeded-rng", "deterministic",
+     "no shared-state random.*/numpy.random draws or unseeded "
+     "random.Random()/default_rng() in deterministic paths",
+     "results must be a pure function of the inputs — draw from a "
+     "seeded random.Random (or numpy Generator) instead"),
+    (CLOCK, "wall-clock-read", "deterministic-or-obs",
+     "no time.time()/datetime.now()/os.urandom()/uuid4() in "
+     "deterministic paths or obs/ (perf_counter/monotonic for metrics "
+     "and spans are fine)",
+     "results and spans must not depend on when the run happened — use "
+     "perf_counter/monotonic for metrics, or inject the sim clock"),
+    (UNORDERED, "unordered-set-iteration", "deterministic",
+     "no iterating a set expression into ordered output in "
+     "deterministic paths; wrap in sorted()",
+     "set iteration order varies across runs — sorted() the set before "
+     "it shapes output"),
+):
+    register(_code, _name, SEVERITY_ERROR, _scope,
+             _description)(_hazard_rule(_code, _why))
 
 
 def _is_float_operand(node: ast.AST) -> bool:
@@ -192,153 +370,6 @@ def check_vec_kernel_hygiene(ctx: ModuleContext) -> Iterator[Finding]:
                     )
 
 
-def _module_all(tree: ast.Module) -> tuple[ast.AST, list[str]] | None:
-    """The module-level ``__all__`` list, if statically resolvable."""
-    for stmt in tree.body:
-        targets: list[ast.expr] = []
-        value: ast.expr | None = None
-        if isinstance(stmt, ast.Assign):
-            targets, value = stmt.targets, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets, value = [stmt.target], stmt.value
-        if not any(isinstance(t, ast.Name) and t.id == "__all__"
-                   for t in targets):
-            continue
-        if isinstance(value, (ast.List, ast.Tuple)) and all(
-                isinstance(e, ast.Constant) and isinstance(e.value, str)
-                for e in value.elts):
-            return stmt, [e.value for e in value.elts
-                          if isinstance(e, ast.Constant)]
-        return stmt, []  # present but dynamic: declared, not checkable
-    return None
-
-
-def _bindings(body: list[ast.stmt], into: set[str]) -> bool:
-    """Collect statically visible module-level names; False on ``*``."""
-    for stmt in body:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            into.add(stmt.name)
-        elif isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                for node in ast.walk(target):
-                    if isinstance(node, ast.Name):
-                        into.add(node.id)
-        elif isinstance(stmt, (ast.AnnAssign, ast.AugAssign)):
-            if isinstance(stmt.target, ast.Name):
-                into.add(stmt.target.id)
-        elif isinstance(stmt, ast.Import):
-            for alias in stmt.names:
-                into.add(alias.asname or alias.name.split(".")[0])
-        elif isinstance(stmt, ast.ImportFrom):
-            for alias in stmt.names:
-                if alias.name == "*":
-                    return False
-                into.add(alias.asname or alias.name)
-        elif isinstance(stmt, ast.If):
-            # What only type checkers import is not bound at run time.
-            checking = dotted_name(stmt.test) in ("TYPE_CHECKING",
-                                              "typing.TYPE_CHECKING")
-            if not checking and not _bindings(stmt.body, into):
-                return False
-            if not _bindings(stmt.orelse, into):
-                return False
-        elif isinstance(stmt, ast.Try):
-            for block in (stmt.body, stmt.orelse, stmt.finalbody,
-                          *[h.body for h in stmt.handlers]):
-                if not _bindings(block, into):
-                    return False
-        elif isinstance(stmt, (ast.For, ast.While, ast.With)):
-            if not _bindings(stmt.body, into):
-                return False
-    return True
-
-
-def _lazy_table(tree: ast.Module) -> dict[str, ast.Constant]:
-    """A PEP 562 module's literal ``name -> module`` table, keyed by name
-    (values are the module-name nodes): every module-level dict of
-    string constants, in a module that defines ``__getattr__``."""
-    table: dict[str, ast.Constant] = {}
-    if not any(isinstance(stmt, ast.FunctionDef)
-               and stmt.name == "__getattr__" for stmt in tree.body):
-        return table
-    for stmt in tree.body:
-        if not (isinstance(stmt, (ast.Assign, ast.AnnAssign))
-                and isinstance(stmt.value, ast.Dict)):
-            continue
-        entries: dict[str, ast.Constant] = {}
-        for key, value in zip(stmt.value.keys, stmt.value.values):
-            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)
-                    and isinstance(value, ast.Constant)
-                    and isinstance(value.value, str)):
-                break
-            entries[key.value] = value
-        else:
-            table.update(entries)
-    return table
-
-
-@register(
-    "RPR401", "all-does-not-resolve", SEVERITY_ERROR, "everywhere",
-    "every name listed in __all__ must resolve to a module-level "
-    "binding, or to one in the module its lazy table maps it to",
-)
-def check_all_resolves(ctx: ModuleContext) -> Iterator[Finding]:
-    declared = _module_all(ctx.tree)
-    if declared is None:
-        return
-    stmt, names = declared
-    bound: set[str] = set()
-    if not _bindings(ctx.tree.body, bound):
-        return  # star import: resolution is not statically decidable
-    lazy = _lazy_table(ctx.tree)
-    homes: dict[str, ast.Module | None] = {}
-    for name in names:
-        if name in bound:
-            continue
-        if name not in lazy:
-            yield ctx.finding(
-                stmt, "RPR401",
-                f"__all__ lists {name!r} but the module defines no such "
-                f"name",
-            )
-            continue
-        node = lazy[name]
-        home = node.value
-        if home not in homes:
-            homes[home] = ctx.module_tree(home)
-        tree = homes[home]
-        exported: set[str] = set()
-        if tree is None:
-            problem = "no such module is found"
-        elif (not _bindings(tree.body, exported) or name in exported
-              or name in _lazy_table(tree)):
-            continue
-        else:
-            problem = "that module defines no such name"
-        yield ctx.finding(
-            node, "RPR401",
-            f"__all__ lists {name!r}, which the lazy table maps to "
-            f"{home!r}, but {problem}",
-        )
-
-
-@register(
-    "RPR402", "missing-all", SEVERITY_WARNING, "library",
-    "public library modules must declare __all__ (their import surface)",
-)
-def check_missing_all(ctx: ModuleContext) -> Iterator[Finding]:
-    stem = ctx.relpath.rsplit("/", 1)[-1].removesuffix(".py")
-    if stem.startswith("_") and stem != "__init__":
-        return
-    if _module_all(ctx.tree) is None:
-        yield ctx.finding(
-            ctx.tree, "RPR402",
-            "public module defines no __all__; declare its import "
-            "surface explicitly",
-        )
-
-
 @register(
     "RPR501", "span-not-context-managed", SEVERITY_ERROR,
     "library-not-obs",
@@ -408,24 +439,6 @@ register_rule(Rule(
                 "cannot be checked at all",
 ))
 
-# The whole-program rules run over each program's call graph
-# (repro.lint.flow), not one module at a time.
-for _code, _name, _scope, _description in (
-    ("RPR101", "unseeded-rng", "deterministic",
-     "no shared-state random.*/numpy.random draws or unseeded "
-     "random.Random()/default_rng() in deterministic paths, at any "
-     "call depth"),
-    ("RPR102", "wall-clock-read", "deterministic-or-obs",
-     "no time.time()/datetime.now()/os.urandom()/uuid4() in "
-     "deterministic paths or obs/, at any call depth (perf_counter/"
-     "monotonic for metrics and spans are fine)"),
-    ("RPR103", "unordered-set-iteration", "deterministic",
-     "no iterating a set expression into ordered output in "
-     "deterministic paths, at any call depth; wrap in sorted()"),
-):
-    register_rule(Rule(code=_code, name=_name, severity=SEVERITY_ERROR,
-                       scope=_scope, description=_description, check=None))
-
 # Suppression hygiene is enforced by the engine while it matches
 # "repro: noqa" directives; the rules are registered here so they
 # appear in --list-rules output, docs, and selection.
@@ -444,11 +457,14 @@ register_rule(Rule(
 
 __all__ = [
     "check_adhoc_event_writes",
-    "check_all_resolves",
     "check_float_equality",
-    "check_missing_all",
     "check_mutable_defaults",
     "check_registry_construction",
     "check_span_pairing",
     "check_vec_kernel_hygiene",
+    "dotted_name",
+    "hazards",
+    "matches",
+    "module_import_map",
+    "resolve_alias",
 ]

@@ -1,14 +1,12 @@
-"""The lint engine: one run over files and the programs they form.
+"""The lint engine: one run over files, one module at a time.
 
-:func:`lint_paths` collects files, parses each once and groups the
-modules into programs: every package root (a directory holding an
-``__init__.py`` whose parent does not) is one program, and a file
-outside any package is a program of its own.  Per module it dispatches
-the per-file rules whose scope covers the module's path tags (see
-:mod:`repro.lint.rules`); per program it builds the call graph once and
-runs the whole-program rules over it — the determinism rules
-``RPR101``–``RPR103`` at every call depth (:mod:`repro.lint.flow`).  Inline suppressions then apply to every
-finding alike, and a :class:`LintReport` comes back.
+:func:`lint_paths` collects files, parses each once, dispatches the
+rules whose scope covers the module's path tags (see
+:mod:`repro.lint.rules`) and applies the module's inline suppressions
+to what they find; a :class:`LintReport` comes back.  No rule reads
+another module: whether the program as a whole is deterministic is
+checked by running it (``tests/test_determinism.py``), and whether
+each ``__all__`` resolves by importing it (``tests/test_public_api.py``).
 
 Inline suppression matches ruff/flake8 ergonomics but is deliberately
 narrower — a code is always required, and a **reason** is required
@@ -19,14 +17,13 @@ too::
 A ``# repro: noqa[...]`` naming an unregistered code raises finding
 ``RPR901``; one without a reason string raises ``RPR902``.  Suppression
 is per-line and per-code: it never hides findings of other codes on the
-same line.  A whole-program finding lands on a concrete line (a chain's
-first hop, a caller's argument), so the directive works there too.
+same line.
 
 Directory walks skip ``tests/lint/fixtures/`` (deliberately-bad rule
 fixtures) and directories named like the usual caches and build
 outputs, but a path passed *explicitly* is always linted — ``repro lint
-tests/lint/fixtures/sim/bad_rng.py`` or a fixture package directory
-works as expected.
+tests/lint/fixtures/sim/bad_rng.py`` or a fixture directory works as
+expected.
 """
 
 from __future__ import annotations
@@ -38,11 +35,10 @@ import tokenize
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from repro.lint.checks import module_import_map
 from repro.lint.findings import Finding
-from repro.lint.flow.graph import build_graph, module_import_map
-from repro.lint.flow.taint import check_taint_flows
 from repro.lint.rules import (
     FIXTURE_PREFIX,
     LintError,
@@ -143,26 +139,6 @@ def _relpath(path: Path, root: Path) -> str:
         return path.as_posix()
 
 
-def _package_root(path: Path) -> Path | None:
-    """The outermost package directory holding ``path``, if any."""
-    root = None
-    directory = path.resolve().parent
-    while (directory / "__init__.py").is_file():
-        root, directory = directory, directory.parent
-    return root
-
-
-def _module_name(path: Path, root: Path | None) -> str:
-    """Dotted module name below ``root`` (a lone file: its stem)."""
-    if root is None:
-        return path.stem
-    parts = list(path.resolve().relative_to(root.parent)
-                 .with_suffix("").parts)
-    if parts[-1] == "__init__":
-        parts.pop()
-    return ".".join(parts)
-
-
 def _noqa_comments(source: str) -> list[tuple[int, int, set[str], str]]:
     """Every suppression comment: (line, logical start, codes, reason).
 
@@ -230,73 +206,50 @@ class ModuleReport:
     suppressed: int
 
 
-def _lint_program(units: Iterable[tuple[str, str, str]],
-                  config: Config) -> ModuleReport:
-    """Lint one program, given its modules' (name, relpath, source)."""
-    findings: list[Finding] = []
-    modules: list[ModuleContext] = []
-    comments: dict[str, list[tuple[int, int, set[str], str]]] = {}
-    for name, relpath, source in units:
-        try:
-            tree = ast.parse(source, filename=relpath)
-        except SyntaxError as exc:
-            findings.append(Finding(
-                path=relpath, line=exc.lineno or 1,
-                col=(exc.offset or 0) + 1, code="RPR000",
-                severity="error", message=f"syntax error: {exc.msg}",
-            ))
-            continue
-        module = ModuleContext(
-            relpath=relpath, tree=tree, tags=classify_path(relpath),
-            root=str(config.root), name=name,
-            imports=module_import_map(name, tree))
-        modules.append(module)
-        comments[relpath] = _noqa_comments(source)
-        for rule in checkers_for(module.tags, select=config.select):
-            assert rule.check is not None
-            findings.extend(rule.check(module))
-
-    graph = build_graph(modules)
-    codes = known_codes() if config.select is None else config.select
-    findings.extend(check_taint_flows(graph, codes))
-
-    directives = {relpath: _noqa_directives(found)
-                  for relpath, found in comments.items()}
-    kept = [finding for finding in findings
-            if finding.code not in directives.get(finding.path, {})
-            .get(finding.line, ())]
-    suppressed = len(findings) - len(kept)
-    registered = known_codes()
-    for relpath, found in comments.items():
-        for number, _, codes_named, reason in found:
-            if "RPR901" in codes:
-                for code in sorted(codes_named - registered):
-                    kept.append(Finding(
-                        path=relpath, line=number, col=1, code="RPR901",
-                        severity="error",
-                        message=f"noqa references unknown rule code "
-                                f"{code!r}",
-                    ))
-            if "RPR902" in codes and not reason:
-                kept.append(Finding(
-                    path=relpath, line=number, col=1, code="RPR902",
-                    severity="error",
-                    message="noqa carries no reason; say why the finding "
-                            "is intentional",
-                ))
-    kept.sort()
-    return ModuleReport(findings=kept, suppressed=suppressed)
-
-
 def lint_source(source: str, relpath: str,
                 config: Config | None = None) -> ModuleReport:
-    """Lint one module from source text (the in-memory entry point).
-
-    The module is a program of its own: the whole-program rules see
-    only its functions.
-    """
+    """Lint one module from source text (the in-memory entry point)."""
     config = config if config is not None else Config()
-    return _lint_program([(Path(relpath).stem, relpath, source)], config)
+    try:
+        tree = ast.parse(source, filename=relpath)
+    except SyntaxError as exc:
+        return ModuleReport(findings=[Finding(
+            path=relpath, line=exc.lineno or 1, col=(exc.offset or 0) + 1,
+            code="RPR000", severity="error",
+            message=f"syntax error: {exc.msg}",
+        )], suppressed=0)
+    module = ModuleContext(relpath=relpath, tree=tree,
+                           tags=classify_path(relpath),
+                           imports=module_import_map(tree))
+    findings = [finding
+                for rule in checkers_for(module.tags, select=config.select)
+                if rule.check is not None
+                for finding in rule.check(module)]
+
+    comments = _noqa_comments(source)
+    directives = _noqa_directives(comments)
+    kept = [finding for finding in findings
+            if finding.code not in directives.get(finding.line, ())]
+    suppressed = len(findings) - len(kept)
+    codes = known_codes() if config.select is None else config.select
+    registered = known_codes()
+    for number, _, codes_named, reason in comments:
+        if "RPR901" in codes:
+            for code in sorted(codes_named - registered):
+                kept.append(Finding(
+                    path=relpath, line=number, col=1, code="RPR901",
+                    severity="error",
+                    message=f"noqa references unknown rule code {code!r}",
+                ))
+        if "RPR902" in codes and not reason:
+            kept.append(Finding(
+                path=relpath, line=number, col=1, code="RPR902",
+                severity="error",
+                message="noqa carries no reason; say why the finding is "
+                        "intentional",
+            ))
+    kept.sort()
+    return ModuleReport(findings=kept, suppressed=suppressed)
 
 
 def lint_paths(paths: Sequence[str | Path],
@@ -304,16 +257,11 @@ def lint_paths(paths: Sequence[str | Path],
     """Lint files/directories and return the aggregate report."""
     config = config if config is not None else Config()
     files = collect_files(paths, config)
-    programs: dict[Path, list[tuple[str, str, str]]] = {}
-    for path in files:
-        root = _package_root(path)
-        programs.setdefault(root or path.resolve(), []).append((
-            _module_name(path, root), _relpath(path, config.root),
-            path.read_text(encoding="utf-8")))
     findings: list[Finding] = []
     suppressed = 0
-    for units in programs.values():
-        report = _lint_program(units, config)
+    for path in files:
+        report = lint_source(path.read_text(encoding="utf-8"),
+                             _relpath(path, config.root), config)
         findings.extend(report.findings)
         suppressed += report.suppressed
     findings.sort()

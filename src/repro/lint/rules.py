@@ -1,30 +1,27 @@
 """Rule registry and path scoping for the lint engine.
 
 Every rule is a :class:`Rule`: a stable code (``RPR1xx`` determinism,
-``RPR3xx`` numeric hygiene, ``RPR4xx`` API consistency, ``RPR5xx``
-observability discipline, ``RPR9xx`` engine hygiene), a severity, a
-one-line description, a *scope* naming the path family it applies to,
-and a per-module AST checker — or none,
-when the engine enforces the rule itself (the whole-program rules of
-:mod:`repro.lint.flow` and suppression hygiene).  Checkers live in
+``RPR3xx`` numeric hygiene, ``RPR5xx`` observability discipline,
+``RPR9xx`` engine hygiene), a severity, a one-line description, a
+*scope* naming the path family it applies to, and a per-module AST
+checker — or none, when the engine enforces the rule itself (syntax
+errors and suppression hygiene).  Checkers live in
 :mod:`repro.lint.checks` and register themselves via :func:`register`.
 
 Scoping is tag-based.  :func:`classify_path` maps a repo-relative path
 to a set of tags (``deterministic``, ``vec``, ``obs``, ``dbms``,
-``library``, ``test``, ``script``) and each scope is a
-predicate over those tags; whole-program rules scope their sinks the
-same way.
-Paths under ``tests/lint/fixtures/`` have that prefix stripped before
-classification, so a fixture at ``tests/lint/fixtures/sim/bad.py`` is
-scoped exactly like a real ``sim/`` module — fixtures exercise rules
-under the same scoping the production tree sees.
+``library``, ``test``, ``script``) and each scope is a predicate over
+those tags.  Paths under ``tests/lint/fixtures/`` have that prefix
+stripped before classification, so a fixture at
+``tests/lint/fixtures/sim/bad.py`` is scoped exactly like a real
+``sim/`` module — fixtures exercise rules under the same scoping the
+production tree sees.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from repro.errors import ReproError
@@ -115,32 +112,13 @@ SCOPES: dict[str, Callable[[frozenset[str]], bool]] = {
 
 @dataclass(frozen=True, slots=True)
 class ModuleContext:
-    """One parsed module as seen by rule checkers and the call graph."""
+    """One parsed module as seen by rule checkers."""
 
     relpath: str
     tree: ast.Module
     tags: frozenset[str] = field(default_factory=frozenset)
-    #: Directory ``relpath`` is relative to.
-    root: str = ""
-    #: Dotted module name (``repro.dbms.batch``; a lone file's stem).
-    name: str = ""
     #: Local name -> canonical dotted origin of the module's imports.
     imports: dict[str, str] = field(default_factory=dict)
-
-    def module_tree(self, dotted: str) -> ast.Module | None:
-        """The parsed source of module ``dotted``, looked up beside this
-        module's outermost package; None when missing or unparsable."""
-        base = (Path(self.root) / self.relpath).parent
-        while (base / "__init__.py").is_file():
-            base = base.parent
-        stem = base.joinpath(*dotted.split("."))
-        for path in (stem.parent / f"{stem.name}.py", stem / "__init__.py"):
-            if path.is_file():
-                try:
-                    return ast.parse(path.read_text(encoding="utf-8"))
-                except SyntaxError:
-                    return None
-        return None
 
     def finding(self, node: ast.AST, code: str, message: str) -> Finding:
         """Build a finding for ``node`` under this module's path."""

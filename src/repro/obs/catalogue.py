@@ -68,7 +68,7 @@ CATALOGUE: dict[str, Metric] = {
         GAUGE, "Aggregate update bandwidth of the run."),
     # -- exec: the sweep executor and its tick-grid cache -----------------
     "exec_cache_hits_total": Metric(
-        COUNTER, "Tick-grid cache hits (grid reused across cells)."),
+        COUNTER, "Tick-grid cache hits (grid reused by a later sweep run)."),
     "exec_cache_misses_total": Metric(
         COUNTER, "Tick-grid cache misses (grid built from the trip)."),
     "exec_tasks_total": Metric(

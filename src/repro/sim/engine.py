@@ -31,7 +31,7 @@ is the same arithmetic over arrays for every row of
 :data:`KERNEL_FAMILIES`, per-tick series included, held to the
 reference on ``repr`` by the test suite;
 :meth:`PolicySimulation.run` sends such a policy to it as a batch of
-one, and :func:`repro.exec.executor.simulate_lanes` groups many runs —
+one, and :func:`repro.sim.lanes.simulate_lanes` groups many runs —
 a sweep, a fleet — into shared passes.
 """
 

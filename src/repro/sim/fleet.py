@@ -4,7 +4,7 @@ Each vehicle decides its updates onboard, from its own deviation alone
 (§3.1–3.3), so a fleet is a batch of independent lanes whose messages
 merely have to reach the database in time order.
 :meth:`FleetSimulation.run` asks
-:func:`~repro.exec.executor.simulate_lanes` for every vehicle's update
+:func:`~repro.sim.lanes.simulate_lanes` for every vehicle's update
 events and replays them tick by tick — each a
 :class:`~repro.dbms.update_log.PositionUpdateMessage` with the
 vehicle's *actual* position and the declared speed, which the database
@@ -21,7 +21,7 @@ from repro.core.policy import UpdatePolicy
 from repro.dbms.database import MovingObjectDatabase
 from repro.dbms.update_log import PositionUpdateMessage
 from repro.errors import SimulationError
-from repro.exec.executor import simulate_lanes
+from repro.sim.lanes import simulate_lanes
 from repro.obs.probe import probe
 from repro.sim.clock import SimulationClock
 from repro.sim.metrics import TripMetrics

@@ -19,7 +19,7 @@ A noisy run is an ordinary run on a noisy grid: the clean
 :class:`~repro.sim.grid.TickGrid` with its travel column read through
 the sensor (:func:`noisy_grid`), handed to
 :class:`~repro.sim.engine.PolicySimulation` or, many at once, to
-:func:`~repro.exec.executor.simulate_lanes` (kernel or reference loop,
+:func:`~repro.sim.lanes.simulate_lanes` (kernel or reference loop,
 as for any trip).  A reading is one draw ``u`` per ``(seed, tick)``
 (:func:`reading_draws`) scaled to ``[-epsilon, epsilon]`` as
 ``random.uniform`` scales it, so one set of draws serves every

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core.policies import make_policy
 from repro.errors import ExperimentError
-from repro.exec import SweepCell, SweepExecutor, TickGrid, cell_seed
+from repro.exec import SweepExecutor, TickGrid
 from repro.exec.executor import _decompose
 from repro.experiments.sweep import SweepSpec, build_curves, run_policy_sweep
 from repro.sim.metrics import aggregate_metrics
@@ -53,22 +53,12 @@ def reference_sweep(spec: SweepSpec):
 
 class TestDecomposition:
     def test_canonical_order_and_count(self):
-        spec = small_spec()
-        cells = _decompose(spec)
+        cells = _decompose(small_spec())
         assert len(cells) == 3 * 3 * 4
-        assert cells[0] == SweepCell(0, 0, 0, cell_seed(spec.seed, 0, 0, 0))
         # trip index varies fastest, policy slowest.
-        assert cells[1].trip_index == 1
-        assert cells[4].cost_index == 1
-        assert cells[-1] == SweepCell(2, 2, 3, cell_seed(spec.seed, 2, 2, 3))
-
-    def test_cell_seeds_stable_and_distinct(self):
-        seeds = [cell_seed(42, p, c, t)
-                 for p in range(3) for c in range(6) for t in range(20)]
-        assert len(set(seeds)) == len(seeds)
-        assert all(0 <= s <= 0x7FFFFFFF for s in seeds)
-        assert cell_seed(42, 1, 2, 3) == cell_seed(42, 1, 2, 3)
-        assert cell_seed(42, 1, 2, 3) != cell_seed(43, 1, 2, 3)
+        assert cells[:2] == [(0, 0, 0), (0, 0, 1)]
+        assert cells[4] == (0, 1, 0)
+        assert cells[-1] == (2, 2, 3)
 
 
 class TestSerialEquivalence:

@@ -23,8 +23,8 @@ from repro.core.policies import (
 from repro.core.speed import BlendedSpeed, TripAverageSpeed
 from repro.errors import SimulationError
 from repro.exec import GridTrip, TickGrid
-from repro.exec.executor import simulate_lanes
 from repro.sim.engine import PolicySimulation, simulate_trip, supports_fast_path
+from repro.sim.lanes import simulate_lanes
 from repro.sim.speed_curves import CityCurve, HighwayCurve, RushHourCurve
 from repro.sim.trip import Trip
 from repro.vec.batch import VecTripBatch

@@ -1,8 +1,7 @@
 """The acceptance gate, enforced from the test suite itself:
 ``repro lint src tests`` must be clean on this repo.
 
-One run covers every rule — per-file rules and the whole-program rules
-over ``src/repro`` and ``tests`` alike.  Anything new the rules catch
+One run covers every rule over ``src/repro`` and ``tests`` alike.  Anything new the rules catch
 must be fixed or suppressed inline with a reason.
 """
 

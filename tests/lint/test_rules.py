@@ -21,9 +21,6 @@ BAD_FIXTURES = [
     ("src/repro/core/bad_float_eq.py", "RPR301", 2),
     ("anywhere/bad_mutable_default.py", "RPR302", 3),
     ("vec/bad_kernel.py", "RPR304", 5),
-    ("anywhere/bad_all_unresolved.py", "RPR401", 1),
-    ("anywhere/lazy_bad/__init__.py", "RPR401", 3),
-    ("src/repro/dbms/bad_missing_all.py", "RPR402", 1),
     ("src/repro/sim/bad_span.py", "RPR501", 1),
     ("src/repro/dbms/bad_registry.py", "RPR502", 1),
     ("src/repro/dbms/bad_jsonl_write.py", "RPR503", 2),
@@ -41,8 +38,6 @@ GOOD_FIXTURES = [
     ("src/repro/core/good_float_eq.py", "RPR301"),
     ("anywhere/good_mutable_default.py", "RPR302"),
     ("vec/good_kernel.py", "RPR304"),
-    ("anywhere/good_all.py", "RPR401"),
-    ("anywhere/lazy_good/__init__.py", "RPR401"),
     ("src/repro/sim/good_span.py", "RPR501"),
     ("src/repro/obs/good_registry.py", "RPR502"),
     ("src/repro/dbms/good_recorder.py", "RPR503"),
@@ -89,8 +84,8 @@ def test_every_registered_rule_has_a_fixture():
     from repro.lint import all_rules
     from tests.lint.test_flow_rules import FLOW_BAD_COUNTS
 
-    # Rules have file fixtures; the whole-program rules also have the
-    # bad mini-package under fixtures/flow/ (test_flow_rules).
+    # The determinism rules also have the fixtures under
+    # fixtures/determinism/ (test_flow_rules).
     covered = {code for _, code, _ in BAD_FIXTURES} | set(FLOW_BAD_COUNTS)
     assert covered == {rule.code for rule in all_rules()}
 
@@ -101,21 +96,3 @@ def test_list_rules_cli():
     text = out.getvalue()
     for code in ("RPR101", "RPR302", "RPR501", "RPR902"):
         assert code in text
-
-
-def test_package_root_lazy_table_is_checked_against_its_subpackages():
-    """RPR401 reads the subpackage each name of ``repro/__init__.py``'s
-    lazy table points at: pointing one at the wrong one fires."""
-    from repro.lint import Config, lint_source
-    from tests.lint.conftest import REPO_ROOT
-
-    relpath = "src/repro/__init__.py"
-    source = (REPO_ROOT / relpath).read_text(encoding="utf-8")
-    config = Config(root=REPO_ROOT, select=frozenset({"RPR401"}))
-    assert lint_source(source, relpath, config).findings == []
-    moved = source.replace('"Point": "repro.geometry"',
-                           '"Point": "repro.index"')
-    assert moved != source
-    findings = lint_source(moved, relpath, config).findings
-    assert [(f.code, "'Point'" in f.message) for f in findings] == [
-        ("RPR401", True)]

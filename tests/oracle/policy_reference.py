@@ -11,7 +11,7 @@ through here.  Compare on ``repr``: ``-0.0`` and the last digit count.
 
 from __future__ import annotations
 
-from repro.exec import executor
+from repro.sim import lanes
 from repro.sim.engine import PolicySimulation, TripResult
 from repro.sim.grid import GridTrip
 
@@ -38,7 +38,7 @@ def watch_dispatch(monkeypatch):
     it works: each kernel pass as ``(batch, [update cost per row])`` and
     the policy name of each lane it ran through ``PolicySimulation.run``."""
     passes, runs = [], []
-    simulate_batch = executor.simulate_batch
+    simulate_batch = lanes.simulate_batch
     run = PolicySimulation.run
 
     def batch_spy(batch, policies, collect_events=True, record_series=False):
@@ -50,6 +50,6 @@ def watch_dispatch(monkeypatch):
         runs.append(self.policy.name)
         return run(self, record_series)
 
-    monkeypatch.setattr(executor, "simulate_batch", batch_spy)
+    monkeypatch.setattr(lanes, "simulate_batch", batch_spy)
     monkeypatch.setattr(PolicySimulation, "run", run_spy)
     return passes, runs

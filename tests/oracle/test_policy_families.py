@@ -7,7 +7,7 @@ tick length, update costs (``C = 0`` and duplicates among them) and the
 row's own parameters — bounds and precisions below
 ``ZERO_DEVIATION_TOLERANCE`` among them, both speed predictors, the
 step cost wherever the decision does not read it — and runs every lane
-through :func:`~repro.exec.executor.simulate_lanes` with series
+through :func:`~repro.sim.lanes.simulate_lanes` with series
 recorded.  Each lane must equal :meth:`PolicySimulation._run_generic`
 (``policy_reference.reference_run``) on ``repr``: metrics, events and
 series.
@@ -31,8 +31,8 @@ from repro.core.cost import StepDeviationCost
 from repro.core.policies import make_policy
 from repro.core.speed import AverageSpeedSinceUpdate, CurrentSpeed
 from repro.exec import TickGrid
-from repro.exec.executor import simulate_lanes
 from repro.sim.engine import supports_fast_path
+from repro.sim.lanes import simulate_lanes
 from repro.sim.speed_curves import (
     CityCurve,
     HighwayCurve,

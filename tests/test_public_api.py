@@ -1,6 +1,24 @@
-"""The package root exports a working public API."""
+"""The package root exports a working public API, and every module's
+``__all__`` is what ``from module import *`` really gets."""
+
+import importlib
+from pathlib import Path
 
 import repro
+
+
+def module_names():
+    """Every ``repro`` module but ``__main__``, plus the R-tree oracle
+    (the one test module that declares an import surface)."""
+    root = Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root.parent).with_suffix("").parts
+        if parts[-1] == "__main__":
+            continue
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        yield ".".join(parts)
+    yield "tests.oracle.rtree_reference"
 
 
 class TestPublicApi:
@@ -36,3 +54,23 @@ class TestPublicApi:
         for name in ("dl", "ail", "cil"):
             policy = make_policy(name, 5.0)
             assert policy.name == name
+
+
+def test_every_module_declares_an_all_that_resolves():
+    """A public module declares ``__all__``, and each name in it
+    resolves through ``getattr`` — through a PEP 562 lazy table too, so
+    a table entry that points at the wrong subpackage fails here."""
+    problems = []
+    for name in module_names():
+        module = importlib.import_module(name)
+        names = getattr(module, "__all__", None)
+        if names is None:
+            if not name.rsplit(".", 1)[-1].startswith("_"):
+                problems.append(f"{name}: public module defines no __all__")
+            continue
+        for attr in names:
+            try:
+                getattr(module, attr)
+            except AttributeError as exc:
+                problems.append(f"{name}: __all__ lists {attr!r}: {exc}")
+    assert problems == []

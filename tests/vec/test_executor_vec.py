@@ -40,9 +40,9 @@ def reference_cells(spec, trips=None):
     grids = [TickGrid.build(trip, spec.dt)
              for trip in trips or sweep_trips(spec)]
     return [
-        reference_run(grids[cell.trip_index], executor_module._make_policy(
-            spec, cell.policy_index, cell.cost_index)).metrics
-        for cell in executor_module._decompose(spec)
+        reference_run(grids[trip], executor_module._make_policy(
+            spec, policy, cost)).metrics
+        for policy, cost, trip in executor_module._decompose(spec)
     ]
 
 
