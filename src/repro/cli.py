@@ -165,9 +165,6 @@ def _cmd_simulate(args: argparse.Namespace, out: TextIO) -> int:
     from repro.sim.engine import simulate_trip
     from repro.sim.trip import Trip
 
-    # Seed the global RNG too: --seed must fully determinize the run
-    # even for components that draw from the module-level generator.
-    random.seed(args.seed)
     curve = _build_curve(args.curve, args.duration, args.seed, args.trace)
     trip = Trip.synthetic(curve, route_id="cli")
     policy = make_policy(args.policy, args.cost)
@@ -299,7 +296,6 @@ def _cmd_stats(args: argparse.Namespace, out: TextIO) -> int:
     from repro.workloads.query_workloads import polygon_query_workload
 
     _check_counts(args, "--shards")
-    random.seed(args.seed)
     with _observing(args, out, root="stats", sinks=("registry", "tracer"),
                     mark="# ", meta={
                         "command": "stats", "scenario": args.name,
@@ -393,7 +389,6 @@ def _cmd_trace_record(args: argparse.Namespace, out: TextIO) -> int:
     from repro.workloads.query_workloads import mixed_query_workload
 
     _check_counts(args, "--shards")
-    random.seed(args.seed)
     with _observing(args, out, root="trace", sinks=("recorder",), meta={
             "command": "trace record", "scenario": args.name,
             "size": args.size, "duration": args.duration, "seed": args.seed,

@@ -6,13 +6,15 @@ uncertainty interval is *refined* against the query region to a
 may/must outcome (Theorems 5-6).  :class:`QueryCore` is that procedure,
 written once::
 
-    validate -> candidates -> filter -> pre-test -> classify
+    validate -> candidates -> filter -> screen or classify, one pass
              -> stationary objects -> RangeAnswer -> flight recorder
 
 A query kind contributes only its *region* (:class:`_PolygonRegion`,
-:class:`_DiscRegion`, :class:`_StripRegion`): the search window, the
-classification of one interval geometry (with whatever sound
-pre-test the kind has), and the classification of a stationary point.
+:class:`_DiscRegion`, :class:`_StripRegion`): the search window,
+``classify(ids, entries)`` — one pass over the candidates' cache entries
+that decides each one, by a sound screen where the kind has one, and
+returns the ``(may, must)`` id sets — and the classification of a
+stationary point.
 Position queries skip the region steps and read the cached interval.
 
 Every :class:`~repro.dbms.database.MovingObjectDatabase` owns one core.
@@ -57,7 +59,8 @@ from repro.dbms.query import (
 )
 from repro.errors import QueryError, SpecReader
 from repro.geometry.bbox import Rect2D
-from repro.geometry.point import Point
+from repro.geometry.kernels import ROUNDING
+from repro.geometry.point import EPSILON, Point
 from repro.geometry.polygon import Polygon
 from repro.index.rtree import SearchStats
 from repro.obs.probe import probe
@@ -224,18 +227,12 @@ def _exact_rect(polygon: Polygon) -> Rect2D | None:
     return rect
 
 
-def _rect_min_distance(center: Point, rect: Rect2D) -> float:
-    """Distance from ``center`` to the closest point of ``rect``."""
-    dx = max(rect.min_x - center.x, 0.0, center.x - rect.max_x)
-    dy = max(rect.min_y - center.y, 0.0, center.y - rect.max_y)
-    return math.hypot(dx, dy)
-
-
-def _rect_max_distance(center: Point, rect: Rect2D) -> float:
-    """Distance from ``center`` to the farthest point of ``rect``."""
-    dx = max(center.x - rect.min_x, rect.max_x - center.x)
-    dy = max(center.y - rect.min_y, rect.max_y - center.y)
-    return math.hypot(dx, dy)
+def _settle(outcome: str, object_id: str, may: set, must: set) -> None:
+    """Add ``object_id`` to the sets its exact ``outcome`` puts it in."""
+    if outcome != _OUT:
+        may.add(object_id)
+        if outcome == _MUST:
+            must.add(object_id)
 
 
 class _PolygonRegion:
@@ -262,39 +259,34 @@ class _PolygonRegion:
         self.window = query.polygon.bounding_rect
         self.rect = _exact_rect(query.polygon)
 
-    def classify(self, entries: list[tuple]) -> list[str]:
+    def classify(self, ids: Sequence[str],
+                 entries: list[tuple]) -> tuple[set[str], set[str]]:
         polygon, window, rect = self.polygon, self.window, self.rect
-        if rect is None:
-            return [
-                _OUT if not window.intersects(entry[3])
-                else classify_polyline_against_polygon(entry[2], polygon)
-                for entry in entries
-            ]
-        min_x, min_y, max_x, max_y = (rect.min_x, rect.min_y,
-                                      rect.max_x, rect.max_y)
-        outcomes = []
-        for entry in entries:
+        # For an exact rectangle the window *is* the rectangle.
+        min_x, min_y, max_x, max_y = (window.min_x, window.min_y,
+                                      window.max_x, window.max_y)
+        may: set[str] = set()
+        must: set[str] = set()
+        for object_id, entry in zip(ids, entries):
             bbox = entry[3]
-            low_x, low_y, high_x, high_y = (bbox.min_x, bbox.min_y,
-                                            bbox.max_x, bbox.max_y)
+            if (bbox.max_x < min_x or max_x < bbox.min_x
+                    or bbox.max_y < min_y or max_y < bbox.min_y):
+                continue
+            geometry = entry[2]
             outcome = None
-            if (high_x < min_x or max_x < low_x
-                    or high_y < min_y or max_y < low_y):
-                outcome = _OUT
-            elif (min_x <= low_x and high_x <= max_x
-                    and min_y <= low_y and high_y <= max_y):
-                if high_x < max_x and high_y < max_y:
-                    outcome = _MUST
-            else:
-                geometry = entry[2]
-                for x, y in zip(geometry.xs, geometry.ys):
-                    if min_x <= x < max_x and min_y <= y < max_y:
-                        outcome = _MAY
-                        break
-            outcomes.append(
-                classify_polyline_against_polygon(entry[2], polygon)
-                if outcome is None else outcome)
-        return outcomes
+            if rect is not None:
+                if (min_x <= bbox.min_x and bbox.max_x <= max_x
+                        and min_y <= bbox.min_y and bbox.max_y <= max_y):
+                    if bbox.max_x < max_x and bbox.max_y < max_y:
+                        outcome = _MUST
+                else:
+                    for x, y in zip(geometry.xs, geometry.ys):
+                        if min_x <= x < max_x and min_y <= y < max_y:
+                            outcome = _MAY
+                            break
+            _settle(classify_polyline_against_polygon(geometry, polygon)
+                    if outcome is None else outcome, object_id, may, must)
+        return may, must
 
     def classify_point(self, point: Point) -> str:
         return _MUST if self.polygon.contains_point(point) else _OUT
@@ -303,9 +295,12 @@ class _PolygonRegion:
 class _DiscRegion:
     """The disc of a within-distance query.
 
-    Bbox distance bounds bracket the exact min/max distances (the
-    geometry lies inside its bbox), so the pre-tests agree with the
-    exact classification whenever they fire.
+    Three screens come before the exact classifier, each deciding only
+    what it would (DESIGN.md, "Screens").  A bbox whose nearest point
+    lies beyond ``radius`` is OUT, one whose farthest point lies within
+    it MUST.  Then the vertex screen: a vertex within ``radius`` less a
+    slack for ``distance_to_point``'s rounding and ``EPSILON`` makes the
+    chain MAY, and MUST when no vertex lies beyond ``radius``.
     """
 
     __slots__ = ("center", "radius", "window")
@@ -318,14 +313,51 @@ class _DiscRegion:
         self.window = Rect2D(center.x - radius, center.y - radius,
                              center.x + radius, center.y + radius)
 
-    def classify(self, entries: list[tuple]) -> list[str]:
+    def classify(self, ids: Sequence[str],
+                 entries: list[tuple]) -> tuple[set[str], set[str]]:
         center, radius = self.center, self.radius
-        return [
-            _OUT if _rect_min_distance(center, entry[3]) > radius
-            else _MUST if _rect_max_distance(center, entry[3]) <= radius
-            else classify_polyline_within_distance(center, radius, entry[2])
-            for entry in entries
-        ]
+        cx, cy = center.x, center.y
+        hypot = math.hypot
+        may: set[str] = set()
+        must: set[str] = set()
+        for object_id, entry in zip(ids, entries):
+            bbox = entry[3]
+            low_x, low_y, high_x, high_y = (bbox.min_x, bbox.min_y,
+                                            bbox.max_x, bbox.max_y)
+            # The legs to the bbox's nearest and farthest points: max()'s
+            # values (up to the sign of a zero), without its calls.
+            near_x = (low_x - cx if low_x > cx
+                      else cx - high_x if cx > high_x else 0.0)
+            near_y = (low_y - cy if low_y > cy
+                      else cy - high_y if cy > high_y else 0.0)
+            if hypot(near_x, near_y) > radius:
+                continue
+            far_x = cx - low_x if cx - low_x >= high_x - cx else high_x - cx
+            far_y = cy - low_y if cy - low_y >= high_y - cy else high_y - cy
+            if hypot(far_x, far_y) <= radius:
+                outcome = _MUST
+            else:
+                # A vertex within ``inner`` proves that the kernel finds a
+                # segment within ``radius``; its must test reads vertices.
+                inner = radius - 2.0 * (EPSILON + ROUNDING * (radius + max(
+                    abs(cx), abs(cy), high_x, -low_x, high_y, -low_y)))
+                geometry = entry[2]
+                within = beyond = False
+                for x, y in zip(geometry.xs, geometry.ys):
+                    distance = hypot(x - cx, y - cy)
+                    if distance > radius:
+                        beyond = True
+                    elif distance <= inner:
+                        within = True
+                    else:
+                        continue
+                    if within and beyond:
+                        break
+                outcome = ((_MAY if beyond else _MUST) if within else
+                           classify_polyline_within_distance(
+                               center, radius, geometry))
+            _settle(outcome, object_id, may, must)
+        return may, must
 
     def classify_point(self, point: Point) -> str:
         return _MUST if point.distance_to(self.center) <= self.radius \
@@ -358,12 +390,14 @@ class _StripRegion:
             return _OUT
         return _MUST if maximum <= self.radius else _MAY
 
-    def classify(self, entries: list[tuple]) -> list[str]:
-        return [
-            self._outcome(*distance_range_between_polylines(
-                self.anchor, entry[2]))
-            for entry in entries
-        ]
+    def classify(self, ids: Sequence[str],
+                 entries: list[tuple]) -> tuple[set[str], set[str]]:
+        may: set[str] = set()
+        must: set[str] = set()
+        for object_id, entry in zip(ids, entries):
+            _settle(self._outcome(*distance_range_between_polylines(
+                self.anchor, entry[2])), object_id, may, must)
+        return may, must
 
     def classify_point(self, point: Point) -> str:
         return self._outcome(*distance_range_to_polyline(point, self.anchor))
@@ -457,9 +491,9 @@ class QueryCore:
         entries: list[tuple] = []
         misses = 0
         for object_id in object_ids:
-            record = records[object_id]
             entry = bucket.get(object_id)
-            if entry is None or entry[0] is not record.attribute:
+            if entry is None or entry[0] is not records[object_id].attribute:
+                record = records[object_id]
                 misses += 1
                 route = get_route(record.attribute.route_id)
                 interval = uncertainty_interval(
@@ -633,21 +667,17 @@ class QueryCore:
             # The anchor is not its own neighbour.
             kept = kept - {query.object_id}
         ids = list(kept)
-        outcomes = region.classify(
-            self.entries_for(ids, query.time, limit))
+        may, must = region.classify(
+            ids, self.entries_for(ids, query.time, limit))
         if counters is not None:
-            for outcome in outcomes:
-                counters[outcome].inc()
-        may = {i for i, outcome in zip(ids, outcomes) if outcome != _OUT}
-        must = {i for i, outcome in zip(ids, outcomes) if outcome == _MUST}
+            counters[_OUT].inc(len(ids) - len(may))
+            counters[_MAY].inc(len(may) - len(must))
+            counters[_MUST].inc(len(must))
         stationary = eligible.stationary(query.where, query.class_name)
         positions = self._db._stationary
         for object_id in stationary:
-            outcome = region.classify_point(positions[object_id][1])
-            if outcome != _OUT:
-                may.add(object_id)
-                if outcome == _MUST:
-                    must.add(object_id)
+            _settle(region.classify_point(positions[object_id][1]),
+                    object_id, may, must)
         return RangeAnswer(
             time=query.time,
             may=frozenset(may),

@@ -54,7 +54,7 @@ _EPSILON_SQUARED = EPSILON * EPSILON
 
 #: Sixteen units in the last place: more than the few roundings between
 #: two coordinates and a value compared against them.
-_ROUNDING = 2.0 ** -48
+ROUNDING = 2.0 ** -48
 #: Clearance per length cubed that rounding in ``intersection_point``'s
 #: cross products can feign (see :func:`screen_margin`).
 _CROSS_ROUNDING = 8.0 * 2.0 ** -52 / EPSILON
@@ -280,7 +280,7 @@ def screen_margin(edges: Edges, bounds: Bounds, low_x: float, low_y: float,
       products with the *unnormalised* axis; no finite margin (and no
       screen) for a ring with a zero-length edge.
 
-    ``_ROUNDING * (C + U)`` covers the rounding of the comparisons.
+    ``ROUNDING * (C + U)`` covers the rounding of the comparisons.
     """
     shortest = math.inf
     for ax, ay, bx, by in edges:
@@ -302,7 +302,7 @@ def screen_margin(edges: Edges, bounds: Bounds, low_x: float, low_y: float,
     span = max(high_x - low_x, high_y - low_y)
     return (EPSILON * (1.0 + 3.0 * span + 3.0 / shortest)
             + _CROSS_ROUNDING * span * ring * chain
-            + _ROUNDING * (span + max(-low_x, -low_y, high_x, high_y)))
+            + ROUNDING * (span + max(-low_x, -low_y, high_x, high_y)))
 
 
 def ring_intersects_chain(edges: Edges, bounds: Bounds,
@@ -383,10 +383,10 @@ def chain_within_distance(px: float, py: float, radius: float,
     first vertex beyond it the maximum.  A segment whose bounding box
     lies more than ``radius`` from ``p`` along an axis is not measured:
     its closest point is computed inside that box up to a few roundings
-    of the coordinates involved, which ``_ROUNDING`` times their largest
+    of the coordinates involved, which ``ROUNDING`` times their largest
     magnitude covers, and ``hypot`` is no smaller than either leg.
     """
-    reach = radius + _ROUNDING * (radius + max(
+    reach = radius + ROUNDING * (radius + max(
         abs(px), abs(py), max(xs), -min(xs), max(ys), -min(ys)))
     bx = xs[0]
     by = ys[0]
@@ -410,6 +410,7 @@ def chain_within_distance(px: float, py: float, radius: float,
 __all__ = [
     "Bounds",
     "Edges",
+    "ROUNDING",
     "chain_distance_range",
     "chain_project",
     "chain_within_distance",

@@ -9,6 +9,7 @@ from contextlib import contextmanager
 import pytest
 from hypothesis import settings
 
+from repro.dbms.query import Containment
 from repro.geometry.point import Point
 from repro.geometry.polyline import Polyline
 from repro.routes.route import Route
@@ -28,6 +29,17 @@ settings.load_profile("tier1")
 def examples(count: int) -> int:
     """``count`` examples under ``tier1``, ten times as many to explore."""
     return count * settings.default.max_examples // 100
+
+
+def region_outcomes(region, geometries) -> list[str]:
+    """The outcome a query region's ``classify`` gives each geometry, in
+    order, read off the ``(may, must)`` sets it returns."""
+    ids = list(range(len(geometries)))
+    may, must = region.classify(
+        ids, [(None, None, g, g.bounding_rect()) for g in geometries])
+    assert must <= may <= set(ids)
+    return [Containment.MUST if i in must else Containment.MAY if i in may
+            else Containment.OUT for i in ids]
 
 
 @contextmanager

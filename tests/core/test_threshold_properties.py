@@ -13,6 +13,7 @@ from repro.core.thresholds import (
     cost_per_time_unit,
     optimal_update_threshold,
 )
+from tests.conftest import examples
 
 slopes = st.floats(min_value=0.01, max_value=10.0)
 delays = st.floats(min_value=0.0, max_value=20.0)
@@ -26,7 +27,7 @@ class TestProposition1Properties:
     def test_threshold_positive(self, a, b, c):
         assert optimal_update_threshold(a, b, c) > 0.0
 
-    @settings(max_examples=200)
+    @settings(max_examples=examples(200))
     @given(slopes, delays, costs,
            st.floats(min_value=0.05, max_value=20.0))
     def test_kopt_globally_optimal(self, a, b, c, multiplier):

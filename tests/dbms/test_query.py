@@ -16,6 +16,7 @@ from repro.errors import QueryError
 from repro.geometry.point import Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
+from tests.conftest import region_outcomes
 
 
 def interval(lower, upper, route_id="r-straight"):
@@ -95,9 +96,8 @@ class TestRectangleScreens:
     SEGMENT = Polyline.from_coordinates([(0.45, 0.1), (0.55, 0.1)])
 
     def screened(self, polygon, count):
-        entry = (None, None, self.SEGMENT, self.SEGMENT.bounding_rect())
         region = _PolygonRegion(None, RangeQuery(polygon, 0.0), 0)
-        return region.classify([entry] * count)
+        return region_outcomes(region, [self.SEGMENT] * count)
 
     @pytest.mark.parametrize("count", [1, 8])
     def test_a_bow_tie_on_the_unit_squares_corners_is_not_a_rectangle(

@@ -8,14 +8,18 @@ candidates from their bounding boxes or vertices alone (DESIGN.md,
 the predicate could part: rectangles given in every vertex order (16
 of the 24 trace a bow-tie), zero-width rectangles, chain vertices on an
 edge, within ``EPSILON`` outside one, and coordinates so large that an
-ulp exceeds ``EPSILON``.
+ulp exceeds ``EPSILON``; for the disc, vertices a few ulps either side
+of the circle and either side of the vertex screen's slack, chains
+wholly inside or outside it, a last segment too short for the kernel to
+measure, and radii 0 and ``inf``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dbms.query import (
@@ -29,10 +33,11 @@ from repro.dbms.refine import (
     _PolygonRegion,
 )
 from repro.errors import GeometryError
+from repro.geometry.kernels import ROUNDING
 from repro.geometry.point import EPSILON, Point
 from repro.geometry.polygon import Polygon
 from repro.geometry.polyline import Polyline
-from tests.conftest import examples
+from tests.conftest import examples, region_outcomes
 
 #: Where the figure sits: near the origin, at city scale, and where an
 #: ulp of a coordinate (1e7: 2e-9, 1e12: 1.2e-4) exceeds ``EPSILON``.
@@ -98,11 +103,6 @@ def chains(draw, rect):
             [points[0], (points[0][0] + 1.0, points[0][1] - 2.0)])
 
 
-def entries(geometries):
-    """The query core's cache entries, as far as a region reads them."""
-    return [(None, None, g, g.bounding_rect()) for g in geometries]
-
-
 @st.composite
 def range_cases(draw):
     polygon, rect = draw(rectangles())
@@ -114,31 +114,102 @@ def range_cases(draw):
 def test_polygon_region_equals_the_exact_classifier(case):
     polygon, geometries = case
     region = _PolygonRegion(None, RangeQuery(polygon, 0.0), 0)
-    assert region.classify(entries(geometries)) == [
+    assert region_outcomes(region, geometries) == [
         classify_polyline_against_polygon(g, polygon) for g in geometries
     ]
 
 
+#: Disc centres: ``OFFSETS``, and out to 2**20, where an ulp is 2**-32.
+DISC_OFFSETS = st.sampled_from([0.0, -3.5, 250.0, 2.0 ** 20, -2.0 ** 20,
+                                1e7, -1e12])
+#: Jitter and radii, some of them dyadic, so that a vertex placed
+#: ``radius`` from the centre along an axis is exactly ``radius`` away.
+JITTER = st.one_of(st.sampled_from([0.0, 0.5, -7.25]),
+                   st.floats(-20.0, 20.0))
+#: Directions from the centre: along an axis, and off it.
+ANGLES = st.sampled_from([0.0, math.pi / 2, math.pi, 0.3, 2.0, -1.1])
+#: Which of ``ring_distance``'s eight distances, and how many ulps off.
+NEAR = st.integers(0, 7)
+ULPS = st.integers(0, 4)
+VERTEX_SIDES = st.sampled_from(["inside", "outside"])
+CHAIN_SIDES = st.sampled_from(["mixed", "inside", "outside"])
+#: Steps shorter than ``EPSILON`` along a ray, inward and outward.
+TAILS = st.sampled_from([EPSILON / 2, -EPSILON / 2, EPSILON])
+
+
+def ring_distance(draw, radius: float, slack: float, side: str) -> float:
+    """A vertex's distance from the centre: a few ulps either side of
+    ``radius``, either side of the vertex screen's thresholds, or well
+    inside or outside the circle, on the given ``side`` of it."""
+    ulps = draw(ULPS) * 2.0 ** -52
+    inner = radius - 2.0 * (slack + EPSILON)
+    near = [d for d in (radius * (1.0 - ulps), radius * (1.0 + ulps),
+                        radius - slack, radius + slack, inner - slack,
+                        inner + slack, radius * GOLDEN, radius / GOLDEN + 1.0)
+            if (d <= radius) == (side == "inside")]
+    return max(0.0, near[draw(NEAR) % len(near)])
+
+
+@st.composite
+def ring_chains(draw, center, radius):
+    """A polyline whose vertices sit near the circle: mixed, all inside
+    or all outside, at times all on one ray from the centre, and at
+    times ending in a step shorter than ``EPSILON`` along its ray, a
+    segment the kernel measures from its first vertex."""
+    placement = radius if math.isfinite(radius) else draw(
+        st.floats(0.0, 30.0))
+    slack = ROUNDING * (placement + max(abs(center.x), abs(center.y))
+                        + placement)
+    side = draw(CHAIN_SIDES)
+    ray = draw(ANGLES) if draw(st.booleans()) else None
+    polar = [(ring_distance(draw, placement, slack,
+                            draw(VERTEX_SIDES) if side == "mixed" else side),
+              draw(ANGLES) if ray is None else ray)
+             for _ in range(draw(st.integers(2, 5)))]
+    if draw(st.booleans()):
+        distance, angle = polar[-1]
+        polar.append((distance - draw(TAILS), angle))
+    points = [(center.x + d * math.cos(a), center.y + d * math.sin(a))
+              for d, a in polar]
+    try:
+        return Polyline.from_coordinates(points)
+    except GeometryError:
+        return Polyline.from_coordinates(
+            [points[0], (points[0][0] + 1.0, points[0][1] - 2.0)])
+
+
 @st.composite
 def disc_cases(draw):
-    offset = draw(OFFSETS)
-    center = Point(offset + draw(st.floats(-20.0, 20.0)),
-                   draw(OFFSETS) + draw(st.floats(-20.0, 20.0)))
-    radius = draw(st.one_of(st.just(0.0), st.floats(0.0, 30.0)))
-    # Chains aimed at the disc's bounding square: a vertex on it, near
-    # it or inside it probes both bbox distance screens.
-    square = _DiscRegion(None, WithinDistanceQuery(center, radius, 0.0),
-                         0).window
-    geometries = draw(st.lists(chains(square), min_size=1, max_size=10))
+    center = Point(draw(DISC_OFFSETS) + draw(JITTER),
+                   draw(DISC_OFFSETS) + draw(JITTER))
+    radius = draw(st.one_of(st.sampled_from([0.0, math.inf, 1.0, 2.5]),
+                            st.floats(0.0, 30.0)))
+    # Chains aimed at the disc's bounding square probe both bbox
+    # distance screens; chains aimed at its circle, the vertex screen.
+    square = _DiscRegion(None, WithinDistanceQuery(
+        center, radius if math.isfinite(radius) else 30.0, 0.0), 0).window
+    geometries = draw(st.lists(
+        st.one_of(chains(square), ring_chains(center, radius)),
+        min_size=1, max_size=10))
     return center, radius, geometries
 
 
 @settings(max_examples=examples(400))
 @given(disc_cases())
+@example((Point(0.0, 0.0), 1.0, [
+    Polyline.from_coordinates(
+        [(1.0 + 3e-10, 5.0), (1.0 + 3e-10, 0.0), (1.0 - 5e-10, 0.0)]),
+    Polyline.from_coordinates([(1.0, 0.0), (0.0, 0.5)]),
+]))
 def test_disc_region_equals_the_exact_classifier(case):
+    # The example's first chain ends inside the circle, but its last
+    # segment is shorter than EPSILON, so the kernel measures it from the
+    # vertex before, outside: OUT, where a screen that took the last
+    # vertex as "within radius" would say MAY.  Its second chain has a
+    # vertex on the circle, which is not beyond it: MUST.
     center, radius, geometries = case
     region = _DiscRegion(None, WithinDistanceQuery(center, radius, 0.0), 0)
-    assert region.classify(entries(geometries)) == [
+    assert region_outcomes(region, geometries) == [
         classify_polyline_within_distance(center, radius, g)
         for g in geometries
     ]

@@ -117,3 +117,44 @@ def test_every_instant_lies_in_a_covering_box(kind, speed, gap, slab,
         ROUTE, family_bounds(kind, speed, max_speed, kink),
         horizon=SLABS * SLAB_MINUTES)
     assert escapes(plane) == []
+
+
+#: Instants per slab on the stub test's grid.
+STUB_GRID = 400
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "an empty interval's 1e-7 stub reaches up to 7.5e-8 past the box "
+    "that covers its instant (ROADMAP item 1, 'The stub')"))
+def test_an_empty_intervals_stub_lies_in_a_covering_box():
+    """The property above ignores the stub; the refine stage does not.
+
+    It reads an empty interval as a 1e-7 stub ahead of its point
+    (``Route.interval_rect``), so a box must hold that too.  With a zero
+    trigger the interval is empty at every instant, and at t = 2.275 its
+    rectangle ends at x = 1.0000001275 while the covering box ends at
+    1.000000125.
+    """
+    speed = 1e-7
+    plane = OPlane(
+        PositionAttribute(
+            starttime=2.0, route_id="line", start_x=1.0, start_y=0.0,
+            direction=0, speed=speed, policy="horizon"),
+        ROUTE, bounds_for_policy(make_policy("horizon", 0.0), speed, 1.0),
+        horizon=SLABS * SLAB_MINUTES)
+    boxes = plane.boxes(SLAB_MINUTES)
+    outside = []
+    for i in range(SLABS * STUB_GRID + 1):
+        t = plane.start_time + SLAB_MINUTES * i / STUB_GRID
+        interval = plane.uncertainty_at(t)
+        rect = ROUTE.interval_rect(interval.lower, interval.upper,
+                                   interval.direction)
+        if not any(
+                box.min_t <= t <= box.max_t
+                and box.min_x - SLACK <= rect.min_x
+                and rect.max_x <= box.max_x + SLACK
+                and box.min_y - SLACK <= rect.min_y
+                and rect.max_y <= box.max_y + SLACK
+                for box in boxes):
+            outside.append(t)
+    assert outside == []

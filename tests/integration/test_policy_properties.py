@@ -12,6 +12,7 @@ from repro.core.policies import make_policy
 from repro.sim.engine import simulate_trip
 from repro.sim.speed_curves import PiecewiseConstantCurve
 from repro.sim.trip import Trip
+from tests.conftest import examples
 
 DT = 1.0 / 20.0
 
@@ -24,7 +25,7 @@ policy_names = st.sampled_from(["dl", "ail", "cil"])
 update_costs = st.floats(min_value=0.5, max_value=30.0)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(curves, policy_names, update_costs)
 def test_deviation_never_exceeds_bound(curve, policy_name, update_cost):
     trip = Trip.synthetic(curve)
@@ -37,7 +38,7 @@ def test_deviation_never_exceeds_bound(curve, policy_name, update_cost):
         assert deviation <= bound + slack
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=examples(30), deadline=None)
 @given(curves, policy_names, update_costs)
 def test_cost_identity(curve, policy_name, update_cost):
     """Equation 2: total = C * messages + integrated deviation cost."""
@@ -51,7 +52,7 @@ def test_cost_identity(curve, policy_name, update_cost):
     assert metrics.avg_deviation <= metrics.max_deviation + 1e-12
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(st.floats(min_value=0.1, max_value=1.5), policy_names, update_costs)
 def test_constant_speed_is_free(speed, policy_name, update_cost):
     """An object exactly at its declared speed never updates and never
@@ -65,7 +66,7 @@ def test_constant_speed_is_free(speed, policy_name, update_cost):
     assert metrics.max_deviation <= 1e-9
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=examples(20), deadline=None)
 @given(curves, update_costs)
 def test_updates_reset_deviation(curve, update_cost):
     """Immediately after any update the deviation trace returns to ~0."""

@@ -10,12 +10,11 @@ what the program computes: a small sweep's cells, a taxi fleet's
 update stream, and a CI-size ``trace record`` written plain and with
 ``--batch --shards 4``.  The two must print the same digests.
 
-The sweep and the fleet run first, through the library: ``trace
-record`` seeds the global RNG from ``--seed``, so an unseeded draw
-from it (in ``core/`` or ``routes/``, which no determinism rule
-scopes) repeats under the CLI and differs only outside it.  The
-children run side by side, so the test costs about one child's wall
-time.
+The sweep and the fleet run through the library, the traces through
+the CLI; no command seeds the global RNG, so an unseeded draw from it
+(in ``core/`` or ``routes/``, which no determinism rule scopes) moves a
+digest whichever way it is reached.  The children run side by side, so
+the test costs about one child's wall time.
 """
 
 from __future__ import annotations
