@@ -1,8 +1,8 @@
-"""Time-space indexing: o-planes, slab boxes, and sublinear retrieval.
+"""Time-space indexing: o-planes, slab runs, and sublinear retrieval.
 
 Shows the §4 machinery directly: an o-plane built from a position
 attribute and its policy bounds, its decomposition into R-tree slab
-boxes, the §4.2 swap on a position update, and the candidates-examined
+runs (one box per run of slabs that share a rectangle), the §4.2 swap on a position update, and the candidates-examined
 advantage over a linear scan.
 
 Run:  python examples/indexing_demo.py
@@ -23,7 +23,7 @@ def main() -> None:
     t = built.end_time
 
     print(f"  objects indexed  : {len(index)}")
-    print(f"  slab boxes stored: {index.total_boxes()}")
+    print(f"  slab runs stored : {index.total_boxes()}")
     print(f"  R-tree height    : {index.tree.height}, "
           f"nodes: {index.tree.node_count()}")
     print()
@@ -31,10 +31,10 @@ def main() -> None:
     # --- One object's o-plane ----------------------------------------
     object_id = database.object_ids()[0]
     plane = database.oplane_of(object_id)
-    boxes = plane.boxes(slab_minutes=5.0)
+    runs = plane.runs(slab_minutes=5.0)
     print(f"o-plane of {object_id}: starts at t = {plane.start_time:.1f}, "
-          f"horizon {plane.horizon:.0f} min, {len(boxes)} slab boxes")
-    for box in boxes[:4]:
+          f"horizon {plane.horizon:.0f} min, {len(runs)} slab runs")
+    for box in runs[:4]:
         print(f"  t in [{box.min_t:6.1f}, {box.max_t:6.1f}]  "
               f"x in [{box.min_x:6.2f}, {box.max_x:6.2f}]  "
               f"y in [{box.min_y:6.2f}, {box.max_y:6.2f}]")
@@ -62,7 +62,7 @@ def main() -> None:
     # --- The §4.2 swap on a position update --------------------------
     swap = index.replace(object_id, plane, force=True)
     print(f"Position update for {object_id}: removed "
-          f"{swap.boxes_removed} old slab boxes, inserted "
+          f"{swap.boxes_removed} old slab runs, inserted "
           f"{swap.boxes_inserted} new ones — no other object touched.")
     index.tree.check_invariants()
     print("R-tree invariants verified.")

@@ -184,8 +184,9 @@ class MovingObjectDatabase:
             speed=speed,
             policy=policy.name,
         )
-        # Validate the start position lies on the route.
-        route.travel_distance_of(position, direction)
+        # Validate the start position lies on the route: the projection
+        # is the record's start travel distance.
+        start_travel = route.travel_distance_of(position, direction)
         self._advance_clock(t)
         record = MovingObjectRecord(
             object_id=object_id,
@@ -194,6 +195,7 @@ class MovingObjectDatabase:
             policy=policy,
             max_speed=max_speed,
         )
+        record._start_travel = (attribute, route, start_travel)
         self._records[object_id] = record
         heapq.heappush(self._horizon_heap, (t, object_id))
         self.table(class_name).insert(object_id, attributes)

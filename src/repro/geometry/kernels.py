@@ -71,12 +71,18 @@ Bounds = tuple[float, float, float, float]
 
 def project_fraction(ax: float, ay: float, bx: float, by: float,
                      px: float, py: float) -> float:
-    """Fraction in [0, 1] of the point of ``a-b`` closest to ``p``."""
+    """Fraction in [0, 1] of the point of ``a-b`` closest to ``p``; on a
+    segment no longer than ``EPSILON``, that of its nearer end (``a`` on
+    a tie)."""
     dx = bx - ax
     dy = by - ay
     denom = dx * dx + dy * dy
     if denom <= _EPSILON_SQUARED:
-        return 0.0
+        sx = px - ax
+        sy = py - ay
+        ex = px - bx
+        ey = py - by
+        return 1.0 if ex * ex + ey * ey < sx * sx + sy * sy else 0.0
     raw = ((px - ax) * dx + (py - ay) * dy) / denom
     # min(1.0, max(0.0, raw)), operand choice included.
     if raw > 0.0:

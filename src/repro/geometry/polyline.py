@@ -119,14 +119,15 @@ class Polyline:
         return min(max(idx, 0), len(self._vertices) - 2)
 
     def _coords_at(self, distance: float) -> tuple[float, float]:
-        """``(x, y)`` at arc length ``distance``, clamped to ``[0, length]``.
-
-        The one place an arc length becomes coordinates:
-        :meth:`point_at`, :meth:`subline` and :meth:`subline_rect` all
-        interpolate here.
-        """
+        """``(x, y)`` at arc length ``distance``, clamped to ``[0, length]``."""
         distance = min(max(distance, 0.0), self._length)
-        idx = self._segment_index_at(distance)
+        return self._coords_on(self._segment_index_at(distance), distance)
+
+    def _coords_on(self, idx: int, distance: float) -> tuple[float, float]:
+        """:meth:`_coords_at` of a clamped ``distance`` on its segment
+        ``idx``: the one place an arc length becomes coordinates.
+        :meth:`point_at`, :meth:`subline` and :meth:`subline_rect` all
+        interpolate here."""
         ax, ay = self._xs[idx], self._ys[idx]
         bx, by = self._xs[idx + 1], self._ys[idx + 1]
         length = math.hypot(ax - bx, ay - by)
@@ -250,11 +251,12 @@ class Polyline:
                 abs(ax - bx) > EPSILON or abs(ay - by) > EPSILON
                 for ax, bx, ay, by in zip(xs, xs[1:], ys, ys[1:]))
         if hi - lo > EPSILON and self._separated:
-            first = self._segment_index_at(lo) + 1
-            last = self._segment_index_at(hi) + 1
-            sx, sy = self._coords_at(lo)
-            ex, ey = self._coords_at(hi)
-            xs, ys = self._xs[first:last], self._ys[first:last]
+            first = self._segment_index_at(lo)
+            last = self._segment_index_at(hi)
+            sx, sy = self._coords_on(first, lo)
+            ex, ey = self._coords_on(last, hi)
+            xs = self._xs[first + 1:last + 1]
+            ys = self._ys[first + 1:last + 1]
             ax, ay = (xs[0], ys[0]) if xs else (ex, ey)
             bx, by = (xs[-1], ys[-1]) if xs else (sx, sy)
             if ((abs(sx - ax) > EPSILON or abs(sy - ay) > EPSILON)

@@ -14,28 +14,53 @@ the points at distances ``l(t)`` and ``u(t)`` — one per time instant
 For indexing, the o-plane is conservatively decomposed into 3-D boxes
 over *time slabs*: for each slab the travel-range swept by the
 uncertainty interval is computed, the corresponding route strip's 2-D
-bounding rectangle taken, and the box extruded over the slab's absolute
-time span.  Any point of the o-plane lies in some slab box, so index
-search can never miss an object (false positives are filtered by the
-exact refinement of Theorems 5–6).
+bounding rectangle taken, and the box extruded over the time of each
+run of slabs with one rectangle.  Any point of the o-plane lies in some
+run, so index search can never miss an object (false positives are
+filtered by the exact refinement of Theorems 5–6).
 """
 
 from __future__ import annotations
 
 import math
 import struct
-from itertools import accumulate
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import accumulate
+from typing import Sequence
 
 from repro.core.bounds import DeviationBounds
 from repro.core.position import PositionAttribute
 from repro.core.uncertainty import UncertaintyInterval, uncertainty_interval
 from repro.errors import IndexError_
-from repro.geometry.bbox import Box3D
+from repro.geometry.bbox import Box3D, Rect2D
 from repro.routes.route import Route
 
 #: A travel range as bytes: tells ``-0.0`` from ``0.0``, as a stored box does.
 _pack_span = struct.Struct("2d").pack
+#: Samples per slab of the index decomposition, past its start.
+_SAMPLES = 4
+
+
+def _sample_times(edges: Sequence[float], samples: int) -> list[float]:
+    """``samples + 1`` times per slab between consecutive ``edges``."""
+    return [lo + (hi - lo) * i / samples
+            for lo, hi in zip(edges, edges[1:]) for i in range(samples + 1)]
+
+
+@lru_cache(maxsize=64)
+def slab_grid(horizon: float,
+              slab_minutes: float) -> tuple[tuple[float, ...], ...]:
+    """The elapsed-time slabs every o-plane of ``(horizon, slab_minutes)``
+    is cut on, built once: their edges (slab ``k`` is ``[edges[k],
+    edges[k + 1]]``), their sample times and, per slab ``k``, the widest
+    of slabs ``k...``."""
+    edges = [0.0]
+    while edges[-1] < horizon - 1e-12:
+        edges.append(min(edges[-1] + slab_minutes, horizon))
+    widths = [hi - lo for lo, hi in zip(edges, edges[1:])]
+    return (tuple(edges), tuple(_sample_times(edges, _SAMPLES)),
+            tuple(accumulate(reversed(widths), max))[::-1])
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,26 +130,20 @@ class OPlane:
         plus interior sampling with a small envelope margin is a sound
         over-approximation for the slab widths used here.
         """
-        return self._travel_range(
-            self._start_travel(), elapsed_lo, elapsed_hi, samples
-        )
-
-    def _travel_range(self, start_travel: float, elapsed_lo: float,
-                      elapsed_hi: float,
-                      samples: int = 4) -> tuple[float, float]:
         if elapsed_hi < elapsed_lo:
             raise IndexError_("elapsed_hi must be >= elapsed_lo")
-        return self._travel_ranges(start_travel, [(elapsed_lo, elapsed_hi)],
+        edges = [elapsed_lo, elapsed_hi]
+        return self._travel_ranges(self._start_travel(),
+                                   _sample_times(edges, samples), edges,
                                    samples)[0]
 
-    def _travel_ranges(self, start_travel: float,
-                       slabs: list[tuple[float, float]],
+    def _travel_ranges(self, start_travel: float, times: Sequence[float],
+                       edges: Sequence[float],
                        samples: int) -> list[tuple[float, float]]:
-        """Travel ranges of elapsed-time ``slabs``, from one evaluation of
-        the bounds at every slab's samples: one ``elapsed >= 0`` check."""
+        """Travel ranges of the slabs between consecutive ``edges``, from
+        one evaluation of the bounds at all their sample ``times``: one
+        ``elapsed >= 0`` check."""
         step = samples + 1
-        times = [lo + (hi - lo) * i / samples
-                 for lo, hi in slabs for i in range(step)]
         slows, fasts = self.bounds.sample(times)
         v = self.attribute.speed
         centers = [start_travel + v * t for t in times]
@@ -132,7 +151,7 @@ class OPlane:
         highs = [center + fast for center, fast in zip(centers, fasts)]
         length = self.route.length
         ranges = []
-        for k, (elapsed_lo, elapsed_hi) in enumerate(slabs):
+        for k, (elapsed_lo, elapsed_hi) in enumerate(zip(edges, edges[1:])):
             first = k * step
             # Envelope margin: within a slab each curve moves at most at
             # the maximum slope between samples; v covers the centre drift
@@ -149,58 +168,56 @@ class OPlane:
         return ranges
 
     def _route_end_slab(self, start_travel: float,
-                        slabs: list[tuple[float, float]],
-                        samples: int) -> int:
+                        slab_minutes: float) -> int:
         """The first slab from which on every sampled travel range is
         provably the route-end stub ``(L, L)`` (DESIGN.md, "Screens");
-        ``len(slabs)`` for bounds without a slow ceiling."""
+        the slab count for bounds without a slow ceiling."""
+        edges, _, widest = slab_grid(self.horizon, slab_minutes)
         ceiling = self.bounds.ceiling
         if ceiling is None:
-            return len(slabs)
+            return len(widest)
         v = self.attribute.speed
-        # M_k: the largest of _travel_ranges' margins over slabs k...
-        largest = list(accumulate(reversed(
-            [v * (hi - lo) / max(samples, 1) for lo, hi in slabs]), max))
-        for k, (lo, _) in enumerate(slabs):
+        # v * largest / _SAMPLES: the largest margin of slabs k...
+        for k, (lo, largest) in enumerate(zip(edges, widest)):
             low = (start_travel + v * lo) - ceiling(lo)
-            if low - largest[-1 - k] >= self.route.length:
+            if low - v * largest / _SAMPLES >= self.route.length:
                 return k
-        return len(slabs)
+        return len(widest)
 
-    def boxes(self, slab_minutes: float = 5.0) -> list[Box3D]:
-        """Decompose the o-plane into time-slab boxes for the R-tree."""
+    def slab_rects(self, slab_minutes: float = 5.0
+                   ) -> tuple[Sequence[float], list[tuple[Rect2D, int]]]:
+        """The slab edges, and ``(rectangle, first slab)`` at each change
+        of travel span: a slab has the rectangle of the last change at or
+        before it.  Only the slabs before the route-end screen are
+        sampled; the stub ``(L, L)`` after them is one more span."""
         if not slab_minutes > 0:
             raise IndexError_(f"slab_minutes must be positive, got {slab_minutes}")
-        slabs: list[tuple[float, float]] = []
-        elapsed = 0.0
-        while elapsed < self.horizon - 1e-12:
-            slab_end = min(elapsed + slab_minutes, self.horizon)
-            slabs.append((elapsed, slab_end))
-            elapsed = slab_end
-        # One projection per plane; no samples past the route-end screen.
+        edges, times, _ = slab_grid(self.horizon, slab_minutes)
         start_travel = self._start_travel()
-        moving = self._route_end_slab(start_travel, slabs, 4)
-        ranges = self._travel_ranges(start_travel, slabs[:moving], 4)
-        ranges += [(self.route.length,) * 2] * (len(slabs) - moving)
-        boxes: list[Box3D] = []
-        # Past the end of the route every slab clamps to one stub: a
-        # travel range that repeats bit for bit keeps its rectangle.
-        span = rect = None
-        for (elapsed, slab_end), (lo, hi) in zip(slabs, ranges):
-            packed = _pack_span(lo, hi)
-            if packed != span:
-                span = packed
-                rect = self.route.interval_rect(
-                    lo, hi, self.attribute.direction
-                )
-            boxes.append(
-                Box3D.from_rect(
-                    rect,
-                    self.start_time + elapsed,
-                    self.start_time + slab_end,
-                )
-            )
-        return boxes
+        moving = self._route_end_slab(start_travel, slab_minutes)
+        spans = self._travel_ranges(start_travel,
+                                    times[:moving * (_SAMPLES + 1)],
+                                    edges[:moving + 1], _SAMPLES)
+        if moving < len(edges) - 1:
+            spans.append((self.route.length,) * 2)
+        direction = self.attribute.direction
+        return edges, [
+            (self.route.interval_rect(lo, hi, direction), k)
+            for k, (lo, hi) in enumerate(spans)
+            if not k or _pack_span(lo, hi) != _pack_span(*spans[k - 1])]
+
+    def runs(self, slab_minutes: float = 5.0) -> list[Box3D]:
+        """The o-plane's R-tree entries: one box per maximal run of
+        consecutive slabs whose rectangles are ``==``, spanning the
+        run's time with its first slab's rectangle."""
+        edges, changes = self.slab_rects(slab_minutes)
+        starts = [(rect, first) for k, (rect, first) in enumerate(changes)
+                  if not k or rect != changes[k - 1][0]]
+        start = self.start_time
+        ends = [first for _, first in starts[1:]] + [len(edges) - 1]
+        return [Box3D(rect.min_x, rect.min_y, start + edges[first],
+                      rect.max_x, rect.max_y, start + edges[end])
+                for (rect, first), end in zip(starts, ends)]
 
     def __repr__(self) -> str:
         return (
@@ -210,4 +227,5 @@ class OPlane:
 
 __all__ = [
     "OPlane",
+    "slab_grid",
 ]

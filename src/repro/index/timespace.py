@@ -9,10 +9,9 @@ removed from the 3-dimensional rectangles of the index that intersect
 rectangles that intersect [the new o-plane] p2."
 
 :class:`TimeSpaceIndex` realises this on top of the R-tree: each
-object's current o-plane is decomposed into slab boxes
-(:meth:`~repro.index.oplane.OPlane.boxes`), and each run of consecutive
-slabs that share a rectangle is inserted as one box under the object's
-id; a position update swaps the old boxes for new ones; a query at time
+object's current o-plane is decomposed into slab runs
+(:meth:`~repro.index.oplane.OPlane.runs`), inserted under the object's
+id; a position update swaps the old runs for new ones; a query at time
 ``t0`` retrieves the candidate ids whose boxes intersect the query
 region's footprint at ``t0``.  Refinement to exact may/must answers
 happens above, in the DBMS query processor.
@@ -29,31 +28,6 @@ from repro.index.oplane import OPlane
 from repro.index.rtree import RTree, SearchStats, entries_digest
 from repro.obs.probe import Probe, probe
 from repro.trace.events import INDEX_INSERT, INDEX_REMOVE, INDEX_REPLACE
-
-
-def _runs(boxes: list[Box3D]) -> list[Box3D]:
-    """One box per maximal run of consecutive slab boxes that share a
-    rectangle and whose times touch, spanning the run's time.
-
-    A run's closed time span is the union of its slabs' touching closed
-    spans, so a search window meets the run exactly when it meets one of
-    its slabs: the candidate sets cannot change, only how many times a
-    payload appears in a raw search list.
-    """
-    runs: list[Box3D] = []
-    first = last = None
-    for box in [*boxes, None]:  # None closes the last run
-        if (box is not None and last is not None and last.max_t == box.min_t
-                and last.min_x == box.min_x and last.min_y == box.min_y
-                and last.max_x == box.max_x and last.max_y == box.max_y):
-            last = box
-            continue
-        if first is not None and last is not None:
-            runs.append(first if first is last else Box3D(
-                first.min_x, first.min_y, first.min_t,
-                first.max_x, first.max_y, last.max_t))
-        first = last = box
-    return runs
 
 
 @dataclass(frozen=True, slots=True)
@@ -83,7 +57,7 @@ class TimeSpaceIndex:
         self._built = False
         self._size = 0
         self._planes: dict[str, OPlane] = {}
-        self._boxes: dict[str, list[Box3D]] = {}
+        self._runs: dict[str, list[Box3D]] = {}
 
     def __len__(self) -> int:
         """Number of indexed objects."""
@@ -101,14 +75,13 @@ class TimeSpaceIndex:
         return self._tree
 
     def _build(self) -> None:
-        items = [(run, object_id) for object_id, boxes in self._boxes.items()
-                 for run in _runs(boxes)]
+        items = [(run, object_id) for object_id, runs in self._runs.items()
+                 for run in runs]
         if items:  # else the constructor's empty tree is the one
             self._tree = RTree.bulk_load(
                 items, max_entries=self._tree.max_entries,
                 min_entries=self._tree.min_entries)
         self._built = True
-        self._size = len(items)
 
     def plane_of(self, object_id: str) -> OPlane:
         """The currently indexed o-plane of an object."""
@@ -132,8 +105,7 @@ class TimeSpaceIndex:
         index = cls(slab_minutes=slab_minutes, max_entries=max_entries,
                     min_entries=min_entries)
         for object_id, plane in planes.items():
-            index._planes[object_id] = plane
-            index._boxes[object_id] = plane.boxes(slab_minutes)
+            index._insert_boxes(object_id, plane, plane.runs(slab_minutes))
         index._build()
         return index
 
@@ -149,7 +121,8 @@ class TimeSpaceIndex:
 
     def insert(self, object_id: str, plane: OPlane) -> int:
         """Index a new object's o-plane; returns the stored box count."""
-        inserted = self._insert_boxes(object_id, plane)
+        inserted = self._insert_boxes(object_id, plane,
+                                      plane.runs(self.slab_minutes))
         p = probe()
         if p.enabled:
             p.count("index_boxes_inserted_total", inserted)
@@ -158,20 +131,17 @@ class TimeSpaceIndex:
         return inserted
 
     def _insert_boxes(self, object_id: str, plane: OPlane,
-                      boxes: list[Box3D] | None = None) -> int:
+                      runs: list[Box3D]) -> int:
         """Insert without publishing metrics (replace publishes once)."""
         if object_id in self._planes:
             raise IndexError_(
                 f"object {object_id!r} already indexed; use replace()"
             )
-        if boxes is None:
-            boxes = plane.boxes(self.slab_minutes)
-        runs = _runs(boxes)
         if self._built:
             for run in runs:
                 self._tree.insert(run, object_id)
         self._planes[object_id] = plane
-        self._boxes[object_id] = boxes
+        self._runs[object_id] = runs
         self._size += len(runs)
         return len(runs)
 
@@ -189,15 +159,12 @@ class TimeSpaceIndex:
         """Remove without publishing metrics (replace publishes once)."""
         if object_id not in self._planes:
             raise IndexError_(f"object {object_id!r} is not indexed")
-        runs = _runs(self._boxes.pop(object_id))
+        runs = self._runs.pop(object_id)
         del self._planes[object_id]
         self._size -= len(runs)
         if not self._built:
             return len(runs)
-        removed = 0
-        for run in runs:
-            if self._tree.delete(run, object_id):
-                removed += 1
+        removed = sum(self._tree.delete(run, object_id) for run in runs)
         if removed != len(runs):
             raise IndexError_(
                 f"index corruption: expected to remove {len(runs)} boxes "
@@ -213,7 +180,7 @@ class TimeSpaceIndex:
                 force: bool = False) -> IndexMaintenanceStats:
         """The §4.2 update step: swap the old o-plane for the new one.
 
-        When the new plane decomposes into exactly the slab boxes
+        When the new plane decomposes into exactly the slab runs
         already stored (an update that did not move the indexed
         envelope), the R-tree round-trip is skipped entirely: only the
         plane record is refreshed and the stats report zero box work.
@@ -226,14 +193,14 @@ class TimeSpaceIndex:
             return IndexMaintenanceStats(
                 boxes_removed=0, boxes_inserted=inserted
             )
-        new_boxes = plane.boxes(self.slab_minutes)
-        skipped = not force and new_boxes == self._boxes[object_id]
+        new_runs = plane.runs(self.slab_minutes)
+        skipped = not force and new_runs == self._runs[object_id]
         removed = inserted = 0
         if skipped:
             self._planes[object_id] = plane
         else:
             removed = self._remove_boxes(object_id)
-            inserted = self._insert_boxes(object_id, plane, boxes=new_boxes)
+            inserted = self._insert_boxes(object_id, plane, new_runs)
         p = probe()
         if p.enabled:
             if skipped:
@@ -251,24 +218,39 @@ class TimeSpaceIndex:
     def content_digest(self, object_ids: Container[str] | None = None) -> str:
         """Digest of the R-tree's content in slab units (replay checks).
 
-        Each stored run is read back from the tree and expanded into the
-        object's slab boxes it covers (same rectangle, time inside the
-        run), so the digest equals that of a tree holding one box per
-        slab, and a lost or extra tree entry still changes it.  Given
-        ``object_ids``, only their entries are digested: the digest of a
-        tree that held only those objects.
+        Each tree entry is expanded into its object's slab boxes that it
+        covers (same rectangle, time inside the run), each with its own
+        rectangle's bits: the digest of a tree of one box per slab, which
+        a lost or extra entry still changes.  Given ``object_ids``, only
+        their entries are digested.
         """
-        return entries_digest(
+        stored: dict[str, list[Box3D]] = {}
+        for run, object_id in self.tree.items():
+            if object_ids is None or object_id in object_ids:
+                stored.setdefault(object_id, []).append(run)
+        return entries_digest(  # one object's slab boxes at a time
             (slab, object_id)
-            for run, object_id in self.tree.items()
-            if object_ids is None or object_id in object_ids
+            for object_id, runs in stored.items()
+            for slabs in [self._slab_boxes(self._planes.get(object_id))]
+            for run in runs
             for slab in [
-                box for box in self._boxes.get(object_id, ())
+                box for box in slabs
                 if run.min_t <= box.min_t and box.max_t <= run.max_t
                 and box.min_x == run.min_x and box.min_y == run.min_y
                 and box.max_x == run.max_x and box.max_y == run.max_y
             ] or [run]
         )
+
+    def _slab_boxes(self, plane: OPlane | None) -> list[Box3D]:
+        """One box per slab of ``plane``, on the slab grid."""
+        if plane is None:  # a tree entry of an id the index does not hold
+            return []
+        edges, changes = plane.slab_rects(self.slab_minutes)
+        times = [plane.start_time + edge for edge in edges]
+        ends = [first for _, first in changes[1:]] + [len(edges) - 1]
+        return [Box3D.from_rect(rect, times[k], times[k + 1])
+                for (rect, first), end in zip(changes, ends)
+                for k in range(first, end)]
 
     def candidates_at(self, region: Rect2D, t: float,
                       stats: SearchStats | None = None) -> set[str]:

@@ -202,11 +202,11 @@ def disc_cases(draw):
     Polyline.from_coordinates([(1.0, 0.0), (0.0, 0.5)]),
 ]))
 def test_disc_region_equals_the_exact_classifier(case):
-    # The example's first chain ends inside the circle, but its last
-    # segment is shorter than EPSILON, so the kernel measures it from the
-    # vertex before, outside: OUT, where a screen that took the last
-    # vertex as "within radius" would say MAY.  Its second chain has a
-    # vertex on the circle, which is not beyond it: MUST.
+    # The example's first chain ends 5e-10 inside the circle on a last
+    # segment shorter than EPSILON, which the kernel measures from its
+    # nearer end: MAY, as the geometry says, although no vertex is deep
+    # enough inside for the vertex screen to settle it.  Its second
+    # chain has a vertex on the circle, which is not beyond it: MUST.
     center, radius, geometries = case
     region = _DiscRegion(None, WithinDistanceQuery(center, radius, 0.0), 0)
     assert region_outcomes(region, geometries) == [

@@ -2,7 +2,10 @@
 
 import math
 
+from repro.dbms.query import Containment, classify_polyline_within_distance
+from repro.geometry import kernels
 from repro.geometry.point import Point
+from repro.geometry.polyline import Polyline
 from repro.geometry.segment import Segment
 
 
@@ -63,6 +66,27 @@ class TestProjection:
         s = seg(1, 1, 1, 1)
         assert s.project_fraction(Point(5.0, 5.0)) == 0.0
         assert s.distance_to_point(Point(4.0, 5.0)) == 5.0
+
+    def test_point_like_segment_projects_to_its_nearer_end(self):
+        """A segment no longer than EPSILON is measured from its nearer
+        end, the start on a tie."""
+        s = seg(1.0 + 3e-10, 0.0, 1.0 - 5e-10, 0.0)
+        assert s.project_fraction(Point(0.0, 0.0)) == 1.0
+        assert s.project_fraction(Point(2.0, 0.0)) == 0.0
+        assert s.project_fraction(Point(1.0 - 1e-10, 5.0)) == 0.0
+        assert s.distance_to_point(Point(0.0, 0.0)) < 1.0
+
+    def test_a_chain_ending_inside_on_a_point_like_segment_may_be_within(
+            self):
+        """The chain reaches 5e-10 inside the unit disc on a last segment
+        shorter than EPSILON: it may be within the radius (it was OUT
+        while such a segment was measured from its first vertex)."""
+        chain = Polyline.from_coordinates(
+            [(1.0 + 3e-10, 5.0), (1.0 + 3e-10, 0.0), (1.0 - 5e-10, 0.0)])
+        assert kernels.chain_within_distance(
+            0.0, 0.0, 1.0, chain.xs, chain.ys) == (True, False)
+        assert classify_polyline_within_distance(
+            Point(0.0, 0.0), 1.0, chain) == Containment.MAY
 
 
 class TestIntersection:

@@ -39,7 +39,8 @@ from repro.obs.probe import observe
 from repro.routes.generators import straight_route
 from repro.trace.recorder import TraceRecorder
 from tests.conftest import examples
-from tests.index.test_slab_runs import OBJECTS, maximal_runs, planes
+from tests.index.test_oplane_bounds import maximal_runs, reference_boxes
+from tests.index.test_slab_runs import OBJECTS, planes
 from tests.index.test_timespace import plane_for
 
 TUNING = {"max_entries": 4, "min_entries": 2}
@@ -132,7 +133,7 @@ class LazyTreeMachine(RuleBasedStateMachine):
         window = Box3D.from_rect(region, t, t)
         return {object_id for object_id, plane in self.model.items()
                 if any(box.intersects(window)
-                       for box in plane.boxes(self.slab))}
+                       for box in reference_boxes(plane, self.slab))}
 
     def read(self):
         for index in self.trees():
@@ -141,7 +142,7 @@ class LazyTreeMachine(RuleBasedStateMachine):
     def window(self, data):
         """A random window, or one at a stored slab's rectangle and time."""
         slabs = [box for plane in self.model.values()
-                 for box in plane.boxes(self.slab)]
+                 for box in reference_boxes(plane, self.slab)]
         if not slabs or data.draw(st.booleans()):
             return data.draw(windows)
         box = data.draw(st.sampled_from(slabs))
@@ -176,7 +177,7 @@ class LazyTreeMachine(RuleBasedStateMachine):
 
     @invariant()
     def same_content(self):
-        runs = sum(len(maximal_runs(plane.boxes(self.slab)))
+        runs = sum(len(maximal_runs(reference_boxes(plane, self.slab)))
                    for plane in self.model.values())
         for index in self.trees():
             assert index.total_boxes() == runs

@@ -10,7 +10,8 @@ from repro.core.position import PositionAttribute
 from repro.errors import IndexError_
 from repro.geometry.bbox import Box3D
 from repro.geometry.polyline import Polyline
-from repro.index.oplane import OPlane
+from repro.index.oplane import OPlane, slab_grid
+from tests.index.test_oplane_bounds import maximal_runs
 
 C = 5.0
 
@@ -81,20 +82,27 @@ class TestTravelRange:
 
 class TestBoxes:
     def test_slab_count(self, straight_route_10):
+        """Five slabs, and the runs tile them in order."""
         plane = make_plane(straight_route_10, horizon=10.0)
-        assert len(plane.boxes(slab_minutes=2.0)) == 5
+        edges = slab_grid(10.0, 2.0)[0]
+        assert len(edges) - 1 == 5
+        runs = plane.runs(slab_minutes=2.0)
+        assert 1 <= len(runs) <= 5
+        assert (runs[0].min_t, runs[-1].max_t) == (0.0, 10.0)
+        assert all(a.max_t == b.min_t for a, b in zip(runs, runs[1:]))
+        assert {run.min_t for run in runs} <= set(edges)
 
     def test_partial_last_slab(self, straight_route_10):
         plane = make_plane(straight_route_10, horizon=5.0)
-        boxes = plane.boxes(slab_minutes=2.0)
-        assert len(boxes) == 3
+        assert slab_grid(5.0, 2.0)[0] == (0.0, 2.0, 4.0, 5.0)
+        boxes = plane.runs(slab_minutes=2.0)
         assert boxes[-1].max_t == pytest.approx(5.0)
 
     def test_boxes_cover_uncertainty_everywhere(self, straight_route_10):
         """Conservativeness: at every time, the uncertainty interval's
         geometry lies inside some slab box."""
         plane = make_plane(straight_route_10, horizon=9.0)
-        boxes = plane.boxes(slab_minutes=3.0)
+        boxes = plane.runs(slab_minutes=3.0)
         for i in range(91):
             t = 9.0 * i / 90
             interval = plane.uncertainty_at(t)
@@ -109,7 +117,7 @@ class TestBoxes:
     def test_boxes_on_l_route(self, l_route):
         """Boxes stay conservative around a corner."""
         plane = make_plane(l_route, speed=0.5, horizon=8.0)
-        boxes = plane.boxes(slab_minutes=2.0)
+        boxes = plane.runs(slab_minutes=2.0)
         for i in range(81):
             t = 8.0 * i / 80
             interval = plane.uncertainty_at(t)
@@ -121,13 +129,14 @@ class TestBoxes:
     def test_reverse_direction_boxes(self, straight_route_10):
         plane = make_plane(straight_route_10, direction=1, x=10.0,
                            horizon=5.0)
-        boxes = plane.boxes(slab_minutes=5.0)
+        boxes = plane.runs(slab_minutes=5.0)
         # Travelling from x=10 leftwards: boxes near the right end.
         assert boxes[0].max_x == pytest.approx(10.0)
 
     def test_one_projection_per_plane(self, l_route, monkeypatch):
-        """``boxes`` projects the start point once, and builds the boxes
-        ``travel_range`` (which projects per call) gives slab by slab."""
+        """``runs`` projects the start point once, and builds the runs of
+        the boxes ``travel_range`` (which projects per call) gives slab
+        by slab."""
         plane = make_plane(l_route, speed=0.5, x=3.0, y=1.0, horizon=9.0)
         expected = []
         for lo_t in (0.0, 2.0, 4.0, 6.0, 8.0):
@@ -141,22 +150,22 @@ class TestBoxes:
             Polyline, "project",
             lambda self, point: calls.append(point) or project(self, point),
         )
-        assert plane.boxes(slab_minutes=2.0) == expected
+        assert plane.runs(slab_minutes=2.0) == maximal_runs(expected)
         assert len(calls) == 1
 
     def test_bad_slab_rejected(self, straight_route_10):
         plane = make_plane(straight_route_10)
         with pytest.raises(IndexError_):
-            plane.boxes(slab_minutes=0.0)
+            plane.runs(slab_minutes=0.0)
         with pytest.raises(IndexError_):
-            plane.boxes(slab_minutes=float("nan"))
+            plane.runs(slab_minutes=float("nan"))
 
     def test_immediate_bounds_narrow_late_boxes(self, straight_route_10):
         """With Proposition-4 bounds, late slabs are not wider than the
         2C/t cap allows."""
         plane = make_plane(straight_route_10, speed=0.5, immediate=True,
                            horizon=10.0, max_speed=1.0)
-        boxes = plane.boxes(slab_minutes=2.0)
+        boxes = plane.runs(slab_minutes=2.0)
         late = boxes[-1]
         # At t in [8, 10], cap 2C/t <= 1.25 each side; plus the sampling
         # margin and the centre drift of the slab (0.5 * 2 = 1 mile).

@@ -1,16 +1,19 @@
 """One bound check per o-plane, every sample unchanged.
 
-``OPlane.boxes`` evaluates the slow and fast bounds at every slab's
-``samples + 1`` elapsed times through one ``DeviationBounds.sample``
-call, which checks ``elapsed >= 0`` once for them all.  Its boxes must
-equal — as packed bytes, so ``-0.0`` is not ``0.0`` — those built from
-the travel range as it was, asking ``bounds.slow`` / ``bounds.fast``
-sample by sample; and a negative elapsed time must still be refused
-with :class:`PolicyError`.
+``OPlane.runs`` evaluates the slow and fast bounds at every sampled
+slab's ``samples + 1`` elapsed times through one
+``DeviationBounds.sample`` call, which checks ``elapsed >= 0`` once for
+them all, and returns one box per maximal run of slabs that share a
+rectangle.  Its runs must equal — as packed bytes, so ``-0.0`` is not
+``0.0`` — the maximal runs of the slab boxes built from the travel range
+as it was, asking ``bounds.slow`` / ``bounds.fast`` sample by sample
+(:func:`reference_boxes`); and a negative elapsed time must still be
+refused with :class:`PolicyError`.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import struct
 
@@ -24,7 +27,7 @@ from repro.core.policies import make_policy, policy_names
 from repro.core.position import PositionAttribute
 from repro.errors import IndexError_, PolicyError
 from repro.geometry.bbox import Box3D
-from repro.index.oplane import OPlane
+from repro.index.oplane import OPlane, slab_grid
 from repro.routes.generators import grid_city_network
 from tests.conftest import examples
 
@@ -66,6 +69,23 @@ def reference_boxes(plane: OPlane, slab_minutes: float) -> list[Box3D]:
     return boxes
 
 
+def maximal_runs(slabs: list[Box3D]) -> list[Box3D]:
+    """Consecutive slabs with one rectangle, as one box over their time."""
+    runs = []
+    for _, group in itertools.groupby(
+            slabs, lambda b: (b.min_x, b.min_y, b.max_x, b.max_y)):
+        group = list(group)
+        assert all(a.max_t == b.min_t for a, b in zip(group, group[1:]))
+        first = group[0]
+        runs.append(Box3D(first.min_x, first.min_y, first.min_t,
+                          first.max_x, first.max_y, group[-1].max_t))
+    return runs
+
+
+def reference_runs(plane: OPlane, slab_minutes: float) -> list[Box3D]:
+    return maximal_runs(reference_boxes(plane, slab_minutes))
+
+
 def box_bits(boxes: list[Box3D]) -> list[bytes]:
     return [struct.pack("6d", b.min_x, b.min_y, b.min_t,
                         b.max_x, b.max_y, b.max_t) for b in boxes]
@@ -97,8 +117,8 @@ def seeded_plane(seed: int) -> OPlane:
        slab_minutes=st.sampled_from([5.0, 3.3, 0.25]))
 def test_boxes_equal_the_per_sample_reference(seed, slab_minutes):
     plane = seeded_plane(seed)
-    assert box_bits(plane.boxes(slab_minutes)) == box_bits(
-        reference_boxes(plane, slab_minutes))
+    assert box_bits(plane.runs(slab_minutes)) == box_bits(
+        reference_runs(plane, slab_minutes))
 
 
 @settings(max_examples=examples(50), deadline=None)
@@ -139,7 +159,7 @@ def test_no_times_no_check():
 # Planes that pass their route's end
 # ----------------------------------------------------------------------
 #
-# ``OPlane.boxes`` samples only the slabs before the route-end screen's
+# ``OPlane.runs`` samples only the slabs before the route-end screen's
 # and gives every later one ``(L, L)``.  These planes reach the end
 # early and stay there: a start at ``L``, speeds ``0`` and ``1e-300``,
 # every family (periodic, the horizon policy under step cost and a
@@ -192,7 +212,7 @@ def route_end_plane(seed: int) -> OPlane:
 
 
 def slab_spans(plane: OPlane, slab_minutes: float):
-    """The elapsed-time slabs ``OPlane.boxes`` lays."""
+    """The elapsed-time slabs ``OPlane.runs`` cuts the plane on."""
     slabs = []
     elapsed = 0.0
     while elapsed < plane.horizon - 1e-12:
@@ -208,8 +228,8 @@ def slab_spans(plane: OPlane, slab_minutes: float):
 def test_route_end_planes_equal_the_per_sample_reference(seed,
                                                          slab_minutes):
     plane = route_end_plane(seed)
-    assert box_bits(plane.boxes(slab_minutes)) == box_bits(
-        reference_boxes(plane, slab_minutes))
+    assert box_bits(plane.runs(slab_minutes)) == box_bits(
+        reference_runs(plane, slab_minutes))
 
 
 def test_the_screen_skips_the_route_end_slabs():
@@ -220,13 +240,16 @@ def test_the_screen_skips_the_route_end_slabs():
         plane = route_end_plane(seed)
         for slab_minutes in (5.0, 3.3):
             slabs = slab_spans(plane, slab_minutes)
-            moving = plane._route_end_slab(plane._start_travel(), slabs, 4)
+            assert slab_grid(plane.horizon, slab_minutes)[0] == (
+                0.0, *(hi for _, hi in slabs))
+            moving = plane._route_end_slab(plane._start_travel(),
+                                           slab_minutes)
             if plane.bounds.ceiling is None:
                 assert moving == len(slabs)
             skipped += len(slabs) - moving
             total += len(slabs)
-            assert box_bits(plane.boxes(slab_minutes)) == box_bits(
-                reference_boxes(plane, slab_minutes))
+            assert box_bits(plane.runs(slab_minutes)) == box_bits(
+                reference_runs(plane, slab_minutes))
     assert skipped > total // 3
 
 
@@ -260,6 +283,53 @@ def test_every_family_at_its_route_end(kind):
             expected = 1
         else:
             expected = 0 if kind in ZERO_AT_REST else len(slabs)
-        assert plane._route_end_slab(route.length, slabs, 4) == expected
-        assert box_bits(plane.boxes(7.0)) == box_bits(
-            reference_boxes(plane, 7.0))
+        assert plane._route_end_slab(route.length, 7.0) == expected
+        assert box_bits(plane.runs(7.0)) == box_bits(
+            reference_runs(plane, 7.0))
+
+
+# ----------------------------------------------------------------------
+# Runs straight from the plane
+# ----------------------------------------------------------------------
+#
+# ``OPlane.runs`` builds the index's entries without a box per slab: it
+# merges equal rectangles as it goes and lays the route-end stub as one
+# run.  Its runs must be the maximal runs of the reference slab boxes,
+# bit for bit.
+
+@st.composite
+def run_planes(draw) -> tuple[OPlane, float]:
+    """A plane of any family, often parked or outliving its route, on
+    slabs of 1 to 20 minutes and a horizon that is a whole number of
+    them or not, starting at 0 or later."""
+    slab_minutes = float(draw(st.integers(1, 20)))
+    horizon = slab_minutes * (draw(st.integers(0, 30)) + draw(st.one_of(
+        st.just(1.0), st.floats(min_value=0.01, max_value=0.99))))
+    route = NETWORK.random_route(random.Random(draw(st.integers(0, 2**16))),
+                                 min_length=0.5)
+    direction = draw(st.integers(0, 1))
+    speed = draw(st.one_of(st.just(0.0), st.just(0.0),
+                           st.floats(min_value=0.05, max_value=2.0)))
+    travel = draw(st.one_of(st.sampled_from([0.0, route.length]),
+                            st.floats(min_value=0.0, max_value=route.length)))
+    start = route.travel_point(travel, direction)
+    kind = draw(st.sampled_from(sorted(policy_names()) + EXTRA_KINDS))
+    plane = OPlane(
+        PositionAttribute(
+            starttime=draw(st.sampled_from([0.0, 2.5, 7.0, 1000.25])),
+            route_id=route.route_id, start_x=start.x, start_y=start.y,
+            direction=direction, speed=speed, policy="dl"),
+        route,
+        route_end_bounds(kind, draw(st.sampled_from([0.0, 0.18, 5.0])),
+                         speed, draw(st.sampled_from(
+                             [speed, speed * 1.6, 1.0]))),
+        horizon=horizon)
+    return plane, slab_minutes
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(run_planes())
+def test_runs_equal_the_maximal_runs_of_the_reference(case):
+    plane, slab_minutes = case
+    assert box_bits(plane.runs(slab_minutes)) == box_bits(
+        reference_runs(plane, slab_minutes))

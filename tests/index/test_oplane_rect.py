@@ -1,6 +1,6 @@
 """Slab rectangles without slab geometry, bit for bit.
 
-``OPlane.boxes`` asks ``Route.interval_rect`` for each slab's rectangle:
+``OPlane.runs`` asks ``Route.interval_rect`` for each slab's rectangle:
 a walk over the polyline's coordinate tuples that allocates no ``Point``,
 ``Segment`` or ``Polyline``.  It must equal — compared as packed bytes,
 so ``-0.0`` is not ``0.0`` — the bounding rectangle of the strip the old
@@ -28,6 +28,7 @@ from repro.index.oplane import OPlane
 from repro.routes.generators import grid_city_network
 from repro.routes.route import Route
 from tests.conftest import examples
+from tests.index.test_oplane_bounds import maximal_runs
 from tests.oracle import geometry_reference as ref
 
 
@@ -197,17 +198,16 @@ class TestRectWalk:
 
 
 # ----------------------------------------------------------------------
-# OPlane.boxes
+# OPlane.runs
 # ----------------------------------------------------------------------
 
 def reference_boxes(plane: OPlane, slab_minutes: float) -> list[Box3D]:
-    """``OPlane.boxes`` as it was: one materialised strip per slab."""
+    """The slab boxes as they were: one materialised strip per slab."""
     boxes = []
-    start_travel = plane._start_travel()
     elapsed = 0.0
     while elapsed < plane.horizon - 1e-12:
         slab_end = min(elapsed + slab_minutes, plane.horizon)
-        lo, hi = plane._travel_range(start_travel, elapsed, slab_end)
+        lo, hi = plane.travel_range(elapsed, slab_end)
         rect = ref.bounding_rect(ref.interval_polyline(
             plane.route.polyline, lo, hi, plane.attribute.direction))
         boxes.append(Box3D.from_rect(
@@ -242,9 +242,9 @@ def test_boxes_equal_the_old_decomposition_on_seeded_planes():
             horizon=rng.choice([120.0, 42.0]),
         )
         for slab_minutes in (5.0, 3.3):
-            boxes = plane.boxes(slab_minutes)
-            assert box_bits(boxes) == box_bits(
-                reference_boxes(plane, slab_minutes))
+            boxes = reference_boxes(plane, slab_minutes)
+            assert box_bits(plane.runs(slab_minutes)) == box_bits(
+                maximal_runs(boxes))
             repeated += len(boxes) - len({b.rect for b in boxes})
     # The end-of-route stub is what most slabs of a long horizon share.
     assert repeated > 500

@@ -81,7 +81,7 @@ def escapes(plane: OPlane) -> list[tuple[float, float, float]]:
     box exactly when its two end points do (an empty interval's 1e-7
     stub is geometry for the refine stage, not a place the object may
     be)."""
-    boxes = plane.boxes(SLAB_MINUTES)
+    boxes = plane.runs(SLAB_MINUTES)
     found = []
     for i in range(SLABS * GRID + 1):
         t = plane.start_time + SLAB_MINUTES * i / GRID
@@ -142,7 +142,7 @@ def test_an_empty_intervals_stub_lies_in_a_covering_box():
             direction=0, speed=speed, policy="horizon"),
         ROUTE, bounds_for_policy(make_policy("horizon", 0.0), speed, 1.0),
         horizon=SLABS * SLAB_MINUTES)
-    boxes = plane.boxes(SLAB_MINUTES)
+    boxes = plane.runs(SLAB_MINUTES)
     outside = []
     for i in range(SLABS * STUB_GRID + 1):
         t = plane.start_time + SLAB_MINUTES * i / STUB_GRID

@@ -1,7 +1,9 @@
 """The time-space index stores one box per run of slabs, and nothing moves.
 
-``TimeSpaceIndex`` merges each maximal run of consecutive slab boxes that
-share a rectangle into one tree entry.  Generated o-planes — on grid
+``TimeSpaceIndex`` stores each maximal run of consecutive slab boxes
+that share a rectangle (``OPlane.runs``) as one tree entry.  The slab
+boxes are the frozen per-sample reference of
+``tests/index/test_oplane_bounds.py``.  Generated o-planes — on grid
 routes short enough to end before the horizon, declared speed 0 drawn
 often, every registered policy, slabs of 1 to 20 minutes and horizons
 that are not a multiple of the slab — go through insert / replace /
@@ -20,7 +22,7 @@ bulk-built first.  After every sequence:
 from __future__ import annotations
 
 import hashlib
-import itertools
+import math
 import random
 
 from hypothesis import given, settings
@@ -30,10 +32,14 @@ from repro.core.bounds import bounds_for_policy
 from repro.core.policies import make_policy, policy_names
 from repro.core.position import PositionAttribute
 from repro.geometry.bbox import Box3D, Rect2D
-from repro.index.oplane import OPlane
+from repro.geometry.point import Point
+from repro.geometry.polyline import Polyline
+from repro.index.oplane import OPlane, slab_grid
 from repro.index.timespace import TimeSpaceIndex
 from repro.routes.generators import grid_city_network
+from repro.routes.route import Route
 from tests.conftest import examples
+from tests.index.test_oplane_bounds import maximal_runs, reference_boxes
 
 NETWORK = grid_city_network(8, 8, 0.25)
 OBJECTS = ["o0", "o1", "o2", "o3"]
@@ -84,19 +90,6 @@ def key(box: Box3D) -> tuple[float, ...]:
     return (box.min_x, box.min_y, box.min_t, box.max_x, box.max_y, box.max_t)
 
 
-def maximal_runs(slabs: list[Box3D]) -> list[Box3D]:
-    """Consecutive slabs with one rectangle, as one box over their time."""
-    runs = []
-    for _, group in itertools.groupby(
-            slabs, lambda b: (b.min_x, b.min_y, b.max_x, b.max_y)):
-        group = list(group)
-        assert all(a.max_t == b.min_t for a, b in zip(group, group[1:]))
-        first = group[0]
-        runs.append(Box3D(first.min_x, first.min_y, first.min_t,
-                          first.max_x, first.max_y, group[-1].max_t))
-    return runs
-
-
 def slab_digest(slabs: dict[str, list[Box3D]]) -> str:
     """``RTree.content_digest`` of a tree holding one box per slab."""
     entries = sorted((key(box), repr(object_id))
@@ -120,7 +113,8 @@ def check_content(index: TimeSpaceIndex, model: dict[str, OPlane],
     """The tree holds the maximal runs and digests as the slabs; returns
     each object's slab boxes."""
     index.tree.check_invariants()
-    slabs = {object_id: plane.boxes(slab) for object_id, plane in model.items()}
+    slabs = {object_id: reference_boxes(plane, slab)
+             for object_id, plane in model.items()}
     stored = sorted((repr(key(box)), object_id)
                     for box, object_id in index.tree.items())
     expected = sorted((repr(key(run)), object_id)
@@ -196,36 +190,46 @@ def test_a_plane_past_its_route_end_is_one_run_per_rectangle():
         route, bounds_for_policy(make_policy("dl", 0.0), 0.0, 0.0),
         horizon=120.0)
     index = TimeSpaceIndex(slab_minutes=5.0)
-    assert len(plane.boxes(5.0)) == 24
+    assert len(reference_boxes(plane, 5.0)) == 24
     assert index.insert("o", plane) == 1
-    assert index.content_digest() == slab_digest({"o": plane.boxes(5.0)})
+    assert index.content_digest() == slab_digest(
+        {"o": reference_boxes(plane, 5.0)})
     assert index.remove("o") == 1
     assert index.total_boxes() == 0
 
 
-class Slabs:
-    """A stand-in plane whose slab boxes are given, not derived."""
+class Runs:
+    """A stand-in plane whose runs are given, not derived: it starts at
+    0 and spans ``slabs`` slabs, and its slab rectangles are its runs'.
+    """
 
-    def __init__(self, boxes: list[Box3D]) -> None:
-        self._slabs = boxes
+    def __init__(self, runs: list[Box3D], slabs: int) -> None:
+        self._runs = runs
+        self.start_time = 0.0
+        self.horizon = 5.0 * slabs
 
-    def boxes(self, slab_minutes: float) -> list[Box3D]:
-        return self._slabs
+    def runs(self, slab_minutes: float) -> list[Box3D]:
+        return self._runs
+
+    def slab_rects(self, slab_minutes: float):
+        edges = slab_grid(self.horizon, slab_minutes)[0]
+        return edges, [(run.rect, edges.index(run.min_t))
+                       for run in self._runs]
 
 
 def test_a_rectangle_that_returns_is_a_new_run():
-    """Rectangles A A B A, a zero-length C at the end of the last A, and
-    a C after a gap: five runs.  The digest expands each run into only
-    its own slabs (not the later A, not C at the run's end time), and a
-    lost or stray tree entry still changes it."""
-    a, b, c = (0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 2.0, 1.0), (0.5, 0.0, 1.0, 1.0)
+    """Rectangles A A B A: three runs.  The digest expands each run into
+    only its own slabs (not the later A), and a lost or stray tree entry
+    still changes it."""
+    a, b = (0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 2.0, 1.0)
     spans = [(a, 0.0, 5.0), (a, 5.0, 10.0), (b, 10.0, 15.0),
-             (a, 15.0, 20.0), (c, 20.0, 20.0), (c, 21.0, 22.0)]
+             (a, 15.0, 20.0)]
     slabs = [Box3D(r[0], r[1], lo, r[2], r[3], hi) for r, lo, hi in spans]
-    runs = [(a, 0.0, 10.0), (b, 10.0, 15.0), (a, 15.0, 20.0),
-            (c, 20.0, 20.0), (c, 21.0, 22.0)]
+    runs = [(a, 0.0, 10.0), (b, 10.0, 15.0), (a, 15.0, 20.0)]
     index = TimeSpaceIndex()
-    assert index.insert("o", Slabs(slabs)) == 5
+    assert index.insert("o", Runs(
+        [Box3D(r[0], r[1], lo, r[2], r[3], hi) for r, lo, hi in runs],
+        len(slabs))) == 3
     assert sorted(key(box) for box, _ in index.tree.items()) == sorted(
         (r[0], r[1], lo, r[2], r[3], hi) for r, lo, hi in runs)
     digest = index.content_digest()
@@ -239,3 +243,33 @@ def test_a_rectangle_that_returns_is_a_new_run():
     assert index.content_digest() == digest
     index.tree.delete(Box3D(*b[:2], 10.0, *b[2:], 15.0), "o")
     assert index.content_digest() != digest
+
+
+def test_the_digest_hashes_each_slabs_own_bits():
+    """A route that starts at ``y = -0.0`` and has a vertex at
+    ``y = 0.0``.  The plane's first slab spans the whole route, so its
+    rectangle tops out at the start's ``-0.0`` (``max`` keeps the first
+    of equal values); the second slab starts past the start, and tops
+    out at the vertex's ``0.0``.  The two rectangles are ``==``, so they
+    form one run, stored with the first slab's bits.  The digest still
+    hashes each slab with its own rectangle's bits, as a tree of one box
+    per slab would."""
+    route = Route("z", Polyline([Point(-1e-10, -0.0), Point(-1.0, -1.0),
+                                 Point(-0.5, 0.0), Point(-0.0, -1e-10)]))
+    start = route.travel_point(0.0, 0)
+    plane = OPlane(
+        PositionAttribute(starttime=0.0, route_id="z", start_x=start.x,
+                          start_y=start.y, direction=0, speed=0.5,
+                          policy="dl"),
+        route, bounds_for_policy(make_policy("fixed-threshold", 0.18),
+                                 0.5, 1.0),
+        horizon=10.0)
+    slabs = reference_boxes(plane, 5.0)
+    assert [math.copysign(1.0, box.max_y) for box in slabs] == [-1.0, 1.0]
+    assert len(plane.runs(5.0)) == 1
+    index = TimeSpaceIndex(slab_minutes=5.0)
+    index.insert("o", plane)
+    assert index.content_digest() == slab_digest({"o": slabs})
+    assert index.content_digest() != slab_digest(
+        {"o": [Box3D.from_rect(slabs[0].rect, box.min_t, box.max_t)
+               for box in slabs]})

@@ -7,7 +7,10 @@ one ``Point`` or ``Segment`` allocation per intermediate value, edges
 and segments rebuilt per call.  They are the oracle the float kernels
 are compared against with exact ``==`` — same expressions, same
 operation order, same ``EPSILON`` comparisons, same short-circuit
-order — and must never be edited to follow the kernels.
+order — and must never be edited to follow the kernels.  One rule was
+changed in both on purpose: ``project_fraction`` of a segment no longer
+than ``EPSILON`` is its nearer end's (it was always the start's, which
+put a chain's end point up to ``EPSILON`` from where it is).
 
 Only ``Point``'s vector algebra and the plain accessors of ``Segment``,
 ``Polygon`` and ``Polyline`` (``start``/``end``, ``vertices``,
@@ -40,7 +43,9 @@ def project_fraction(segment: Segment, point: Point) -> float:
     direction = segment.end - segment.start
     denom = direction.dot(direction)
     if denom <= EPSILON * EPSILON:
-        return 0.0
+        to_start = point - segment.start
+        to_end = point - segment.end
+        return 1.0 if to_end.dot(to_end) < to_start.dot(to_start) else 0.0
     raw = (point - segment.start).dot(direction) / denom
     return min(1.0, max(0.0, raw))
 
